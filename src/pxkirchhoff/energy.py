@@ -66,6 +66,17 @@ class NonlinearitySpec:
             raise DomainError("s_A must be nonnegative")
 
 
+def _G(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
+    """Vectorized primitive G at per-element arguments s."""
+    if spec.kind == "zero":
+        return np.zeros_like(s)
+    q = spec.q.values
+    G = np.abs(s) ** q / q
+    if spec.kind == "scaled_power":
+        G = spec.coefficient * G
+    return G
+
+
 def _g_and_G(spec: NonlinearitySpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (g, G) at per-element arguments s."""
     if spec.kind == "zero":
@@ -73,11 +84,9 @@ def _g_and_G(spec: NonlinearitySpec, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     q = spec.q.values
     mag = np.abs(s)
     g = np.where(mag > 0.0, mag ** (q - 2.0) * s, 0.0)
-    G = mag**q / q
     if spec.kind == "scaled_power":
         g = spec.coefficient * g
-        G = spec.coefficient * G
-    return g, G
+    return g, _G(spec, s)
 
 
 def nonlinearity_eval(spec: NonlinearitySpec, element: int, s: float) -> tuple[float, float]:
@@ -151,23 +160,37 @@ class KirchhoffProblem:
                 )
 
 
+def _A_of_gradients(grads: np.ndarray, p: ExponentField, meas: np.ndarray) -> float:
+    gmag = np.linalg.norm(grads, axis=1)
+    return float(np.dot(gmag**p.values / p.values, meas))
+
+
 def kirchhoff_A(u: GridFunction, p: ExponentField) -> float:
     """The nonlocal integrand A(u): quadrature of (1/p(x)) |grad u|^{p(x)}."""
     require_zero_trace(u)
-    gmag = np.linalg.norm(gradient_of(u), axis=1)
-    return float(np.dot(gmag**p.values / p.values, u.mesh.element_measures))
+    return _A_of_gradients(gradient_of(u), p, u.mesh.element_measures)
+
+
+def _energy_of_elements(
+    prob: KirchhoffProblem, grads: np.ndarray, uc: np.ndarray
+) -> float:
+    """J from per-element gradients and centroid values.
+
+    The quadrature tail of ``energy_J``; the solver's restriction of J to a
+    segment calls it too, so the energy formula exists once.
+    """
+    meas = prob.mesh.element_measures
+    p = prob.p.values
+    A = _A_of_gradients(grads, prob.p, meas)
+    lam_term = float(np.dot(np.abs(uc) ** p / p, meas))
+    g_term = float(np.dot(_G(prob.g, uc), meas))
+    return prob.a * A - 0.5 * prob.b * A * A - prob.lam * lam_term - g_term
 
 
 def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
     """Total energy of u for the given problem."""
-    A = kirchhoff_A(u, prob.p)
-    uc = centroid_values(u)
-    meas = prob.mesh.element_measures
-    p = prob.p.values
-    lam_term = float(np.dot(np.abs(uc) ** p / p, meas))
-    _, G = _g_and_G(prob.g, uc)
-    g_term = float(np.dot(G, meas))
-    return prob.a * A - 0.5 * prob.b * A * A - prob.lam * lam_term - g_term
+    require_zero_trace(u)
+    return _energy_of_elements(prob, gradient_of(u), centroid_values(u))
 
 
 def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:

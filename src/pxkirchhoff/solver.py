@@ -8,8 +8,8 @@ are preconditioned with the constant-exponent stiffness (a discrete Sobolev
 gradient), which keeps iteration counts mesh-independent; the reported
 residual stays the plain interior l2 norm of the assembled derivative.
 
-Independent multistarts may run concurrently; each solve is sequential and
-results merge deterministically by (energy, start-index) order.
+The multiplicity search runs its starts one after another, in start-index
+order, and merges results deterministically by (energy, start-index) order.
 """
 
 from dataclasses import dataclass
@@ -20,8 +20,14 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.optimize import minimize_scalar
 
-from .discretization import GridFunction, Mesh
-from .energy import KirchhoffProblem, energy_J, gradient_J, kirchhoff_A
+from .discretization import GridFunction, Mesh, element_gradients
+from .energy import (
+    KirchhoffProblem,
+    _energy_of_elements,
+    energy_J,
+    gradient_J,
+    kirchhoff_A,
+)
 from .errors import (
     DegenerateCoefficient,
     DomainError,
@@ -318,7 +324,7 @@ def verify_mountain_geometry(
         )
     rho, alpha = best
 
-    psi = laplace_eigenbasis(mesh, 1)[0]
+    psi = directions[0]  # the ground eigenvector
     if np.any(psi.nodal_values < 0.0):  # discrete ground state is one-signed
         psi = GridFunction(mesh, np.abs(psi.nodal_values))
     e = _scale_until_negative(prob, psi.nodal_values, min_norm=rho)
@@ -352,16 +358,30 @@ class SolveReport:
     iteration_trace: list[tuple[int, float, float, float, float]]
 
 
-def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
-    """Maximize J along the segment (1-t) ua + t ub; return (t, J)."""
+def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray):
+    """J restricted to the line base + t*direction, as a function of t.
+
+    The element gradients and centroid values of ``base`` and ``direction``
+    are gathered once; each evaluation is then elementwise.  Zero trace is
+    checked once, on both vectors: every point of the line inherits it
+    exactly.
+    """
     mesh = prob.mesh
+    for nodal in (base, direction):
+        if np.any(nodal[mesh.boundary_mask] != 0.0):
+            raise DomainError("path points must have zero boundary trace")
+    g0, dg = (element_gradients(mesh, v) for v in (base, direction))
+    c0, dc = (v[mesh.elements].mean(axis=1) for v in (base, direction))
+    return lambda t: _energy_of_elements(prob, g0 + t * dg, c0 + t * dc)
 
-    def neg(t):
-        return -energy_J(GridFunction(mesh, (1.0 - t) * ua + t * ub), prob)
 
-    res = minimize_scalar(neg, bounds=(0.0, 1.0), method="bounded",
+def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
+    """Maximize J along the segment ua + t (ub - ua); return (point, J)."""
+    delta = ub - ua
+    J = _line_energy(prob, ua, delta)
+    res = minimize_scalar(lambda t: -J(t), bounds=(0.0, 1.0), method="bounded",
                           options={"xatol": 1e-12})
-    return float(res.x), -float(res.fun)
+    return ua + float(res.x) * delta, -float(res.fun)
 
 
 def mountain_pass_solve(
@@ -379,6 +399,13 @@ def mountain_pass_solve(
     backtracking descent step there along the preconditioned negative
     gradient, and pulls the neighboring path points toward the new peak.
     Terminates when the interior l2 residual at the peak drops to ``tol``.
+
+    Path-point energies are evaluated once and cached; after each sweep only
+    the updated points (the peak's vertex and its interior neighbors) are
+    re-evaluated.  The segment maxima and the line search evaluate J through
+    its restriction to a line, whose element data is gathered once per
+    segment, so a solve makes at most ``n_path + 1 + 3 * iterations`` calls
+    to ``energy_J``.
 
     Raises DegenerateCoefficient the moment the nonlocal coefficient
     K(u) = a - b*A(u) is nonpositive at the current iterate (the operator
@@ -400,20 +427,16 @@ def mountain_pass_solve(
     trace: list[tuple[int, float, float, float, float]] = []
     record = np.inf
 
+    def energy_at(nodal):
+        return energy_J(GridFunction(mesh, nodal), prob)
+
+    energies = [energy_at(nodal) for nodal in path]
     for it in range(max_iter):
-        energies = [
-            energy_J(GridFunction(mesh, nodal), prob) for nodal in path
-        ]
         m = 1 + int(np.argmax(energies[1:-1]))
         # continuous peak along the two segments adjacent to the vertex max
-        t_lo, J_lo = _segment_max(prob, path[m - 1], path[m])
-        t_hi, J_hi = _segment_max(prob, path[m], path[m + 1])
-        if J_lo >= J_hi:
-            peak = (1.0 - t_lo) * path[m - 1] + t_lo * path[m]
-            J_peak = J_lo
-        else:
-            peak = (1.0 - t_hi) * path[m] + t_hi * path[m + 1]
-            J_peak = J_hi
+        lo = _segment_max(prob, path[m - 1], path[m])
+        hi = _segment_max(prob, path[m], path[m + 1])
+        peak, J_peak = lo if lo[1] >= hi[1] else hi
 
         u_peak = GridFunction(mesh, peak)
         A = kirchhoff_A(u_peak, prob.p)
@@ -451,22 +474,20 @@ def mountain_pass_solve(
         )
         d_norm = np.sqrt(-slope)
         step = min(1.0, spacing / d_norm) if d_norm > 0.0 else 1.0
-        new = None
-        while step > 1e-16:
-            cand = peak + step * d
-            if energy_J(GridFunction(mesh, cand), prob) <= J_peak + 1e-4 * step * slope:
-                new = cand
-                break
+        J_ray = _line_energy(prob, peak, d)
+        while step > 1e-16 and not J_ray(step) <= J_peak + 1e-4 * step * slope:
             step *= 0.5
-        if new is None:
+        if not step > 1e-16:
             raise MaxIterations(
                 f"line search stalled at residual {res:.3e} (tol {tol:g})"
             )
+        new = peak + step * d
         path[m] = new
-        if m - 1 > 0:
-            path[m - 1] = 0.5 * (path[m - 1] + new)
-        if m + 1 < n_path - 1:
-            path[m + 1] = 0.5 * (path[m + 1] + new)
+        energies[m] = energy_at(new)
+        for j in (m - 1, m + 1):
+            if 0 < j < n_path - 1:
+                path[j] = 0.5 * (path[j] + new)
+                energies[j] = energy_at(path[j])
 
     raise MaxIterations(f"no convergence within {max_iter} sweeps")
 

@@ -17,6 +17,8 @@ from pxkirchhoff import (
     kirchhoff_A,
     nonlinearity_eval,
 )
+from pxkirchhoff.energy import _g_and_G, _G
+from pxkirchhoff.solver import _line_energy
 from oracles import central_difference
 
 
@@ -126,6 +128,49 @@ def test_energy_even():
     for _ in range(5):
         u = GridFunction(prob.mesh, rng.standard_normal(101))
         assert energy_J(u, prob) == energy_J(GridFunction(prob.mesh, -u.nodal_values), prob)
+
+
+def test_G_alone_matches_the_pair_bitwise():
+    mesh = build_interval_mesh(30, 0.0, 1.0)
+    q = build_exponent_field(4.0 + mesh.element_centroids[:, 0], mesh)
+    s = np.random.default_rng(3).standard_normal(mesh.n_elements)
+    s[4] = 0.0
+    for spec in (
+        NonlinearitySpec("pure_power", q, theta=3.0),
+        NonlinearitySpec("scaled_power", q, coefficient=2.5, theta=3.0),
+        NonlinearitySpec("zero", q),
+    ):
+        assert np.array_equal(_G(spec, s), _g_and_G(spec, s)[1])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_line_restriction_matches_energy(dim):
+    if dim == 1:
+        mesh = build_interval_mesh(50, 0.0, 1.0)
+        p = build_exponent_field(2.0 + 0.5 * mesh.element_centroids[:, 0], mesh)
+    else:
+        mesh = build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0)))
+        p = constant_exponent(2.5, mesh)
+    q = constant_exponent(4.5, mesh)
+    spec = NonlinearitySpec("scaled_power", q, coefficient=1.5, theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, 0.7, p, spec, mesh)
+    rng = np.random.default_rng(dim)
+    ua, ub = (GridFunction(mesh, 0.3 * rng.standard_normal(mesh.n_vertices))
+              .nodal_values for _ in range(2))
+    J = _line_energy(prob, ua, ub - ua)
+    for t in (0.0, 0.37, 1.0):
+        direct = energy_J(GridFunction(mesh, ua + t * (ub - ua)), prob)
+        assert J(t) == pytest.approx(direct, rel=1e-13)
+
+
+def test_line_restriction_rejects_nonzero_trace():
+    prob, tent = tent_problem()
+    bad = tent.nodal_values.copy()
+    bad[-1] = 0.5
+    with pytest.raises(DomainError):
+        _line_energy(prob, tent.nodal_values, bad - tent.nodal_values)
+    with pytest.raises(DomainError):
+        _line_energy(prob, bad, tent.nodal_values)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

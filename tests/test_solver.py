@@ -23,7 +23,8 @@ from pxkirchhoff import (
     sobolev_norm,
     verify_mountain_geometry,
 )
-from pxkirchhoff.solver import _scale_until_negative
+from pxkirchhoff import solver
+from pxkirchhoff.solver import _scale_until_negative, _segment_max
 
 RHO_GRID = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
 
@@ -133,6 +134,19 @@ def test_geometry_report_invariants(model_solution):
     assert sobolev_norm(geo.negative_point, prob.p) > geo.rho
 
 
+def test_geometry_computes_eigenbasis_once(monkeypatch):
+    prob = model_problem()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return laplace_eigenbasis(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "laplace_eigenbasis", counted)
+    verify_mountain_geometry(prob, RHO_GRID, 5, seed=0)
+    assert len(calls) == 1
+
+
 def test_geometry_not_found_for_large_lambda():
     mesh = build_interval_mesh(100, 0.0, 1.0)
     p = constant_exponent(2.0, mesh)
@@ -169,6 +183,42 @@ def test_path_energies_monotone(model_solution):
     assert all(a >= b for a, b in zip(rep.path_energies, rep.path_energies[1:]))
     assert len(rep.path_energies) == rep.iterations + 1
     assert len(rep.iteration_trace) == rep.iterations + 1
+
+
+def test_solve_energy_call_budget(monkeypatch):
+    prob = model_problem(n=60)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    calls = []
+
+    def counted(u, p):
+        calls.append(1)
+        return energy_J(u, p)
+
+    monkeypatch.setattr(solver, "energy_J", counted)
+    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    assert rep.iterations > 0
+    assert len(calls) <= 15 + 1 + 3 * rep.iterations
+
+
+def test_segment_max_rejects_nonzero_trace():
+    prob = model_problem()
+    ua = tent_on(prob.mesh).nodal_values
+    ub = 2.0 * ua
+    ub[0] = 1e-3
+    with pytest.raises(DomainError):
+        _segment_max(prob, ua, ub)
+
+
+def test_segment_max_finds_the_ray_peak():
+    # J(t*tent) rises from J(0) = 0 and is negative at t = 4, so the segment
+    # has an interior maximum; the direct energy must agree with it there
+    prob = model_problem(q_const=4.0, theta=3.0)
+    tent = tent_on(prob.mesh).nodal_values
+    point, J = _segment_max(prob, np.zeros_like(tent), 4.0 * tent)
+    assert 0.0 < J
+    assert J == pytest.approx(energy_J(GridFunction(prob.mesh, point), prob), rel=1e-13)
+    for s in (0.99, 1.01):
+        assert energy_J(GridFunction(prob.mesh, s * point), prob) <= J
 
 
 def test_solve_requires_negative_endpoint():
