@@ -1,15 +1,19 @@
-"""Simplicial meshes, P1 grid functions, and one-point quadrature.
+"""Simplicial meshes, P1 grid functions, one-point quadrature, and the
+sparse operators through which all assembly goes.
 
-Meshes are immutable after construction and safe to share across threads;
-grid functions are plain values.  All integrals in the toolkit reduce to
-``integrate``: a midpoint (element-centroid) rule that is exact for
-element-wise-constant data.
+Only this module knows the P1 format.  The gradient map ``Dg`` and the
+centroid map ``C`` take nodal values to element gradients and centroid
+values; derivatives of element integrals are their adjoint products, and the
+constant-exponent stiffness and mass are Dg^T diag(meas) Dg and
+C^T diag(meas) C.  A mesh caches its derived data and operators on first
+use, so its arrays must not be modified after construction.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DomainError, ShapeError
 
@@ -58,28 +62,59 @@ class Mesh:
         """Indices of the non-boundary vertices."""
         return np.flatnonzero(~self.boundary_mask)
 
-    @cached_property
-    def hat_gradients(self) -> np.ndarray:
-        """(n_elements, dimension + 1, dimension) gradients of the local hats.
+    def _element_map(self, weights: np.ndarray) -> scipy.sparse.csr_matrix:
+        """CSR map from nodal values to element rows: with k rows of
+        ``weights`` per element, row r weights the vertices of element r // k."""
+        rows_per_element = weights.shape[0] // self.n_elements
+        cols = np.repeat(self.elements, rows_per_element, axis=0)
+        indptr = np.arange(0, weights.size + 1, self.dimension + 1)
+        return scipy.sparse.csr_matrix(
+            (weights.ravel(), cols.ravel(), indptr),
+            shape=(weights.shape[0], self.n_vertices),
+        )
 
-        On each element the P1 hat function of local vertex v has a constant
-        gradient; contracting these with nodal values gives the element-wise
-        gradient of the interpolant.
+    @cached_property
+    def gradient_map(self) -> scipy.sparse.csr_matrix:
+        """Dg, shape (n_elements * dimension, n_vertices): nodal values to
+        element gradients, component k on element e in row e*dimension + k.
+
+        With the edge vectors x_i - x_0 of an element as the rows of E, the
+        gradient is E^{-1} (u_i - u_0), so the element's rows are
+        [-E^{-1} 1, E^{-1}]: the constant gradients of its P1 hat functions.
         """
         coords = self.vertices[self.elements]  # (n_e, d+1, d)
-        if self.dimension == 1:
-            h = coords[:, 1, 0] - coords[:, 0, 0]
-            grads = np.empty((self.n_elements, 2, 1))
-            grads[:, 0, 0] = -1.0 / h
-            grads[:, 1, 0] = 1.0 / h
-            return grads
-        # 2-D: physical gradient = T^{-T} @ reference gradient
-        t = np.stack(
-            [coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=-1
-        )  # (n_e, 2, 2), columns are edge vectors
-        tinv = np.linalg.inv(t)
-        ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        return np.einsum("vr,erd->evd", ref, tinv)
+        einv = np.linalg.inv(coords[:, 1:] - coords[:, :1])  # (n_e, d, d)
+        hats = np.concatenate([-einv.sum(axis=2, keepdims=True), einv], axis=2)
+        return self._element_map(hats.reshape(-1, self.dimension + 1))
+
+    @cached_property
+    def gradient_adjoint(self) -> scipy.sparse.csr_matrix:
+        """Dg^T as its own CSR matrix, so adjoint products build no transpose."""
+        return self.gradient_map.T.tocsr()
+
+    @cached_property
+    def centroid_map(self) -> scipy.sparse.csr_matrix:
+        """C, shape (n_elements, n_vertices): nodal values to centroid values,
+        where each hat function of an element takes the value 1/(d + 1)."""
+        nloc = self.dimension + 1
+        return self._element_map(np.full(self.elements.shape, 1.0 / nloc))
+
+    @cached_property
+    def centroid_adjoint(self) -> scipy.sparse.csr_matrix:
+        """C^T as its own CSR matrix, so adjoint products build no transpose."""
+        return self.centroid_map.T.tocsr()
+
+    @cached_property
+    def stiffness(self) -> scipy.sparse.csr_matrix:
+        """Constant-exponent (p = 2) stiffness Dg^T diag(meas) Dg."""
+        meas = scipy.sparse.diags(np.repeat(self.element_measures, self.dimension))
+        return (self.gradient_adjoint @ meas @ self.gradient_map).tocsr()
+
+    @cached_property
+    def mass(self) -> scipy.sparse.csr_matrix:
+        """Centroid-quadrature mass C^T diag(meas) C."""
+        meas = scipy.sparse.diags(self.element_measures)
+        return (self.centroid_adjoint @ meas @ self.centroid_map).tocsr()
 
 
 def build_interval_mesh(n: int, a_end: float, b_end: float) -> Mesh:
@@ -173,7 +208,7 @@ def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"expected {mesh.n_vertices} nodal values, got {values.shape}"
         )
-    return np.einsum("evd,ev->ed", mesh.hat_gradients, values[mesh.elements])
+    return (mesh.gradient_map @ values).reshape(mesh.n_elements, mesh.dimension)
 
 
 def gradient_of(u: GridFunction) -> np.ndarray:
@@ -183,7 +218,7 @@ def gradient_of(u: GridFunction) -> np.ndarray:
 
 def centroid_values(u: GridFunction) -> np.ndarray:
     """P1 interpolant evaluated at element centroids."""
-    return u.nodal_values[u.mesh.elements].mean(axis=1)
+    return u.mesh.centroid_map @ u.nodal_values
 
 
 def integrate(f, mesh: Mesh) -> float:

@@ -18,6 +18,7 @@ from .discretization import (
     GridFunction,
     Mesh,
     centroid_values,
+    element_gradients,
     gradient_of,
     require_zero_trace,
 )
@@ -91,15 +92,8 @@ def _g_and_G(spec: NonlinearitySpec, s: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def nonlinearity_eval(spec: NonlinearitySpec, element: int, s: float) -> tuple[float, float]:
     """(g, G) at a single element's exponent sample and argument s."""
-    if spec.kind == "zero":
-        return 0.0, 0.0
-    q = float(spec.q.values[element])
-    mag = abs(float(s))
-    g = mag ** (q - 2.0) * s if mag > 0.0 else 0.0
-    G = mag**q / q
-    if spec.kind == "scaled_power":
-        return spec.coefficient * g, spec.coefficient * G
-    return float(g), float(G)
+    g, G = _g_and_G(spec, np.full(len(spec.q), float(s)))
+    return float(g[element]), float(G[element])
 
 
 @dataclass(eq=False)
@@ -160,15 +154,16 @@ class KirchhoffProblem:
                 )
 
 
-def _A_of_gradients(grads: np.ndarray, p: ExponentField, meas: np.ndarray) -> float:
-    gmag = np.linalg.norm(grads, axis=1)
-    return float(np.dot(gmag**p.values / p.values, meas))
+def _p_integral(mag: np.ndarray, p: ExponentField, meas: np.ndarray) -> float:
+    """I(1/p |x|^p) of per-element magnitudes: A from |grad u|, B from |u_c|."""
+    return float(np.dot(mag**p.values / p.values, meas))
 
 
 def kirchhoff_A(u: GridFunction, p: ExponentField) -> float:
     """The nonlocal integrand A(u): quadrature of (1/p(x)) |grad u|^{p(x)}."""
     require_zero_trace(u)
-    return _A_of_gradients(gradient_of(u), p, u.mesh.element_measures)
+    gmag = np.linalg.norm(gradient_of(u), axis=1)
+    return _p_integral(gmag, p, u.mesh.element_measures)
 
 
 def _energy_of_elements(
@@ -180,9 +175,8 @@ def _energy_of_elements(
     segment calls it too, so the energy formula exists once.
     """
     meas = prob.mesh.element_measures
-    p = prob.p.values
-    A = _A_of_gradients(grads, prob.p, meas)
-    lam_term = float(np.dot(np.abs(uc) ** p / p, meas))
+    A = _p_integral(np.linalg.norm(grads, axis=1), prob.p, meas)
+    lam_term = _p_integral(np.abs(uc), prob.p, meas)
     g_term = float(np.dot(_G(prob.g, uc), meas))
     return prob.a * A - 0.5 * prob.b * A * A - prob.lam * lam_term - g_term
 
@@ -193,38 +187,43 @@ def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
     return _energy_of_elements(prob, gradient_of(u), centroid_values(u))
 
 
+def _derivative_terms(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
+    """A(u) and the element data of the derivatives of A and B at nodal values.
+
+    Returns (A, flux, uc, s_pow).  ``flux`` holds |grad u|^{p-2} grad u times
+    the element measure in the rows of the gradient map, so that
+    A'(u) = Dg^T flux; ``uc`` are the centroid values and
+    s_pow = |uc|^{p-2} uc, so that B'(u) = C^T (s_pow * meas).  Both weights
+    are continuously extended by 0 where their argument vanishes.
+    """
+    pv, meas = p.values, mesh.element_measures
+    grads = element_gradients(mesh, nodal)
+    gmag = np.linalg.norm(grads, axis=1)
+    A = _p_integral(gmag, p, meas)
+    w = np.where(gmag > 0.0, gmag ** (pv - 2.0), 0.0) * meas
+    uc = mesh.centroid_map @ nodal
+    mag = np.abs(uc)
+    s_pow = np.where(mag > 0.0, mag ** (pv - 2.0) * uc, 0.0)
+    return A, (w[:, None] * grads).ravel(), uc, s_pow
+
+
 def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
     """Residual grid function: <J'(u), hat_i> at interior vertices, 0 on boundary.
 
     This is the exact gradient of the discrete energy with respect to the
-    interior nodal values.  The nonlocal coefficient K = a - b*A(u) is
-    computed once per assembly; contributions are accumulated in a fixed
-    element order, so identical inputs give bitwise-identical sums.
+    interior nodal values, assembled as two sparse adjoint products:
+    K * Dg^T(flux * meas) - C^T((lambda |u_c|^{p-2} u_c + g(x, u_c)) * meas),
+    with the nonlocal coefficient K = a - b*A(u) computed once.  The adjoint
+    maps are fixed CSR matrices, so identical inputs give bitwise-identical
+    sums.
     """
     require_zero_trace(u)
     mesh = prob.mesh
-    p = prob.p.values
-    meas = mesh.element_measures
-
-    grads = gradient_of(u)
-    gmag = np.linalg.norm(grads, axis=1)
-    A = float(np.dot(gmag**p / p, meas))
+    A, flux, uc, s_pow = _derivative_terms(mesh, prob.p, u.nodal_values)
     K = prob.a - prob.b * A
-
-    # |grad u|^{p-2} grad u, continuously extended by 0 where grad u = 0
-    w = np.where(gmag > 0.0, gmag ** (p - 2.0), 0.0)
-    flux = w[:, None] * grads
-    diff_contrib = np.einsum("ed,evd->ev", flux, mesh.hat_gradients) * meas[:, None]
-
-    uc = centroid_values(u)
-    s_pow = np.where(np.abs(uc) > 0.0, np.abs(uc) ** (p - 2.0) * uc, 0.0)
     g_vals, _ = _g_and_G(prob.g, uc)
-    # hat functions take the value 1/(d+1) at element centroids
-    lumped = (prob.lam * s_pow + g_vals) * meas / (mesh.dimension + 1)
-
-    contrib = K * diff_contrib - lumped[:, None]
-    residual = np.zeros(mesh.n_vertices)
-    np.add.at(residual, mesh.elements, contrib)
+    lumped = (prob.lam * s_pow + g_vals) * mesh.element_measures
+    residual = K * (mesh.gradient_adjoint @ flux) - mesh.centroid_adjoint @ lumped
     return GridFunction(mesh, residual)
 
 

@@ -18,7 +18,7 @@ from .discretization import (
     integrate,
     require_zero_trace,
 )
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .exponents import ExponentField
 
 __all__ = [
@@ -40,6 +40,8 @@ def _check_shapes(samples: np.ndarray, p: ExponentField, mesh: Mesh):
             f"need {mesh.n_elements} samples and exponents, "
             f"got {samples.shape} and {len(p)}"
         )
+    if not np.all(np.isfinite(samples)):
+        raise DomainError("samples must be finite")
 
 
 def modular(samples, p: ExponentField, mesh: Mesh) -> float:

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 from scipy.optimize import minimize_scalar
 
 from .discretization import GridFunction, Mesh, element_gradients
 from .energy import (
     KirchhoffProblem,
+    _derivative_terms,
     _energy_of_elements,
+    _p_integral,
     energy_J,
     gradient_J,
     kirchhoff_A,
@@ -50,42 +51,15 @@ __all__ = [
 ]
 
 
-# -- constant-exponent stiffness/mass helpers --------------------------------
-
-def _p2_stiffness(mesh: Mesh) -> scipy.sparse.csr_matrix:
-    hg = mesh.hat_gradients
-    local = np.einsum("evd,ewd->evw", hg, hg) * mesh.element_measures[:, None, None]
-    nloc = mesh.dimension + 1
-    rows = np.repeat(mesh.elements[:, :, None], nloc, axis=2)
-    cols = np.repeat(mesh.elements[:, None, :], nloc, axis=1)
-    return scipy.sparse.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
-
-
-def _p2_mass(mesh: Mesh) -> scipy.sparse.csr_matrix:
-    nloc = mesh.dimension + 1
-    local = np.broadcast_to(
-        (mesh.element_measures / nloc**2)[:, None, None],
-        (mesh.n_elements, nloc, nloc),
-    )
-    rows = np.repeat(mesh.elements[:, :, None], nloc, axis=2)
-    cols = np.repeat(mesh.elements[:, None, :], nloc, axis=1)
-    return scipy.sparse.coo_matrix(
-        (np.ascontiguousarray(local).ravel(), (rows.ravel(), cols.ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
-
+# -- Sobolev preconditioner and eigenbasis ------------------------------------
 
 class _SobolevPreconditioner:
     """Riesz map for the discrete H1_0 inner product on interior vertices."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.stiffness = _p2_stiffness(mesh)
         idx = mesh.interior
-        K = self.stiffness[np.ix_(idx, idx)].tocsc()
+        K = mesh.stiffness[np.ix_(idx, idx)].tocsc()
         self._solve = scipy.sparse.linalg.factorized(K)
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
@@ -95,7 +69,7 @@ class _SobolevPreconditioner:
 
     def h_norm(self, nodal: np.ndarray) -> float:
         """Norm induced by the constant-exponent stiffness."""
-        return float(np.sqrt(max(nodal @ (self.stiffness @ nodal), 0.0)))
+        return float(np.sqrt(max(nodal @ (self.mesh.stiffness @ nodal), 0.0)))
 
 
 def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
@@ -108,8 +82,8 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     idx = mesh.interior
     if k > len(idx):
         raise DomainError(f"mesh has only {len(idx)} interior vertices")
-    Kd = _p2_stiffness(mesh)[np.ix_(idx, idx)].toarray()
-    Md = _p2_mass(mesh)[np.ix_(idx, idx)].toarray()
+    Kd = mesh.stiffness[np.ix_(idx, idx)].toarray()
+    Md = mesh.mass[np.ix_(idx, idx)].toarray()
     _, vecs = scipy.linalg.eigh(Kd, Md)
     basis = []
     for j in range(k):
@@ -123,29 +97,22 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
 
 # -- Rayleigh quotient --------------------------------------------------------
 
-def _A_and_grad(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
-    grads = np.einsum("evd,ev->ed", mesh.hat_gradients, nodal[mesh.elements])
-    gmag = np.linalg.norm(grads, axis=1)
+def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
+    """R(u) = A(u) / B(u) at raw nodal values; no derivative is assembled."""
     meas = mesh.element_measures
-    A = float(np.dot(gmag**p.values / p.values, meas))
-    w = np.where(gmag > 0.0, gmag ** (p.values - 2.0), 0.0)
-    contrib = np.einsum("ed,evd->ev", w[:, None] * grads, mesh.hat_gradients)
-    grad = np.zeros(mesh.n_vertices)
-    np.add.at(grad, mesh.elements, contrib * meas[:, None])
-    grad[mesh.boundary_mask] = 0.0
-    return A, grad
+    A = _p_integral(np.linalg.norm(element_gradients(mesh, nodal), axis=1), p, meas)
+    return A / _p_integral(np.abs(mesh.centroid_map @ nodal), p, meas)
 
 
-def _B_and_grad(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
-    uc = nodal[mesh.elements].mean(axis=1)
+def _rayleigh_gradient(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
+    """R'(u) = (A'(u) - R(u) B'(u)) / B(u), zero on the boundary."""
     meas = mesh.element_measures
-    B = float(np.dot(np.abs(uc) ** p.values / p.values, meas))
-    s_pow = np.where(np.abs(uc) > 0.0, np.abs(uc) ** (p.values - 2.0) * uc, 0.0)
-    lumped = s_pow * meas / (mesh.dimension + 1)
-    grad = np.zeros(mesh.n_vertices)
-    np.add.at(grad, mesh.elements, np.broadcast_to(lumped[:, None], mesh.elements.shape))
+    A, flux, uc, s_pow = _derivative_terms(mesh, p, nodal)
+    B = _p_integral(np.abs(uc), p, meas)
+    grad = (mesh.gradient_adjoint @ flux
+            - (A / B) * (mesh.centroid_adjoint @ (s_pow * meas))) / B
     grad[mesh.boundary_mask] = 0.0
-    return B, grad
+    return grad
 
 
 def rayleigh_quotient_min(
@@ -169,16 +136,11 @@ def rayleigh_quotient_min(
     precond = _SobolevPreconditioner(mesh)
     idx = mesh.interior
 
-    def ratio(nodal):
-        A, _ = _A_and_grad(mesh, p, nodal)
-        B, _ = _B_and_grad(mesh, p, nodal)
-        return A / B
-
     def ray_minimize(nodal):
         # exact minimization along the ray t*u; a no-op for constant p,
         # where the ratio is scale-free
         res = minimize_scalar(
-            lambda s: ratio(np.exp(s) * nodal),
+            lambda s: _rayleigh_ratio(mesh, p, np.exp(s) * nodal),
             bounds=(-6.0, 6.0), method="bounded", options={"xatol": 1e-10},
         )
         return np.exp(res.x) * nodal
@@ -189,13 +151,11 @@ def rayleigh_quotient_min(
         nodal[idx] = 0.1 + rng.random(len(idx))
         nodal /= precond.h_norm(nodal)
         nodal = ray_minimize(nodal)
-        R = ratio(nodal)
+        R = _rayleigh_ratio(mesh, p, nodal)
         converged = False
         stable = 0
         for _ in range(max_iter):
-            A, gA = _A_and_grad(mesh, p, nodal)
-            B, gB = _B_and_grad(mesh, p, nodal)
-            grad = (gA - R * gB) / B
+            grad = _rayleigh_gradient(mesh, p, nodal)
             d = -precond.apply(grad)
             slope = float(np.dot(grad[idx], d[idx]))
             if slope >= 0.0:
@@ -205,7 +165,7 @@ def rayleigh_quotient_min(
             accepted = None
             while step > 1e-16:
                 trial = nodal + step * d
-                Rt = ratio(trial)
+                Rt = _rayleigh_ratio(mesh, p, trial)
                 if np.isfinite(Rt) and Rt <= R + 1e-4 * step * slope:
                     accepted = trial
                     break
@@ -215,7 +175,7 @@ def rayleigh_quotient_min(
                 break
             nodal = accepted / precond.h_norm(accepted)
             nodal = ray_minimize(nodal)
-            R_new = ratio(nodal)
+            R_new = _rayleigh_ratio(mesh, p, nodal)
             stable = stable + 1 if abs(R - R_new) <= tol * max(1.0, abs(R_new)) else 0
             R = R_new
             if stable >= 2:
@@ -371,7 +331,7 @@ def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray
         if np.any(nodal[mesh.boundary_mask] != 0.0):
             raise DomainError("path points must have zero boundary trace")
     g0, dg = (element_gradients(mesh, v) for v in (base, direction))
-    c0, dc = (v[mesh.elements].mean(axis=1) for v in (base, direction))
+    c0, dc = (mesh.centroid_map @ v for v in (base, direction))
     return lambda t: _energy_of_elements(prob, g0 + t * dg, c0 + t * dc)
 
 

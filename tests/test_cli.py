@@ -226,6 +226,21 @@ out = {tmp_path}
     assert (tmp_path / "function.txt").exists()
 
 
+def test_norm_of_non_finite_function_exit_code(tmp_path, capsys):
+    path = write_cfg(tmp_path, f"""
+command = norm
+domain = interval:0,1,50
+p = const:2
+q = const:5
+u = affine:nan,1
+a = 1
+b = 0.1
+out = {tmp_path}
+""")
+    assert main([path]) == 2
+    assert "DomainError" in capsys.readouterr().err
+
+
 def test_rayleigh_command(tmp_path, capsys):
     text = f"""
 command = rayleigh

@@ -6,6 +6,7 @@ from pxkirchhoff import (
     ShapeError,
     build_interval_mesh,
     build_rect_mesh,
+    centroid_values,
     element_gradients,
     gradient_of,
     integrate,
@@ -131,3 +132,35 @@ def test_gridfunction_zeroes_boundary():
     assert np.all(u.nodal_values[~mesh.boundary_mask] == 1.0)
     with pytest.raises(ShapeError):
         GridFunction(mesh, np.ones(3))
+
+
+def test_interval_stiffness_is_scaled_second_difference():
+    mesh = build_interval_mesh(10, 0.0, 2.0)
+    h = 0.2
+    K = mesh.stiffness.toarray()
+    tridiag = (2.0 * np.eye(11) - np.eye(11, k=1) - np.eye(11, k=-1)) / h
+    assert np.allclose(K[1:-1], tridiag[1:-1], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        build_interval_mesh(9, -1.0, 0.7),
+        build_rect_mesh(4, 6, ((0.0, -1.0), (2.5, 1.0))),
+    ],
+)
+def test_stiffness_rows_sum_to_zero_and_mass_sums_to_measure(mesh):
+    # constants lie in the kernel of the gradient; the centroid rows sum to 1
+    assert np.allclose(mesh.stiffness.sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
+    assert mesh.mass.sum() == pytest.approx(mesh.measure, rel=1e-13)
+
+
+def test_centroid_map_and_cached_adjoints():
+    mesh = build_rect_mesh(4, 3, ((0.0, 0.0), (1.0, 2.0)))
+    u = GridFunction(mesh, np.random.default_rng(4).standard_normal(mesh.n_vertices))
+    assert np.allclose(
+        centroid_values(u), u.nodal_values[mesh.elements].mean(axis=1),
+        rtol=1e-14, atol=1e-15,
+    )
+    assert np.array_equal(mesh.gradient_adjoint.toarray(), mesh.gradient_map.toarray().T)
+    assert np.array_equal(mesh.centroid_adjoint.toarray(), mesh.centroid_map.toarray().T)

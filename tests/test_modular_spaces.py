@@ -201,3 +201,16 @@ def test_embedding_ratio_bounded(line):
             luxemburg_norm(centroid_values(u), q, line) / sobolev_norm(u, p)
         )
     assert max(ratios) < 10.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected(line, bad):
+    p = constant_exponent(2.0, line)
+    samples = np.ones(100)
+    samples[17] = bad
+    with pytest.raises(DomainError, match="finite"):
+        modular(samples, p, line)
+    with pytest.raises(DomainError, match="finite"):
+        luxemburg_norm(samples, p, line)
+    with pytest.raises(DomainError, match="finite"):
+        holder_pairing(np.ones(100), samples, p, line)

@@ -10,7 +10,9 @@ from pxkirchhoff import (
     MaxIterations,
     NonlinearitySpec,
     SolveReport,
+    build_exponent_field,
     build_interval_mesh,
+    build_rect_mesh,
     constant_exponent,
     energy_J,
     find_negative_energy_point,
@@ -24,7 +26,13 @@ from pxkirchhoff import (
     verify_mountain_geometry,
 )
 from pxkirchhoff import solver
-from pxkirchhoff.solver import _scale_until_negative, _segment_max
+from pxkirchhoff.solver import (
+    _rayleigh_gradient,
+    _rayleigh_ratio,
+    _scale_until_negative,
+    _segment_max,
+)
+from oracles import central_difference
 
 RHO_GRID = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
 
@@ -57,16 +65,29 @@ def test_rayleigh_homogeneity_constant_p():
     mesh = build_interval_mesh(80, 0.0, 1.0)
     p = constant_exponent(2.0, mesh)
     lam, minimizer = rayleigh_quotient_min(p, mesh, seed=1, max_iter=200)
-    from pxkirchhoff.solver import _A_and_grad, _B_and_grad
-
-    def ratio(nodal):
-        A, _ = _A_and_grad(mesh, p, nodal)
-        B, _ = _B_and_grad(mesh, p, nodal)
-        return A / B
-
-    base = ratio(minimizer.nodal_values)
+    base = _rayleigh_ratio(mesh, p, minimizer.nodal_values)
     for c in (0.5, -3.0, 7.7):
-        assert ratio(c * minimizer.nodal_values) == pytest.approx(base, rel=1e-12)
+        assert _rayleigh_ratio(mesh, p, c * minimizer.nodal_values) == pytest.approx(
+            base, rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rayleigh_descent_gradient_matches_finite_differences(dim):
+    if dim == 1:
+        mesh = build_interval_mesh(40, 0.0, 1.0)
+        p = build_exponent_field(2.0 + mesh.element_centroids[:, 0], mesh)
+    else:
+        mesh = build_rect_mesh(5, 6, ((0.0, 0.0), (1.0, 1.5)))
+        p = constant_exponent(2.5, mesh)
+    rng = np.random.default_rng(dim)
+    nodal = GridFunction(mesh, 0.2 + rng.random(mesh.n_vertices)).nodal_values
+    grad = _rayleigh_gradient(mesh, p, nodal)
+    assert np.all(grad[mesh.boundary_mask] == 0.0)
+    for _ in range(3):
+        v = GridFunction(mesh, rng.standard_normal(mesh.n_vertices)).nodal_values
+        fd = central_difference(lambda x: _rayleigh_ratio(mesh, p, x), nodal, v)
+        assert fd == pytest.approx(float(np.dot(grad, v)), rel=1e-6)
 
 
 def test_rayleigh_monotone_variable_p():
