@@ -67,8 +67,24 @@ class NonlinearitySpec:
             raise DomainError("s_A must be nonnegative")
 
 
+def _positive_power(mag: np.ndarray, e) -> np.ndarray:
+    """mag**e where mag > 0 and 0 elsewhere; 0**e is never evaluated, so a
+    negative exponent raises no division warning."""
+    return np.power(mag, e, out=np.zeros_like(mag), where=mag > 0.0)
+
+
+def _g(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
+    """Vectorized nonlinearity g at per-element arguments s (or stacks of them)."""
+    if spec.kind == "zero":
+        return np.zeros_like(s)
+    g = _positive_power(np.abs(s), spec.q.values - 2.0) * s
+    if spec.kind == "scaled_power":
+        g = spec.coefficient * g
+    return g
+
+
 def _G(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
-    """Vectorized primitive G at per-element arguments s."""
+    """Vectorized primitive G at per-element arguments s (or stacks of them)."""
     if spec.kind == "zero":
         return np.zeros_like(s)
     q = spec.q.values
@@ -80,14 +96,7 @@ def _G(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
 
 def _g_and_G(spec: NonlinearitySpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (g, G) at per-element arguments s."""
-    if spec.kind == "zero":
-        return np.zeros_like(s), np.zeros_like(s)
-    q = spec.q.values
-    mag = np.abs(s)
-    g = np.where(mag > 0.0, mag ** (q - 2.0) * s, 0.0)
-    if spec.kind == "scaled_power":
-        g = spec.coefficient * g
-    return g, _G(spec, s)
+    return _g(spec, s), _G(spec, s)
 
 
 def nonlinearity_eval(spec: NonlinearitySpec, element: int, s: float) -> tuple[float, float]:
@@ -154,37 +163,42 @@ class KirchhoffProblem:
                 )
 
 
-def _p_integral(mag: np.ndarray, p: ExponentField, meas: np.ndarray) -> float:
-    """I(1/p |x|^p) of per-element magnitudes: A from |grad u|, B from |u_c|."""
-    return float(np.dot(mag**p.values / p.values, meas))
+def _p_integral(mag: np.ndarray, p: ExponentField, meas: np.ndarray):
+    """I(1/p |x|^p) of per-element magnitudes: A from |grad u|, B from |u_c|.
+
+    ``mag`` may be a stack of per-element rows; the result has the stack's
+    shape.
+    """
+    return np.dot(mag**p.values / p.values, meas)
 
 
 def kirchhoff_A(u: GridFunction, p: ExponentField) -> float:
     """The nonlocal integrand A(u): quadrature of (1/p(x)) |grad u|^{p(x)}."""
     require_zero_trace(u)
     gmag = np.linalg.norm(gradient_of(u), axis=1)
-    return _p_integral(gmag, p, u.mesh.element_measures)
+    return float(_p_integral(gmag, p, u.mesh.element_measures))
 
 
-def _energy_of_elements(
-    prob: KirchhoffProblem, grads: np.ndarray, uc: np.ndarray
-) -> float:
-    """J from per-element gradients and centroid values.
+def _energy_of_elements(prob: KirchhoffProblem, A, uc: np.ndarray):
+    """J from A(u) and the per-element centroid values.
 
-    The quadrature tail of ``energy_J``; the solver's restriction of J to a
-    segment calls it too, so the energy formula exists once.
+    ``A`` may be a stack of values and ``uc`` the matching stack of
+    per-element rows; J has the stack's shape.  ``energy_J`` and the
+    solver's restriction of J to a line both call it, so the energy formula
+    exists once.
     """
     meas = prob.mesh.element_measures
-    A = _p_integral(np.linalg.norm(grads, axis=1), prob.p, meas)
     lam_term = _p_integral(np.abs(uc), prob.p, meas)
-    g_term = float(np.dot(_G(prob.g, uc), meas))
+    g_term = np.dot(_G(prob.g, uc), meas)
     return prob.a * A - 0.5 * prob.b * A * A - prob.lam * lam_term - g_term
 
 
 def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
     """Total energy of u for the given problem."""
     require_zero_trace(u)
-    return _energy_of_elements(prob, gradient_of(u), centroid_values(u))
+    meas = prob.mesh.element_measures
+    A = _p_integral(np.linalg.norm(gradient_of(u), axis=1), prob.p, meas)
+    return float(_energy_of_elements(prob, A, centroid_values(u)))
 
 
 def _derivative_terms(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
@@ -200,10 +214,9 @@ def _derivative_terms(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
     grads = element_gradients(mesh, nodal)
     gmag = np.linalg.norm(grads, axis=1)
     A = _p_integral(gmag, p, meas)
-    w = np.where(gmag > 0.0, gmag ** (pv - 2.0), 0.0) * meas
+    w = _positive_power(gmag, pv - 2.0) * meas
     uc = mesh.centroid_map @ nodal
-    mag = np.abs(uc)
-    s_pow = np.where(mag > 0.0, mag ** (pv - 2.0) * uc, 0.0)
+    s_pow = _positive_power(np.abs(uc), pv - 2.0) * uc
     return A, (w[:, None] * grads).ravel(), uc, s_pow
 
 
@@ -221,8 +234,7 @@ def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
     mesh = prob.mesh
     A, flux, uc, s_pow = _derivative_terms(mesh, prob.p, u.nodal_values)
     K = prob.a - prob.b * A
-    g_vals, _ = _g_and_G(prob.g, uc)
-    lumped = (prob.lam * s_pow + g_vals) * mesh.element_measures
+    lumped = (prob.lam * s_pow + _g(prob.g, uc)) * mesh.element_measures
     residual = K * (mesh.gradient_adjoint @ flux) - mesh.centroid_adjoint @ lumped
     return GridFunction(mesh, residual)
 

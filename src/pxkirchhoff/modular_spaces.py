@@ -45,10 +45,18 @@ def _check_shapes(samples: np.ndarray, p: ExponentField, mesh: Mesh):
 
 
 def modular(samples, p: ExponentField, mesh: Mesh) -> float:
-    """The modular: integral of |u|^{p(x)} with elementwise exponents."""
+    """The modular: integral of |u|^{p(x)} with elementwise exponents.
+
+    Raises DomainError when the value overflows to infinity for finite
+    samples.
+    """
     samples = np.asarray(samples, dtype=float)
     _check_shapes(samples, p, mesh)
-    return integrate(np.abs(samples) ** p.values, mesh)
+    with np.errstate(over="ignore"):
+        value = integrate(np.abs(samples) ** p.values, mesh)
+    if not np.isfinite(value):
+        raise DomainError("the modular overflows the float range for these samples")
+    return value
 
 
 def luxemburg_norm(samples, p: ExponentField, mesh: Mesh) -> float:

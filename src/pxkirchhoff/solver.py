@@ -17,14 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .discretization import GridFunction, Mesh, element_gradients
 from .energy import (
     KirchhoffProblem,
     _derivative_terms,
     _energy_of_elements,
+    _g,
     _p_integral,
+    _positive_power,
     energy_J,
     gradient_J,
     kirchhoff_A,
@@ -101,7 +103,7 @@ def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
     """R(u) = A(u) / B(u) at raw nodal values; no derivative is assembled."""
     meas = mesh.element_measures
     A = _p_integral(np.linalg.norm(element_gradients(mesh, nodal), axis=1), p, meas)
-    return A / _p_integral(np.abs(mesh.centroid_map @ nodal), p, meas)
+    return float(A / _p_integral(np.abs(mesh.centroid_map @ nodal), p, meas))
 
 
 def _rayleigh_gradient(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
@@ -319,29 +321,88 @@ class SolveReport:
 
 
 def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray):
-    """J restricted to the line base + t*direction, as a function of t.
+    """J and its slope dJ/dt along the line base + t*direction.
 
-    The element gradients and centroid values of ``base`` and ``direction``
-    are gathered once; each evaluation is then elementwise.  Zero trace is
-    checked once, on both vectors: every point of the line inherits it
-    exactly.
+    Returns a function of a scalar or 1-D array ``t`` that gives the pair
+    (J(t), J'(t)) in the shape of ``t``, from one elementwise pass over the
+    stack.  The element gradients and centroid values of ``base`` and
+    ``direction`` are gathered once, together with the per-element products
+    g0.g0, g0.dg and dg.dg of their gradients, so |grad u(t)|^2 is a
+    quadratic in t.  Zero trace is checked once, on both vectors: every
+    point of the line inherits it exactly.  The slope is exact:
+
+        J'(t) = K(t) A'(t) - I((lambda |u_c|^{p-2} u_c + g(x, u_c)) dc),
+
+    with K(t) = a - b*A(t), A'(t) = I(|grad u|^{p-2} grad u . grad d) and dc
+    the centroid values of the direction.
     """
     mesh = prob.mesh
+    pv, meas = prob.p.values, mesh.element_measures
     for nodal in (base, direction):
         if np.any(nodal[mesh.boundary_mask] != 0.0):
             raise DomainError("path points must have zero boundary trace")
     g0, dg = (element_gradients(mesh, v) for v in (base, direction))
     c0, dc = (mesh.centroid_map @ v for v in (base, direction))
-    return lambda t: _energy_of_elements(prob, g0 + t * dg, c0 + t * dc)
+    g0g0, g0dg, dgdg = (np.einsum("ed,ed->e", x, y)
+                        for x, y in ((g0, g0), (g0, dg), (dg, dg)))
+    dc_meas = dc * meas
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        gdot = g0dg + t * dgdg  # grad u(t) . grad d
+        gmag = np.sqrt(np.maximum(g0g0 + t * (g0dg + gdot), 0.0))
+        uc = c0 + t * dc
+        A = _p_integral(gmag, prob.p, meas)
+        dA = np.dot(_positive_power(gmag, pv - 2.0) * gdot, meas)
+        lumped = prob.lam * _positive_power(np.abs(uc), pv - 2.0) * uc + _g(prob.g, uc)
+        slope = (prob.a - prob.b * A) * dA - np.dot(lumped, dc_meas)
+        return _energy_of_elements(prob, A, uc), slope
+
+    return evaluate
+
+
+_CANDIDATES = 5     # equispaced points of a cell evaluated in one batch
+_T_TOL = 1e-12      # resolution in t of a segment maximum
 
 
 def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
-    """Maximize J along the segment ua + t (ub - ua); return (point, J)."""
+    """Maximize J along the segment ua + t (ub - ua); return (point, J).
+
+    J and its slope are evaluated at five equispaced candidates of a cell,
+    first [0, 1], in one batched call.  The slope at the best candidate
+    points to the side of the maximum:
+
+    * if it vanishes, or points out of the cell at one of its ends (at the
+      segment's ends: the maximum is that endpoint), that candidate is
+      returned, an endpoint bitwise as ``ua`` or ``ub``;
+    * if it changes sign across the neighbouring cell, the root of dJ/dt
+      there is the maximum, found by ``brentq`` to 1e-12 in t;
+    * otherwise the neighbouring cell holds a maximum without a sign change
+      at its ends, and it is searched the same way.
+    """
     delta = ub - ua
-    J = _line_energy(prob, ua, delta)
-    res = minimize_scalar(lambda t: -J(t), bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return ua + float(res.x) * delta, -float(res.fun)
+    line = _line_energy(prob, ua, delta)
+    lo, hi = 0.0, 1.0
+    while True:
+        t = np.linspace(lo, hi, _CANDIDATES)
+        J, dJ = line(t)
+        k = int(np.argmax(J))
+        step = int(np.sign(dJ[k]))
+        j = k + step
+        if step == 0 or not 0 <= j < _CANDIDATES:
+            break
+        lo, hi = sorted((t[k], t[j]))
+        if dJ[j] * step <= 0.0:
+            # brentq first evaluates both ends, which this batch already did
+            ends = {t[k]: dJ[k], t[j]: dJ[j]}
+            root = brentq(lambda s: ends[s] if s in ends else line(s)[1],
+                          lo, hi, xtol=_T_TOL)
+            return ua + root * delta, float(line(root)[0])
+        if hi - lo <= _T_TOL:
+            break
+    best = t[k]
+    point = ua.copy() if best == 0.0 else ub.copy() if best == 1.0 else ua + best * delta
+    return point, float(J[k])
 
 
 def mountain_pass_solve(
@@ -365,7 +426,9 @@ def mountain_pass_solve(
     re-evaluated.  The segment maxima and the line search evaluate J through
     its restriction to a line, whose element data is gathered once per
     segment, so a solve makes at most ``n_path + 1 + 3 * iterations`` calls
-    to ``energy_J``.
+    to ``energy_J``.  A segment maximum comes from one batched evaluation of
+    J and its exact slope dJ/dt at five candidates and, when it lies inside
+    the segment, from the root of dJ/dt in the bracketing cell.
 
     Raises DegenerateCoefficient the moment the nonlocal coefficient
     K(u) = a - b*A(u) is nonpositive at the current iterate (the operator
@@ -435,7 +498,7 @@ def mountain_pass_solve(
         d_norm = np.sqrt(-slope)
         step = min(1.0, spacing / d_norm) if d_norm > 0.0 else 1.0
         J_ray = _line_energy(prob, peak, d)
-        while step > 1e-16 and not J_ray(step) <= J_peak + 1e-4 * step * slope:
+        while step > 1e-16 and not J_ray(step)[0] <= J_peak + 1e-4 * step * slope:
             step *= 0.5
         if not step > 1e-16:
             raise MaxIterations(

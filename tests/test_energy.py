@@ -17,7 +17,7 @@ from pxkirchhoff import (
     kirchhoff_A,
     nonlinearity_eval,
 )
-from pxkirchhoff.energy import _g_and_G, _G
+from pxkirchhoff.energy import _derivative_terms, _g_and_G, _G
 from pxkirchhoff.solver import _line_energy
 from oracles import central_difference
 
@@ -160,7 +160,13 @@ def test_line_restriction_matches_energy(dim):
     J = _line_energy(prob, ua, ub - ua)
     for t in (0.0, 0.37, 1.0):
         direct = energy_J(GridFunction(mesh, ua + t * (ub - ua)), prob)
-        assert J(t) == pytest.approx(direct, rel=1e-13)
+        assert J(t)[0] == pytest.approx(direct, rel=1e-13)
+        fd = central_difference(lambda s: J(s)[0], t, 1.0)
+        assert J(t)[1] == pytest.approx(fd, rel=1e-7)
+    # a stack of t gives the same pairs as one t at a time
+    ts = np.array([0.0, 0.37, 1.0])
+    for stacked, single in zip(np.array(J(ts)).T, ts):
+        assert stacked == pytest.approx(J(single), rel=1e-13)
 
 
 def test_line_restriction_rejects_nonzero_trace():
@@ -198,6 +204,32 @@ def test_gradient_matches_finite_differences(dim):
         fd = central_difference(J, u.nodal_values, v_nodal)
         exact = float(np.dot(gradient_J(u, prob).nodal_values, v_nodal))
         assert fd == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["pure_power", "scaled_power", "zero"])
+def test_gradient_equals_reference_assembly_bitwise(kind):
+    # reference: the same two adjoint products with g = |s|^{q-2} s written
+    # out here, masked where s = 0
+    mesh = build_interval_mesh(40, 0.0, 1.0)
+    p = build_exponent_field(2.0 + mesh.element_centroids[:, 0], mesh)
+    q = build_exponent_field(6.0 + mesh.element_centroids[:, 0], mesh)
+    spec = NonlinearitySpec(kind, q, coefficient=2.5, theta=3.0)
+    prob = KirchhoffProblem(1.0, 0.01, 0.4, p, spec, mesh)
+    # a smooth bump of height 3 and a steep q, so that the flux term does not
+    # swamp the last bits of g
+    x = mesh.vertices[:, 0]
+    nodal = 3.0 * np.sin(np.pi * x)
+    nodal[mesh.boundary_mask] = 0.0
+    nodal[10:13] = 0.0  # zero centroid values and gradients on two elements
+    A, flux, uc, s_pow = _derivative_terms(mesh, p, nodal)
+    mag = np.abs(uc)
+    g = np.where(mag > 0.0, mag ** (q.values - 2.0) * uc, 0.0)
+    g = {"pure_power": g, "scaled_power": 2.5 * g, "zero": 0.0 * g}[kind]
+    lumped = (prob.lam * s_pow + g) * mesh.element_measures
+    ref = (prob.a - prob.b * A) * (mesh.gradient_adjoint @ flux) \
+        - mesh.centroid_adjoint @ lumped
+    ref[mesh.boundary_mask] = 0.0
+    assert np.array_equal(gradient_J(GridFunction(mesh, nodal), prob).nodal_values, ref)
 
 
 def test_gradient_assembly_deterministic():

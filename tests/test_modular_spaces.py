@@ -214,3 +214,12 @@ def test_non_finite_samples_rejected(line, bad):
         luxemburg_norm(samples, p, line)
     with pytest.raises(DomainError, match="finite"):
         holder_pairing(np.ones(100), samples, p, line)
+
+
+def test_modular_overflow_rejected(line):
+    # every sample is finite, but |u|^2 = 1e400 is not; the norm itself is
+    p = constant_exponent(2.0, line)
+    samples = np.full(100, 1e200)
+    with pytest.raises(DomainError, match="overflow"):
+        modular(samples, p, line)
+    assert luxemburg_norm(samples, p, line) == pytest.approx(1e200, rel=1e-9)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from pxkirchhoff import (
     DegenerateCoefficient,
@@ -240,6 +241,84 @@ def test_segment_max_finds_the_ray_peak():
     assert J == pytest.approx(energy_J(GridFunction(prob.mesh, point), prob), rel=1e-13)
     for s in (0.99, 1.01):
         assert energy_J(GridFunction(prob.mesh, s * point), prob) <= J
+
+
+def _bounded_brent_max(prob, ua, ub):
+    # the derivative-free reference: bounded Brent on the direct energy
+    delta = ub - ua
+    res = minimize_scalar(
+        lambda t: -energy_J(GridFunction(prob.mesh, ua + t * delta), prob),
+        bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12},
+    )
+    return -float(res.fun)
+
+
+@pytest.mark.parametrize("variable_p", [False, True])
+def test_segment_max_matches_bounded_brent(variable_p):
+    # J(t*tent) peaks near t = 2 (q = 4), so segments from about tent to
+    # 3 tent, bent by smooth noise, have an interior maximum
+    mesh = build_interval_mesh(100, 0.0, 1.0)
+    if variable_p:
+        p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
+    else:
+        p = constant_exponent(2.0, mesh)
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.0, mesh), theta=3.0)
+    prob = KirchhoffProblem(1.0, 0.1, 0.3, p, spec, mesh)
+    tent = tent_on(mesh).nodal_values
+    x = mesh.vertices[:, 0]
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        bend = sum(c * np.sin((j + 1) * np.pi * x)
+                   for j, c in enumerate(0.05 * rng.standard_normal(3)))
+        ua = (1.0 + 0.2 * rng.random()) * tent + bend
+        ub = (2.8 + 0.2 * rng.random()) * tent - bend
+        ua[mesh.boundary_mask] = ub[mesh.boundary_mask] = 0.0
+        point, J = _segment_max(prob, ua, ub)
+        assert J > max(energy_J(GridFunction(mesh, u), prob) for u in (ua, ub))
+        assert J == pytest.approx(energy_J(GridFunction(mesh, point), prob), rel=1e-13)
+        reference = _bounded_brent_max(prob, ua, ub)
+        assert J >= reference - 1e-13 * abs(reference)
+
+
+def test_segment_max_monotone_segments_return_the_endpoint():
+    # J(t*tent) rises on 0 < t < 2, so 0.2 tent -> 0.5 tent ascends
+    prob = model_problem(q_const=4.0, theta=3.0)
+    tent = tent_on(prob.mesh).nodal_values
+    low, high = 0.2 * tent, 0.5 * tent
+    for ua, ub, end in ((low, high, high), (high, low, high)):
+        point, J = _segment_max(prob, ua, ub)
+        assert point.tobytes() == end.tobytes()
+        assert J == pytest.approx(energy_J(GridFunction(prob.mesh, end), prob), rel=1e-13)
+
+
+def test_segment_search_line_evaluations(monkeypatch):
+    # each call of the line restriction is one (possibly batched) evaluation
+    prob = model_problem(n=60)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    evaluations, per_search = [0], []
+    line_energy, segment_max = solver._line_energy, solver._segment_max
+
+    def counted_line(*args):
+        restriction = line_energy(*args)
+
+        def evaluate(t):
+            evaluations[0] += 1
+            return restriction(t)
+
+        return evaluate
+
+    def counted_search(*args):
+        before = evaluations[0]
+        out = segment_max(*args)
+        per_search.append(evaluations[0] - before)
+        return out
+
+    monkeypatch.setattr(solver, "_line_energy", counted_line)
+    monkeypatch.setattr(solver, "_segment_max", counted_search)
+    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    assert len(per_search) == 2 * (rep.iterations + 1)
+    assert np.mean(per_search) <= 12
+    assert max(per_search) <= 45
 
 
 def test_solve_requires_negative_endpoint():
