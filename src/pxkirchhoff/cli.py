@@ -1,7 +1,7 @@
 """Batch front door: flat key=value configs in, reports/dumps/CSV out.
 
 Config format: one ``key = value`` pair per line, ``#`` starts a comment,
-unknown keys are errors.  Keys:
+unknown keys and non-finite numbers are errors.  Keys:
 
     command     validate | norm | rayleigh | geometry | solve | multiplicity
     domain      interval:A,B,N  or  rect:X0,Y0,X1,Y1,NX,NY
@@ -15,7 +15,8 @@ unknown keys are errors.  Keys:
     theta, s_A  superlinearity exponent and threshold (theta defaults to
                 min(q-, 2(p-)^2/p+ - 1e-6))
     tol, max_iter, n_path, n_starts, k_max, seed, n_dirs, rho_grid
-                solver options; rho_grid is a comma list of radii
+                solver options (rayleigh ignores tol and stops at its own
+                1e-10); rho_grid is a comma list of radii
     ambient_dim optional ambient N for the subcritical check (validate)
     out         output directory, default "."
 
@@ -100,13 +101,21 @@ class RunConfig:
     out: str = "."
 
 
+def _finite(value: str) -> float:
+    """float(value), rejecting NaN and +-inf where they are read."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite number {value.strip()!r}")
+    return x
+
+
 def _parse_domain(value: str) -> tuple:
     kind, _, rest = value.partition(":")
     parts = [s.strip() for s in rest.split(",")]
     if kind == "interval" and len(parts) == 3:
-        return ("interval", float(parts[0]), float(parts[1]), int(parts[2]))
+        return ("interval", _finite(parts[0]), _finite(parts[1]), int(parts[2]))
     if kind == "rect" and len(parts) == 6:
-        return ("rect", *(float(v) for v in parts[:4]),
+        return ("rect", *(_finite(v) for v in parts[:4]),
                 int(parts[4]), int(parts[5]))
     raise ValueError(f"bad domain descriptor {value!r}")
 
@@ -128,21 +137,21 @@ _PARSERS = {
     "p": _check_descriptor,
     "q": _check_descriptor,
     "u": _check_descriptor,
-    "a": float,
-    "b": float,
-    "lambda": float,
+    "a": _finite,
+    "b": _finite,
+    "lambda": _finite,
     "g_kind": str,
-    "coefficient": float,
-    "theta": float,
-    "s_A": float,
-    "tol": float,
+    "coefficient": _finite,
+    "theta": _finite,
+    "s_A": _finite,
+    "tol": _finite,
     "max_iter": int,
     "n_path": int,
     "n_starts": int,
     "k_max": int,
     "seed": int,
     "n_dirs": int,
-    "rho_grid": lambda v: tuple(float(s) for s in v.split(",")),
+    "rho_grid": lambda v: tuple(_finite(s) for s in v.split(",")),
     "ambient_dim": int,
     "out": str,
 }

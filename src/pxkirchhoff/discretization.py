@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "Mesh",
@@ -170,12 +170,13 @@ def build_rect_mesh(nx: int, ny: int, rect) -> Mesh:
     return Mesh(2, vertices, elements, mask, measures)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GridFunction:
     """Nodal P1 function with zero trace on the flagged boundary.
 
-    Constructors zero out flagged vertices rather than erroring, so random
-    nodal data can be wrapped directly.
+    Construction copies the values and zeroes the flagged vertices, so raw
+    nodal data can be wrapped directly; the copy is read-only and the
+    instance frozen, so the trace stays zero and consumers need not check.
     """
 
     mesh: Mesh
@@ -188,13 +189,11 @@ class GridFunction:
                 f"expected {self.mesh.n_vertices} nodal values, got {values.shape}"
             )
         values[self.mesh.boundary_mask] = 0.0
-        self.nodal_values = values
+        values.flags.writeable = False
+        object.__setattr__(self, "nodal_values", values)
 
     def copy(self) -> "GridFunction":
-        return GridFunction(self.mesh, self.nodal_values.copy())
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.mesh, -self.nodal_values)
+        return GridFunction(self.mesh, self.nodal_values)
 
 
 def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -227,9 +226,3 @@ def integrate(f, mesh: Mesh) -> float:
     if f.shape != (mesh.n_elements,):
         raise ShapeError(f"expected {mesh.n_elements} element values, got {f.shape}")
     return float(np.dot(f, mesh.element_measures))
-
-
-def require_zero_trace(u: GridFunction, what: str = "grid function"):
-    """Raise DomainError unless u vanishes on the flagged boundary."""
-    if np.any(u.nodal_values[u.mesh.boundary_mask] != 0.0):
-        raise DomainError(f"{what} must have zero boundary trace")

@@ -1,4 +1,5 @@
-"""The nonlocal Kirchhoff energy, its Gateaux derivative, and nonlinearities.
+"""The functionals of the model: the Kirchhoff energy, its derivative, its
+restriction to a line, the Rayleigh quotient, and the nonlinearities.
 
 The energy of a zero-trace grid function u is
 
@@ -8,9 +9,11 @@ with A(u) = I(1/p |grad u|^p) and I(.) the centroid quadrature.  Its
 derivative against the interior hat functions is the discrete residual; the
 quadratic part a*A - (b/2)*A^2 is capped at a^2/(2b) for every u, which is
 the threshold below which compactness of descent sequences is trusted.
+J along a line (``_line_energy``) and R = A / B with B(u) = I(1/p |u|^p)
+(``_rayleigh_ratio``, ``_rayleigh_gradient``) live here too, for the solvers.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +23,6 @@ from .discretization import (
     centroid_values,
     element_gradients,
     gradient_of,
-    require_zero_trace,
 )
 from .errors import DomainError, ShapeError
 from .exponents import (
@@ -94,24 +96,23 @@ def _G(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
     return G
 
 
-def _g_and_G(spec: NonlinearitySpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (g, G) at per-element arguments s."""
-    return _g(spec, s), _G(spec, s)
-
-
 def nonlinearity_eval(spec: NonlinearitySpec, element: int, s: float) -> tuple[float, float]:
-    """(g, G) at a single element's exponent sample and argument s."""
-    g, G = _g_and_G(spec, np.full(len(spec.q), float(s)))
-    return float(g[element]), float(G[element])
+    """(g, G) at a single element's exponent sample and argument s;
+    ShapeError for an element outside [0, len(spec.q))."""
+    if not 0 <= element < len(spec.q):
+        raise ShapeError(f"element {element} outside [0, {len(spec.q)})")
+    s = np.full(len(spec.q), float(s))
+    return float(_g(spec, s)[element]), float(_G(spec, s)[element])
 
 
 @dataclass(eq=False)
 class KirchhoffProblem:
     """Problem data: constants a, b, lambda, exponent fields, nonlinearity.
 
-    Construction validates a, b > 0, the exponent chain (with the critical
-    exponent treated as +infinity at desk-scale mesh dimensions), and the
-    superlinearity exponent theta against its admissible interval.
+    Construction checks a, b > 0 and the field lengths only; an unset
+    theta gets its default in a copy of the spec, never in the caller's.
+    The chain and theta are checked by ``require_valid_chain``, which every
+    solver calls first.
     """
 
     a: float
@@ -129,7 +130,7 @@ class KirchhoffProblem:
         if self.g.kind != "zero" and self.g.theta is None:
             interval = validate_problem_exponents(self.p, self.g.q).theta_interval
             if interval is not None:
-                self.g.theta = default_theta(self.p, self.g.q)
+                self.g = replace(self.g, theta=default_theta(self.p, self.g.q))
 
     @property
     def ps_ceiling(self) -> float:
@@ -174,7 +175,6 @@ def _p_integral(mag: np.ndarray, p: ExponentField, meas: np.ndarray):
 
 def kirchhoff_A(u: GridFunction, p: ExponentField) -> float:
     """The nonlocal integrand A(u): quadrature of (1/p(x)) |grad u|^{p(x)}."""
-    require_zero_trace(u)
     gmag = np.linalg.norm(gradient_of(u), axis=1)
     return float(_p_integral(gmag, p, u.mesh.element_measures))
 
@@ -184,8 +184,8 @@ def _energy_of_elements(prob: KirchhoffProblem, A, uc: np.ndarray):
 
     ``A`` may be a stack of values and ``uc`` the matching stack of
     per-element rows; J has the stack's shape.  ``energy_J`` and the
-    solver's restriction of J to a line both call it, so the energy formula
-    exists once.
+    restriction of J to a line (``_line_energy``) both call it, so the
+    energy formula exists once.
     """
     meas = prob.mesh.element_measures
     lam_term = _p_integral(np.abs(uc), prob.p, meas)
@@ -195,7 +195,6 @@ def _energy_of_elements(prob: KirchhoffProblem, A, uc: np.ndarray):
 
 def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
     """Total energy of u for the given problem."""
-    require_zero_trace(u)
     meas = prob.mesh.element_measures
     A = _p_integral(np.linalg.norm(gradient_of(u), axis=1), prob.p, meas)
     return float(_energy_of_elements(prob, A, centroid_values(u)))
@@ -230,13 +229,71 @@ def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
     maps are fixed CSR matrices, so identical inputs give bitwise-identical
     sums.
     """
-    require_zero_trace(u)
     mesh = prob.mesh
     A, flux, uc, s_pow = _derivative_terms(mesh, prob.p, u.nodal_values)
     K = prob.a - prob.b * A
     lumped = (prob.lam * s_pow + _g(prob.g, uc)) * mesh.element_measures
     residual = K * (mesh.gradient_adjoint @ flux) - mesh.centroid_adjoint @ lumped
     return GridFunction(mesh, residual)
+
+
+def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray):
+    """J and its slope dJ/dt along the line base + t*direction.
+
+    Returns a function of a scalar or 1-D array ``t`` that gives the pair
+    (J(t), J'(t)) in the shape of ``t``, from one elementwise pass over the
+    stack.  The element gradients and centroid values of ``base`` and
+    ``direction`` are gathered once, together with the per-element products
+    g0.g0, g0.dg and dg.dg of their gradients, so |grad u(t)|^2 is a
+    quadratic in t.  Zero trace is checked once, on both vectors: every
+    point of the line inherits it exactly.  The slope is exact:
+
+        J'(t) = K(t) A'(t) - I((lambda |u_c|^{p-2} u_c + g(x, u_c)) dc),
+
+    with K(t) = a - b*A(t), A'(t) = I(|grad u|^{p-2} grad u . grad d) and dc
+    the centroid values of the direction.
+    """
+    mesh = prob.mesh
+    pv, meas = prob.p.values, mesh.element_measures
+    for nodal in (base, direction):
+        if np.any(nodal[mesh.boundary_mask] != 0.0):
+            raise DomainError("path points must have zero boundary trace")
+    g0, dg = (element_gradients(mesh, v) for v in (base, direction))
+    c0, dc = (mesh.centroid_map @ v for v in (base, direction))
+    g0g0, g0dg, dgdg = (np.einsum("ed,ed->e", x, y)
+                        for x, y in ((g0, g0), (g0, dg), (dg, dg)))
+    dc_meas = dc * meas
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        gdot = g0dg + t * dgdg  # grad u(t) . grad d
+        gmag = np.sqrt(np.maximum(g0g0 + t * (g0dg + gdot), 0.0))
+        uc = c0 + t * dc
+        A = _p_integral(gmag, prob.p, meas)
+        dA = np.dot(_positive_power(gmag, pv - 2.0) * gdot, meas)
+        lumped = prob.lam * _positive_power(np.abs(uc), pv - 2.0) * uc + _g(prob.g, uc)
+        slope = (prob.a - prob.b * A) * dA - np.dot(lumped, dc_meas)
+        return _energy_of_elements(prob, A, uc), slope
+
+    return evaluate
+
+
+def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
+    """R(u) = A(u) / B(u) at raw nodal values; no derivative is assembled."""
+    meas = mesh.element_measures
+    A = _p_integral(np.linalg.norm(element_gradients(mesh, nodal), axis=1), p, meas)
+    return float(A / _p_integral(np.abs(mesh.centroid_map @ nodal), p, meas))
+
+
+def _rayleigh_gradient(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
+    """R'(u) = (A'(u) - R(u) B'(u)) / B(u), zero on the boundary."""
+    meas = mesh.element_measures
+    A, flux, uc, s_pow = _derivative_terms(mesh, p, nodal)
+    B = _p_integral(np.abs(uc), p, meas)
+    grad = (mesh.gradient_adjoint @ flux
+            - (A / B) * (mesh.centroid_adjoint @ (s_pow * meas))) / B
+    grad[mesh.boundary_mask] = 0.0
+    return grad
 
 
 @dataclass
@@ -269,11 +326,11 @@ def ar_condition_check(spec: NonlinearitySpec, s_grid) -> ARReport:
 
     violations = []
     slack = 1e-12
-    _, G_at_sA = _g_and_G(spec, np.full(len(spec.q), spec.s_A))
-    c1 = float(np.min(G_at_sA)) / spec.s_A**theta
+    c1 = float(np.min(_G(spec, np.full(len(spec.q), spec.s_A)))) / spec.s_A**theta
 
     for s in s_grid:
-        g, G = _g_and_G(spec, np.full(len(spec.q), s))
+        s_full = np.full(len(spec.q), s)
+        g, G = _g(spec, s_full), _G(spec, s_full)
         lhs = theta * G
         rhs = s * g
         if not np.all(lhs > 0.0):

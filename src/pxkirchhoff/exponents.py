@@ -36,12 +36,15 @@ class ExponentField:
 
 
 def build_exponent_field(samples, mesh: Mesh) -> ExponentField:
-    """Wrap per-element exponent samples, checking length and positivity."""
+    """Wrap per-element exponent samples, checking length, finiteness and
+    that every sample exceeds 1."""
     values = np.asarray(samples, dtype=float)
     if values.shape != (mesh.n_elements,):
         raise ShapeError(
             f"expected {mesh.n_elements} exponent samples, got {values.shape}"
         )
+    if not np.all(np.isfinite(values)):
+        raise DomainError("exponent samples must be finite")
     if np.any(values <= 1.0):
         raise DomainError("exponent must exceed 1")
     return ExponentField(values, float(values.min()), float(values.max()))

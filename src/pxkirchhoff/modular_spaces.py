@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    GridFunction,
-    Mesh,
-    gradient_of,
-    integrate,
-    require_zero_trace,
-)
+from .discretization import GridFunction, Mesh, gradient_of, integrate
 from .errors import DomainError, ShapeError
 from .exponents import ExponentField
 
@@ -122,7 +116,6 @@ def holder_pairing(u, v, p: ExponentField, mesh: Mesh) -> tuple[float, float]:
 
 def sobolev_norm(u: GridFunction, p: ExponentField) -> float:
     """Luxemburg norm of |grad u|: the norm adopted on the zero-trace space."""
-    require_zero_trace(u)
     gmag = np.linalg.norm(gradient_of(u), axis=1)
     return luxemburg_norm(gmag, p, u.mesh)
 

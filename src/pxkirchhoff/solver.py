@@ -1,6 +1,11 @@
 """Critical-point machinery: Rayleigh quotients, mountain-pass geometry,
 the path-deformation solver, and a finite-dimensional multiplicity search.
 
+Only the algorithms live here.  Every functional they evaluate (J, J', J
+along a line, the Rayleigh quotient and its gradient) comes from
+``energy``, and both descents backtrack through one Armijo step,
+``_armijo``.
+
 The solver deforms a discrete path from 0 to a low-energy point e: locate
 the maximal-energy point along the polyline, take a descent step there, and
 locally redistribute neighboring path points toward it.  Descent directions
@@ -19,14 +24,12 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.optimize import brentq, minimize_scalar
 
-from .discretization import GridFunction, Mesh, element_gradients
+from .discretization import GridFunction, Mesh
 from .energy import (
     KirchhoffProblem,
-    _derivative_terms,
-    _energy_of_elements,
-    _g,
-    _p_integral,
-    _positive_power,
+    _line_energy,
+    _rayleigh_gradient,
+    _rayleigh_ratio,
     energy_J,
     gradient_J,
     kirchhoff_A,
@@ -53,7 +56,7 @@ __all__ = [
 ]
 
 
-# -- Sobolev preconditioner and eigenbasis ------------------------------------
+# -- Sobolev preconditioner, eigenbasis and backtracking ----------------------
 
 class _SobolevPreconditioner:
     """Riesz map for the discrete H1_0 inner product on interior vertices."""
@@ -97,25 +100,18 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     return basis
 
 
+def _armijo(f, f0: float, slope: float, step: float) -> float | None:
+    """Backtracking with Armijo's sufficient decrease: halve ``step`` until
+    f(step) <= f0 + 1e-4 * step * slope and return it, or None once the step
+    falls to 1e-16.  A NaN or +inf value of f never passes a finite bound."""
+    while step > 1e-16:
+        if f(step) <= f0 + 1e-4 * step * slope:
+            return step
+        step *= 0.5
+    return None
+
+
 # -- Rayleigh quotient --------------------------------------------------------
-
-def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
-    """R(u) = A(u) / B(u) at raw nodal values; no derivative is assembled."""
-    meas = mesh.element_measures
-    A = _p_integral(np.linalg.norm(element_gradients(mesh, nodal), axis=1), p, meas)
-    return float(A / _p_integral(np.abs(mesh.centroid_map @ nodal), p, meas))
-
-
-def _rayleigh_gradient(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
-    """R'(u) = (A'(u) - R(u) B'(u)) / B(u), zero on the boundary."""
-    meas = mesh.element_measures
-    A, flux, uc, s_pow = _derivative_terms(mesh, p, nodal)
-    B = _p_integral(np.abs(uc), p, meas)
-    grad = (mesh.gradient_adjoint @ flux
-            - (A / B) * (mesh.centroid_adjoint @ (s_pow * meas))) / B
-    grad[mesh.boundary_mask] = 0.0
-    return grad
-
 
 def rayleigh_quotient_min(
     p: ExponentField,
@@ -130,9 +126,11 @@ def rayleigh_quotient_min(
 
     Preconditioned gradient descent on the ratio (quotient rule for its
     gradient) with backtracking, restarted from ``n_seeds`` positive random
-    starts; the smallest attained value wins.  For constant p this is the
-    classical p-Laplacian Rayleigh quotient.  Raises MaxIterations if every
-    start stalls above tolerance.
+    starts; the smallest converged value wins.  For constant p this is the
+    classical p-Laplacian Rayleigh quotient.  A start converges when R moves
+    by at most ``tol`` (relative) twice in a row, the slope is no longer
+    negative, or the line search stalls; MaxIterations is raised only if
+    every start uses up ``max_iter`` steps.
     """
     rng = np.random.default_rng(seed)
     precond = _SobolevPreconditioner(mesh)
@@ -164,17 +162,12 @@ def rayleigh_quotient_min(
                 converged = True
                 break
             step = min(1.0, precond.h_norm(nodal) / np.sqrt(-slope))
-            accepted = None
-            while step > 1e-16:
-                trial = nodal + step * d
-                Rt = _rayleigh_ratio(mesh, p, trial)
-                if np.isfinite(Rt) and Rt <= R + 1e-4 * step * slope:
-                    accepted = trial
-                    break
-                step *= 0.5
-            if accepted is None:
+            step = _armijo(lambda s: _rayleigh_ratio(mesh, p, nodal + s * d),
+                           R, slope, step)
+            if step is None:
                 converged = True  # stalled at line-search resolution
                 break
+            accepted = nodal + step * d
             nodal = accepted / precond.h_norm(accepted)
             nodal = ray_minimize(nodal)
             R_new = _rayleigh_ratio(mesh, p, nodal)
@@ -187,7 +180,7 @@ def rayleigh_quotient_min(
             best = (R, nodal)
 
     if best is None:
-        raise MaxIterations("Rayleigh descent stalled above tolerance on all seeds")
+        raise MaxIterations(f"no Rayleigh start converged within {max_iter} steps")
     return best[0], GridFunction(mesh, best[1])
 
 
@@ -268,10 +261,7 @@ def verify_mountain_geometry(
         nodal = np.zeros(mesh.n_vertices)
         nodal[mesh.interior] = rng.standard_normal(len(mesh.interior))
         directions.append(GridFunction(mesh, nodal))
-    unit = []
-    for d in directions:
-        nrm = sobolev_norm(d, prob.p)
-        unit.append(d.nodal_values / nrm)
+    unit = [d.nodal_values / sobolev_norm(d, prob.p) for d in directions]
 
     best = None
     for rho in np.sort(rho_grid):
@@ -318,47 +308,6 @@ class SolveReport:
     iterations: int
     path_energies: list[float]
     iteration_trace: list[tuple[int, float, float, float, float]]
-
-
-def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray):
-    """J and its slope dJ/dt along the line base + t*direction.
-
-    Returns a function of a scalar or 1-D array ``t`` that gives the pair
-    (J(t), J'(t)) in the shape of ``t``, from one elementwise pass over the
-    stack.  The element gradients and centroid values of ``base`` and
-    ``direction`` are gathered once, together with the per-element products
-    g0.g0, g0.dg and dg.dg of their gradients, so |grad u(t)|^2 is a
-    quadratic in t.  Zero trace is checked once, on both vectors: every
-    point of the line inherits it exactly.  The slope is exact:
-
-        J'(t) = K(t) A'(t) - I((lambda |u_c|^{p-2} u_c + g(x, u_c)) dc),
-
-    with K(t) = a - b*A(t), A'(t) = I(|grad u|^{p-2} grad u . grad d) and dc
-    the centroid values of the direction.
-    """
-    mesh = prob.mesh
-    pv, meas = prob.p.values, mesh.element_measures
-    for nodal in (base, direction):
-        if np.any(nodal[mesh.boundary_mask] != 0.0):
-            raise DomainError("path points must have zero boundary trace")
-    g0, dg = (element_gradients(mesh, v) for v in (base, direction))
-    c0, dc = (mesh.centroid_map @ v for v in (base, direction))
-    g0g0, g0dg, dgdg = (np.einsum("ed,ed->e", x, y)
-                        for x, y in ((g0, g0), (g0, dg), (dg, dg)))
-    dc_meas = dc * meas
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        gdot = g0dg + t * dgdg  # grad u(t) . grad d
-        gmag = np.sqrt(np.maximum(g0g0 + t * (g0dg + gdot), 0.0))
-        uc = c0 + t * dc
-        A = _p_integral(gmag, prob.p, meas)
-        dA = np.dot(_positive_power(gmag, pv - 2.0) * gdot, meas)
-        lumped = prob.lam * _positive_power(np.abs(uc), pv - 2.0) * uc + _g(prob.g, uc)
-        slope = (prob.a - prob.b * A) * dA - np.dot(lumped, dc_meas)
-        return _energy_of_elements(prob, A, uc), slope
-
-    return evaluate
 
 
 _CANDIDATES = 5     # equispaced points of a cell evaluated in one batch
@@ -498,9 +447,8 @@ def mountain_pass_solve(
         d_norm = np.sqrt(-slope)
         step = min(1.0, spacing / d_norm) if d_norm > 0.0 else 1.0
         J_ray = _line_energy(prob, peak, d)
-        while step > 1e-16 and not J_ray(step)[0] <= J_peak + 1e-4 * step * slope:
-            step *= 0.5
-        if not step > 1e-16:
+        step = _armijo(lambda s: J_ray(s)[0], J_peak, slope, step)
+        if step is None:
             raise MaxIterations(
                 f"line search stalled at residual {res:.3e} (tol {tol:g})"
             )
@@ -571,20 +519,15 @@ def multiplicity_search(
         results.append((report.energy, i, report))
 
     results.sort(key=lambda item: (item[0], item[1]))
+
+    def orbit_distance(u, v):  # the Sobolev distance from u to v or -v
+        return min(sobolev_norm(GridFunction(prob.mesh, w), prob.p)
+                   for w in (u - v, u + v))
+
     distinct: list[SolveReport] = []
     for _, _, rep in results:
-        is_new = True
-        for kept in distinct:
-            diff = GridFunction(
-                prob.mesh, rep.solution.nodal_values - kept.solution.nodal_values
-            )
-            summ = GridFunction(
-                prob.mesh, rep.solution.nodal_values + kept.solution.nodal_values
-            )
-            dist = min(sobolev_norm(diff, prob.p), sobolev_norm(summ, prob.p))
-            if dist <= distinct_tol:
-                is_new = False
-                break
-        if is_new:
+        u = rep.solution.nodal_values
+        if all(orbit_distance(u, kept.solution.nodal_values) > distinct_tol
+               for kept in distinct):
             distinct.append(rep)
     return distinct

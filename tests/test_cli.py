@@ -61,6 +61,30 @@ def test_parse_errors():
         parse_config(MODEL.replace("command = solve", "command = norm"))
 
 
+@pytest.mark.parametrize("old, new", [
+    ("tol = 1e-5", "tol = nan"),
+    ("lambda = 0", "lambda = nan"),
+    ("a = 1", "a = inf"),
+    ("theta = 3.2", "theta = -inf"),
+    ("seed = 0", "rho_grid = 0.1,inf"),
+    ("domain = interval:0,1,60", "domain = interval:0,nan,60"),
+    ("domain = interval:0,1,60", "domain = rect:0,0,inf,1,4,4"),
+])
+def test_non_finite_numbers_rejected_at_their_line(old, new):
+    text = MODEL.replace(old, new)
+    ln = 1 + text.splitlines().index(new)
+    with pytest.raises(ParseError, match=f"line {ln}: non-finite"):
+        parse_config(text)
+
+
+def test_non_finite_tol_exit_code(tmp_path, capsys):
+    path = write_cfg(tmp_path, MODEL.replace("tol = 1e-5", "tol = nan")
+                     + f"\nout = {tmp_path}")
+    assert main([path]) == 2
+    assert "ParseError" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_comments_and_blank_lines():
     cfg = parse_config("# heading\n\n" + MODEL + "\n  # trailing comment\n")
     assert cfg.command == "solve"

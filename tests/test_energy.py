@@ -7,6 +7,7 @@ from pxkirchhoff import (
     GridFunction,
     KirchhoffProblem,
     NonlinearitySpec,
+    ShapeError,
     ar_condition_check,
     build_exponent_field,
     build_interval_mesh,
@@ -17,8 +18,7 @@ from pxkirchhoff import (
     kirchhoff_A,
     nonlinearity_eval,
 )
-from pxkirchhoff.energy import _derivative_terms, _g_and_G, _G
-from pxkirchhoff.solver import _line_energy
+from pxkirchhoff.energy import _derivative_terms, _line_energy
 from oracles import central_difference
 
 
@@ -51,6 +51,15 @@ def test_nonlinearity_eval_scaled_and_zero():
     assert nonlinearity_eval(zero, 0, 5.0) == (0.0, 0.0)
 
 
+def test_nonlinearity_eval_rejects_elements_outside_the_mesh():
+    mesh = build_interval_mesh(4, 0.0, 1.0)
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.0, mesh), theta=3.0)
+    for element in (-1, 4):
+        with pytest.raises(ShapeError):
+            nonlinearity_eval(spec, element, 2.0)
+    assert nonlinearity_eval(spec, 3, 2.0) == pytest.approx((8.0, 4.0))
+
+
 def test_spec_validation():
     mesh = build_interval_mesh(4, 0.0, 1.0)
     q = constant_exponent(4.0, mesh)
@@ -79,6 +88,20 @@ def test_problem_validation():
     prob.require_valid_chain()
     assert prob.g.theta is not None and 2.0 < prob.g.theta <= 4.0
     assert prob.ps_ceiling == pytest.approx(5.0)
+
+
+def test_problems_sharing_a_spec_get_their_own_default_theta():
+    mesh = build_interval_mesh(20, 0.0, 1.0)
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh))
+    first = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
+    p_var = build_exponent_field(1.6 + 0.2 * mesh.element_centroids[:, 0], mesh)
+    second = KirchhoffProblem(1.0, 0.1, 0.0, p_var, spec, mesh)
+    first.require_valid_chain()
+    second.require_valid_chain()
+    assert spec.theta is None
+    assert first.g.theta == pytest.approx(4.0 - 1e-6, abs=1e-12)
+    lo, hi = second.validate().theta_interval
+    assert lo < second.g.theta < hi
 
 
 def test_kirchhoff_A_values():
@@ -128,19 +151,6 @@ def test_energy_even():
     for _ in range(5):
         u = GridFunction(prob.mesh, rng.standard_normal(101))
         assert energy_J(u, prob) == energy_J(GridFunction(prob.mesh, -u.nodal_values), prob)
-
-
-def test_G_alone_matches_the_pair_bitwise():
-    mesh = build_interval_mesh(30, 0.0, 1.0)
-    q = build_exponent_field(4.0 + mesh.element_centroids[:, 0], mesh)
-    s = np.random.default_rng(3).standard_normal(mesh.n_elements)
-    s[4] = 0.0
-    for spec in (
-        NonlinearitySpec("pure_power", q, theta=3.0),
-        NonlinearitySpec("scaled_power", q, coefficient=2.5, theta=3.0),
-        NonlinearitySpec("zero", q),
-    ):
-        assert np.array_equal(_G(spec, s), _g_and_G(spec, s)[1])
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -38,6 +38,16 @@ def test_exponent_must_exceed_one(mesh10):
         build_exponent_field(np.full(10, 1.0), mesh10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exponent_must_be_finite(mesh10, bad):
+    with pytest.raises(DomainError, match="finite"):
+        build_exponent_field(np.full(10, bad), mesh10)
+    samples = np.full(10, 2.0)
+    samples[4] = bad
+    with pytest.raises(DomainError, match="finite"):
+        build_exponent_field(samples, mesh10)
+
+
 def test_length_mismatch(mesh10):
     with pytest.raises(ShapeError):
         build_exponent_field(np.full(7, 2.0), mesh10)

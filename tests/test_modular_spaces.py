@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,10 +102,15 @@ def test_sobolev_norm_tent(line):
 
 
 def test_sobolev_rejects_nonzero_trace(line):
+    # a grid function cannot acquire a nonzero trace after construction:
+    # its values are read-only and the instance is frozen
     u = tent_on(line)
-    u.nodal_values[0] = 0.5  # simulate post-construction corruption
-    with pytest.raises(DomainError):
-        sobolev_norm(u, constant_exponent(2.0, line))
+    with pytest.raises(ValueError):
+        u.nodal_values[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.nodal_values = np.full(101, 0.5)
+    assert u.nodal_values[0] == 0.0
+    assert sobolev_norm(u, constant_exponent(2.0, line)) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_relations_equality_cases(line):

@@ -27,12 +27,8 @@ from pxkirchhoff import (
     verify_mountain_geometry,
 )
 from pxkirchhoff import solver
-from pxkirchhoff.solver import (
-    _rayleigh_gradient,
-    _rayleigh_ratio,
-    _scale_until_negative,
-    _segment_max,
-)
+from pxkirchhoff.energy import _rayleigh_gradient, _rayleigh_ratio
+from pxkirchhoff.solver import _scale_until_negative, _segment_max
 from oracles import central_difference
 
 RHO_GRID = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
@@ -229,6 +225,18 @@ def test_segment_max_rejects_nonzero_trace():
     ub[0] = 1e-3
     with pytest.raises(DomainError):
         _segment_max(prob, ua, ub)
+
+
+def test_armijo_halves_to_sufficient_decrease():
+    # f(s) = (s - 1/4)^2 - 1/16 descends from f(0) = 0 with slope -1/2;
+    # steps 1 and 1/2 miss the Armijo bound, 1/4 meets it
+    def f(s):
+        return (s - 0.25) ** 2 - 0.0625
+
+    assert solver._armijo(f, 0.0, -0.5, 1.0) == 0.25
+    for bad in (np.nan, np.inf):
+        assert solver._armijo(lambda s: bad, 0.0, -1.0, 1.0) is None
+    assert solver._armijo(f, 0.0, -0.5, 1e-16) is None
 
 
 def test_segment_max_finds_the_ray_peak():
