@@ -2,7 +2,8 @@
 
 -(a - b A(u)) u'' = |u|^{q-2} u on (0, 1) with a = 1, b = 0.1, q = 4.5:
 verify the pass geometry, deform a path from 0 to the negative-energy
-point, and certify the peak as a critical point.
+point, polish its peak with Newton's method, and certify the result as a
+critical point of mountain-pass type (Morse index 1).
 """
 
 import numpy as np
@@ -30,11 +31,13 @@ print(f"geometry: floor alpha = {geo.alpha:.4f} on the sphere rho = {geo.rho:g},
       f"J(e) = {geo.negative_energy:.3f} at |e| = {sobolev_norm(geo.negative_point, p):.3f}")
 
 report = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
-print(f"converged in {report.iterations} sweeps:")
+print(f"converged in {report.iterations} sweeps and {report.newton_steps} Newton steps:")
 print(f"  energy c = {report.energy:.8f}  (below ceiling: {ps_threshold_check(report, prob)})")
 print(f"  residual |J'(u*)| = {report.residual_norm:.2e}")
 print(f"  nonlocal coefficient K(u*) = {report.nonlocal_coefficient:.5f}")
 print(f"  amplitude max|u*| = {np.max(np.abs(report.solution.nodal_values)):.5f}")
+low, second = report.lowest_eigenvalues
+print(f"  Morse index {report.morse_index} (lowest eigenvalues {low:.4f}, {second:.4f})")
 
 recheck = gradient_J(report.solution, prob)
 print("  residual recheck:", np.linalg.norm(recheck.nodal_values[mesh.interior]))

@@ -2,8 +2,9 @@
 
 For the a - b A(u) coefficient the energy can never exceed a^2/(2b), so
 higher critical values pile up just under that ceiling with K(u) -> 0+.
-The search below finds the ground orbit and a higher sign-changing orbit
-sitting 0.05% below the ceiling.
+The search below finds four orbits: the one-signed ground orbit and orbits
+with one, two and three sign changes, whose Morse indices are 1 to 4.  The
+highest sits 0.05% below the ceiling.
 """
 
 import numpy as np
@@ -28,7 +29,8 @@ for i, rep in enumerate(reports):
     u = rep.solution.nodal_values
     sign_changes = int(np.sum(np.diff(np.sign(u[np.abs(u) > 1e-8])) != 0))
     print(f"  orbit {i}: energy {rep.energy:.6f}  K(u) {rep.nonlocal_coefficient:.6f}  "
-          f"sign changes {sign_changes}  residual {rep.residual_norm:.1e}")
+          f"sign changes {sign_changes}  Morse index {rep.morse_index}  "
+          f"residual {rep.residual_norm:.1e}")
 
 gap = prob.ps_ceiling - reports[-1].energy
 print(f"highest orbit sits {gap:.2e} below the ceiling; its K is already "

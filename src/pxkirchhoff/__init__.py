@@ -1,10 +1,11 @@
 """Variable-exponent Kirchhoff variational toolkit.
 
 Luxemburg norms and modulars on variable-exponent spaces, the nonlocal
-Kirchhoff energy with its exact discrete gradient, Rayleigh-quotient
-eigenvalue estimates, a numerical mountain-pass solver with compactness
-threshold monitoring, and a symmetry-aware multiplicity search, all on
-1-D interval and 2-D criss-cross triangle meshes.
+Kirchhoff energy with its exact discrete gradient and Hessian,
+Rayleigh-quotient eigenvalue estimates, a numerical mountain-pass solver
+with compactness threshold monitoring and a Morse-index report, and a
+symmetry-aware multiplicity search, all on 1-D interval and 2-D
+criss-cross triangle meshes.
 """
 
 from .discretization import (
@@ -24,6 +25,7 @@ from .energy import (
     ar_condition_check,
     energy_J,
     gradient_J,
+    hessian_J,
     kirchhoff_A,
     nonlinearity_eval,
 )

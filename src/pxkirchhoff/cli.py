@@ -16,7 +16,8 @@ unknown keys and non-finite numbers are errors.  Keys:
                 min(q-, 2(p-)^2/p+ - 1e-6))
     tol, max_iter, n_path, n_starts, k_max, seed, n_dirs, rho_grid
                 solver options (rayleigh ignores tol and stops at its own
-                1e-10); rho_grid is a comma list of radii
+                1e-10); rho_grid is a comma list of positive radii and
+                n_dirs is nonnegative
     ambient_dim optional ambient N for the subcritical check (validate)
     out         output directory, default "."
 
@@ -109,6 +110,22 @@ def _finite(value: str) -> float:
     return x
 
 
+def _radii(value: str) -> tuple:
+    """Comma list of finite, positive radii."""
+    radii = tuple(_finite(s) for s in value.split(","))
+    if not all(r > 0.0 for r in radii):
+        raise ValueError(f"radii must be positive, got {value!r}")
+    return radii
+
+
+def _count(value: str) -> int:
+    """A nonnegative integer."""
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"count must be nonnegative, got {n}")
+    return n
+
+
 def _parse_domain(value: str) -> tuple:
     kind, _, rest = value.partition(":")
     parts = [s.strip() for s in rest.split(",")]
@@ -150,8 +167,8 @@ _PARSERS = {
     "n_starts": int,
     "k_max": int,
     "seed": int,
-    "n_dirs": int,
-    "rho_grid": lambda v: tuple(_finite(s) for s in v.split(",")),
+    "n_dirs": _count,
+    "rho_grid": _radii,
     "ambient_dim": int,
     "out": str,
 }
@@ -318,6 +335,10 @@ def _solve_report_lines(rep: SolveReport) -> list[str]:
         f"K: {rep.nonlocal_coefficient:.17g}",
         f"below_ps_ceiling: {_bool(rep.below_ps_ceiling)}",
         f"iterations: {rep.iterations}",
+        f"newton_steps: {rep.newton_steps}",
+        f"morse_index: {'none' if rep.morse_index is None else rep.morse_index}",
+        "lowest_eigenvalues: " + ("none" if rep.lowest_eigenvalues is None else
+                                  " ".join(f"{v:.17g}" for v in rep.lowest_eigenvalues)),
     ]
 
 

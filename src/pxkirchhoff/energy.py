@@ -1,5 +1,6 @@
-"""The functionals of the model: the Kirchhoff energy, its derivative, its
-restriction to a line, the Rayleigh quotient, and the nonlinearities.
+"""The functionals of the model: the Kirchhoff energy, its first and second
+derivatives, its restriction to a line, the Rayleigh quotient, and the
+nonlinearities.
 
 The energy of a zero-trace grid function u is
 
@@ -9,13 +10,16 @@ with A(u) = I(1/p |grad u|^p) and I(.) the centroid quadrature.  Its
 derivative against the interior hat functions is the discrete residual; the
 quadratic part a*A - (b/2)*A^2 is capped at a^2/(2b) for every u, which is
 the threshold below which compactness of descent sequences is trusted.
-J along a line (``_line_energy``) and R = A / B with B(u) = I(1/p |u|^p)
-(``_rayleigh_ratio``, ``_rayleigh_gradient``) live here too, for the solvers.
+The second derivative (``hessian_J``) is a sparse matrix plus a rank-one
+term.  J along a line (``_line_energy``) and R = A / B with
+B(u) = I(1/p |u|^p) (``_rayleigh_ratio``, ``_rayleigh_gradient``) live here
+too, for the solvers.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 from .discretization import (
     GridFunction,
@@ -38,6 +42,7 @@ __all__ = [
     "kirchhoff_A",
     "energy_J",
     "gradient_J",
+    "hessian_J",
     "ar_condition_check",
     "ARReport",
 ]
@@ -83,6 +88,17 @@ def _g(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
     if spec.kind == "scaled_power":
         g = spec.coefficient * g
     return g
+
+
+def _g_prime(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
+    """Vectorized derivative dg/ds at per-element arguments s."""
+    if spec.kind == "zero":
+        return np.zeros_like(s)
+    q = spec.q.values
+    gp = (q - 1.0) * _bounded_power(np.abs(s), q - 2.0, "a vanishing centroid value")
+    if spec.kind == "scaled_power":
+        gp = spec.coefficient * gp
+    return gp
 
 
 def _G(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
@@ -235,6 +251,56 @@ def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
     lumped = (prob.lam * s_pow + _g(prob.g, uc)) * mesh.element_measures
     residual = K * (mesh.gradient_adjoint @ flux) - mesh.centroid_adjoint @ lumped
     return GridFunction(mesh, residual)
+
+
+def _bounded_power(mag: np.ndarray, e: np.ndarray, cause: str) -> np.ndarray:
+    """mag**e with 0**0 = 1; DomainError naming ``cause`` where a negative
+    exponent meets mag = 0, since the power is unbounded there."""
+    if np.any((mag == 0.0) & (e < 0.0)):
+        raise DomainError(f"J'' does not exist: {cause} with exponent below 2")
+    return mag**e
+
+
+def hessian_J(u: GridFunction, prob: KirchhoffProblem):
+    """The exact second derivative of the discrete energy at u.
+
+    Returns (S, dA) with J''(u) = S - b * dA dA^T on all vertices:
+
+        S = K A''(u) - lambda B''(u) - G''(u),   dA = A'(u),
+        A'' = Dg^T blockdiag(meas |grad u|^{p-2} (I + (p-2) n n^T)) Dg,
+        B'' = C^T diag(meas (p-1) |u_c|^{p-2}) C,
+        G'' = C^T diag(meas g'(x, u_c)) C,
+
+    where n = grad u / |grad u| and K = a - b*A(u).  S is a sparse CSR
+    matrix; restrict both to the interior vertices for the Dirichlet
+    problem.  Raises DomainError where an exponent below 2 meets a
+    vanishing gradient (or, for lambda != 0, a vanishing centroid value),
+    because |.|^{p-2} is unbounded there.
+    """
+    mesh = prob.mesh
+    pv, meas, dim = prob.p.values, mesh.element_measures, mesh.dimension
+    grads = gradient_of(u)
+    gmag = np.linalg.norm(grads, axis=1)
+    w = _bounded_power(gmag, pv - 2.0, "a vanishing element gradient") * meas
+    dA = mesh.gradient_adjoint @ (w[:, None] * grads).ravel()
+    n = np.divide(grads, gmag[:, None], out=np.zeros_like(grads),
+                  where=gmag[:, None] > 0.0)
+    blocks = w[:, None, None] * (np.eye(dim) + (pv - 2.0)[:, None, None]
+                                 * n[:, :, None] * n[:, None, :])
+    rows = np.arange(mesh.n_elements + 1)
+    W = scipy.sparse.bsr_matrix((blocks, rows[:-1], rows),
+                                shape=(mesh.n_elements * dim,) * 2)
+    A2 = mesh.gradient_adjoint @ W @ mesh.gradient_map
+
+    uc = centroid_values(u)
+    lower = _g_prime(prob.g, uc)
+    if prob.lam != 0.0:
+        lower = lower + prob.lam * (pv - 1.0) * _bounded_power(
+            np.abs(uc), pv - 2.0, "a vanishing centroid value")
+    lower2 = (mesh.centroid_adjoint @ scipy.sparse.diags(lower * meas)
+              @ mesh.centroid_map)
+    K = prob.a - prob.b * _p_integral(gmag, prob.p, meas)
+    return (K * A2 - lower2).tocsr(), dA
 
 
 def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray):

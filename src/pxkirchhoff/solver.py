@@ -12,6 +12,9 @@ locally redistribute neighboring path points toward it.  Descent directions
 are preconditioned with the constant-exponent stiffness (a discrete Sobolev
 gradient), which keeps iteration counts mesh-independent; the reported
 residual stays the plain interior l2 norm of the assembled derivative.
+Once the peak is close, Newton's method on the exact sparse Hessian
+finishes the solve, and the solution's Morse index is reported.  All
+eigensolves (the Laplace eigenbasis, the Morse index) are sparse.
 
 The multiplicity search runs its starts one after another, in start-index
 order, and merges results deterministically by (energy, start-index) order.
@@ -20,7 +23,6 @@ order, and merges results deterministically by (energy, start-index) order.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 from scipy.optimize import brentq, minimize_scalar
 
@@ -32,6 +34,7 @@ from .energy import (
     _rayleigh_ratio,
     energy_J,
     gradient_J,
+    hessian_J,
     kirchhoff_A,
 )
 from .errors import (
@@ -65,11 +68,11 @@ class _SobolevPreconditioner:
         self.mesh = mesh
         idx = mesh.interior
         K = mesh.stiffness[np.ix_(idx, idx)].tocsc()
-        self._solve = scipy.sparse.linalg.factorized(K)
+        self.solve = scipy.sparse.linalg.factorized(K)  # on interior values
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
         out = np.zeros(self.mesh.n_vertices)
-        out[self.mesh.interior] = self._solve(nodal[self.mesh.interior])
+        out[self.mesh.interior] = self.solve(nodal[self.mesh.interior])
         return out
 
     def h_norm(self, nodal: np.ndarray) -> float:
@@ -77,23 +80,40 @@ class _SobolevPreconditioner:
         return float(np.sqrt(max(nodal @ (self.mesh.stiffness @ nodal), 0.0)))
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed ARPACK start vector, so eigensolves are deterministic."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     """First k Dirichlet eigenvectors of the constant-2 Laplacian.
 
     These span the nested subspaces used to seed the multiplicity search and
-    provide smooth low-frequency probe directions.  Signs are fixed so the
-    entry of largest magnitude is positive.
+    provide smooth low-frequency probe directions.  They come from a sparse
+    shift-invert eigensolve of the interior stiffness and mass pencil,
+    normalized in the mass inner product; ARPACK finds at most n - 1 of n
+    pairs, so a full basis takes its last vector as the mass-orthogonal
+    complement of the others.  Signs are fixed so the entry of largest
+    magnitude is positive.
     """
     idx = mesh.interior
-    if k > len(idx):
-        raise DomainError(f"mesh has only {len(idx)} interior vertices")
-    Kd = mesh.stiffness[np.ix_(idx, idx)].toarray()
-    Md = mesh.mass[np.ix_(idx, idx)].toarray()
-    _, vecs = scipy.linalg.eigh(Kd, Md)
+    n = len(idx)
+    if k > n:
+        raise DomainError(f"mesh has only {n} interior vertices")
+    M = mesh.mass[np.ix_(idx, idx)].tocsc()
+    vecs = np.empty((n, 0))
+    if min(k, n - 1) > 0:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            mesh.stiffness[np.ix_(idx, idx)].tocsc(), min(k, n - 1), M,
+            sigma=0.0, v0=_start_vector(n),
+        )
+        vecs = vecs[:, np.argsort(vals)]
+    if k == n:
+        complement = np.linalg.qr(M @ vecs, mode="complete")[0][:, -1:]
+        vecs = np.hstack([vecs, complement])
     basis = []
-    for j in range(k):
-        v = vecs[:, j]
-        v = v * np.sign(v[np.argmax(np.abs(v))])
+    for v in vecs.T:
+        v = v * np.sign(v[np.argmax(np.abs(v))]) / np.sqrt(v @ (M @ v))
         nodal = np.zeros(mesh.n_vertices)
         nodal[idx] = v
         basis.append(GridFunction(mesh, nodal))
@@ -295,9 +315,15 @@ def verify_mountain_geometry(
 class SolveReport:
     """Outcome of one mountain-pass solve.
 
-    ``path_energies`` is the monotone record of path maxima (the running
-    minimax estimate); ``iteration_trace`` holds the raw per-iteration rows
-    (iteration, path-max energy, residual, A(u), K(u)) emitted as CSV.
+    ``iterations`` counts path sweeps and ``newton_steps`` the accepted
+    Newton steps, over all polish attempts.  ``path_energies`` is the
+    monotone record of path maxima (the running minimax estimate);
+    ``iteration_trace`` holds the raw per-sweep rows (iteration, path-max
+    energy, residual, A(u), K(u)) emitted as CSV.  ``morse_index`` is the
+    number of negative eigenvalues of the pencil (J''(u), interior
+    stiffness) at the solution and ``lowest_eigenvalues`` its two lowest
+    eigenvalues; both are None where J'' does not exist (an exponent below
+    2 at a vanishing gradient).  The index is reported, not gated on.
     """
 
     solution: GridFunction
@@ -308,10 +334,15 @@ class SolveReport:
     iterations: int
     path_energies: list[float]
     iteration_trace: list[tuple[int, float, float, float, float]]
+    newton_steps: int = 0
+    morse_index: int | None = None
+    lowest_eigenvalues: tuple[float, ...] | None = None
 
 
 _CANDIDATES = 5     # equispaced points of a cell evaluated in one batch
 _T_TOL = 1e-12      # resolution in t of a segment maximum
+_NEWTON_FROM = 1e-2  # peak residual from which a Newton polish is tried
+_NEWTON_STEPS = 20   # Newton steps per polish attempt
 
 
 def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
@@ -354,6 +385,106 @@ def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
     return point, float(J[k])
 
 
+def _interior_hessian(prob: KirchhoffProblem, u: GridFunction):
+    """J''(u) on the interior vertices as (S, dA): J'' = S - b dA dA^T."""
+    idx = prob.mesh.interior
+    S, dA = hessian_J(u, prob)
+    return S[idx][:, idx], dA[idx]
+
+
+def _newton_direction(S, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (S - b dA dA^T) d = rhs with one sparse LU of S and the
+    Sherman-Morrison formula for the rank-one term.  Raises RuntimeError
+    when S or the rank-one update is singular."""
+    lu = scipy.sparse.linalg.splu(S.tocsc())
+    y, z = lu.solve(rhs), lu.solve(dA)
+    denom = 1.0 - b * float(dA @ z)
+    if not (np.isfinite(denom) and denom != 0.0):
+        raise RuntimeError("the rank-one update makes J'' singular")
+    return y + z * (b * float(dA @ y) / denom)
+
+
+def _newton_polish(prob, u: GridFunction, g: np.ndarray, res: float, tol: float):
+    """Newton's method on J'(u) = 0 from u, where J'(u) = g has residual res.
+
+    Each step solves J''(u) d = -J'(u) on the interior vertices and halves
+    the step (``_armijo`` on res^2/2, whose slope along d is -res^2) until
+    K > 0 and the residual falls; a trial with K <= 0 is never accepted.
+    Returns (point, residual, K, steps) once the residual is at most tol,
+    or (None, None, None, steps) when the attempt cannot certify: J'' is
+    undefined or singular, no step decreases the residual, or _NEWTON_STEPS
+    run out.  ``steps`` counts the accepted steps.
+    """
+    mesh, idx = prob.mesh, prob.mesh.interior
+    accepted = {}
+
+    def merit(t):
+        trial = GridFunction(mesh, u.nodal_values + t * d)
+        K = prob.a - prob.b * kirchhoff_A(trial, prob.p)
+        if not K > 0.0:
+            return np.inf
+        r = float(np.linalg.norm(gradient_J(trial, prob).nodal_values[idx]))
+        accepted[t] = (trial, r, K)
+        return 0.5 * r * r
+
+    steps = 0
+    while steps < _NEWTON_STEPS:
+        d = np.zeros(mesh.n_vertices)
+        try:
+            d[idx] = _newton_direction(*_interior_hessian(prob, u), prob.b, -g[idx])
+        except (DomainError, RuntimeError):
+            break
+        t = _armijo(merit, 0.5 * res * res, -res * res, 1.0)
+        if t is None:
+            break
+        u, res, K = accepted.pop(t)
+        steps += 1
+        if res <= tol:
+            return u, res, K, steps
+        g = gradient_J(u, prob).nodal_values
+        accepted.clear()
+    return None, None, None, steps
+
+
+def _morse(prob: KirchhoffProblem, u: GridFunction, precond) -> tuple:
+    """(index, two lowest eigenvalues) of the pencil (J''(u), stiffness) on
+    the interior vertices, or (None, None) where J'' does not exist.
+
+    ARPACK finds the k lowest eigenvalues, k = 2, 4, 8, ... until one is
+    nonnegative; it finds at most n - 1 of n, so when all of those are
+    negative the largest eigenvalue decides the last.
+    """
+    try:
+        S, dA = _interior_hessian(prob, u)
+    except DomainError:
+        return None, None
+    n = S.shape[0]
+    idx = prob.mesh.interior
+    stiff = prob.mesh.stiffness[np.ix_(idx, idx)]
+    if n == 1:
+        vals = np.array([(S[0, 0] - prob.b * dA[0] ** 2) / stiff[0, 0]])
+        return int(vals[0] < 0.0), (float(vals[0]),)
+    H = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda v: S @ v - prob.b * dA * (dA @ v), dtype=float)
+    Minv = scipy.sparse.linalg.LinearOperator((n, n), matvec=precond.solve, dtype=float)
+
+    def lowest(k, which="SA"):
+        return np.sort(scipy.sparse.linalg.eigsh(
+            H, k, stiff, which=which, Minv=Minv, v0=_start_vector(n),
+            return_eigenvectors=False))
+
+    k = min(2, n - 1)
+    vals = lowest(k)
+    while vals[-1] < 0.0 and k < n - 1:
+        k = min(2 * k, n - 1)
+        vals = lowest(k)
+    index = int(np.sum(vals < 0.0))
+    if index == n - 1:
+        vals = np.append(vals, lowest(1, "LA"))
+        index += int(vals[-1] < 0.0)
+    return index, tuple(float(v) for v in vals[:2])
+
+
 def mountain_pass_solve(
     prob: KirchhoffProblem,
     e: GridFunction,
@@ -370,23 +501,35 @@ def mountain_pass_solve(
     gradient, and pulls the neighboring path points toward the new peak.
     Terminates when the interior l2 residual at the peak drops to ``tol``.
 
+    Once the peak's residual is at most _NEWTON_FROM (1e-2), the peak is
+    handed to a Newton polish on the exact sparse Hessian
+    (``_newton_polish``), which returns as soon as its residual is at most
+    ``tol``.  An attempt that cannot certify is discarded and the sweeps go
+    on; the next attempt waits until the peak residual has fallen another
+    decade.  ``iterations`` counts sweeps and ``newton_steps`` the accepted
+    Newton steps; the trace holds one row per sweep.  The solution's Morse
+    index is computed last (``_morse``).
+
     Path-point energies are evaluated once and cached; after each sweep only
     the updated points (the peak's vertex and its interior neighbors) are
-    re-evaluated.  The segment maxima and the line search evaluate J through
-    its restriction to a line, whose element data is gathered once per
-    segment, so a solve makes at most ``n_path + 1 + 3 * iterations`` calls
+    re-evaluated, and the endpoint e is evaluated once.  The segment maxima
+    and the line search evaluate J through its restriction to a line, whose
+    element data is gathered once per segment, and a Newton solution costs
+    one call, so a solve makes at most ``n_path + 1 + 3 * iterations`` calls
     to ``energy_J``.  A segment maximum comes from one batched evaluation of
     J and its exact slope dJ/dt at five candidates and, when it lies inside
     the segment, from the root of dJ/dt in the bracketing cell.
 
     Raises DegenerateCoefficient the moment the nonlocal coefficient
-    K(u) = a - b*A(u) is nonpositive at the current iterate (the operator
-    loses its coercive sign there, which this solver refuses to hide), and
-    MaxIterations if the sweep or line-search budget runs out.
+    K(u) = a - b*A(u) is nonpositive at a sweep's peak (the operator loses
+    its coercive sign there, which this solver refuses to hide; a Newton
+    trial with K <= 0 is backtracked instead), and MaxIterations if the
+    sweep or line-search budget runs out.
     """
     prob.require_valid_chain()
     mesh = prob.mesh
-    if not energy_J(e, prob) < 0.0:
+    J_e = energy_J(e, prob)
+    if not J_e < 0.0:
         raise DomainError("e must have negative energy; run the geometry check")
     if n_path < 3:
         raise DomainError("need at least 3 path points")
@@ -398,11 +541,29 @@ def mountain_pass_solve(
     path_energies: list[float] = []
     trace: list[tuple[int, float, float, float, float]] = []
     record = np.inf
+    newton_from, newton_steps = _NEWTON_FROM, 0
 
     def energy_at(nodal):
         return energy_J(GridFunction(mesh, nodal), prob)
 
-    energies = [energy_at(nodal) for nodal in path]
+    def report(u, energy, res, K, sweeps):
+        morse_index, lowest = _morse(prob, u, precond)
+        return SolveReport(
+            solution=u,
+            energy=energy,
+            residual_norm=res,
+            nonlocal_coefficient=K,
+            below_ps_ceiling=energy < prob.ps_ceiling,
+            iterations=sweeps,
+            path_energies=path_energies,
+            iteration_trace=trace,
+            newton_steps=newton_steps,
+            morse_index=morse_index,
+            lowest_eigenvalues=lowest,
+        )
+
+    # the last path point is e itself (1.0 * e), whose energy is known
+    energies = [energy_at(nodal) for nodal in path[:-1]] + [J_e]
     for it in range(max_iter):
         m = 1 + int(np.argmax(energies[1:-1]))
         # continuous peak along the two segments adjacent to the vertex max
@@ -425,16 +586,13 @@ def mountain_pass_solve(
         trace.append((it, J_peak, res, A, K))
 
         if res <= tol:
-            return SolveReport(
-                solution=u_peak,
-                energy=J_peak,
-                residual_norm=res,
-                nonlocal_coefficient=K,
-                below_ps_ceiling=J_peak < prob.ps_ceiling,
-                iterations=it,
-                path_energies=path_energies,
-                iteration_trace=trace,
-            )
+            return report(u_peak, J_peak, res, K, it)
+        if res <= newton_from:
+            u, res_n, K_n, steps = _newton_polish(prob, u_peak, g.nodal_values, res, tol)
+            newton_steps += steps
+            if u is not None:
+                return report(u, energy_J(u, prob), res_n, K_n, it)
+            newton_from = res / 10.0  # retry one decade further down
 
         d = -precond.apply(g.nodal_values)
         slope = float(np.dot(g.nodal_values[idx], d[idx]))

@@ -65,8 +65,8 @@ def model_run():
 @pytest.fixture(scope="module")
 def multiplicity_run():
     # coarse desk mesh: the orbit family of the a - b*A(u) form accumulates
-    # at the compactness ceiling, and the coarse-mesh search reaches two
-    # orbits before the degenerate-coefficient guard bites
+    # at the compactness ceiling, and the coarse-mesh search reaches four
+    # orbits, the highest with K(u) about 5e-4
     prob = model_problem(n=12)
     reports = multiplicity_search(prob, n_starts=8, k_max=4, seed=0, n_path=31, tol=1e-6)
     return prob, reports
@@ -268,6 +268,7 @@ def test_acceptance_8_symmetry_and_multiplicity(model_run, multiplicity_run):
     for t in (2.0, 4.0, 6.0):
         starts.append((t * np.sin(np.pi * x))[1:-1])
         starts.append((t * np.sin(2.0 * np.pi * x))[1:-1])
+        starts.append((t * np.sin(3.0 * np.pi * x))[1:-1])
         starts.append((t * np.sin(4.0 * np.pi * x))[1:-1])
     oracle_roots = deflated_roots_1d(fn, starts, tol=1e-11)
     for root in polished:

@@ -303,3 +303,36 @@ out = {tmp_path}
     assert "orbits: 1" in report
     assert (tmp_path / "solution_0.txt").exists()
     assert (tmp_path / "iterations_0.csv").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("seed = 0", "rho_grid = -0.5,-0.1"),
+    ("seed = 0", "rho_grid = 0.1,0"),
+])
+def test_non_positive_radius_rejected_at_its_line(old, new):
+    text = MODEL.replace(old, new)
+    ln = 1 + text.splitlines().index(new)
+    with pytest.raises(ParseError, match=f"line {ln}: radii must be positive"):
+        parse_config(text)
+
+
+def test_negative_n_dirs_rejected_at_its_line():
+    text = MODEL.replace("seed = 0", "n_dirs = -3")
+    ln = 1 + text.splitlines().index("n_dirs = -3")
+    with pytest.raises(ParseError, match=f"line {ln}: count must be nonnegative"):
+        parse_config(text)
+    assert parse_config(MODEL.replace("seed = 0", "n_dirs = 0")).n_dirs == 0
+
+
+def test_solve_report_lists_newton_steps_and_morse_index(tmp_path, capsys):
+    assert main([write_cfg(tmp_path, MODEL + f"\nout = {tmp_path}")]) == 0
+    capsys.readouterr()
+    fields = dict(line.split(": ", 1) for line in
+                  (tmp_path / "report.txt").read_text().splitlines() if ": " in line)
+    assert int(fields["newton_steps"]) > 0
+    assert fields["morse_index"] == "1"
+    lowest = [float(v) for v in fields["lowest_eigenvalues"].split()]
+    assert len(lowest) == 2 and lowest[0] < 0.0 < lowest[1]
+    # iterations.csv keeps one row per sweep, Newton steps add none
+    rows = (tmp_path / "iterations.csv").read_text().splitlines()
+    assert len(rows) == 1 + int(fields["iterations"]) + 1

@@ -15,6 +15,7 @@ from pxkirchhoff import (
     constant_exponent,
     energy_J,
     gradient_J,
+    hessian_J,
     kirchhoff_A,
     nonlinearity_eval,
 )
@@ -325,3 +326,75 @@ def test_ar_growth_floor():
     rep = ar_condition_check(spec, [1.0, 1.7, 2.9, 5.0, -2.2])
     assert rep.ok
     assert rep.c1 == pytest.approx(1.0 / 5.0)  # min over elements of 1/q at s_A = 1
+
+
+# -- Hessian -------------------------------------------------------------------
+
+def _hessian_case(case):
+    if case == "2d":
+        mesh = build_rect_mesh(5, 6, ((0.0, 0.0), (1.0, 1.5)))
+        p = build_exponent_field(2.2 + 0.3 * mesh.element_centroids[:, 0], mesh)
+    else:
+        mesh = build_interval_mesh(40, 0.0, 1.0)
+        p = build_exponent_field(2.0 + 0.5 * mesh.element_centroids[:, 0], mesh)
+    q = constant_exponent(5.0, mesh)
+    kind, coefficient, lam = "pure_power", 1.0, 0.0
+    if case == "lambda":
+        lam = 3.0
+    if case == "scaled_power":
+        kind, coefficient = "scaled_power", 2.5
+    spec = NonlinearitySpec(kind, q, coefficient=coefficient)
+    return KirchhoffProblem(1.0, 0.3, lam, p, spec, mesh)
+
+
+@pytest.mark.parametrize("case", ["1d_variable_p", "2d", "lambda", "scaled_power"])
+def test_hessian_vector_products_match_finite_differences(case):
+    prob = _hessian_case(case)
+    mesh = prob.mesh
+    rng = np.random.default_rng(11)
+    u = GridFunction(mesh, 0.3 + rng.random(mesh.n_vertices))
+    S, dA = hessian_J(u, prob)
+    assert abs(S - S.T).max() <= 1e-12 * abs(S).max()
+    idx = mesh.interior
+    for _ in range(3):
+        v = GridFunction(mesh, rng.standard_normal(mesh.n_vertices)).nodal_values
+        Hv = S @ v - prob.b * dA * (dA @ v)
+        fd = central_difference(
+            lambda x: gradient_J(GridFunction(mesh, x), prob).nodal_values,
+            u.nodal_values, v,
+        )
+        assert np.max(np.abs(Hv[idx] - fd[idx])) <= 1e-6 * np.max(np.abs(fd[idx]))
+
+
+def test_hessian_rank_one_factor_is_the_derivative_of_A():
+    prob = _hessian_case("1d_variable_p")
+    rng = np.random.default_rng(3)
+    u = GridFunction(prob.mesh, 0.3 + rng.random(prob.mesh.n_vertices))
+    _, dA = hessian_J(u, prob)
+    _, flux, _, _ = _derivative_terms(prob.mesh, prob.p, u.nodal_values)
+    assert np.array_equal(dA, prob.mesh.gradient_adjoint @ flux)
+
+
+def test_hessian_p_below_two_at_a_vanishing_gradient_raises():
+    mesh = build_interval_mesh(10, 0.0, 1.0)
+    p = constant_exponent(1.8, mesh)
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.0, mesh), theta=3.0)
+    x = mesh.vertices[:, 0]
+    flat = GridFunction(mesh, np.minimum(np.minimum(x, 1.0 - x), 0.3))  # flat middle
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, p, spec, mesh)
+    with pytest.raises(DomainError, match="vanishing element gradient"):
+        hessian_J(flat, prob)
+    # with lambda != 0, a vanishing centroid value is the same singularity
+    mesh9 = build_interval_mesh(9, 0.0, 1.0)
+    lam_prob = KirchhoffProblem(
+        1.0, 0.1, 1.0, constant_exponent(1.8, mesh9),
+        NonlinearitySpec("pure_power", constant_exponent(4.0, mesh9), theta=3.0), mesh9,
+    )
+    odd = GridFunction(mesh9, 0.1 * np.array([0, 1, 2, 3, 4, -4, -3, -2, -1, 0]))
+    assert (mesh9.centroid_map @ odd.nodal_values)[4] == 0.0  # the middle element
+    with pytest.raises(DomainError, match="vanishing centroid value"):
+        hessian_J(odd, lam_prob)
+    # at p = 2 the weight |grad u|^0 is 1, so a flat element is harmless
+    prob2 = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
+    S, dA = hessian_J(flat, prob2)
+    assert np.all(np.isfinite(S.data)) and np.all(np.isfinite(dA))

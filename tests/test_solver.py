@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 from scipy.optimize import minimize_scalar
 
 from pxkirchhoff import (
@@ -29,7 +31,7 @@ from pxkirchhoff import (
 from pxkirchhoff import solver
 from pxkirchhoff.energy import _rayleigh_gradient, _rayleigh_ratio
 from pxkirchhoff.solver import _scale_until_negative, _segment_max
-from oracles import central_difference
+from oracles import central_difference, make_residual_1d, newton_1d
 
 RHO_GRID = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
 
@@ -361,16 +363,249 @@ def test_plus_minus_e_land_on_one_orbit(model_solution):
     assert mirror <= 1e-3
 
 
-def test_degenerate_coefficient_is_raised():
-    # the antisymmetric seed's ray peaks where K changes sign: the solver
-    # must surface that rather than continue
+def test_antisymmetric_seed_reaches_the_one_node_orbit():
+    # the path from the antisymmetric seed reaches residual 1e-2 before K
+    # loses its sign, and the Newton polish lands on the one-node orbit
+    # that the exact scaling reduction predicts (4.91670, K 0.0187)
     prob = model_problem()
     phi2 = laplace_eigenbasis(prob.mesh, 2)[1]
     e = _scale_until_negative(
         prob, phi2.nodal_values / sobolev_norm(phi2, prob.p)
     )
-    with pytest.raises(DegenerateCoefficient):
+    rep = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    assert rep.residual_norm <= 1e-6
+    assert rep.newton_steps > 0
+    assert rep.energy == pytest.approx(4.91670, abs=1e-5)
+    assert rep.nonlocal_coefficient == pytest.approx(0.0187, abs=1e-4)
+    u = rep.solution.nodal_values
+    assert np.allclose(u, -u[::-1], atol=1e-8)  # one node, at x = 1/2
+    fn = make_residual_1d(prob)
+    root, ok = newton_1d(fn, u[1:-1].copy(), tol=1e-12)
+    assert ok and np.max(np.abs(root - u[1:-1])) <= 1e-6
+
+
+def test_degenerate_coefficient_is_raised():
+    # with lambda < 0 the ray peak of the ground direction can sit where K
+    # is already negative: the solver must surface that rather than continue
+    prob = model_problem(lam=-20.0, kind="scaled_power")
+    x = prob.mesh.vertices[:, 0]
+    seed = GridFunction(prob.mesh, np.sin(np.pi * x))
+    e = _scale_until_negative(prob, seed.nodal_values / sobolev_norm(seed, prob.p))
+    with pytest.raises(DegenerateCoefficient, match="K = -1.02"):
         mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+
+
+def test_newton_trial_with_nonpositive_K_is_backtracked(monkeypatch):
+    # from the third eigenvector's ray peak on the coarse mesh, full Newton
+    # steps toward the two-node orbit (K 0.0023) overshoot into K <= 0;
+    # those trials must be halved away, never accepted
+    prob = model_problem(n=12)
+    phi3 = laplace_eigenbasis(prob.mesh, 3)[2]
+    e = _scale_until_negative(prob, phi3.nodal_values / sobolev_norm(phi3, prob.p))
+    polishing, trial_K, accepted = [False], [], []
+    polish, kirchhoff_A, armijo = solver._newton_polish, solver.kirchhoff_A, solver._armijo
+
+    def flagged_polish(*args):
+        polishing[0] = True
+        return polish(*args)
+
+    def recorded_A(u, p):
+        A = kirchhoff_A(u, p)
+        if polishing[0]:
+            trial_K.append(prob.a - prob.b * A)
+        return A
+
+    def recorded_armijo(f, f0, slope, step):
+        t = armijo(f, f0, slope, step)
+        if polishing[0] and t is not None:
+            accepted.append(trial_K[-1])  # the K of the trial that passed
+        return t
+
+    monkeypatch.setattr(solver, "_newton_polish", flagged_polish)
+    monkeypatch.setattr(solver, "kirchhoff_A", recorded_A)
+    monkeypatch.setattr(solver, "_armijo", recorded_armijo)
+    rep = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    assert min(trial_K) <= 0.0
+    assert accepted and min(accepted) > 0.0
+    assert rep.newton_steps > 0
+    assert rep.residual_norm <= 1e-6
+    assert 0.0 < rep.nonlocal_coefficient < 0.01
+    assert rep.energy == pytest.approx(4.989576, abs=1e-6)
+
+    # even a K <= 0 trial whose residual read 0 would not be accepted
+    gradient = solver.gradient_J
+
+    def zero_where_K_nonpositive(u, pb):
+        if pb.a - pb.b * kirchhoff_A(u, pb.p) <= 0.0:
+            return GridFunction(pb.mesh, np.zeros(pb.mesh.n_vertices))
+        return gradient(u, pb)
+
+    monkeypatch.setattr(solver, "gradient_J", zero_where_K_nonpositive)
+    faked = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    assert faked.nonlocal_coefficient > 0.0
+    assert faked.energy == rep.energy
+
+
+def test_newton_invariants_sweeps_budget_and_searches(monkeypatch):
+    prob = model_problem(n=60)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    energy_calls, searches = [0], [0]
+    energy, segment_max = solver.energy_J, solver._segment_max
+
+    def counted_energy(u, pb):
+        energy_calls[0] += 1
+        return energy(u, pb)
+
+    def counted_search(*args):
+        searches[0] += 1
+        return segment_max(*args)
+
+    monkeypatch.setattr(solver, "energy_J", counted_energy)
+    monkeypatch.setattr(solver, "_segment_max", counted_search)
+    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    assert rep.newton_steps > 0 and rep.iterations > 0
+    assert len(rep.path_energies) == len(rep.iteration_trace) == rep.iterations + 1
+    assert energy_calls[0] <= 15 + 1 + 3 * rep.iterations
+    assert searches[0] == 2 * (rep.iterations + 1)
+    # the sweep that handed over to Newton had its peak residual at 1e-2 or below
+    assert rep.iteration_trace[-1][2] <= solver._NEWTON_FROM
+    assert rep.residual_norm <= 1e-6 < rep.iteration_trace[-1][2]
+    assert rep.energy == energy(rep.solution, prob)
+
+
+def test_failed_newton_attempts_fall_back_to_sweeping(monkeypatch):
+    prob = model_problem(n=60)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    polished = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    direction, polish = solver._newton_direction, solver._newton_polish
+
+    def singular(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver, "_newton_direction", singular)
+    swept = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    assert swept.residual_norm <= 1e-6
+    assert swept.iterations > polished.iterations
+    assert swept.newton_steps == 0
+    assert swept.energy == pytest.approx(polished.energy, rel=1e-9)
+    assert swept.morse_index == polished.morse_index == 1
+
+    # after one failed attempt the next waits a decade of residual, then certifies
+    failed_at = []
+
+    def first_attempt_fails(prob_, u, g, res, tol):
+        if not failed_at:
+            failed_at.append(res)
+            monkeypatch.setattr(solver, "_newton_direction", singular)
+        else:
+            monkeypatch.setattr(solver, "_newton_direction", direction)
+        return polish(prob_, u, g, res, tol)
+
+    monkeypatch.setattr(solver, "_newton_polish", first_attempt_fails)
+    retried = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    assert retried.newton_steps > 0
+    assert polished.iterations < retried.iterations < swept.iterations
+    assert retried.iteration_trace[-1][2] <= failed_at[0] / 10.0
+    assert retried.energy == pytest.approx(polished.energy, rel=1e-9)
+
+
+def test_sherman_morrison_solve_matches_a_dense_solve():
+    prob = model_problem(n=12)
+    rng = np.random.default_rng(5)
+    u = GridFunction(prob.mesh, 0.5 + rng.random(prob.mesh.n_vertices))
+    S, dA = solver._interior_hessian(prob, u)
+    dense = S.toarray() - prob.b * np.outer(dA, dA)
+    rhs = rng.standard_normal(len(dA))
+    d = solver._newton_direction(S, dA, prob.b, rhs)
+    assert np.allclose(d, np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-12)
+    with pytest.raises(RuntimeError):  # a singular rank-one update
+        solver._newton_direction(scipy.sparse.identity(3, format="csc"),
+                                 np.array([1.0, 0.0, 0.0]), 1.0, np.ones(3))
+    with pytest.raises(RuntimeError):  # a singular sparse part
+        solver._newton_direction(scipy.sparse.csc_matrix((3, 3)),
+                                 np.ones(3), 1.0, np.ones(3))
+
+
+def _dense_pencil_eigenvalues(prob, u):
+    # central differences of gradient_J, column by column, against the
+    # interior stiffness: an oracle independent of hessian_J and ARPACK
+    idx = prob.mesh.interior
+    H = np.empty((len(idx), len(idx)))
+    for j, i in enumerate(idx):
+        v = np.zeros(prob.mesh.n_vertices)
+        v[i] = 1.0
+        H[:, j] = central_difference(
+            lambda x: gradient_J(GridFunction(prob.mesh, x), prob).nodal_values,
+            u.nodal_values, v, h=1e-6,
+        )[idx]
+    stiff = prob.mesh.stiffness[np.ix_(idx, idx)].toarray()
+    return scipy.linalg.eigh(0.5 * (H + H.T), stiff, eigvals_only=True)
+
+
+def test_morse_index_1d_model(model_solution):
+    prob, _, rep = model_solution
+    assert rep.morse_index == 1
+    low, second = rep.lowest_eigenvalues
+    assert low < 0.0 < second
+    ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_morse_index_on_even_and_odd_meshes(n):
+    # an odd mesh puts an element, not a vertex, at the middle of the
+    # symmetric ground state; the index is still 1 there
+    prob = model_problem(n=n)
+    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert rep.morse_index == int(np.sum(ref < 0.0)) == 1
+    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
+
+
+def test_morse_index_2d():
+    mesh = build_rect_mesh(8, 8, ((0.0, 0.0), (1.0, 1.0)))
+    p = constant_exponent(2.0, mesh)
+    q = constant_exponent(4.5, mesh)
+    prob = KirchhoffProblem(
+        1.0, 0.02, 0.0, p, NonlinearitySpec("pure_power", q, theta=3.2), mesh
+    )
+    geo = verify_mountain_geometry(prob, [0.01, 0.05, 0.1, 0.5, 1.0, 2.0], 15, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, n_path=25, tol=1e-6)
+    assert rep.morse_index == 1
+    ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
+
+
+def test_morse_index_counts_every_negative_eigenvalue():
+    # the two-node orbit of the coarse mesh has index 3: the doubling of
+    # the eigenvalue count must go past the first two
+    prob = model_problem(n=12)
+    phi3 = laplace_eigenbasis(prob.mesh, 3)[2]
+    e = _scale_until_negative(prob, phi3.nodal_values / sobolev_norm(phi3, prob.p))
+    rep = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert rep.morse_index == int(np.sum(ref < 0.0)) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_morse_index_with_one_or_two_interior_vertices(n):
+    # ARPACK finds at most n - 1 of n eigenvalues; the rest come another way
+    prob = model_problem(n=n)
+    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert rep.morse_index == int(np.sum(ref < 0.0)) == 1
+    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
+
+
+def test_morse_index_is_none_where_the_hessian_does_not_exist():
+    mesh = build_interval_mesh(10, 0.0, 1.0)
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.0, mesh), theta=3.0)
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(1.8, mesh), spec, mesh)
+    x = mesh.vertices[:, 0]
+    flat = GridFunction(mesh, np.minimum(np.minimum(x, 1.0 - x), 0.3))
+    assert solver._morse(prob, flat, solver._SobolevPreconditioner(mesh)) == (None, None)
 
 
 def test_above_ceiling_level_flagged():
@@ -450,3 +685,36 @@ def test_eigenbasis_shapes():
     assert np.allclose(first, ref, atol=2e-3)
     with pytest.raises(DomainError):
         laplace_eigenbasis(mesh, 40)
+
+
+def test_eigenbasis_full_basis_without_warning():
+    # ARPACK finds at most n - 1 of n pairs; k = n still works, silently
+    mesh = build_interval_mesh(6, 0.0, 1.0)
+    idx = mesh.interior
+    basis = laplace_eigenbasis(mesh, len(idx))
+    V = np.array([b.nodal_values[idx] for b in basis]).T
+    K = mesh.stiffness[np.ix_(idx, idx)].toarray()
+    M = mesh.mass[np.ix_(idx, idx)].toarray()
+    ref = scipy.linalg.eigh(K, M, eigvals_only=True)
+    assert np.allclose(V.T @ M @ V, np.eye(len(idx)), atol=1e-12)
+    assert np.allclose(np.diag(V.T @ K @ V), ref, rtol=1e-12)
+    one = build_interval_mesh(2, 0.0, 1.0)
+    (only,) = laplace_eigenbasis(one, 1)
+    assert only.nodal_values[1] > 0.0
+
+
+def test_eigenbasis_2d_near_degenerate_modes_by_span():
+    # modes 2 and 3 of the square nearly coincide (49.67 and 49.82 at 32^2):
+    # the vectors are not unique, their span is
+    mesh = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
+    idx = mesh.interior
+    basis = laplace_eigenbasis(mesh, 4)
+    V = np.array([b.nodal_values[idx] for b in basis]).T
+    K = mesh.stiffness[np.ix_(idx, idx)].toarray()
+    M = mesh.mass[np.ix_(idx, idx)].toarray()
+    vals, ref = scipy.linalg.eigh(K, M, subset_by_index=(0, 3))
+    assert vals[1:3] == pytest.approx([49.67, 49.82], abs=5e-3)
+    assert np.allclose(np.diag(V.T @ K @ V), vals, rtol=1e-10)
+    assert np.max(scipy.linalg.subspace_angles(V[:, 1:3], ref[:, 1:3])) <= 1e-8
+    for j in (0, 3):
+        assert min(np.max(np.abs(V[:, j] - s * ref[:, j])) for s in (1, -1)) <= 1e-8
