@@ -12,7 +12,8 @@ quadratic part a*A - (b/2)*A^2 is capped at a^2/(2b) for every u, which is
 the threshold below which compactness of descent sequences is trusted.
 The second derivative (``hessian_J``) is a sparse matrix plus a rank-one
 term.  J along a line (``_line_energy``) and R = A / B with
-B(u) = I(1/p |u|^p) (``_rayleigh_ratio``, ``_rayleigh_gradient``) live here
+B(u) = I(1/p |u|^p) (``_rayleigh_ratio``, ``_rayleigh_gradient``), with R
+along the ray e^s u (``_rayleigh_ray``, ``_rayleigh_on_ray``), live here
 too, for the solvers.
 """
 
@@ -349,6 +350,32 @@ def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
     meas = mesh.element_measures
     A = _p_integral(np.linalg.norm(element_gradients(mesh, nodal), axis=1), p, meas)
     return float(A / _p_integral(np.abs(mesh.centroid_map @ nodal), p, meas))
+
+
+def _rayleigh_ray(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
+    """Element data of R along the ray e^s u, gathered once: (c, w_A, w_B).
+
+    A(e^s u) = sum w_A e^{s p} and B(e^s u) = sum w_B e^{s p}, with
+    w_A = meas |grad u|^p / p and w_B = meas |u_c|^p / p.  The common factor
+    e^{s p-} cancels in R, so ``_rayleigh_on_ray`` tilts the weights by the
+    centred exponent c = p - p- instead, which is exactly 0 for constant p.
+    """
+    pv, meas = p.values, mesh.element_measures
+    gmag = np.linalg.norm(element_gradients(mesh, nodal), axis=1)
+    uc = mesh.centroid_map @ nodal
+    return pv - p.lo, meas * gmag**pv / pv, meas * np.abs(uc) ** pv / pv
+
+
+def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):
+    """R(e^s u) and its slope d ln R / ds from the data of ``_rayleigh_ray``.
+
+    The slope is the difference of the means of c under the weights
+    w_A e^{s c} and w_B e^{s c}; it is exactly 0 when c is.
+    """
+    tilt = np.exp(s * c)
+    A, B = w_A @ tilt, w_B @ tilt
+    c_tilt = c * tilt
+    return float(A / B), float((w_A @ c_tilt) / A - (w_B @ c_tilt) / B)
 
 
 def _rayleigh_gradient(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 the path-deformation solver, and a finite-dimensional multiplicity search.
 
 Only the algorithms live here.  Every functional they evaluate (J, J', J
-along a line, the Rayleigh quotient and its gradient) comes from
-``energy``, and both descents backtrack through one Armijo step,
-``_armijo``.
+along a line, the Rayleigh quotient, its gradient and its restriction to a
+ray) comes from ``energy``, and both descents backtrack through one Armijo
+step, ``_armijo``.
 
 The solver deforms a discrete path from 0 to a low-energy point e: locate
 the maximal-energy point along the polyline, take a descent step there, and
@@ -24,14 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .discretization import GridFunction, Mesh
 from .energy import (
     KirchhoffProblem,
     _line_energy,
     _rayleigh_gradient,
+    _rayleigh_on_ray,
     _rayleigh_ratio,
+    _rayleigh_ray,
     energy_J,
     gradient_J,
     hessian_J,
@@ -133,6 +135,38 @@ def _armijo(f, f0: float, slope: float, step: float) -> float | None:
 
 # -- Rayleigh quotient --------------------------------------------------------
 
+_S_MAX = 6.0  # a ray search looks for the minimum of R(e^s u) on |s| <= _S_MAX
+
+
+def _ray_slope(s: float, c, w_A, w_B) -> float:
+    """d ln R / ds along a ray, in the form ``brentq`` takes with args=."""
+    return _rayleigh_on_ray(s, c, w_A, w_B)[1]
+
+
+def _ray_minimize(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
+    """e^s u at the minimum of R(e^s u) over |s| <= _S_MAX.
+
+    The minimum is the root of d ln R / ds, bracketed by the slopes at the
+    ends of the interval and found by ``brentq``.  For constant p the
+    slope is exactly 0, R is scale-free, and ``nodal`` itself is returned.
+    Raises MaxIterations when the slope keeps one sign over the interval:
+    R then has no minimizer on the ray.
+    """
+    ray = _rayleigh_ray(mesh, p, nodal)
+    lo, hi = (_ray_slope(s, *ray) for s in (-_S_MAX, _S_MAX))
+    if lo == hi == 0.0:
+        return nodal
+    if not lo < 0.0 < hi:
+        toward = "0" if lo >= 0.0 else "infinity"
+        raise MaxIterations(
+            f"R decreases along the whole ray e^s u as u scales toward {toward} "
+            f"(d ln R/ds = {lo:.3g} at s = -{_S_MAX:g}, {hi:.3g} at s = {_S_MAX:g}): "
+            "it has no minimizer on the ray, and for non-monotone p the "
+            "infimum of R can be 0"
+        )
+    return np.exp(brentq(_ray_slope, -_S_MAX, _S_MAX, args=ray)) * nodal
+
+
 def rayleigh_quotient_min(
     p: ExponentField,
     mesh: Mesh,
@@ -147,30 +181,24 @@ def rayleigh_quotient_min(
     Preconditioned gradient descent on the ratio (quotient rule for its
     gradient) with backtracking, restarted from ``n_seeds`` positive random
     starts; the smallest converged value wins.  For constant p this is the
-    classical p-Laplacian Rayleigh quotient.  A start converges when R moves
-    by at most ``tol`` (relative) twice in a row, the slope is no longer
-    negative, or the line search stalls; MaxIterations is raised only if
-    every start uses up ``max_iter`` steps.
+    classical p-Laplacian Rayleigh quotient.  After each accepted step the
+    iterate is normalized and R is minimized exactly along its ray e^s u
+    (``_ray_minimize``); a random start is only normalized, since the first
+    step renormalizes anyway.  A start converges when R moves by at most
+    ``tol`` (relative) twice in a row, the slope is no longer negative, or
+    the line search stalls; MaxIterations is raised if every start uses up
+    ``max_iter`` steps, and at once when R decreases along a whole ray
+    (for non-monotone p the infimum can be 0, and no minimizer exists).
     """
     rng = np.random.default_rng(seed)
     precond = _SobolevPreconditioner(mesh)
     idx = mesh.interior
-
-    def ray_minimize(nodal):
-        # exact minimization along the ray t*u; a no-op for constant p,
-        # where the ratio is scale-free
-        res = minimize_scalar(
-            lambda s: _rayleigh_ratio(mesh, p, np.exp(s) * nodal),
-            bounds=(-6.0, 6.0), method="bounded", options={"xatol": 1e-10},
-        )
-        return np.exp(res.x) * nodal
 
     best = None
     for _ in range(n_seeds):
         nodal = np.zeros(mesh.n_vertices)
         nodal[idx] = 0.1 + rng.random(len(idx))
         nodal /= precond.h_norm(nodal)
-        nodal = ray_minimize(nodal)
         R = _rayleigh_ratio(mesh, p, nodal)
         converged = False
         stable = 0
@@ -189,7 +217,7 @@ def rayleigh_quotient_min(
                 break
             accepted = nodal + step * d
             nodal = accepted / precond.h_norm(accepted)
-            nodal = ray_minimize(nodal)
+            nodal = _ray_minimize(mesh, p, nodal)
             R_new = _rayleigh_ratio(mesh, p, nodal)
             stable = stable + 1 if abs(R - R_new) <= tol * max(1.0, abs(R_new)) else 0
             R = R_new
@@ -345,6 +373,12 @@ _NEWTON_FROM = 1e-2  # peak residual from which a Newton polish is tried
 _NEWTON_STEPS = 20   # Newton steps per polish attempt
 
 
+def _line_slope(t: float, line, ends: dict) -> float:
+    """dJ/dt along a line, from ``ends`` where this batch already has it;
+    the form ``brentq`` takes with args=."""
+    return ends[t] if t in ends else line(t)[1]
+
+
 def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
     """Maximize J along the segment ua + t (ub - ua); return (point, J).
 
@@ -375,8 +409,7 @@ def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
         if dJ[j] * step <= 0.0:
             # brentq first evaluates both ends, which this batch already did
             ends = {t[k]: dJ[k], t[j]: dJ[j]}
-            root = brentq(lambda s: ends[s] if s in ends else line(s)[1],
-                          lo, hi, xtol=_T_TOL)
+            root = brentq(_line_slope, lo, hi, args=(line, ends), xtol=_T_TOL)
             return ua + root * delta, float(line(root)[0])
         if hi - lo <= _T_TOL:
             break
@@ -644,9 +677,11 @@ def multiplicity_search(
     Requires a >= b and an odd nonlinearity (every cataloged kind is odd).
     The first min(k_max, n_starts) starts are the pure eigenvector
     directions; the rest draw random combinations from the nested spans.
-    Starts whose solve fails are skipped; solutions are deduplicated under
-    u -> -u using ``distinct_tol`` in the Sobolev norm and returned sorted
-    by increasing energy (ties broken by start index).
+    Starts whose solve fails (MaxIterations, DegenerateCoefficient) are
+    skipped; if every start fails, the last failure's type is raised with
+    each start's index, exception type and message.  Solutions are
+    deduplicated under u -> -u using ``distinct_tol`` in the Sobolev norm
+    and returned sorted by increasing energy (ties broken by start index).
     """
     prob.require_valid_chain()
     if not prob.a >= prob.b:
@@ -656,6 +691,7 @@ def multiplicity_search(
         return results
     rng = np.random.default_rng(seed)
     basis = laplace_eigenbasis(prob.mesh, k_max)
+    failures = []
 
     for i in range(n_starts):
         if i < k_max:
@@ -672,9 +708,15 @@ def multiplicity_search(
             report = mountain_pass_solve(
                 prob, e, n_path=n_path, tol=tol, max_iter=max_iter
             )
-        except (MaxIterations, DegenerateCoefficient):
+        except (MaxIterations, DegenerateCoefficient) as exc:
+            failures.append((i, exc))
             continue
         results.append((report.energy, i, report))
+    if failures and not results:
+        causes = "; ".join(f"start {i}: {type(exc).__name__}: {exc}"
+                           for i, exc in failures)
+        last = failures[-1][1]
+        raise type(last)(f"every start failed: {causes}") from last
 
     results.sort(key=lambda item: (item[0], item[1]))
 

@@ -1,8 +1,12 @@
+import gc
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from pxkirchhoff import (
     DegenerateCoefficient,
@@ -29,7 +33,12 @@ from pxkirchhoff import (
     verify_mountain_geometry,
 )
 from pxkirchhoff import solver
-from pxkirchhoff.energy import _rayleigh_gradient, _rayleigh_ratio
+from pxkirchhoff.energy import (
+    _rayleigh_gradient,
+    _rayleigh_on_ray,
+    _rayleigh_ratio,
+    _rayleigh_ray,
+)
 from pxkirchhoff.solver import _scale_until_negative, _segment_max
 from oracles import central_difference, make_residual_1d, newton_1d
 
@@ -102,6 +111,112 @@ def test_rayleigh_stall_raises():
     mesh = build_interval_mesh(20, 0.0, 1.0)
     with pytest.raises(MaxIterations):
         rayleigh_quotient_min(constant_exponent(2.0, mesh), mesh, max_iter=0)
+
+
+def _ray_cases(dim):
+    """(mesh, variable p, smooth zero-trace functions) whose rays hold an
+    interior minimum of R."""
+    rng = np.random.default_rng(5)
+    if dim == 1:
+        mesh = build_interval_mesh(100, 0.0, 1.0)
+        x = mesh.vertices[:, 0]
+        p = build_exponent_field(2.0 + mesh.element_centroids[:, 0], mesh)
+        us = [np.sin(np.pi * x) + sum(c * np.sin((j + 1) * np.pi * x)
+                                      for j, c in enumerate(0.3 * rng.standard_normal(3)))
+              for _ in range(4)]
+    else:
+        mesh = build_rect_mesh(10, 10, ((0.0, 0.0), (1.0, 1.0)))
+        x, y = mesh.vertices.T
+        p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
+        us = [np.sin(np.pi * x) * np.sin(np.pi * y) * (1.0 + 0.3 * c * x)
+              for c in rng.standard_normal(4)]
+    for u in us:
+        u[mesh.boundary_mask] = 0.0
+    return mesh, p, us
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ray_restriction_matches_the_ratio_and_its_slope(dim):
+    mesh, p, us = _ray_cases(dim)
+    for u in us:
+        ray = _rayleigh_ray(mesh, p, u)
+        for s in (-6.0, -1.0, 0.0, 2.0, 6.0):
+            R, slope = _rayleigh_on_ray(s, *ray)
+            assert R == pytest.approx(_rayleigh_ratio(mesh, p, np.exp(s) * u), rel=1e-13)
+            fd = central_difference(
+                lambda t: np.log(_rayleigh_ratio(mesh, p, np.exp(t) * u)), s, 1.0)
+            assert slope == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ray_search_matches_bounded_brent(dim):
+    mesh, p, us = _ray_cases(dim)
+    for u in us:
+        res = minimize_scalar(  # the derivative-free reference
+            lambda s: _rayleigh_ratio(mesh, p, np.exp(s) * u),
+            bounds=(-6.0, 6.0), method="bounded", options={"xatol": 1e-10},
+        )
+        assert -6.0 + 1e-3 < res.x < 6.0 - 1e-3  # an interior minimum
+        R = _rayleigh_ratio(mesh, p, solver._ray_minimize(mesh, p, u))
+        assert R <= res.fun * (1.0 + 1e-13)
+
+
+def test_ray_search_is_a_no_op_for_constant_p():
+    mesh, _, us = _ray_cases(2)
+    p = constant_exponent(2.5, mesh)
+    assert _rayleigh_on_ray(3.0, *_rayleigh_ray(mesh, p, us[0]))[1] == 0.0
+    assert solver._ray_minimize(mesh, p, us[0]).tobytes() == us[0].tobytes()
+
+
+def test_rayleigh_non_monotone_p_names_the_missing_minimizer():
+    # for p = 2 + |x - 1/2| the infimum of R is 0 (Fan-Zhang-Zhao 2005), so
+    # R decreases along a whole ray and the solver says so at once
+    mesh = build_interval_mesh(100, 0.0, 1.0)
+    p = build_exponent_field(2.0 + np.abs(mesh.element_centroids[:, 0] - 0.5), mesh)
+    start = time.perf_counter()
+    with pytest.raises(MaxIterations, match="R decreases along the whole ray") as err:
+        rayleigh_quotient_min(p, mesh, seed=0, max_iter=2000)
+    assert time.perf_counter() - start < 1.0
+    assert "no minimizer on the ray" in str(err.value)
+    assert "infimum of R can be 0" in str(err.value)
+
+
+def _retained_per_call(f):
+    """Bytes of traced memory that each of 99 more calls of f leaves behind,
+    with the cyclic collector off, after one warm-up and one traced call."""
+    f()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        f()
+        one = tracemalloc.get_traced_memory()[0]
+        for _ in range(99):
+            f()
+        hundred = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return (hundred - one) / 99
+
+
+def _square_ground_mode(n=16):
+    mesh = build_rect_mesh(n, n, ((0.0, 0.0), (1.0, 1.0)))
+    x, y = mesh.vertices.T
+    phi = np.sin(np.pi * x) * np.sin(np.pi * y)
+    phi[mesh.boundary_mask] = 0.0
+    return mesh, phi
+
+
+def test_ray_searches_retain_no_element_data():
+    # brentq keeps the callable it wraps in a reference cycle, so element
+    # data reachable from that callable would outlive every search; scipy's
+    # own wrapper (well under 1 KB) is all a search may leave behind
+    mesh, phi = _square_ground_mode()
+    p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
+    u = phi * (1.0 + 0.3 * mesh.vertices[:, 0])
+    assert not np.array_equal(solver._ray_minimize(mesh, p, u), u)
+    assert _retained_per_call(lambda: solver._ray_minimize(mesh, p, u)) < 8 * mesh.n_elements
 
 
 # -- negative-energy point -----------------------------------------------------
@@ -299,6 +414,20 @@ def test_segment_max_monotone_segments_return_the_endpoint():
         point, J = _segment_max(prob, ua, ub)
         assert point.tobytes() == end.tobytes()
         assert J == pytest.approx(energy_J(GridFunction(prob.mesh, end), prob), rel=1e-13)
+
+
+def test_segment_searches_retain_no_line_data(monkeypatch):
+    # the 2-D ground mode's ray peaks inside [phi, 4 phi], so each search
+    # ends in the brentq root; see test_ray_searches_retain_no_element_data
+    mesh, phi = _square_ground_mode()
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
+    roots = []
+    monkeypatch.setattr(solver, "brentq", lambda *a, **k: roots.append(1) or brentq(*a, **k))
+    _segment_max(prob, phi, 4.0 * phi)
+    assert roots == [1]
+    monkeypatch.undo()
+    assert _retained_per_call(lambda: _segment_max(prob, phi, 4.0 * phi)) < 8 * mesh.n_elements
 
 
 def test_segment_search_line_evaluations(monkeypatch):
@@ -660,6 +789,17 @@ def test_ps_threshold_strictness(model_solution):
 def test_multiplicity_no_starts():
     prob = model_problem()
     assert multiplicity_search(prob, n_starts=0) == []
+
+
+def test_multiplicity_names_every_failed_start():
+    # with lambda = -3 every eigenvector start drives K(u) below 0 at a
+    # sweep's peak; the search reports each start's cause instead of []
+    prob = model_problem(n=12, lam=-3.0)
+    with pytest.raises(DegenerateCoefficient, match="every start failed") as err:
+        multiplicity_search(prob, n_starts=4, k_max=4, seed=1)
+    for i in range(4):
+        assert f"start {i}: DegenerateCoefficient: nonlocal coefficient K = -" in str(err.value)
+    assert isinstance(err.value.__cause__, DegenerateCoefficient)
 
 
 def test_multiplicity_requires_a_geq_b():
