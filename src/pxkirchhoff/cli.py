@@ -16,8 +16,9 @@ unknown keys and non-finite numbers are errors.  Keys:
                 min(q-, 2(p-)^2/p+ - 1e-6))
     tol, max_iter, n_path, n_starts, k_max, seed, n_dirs, rho_grid
                 solver options (rayleigh ignores tol and stops at its own
-                1e-10); rho_grid is a comma list of positive radii and
-                n_dirs is nonnegative
+                1e-10); rho_grid is a comma list of positive radii,
+                max_iter, n_starts, seed and n_dirs are nonnegative and
+                k_max is positive
     ambient_dim optional ambient N for the subcritical check (validate)
     out         output directory, default "."
 
@@ -126,6 +127,14 @@ def _count(value: str) -> int:
     return n
 
 
+def _positive_count(value: str) -> int:
+    """A positive integer."""
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"count must be positive, got {n}")
+    return n
+
+
 def _parse_domain(value: str) -> tuple:
     kind, _, rest = value.partition(":")
     parts = [s.strip() for s in rest.split(",")]
@@ -162,11 +171,11 @@ _PARSERS = {
     "theta": _finite,
     "s_A": _finite,
     "tol": _finite,
-    "max_iter": int,
+    "max_iter": _count,
     "n_path": int,
-    "n_starts": int,
-    "k_max": int,
-    "seed": int,
+    "n_starts": _count,
+    "k_max": _positive_count,
+    "seed": _count,
     "n_dirs": _count,
     "rho_grid": _radii,
     "ambient_dim": int,

@@ -20,11 +20,11 @@ The multiplicity search runs its starts one after another, in start-index
 order, and merges results deterministically by (energy, start-index) order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
-from scipy.optimize import brentq
 
 from .discretization import GridFunction, Mesh
 from .energy import (
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-# -- Sobolev preconditioner, eigenbasis and backtracking ----------------------
+# -- Sobolev preconditioner, eigenbasis, backtracking and Brent's root --------
 
 class _SobolevPreconditioner:
     """Riesz map for the discrete H1_0 inner product on interior vertices."""
@@ -133,27 +133,94 @@ def _armijo(f, f0: float, slope: float, step: float) -> float | None:
     return None
 
 
+_BRENT_RTOL = 4.0 * math.ulp(1.0)  # relative resolution of a Brent root
+_BRENT_ITER = 100                   # iteration cap of a Brent root
+
+
+def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
+    """Root of f in the bracket [a, b], given fa = f(a) and fb = f(b).
+
+    Brent's method (Brent 1973, ch. 4) as scipy's ``brentq.c`` runs it: the
+    same arithmetic in the same order, with rtol = 4 eps, so it returns the
+    same iterates and the same root.  An exactly zero end is returned as
+    that end.  Raises DomainError for a NaN value of f or ends of one sign,
+    and MaxIterations once _BRENT_ITER iterations are used up.
+    """
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx):
+            raise DomainError(f"the function value at t = {x:.17g} is NaN")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"f has one sign at both ends of [{xpre:.17g}, {xcur:.17g}]: "
+                          f"f(a) = {fpre:.6g}, f(b) = {fcur:.6g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise DomainError(f"the function value at t = {xcur:.17g} is NaN")
+    raise MaxIterations(
+        f"no root of f in [{a:.17g}, {b:.17g}] to xtol {xtol:g} within "
+        f"{_BRENT_ITER} iterations (last iterate t = {xcur:.17g})"
+    )
+
+
 # -- Rayleigh quotient --------------------------------------------------------
 
-_S_MAX = 6.0  # a ray search looks for the minimum of R(e^s u) on |s| <= _S_MAX
-
-
-def _ray_slope(s: float, c, w_A, w_B) -> float:
-    """d ln R / ds along a ray, in the form ``brentq`` takes with args=."""
-    return _rayleigh_on_ray(s, c, w_A, w_B)[1]
+_S_MAX = 6.0   # a ray search looks for the minimum of R(e^s u) on |s| <= _S_MAX
+_S_TOL = 2e-12  # resolution in s of that minimum
 
 
 def _ray_minimize(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
     """e^s u at the minimum of R(e^s u) over |s| <= _S_MAX.
 
     The minimum is the root of d ln R / ds, bracketed by the slopes at the
-    ends of the interval and found by ``brentq``.  For constant p the
+    ends of the interval and found by ``_brent_root``.  For constant p the
     slope is exactly 0, R is scale-free, and ``nodal`` itself is returned.
     Raises MaxIterations when the slope keeps one sign over the interval:
     R then has no minimizer on the ray.
     """
     ray = _rayleigh_ray(mesh, p, nodal)
-    lo, hi = (_ray_slope(s, *ray) for s in (-_S_MAX, _S_MAX))
+
+    def slope(s):
+        return _rayleigh_on_ray(s, *ray)[1]
+
+    lo, hi = slope(-_S_MAX), slope(_S_MAX)
     if lo == hi == 0.0:
         return nodal
     if not lo < 0.0 < hi:
@@ -164,7 +231,7 @@ def _ray_minimize(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray
             "it has no minimizer on the ray, and for non-monotone p the "
             "infimum of R can be 0"
         )
-    return np.exp(brentq(_ray_slope, -_S_MAX, _S_MAX, args=ray)) * nodal
+    return np.exp(_brent_root(slope, -_S_MAX, lo, _S_MAX, hi, _S_TOL)) * nodal
 
 
 def rayleigh_quotient_min(
@@ -373,12 +440,6 @@ _NEWTON_FROM = 1e-2  # peak residual from which a Newton polish is tried
 _NEWTON_STEPS = 20   # Newton steps per polish attempt
 
 
-def _line_slope(t: float, line, ends: dict) -> float:
-    """dJ/dt along a line, from ``ends`` where this batch already has it;
-    the form ``brentq`` takes with args=."""
-    return ends[t] if t in ends else line(t)[1]
-
-
 def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
     """Maximize J along the segment ua + t (ub - ua); return (point, J).
 
@@ -390,7 +451,8 @@ def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
       segment's ends: the maximum is that endpoint), that candidate is
       returned, an endpoint bitwise as ``ua`` or ``ub``;
     * if it changes sign across the neighbouring cell, the root of dJ/dt
-      there is the maximum, found by ``brentq`` to 1e-12 in t;
+      there is the maximum, found by ``_brent_root`` to 1e-12 in t from
+      the batch's slopes at the cell's ends;
     * otherwise the neighbouring cell holds a maximum without a sign change
       at its ends, and it is searched the same way.
     """
@@ -405,11 +467,9 @@ def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
         j = k + step
         if step == 0 or not 0 <= j < _CANDIDATES:
             break
-        lo, hi = sorted((t[k], t[j]))
+        (lo, f_lo), (hi, f_hi) = sorted(((t[k], dJ[k]), (t[j], dJ[j])))
         if dJ[j] * step <= 0.0:
-            # brentq first evaluates both ends, which this batch already did
-            ends = {t[k]: dJ[k], t[j]: dJ[j]}
-            root = brentq(_line_slope, lo, hi, args=(line, ends), xtol=_T_TOL)
+            root = _brent_root(lambda s: line(s)[1], lo, f_lo, hi, f_hi, _T_TOL)
             return ua + root * delta, float(line(root)[0])
         if hi - lo <= _T_TOL:
             break
@@ -674,9 +734,10 @@ def multiplicity_search(
 ) -> list[SolveReport]:
     """Mountain-pass solves from nested eigen-subspace seeds, one per orbit.
 
-    Requires a >= b and an odd nonlinearity (every cataloged kind is odd).
-    The first min(k_max, n_starts) starts are the pure eigenvector
-    directions; the rest draw random combinations from the nested spans.
+    Requires a >= b and an odd nonlinearity (every cataloged kind is odd),
+    and k_max >= 1 when n_starts > 0 (DomainError otherwise).  The first
+    min(k_max, n_starts) starts are the pure eigenvector directions; the
+    rest draw random combinations from the nested spans.
     Starts whose solve fails (MaxIterations, DegenerateCoefficient) are
     skipped; if every start fails, the last failure's type is raised with
     each start's index, exception type and message.  Solutions are
@@ -689,6 +750,8 @@ def multiplicity_search(
     results = []
     if n_starts <= 0:
         return results
+    if k_max < 1:
+        raise DomainError(f"k_max must be at least 1, got {k_max}")
     rng = np.random.default_rng(seed)
     basis = laplace_eigenbasis(prob.mesh, k_max)
     failures = []

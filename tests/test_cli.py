@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -322,6 +328,43 @@ def test_negative_n_dirs_rejected_at_its_line():
     with pytest.raises(ParseError, match=f"line {ln}: count must be nonnegative"):
         parse_config(text)
     assert parse_config(MODEL.replace("seed = 0", "n_dirs = 0")).n_dirs == 0
+
+
+@pytest.mark.parametrize("new, message", [
+    ("seed = -1", "count must be nonnegative, got -1"),
+    ("n_starts = -3", "count must be nonnegative, got -3"),
+    ("max_iter = -1", "count must be nonnegative, got -1"),
+    ("k_max = 0", "count must be positive, got 0"),
+    ("k_max = -1", "count must be positive, got -1"),
+])
+def test_bad_count_rejected_at_its_line(new, message):
+    text = MODEL.replace("seed = 0", new)
+    ln = 1 + text.splitlines().index(new)
+    with pytest.raises(ParseError, match=f"line {ln}: {message}"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("command", ["solve", "rayleigh"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    text = MODEL.replace("command = solve", f"command = {command}")
+    text = text.replace("seed = 0", "seed = -1") + f"\nout = {tmp_path}"
+    ln = 1 + text.splitlines().index("seed = -1")
+    assert main([write_cfg(tmp_path, text)]) == 2
+    assert f"ParseError: line {ln}: count must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    # a fresh interpreter, so that no other test's imports count
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import json, sys, pxkirchhoff.cli; print(json.dumps([pxkirchhoff.cli.__file__, "
+            "sorted(m for m in sys.modules if m.startswith('scipy.optimize'))]))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    cli_file, optimize = json.loads(out.stdout)
+    assert Path(cli_file).resolve().parent == src / "pxkirchhoff"
+    assert optimize == []
 
 
 def test_solve_report_lists_newton_steps_and_morse_index(tmp_path, capsys):

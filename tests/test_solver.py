@@ -209,9 +209,9 @@ def _square_ground_mode(n=16):
 
 
 def test_ray_searches_retain_no_element_data():
-    # brentq keeps the callable it wraps in a reference cycle, so element
-    # data reachable from that callable would outlive every search; scipy's
-    # own wrapper (well under 1 KB) is all a search may leave behind
+    # the ray slope is a closure over the element weights; once a search
+    # returns, nothing may keep that closure (and so one per-element array)
+    # alive until the cyclic collector runs
     mesh, phi = _square_ground_mode()
     p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
     u = phi * (1.0 + 0.3 * mesh.vertices[:, 0])
@@ -356,6 +356,52 @@ def test_armijo_halves_to_sufficient_decrease():
     assert solver._armijo(f, 0.0, -0.5, 1e-16) is None
 
 
+def _cubic(c):
+    return lambda x: ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+
+
+def test_brent_root_matches_scipy_brentq_bitwise():
+    rng = np.random.default_rng(7)
+    compared = 0
+    while compared < 2000:
+        f = _cubic(rng.standard_normal(4).tolist())
+        a, b = rng.uniform(-3.0, 3.0, 2).tolist()
+        if not f(a) * f(b) < 0.0:
+            continue
+        compared += 1
+        for xtol in (1e-12, 2e-12, 1e-6):
+            for x0, x1 in ((a, b), (b, a)):
+                root = solver._brent_root(f, x0, f(x0), x1, f(x1), xtol)
+                assert root == brentq(f, x0, x1, xtol=xtol)
+
+
+def test_brent_root_returns_an_exactly_zero_end():
+    f = _cubic([1.0, 0.0, -1.0, 0.0])  # x^3 - x: roots -1, 0, 1
+    for a, b, root in ((0.0, 0.5, 0.0), (0.0, 2.0, 0.0), (-0.5, 1.0, 1.0), (2.0, 1.0, 1.0)):
+        assert solver._brent_root(f, a, f(a), b, f(b), 1e-12) == root
+
+
+def test_brent_root_rejects_nan_and_one_signed_ends():
+    def f(x):
+        return np.nan if x > 0.25 else x - 1.0
+
+    with pytest.raises(DomainError, match=r"value at t = 0\.5 is NaN"):
+        solver._brent_root(f, 0.0, -1.0, 1.0, 1.0, 1e-12)
+    with pytest.raises(DomainError, match=r"value at t = 1 is NaN"):
+        solver._brent_root(f, 0.0, -1.0, 1.0, np.nan, 1e-12)
+    with pytest.raises(DomainError, match="one sign at both ends"):
+        solver._brent_root(f, 0.0, -1.0, 1.0, -2.0, 1e-12)
+
+
+def test_brent_root_raises_once_its_cap_is_used_up(monkeypatch):
+    f = _cubic([1.0, 0.0, 0.0, -0.3])
+    monkeypatch.setattr(solver, "_BRENT_ITER", 2)
+    with pytest.raises(MaxIterations, match=r"no root of f in \[0, 1\] .* within 2 iterations"):
+        solver._brent_root(f, 0.0, f(0.0), 1.0, f(1.0), 1e-12)
+    monkeypatch.undo()
+    assert solver._brent_root(f, 0.0, f(0.0), 1.0, f(1.0), 1e-12) == brentq(f, 0.0, 1.0, xtol=1e-12)
+
+
 def test_segment_max_finds_the_ray_peak():
     # J(t*tent) rises from J(0) = 0 and is negative at t = 4, so the segment
     # has an interior maximum; the direct energy must agree with it there
@@ -418,12 +464,14 @@ def test_segment_max_monotone_segments_return_the_endpoint():
 
 def test_segment_searches_retain_no_line_data(monkeypatch):
     # the 2-D ground mode's ray peaks inside [phi, 4 phi], so each search
-    # ends in the brentq root; see test_ray_searches_retain_no_element_data
+    # ends in a Brent root of the line slope, a closure over the line's
+    # element data; see test_ray_searches_retain_no_element_data
     mesh, phi = _square_ground_mode()
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
     prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
     roots = []
-    monkeypatch.setattr(solver, "brentq", lambda *a, **k: roots.append(1) or brentq(*a, **k))
+    brent_root = solver._brent_root
+    monkeypatch.setattr(solver, "_brent_root", lambda *a: roots.append(1) or brent_root(*a))
     _segment_max(prob, phi, 4.0 * phi)
     assert roots == [1]
     monkeypatch.undo()
@@ -800,6 +848,14 @@ def test_multiplicity_names_every_failed_start():
     for i in range(4):
         assert f"start {i}: DegenerateCoefficient: nonlocal coefficient K = -" in str(err.value)
     assert isinstance(err.value.__cause__, DegenerateCoefficient)
+
+
+def test_multiplicity_requires_a_positive_k_max():
+    prob = model_problem(n=12)
+    for k_max in (0, -1):
+        with pytest.raises(DomainError, match=f"k_max must be at least 1, got {k_max}"):
+            multiplicity_search(prob, n_starts=2, k_max=k_max)
+    assert multiplicity_search(prob, n_starts=0, k_max=0) == []
 
 
 def test_multiplicity_requires_a_geq_b():
