@@ -1,9 +1,10 @@
 """Mountain-pass solve of the model problem, end to end.
 
 -(a - b A(u)) u'' = |u|^{q-2} u on (0, 1) with a = 1, b = 0.1, q = 4.5:
-verify the pass geometry, deform a path from 0 to the negative-energy
-point, polish its peak with Newton's method, and certify the result as a
-critical point of mountain-pass type (Morse index 1).
+verify the pass geometry, lay a path from 0 to the negative-energy point,
+run Newton's method from the path's peak (path sweeps are the fallback if
+it cannot certify a point no higher than that peak), and certify the result
+as a critical point of mountain-pass type (Morse index 1).
 """
 
 import numpy as np

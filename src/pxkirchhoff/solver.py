@@ -6,14 +6,14 @@ along a line, the Rayleigh quotient, its gradient and its restriction to a
 ray) comes from ``energy``, and both descents backtrack through one Armijo
 step, ``_armijo``.
 
-The solver deforms a discrete path from 0 to a low-energy point e: locate
-the maximal-energy point along the polyline, take a descent step there, and
-locally redistribute neighboring path points toward it.  Descent directions
-are preconditioned with the constant-exponent stiffness (a discrete Sobolev
-gradient), which keeps iteration counts mesh-independent; the reported
-residual stays the plain interior l2 norm of the assembled derivative.
-Once the peak is close, Newton's method on the exact sparse Hessian
-finishes the solve, and the solution's Morse index is reported.  All
+The solver runs Newton's method on the exact sparse Hessian from the peak
+of a discrete path from 0 to a low-energy point e, and accepts its point
+only at or below the peak's energy (Li-Zhou 2001).  The fallback deforms
+the path: a descent step at its peak, neighboring points pulled toward it.
+Descent directions are preconditioned with the constant-exponent stiffness
+(a discrete Sobolev gradient), which keeps iteration counts
+mesh-independent; the reported residual stays the plain interior l2 norm of
+the assembled derivative.  The solution's Morse index is reported.  All
 eigensolves (the Laplace eigenbasis, the Morse index) are sparse.
 
 The multiplicity search runs its starts one after another, in start-index
@@ -120,6 +120,11 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
         nodal[idx] = v
         basis.append(GridFunction(mesh, nodal))
     return basis
+
+
+def _nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise DomainError(f"{name} must be nonnegative, got {value}")
 
 
 def _armijo(f, f0: float, slope: float, step: float) -> float | None:
@@ -256,7 +261,9 @@ def rayleigh_quotient_min(
     the line search stalls; MaxIterations is raised if every start uses up
     ``max_iter`` steps, and at once when R decreases along a whole ray
     (for non-monotone p the infimum can be 0, and no minimizer exists).
+    A negative ``seed`` is a DomainError.
     """
+    _nonnegative("seed", seed)
     rng = np.random.default_rng(seed)
     precond = _SobolevPreconditioner(mesh)
     idx = mesh.interior
@@ -361,9 +368,12 @@ def verify_mountain_geometry(
     ``n_dirs`` random zero-trace draws, all normalized to unit Sobolev norm.
     The largest radius whose sampled minimum is positive is selected and a
     negative-energy point beyond it is attached.  Raises GeometryNotFound
-    when every radius has a nonpositive sampled floor (or the grid is empty).
+    when every radius has a nonpositive sampled floor (or the grid is empty),
+    and DomainError for a negative ``n_dirs`` or ``seed``.
     """
     prob.require_valid_chain()
+    _nonnegative("n_dirs", n_dirs)
+    _nonnegative("seed", seed)
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
     if rho_grid.size == 0:
         raise GeometryNotFound("empty radius grid")
@@ -410,11 +420,13 @@ def verify_mountain_geometry(
 class SolveReport:
     """Outcome of one mountain-pass solve.
 
-    ``iterations`` counts path sweeps and ``newton_steps`` the accepted
-    Newton steps, over all polish attempts.  ``path_energies`` is the
-    monotone record of path maxima (the running minimax estimate);
-    ``iteration_trace`` holds the raw per-sweep rows (iteration, path-max
-    energy, residual, A(u), K(u)) emitted as CSV.  ``morse_index`` is the
+    ``iterations`` counts path sweeps, 0 when Newton certifies from the
+    first path's peak, and ``newton_steps`` the accepted Newton steps, over
+    all polish attempts, discarded ones included.  ``path_energies`` is the
+    monotone record of path maxima (the running minimax estimate, an upper
+    bound for ``energy``); ``iteration_trace`` holds one raw row per path
+    peak, ``iterations + 1`` in all (iteration, path-max energy, residual,
+    A(u), K(u)), emitted as CSV.  ``morse_index`` is the
     number of negative eigenvalues of the pencil (J''(u), interior
     stiffness) at the solution and ``lowest_eigenvalues`` its two lowest
     eigenvalues; both are None where J'' does not exist (an exponent below
@@ -436,8 +448,7 @@ class SolveReport:
 
 _CANDIDATES = 5     # equispaced points of a cell evaluated in one batch
 _T_TOL = 1e-12      # resolution in t of a segment maximum
-_NEWTON_FROM = 1e-2  # peak residual from which a Newton polish is tried
-_NEWTON_STEPS = 20   # Newton steps per polish attempt
+_NEWTON_STEPS = 20  # Newton steps per polish attempt
 
 
 def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
@@ -506,7 +517,8 @@ def _newton_polish(prob, u: GridFunction, g: np.ndarray, res: float, tol: float)
     Returns (point, residual, K, steps) once the residual is at most tol,
     or (None, None, None, steps) when the attempt cannot certify: J'' is
     undefined or singular, no step decreases the residual, or _NEWTON_STEPS
-    run out.  ``steps`` counts the accepted steps.
+    run out.  ``steps`` counts the accepted steps.  The point may be any
+    nearby critical point; the caller checks its level.
     """
     mesh, idx = prob.mesh, prob.mesh.interior
     accepted = {}
@@ -589,35 +601,39 @@ def mountain_pass_solve(
     """Deform a discrete path from 0 to e until its peak is a critical point.
 
     Each sweep locates the maximal-energy point along the current polyline
-    (continuously, on the segments adjacent to the vertex maximum), takes a
-    backtracking descent step there along the preconditioned negative
-    gradient, and pulls the neighboring path points toward the new peak.
-    Terminates when the interior l2 residual at the peak drops to ``tol``.
+    (continuously, on the segments adjacent to the vertex maximum).  The
+    solve terminates when the interior l2 residual there is at most ``tol``.
 
-    Once the peak's residual is at most _NEWTON_FROM (1e-2), the peak is
-    handed to a Newton polish on the exact sparse Hessian
-    (``_newton_polish``), which returns as soon as its residual is at most
-    ``tol``.  An attempt that cannot certify is discarded and the sweeps go
-    on; the next attempt waits until the peak residual has fallen another
-    decade.  ``iterations`` counts sweeps and ``newton_steps`` the accepted
-    Newton steps; the trace holds one row per sweep.  The solution's Morse
+    From the first sweep on, the peak is handed to a Newton polish on the
+    exact sparse Hessian (``_newton_polish``), which returns as soon as its
+    residual is at most ``tol``.  Its point is accepted only if its energy
+    is at most J_peak, the energy of the path peak it started from: any
+    path's peak bounds the mountain-pass level from above.  An attempt that
+    cannot certify, or lands above J_peak, is discarded, and the next waits
+    until the peak residual has fallen another decade.  Meanwhile the sweep
+    takes a backtracking descent step at the peak along the preconditioned
+    negative gradient and pulls the neighboring path points toward it.
+    ``iterations`` counts these steps and ``newton_steps`` the accepted
+    Newton steps; the trace holds one row per peak.  The solution's Morse
     index is computed last (``_morse``).
 
     Path-point energies are evaluated once and cached; after each sweep only
     the updated points (the peak's vertex and its interior neighbors) are
     re-evaluated, and the endpoint e is evaluated once.  The segment maxima
     and the line search evaluate J through its restriction to a line, whose
-    element data is gathered once per segment, and a Newton solution costs
-    one call, so a solve makes at most ``n_path + 1 + 3 * iterations`` calls
-    to ``energy_J``.  A segment maximum comes from one batched evaluation of
+    element data is gathered once per segment, and the energy guard costs
+    one call per Newton attempt that reaches ``tol``, so a solve makes at
+    most ``n_path + 3 * iterations`` calls to ``energy_J`` plus one per such
+    attempt.  A segment maximum comes from one batched evaluation of
     J and its exact slope dJ/dt at five candidates and, when it lies inside
     the segment, from the root of dJ/dt in the bracketing cell.
 
     Raises DegenerateCoefficient the moment the nonlocal coefficient
     K(u) = a - b*A(u) is nonpositive at a sweep's peak (the operator loses
     its coercive sign there, which this solver refuses to hide; a Newton
-    trial with K <= 0 is backtracked instead), and MaxIterations if the
-    sweep or line-search budget runs out.
+    trial with K <= 0 is backtracked instead), MaxIterations if the sweep
+    or line-search budget runs out, and DomainError for a negative
+    ``max_iter``.
     """
     prob.require_valid_chain()
     mesh = prob.mesh
@@ -626,6 +642,7 @@ def mountain_pass_solve(
         raise DomainError("e must have negative energy; run the geometry check")
     if n_path < 3:
         raise DomainError("need at least 3 path points")
+    _nonnegative("max_iter", max_iter)
     precond = _SobolevPreconditioner(mesh)
     idx = mesh.interior
 
@@ -634,7 +651,7 @@ def mountain_pass_solve(
     path_energies: list[float] = []
     trace: list[tuple[int, float, float, float, float]] = []
     record = np.inf
-    newton_from, newton_steps = _NEWTON_FROM, 0
+    newton_from, newton_steps = np.inf, 0
 
     def energy_at(nodal):
         return energy_J(GridFunction(mesh, nodal), prob)
@@ -684,7 +701,9 @@ def mountain_pass_solve(
             u, res_n, K_n, steps = _newton_polish(prob, u_peak, g.nodal_values, res, tol)
             newton_steps += steps
             if u is not None:
-                return report(u, energy_J(u, prob), res_n, K_n, it)
+                J_u = energy_J(u, prob)
+                if J_u <= J_peak:  # a critical point no higher than the path's peak
+                    return report(u, J_u, res_n, K_n, it)
             newton_from = res / 10.0  # retry one decade further down
 
         d = -precond.apply(g.nodal_values)
@@ -735,7 +754,8 @@ def multiplicity_search(
     """Mountain-pass solves from nested eigen-subspace seeds, one per orbit.
 
     Requires a >= b and an odd nonlinearity (every cataloged kind is odd),
-    and k_max >= 1 when n_starts > 0 (DomainError otherwise).  The first
+    a nonnegative seed, and k_max >= 1 when n_starts > 0 (DomainError
+    otherwise).  The first
     min(k_max, n_starts) starts are the pure eigenvector directions; the
     rest draw random combinations from the nested spans.
     Starts whose solve fails (MaxIterations, DegenerateCoefficient) are
@@ -747,6 +767,7 @@ def multiplicity_search(
     prob.require_valid_chain()
     if not prob.a >= prob.b:
         raise DomainError("multiplicity search requires a >= b")
+    _nonnegative("seed", seed)
     results = []
     if n_starts <= 0:
         return results

@@ -59,6 +59,27 @@ def tent_on(mesh, peak=1.0):
     return GridFunction(mesh, 2.0 * peak * np.minimum(x, 1.0 - x))
 
 
+def _singular(*args):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def fail_first_newton_attempt(monkeypatch):
+    """Make the first Newton attempt fail on a singular J'' and let later
+    ones run, so the next solve runs sweeps and Newton both; returns the
+    peak residuals the attempts start from."""
+    attempts = []
+    direction, polish = solver._newton_direction, solver._newton_polish
+
+    def first_attempt_fails(prob_, u, g, res, tol):
+        attempts.append(res)
+        monkeypatch.setattr(solver, "_newton_direction",
+                            _singular if len(attempts) == 1 else direction)
+        return polish(prob_, u, g, res, tol)
+
+    monkeypatch.setattr(solver, "_newton_polish", first_attempt_fails)
+    return attempts
+
+
 @pytest.fixture(scope="module")
 def model_solution():
     prob = model_problem()
@@ -297,6 +318,11 @@ def test_geometry_empty_grid():
         verify_mountain_geometry(prob, [], 10, seed=0)
 
 
+def test_geometry_rejects_negative_n_dirs():
+    with pytest.raises(DomainError, match="n_dirs must be nonnegative, got -3"):
+        verify_mountain_geometry(model_problem(n=12), RHO_GRID, -3)
+
+
 # -- mountain pass -------------------------------------------------------------
 
 def test_model_solve_report(model_solution):
@@ -330,8 +356,10 @@ def test_solve_energy_call_budget(monkeypatch):
         return energy_J(u, p)
 
     monkeypatch.setattr(solver, "energy_J", counted)
+    attempts = fail_first_newton_attempt(monkeypatch)
     rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
-    assert rep.iterations > 0
+    assert rep.iterations > 0 and rep.newton_steps > 0
+    assert attempts[0] == rep.iteration_trace[0][2]  # first attempt at sweep 0
     assert len(calls) <= 15 + 1 + 3 * rep.iterations
 
 
@@ -541,9 +569,9 @@ def test_plus_minus_e_land_on_one_orbit(model_solution):
 
 
 def test_antisymmetric_seed_reaches_the_one_node_orbit():
-    # the path from the antisymmetric seed reaches residual 1e-2 before K
-    # loses its sign, and the Newton polish lands on the one-node orbit
-    # that the exact scaling reduction predicts (4.91670, K 0.0187)
+    # Newton from the peak of the antisymmetric seed's path lands on the
+    # one-node orbit that the exact scaling reduction predicts (4.91670,
+    # K 0.0187), below that peak
     prob = model_problem()
     phi2 = laplace_eigenbasis(prob.mesh, 2)[1]
     e = _scale_until_negative(
@@ -552,6 +580,7 @@ def test_antisymmetric_seed_reaches_the_one_node_orbit():
     rep = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
     assert rep.residual_norm <= 1e-6
     assert rep.newton_steps > 0
+    assert rep.energy <= rep.iteration_trace[-1][1]
     assert rep.energy == pytest.approx(4.91670, abs=1e-5)
     assert rep.nonlocal_coefficient == pytest.approx(0.0187, abs=1e-4)
     u = rep.solution.nodal_values
@@ -639,13 +668,17 @@ def test_newton_invariants_sweeps_budget_and_searches(monkeypatch):
 
     monkeypatch.setattr(solver, "energy_J", counted_energy)
     monkeypatch.setattr(solver, "_segment_max", counted_search)
+    attempts = fail_first_newton_attempt(monkeypatch)
     rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
     assert rep.newton_steps > 0 and rep.iterations > 0
     assert len(rep.path_energies) == len(rep.iteration_trace) == rep.iterations + 1
     assert energy_calls[0] <= 15 + 1 + 3 * rep.iterations
     assert searches[0] == 2 * (rep.iterations + 1)
-    # the sweep that handed over to Newton had its peak residual at 1e-2 or below
-    assert rep.iteration_trace[-1][2] <= solver._NEWTON_FROM
+    # Newton was first tried from the first sweep's peak, and the sweep that
+    # handed over again had its peak residual a decade lower
+    assert attempts[0] == rep.iteration_trace[0][2]
+    assert len(attempts) == 2
+    assert rep.iteration_trace[-1][2] == attempts[1] <= attempts[0] / 10.0
     assert rep.residual_norm <= 1e-6 < rep.iteration_trace[-1][2]
     assert rep.energy == energy(rep.solution, prob)
 
@@ -654,12 +687,9 @@ def test_failed_newton_attempts_fall_back_to_sweeping(monkeypatch):
     prob = model_problem(n=60)
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
     polished = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
-    direction, polish = solver._newton_direction, solver._newton_polish
+    assert polished.iterations == 0 and polished.newton_steps > 0
 
-    def singular(*args):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(solver, "_newton_direction", singular)
+    monkeypatch.setattr(solver, "_newton_direction", _singular)
     swept = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
     assert swept.residual_norm <= 1e-6
     assert swept.iterations > polished.iterations
@@ -668,22 +698,59 @@ def test_failed_newton_attempts_fall_back_to_sweeping(monkeypatch):
     assert swept.morse_index == polished.morse_index == 1
 
     # after one failed attempt the next waits a decade of residual, then certifies
-    failed_at = []
-
-    def first_attempt_fails(prob_, u, g, res, tol):
-        if not failed_at:
-            failed_at.append(res)
-            monkeypatch.setattr(solver, "_newton_direction", singular)
-        else:
-            monkeypatch.setattr(solver, "_newton_direction", direction)
-        return polish(prob_, u, g, res, tol)
-
-    monkeypatch.setattr(solver, "_newton_polish", first_attempt_fails)
+    monkeypatch.undo()
+    attempts = fail_first_newton_attempt(monkeypatch)
     retried = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
     assert retried.newton_steps > 0
     assert polished.iterations < retried.iterations < swept.iterations
-    assert retried.iteration_trace[-1][2] <= failed_at[0] / 10.0
+    assert retried.iteration_trace[-1][2] <= attempts[0] / 10.0
     assert retried.energy == pytest.approx(polished.energy, rel=1e-9)
+
+
+def test_newton_point_above_the_path_peak_is_discarded(monkeypatch):
+    # any path's peak bounds the mountain-pass level from above, so a Newton
+    # point above the peak it started from is another critical point: here
+    # the polish returns the one-node orbit (4.917), above every peak of the
+    # ground path, and each attempt is discarded until the sweeps certify
+    prob = model_problem(n=60)
+    phi2 = laplace_eigenbasis(prob.mesh, 2)[1]
+    higher = mountain_pass_solve(
+        prob, _scale_until_negative(prob, phi2.nodal_values / sobolev_norm(phi2, prob.p)))
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    polished = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    peaks = []
+
+    def polish_to_higher(prob_, u, g, res, tol):
+        peaks.append(energy_J(u, prob_))
+        return higher.solution, higher.residual_norm, higher.nonlocal_coefficient, 1
+
+    monkeypatch.setattr(solver, "_newton_polish", polish_to_higher)
+    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    assert higher.residual_norm <= 1e-6 and higher.nonlocal_coefficient > 0.0
+    assert len(peaks) > 1 and higher.energy > max(peaks)
+    assert rep.residual_norm == rep.iteration_trace[-1][2] <= 1e-6  # the swept answer
+    assert rep.energy == rep.iteration_trace[-1][1]
+    assert rep.energy == pytest.approx(polished.energy, rel=1e-9)
+
+
+def test_newton_steps_are_mesh_independent():
+    # Newton on the exact Hessian from the first path peak needs the same
+    # number of steps on a mesh twice as fine
+    steps = []
+    for n in (60, 120):
+        prob = model_problem(n=n)
+        e = find_negative_energy_point(prob, tent_on(prob.mesh))
+        rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+        assert rep.iterations == 0 and rep.residual_norm <= 1e-6
+        steps.append(rep.newton_steps)
+    assert steps[0] == steps[1] > 0
+
+
+def test_negative_max_iter_is_a_domain_error():
+    prob = model_problem(n=12)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    with pytest.raises(DomainError, match="max_iter must be nonnegative, got -1"):
+        mountain_pass_solve(prob, e, max_iter=-1)
 
 
 def test_sherman_morrison_solve_matches_a_dense_solve():
@@ -869,6 +936,34 @@ def test_multiplicity_dedups_sign_orbit():
     reports = multiplicity_search(prob, n_starts=2, k_max=1, seed=0)
     assert len(reports) == 1
     assert reports[0].residual_norm <= 1e-6
+
+
+def test_multiplicity_finds_the_one_node_orbit_for_variable_p():
+    # p = 2 + 0.2x: Newton from the first path peak reaches the one-node
+    # orbit (K 0.0127), which the sweeps alone never reached
+    mesh = build_interval_mesh(12, 0.0, 1.0)
+    p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, p, spec, mesh)
+    reports = multiplicity_search(prob, n_starts=6, k_max=4, seed=1)
+    assert [r.energy for r in reports] == pytest.approx([3.884681336, 4.940839406], rel=1e-9)
+    fn = make_residual_1d(prob)
+    for rep in reports:
+        assert rep.residual_norm <= 1e-6 and rep.nonlocal_coefficient > 0.0
+        assert rep.energy <= rep.iteration_trace[-1][1]  # at most the last peak
+        root, ok = newton_1d(fn, rep.solution.nodal_values[1:-1].copy(), tol=1e-12)
+        polished = energy_J(GridFunction(mesh, np.concatenate(([0.0], root, [0.0]))), prob)
+        assert ok and abs(rep.energy - polished) <= 1e-10 * polished
+
+
+@pytest.mark.parametrize("call", [
+    lambda prob: rayleigh_quotient_min(prob.p, prob.mesh, seed=-1),
+    lambda prob: verify_mountain_geometry(prob, RHO_GRID, 5, seed=-1),
+    lambda prob: multiplicity_search(prob, n_starts=2, seed=-1),
+], ids=["rayleigh_quotient_min", "verify_mountain_geometry", "multiplicity_search"])
+def test_negative_seed_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+        call(model_problem(n=12))
 
 
 def test_eigenbasis_shapes():
