@@ -11,10 +11,10 @@ derivative against the interior hat functions is the discrete residual; the
 quadratic part a*A - (b/2)*A^2 is capped at a^2/(2b) for every u, which is
 the threshold below which compactness of descent sequences is trusted.
 The second derivative (``hessian_J``) is a sparse matrix plus a rank-one
-term.  J along a line (``_line_energy``) and R = A / B with
-B(u) = I(1/p |u|^p) (``_rayleigh_ratio``, ``_rayleigh_gradient``), with R
-along the ray e^s u (``_rayleigh_ray``, ``_rayleigh_on_ray``), live here
-too, for the solvers.
+term.  J along a line (``_line_energy``) and along a ray r u
+(``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p)
+(``_rayleigh_ratio``, ``_rayleigh_gradient``), with R along the ray e^s u
+(``_rayleigh_ray``, ``_rayleigh_on_ray``), live here too, for the solvers.
 """
 
 from dataclasses import dataclass, replace
@@ -57,7 +57,9 @@ class NonlinearitySpec:
 
     pure_power evaluates g = |s|^{q(x)-2} s and G = |s|^{q(x)} / q(x);
     scaled_power multiplies both by a positive coefficient; zero is the
-    unperturbed problem.  All kinds are odd in s and vanish at s = 0.
+    unperturbed problem.  All kinds are odd in s and vanish at s = 0, and
+    every G is a power in s: G(x, r s) = r^{q(x)} G(x, s) for r > 0, which
+    J along a ray (``_energy_ray``) relies on.
     """
 
     kind: str
@@ -197,17 +199,17 @@ def kirchhoff_A(u: GridFunction, p: ExponentField) -> float:
 
 
 def _energy_of_elements(prob: KirchhoffProblem, A, uc: np.ndarray):
-    """J from A(u) and the per-element centroid values.
-
-    ``A`` may be a stack of values and ``uc`` the matching stack of
-    per-element rows; J has the stack's shape.  ``energy_J`` and the
-    restriction of J to a line (``_line_energy``) both call it, so the
-    energy formula exists once.
-    """
+    """J from A(u) and the per-element centroid values, or from a stack of
+    each (J then has the stack's shape), for ``energy_J`` and
+    ``_line_energy``; J along a ray shares ``_energy_of_terms`` with it."""
     meas = prob.mesh.element_measures
     lam_term = _p_integral(np.abs(uc), prob.p, meas)
-    g_term = np.dot(_G(prob.g, uc), meas)
-    return prob.a * A - 0.5 * prob.b * A * A - prob.lam * lam_term - g_term
+    return _energy_of_terms(prob, A, lam_term, np.dot(_G(prob.g, uc), meas))
+
+
+def _energy_of_terms(prob: KirchhoffProblem, A, B, G):
+    """J = a*A - (b/2)*A^2 - lambda*B - G from A(u), B(u) and I(G(x, u))."""
+    return prob.a * A - 0.5 * prob.b * A * A - prob.lam * B - G
 
 
 def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
@@ -352,18 +354,42 @@ def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
     return float(A / _p_integral(np.abs(mesh.centroid_map @ nodal), p, meas))
 
 
-def _rayleigh_ray(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
-    """Element data of R along the ray e^s u, gathered once: (c, w_A, w_B).
-
-    A(e^s u) = sum w_A e^{s p} and B(e^s u) = sum w_B e^{s p}, with
-    w_A = meas |grad u|^p / p and w_B = meas |u_c|^p / p.  The common factor
-    e^{s p-} cancels in R, so ``_rayleigh_on_ray`` tilts the weights by the
-    centred exponent c = p - p- instead, which is exactly 0 for constant p.
-    """
+def _ray_weights(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
+    """(|grad u|, u_c, w_A, w_B), so that A(r u) = sum w_A r^p and
+    B(r u) = sum w_B r^p: w_A = meas |grad u|^p / p, w_B = meas |u_c|^p / p."""
     pv, meas = p.values, mesh.element_measures
     gmag = np.linalg.norm(element_gradients(mesh, nodal), axis=1)
     uc = mesh.centroid_map @ nodal
-    return pv - p.lo, meas * gmag**pv / pv, meas * np.abs(uc) ** pv / pv
+    return gmag, uc, meas * gmag**pv / pv, meas * np.abs(uc) ** pv / pv
+
+
+def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
+    """(|grad u|, energy) with energy(r) = J(r u) for scalar or 1-D r > 0:
+    every term of J is a power along the ray, A and B by ``_ray_weights``
+    and I(G(x, r u)) = sum w_G r^q with w_G = meas G(x, u_c)."""
+    pv, qv = prob.p.values, prob.g.q.values
+    gmag, uc, w_A, w_B = _ray_weights(prob.mesh, prob.p, nodal)
+    w_G = _G(prob.g, uc) * prob.mesh.element_measures
+
+    def energy(r):
+        log_r = np.log(np.asarray(r, dtype=float))[..., None]
+        r_p = np.exp(log_r * pv)
+        A, B = r_p @ w_A, r_p @ w_B
+        r_q = np.exp(np.multiply(log_r, qv, out=r_p), out=r_p)  # one stack in memory
+        return _energy_of_terms(prob, A, B, r_q @ w_G)
+
+    return gmag, energy
+
+
+def _rayleigh_ray(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
+    """Element data of R along the ray e^s u, gathered once: (c, w_A, w_B).
+
+    The weights are those of ``_ray_weights`` at r = e^s.  The common factor
+    e^{s p-} cancels in R, so ``_rayleigh_on_ray`` tilts the weights by the
+    centred exponent c = p - p- instead, which is exactly 0 for constant p.
+    """
+    _, _, w_A, w_B = _ray_weights(mesh, p, nodal)
+    return p.values - p.lo, w_A, w_B
 
 
 def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):

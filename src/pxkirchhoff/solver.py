@@ -30,6 +30,7 @@ from .discretization import GridFunction, Mesh
 from .energy import (
     KirchhoffProblem,
     _line_energy,
+    _energy_ray,
     _rayleigh_gradient,
     _rayleigh_on_ray,
     _rayleigh_ratio,
@@ -46,7 +47,7 @@ from .errors import (
     MaxIterations,
 )
 from .exponents import ExponentField
-from .modular_spaces import sobolev_norm
+from .modular_spaces import luxemburg_norm, sobolev_norm
 
 __all__ = [
     "GeometryReport",
@@ -326,13 +327,14 @@ def _scale_until_negative(
     min_norm: float | None = None,
     max_doublings: int = 60,
 ) -> GridFunction:
+    """The first t u, t = 1, 2, 4, ..., with J(t u) < 0 and norm t|u| above
+    ``min_norm``; J from the ray's weights (``_energy_ray``), gathered once."""
+    gmag, energy = _energy_ray(prob, nodal)
+    norm = 0.0 if min_norm is None else luxemburg_norm(gmag, prob.p, prob.mesh)
     t = 1.0
     for _ in range(max_doublings + 1):
-        cand = GridFunction(prob.mesh, t * nodal)
-        if energy_J(cand, prob) < 0.0 and (
-            min_norm is None or sobolev_norm(cand, prob.p) > min_norm
-        ):
-            return cand
+        if energy(t) < 0.0 and (min_norm is None or t * norm > min_norm):
+            return GridFunction(prob.mesh, t * nodal)
         t *= 2.0
     raise MaxIterations(
         "energy stayed nonnegative after 60 doublings; "
@@ -365,50 +367,49 @@ def verify_mountain_geometry(
     """Sample J on spheres of the given radii and certify the pass geometry.
 
     Directions mix a few deterministic low-frequency eigenvector probes with
-    ``n_dirs`` random zero-trace draws, all normalized to unit Sobolev norm.
-    The largest radius whose sampled minimum is positive is selected and a
-    negative-energy point beyond it is attached.  Raises GeometryNotFound
-    when every radius has a nonpositive sampled floor (or the grid is empty),
-    and DomainError for a negative ``n_dirs`` or ``seed``.
-    """
+    ``n_dirs`` random zero-trace draws, each gathered once (``_energy_ray``):
+    J(rho u/|u|) at every radius follows from its weights and |u| from the
+    same gradient magnitudes.  The largest radius whose sampled minimum is
+    positive is selected and a negative-energy point beyond it is attached.
+    Raises GeometryNotFound when every radius has a nonpositive sampled
+    floor (or the grid is empty), and DomainError for a radius not finite
+    and positive or a negative ``n_dirs`` or ``seed``."""
     prob.require_valid_chain()
     _nonnegative("n_dirs", n_dirs)
     _nonnegative("seed", seed)
-    rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
-    if rho_grid.size == 0:
+    radii = np.sort(np.atleast_1d(np.asarray(rho_grid, dtype=float)))
+    if radii.size == 0:
         raise GeometryNotFound("empty radius grid")
+    for rho in radii:
+        if not 0.0 < rho < np.inf:
+            raise DomainError(f"radius {rho} must be finite and positive")
     rng = np.random.default_rng(seed)
-    mesh = prob.mesh
+    mesh, p = prob.mesh, prob.p
 
     n_probe = min(3, len(mesh.interior))
-    directions = laplace_eigenbasis(mesh, n_probe)
+    directions = [d.nodal_values for d in laplace_eigenbasis(mesh, n_probe)]
     for _ in range(n_dirs):
         nodal = np.zeros(mesh.n_vertices)
         nodal[mesh.interior] = rng.standard_normal(len(mesh.interior))
-        directions.append(GridFunction(mesh, nodal))
-    unit = [d.nodal_values / sobolev_norm(d, prob.p) for d in directions]
+        directions.append(nodal)
 
-    best = None
-    for rho in np.sort(rho_grid):
-        alpha = min(
-            energy_J(GridFunction(mesh, rho * nodal), prob) for nodal in unit
-        )
-        if alpha > 0.0:
-            best = (float(rho), float(alpha))
-    if best is None:
+    floors = np.full(radii.size, np.inf)
+    for nodal in directions:
+        gmag, energy = _energy_ray(prob, nodal)
+        floors = np.minimum(floors, energy(radii / luxemburg_norm(gmag, p, mesh)))
+    positive = np.flatnonzero(floors > 0.0)
+    if positive.size == 0:
         raise GeometryNotFound(
-            f"no radius in {rho_grid.tolist()} had a positive sampled floor"
+            f"no radius in {radii.tolist()} had a positive sampled floor"
         )
-    rho, alpha = best
+    rho, alpha = float(radii[positive[-1]]), float(floors[positive[-1]])
 
     psi = directions[0]  # the ground eigenvector
-    if np.any(psi.nodal_values < 0.0):  # discrete ground state is one-signed
-        psi = GridFunction(mesh, np.abs(psi.nodal_values))
-    e = _scale_until_negative(prob, psi.nodal_values, min_norm=rho)
+    e = _scale_until_negative(prob, np.abs(psi), min_norm=rho)  # one-signed
     return GeometryReport(
         rho=rho,
         alpha=alpha,
-        directions_tested=len(unit),
+        directions_tested=len(directions),
         negative_point=e,
         negative_energy=energy_J(e, prob),
     )

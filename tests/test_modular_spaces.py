@@ -6,6 +6,7 @@ import pytest
 from pxkirchhoff import (
     DomainError,
     GridFunction,
+    MaxIterations,
     build_exponent_field,
     build_interval_mesh,
     build_rect_mesh,
@@ -17,7 +18,8 @@ from pxkirchhoff import (
     modular,
     sobolev_norm,
 )
-from oracles import luxemburg_constant_u_affine_p
+from pxkirchhoff import modular_spaces
+from oracles import luxemburg_bisection, luxemburg_constant_u_affine_p
 
 
 @pytest.fixture
@@ -67,6 +69,53 @@ def test_luxemburg_variable_p_against_scalar_rootfind():
     assert oracle == pytest.approx(2.5780551803138074, rel=1e-10)
     value = luxemburg_norm(np.full(4000, 3.0), p, mesh)
     assert value == pytest.approx(oracle, rel=1e-6)
+
+
+def _random_norm_case(rng, meshes):
+    """Samples and a variable exponent on one of ``meshes``: p- in
+    (1.05, 4), a spread of up to 4, magnitudes from 1e-8 to 1e8, and every
+    third case mostly zero."""
+    mesh = meshes[rng.integers(len(meshes))]
+    n = mesh.n_elements
+    p = build_exponent_field(
+        rng.uniform(1.05, 4.0) + rng.uniform(0.0, 4.0) * rng.random(n), mesh)
+    u = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+    if rng.random() < 1.0 / 3.0:
+        u[rng.random(n) < 0.9] = 0.0
+        u[rng.integers(n)] = 10.0 ** rng.uniform(-8.0, 8.0)
+    return u, p, mesh
+
+
+def test_luxemburg_newton_matches_bisection_oracle(monkeypatch):
+    # at most 6 Newton steps per norm; a slower root finder raises
+    monkeypatch.setattr(modular_spaces, "_NEWTON_CAP", 6)
+    meshes = [build_interval_mesh(2, 0.0, 1.0), build_interval_mesh(7, 0.0, 0.3),
+              build_interval_mesh(400, 0.0, 5.0),
+              build_rect_mesh(6, 4, ((0.0, 0.0), (2.0, 1.0)))]
+    rng = np.random.default_rng(2001)
+    for _ in range(600):
+        u, p, mesh = _random_norm_case(rng, meshes)
+        oracle = luxemburg_bisection(u, p.values, mesh.element_measures, rel_tol=1e-15)
+        assert luxemburg_norm(u, p, mesh) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_luxemburg_constant_p_closed_form():
+    mesh = build_rect_mesh(5, 3, ((0.0, 0.0), (1.5, 1.0)))
+    rng = np.random.default_rng(2002)
+    for _ in range(200):
+        pc = rng.uniform(1.05, 8.0)
+        u = rng.standard_normal(mesh.n_elements) * 10.0 ** rng.uniform(-8.0, 8.0)
+        closed = np.dot(np.abs(u) ** pc, mesh.element_measures) ** (1.0 / pc)
+        value = luxemburg_norm(u, constant_exponent(pc, mesh), mesh)
+        assert value == pytest.approx(closed, rel=1e-14)
+
+
+def test_luxemburg_newton_cap_raises(line, monkeypatch):
+    monkeypatch.setattr(modular_spaces, "_NEWTON_CAP", 1)
+    p = build_exponent_field(1.5 + 3.0 * line.element_centroids[:, 0], line)
+    u = np.linspace(0.01, 3.0, 100)
+    with pytest.raises(MaxIterations, match="Luxemburg norm"):
+        luxemburg_norm(u, p, line)
 
 
 def test_holder_equality_case(line):

@@ -254,6 +254,14 @@ def test_doubling_returns_first_power_past_root():
     assert np.array_equal(e.nodal_values, 4.0 * tent.nodal_values)
 
 
+def test_doubling_continues_past_min_norm():
+    # |tent| = 2 in the Sobolev norm; J < 0 from t = 4, norm > 10 from t = 8
+    prob = model_problem(q_const=4.0, theta=3.0)
+    tent = tent_on(prob.mesh)
+    e = find_negative_energy_point(prob, tent, min_norm=10.0)
+    assert np.array_equal(e.nodal_values, 8.0 * tent.nodal_values)
+
+
 def test_doubling_without_nonlinearity():
     prob = model_problem(kind="zero")
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
@@ -316,6 +324,83 @@ def test_geometry_empty_grid():
     prob = model_problem()
     with pytest.raises(GeometryNotFound):
         verify_mountain_geometry(prob, [], 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_geometry_rejects_radii_not_finite_and_positive(bad):
+    # J is even, so a radius of -1 would sample the sphere of radius 1
+    prob = _variable_p_1d()
+    with pytest.raises(DomainError, match=f"radius {bad} must be finite and positive"):
+        verify_mountain_geometry(prob, [0.1, bad, 1.0], 5, seed=0)
+
+
+def _brute_force_geometry(prob, rho_grid, n_dirs, seed):
+    """The geometry probe by energy_J and sobolev_norm at every sample: the
+    same directions, floors over sorted radii, and doublings of the ground
+    vector until J < 0 and its norm exceeds the chosen radius."""
+    mesh = prob.mesh
+    rng = np.random.default_rng(seed)
+    directions = [d.nodal_values for d in laplace_eigenbasis(mesh, 3)]
+    for _ in range(n_dirs):
+        nodal = np.zeros(mesh.n_vertices)
+        nodal[mesh.interior] = rng.standard_normal(len(mesh.interior))
+        directions.append(nodal)
+    unit = [d / sobolev_norm(GridFunction(mesh, d), prob.p) for d in directions]
+    floors = [(rho, min(energy_J(GridFunction(mesh, rho * u), prob) for u in unit))
+              for rho in sorted(rho_grid)]
+    rho, alpha = [f for f in floors if f[1] > 0.0][-1]
+    psi, t = np.abs(directions[0]), 1.0
+    while True:
+        e = GridFunction(mesh, t * psi)
+        if energy_J(e, prob) < 0.0 and sobolev_norm(e, prob.p) > rho:
+            return rho, alpha, e
+        t *= 2.0
+
+
+def _variable_p_1d():
+    mesh = build_interval_mesh(60, 0.0, 1.0)
+    p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
+    spec = NonlinearitySpec("scaled_power", constant_exponent(4.5, mesh),
+                            coefficient=3.0, theta=3.2)
+    return KirchhoffProblem(1.0, 0.1, 2.0, p, spec, mesh)
+
+
+def _constant_p_2d():
+    mesh = build_rect_mesh(8, 8, ((0.0, 0.0), (1.0, 1.0)))
+    spec = NonlinearitySpec("scaled_power", constant_exponent(4.5, mesh),
+                            coefficient=2.0, theta=3.2)
+    return KirchhoffProblem(1.0, 0.05, 5.0, constant_exponent(2.0, mesh), spec, mesh)
+
+
+@pytest.mark.parametrize("make", [_variable_p_1d, _constant_p_2d], ids=["1d", "2d"])
+def test_geometry_rays_match_brute_force_samples(make, monkeypatch):
+    prob = make()
+    grid = [0.05, 0.2, 1.0, 4.0, 6.0, 8.0, 16.0]  # floors turn negative at 6 or 8
+    rho, alpha, e = _brute_force_geometry(prob, grid, 12, seed=3)
+    calls = []
+    monkeypatch.setattr(solver, "energy_J", lambda u, pr: calls.append(u) or energy_J(u, pr))
+    geo = verify_mountain_geometry(prob, grid[::-1], 12, seed=3)
+    assert len(calls) == 1  # the reported negative energy; every sample is a ray's
+    assert geo.rho == rho < 8.0 and geo.alpha > 0.0
+    assert geo.alpha == pytest.approx(alpha, rel=1e-12)
+    assert np.array_equal(geo.negative_point.nodal_values, e.nodal_values)
+    assert geo.directions_tested == 15
+
+
+def test_geometry_memory_per_element():
+    # one direction at a time: no stack of directions by elements
+    mesh = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
+    verify_mountain_geometry(prob, RHO_GRID, 2, seed=0)  # warm up lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * mesh.n_elements
 
 
 def test_geometry_rejects_negative_n_dirs():
