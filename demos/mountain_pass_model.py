@@ -16,7 +16,6 @@ from pxkirchhoff import (
     constant_exponent,
     gradient_J,
     mountain_pass_solve,
-    ps_threshold_check,
     sobolev_norm,
     verify_mountain_geometry,
 )
@@ -33,7 +32,7 @@ print(f"geometry: floor alpha = {geo.alpha:.4f} on the sphere rho = {geo.rho:g},
 
 report = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
 print(f"converged in {report.iterations} sweeps and {report.newton_steps} Newton steps:")
-print(f"  energy c = {report.energy:.8f}  (below ceiling: {ps_threshold_check(report, prob)})")
+print(f"  energy c = {report.energy:.8f}  (below ceiling: {report.below_ps_ceiling})")
 print(f"  residual |J'(u*)| = {report.residual_norm:.2e}")
 print(f"  nonlocal coefficient K(u*) = {report.nonlocal_coefficient:.5f}")
 print(f"  amplitude max|u*| = {np.max(np.abs(report.solution.nodal_values)):.5f}")

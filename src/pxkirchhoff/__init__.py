@@ -63,7 +63,6 @@ from .solver import (
     laplace_eigenbasis,
     mountain_pass_solve,
     multiplicity_search,
-    ps_threshold_check,
     rayleigh_quotient_min,
     verify_mountain_geometry,
 )

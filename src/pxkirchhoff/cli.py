@@ -283,17 +283,24 @@ def _build_fields(config: RunConfig, mesh: Mesh) -> tuple[ExponentField, Exponen
 
 # -- artifact writers ---------------------------------------------------------
 
+def _rows(fmt: str, table: np.ndarray) -> str:
+    """The rows of a 2-D array as text, ``fmt`` per entry, space-separated,
+    one line per row, from a single %-format."""
+    line = " ".join([fmt] * table.shape[1]) + "\n"
+    return (line * table.shape[0]) % tuple(table.ravel().tolist())
+
+
 def write_solution(path, u: GridFunction):
-    """Plain-text dump: header, vertex coordinates, elements, nodal values."""
+    """Plain-text dump: header, vertex coordinates, elements, nodal values.
+
+    Each section is formatted as one string, so the transient text is the
+    size of the largest section, not of the file."""
     mesh = u.mesh
     with open(path, "w") as fh:
         fh.write(f"{mesh.dimension} {mesh.n_vertices} {mesh.n_elements}\n")
-        for row in mesh.vertices:
-            fh.write(" ".join(f"{c:.17g}" for c in row) + "\n")
-        for row in mesh.elements:
-            fh.write(" ".join(str(i) for i in row) + "\n")
-        for v in u.nodal_values:
-            fh.write(f"{v:.17g}\n")
+        fh.write(_rows("%.17g", mesh.vertices))
+        fh.write(_rows("%d", mesh.elements))
+        fh.write(_rows("%.17g", u.nodal_values[:, None]))
 
 
 def read_solution(path):

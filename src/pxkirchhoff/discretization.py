@@ -5,12 +5,15 @@ Only this module knows the P1 format.  The gradient map ``Dg`` and the
 centroid map ``C`` take nodal values to element gradients and centroid
 values; derivatives of element integrals are their adjoint products, and the
 constant-exponent stiffness and mass are Dg^T diag(meas) Dg and
-C^T diag(meas) C.  A mesh caches its derived data and operators on first
+C^T diag(meas) C.  Second derivatives are sums of (d+1) x (d+1) element
+blocks, which ``BlockPattern`` scatters into one fixed sparse pattern on the
+interior vertices.  A mesh caches its derived data and operators on first
 use, so its arrays must not be modified after construction.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -19,6 +22,7 @@ from .errors import ShapeError
 
 __all__ = [
     "Mesh",
+    "BlockPattern",
     "GridFunction",
     "build_interval_mesh",
     "build_rect_mesh",
@@ -27,6 +31,28 @@ __all__ = [
     "centroid_values",
     "integrate",
 ]
+
+
+class BlockPattern(NamedTuple):
+    """CSR pattern of a sum of element blocks on the interior vertices.
+
+    The blocks of all elements are stacked element-last, with shape
+    (d+1, d+1, n_elements): entry (i, j, e) couples the local vertices i and
+    j of element e.  ``keep`` flags, over that stack flattened, the entries
+    whose vertices are both interior, and ``slot[k]`` is the data index of
+    the k-th kept entry, so the matrix data is
+    ``np.bincount(slot, blocks.ravel()[keep], nnz)``.  ``indptr`` and
+    ``indices`` are sorted CSR arrays over the interior numbering of
+    ``Mesh.interior``; the pattern is symmetric.  ``live`` flags the
+    elements with at least one interior vertex: the others have no kept
+    entry, and a function with zero trace vanishes on them.
+    """
+
+    keep: np.ndarray     # ((d+1)^2 * n_elements,) bool
+    slot: np.ndarray     # (keep.sum(),) data index of each kept entry
+    indptr: np.ndarray   # (n_interior + 1,)
+    indices: np.ndarray  # (nnz,)
+    live: np.ndarray     # (n_elements,) bool
 
 
 @dataclass(eq=False)
@@ -74,18 +100,41 @@ class Mesh:
         )
 
     @cached_property
-    def gradient_map(self) -> scipy.sparse.csr_matrix:
-        """Dg, shape (n_elements * dimension, n_vertices): nodal values to
-        element gradients, component k on element e in row e*dimension + k.
+    def hat_gradients(self) -> np.ndarray:
+        """(n_elements, dimension, dimension + 1): column i of element e is
+        the constant gradient of the hat function of its local vertex i.
 
         With the edge vectors x_i - x_0 of an element as the rows of E, the
-        gradient is E^{-1} (u_i - u_0), so the element's rows are
-        [-E^{-1} 1, E^{-1}]: the constant gradients of its P1 hat functions.
+        gradient is E^{-1} (u_i - u_0), so the columns are [-E^{-1} 1, E^{-1}].
+        The array is stored element-last, so ``hat_gradients.transpose(1, 2, 0)``
+        is contiguous for element-wise products.
         """
         coords = self.vertices[self.elements]  # (n_e, d+1, d)
         einv = np.linalg.inv(coords[:, 1:] - coords[:, :1])  # (n_e, d, d)
         hats = np.concatenate([-einv.sum(axis=2, keepdims=True), einv], axis=2)
-        return self._element_map(hats.reshape(-1, self.dimension + 1))
+        return np.ascontiguousarray(hats.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+    @cached_property
+    def gradient_map(self) -> scipy.sparse.csr_matrix:
+        """Dg, shape (n_elements * dimension, n_vertices): nodal values to
+        element gradients, component k on element e in row e*dimension + k,
+        whose weights are row k of the element's ``hat_gradients``."""
+        return self._element_map(self.hat_gradients.reshape(-1, self.dimension + 1))
+
+    @cached_property
+    def interior_pattern(self) -> BlockPattern:
+        """The ``BlockPattern`` of the element blocks on the interior vertices."""
+        n = len(self.interior)
+        position = np.full(self.n_vertices, -1)
+        position[self.interior] = np.arange(n)
+        local = position[self.elements].T  # (d+1, n_e), -1 on the boundary
+        rows, cols = (x.ravel() for x in np.broadcast_arrays(local[:, None], local[None]))
+        keep = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int32)  # scipy's own index type
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return BlockPattern(keep, slot.ravel(), indptr, (keys % n).astype(np.int32),
+                            (local >= 0).any(axis=0))
 
     @cached_property
     def gradient_adjoint(self) -> scipy.sparse.csr_matrix:
@@ -109,6 +158,12 @@ class Mesh:
         """Constant-exponent (p = 2) stiffness Dg^T diag(meas) Dg."""
         meas = scipy.sparse.diags(np.repeat(self.element_measures, self.dimension))
         return (self.gradient_adjoint @ meas @ self.gradient_map).tocsr()
+
+    @cached_property
+    def interior_stiffness(self) -> scipy.sparse.csc_matrix:
+        """The stiffness restricted to the interior vertices."""
+        idx = self.interior
+        return self.stiffness[np.ix_(idx, idx)].tocsc()
 
     @cached_property
     def mass(self) -> scipy.sparse.csr_matrix:
@@ -191,9 +246,6 @@ class GridFunction:
         values[self.mesh.boundary_mask] = 0.0
         values.flags.writeable = False
         object.__setattr__(self, "nodal_values", values)
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.mesh, self.nodal_values)
 
 
 def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ with A(u) = I(1/p |grad u|^p) and I(.) the centroid quadrature.  Its
 derivative against the interior hat functions is the discrete residual; the
 quadratic part a*A - (b/2)*A^2 is capped at a^2/(2b) for every u, which is
 the threshold below which compactness of descent sequences is trusted.
-The second derivative (``hessian_J``) is a sparse matrix plus a rank-one
-term.  J along a line (``_line_energy``) and along a ray r u
+The second derivative on the interior vertices (``hessian_J``) is a
+symmetric sparse matrix, filled into the mesh's fixed interior pattern,
+plus a rank-one term.  J along a line (``_line_energy``) and along a ray r u
 (``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p)
 (``_rayleigh_ratio``, ``_rayleigh_gradient``), with R along the ray e^s u
 (``_rayleigh_ray``, ``_rayleigh_on_ray``), live here too, for the solvers.
@@ -93,12 +94,13 @@ def _g(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
     return g
 
 
-def _g_prime(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
-    """Vectorized derivative dg/ds at per-element arguments s."""
+def _g_prime(spec: NonlinearitySpec, s: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Vectorized derivative dg/ds at per-element arguments s on the ``live``
+    elements, 0 on the others (``_bounded_power``)."""
     if spec.kind == "zero":
         return np.zeros_like(s)
     q = spec.q.values
-    gp = (q - 1.0) * _bounded_power(np.abs(s), q - 2.0, "a vanishing centroid value")
+    gp = (q - 1.0) * _bounded_power(np.abs(s), q - 2.0, live, "a vanishing centroid value")
     if spec.kind == "scaled_power":
         gp = spec.coefficient * gp
     return gp
@@ -256,54 +258,73 @@ def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
     return GridFunction(mesh, residual)
 
 
-def _bounded_power(mag: np.ndarray, e: np.ndarray, cause: str) -> np.ndarray:
-    """mag**e with 0**0 = 1; DomainError naming ``cause`` where a negative
-    exponent meets mag = 0, since the power is unbounded there."""
-    if np.any((mag == 0.0) & (e < 0.0)):
+def _bounded_power(mag: np.ndarray, e: np.ndarray, live: np.ndarray,
+                   cause: str) -> np.ndarray:
+    """mag**e on the ``live`` elements, with 0**0 = 1, and 0 on the others,
+    where no power is computed; DomainError naming ``cause`` where a
+    negative exponent meets mag = 0 on a live element, since the power is
+    unbounded there."""
+    if np.any(live & (mag == 0.0) & (e < 0.0)):
         raise DomainError(f"J'' does not exist: {cause} with exponent below 2")
-    return mag**e
+    return np.power(mag, e, out=np.zeros_like(mag), where=live)
 
 
 def hessian_J(u: GridFunction, prob: KirchhoffProblem):
-    """The exact second derivative of the discrete energy at u.
+    """The exact second derivative of the discrete energy at u, on the
+    interior vertices: the J'' of the Dirichlet problem.
 
-    Returns (S, dA) with J''(u) = S - b * dA dA^T on all vertices:
+    Returns (S, dA) with J''(u) = S - b * dA dA^T, where
 
         S = K A''(u) - lambda B''(u) - G''(u),   dA = A'(u),
-        A'' = Dg^T blockdiag(meas |grad u|^{p-2} (I + (p-2) n n^T)) Dg,
-        B'' = C^T diag(meas (p-1) |u_c|^{p-2}) C,
-        G'' = C^T diag(meas g'(x, u_c)) C,
 
-    where n = grad u / |grad u| and K = a - b*A(u).  S is a sparse CSR
-    matrix; restrict both to the interior vertices for the Dirichlet
-    problem.  Raises DomainError where an exponent below 2 meets a
-    vanishing gradient (or, for lambda != 0, a vanishing centroid value),
-    because |.|^{p-2} is unbounded there.
+    and K = a - b*A(u).  S is a sum of one (d+1) x (d+1) block per element,
+
+        K w (G^T G + (p-2) v v^T) - lower * meas / (d+1)^2 * 1 1^T,
+
+    with G the element's hat gradients (``Mesh.hat_gradients``),
+    w = meas |grad u|^{p-2}, v = G^T n for n = grad u / |grad u|, and
+    lower = lambda (p-1) |u_c|^{p-2} + g'(x, u_c).  One ``np.bincount``
+    scatters the blocks into the mesh's fixed interior pattern
+    (``Mesh.interior_pattern``).  Every block is bitwise symmetric, so S is
+    too: its CSR arrays are its CSC arrays, and it is built as a
+    ``csc_matrix``.  dA is Dg^T(meas |grad u|^{p-2} grad u), the gradient
+    of A, restricted to the interior.
+
+    Raises DomainError where an exponent below 2 meets a vanishing gradient
+    (or, in the lambda and g' terms, a vanishing centroid value), because
+    |.|^{p-2} is unbounded there.  Only elements with an interior vertex
+    are checked: on the others a zero-trace u vanishes, and they add
+    nothing to the interior J''.
     """
     mesh = prob.mesh
-    pv, meas, dim = prob.p.values, mesh.element_measures, mesh.dimension
+    pattern = mesh.interior_pattern
+    pv, meas, live = prob.p.values, mesh.element_measures, pattern.live
     grads = gradient_of(u)
     gmag = np.linalg.norm(grads, axis=1)
-    w = _bounded_power(gmag, pv - 2.0, "a vanishing element gradient") * meas
-    dA = mesh.gradient_adjoint @ (w[:, None] * grads).ravel()
-    n = np.divide(grads, gmag[:, None], out=np.zeros_like(grads),
-                  where=gmag[:, None] > 0.0)
-    blocks = w[:, None, None] * (np.eye(dim) + (pv - 2.0)[:, None, None]
-                                 * n[:, :, None] * n[:, None, :])
-    rows = np.arange(mesh.n_elements + 1)
-    W = scipy.sparse.bsr_matrix((blocks, rows[:-1], rows),
-                                shape=(mesh.n_elements * dim,) * 2)
-    A2 = mesh.gradient_adjoint @ W @ mesh.gradient_map
+    w = _bounded_power(gmag, pv - 2.0, live, "a vanishing element gradient") * meas
+    dA = (mesh.gradient_adjoint @ (w[:, None] * grads).ravel())[mesh.interior]
+    # element-last stacks: G is (d, d+1, n_e), the blocks (d+1, d+1, n_e)
+    G = mesh.hat_gradients.transpose(1, 2, 0)
+    n = np.divide(grads.T, gmag, out=np.zeros(grads.shape[::-1]), where=gmag > 0.0)
+    v = np.einsum("ke,kie->ie", n, G)
+    blocks = np.einsum("kie,kje->ije", G, G)
+    blocks += (pv - 2.0) * (v[:, None] * v[None])
+    K = prob.a - prob.b * _p_integral(gmag, prob.p, meas)
+    blocks *= K * w
 
     uc = centroid_values(u)
-    lower = _g_prime(prob.g, uc)
+    lower = _g_prime(prob.g, uc, live)
     if prob.lam != 0.0:
         lower = lower + prob.lam * (pv - 1.0) * _bounded_power(
-            np.abs(uc), pv - 2.0, "a vanishing centroid value")
-    lower2 = (mesh.centroid_adjoint @ scipy.sparse.diags(lower * meas)
-              @ mesh.centroid_map)
-    K = prob.a - prob.b * _p_integral(gmag, prob.p, meas)
-    return (K * A2 - lower2).tocsr(), dA
+            np.abs(uc), pv - 2.0, live, "a vanishing centroid value")
+    blocks -= lower * meas / (mesh.dimension + 1) ** 2
+    # an off-diagonal entry sums at most two blocks (an edge of at most two
+    # simplices for d <= 2), so the sum is the same in either order
+    data = np.bincount(pattern.slot, blocks.ravel()[pattern.keep], len(pattern.indices))
+    n_int = len(pattern.indptr) - 1
+    S = scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr),
+                                shape=(n_int, n_int))
+    return S, dA
 
 
 def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray):

@@ -8,12 +8,16 @@ step, ``_armijo``.
 
 The solver runs Newton's method on the exact sparse Hessian from the peak
 of a discrete path from 0 to a low-energy point e, and accepts its point
-only at or below the peak's energy (Li-Zhou 2001).  The fallback deforms
+only at or below the peak's energy (Li-Zhou 2001).  Each step factors the
+sparse part of J'' with one symmetric sparse LU (``_splu``); the rank-one
+part is solved by Sherman-Morrison.  The fallback deforms
 the path: a descent step at its peak, neighboring points pulled toward it.
 Descent directions are preconditioned with the constant-exponent stiffness
 (a discrete Sobolev gradient), which keeps iteration counts
 mesh-independent; the reported residual stays the plain interior l2 norm of
-the assembled derivative.  The solution's Morse index is reported.  All
+the assembled derivative.  The solution's Morse index is reported: it is
+counted by inertia from the same symmetric LU, and one sparse eigensolve
+for the two lowest eigenvalues cross-checks it (``_morse``).  All
 eigensolves (the Laplace eigenbasis, the Morse index) are sparse.
 
 The multiplicity search runs its starts one after another, in start-index
@@ -57,7 +61,6 @@ __all__ = [
     "verify_mountain_geometry",
     "mountain_pass_solve",
     "multiplicity_search",
-    "ps_threshold_check",
     "laplace_eigenbasis",
 ]
 
@@ -69,9 +72,7 @@ class _SobolevPreconditioner:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        idx = mesh.interior
-        K = mesh.stiffness[np.ix_(idx, idx)].tocsc()
-        self.solve = scipy.sparse.linalg.factorized(K)  # on interior values
+        self.solve = scipy.sparse.linalg.factorized(mesh.interior_stiffness)
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
         out = np.zeros(self.mesh.n_vertices)
@@ -107,7 +108,7 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     vecs = np.empty((n, 0))
     if min(k, n - 1) > 0:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            mesh.stiffness[np.ix_(idx, idx)].tocsc(), min(k, n - 1), M,
+            mesh.interior_stiffness, min(k, n - 1), M,
             sigma=0.0, v0=_start_vector(n),
         )
         vecs = vecs[:, np.argsort(vals)]
@@ -429,9 +430,13 @@ class SolveReport:
     peak, ``iterations + 1`` in all (iteration, path-max energy, residual,
     A(u), K(u)), emitted as CSV.  ``morse_index`` is the
     number of negative eigenvalues of the pencil (J''(u), interior
-    stiffness) at the solution and ``lowest_eigenvalues`` its two lowest
-    eigenvalues; both are None where J'' does not exist (an exponent below
-    2 at a vanishing gradient).  The index is reported, not gated on.
+    stiffness) at the solution, counted by inertia from a symmetric LU of
+    the sparse part of J'' and cross-checked by ARPACK (``_morse``), and
+    ``lowest_eigenvalues`` its two lowest eigenvalues; both are None where
+    J'' does not exist (an exponent below 2 at a vanishing gradient on an
+    element with an interior vertex).  The index is reported, not gated on.
+    ``below_ps_ceiling`` is true iff ``energy`` is strictly below the
+    compactness ceiling a^2/(2b).
     """
 
     solution: GridFunction
@@ -490,18 +495,20 @@ def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
     return point, float(J[k])
 
 
-def _interior_hessian(prob: KirchhoffProblem, u: GridFunction):
-    """J''(u) on the interior vertices as (S, dA): J'' = S - b dA dA^T."""
-    idx = prob.mesh.interior
-    S, dA = hessian_J(u, prob)
-    return S[idx][:, idx], dA[idx]
+def _splu(S):
+    """Sparse LU of the symmetric CSC matrix S, factored as symmetric:
+    minimum-degree order on S + S^T and the diagonal pivot wherever it is
+    nonzero, so the row order equals the column order unless a diagonal
+    pivot vanishes.  Raises RuntimeError when S is singular."""
+    return scipy.sparse.linalg.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                    options=dict(SymmetricMode=True))
 
 
 def _newton_direction(S, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (S - b dA dA^T) d = rhs with one sparse LU of S and the
-    Sherman-Morrison formula for the rank-one term.  Raises RuntimeError
+    """Solve (S - b dA dA^T) d = rhs with one sparse LU of S (``_splu``) and
+    the Sherman-Morrison formula for the rank-one term.  Raises RuntimeError
     when S or the rank-one update is singular."""
-    lu = scipy.sparse.linalg.splu(S.tocsc())
+    lu = _splu(S)
     y, z = lu.solve(rhs), lu.solve(dA)
     denom = 1.0 - b * float(dA @ z)
     if not (np.isfinite(denom) and denom != 0.0):
@@ -537,7 +544,7 @@ def _newton_polish(prob, u: GridFunction, g: np.ndarray, res: float, tol: float)
     while steps < _NEWTON_STEPS:
         d = np.zeros(mesh.n_vertices)
         try:
-            d[idx] = _newton_direction(*_interior_hessian(prob, u), prob.b, -g[idx])
+            d[idx] = _newton_direction(*hessian_J(u, prob), prob.b, -g[idx])
         except (DomainError, RuntimeError):
             break
         t = _armijo(merit, 0.5 * res * res, -res * res, 1.0)
@@ -552,21 +559,50 @@ def _newton_polish(prob, u: GridFunction, g: np.ndarray, res: float, tol: float)
     return None, None, None, steps
 
 
+def _inertia_index(S, dA: np.ndarray, b: float) -> int | None:
+    """The number of negative eigenvalues of S - b dA dA^T, by inertia.
+
+    When the symmetric LU of S (``_splu``) keeps its row order equal to its
+    column order, P S P^T = L U with U = D L^T, so by Sylvester's law S has
+    as many negative eigenvalues as D = diag(U).  The bordered matrix
+    [[S, dA], [dA^T, 1/b]] has S - b dA dA^T as the Schur complement of
+    1/b > 0 and 1/b - dA^T S^{-1} dA as that of S, so by Haynsworth's
+    inertia additivity the count is neg(D) + [1 - b dA^T S^{-1} dA < 0].
+    Returns None when S is singular, the LU pivots off the diagonal, or the
+    rank-one term is not finite.
+    """
+    try:
+        lu = _splu(S)
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    schur = 1.0 - b * float(dA @ lu.solve(dA))
+    if not np.isfinite(schur):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0)) + int(schur < 0.0)
+
+
 def _morse(prob: KirchhoffProblem, u: GridFunction, precond) -> tuple:
     """(index, two lowest eigenvalues) of the pencil (J''(u), stiffness) on
     the interior vertices, or (None, None) where J'' does not exist.
 
-    ARPACK finds the k lowest eigenvalues, k = 2, 4, 8, ... until one is
-    nonnegative; it finds at most n - 1 of n, so when all of those are
-    negative the largest eigenvalue decides the last.
+    The stiffness is positive definite, so the index is the number of
+    negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
+    one symmetric LU.  One ARPACK call then finds the two lowest
+    eigenvalues (with two interior vertices, the lowest and the largest),
+    and the number of negatives among them must equal min(index, 2).  When
+    the inertia is unavailable or that cross-check fails, ARPACK finds the
+    k lowest eigenvalues, k = 2, 4, 8, ... until one is nonnegative; it
+    finds at most n - 1 of n, so when all of those are negative the largest
+    eigenvalue decides the last.
     """
     try:
-        S, dA = _interior_hessian(prob, u)
+        S, dA = hessian_J(u, prob)
     except DomainError:
         return None, None
     n = S.shape[0]
-    idx = prob.mesh.interior
-    stiff = prob.mesh.stiffness[np.ix_(idx, idx)]
+    stiff = prob.mesh.interior_stiffness
     if n == 1:
         vals = np.array([(S[0, 0] - prob.b * dA[0] ** 2) / stiff[0, 0]])
         return int(vals[0] < 0.0), (float(vals[0]),)
@@ -581,6 +617,13 @@ def _morse(prob: KirchhoffProblem, u: GridFunction, precond) -> tuple:
 
     k = min(2, n - 1)
     vals = lowest(k)
+    index = _inertia_index(S, dA, prob.b)
+    if index is not None:
+        if k == 1:
+            vals = np.append(vals, lowest(1, "LA"))
+        if np.count_nonzero(vals < 0.0) == min(index, 2):
+            return index, tuple(float(v) for v in vals)
+        vals = vals[:k]
     while vals[-1] < 0.0 and k < n - 1:
         k = min(2 * k, n - 1)
         vals = lowest(k)
@@ -732,11 +775,6 @@ def mountain_pass_solve(
                 energies[j] = energy_at(path[j])
 
     raise MaxIterations(f"no convergence within {max_iter} sweeps")
-
-
-def ps_threshold_check(report: SolveReport, prob: KirchhoffProblem) -> bool:
-    """True iff the reported level sits strictly below a^2/(2b)."""
-    return report.energy < prob.ps_ceiling
 
 
 # -- multiplicity -------------------------------------------------------------

@@ -4,11 +4,13 @@ Everything here recomputes quantities along routes disjoint from the library
 implementation: central finite differences, a from-scratch 1-D
 Euler-Lagrange assembly with damped (optionally deflated) Newton iteration,
 a tridiagonal eigenvalue reference, scalar root-finds on closed-form
-integrals, and a Luxemburg norm by bracket expansion and bisection.
+integrals, a Luxemburg norm by bracket expansion and bisection, and J''
+assembled from the mesh's sparse operators.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.optimize import brentq
 
 
@@ -170,3 +172,43 @@ def luxemburg_bisection(samples, p_values, measures, rel_tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def hessian_by_operators(u, prob):
+    """J''(u) = S - b dA dA^T on the interior vertices, as (S, dA), from the
+    gradient and centroid maps of the mesh: K Dg^T W Dg with the block
+    diagonal W = blockdiag(meas |grad u|^{p-2} (I + (p-2) n n^T)), minus
+    C^T diag(meas (lambda (p-1) |u_c|^{p-2} + g'(x, u_c))) C, restricted to
+    the interior.  u must have no vanishing gradient or centroid value on
+    any element with an interior vertex where an exponent is below 2."""
+    mesh = prob.mesh
+    idx = mesh.interior
+    pv, meas, dim = prob.p.values, mesh.element_measures, mesh.dimension
+    grads = (mesh.gradient_map @ u.nodal_values).reshape(-1, dim)
+    gmag = np.linalg.norm(grads, axis=1)
+    live = ~mesh.boundary_mask[mesh.elements].all(axis=1)
+    w = np.zeros_like(gmag)
+    w[live] = gmag[live] ** (pv[live] - 2.0) * meas[live]
+    dA = mesh.gradient_adjoint @ (w[:, None] * grads).ravel()
+    n = np.divide(grads, gmag[:, None], out=np.zeros_like(grads),
+                  where=gmag[:, None] > 0.0)
+    blocks = w[:, None, None] * (np.eye(dim) + (pv - 2.0)[:, None, None]
+                                 * n[:, :, None] * n[:, None, :])
+    rows = np.arange(mesh.n_elements + 1)
+    W = scipy.sparse.bsr_matrix((blocks, rows[:-1], rows),
+                                shape=(mesh.n_elements * dim,) * 2)
+    A2 = mesh.gradient_adjoint @ W @ mesh.gradient_map
+
+    uc = mesh.centroid_map @ u.nodal_values
+    lower = np.zeros_like(uc)
+    if prob.g.kind != "zero":
+        q = prob.g.q.values
+        coeff = prob.g.coefficient if prob.g.kind == "scaled_power" else 1.0
+        lower[live] = coeff * (q[live] - 1.0) * np.abs(uc[live]) ** (q[live] - 2.0)
+    if prob.lam != 0.0:
+        lower[live] += prob.lam * (pv[live] - 1.0) * np.abs(uc[live]) ** (pv[live] - 2.0)
+    lower2 = (mesh.centroid_adjoint @ scipy.sparse.diags(lower * meas)
+              @ mesh.centroid_map)
+    K = prob.a - prob.b * np.dot(gmag**pv / pv, meas)
+    S = (K * A2 - lower2).tocsr()
+    return S[idx][:, idx], dA[idx]

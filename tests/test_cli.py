@@ -241,6 +241,38 @@ def test_solution_dump_round_trip(tmp_path):
     assert [int(s) for s in header] == [2, mesh.n_vertices, mesh.n_elements]
 
 
+def _dump_line_by_line(path, u):
+    # the writer's former loop, one line at a time: the byte reference
+    mesh = u.mesh
+    with open(path, "w") as fh:
+        fh.write(f"{mesh.dimension} {mesh.n_vertices} {mesh.n_elements}\n")
+        for row in mesh.vertices:
+            fh.write(" ".join(f"{c:.17g}" for c in row) + "\n")
+        for row in mesh.elements:
+            fh.write(" ".join(str(i) for i in row) + "\n")
+        for v in u.nodal_values:
+            fh.write(f"{v:.17g}\n")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solution_dump_bytes_match_the_line_by_line_writer(tmp_path, dim):
+    from pxkirchhoff import GridFunction, build_interval_mesh, build_rect_mesh
+
+    if dim == 1:
+        mesh = build_interval_mesh(37, -1.25, 3.0)
+    else:
+        mesh = build_rect_mesh(5, 7, ((-1.0, 0.0), (1.5, 2.0 / 3.0)))
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(mesh.n_vertices) * 10.0 ** rng.integers(-300, 300, mesh.n_vertices)
+    values[mesh.interior[:4]] = [1e-300, -1e-300, 5e-324, -2.2250738585072014e-308]
+    u = GridFunction(mesh, values)
+    write_solution(tmp_path / "dump.txt", u)
+    _dump_line_by_line(tmp_path / "ref.txt", u)
+    got = (tmp_path / "dump.txt").read_bytes()
+    assert got == (tmp_path / "ref.txt").read_bytes()
+    assert np.array_equal(read_solution(tmp_path / "dump.txt")[3], u.nodal_values)
+
+
 def test_norm_command(tmp_path, capsys):
     text = f"""
 command = norm

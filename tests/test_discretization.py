@@ -164,3 +164,46 @@ def test_centroid_map_and_cached_adjoints():
     )
     assert np.array_equal(mesh.gradient_adjoint.toarray(), mesh.gradient_map.toarray().T)
     assert np.array_equal(mesh.centroid_adjoint.toarray(), mesh.centroid_map.toarray().T)
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(7, 0.0, 1.0),
+    build_rect_mesh(5, 4, ((0.0, 0.0), (2.0, 1.0))),
+])
+def test_interior_pattern_matches_the_element_pairs(mesh):
+    # brute force over elements: each pair of interior vertices of an element
+    # is an entry, counted once per element that holds both
+    position = {v: k for k, v in enumerate(mesh.interior)}
+    counts = {}
+    for tri in mesh.elements:
+        for i in tri:
+            for j in tri:
+                if i in position and j in position:
+                    key = (position[i], position[j])
+                    counts[key] = counts.get(key, 0) + 1
+    pattern = mesh.interior_pattern
+    data = np.bincount(pattern.slot, minlength=len(pattern.indices))
+    found = {}
+    for row in range(len(mesh.interior)):
+        for k in range(pattern.indptr[row], pattern.indptr[row + 1]):
+            found[(row, int(pattern.indices[k]))] = int(data[k])
+    assert found == counts
+    for lo, hi in zip(pattern.indptr[:-1], pattern.indptr[1:]):
+        assert np.all(np.diff(pattern.indices[lo:hi]) > 0)  # sorted rows
+    nloc = mesh.dimension + 1
+    keep = pattern.keep.reshape(nloc, nloc, mesh.n_elements)
+    assert not keep[:, :, ~pattern.live].any()
+    assert np.array_equal(pattern.live, ~mesh.boundary_mask[mesh.elements].all(axis=1))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(7, 0.0, 1.0),
+    build_rect_mesh(5, 4, ((0.0, 0.0), (2.0, 1.0))),
+])
+def test_hat_gradients_are_the_gradient_map(mesh):
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal(mesh.n_vertices)
+    grads = np.einsum("edi,ei->ed", mesh.hat_gradients, values[mesh.elements])
+    assert np.allclose(grads, element_gradients(mesh, values), rtol=1e-13, atol=1e-13)
+    # the hat gradients of an element sum to zero: constants have no gradient
+    assert np.allclose(mesh.hat_gradients.sum(axis=2), 0.0, atol=1e-12)

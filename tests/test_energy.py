@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.integrate import quad
 
 from pxkirchhoff import (
@@ -20,7 +21,7 @@ from pxkirchhoff import (
     nonlinearity_eval,
 )
 from pxkirchhoff.energy import _derivative_terms, _line_energy
-from oracles import central_difference
+from oracles import central_difference, hessian_by_operators
 
 
 def tent_problem(n=100, a=1.0, b=0.1, lam=0.0, q_const=4.5, kind="pure_power",
@@ -248,7 +249,7 @@ def test_gradient_assembly_deterministic():
     rng = np.random.default_rng(21)
     u = GridFunction(prob.mesh, rng.standard_normal(101))
     first = gradient_J(u, prob).nodal_values
-    second = gradient_J(u.copy(), prob).nodal_values
+    second = gradient_J(GridFunction(prob.mesh, u.nodal_values), prob).nodal_values
     assert np.array_equal(first, second)
 
 
@@ -347,32 +348,70 @@ def _hessian_case(case):
     return KirchhoffProblem(1.0, 0.3, lam, p, spec, mesh)
 
 
-@pytest.mark.parametrize("case", ["1d_variable_p", "2d", "lambda", "scaled_power"])
+HESSIAN_CASES = ["1d_variable_p", "2d", "lambda", "scaled_power"]
+
+
+@pytest.mark.parametrize("case", HESSIAN_CASES)
 def test_hessian_vector_products_match_finite_differences(case):
     prob = _hessian_case(case)
     mesh = prob.mesh
     rng = np.random.default_rng(11)
     u = GridFunction(mesh, 0.3 + rng.random(mesh.n_vertices))
     S, dA = hessian_J(u, prob)
-    assert abs(S - S.T).max() <= 1e-12 * abs(S).max()
+    assert (S != S.T).nnz == 0  # bitwise symmetric
     idx = mesh.interior
     for _ in range(3):
         v = GridFunction(mesh, rng.standard_normal(mesh.n_vertices)).nodal_values
-        Hv = S @ v - prob.b * dA * (dA @ v)
+        Hv = S @ v[idx] - prob.b * dA * (dA @ v[idx])
         fd = central_difference(
             lambda x: gradient_J(GridFunction(mesh, x), prob).nodal_values,
             u.nodal_values, v,
         )
-        assert np.max(np.abs(Hv[idx] - fd[idx])) <= 1e-6 * np.max(np.abs(fd[idx]))
+        assert np.max(np.abs(Hv - fd[idx])) <= 1e-6 * np.max(np.abs(fd[idx]))
+
+
+@pytest.mark.parametrize("case", HESSIAN_CASES)
+def test_hessian_matches_the_operator_assembly(case):
+    prob = _hessian_case(case)
+    rng = np.random.default_rng(7)
+    u = GridFunction(prob.mesh, 0.3 + rng.random(prob.mesh.n_vertices))
+    S, dA = hessian_J(u, prob)
+    S_ref, dA_ref = hessian_by_operators(u, prob)
+    assert isinstance(S, scipy.sparse.csc_matrix) and S.has_sorted_indices
+    assert abs(S - S_ref).max() <= 1e-14 * abs(S_ref).max()
+    assert np.max(np.abs(dA - dA_ref)) <= 1e-14 * np.max(np.abs(dA_ref))
 
 
 def test_hessian_rank_one_factor_is_the_derivative_of_A():
-    prob = _hessian_case("1d_variable_p")
-    rng = np.random.default_rng(3)
-    u = GridFunction(prob.mesh, 0.3 + rng.random(prob.mesh.n_vertices))
-    _, dA = hessian_J(u, prob)
-    _, flux, _, _ = _derivative_terms(prob.mesh, prob.p, u.nodal_values)
-    assert np.array_equal(dA, prob.mesh.gradient_adjoint @ flux)
+    for case in HESSIAN_CASES:
+        prob = _hessian_case(case)
+        rng = np.random.default_rng(3)
+        u = GridFunction(prob.mesh, 0.3 + rng.random(prob.mesh.n_vertices))
+        _, dA = hessian_J(u, prob)
+        _, flux, _, _ = _derivative_terms(prob.mesh, prob.p, u.nodal_values)
+        assert np.array_equal(dA, (prob.mesh.gradient_adjoint @ flux)[prob.mesh.interior])
+
+
+def test_hessian_skips_elements_without_an_interior_vertex():
+    # the criss-cross rectangle has two triangles, at opposite corners, whose
+    # vertices all lie on the boundary: a zero-trace u has no gradient there,
+    # which must not count as the singularity of an exponent below 2
+    mesh = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
+    live = mesh.interior_pattern.live
+    assert np.flatnonzero(~live).tolist() == [62, 1985]
+    assert np.array_equal(live, ~mesh.boundary_mask[mesh.elements].all(axis=1))
+    q = constant_exponent(4.5, mesh)
+    for lam in (0.0, 2.0):
+        prob = KirchhoffProblem(1.0, 0.1, lam, constant_exponent(1.6, mesh),
+                                NonlinearitySpec("pure_power", q, theta=2.5), mesh)
+        u = GridFunction(mesh, 0.1 + np.random.default_rng(0).random(mesh.n_vertices))
+        grads = (mesh.gradient_map @ u.nodal_values).reshape(-1, 2)
+        assert np.all(grads[~live] == 0.0)
+        S, dA = hessian_J(u, prob)
+        S_ref, dA_ref = hessian_by_operators(u, prob)
+        assert (S != S.T).nnz == 0
+        assert abs(S - S_ref).max() <= 1e-14 * abs(S_ref).max()
+        assert np.max(np.abs(dA - dA_ref)) <= 1e-14 * np.max(np.abs(dA_ref))
 
 
 def test_hessian_p_below_two_at_a_vanishing_gradient_raises():

@@ -1,4 +1,5 @@
 import gc
+import math
 import time
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.optimize import brentq, minimize_scalar
 
 from pxkirchhoff import (
@@ -16,7 +18,6 @@ from pxkirchhoff import (
     KirchhoffProblem,
     MaxIterations,
     NonlinearitySpec,
-    SolveReport,
     build_exponent_field,
     build_interval_mesh,
     build_rect_mesh,
@@ -24,10 +25,10 @@ from pxkirchhoff import (
     energy_J,
     find_negative_energy_point,
     gradient_J,
+    hessian_J,
     laplace_eigenbasis,
     mountain_pass_solve,
     multiplicity_search,
-    ps_threshold_check,
     rayleigh_quotient_min,
     sobolev_norm,
     verify_mountain_geometry,
@@ -416,7 +417,7 @@ def test_model_solve_report(model_solution):
     assert 0.0 < rep.energy < prob.ps_ceiling
     assert rep.nonlocal_coefficient > 0.0
     assert rep.below_ps_ceiling
-    assert rep.below_ps_ceiling == ps_threshold_check(rep, prob)
+    assert rep.below_ps_ceiling == (rep.energy < prob.ps_ceiling)
     # independent residual certificate
     recheck = gradient_J(rep.solution, prob).nodal_values
     assert np.linalg.norm(recheck[prob.mesh.interior]) <= 1e-6
@@ -842,7 +843,7 @@ def test_sherman_morrison_solve_matches_a_dense_solve():
     prob = model_problem(n=12)
     rng = np.random.default_rng(5)
     u = GridFunction(prob.mesh, 0.5 + rng.random(prob.mesh.n_vertices))
-    S, dA = solver._interior_hessian(prob, u)
+    S, dA = hessian_J(u, prob)
     dense = S.toarray() - prob.b * np.outer(dA, dA)
     rhs = rng.standard_normal(len(dA))
     d = solver._newton_direction(S, dA, prob.b, rhs)
@@ -871,12 +872,17 @@ def _dense_pencil_eigenvalues(prob, u):
     return scipy.linalg.eigh(0.5 * (H + H.T), stiff, eigvals_only=True)
 
 
+def _inertia(prob, u):
+    return solver._inertia_index(*hessian_J(u, prob), prob.b)
+
+
 def test_morse_index_1d_model(model_solution):
     prob, _, rep = model_solution
     assert rep.morse_index == 1
     low, second = rep.lowest_eigenvalues
     assert low < 0.0 < second
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
     assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
 
 
@@ -888,7 +894,7 @@ def test_morse_index_on_even_and_odd_meshes(n):
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
     rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
-    assert rep.morse_index == int(np.sum(ref < 0.0)) == 1
+    assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
     assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
 
 
@@ -903,18 +909,112 @@ def test_morse_index_2d():
     rep = mountain_pass_solve(prob, geo.negative_point, n_path=25, tol=1e-6)
     assert rep.morse_index == 1
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0))
     assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
 
 
-def test_morse_index_counts_every_negative_eigenvalue():
-    # the two-node orbit of the coarse mesh has index 3: the doubling of
-    # the eigenvalue count must go past the first two
+@pytest.fixture(scope="module")
+def index_three_orbit():
+    # the two-node orbit of the coarse mesh has index 3
     prob = model_problem(n=12)
     phi3 = laplace_eigenbasis(prob.mesh, 3)[2]
     e = _scale_until_negative(prob, phi3.nodal_values / sobolev_norm(phi3, prob.p))
-    rep = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    return prob, mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+
+
+def _count_eigsh(monkeypatch):
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(A, k, *args, **kwargs):
+        calls.append(k)
+        return eigsh(A, k, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
+
+
+def test_morse_index_counts_every_negative_eigenvalue(index_three_orbit, monkeypatch):
+    # the index comes from inertia and one ARPACK call for the two lowest
+    # eigenvalues, which the index-3 orbit has both negative
+    prob, rep = index_three_orbit
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
-    assert rep.morse_index == int(np.sum(ref < 0.0)) == 3
+    assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 3
+    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
+    calls = _count_eigsh(monkeypatch)
+    precond = solver._SobolevPreconditioner(prob.mesh)
+    assert solver._morse(prob, rep.solution, precond) == (3, rep.lowest_eigenvalues)
+    assert calls == [2]
+
+
+def test_inertia_counts_the_rank_one_term():
+    # with g = 0 and p = 2, S = K * stiffness is positive definite, and
+    # 1 - b A'^T S^{-1} A' = 1 - 2bA/K: the rank-one term -b A'A'^T makes
+    # one eigenvalue negative exactly when A(u) > a / (3b)
+    mesh = build_interval_mesh(30, 0.0, 1.0)
+    spec = NonlinearitySpec("zero", constant_exponent(4.5, mesh))
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
+    tent = tent_on(mesh)
+    precond = solver._SobolevPreconditioner(mesh)
+    for A, index in ((0.5, 0), (2.0, 1)):  # in units of a / (3b)
+        scale = np.sqrt(A * prob.a / (3.0 * prob.b) / solver.kirchhoff_A(tent, prob.p))
+        u = GridFunction(mesh, scale * tent.nodal_values)
+        S, dA = hessian_J(u, prob)
+        assert np.all(np.linalg.eigvalsh(S.toarray()) > 0.0)
+        dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
+        assert solver._inertia_index(S, dA, prob.b) == int(np.sum(dense < 0.0)) == index
+        assert solver._morse(prob, u, precond)[0] == index
+
+
+def test_inertia_matches_a_dense_count_at_random_points():
+    counts = set()
+    for dim in (1, 2):
+        if dim == 1:
+            mesh = build_interval_mesh(30, 0.0, 1.0)
+        else:
+            mesh = build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0)))
+        p = build_exponent_field(2.1 + 0.3 * mesh.element_centroids[:, 0], mesh)
+        basis = np.array([b.nodal_values for b in laplace_eigenbasis(mesh, 4)])
+        rng = np.random.default_rng(dim)
+        for lam in (0.0, 2.0):
+            spec = NonlinearitySpec("pure_power", constant_exponent(5.0, mesh))
+            prob = KirchhoffProblem(1.0, 0.1, lam, p, spec, mesh)
+            for _ in range(8):
+                nodal = rng.standard_normal(4) @ basis * rng.uniform(0.05, 1.0)
+                S, dA = hessian_J(GridFunction(mesh, nodal), prob)
+                dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
+                index = solver._inertia_index(S, dA, prob.b)
+                assert index == int(np.sum(dense < 0.0))
+                counts.add(index)
+    assert len(counts) >= 4
+
+
+class _OffDiagonalLU:
+    """A factorization whose row order differs from its column order."""
+
+    def __init__(self, lu):
+        self.lu, self.perm_c, self.perm_r = lu, lu.perm_c, lu.perm_c[::-1].copy()
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+def test_morse_falls_back_to_doubling_without_a_symmetric_lu(index_three_orbit, monkeypatch):
+    prob, rep = index_three_orbit
+    precond = solver._SobolevPreconditioner(prob.mesh)
+    calls = _count_eigsh(monkeypatch)
+    monkeypatch.setattr(solver, "_inertia_index", lambda *args: None)
+    doubling = solver._morse(prob, rep.solution, precond)
+    assert doubling[0] == 3 and calls == [2, 4]
+    monkeypatch.undo()
+
+    splu = solver._splu
+    monkeypatch.setattr(solver, "_splu", lambda S: _OffDiagonalLU(splu(S)))
+    assert solver._inertia_index(*hessian_J(rep.solution, prob), prob.b) is None
+    assert solver._morse(prob, rep.solution, precond) == doubling
+    # an index that the eigenvalues contradict is not reported either
+    monkeypatch.setattr(solver, "_inertia_index", lambda *args: 1)
+    assert solver._morse(prob, rep.solution, precond) == doubling
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -924,7 +1024,7 @@ def test_morse_index_with_one_or_two_interior_vertices(n):
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
     rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
-    assert rep.morse_index == int(np.sum(ref < 0.0)) == 1
+    assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
     assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
 
 
@@ -937,6 +1037,21 @@ def test_morse_index_is_none_where_the_hessian_does_not_exist():
     assert solver._morse(prob, flat, solver._SobolevPreconditioner(mesh)) == (None, None)
 
 
+def test_p_below_two_in_2d_certifies_with_newton_and_a_morse_index():
+    # the corner triangles of the rectangle have no interior vertex; they
+    # used to make J'' raise for every p- < 2, so Newton never ran and the
+    # Morse index was None
+    mesh = build_rect_mesh(8, 8, ((0.0, 0.0), (1.0, 1.0)))
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=2.5)
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(1.6, mesh), spec, mesh)
+    geo = verify_mountain_geometry(prob, [0.01, 0.05, 0.1, 0.5, 1.0, 2.0], 15, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, n_path=25, tol=1e-6)
+    assert rep.iterations == 0 and rep.newton_steps > 0
+    assert rep.residual_norm <= 1e-6 and rep.nonlocal_coefficient > 0.0
+    assert rep.morse_index is not None
+    assert rep.morse_index == _inertia(prob, rep.solution) == 1
+
+
 def test_above_ceiling_level_flagged():
     # strongly negative lambda lifts the pass level past a^2/(2b) while the
     # nonlocal coefficient stays positive
@@ -946,7 +1061,7 @@ def test_above_ceiling_level_flagged():
     assert rep.energy > prob.ps_ceiling
     assert not rep.below_ps_ceiling
     assert rep.nonlocal_coefficient > 0.0
-    assert ps_threshold_check(rep, prob) == rep.below_ps_ceiling
+    assert rep.below_ps_ceiling == (rep.energy < prob.ps_ceiling)
 
 
 def test_mountain_pass_2d():
@@ -969,19 +1084,19 @@ def test_mountain_pass_2d():
     assert np.allclose(u, u[::-1, ::-1], atol=1e-4)
 
 
-def test_ps_threshold_strictness(model_solution):
-    prob, _, rep = model_solution
-
-    def with_energy(c):
-        return SolveReport(
-            solution=rep.solution, energy=c, residual_norm=0.0,
-            nonlocal_coefficient=1.0, below_ps_ceiling=c < prob.ps_ceiling,
-            iterations=0, path_energies=[c], iteration_trace=[],
-        )
-
-    assert ps_threshold_check(with_energy(4.9), prob)
-    assert not ps_threshold_check(with_energy(5.1), prob)
-    assert not ps_threshold_check(with_energy(5.0), prob)  # strict inequality
+def test_ps_threshold_strictness(monkeypatch):
+    # the solver's flag is a strict inequality: a level exactly at the
+    # ceiling a^2/(2b) is not below it
+    prob = model_problem(n=12)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    level = mountain_pass_solve(prob, e).energy
+    for ceiling, below in ((math.nextafter(level, math.inf), True), (level, False),
+                           (math.nextafter(level, -math.inf), False)):
+        monkeypatch.setattr(KirchhoffProblem, "ps_ceiling",
+                            property(lambda self, c=ceiling: c))
+        rep = mountain_pass_solve(prob, e)
+        assert rep.energy == level
+        assert rep.below_ps_ceiling is below
 
 
 # -- multiplicity --------------------------------------------------------------
