@@ -203,17 +203,14 @@ def build_rect_mesh(nx: int, ny: int, rect) -> Mesh:
     xx, yy = np.meshgrid(xs, ys)  # row-major in y
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    elements = np.array(tris, dtype=int)
+    # cell (i, j), in row-major order, has lower-left vertex j*(nx+1) + i and
+    # is split along its diagonal into (v00, v10, v11) and (v00, v11, v01)
+    jj, ii = np.divmod(np.arange(nx * ny), nx)
+    v00 = jj * (nx + 1) + ii
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
+    elements = np.stack([np.stack([v00, v10, v11], axis=1),
+                         np.stack([v00, v11, v01], axis=1)], axis=1).reshape(-1, 3)
 
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))
     mask = ((ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)).ravel()

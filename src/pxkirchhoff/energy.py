@@ -13,9 +13,17 @@ the threshold below which compactness of descent sequences is trusted.
 The second derivative on the interior vertices (``hessian_J``) is a
 symmetric sparse matrix, filled into the mesh's fixed interior pattern,
 plus a rank-one term.  J along a line (``_line_energy``) and along a ray r u
-(``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p)
-(``_rayleigh_ratio``, ``_rayleigh_gradient``), with R along the ray e^s u
-(``_rayleigh_ray``, ``_rayleigh_on_ray``), live here too, for the solvers.
+(``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p), with its
+gradient, its values along a line u + t d (``_rayleigh_line``) and along the
+ray e^s u (``_rayleigh_ray``, ``_rayleigh_on_ray``), live here too, for the
+solvers.
+
+Every functional reads nodal values only through their element data: the
+element gradients Dg u and centroid values C u (``_gather``, two sparse
+products).  The ``*_of_elements`` forms take those data, so a solver step
+gathers once and evaluates everything else elementwise; the nodal forms
+(``_rayleigh_ratio``, ``_rayleigh_gradient``, ``_derivative_terms``) gather
+and call them.
 """
 
 from dataclasses import dataclass, replace
@@ -76,6 +84,17 @@ class NonlinearitySpec:
             raise DomainError("scaled_power coefficient must be positive")
         if self.s_A < 0.0:
             raise DomainError("s_A must be nonnegative")
+
+
+def _magnitude(g: np.ndarray) -> np.ndarray:
+    """Row lengths |g_e| of per-element vectors, shape (n_elements, d)."""
+    return np.sqrt(np.einsum("ed,ed->e", g, g))
+
+
+def _gather(mesh: Mesh, nodal: np.ndarray):
+    """The element data of raw nodal values: the element gradients Dg u,
+    shape (n_elements, d), and the centroid values C u."""
+    return element_gradients(mesh, nodal), mesh.centroid_map @ nodal
 
 
 def _positive_power(mag: np.ndarray, e) -> np.ndarray:
@@ -196,8 +215,7 @@ def _p_integral(mag: np.ndarray, p: ExponentField, meas: np.ndarray):
 
 def kirchhoff_A(u: GridFunction, p: ExponentField) -> float:
     """The nonlocal integrand A(u): quadrature of (1/p(x)) |grad u|^{p(x)}."""
-    gmag = np.linalg.norm(gradient_of(u), axis=1)
-    return float(_p_integral(gmag, p, u.mesh.element_measures))
+    return float(_p_integral(_magnitude(gradient_of(u)), p, u.mesh.element_measures))
 
 
 def _energy_of_elements(prob: KirchhoffProblem, A, uc: np.ndarray):
@@ -217,25 +235,30 @@ def _energy_of_terms(prob: KirchhoffProblem, A, B, G):
 def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
     """Total energy of u for the given problem."""
     meas = prob.mesh.element_measures
-    A = _p_integral(np.linalg.norm(gradient_of(u), axis=1), prob.p, meas)
+    A = _p_integral(_magnitude(gradient_of(u)), prob.p, meas)
     return float(_energy_of_elements(prob, A, centroid_values(u)))
 
 
 def _derivative_terms(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
-    """A(u) and the element data of the derivatives of A and B at nodal values.
+    """``_derivative_terms_of_elements`` at raw nodal values."""
+    grads, uc = _gather(mesh, nodal)
+    return _derivative_terms_of_elements(mesh, p, grads, _magnitude(grads), uc)
 
-    Returns (A, flux, uc, s_pow).  ``flux`` holds |grad u|^{p-2} grad u times
-    the element measure in the rows of the gradient map, so that
-    A'(u) = Dg^T flux; ``uc`` are the centroid values and
-    s_pow = |uc|^{p-2} uc, so that B'(u) = C^T (s_pow * meas).  Both weights
-    are continuously extended by 0 where their argument vanishes.
+
+def _derivative_terms_of_elements(mesh: Mesh, p: ExponentField, grads: np.ndarray,
+                                  gmag: np.ndarray, uc: np.ndarray):
+    """A(u) and the element data of the derivatives of A and B, from the
+    element gradients, their magnitudes and the centroid values of u.
+
+    Returns (A, flux, uc, s_pow), with ``uc`` passed through.  ``flux``
+    holds |grad u|^{p-2} grad u times the element measure in the rows of the
+    gradient map, so that A'(u) = Dg^T flux; s_pow = |uc|^{p-2} uc, so that
+    B'(u) = C^T (s_pow * meas).  Both weights are continuously extended by 0
+    where their argument vanishes.
     """
     pv, meas = p.values, mesh.element_measures
-    grads = element_gradients(mesh, nodal)
-    gmag = np.linalg.norm(grads, axis=1)
     A = _p_integral(gmag, p, meas)
     w = _positive_power(gmag, pv - 2.0) * meas
-    uc = mesh.centroid_map @ nodal
     s_pow = _positive_power(np.abs(uc), pv - 2.0) * uc
     return A, (w[:, None] * grads).ravel(), uc, s_pow
 
@@ -300,7 +323,7 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
     pattern = mesh.interior_pattern
     pv, meas, live = prob.p.values, mesh.element_measures, pattern.live
     grads = gradient_of(u)
-    gmag = np.linalg.norm(grads, axis=1)
+    gmag = _magnitude(grads)
     w = _bounded_power(gmag, pv - 2.0, live, "a vanishing element gradient") * meas
     dA = (mesh.gradient_adjoint @ (w[:, None] * grads).ravel())[mesh.interior]
     # element-last stacks: G is (d, d+1, n_e), the blocks (d+1, d+1, n_e)
@@ -348,8 +371,7 @@ def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray
     for nodal in (base, direction):
         if np.any(nodal[mesh.boundary_mask] != 0.0):
             raise DomainError("path points must have zero boundary trace")
-    g0, dg = (element_gradients(mesh, v) for v in (base, direction))
-    c0, dc = (mesh.centroid_map @ v for v in (base, direction))
+    (g0, c0), (dg, dc) = (_gather(mesh, v) for v in (base, direction))
     g0g0, g0dg, dgdg = (np.einsum("ed,ed->e", x, y)
                         for x, y in ((g0, g0), (g0, dg), (dg, dg)))
     dc_meas = dc * meas
@@ -368,20 +390,56 @@ def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray
     return evaluate
 
 
+def _stiffness_norm(mesh: Mesh, gmag: np.ndarray) -> float:
+    """The norm of u in the constant-exponent stiffness, sqrt(u^T K u), from
+    its element gradient magnitudes: K = Dg^T diag(meas) Dg, so
+    u^T K u = I(|grad u|^2), and no sparse product is needed."""
+    return float(np.sqrt(np.dot(gmag * gmag, mesh.element_measures)))
+
+
+def _rayleigh_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,
+                          uc: np.ndarray) -> float:
+    """R(u) = A(u) / B(u) from |grad u| and the centroid values u_c."""
+    meas = mesh.element_measures
+    return float(_p_integral(gmag, p, meas) / _p_integral(np.abs(uc), p, meas))
+
+
 def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
     """R(u) = A(u) / B(u) at raw nodal values; no derivative is assembled."""
-    meas = mesh.element_measures
-    A = _p_integral(np.linalg.norm(element_gradients(mesh, nodal), axis=1), p, meas)
-    return float(A / _p_integral(np.abs(mesh.centroid_map @ nodal), p, meas))
+    grads, uc = _gather(mesh, nodal)
+    return _rayleigh_of_elements(mesh, p, _magnitude(grads), uc)
 
 
-def _ray_weights(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
-    """(|grad u|, u_c, w_A, w_B), so that A(r u) = sum w_A r^p and
+def _rayleigh_line(mesh: Mesh, p: ExponentField, grads: np.ndarray, uc: np.ndarray,
+                   direction: np.ndarray):
+    """R along the line u + t*direction, from element data gathered once.
+
+    ``grads`` and ``uc`` are the element gradients and centroid values of u;
+    those of the direction, Gd and dc, are gathered here, together with the
+    per-element products G.G, G.Gd and Gd.Gd, so |grad(u + t d)|^2 is a
+    quadratic in t and the centroid values are uc + t dc.  Returns
+    (ratio, data): ratio(t) = R(u + t d), for ``_armijo``, and
+    data(t) = (|grad(u + t d)|, uc + t dc), the element data of the point.
+    Neither makes a sparse product.
+    """
+    dg, dc = _gather(mesh, direction)
+    gg, gd, dd = (np.einsum("ed,ed->e", x, y)
+                  for x, y in ((grads, grads), (grads, dg), (dg, dg)))
+
+    def data(t):
+        return np.sqrt(np.maximum(gg + t * (2.0 * gd + t * dd), 0.0)), uc + t * dc
+
+    def ratio(t):
+        return _rayleigh_of_elements(mesh, p, *data(t))
+
+    return ratio, data
+
+
+def _ray_weights(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray):
+    """(w_A, w_B) from |grad u| and u_c, so that A(r u) = sum w_A r^p and
     B(r u) = sum w_B r^p: w_A = meas |grad u|^p / p, w_B = meas |u_c|^p / p."""
     pv, meas = p.values, mesh.element_measures
-    gmag = np.linalg.norm(element_gradients(mesh, nodal), axis=1)
-    uc = mesh.centroid_map @ nodal
-    return gmag, uc, meas * gmag**pv / pv, meas * np.abs(uc) ** pv / pv
+    return meas * gmag**pv / pv, meas * np.abs(uc) ** pv / pv
 
 
 def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
@@ -389,7 +447,9 @@ def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
     every term of J is a power along the ray, A and B by ``_ray_weights``
     and I(G(x, r u)) = sum w_G r^q with w_G = meas G(x, u_c)."""
     pv, qv = prob.p.values, prob.g.q.values
-    gmag, uc, w_A, w_B = _ray_weights(prob.mesh, prob.p, nodal)
+    grads, uc = _gather(prob.mesh, nodal)
+    gmag = _magnitude(grads)
+    w_A, w_B = _ray_weights(prob.mesh, prob.p, gmag, uc)
     w_G = _G(prob.g, uc) * prob.mesh.element_measures
 
     def energy(r):
@@ -403,14 +463,21 @@ def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
 
 
 def _rayleigh_ray(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
-    """Element data of R along the ray e^s u, gathered once: (c, w_A, w_B).
+    """``_rayleigh_ray_of_elements`` at raw nodal values."""
+    grads, uc = _gather(mesh, nodal)
+    return _rayleigh_ray_of_elements(mesh, p, _magnitude(grads), uc)
+
+
+def _rayleigh_ray_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,
+                              uc: np.ndarray):
+    """Element data of R along the ray e^s u, from |grad u| and u_c:
+    (c, w_A, w_B).
 
     The weights are those of ``_ray_weights`` at r = e^s.  The common factor
     e^{s p-} cancels in R, so ``_rayleigh_on_ray`` tilts the weights by the
     centred exponent c = p - p- instead, which is exactly 0 for constant p.
     """
-    _, _, w_A, w_B = _ray_weights(mesh, p, nodal)
-    return p.values - p.lo, w_A, w_B
+    return (p.values - p.lo, *_ray_weights(mesh, p, gmag, uc))
 
 
 def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):
@@ -426,9 +493,18 @@ def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):
 
 
 def _rayleigh_gradient(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
-    """R'(u) = (A'(u) - R(u) B'(u)) / B(u), zero on the boundary."""
+    """``_rayleigh_gradient_of_elements`` at raw nodal values."""
+    grads, uc = _gather(mesh, nodal)
+    return _rayleigh_gradient_of_elements(mesh, p, grads, _magnitude(grads), uc)
+
+
+def _rayleigh_gradient_of_elements(mesh: Mesh, p: ExponentField, grads: np.ndarray,
+                                   gmag: np.ndarray, uc: np.ndarray) -> np.ndarray:
+    """R'(u) = (A'(u) - R(u) B'(u)) / B(u), zero on the boundary, from the
+    element gradients, their magnitudes and the centroid values of u; the
+    two adjoint products are its only sparse products."""
     meas = mesh.element_measures
-    A, flux, uc, s_pow = _derivative_terms(mesh, p, nodal)
+    A, flux, _, s_pow = _derivative_terms_of_elements(mesh, p, grads, gmag, uc)
     B = _p_integral(np.abs(uc), p, meas)
     grad = (mesh.gradient_adjoint @ flux
             - (A / B) * (mesh.centroid_adjoint @ (s_pow * meas))) / B

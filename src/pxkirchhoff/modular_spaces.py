@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import GridFunction, Mesh, gradient_of, integrate
+from .energy import _magnitude
 from .errors import DomainError, MaxIterations, ShapeError
 from .exponents import ExponentField
 
@@ -114,7 +115,7 @@ def holder_pairing(u, v, p: ExponentField, mesh: Mesh) -> tuple[float, float]:
 
 def sobolev_norm(u: GridFunction, p: ExponentField) -> float:
     """Luxemburg norm of |grad u|: the norm adopted on the zero-trace space."""
-    gmag = np.linalg.norm(gradient_of(u), axis=1)
+    gmag = _magnitude(gradient_of(u))
     return luxemburg_norm(gmag, p, u.mesh)
 
 

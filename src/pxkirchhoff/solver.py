@@ -35,10 +35,15 @@ from .energy import (
     KirchhoffProblem,
     _line_energy,
     _energy_ray,
-    _rayleigh_gradient,
+    _gather,
+    _magnitude,
+    _rayleigh_gradient_of_elements,
+    _rayleigh_line,
+    _rayleigh_of_elements,
     _rayleigh_on_ray,
     _rayleigh_ratio,
-    _rayleigh_ray,
+    _rayleigh_ray_of_elements,
+    _stiffness_norm,
     energy_J,
     gradient_J,
     hessian_J,
@@ -214,22 +219,32 @@ _S_TOL = 2e-12  # resolution in s of that minimum
 
 
 def _ray_minimize(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
-    """e^s u at the minimum of R(e^s u) over |s| <= _S_MAX.
+    """e^s u at the minimum of R(e^s u) over |s| <= _S_MAX, by ``_ray_scale``
+    on the element data of raw nodal values."""
+    grads, uc = _gather(mesh, nodal)
+    return _ray_scale(mesh, p, _magnitude(grads), uc) * nodal
 
-    The minimum is the root of d ln R / ds, bracketed by the slopes at the
-    ends of the interval and found by ``_brent_root``.  For constant p the
-    slope is exactly 0, R is scale-free, and ``nodal`` itself is returned.
-    Raises MaxIterations when the slope keeps one sign over the interval:
-    R then has no minimizer on the ray.
+
+def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -> float:
+    """e^s at the minimum of R(e^s u) over |s| <= _S_MAX, from |grad u| and
+    the centroid values u_c of u; e^s u has the element data e^s |grad u|
+    and e^s u_c.
+
+    The minimum is the root of d ln R / ds on the ray's weights
+    (``_rayleigh_ray_of_elements``), bracketed by the slopes at the ends of
+    the interval and found by ``_brent_root``.  For constant p the slope is
+    exactly 0, R is scale-free, and the scale is 1.  Raises MaxIterations
+    when the slope keeps one sign over the interval: R then has no minimizer
+    on the ray.
     """
-    ray = _rayleigh_ray(mesh, p, nodal)
+    ray = _rayleigh_ray_of_elements(mesh, p, gmag, uc)
 
     def slope(s):
         return _rayleigh_on_ray(s, *ray)[1]
 
     lo, hi = slope(-_S_MAX), slope(_S_MAX)
     if lo == hi == 0.0:
-        return nodal
+        return 1.0
     if not lo < 0.0 < hi:
         toward = "0" if lo >= 0.0 else "infinity"
         raise MaxIterations(
@@ -238,7 +253,7 @@ def _ray_minimize(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray
             "it has no minimizer on the ray, and for non-monotone p the "
             "infimum of R can be 0"
         )
-    return np.exp(_brent_root(slope, -_S_MAX, lo, _S_MAX, hi, _S_TOL)) * nodal
+    return float(np.exp(_brent_root(slope, -_S_MAX, lo, _S_MAX, hi, _S_TOL)))
 
 
 def rayleigh_quotient_min(
@@ -256,9 +271,18 @@ def rayleigh_quotient_min(
     gradient) with backtracking, restarted from ``n_seeds`` positive random
     starts; the smallest converged value wins.  For constant p this is the
     classical p-Laplacian Rayleigh quotient.  After each accepted step the
-    iterate is normalized and R is minimized exactly along its ray e^s u
-    (``_ray_minimize``); a random start is only normalized, since the first
-    step renormalizes anyway.  A start converges when R moves by at most
+    iterate is normalized in the stiffness norm and R is minimized exactly
+    along its ray e^s u (``_ray_scale``); a random start is only
+    normalized, since the first step renormalizes anyway.
+
+    Each step gathers the element data of the iterate u and of the
+    direction d once, two sparse products each.  The gradient of R, every
+    Armijo trial (``_rayleigh_line``), the normalization
+    (``_stiffness_norm``), the ray search and R at the new iterate come from
+    those data by elementwise arithmetic; with the two adjoint products of
+    the gradient a step makes six sparse products.  The data are gathered
+    afresh at the start of every step, so no rounding carries over from
+    one step to the next.  A start converges when R moves by at most
     ``tol`` (relative) twice in a row, the slope is no longer negative, or
     the line search stalls; MaxIterations is raised if every start uses up
     ``max_iter`` steps, and at once when R decreases along a whole ray
@@ -279,22 +303,25 @@ def rayleigh_quotient_min(
         converged = False
         stable = 0
         for _ in range(max_iter):
-            grad = _rayleigh_gradient(mesh, p, nodal)
+            grads, uc = _gather(mesh, nodal)
+            gmag = _magnitude(grads)
+            grad = _rayleigh_gradient_of_elements(mesh, p, grads, gmag, uc)
             d = -precond.apply(grad)
             slope = float(np.dot(grad[idx], d[idx]))
             if slope >= 0.0:
                 converged = True
                 break
-            step = min(1.0, precond.h_norm(nodal) / np.sqrt(-slope))
-            step = _armijo(lambda s: _rayleigh_ratio(mesh, p, nodal + s * d),
-                           R, slope, step)
+            step = min(1.0, _stiffness_norm(mesh, gmag) / np.sqrt(-slope))
+            ratio, data = _rayleigh_line(mesh, p, grads, uc, d)
+            step = _armijo(ratio, R, slope, step)
             if step is None:
                 converged = True  # stalled at line-search resolution
                 break
-            accepted = nodal + step * d
-            nodal = accepted / precond.h_norm(accepted)
-            nodal = _ray_minimize(mesh, p, nodal)
-            R_new = _rayleigh_ratio(mesh, p, nodal)
+            gmag, uc = data(step)
+            scale = 1.0 / _stiffness_norm(mesh, gmag)
+            scale *= _ray_scale(mesh, p, scale * gmag, scale * uc)
+            nodal = (nodal + step * d) * scale
+            R_new = _rayleigh_of_elements(mesh, p, scale * gmag, scale * uc)
             stable = stable + 1 if abs(R - R_new) <= tol * max(1.0, abs(R_new)) else 0
             R = R_new
             if stable >= 2:

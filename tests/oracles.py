@@ -4,14 +4,18 @@ Everything here recomputes quantities along routes disjoint from the library
 implementation: central finite differences, a from-scratch 1-D
 Euler-Lagrange assembly with damped (optionally deflated) Newton iteration,
 a tridiagonal eigenvalue reference, scalar root-finds on closed-form
-integrals, a Luxemburg norm by bracket expansion and bisection, and J''
-assembled from the mesh's sparse operators.
+integrals, a Luxemburg norm by bracket expansion and bisection, J''
+assembled from the mesh's sparse operators, and the Rayleigh descent on
+nodal values.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.optimize import brentq
+
+from pxkirchhoff.energy import _rayleigh_gradient, _rayleigh_ratio
+from pxkirchhoff.solver import _SobolevPreconditioner, _armijo, _ray_minimize
 
 
 def central_difference(f, u, v, h=1e-5):
@@ -212,3 +216,47 @@ def hessian_by_operators(u, prob):
     K = prob.a - prob.b * np.dot(gmag**pv / pv, meas)
     S = (K * A2 - lower2).tocsr()
     return S[idx][:, idx], dA[idx]
+
+
+def rayleigh_descent_on_nodes(p, mesh, seed=0, n_seeds=3, max_iter=500, tol=1e-10):
+    """The descent of ``rayleigh_quotient_min`` with every quantity taken
+    from nodal values: the gradient, each Armijo trial, both stiffness
+    norms, the ray search and R at the new iterate each gather their own
+    element data.  Returns (R, nodal values, steps), where steps counts the
+    line searches of all starts, or None if no start converged."""
+    rng = np.random.default_rng(seed)
+    precond = _SobolevPreconditioner(mesh)
+    idx = mesh.interior
+    best, steps = None, 0
+    for _ in range(n_seeds):
+        nodal = np.zeros(mesh.n_vertices)
+        nodal[idx] = 0.1 + rng.random(len(idx))
+        nodal /= precond.h_norm(nodal)
+        R = _rayleigh_ratio(mesh, p, nodal)
+        converged = False
+        stable = 0
+        for _ in range(max_iter):
+            grad = _rayleigh_gradient(mesh, p, nodal)
+            d = -precond.apply(grad)
+            slope = float(np.dot(grad[idx], d[idx]))
+            if slope >= 0.0:
+                converged = True
+                break
+            step = min(1.0, precond.h_norm(nodal) / np.sqrt(-slope))
+            steps += 1
+            step = _armijo(lambda s: _rayleigh_ratio(mesh, p, nodal + s * d),
+                           R, slope, step)
+            if step is None:
+                converged = True
+                break
+            accepted = nodal + step * d
+            nodal = _ray_minimize(mesh, p, accepted / precond.h_norm(accepted))
+            R_new = _rayleigh_ratio(mesh, p, nodal)
+            stable = stable + 1 if abs(R - R_new) <= tol * max(1.0, abs(R_new)) else 0
+            R = R_new
+            if stable >= 2:
+                converged = True
+                break
+        if converged and (best is None or R < best[0]):
+            best = (R, nodal)
+    return (None if best is None else (best[0], best[1], steps))

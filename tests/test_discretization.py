@@ -56,6 +56,32 @@ def test_degenerate_rect_rejected():
         build_rect_mesh(1, 2, ((0.0, 0.0), (1.0, 1.0)))
 
 
+def _criss_cross_by_cells(nx, ny):
+    """The elements of the criss-cross rectangle, cell by cell in row-major
+    order, each cell split into (v00, v10, v11) and (v00, v11, v01)."""
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.array(tris, dtype=int)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (7, 3), (32, 32), (48, 48)])
+def test_rect_elements_match_the_cell_loop(nx, ny):
+    # equal arrays, dtype included, keep every element number (the dead
+    # corner triangles 62 and 1985 at 32 x 32 among them)
+    elements = build_rect_mesh(nx, ny, ((0.0, 0.0), (1.0, 2.0))).elements
+    ref = _criss_cross_by_cells(nx, ny)
+    assert elements.dtype == ref.dtype
+    assert np.array_equal(elements, ref)
+
+
 def test_gradient_affine_1d():
     mesh = build_interval_mesh(10, 0.0, 1.0)
     grads = element_gradients(mesh, mesh.vertices[:, 0])

@@ -20,7 +20,16 @@ from pxkirchhoff import (
     kirchhoff_A,
     nonlinearity_eval,
 )
-from pxkirchhoff.energy import _derivative_terms, _line_energy
+from pxkirchhoff.energy import (
+    _derivative_terms,
+    _gather,
+    _line_energy,
+    _magnitude,
+    _rayleigh_line,
+    _rayleigh_ratio,
+    _stiffness_norm,
+)
+from pxkirchhoff.solver import _SobolevPreconditioner
 from oracles import central_difference, hessian_by_operators
 
 
@@ -189,6 +198,51 @@ def test_line_restriction_rejects_nonzero_trace():
         _line_energy(prob, tent.nodal_values, bad - tent.nodal_values)
     with pytest.raises(DomainError):
         _line_energy(prob, bad, tent.nodal_values)
+
+
+def _rayleigh_case(dim):
+    """(mesh, variable p, u, d): a positive zero-trace u and a random
+    zero-trace direction d."""
+    rng = np.random.default_rng(7 + dim)
+    if dim == 1:
+        mesh = build_interval_mesh(60, 0.0, 1.0)
+        p = build_exponent_field(2.0 + mesh.element_centroids[:, 0], mesh)
+    else:
+        mesh = build_rect_mesh(9, 7, ((0.0, 0.0), (1.0, 1.5)))
+        p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
+    u = GridFunction(mesh, 0.2 + rng.random(mesh.n_vertices)).nodal_values
+    d = GridFunction(mesh, rng.standard_normal(mesh.n_vertices)).nodal_values
+    return mesh, p, u, d
+
+
+def test_magnitude_is_the_row_norm():
+    rng = np.random.default_rng(4)
+    for n, dim in ((400, 1), (4608, 2)):
+        g = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+        np.testing.assert_array_max_ulp(_magnitude(g), np.linalg.norm(g, axis=1), maxulp=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rayleigh_line_matches_the_ratio_on_nodes(dim):
+    mesh, p, u, d = _rayleigh_case(dim)
+    grads, uc = _gather(mesh, u)
+    ratio, data = _rayleigh_line(mesh, p, grads, uc, d)
+    for t in (0.0, 1e-3, 0.5, 1.0):
+        assert ratio(t) == pytest.approx(_rayleigh_ratio(mesh, p, u + t * d), rel=1e-13)
+        gmag, uct = data(t)
+        ref_grads, ref_uc = _gather(mesh, u + t * d)
+        ref = _magnitude(ref_grads)
+        assert np.max(np.abs(gmag - ref)) <= 1e-13 * np.max(ref)
+        assert np.max(np.abs(uct - ref_uc)) <= 1e-14 * np.max(np.abs(ref_uc))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stiffness_norm_of_element_data_matches_the_matrix(dim):
+    mesh, _, u, d = _rayleigh_case(dim)
+    precond = _SobolevPreconditioner(mesh)
+    for v in (u, d, u - 0.3 * d):
+        h = _stiffness_norm(mesh, _magnitude(_gather(mesh, v)[0]))
+        assert h == pytest.approx(precond.h_norm(v), rel=1e-14)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

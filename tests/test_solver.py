@@ -33,7 +33,7 @@ from pxkirchhoff import (
     sobolev_norm,
     verify_mountain_geometry,
 )
-from pxkirchhoff import solver
+from pxkirchhoff import energy, solver
 from pxkirchhoff.energy import (
     _rayleigh_gradient,
     _rayleigh_on_ray,
@@ -41,7 +41,12 @@ from pxkirchhoff.energy import (
     _rayleigh_ray,
 )
 from pxkirchhoff.solver import _scale_until_negative, _segment_max
-from oracles import central_difference, make_residual_1d, newton_1d
+from oracles import (
+    central_difference,
+    make_residual_1d,
+    newton_1d,
+    rayleigh_descent_on_nodes,
+)
 
 RHO_GRID = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
 
@@ -133,6 +138,77 @@ def test_rayleigh_stall_raises():
     mesh = build_interval_mesh(20, 0.0, 1.0)
     with pytest.raises(MaxIterations):
         rayleigh_quotient_min(constant_exponent(2.0, mesh), mesh, max_iter=0)
+
+
+def _rayleigh_mesh_and_p(case):
+    if case == "1d_variable_p":
+        mesh = build_interval_mesh(100, 0.0, 1.0)
+        return mesh, build_exponent_field(2.0 + mesh.element_centroids[:, 0], mesh)
+    mesh = build_rect_mesh(16, 16, ((0.0, 0.0), (1.0, 1.0)))
+    if case == "2d_constant_p":
+        return mesh, constant_exponent(2.5, mesh)
+    return mesh, build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
+
+
+@pytest.mark.parametrize("case", ["1d_variable_p", "2d_variable_p", "2d_constant_p"])
+def test_rayleigh_descent_matches_the_descent_on_nodes(case, monkeypatch):
+    # the descent on gathered element data takes the same steps (one Armijo
+    # search each) as the one that re-gathers from nodal values for every
+    # quantity
+    mesh, p = _rayleigh_mesh_and_p(case)
+    searches = []
+    armijo = solver._armijo
+    monkeypatch.setattr(solver, "_armijo", lambda *args: searches.append(1) or armijo(*args))
+    lam, minimizer = rayleigh_quotient_min(p, mesh, seed=3, max_iter=300)
+    ref_lam, ref_nodal, ref_steps = rayleigh_descent_on_nodes(p, mesh, seed=3, max_iter=300)
+    assert lam == pytest.approx(ref_lam, rel=1e-12)
+    assert len(searches) == ref_steps
+    scale = np.max(np.abs(ref_nodal))
+    assert np.max(np.abs(minimizer.nodal_values - ref_nodal)) <= 1e-8 * scale
+
+
+class _CountingMap:
+    """A sparse matrix that counts its products with vectors."""
+
+    def __init__(self, matrix, products):
+        self.matrix, self.products = matrix, products
+
+    def __matmul__(self, x):
+        self.products.append(x.shape)
+        return self.matrix @ x
+
+
+def test_rayleigh_descent_gathers_twice_per_step(monkeypatch):
+    # a start normalizes (one stiffness product) and takes R (one gather of
+    # two products); then each step gathers u and d and makes the two
+    # adjoint products of the gradient; the Armijo trials make none
+    mesh, p = _rayleigh_mesh_and_p("2d_variable_p")
+    mesh.interior_stiffness  # the preconditioner's matrix, built before counting
+    products = []
+    maps = {name: getattr(mesh, name) for name in (
+        "gradient_map", "centroid_map", "gradient_adjoint", "centroid_adjoint", "stiffness")}
+    for name, matrix in maps.items():
+        mesh.__dict__[name] = _CountingMap(matrix, products)
+    gathers = []
+    element_gradients = energy.element_gradients
+    monkeypatch.setattr(energy, "element_gradients",
+                        lambda *args: gathers.append(1) or element_gradients(*args))
+    trial_products = []
+    armijo = solver._armijo
+
+    def counted(f, f0, slope, step):
+        before = len(products)
+        step = armijo(f, f0, slope, step)
+        trial_products.append(len(products) - before)
+        return step
+
+    monkeypatch.setattr(solver, "_armijo", counted)
+    steps = 5
+    with pytest.raises(MaxIterations):
+        rayleigh_quotient_min(p, mesh, n_seeds=1, max_iter=steps)
+    assert trial_products == [0] * steps
+    assert len(gathers) == 1 + 2 * steps
+    assert len(products) == 3 + 6 * steps
 
 
 def _ray_cases(dim):
