@@ -8,7 +8,8 @@ constant-exponent stiffness and mass are Dg^T diag(meas) Dg and
 C^T diag(meas) C.  Second derivatives are sums of (d+1) x (d+1) element
 blocks, which ``BlockPattern`` scatters into one fixed sparse pattern on the
 interior vertices.  A mesh caches its derived data and operators on first
-use, so its arrays must not be modified after construction.
+use, the symmetric LU of its interior stiffness among them (``_splu``), so
+its arrays must not be modified after construction.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import ShapeError
 
@@ -166,10 +168,28 @@ class Mesh:
         return self.stiffness[np.ix_(idx, idx)].tocsc()
 
     @cached_property
+    def interior_stiffness_lu(self) -> scipy.sparse.linalg.SuperLU:
+        """The symmetric LU (``_splu``) of the interior stiffness, factored
+        once per mesh: every stiffness solve goes through its ``solve``."""
+        return _splu(self.interior_stiffness)
+
+    @cached_property
     def mass(self) -> scipy.sparse.csr_matrix:
         """Centroid-quadrature mass C^T diag(meas) C."""
         meas = scipy.sparse.diags(self.element_measures)
         return (self.centroid_adjoint @ meas @ self.centroid_map).tocsr()
+
+
+def _splu(S: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU of the symmetric CSC matrix S, factored as symmetric:
+    minimum-degree order on S + S^T and the diagonal pivot wherever it is
+    nonzero, so the row order equals the column order unless a diagonal
+    pivot vanishes; it never does when S is positive definite.  Raises
+    RuntimeError when S is singular.  It factors the interior stiffness once
+    per mesh (``Mesh.interior_stiffness_lu``), and the solver's Newton steps
+    and Morse counts factor the sparse part of J'' with it."""
+    return scipy.sparse.linalg.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                    options=dict(SymmetricMode=True))
 
 
 def build_interval_mesh(n: int, a_end: float, b_end: float) -> Mesh:

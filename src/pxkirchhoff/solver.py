@@ -18,19 +18,23 @@ mesh-independent; the reported residual stays the plain interior l2 norm of
 the assembled derivative.  The solution's Morse index is reported: it is
 counted by inertia from the same symmetric LU, and one sparse eigensolve
 for the two lowest eigenvalues cross-checks it (``_morse``).  All
-eigensolves (the Laplace eigenbasis, the Morse index) are sparse.
+eigensolves (the Laplace eigenbasis, the Morse index) are sparse.  Every
+solve with the constant-exponent stiffness (the preconditioner, the
+eigenbasis shift-invert, the Morse eigensolve's inverse mass) goes through
+the one symmetric LU that the mesh caches (``Mesh.interior_stiffness_lu``).
 
 The multiplicity search runs its starts one after another, in start-index
 order, and merges results deterministically by (energy, start-index) order.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
 
-from .discretization import GridFunction, Mesh
+from .discretization import GridFunction, Mesh, _splu
 from .energy import (
     KirchhoffProblem,
     _line_energy,
@@ -73,11 +77,16 @@ __all__ = [
 # -- Sobolev preconditioner, eigenbasis, backtracking and Brent's root --------
 
 class _SobolevPreconditioner:
-    """Riesz map for the discrete H1_0 inner product on interior vertices."""
+    """Riesz map for the discrete H1_0 inner product on interior vertices.
+
+    ``solve`` is the solve of the mesh's one symmetric LU of its interior
+    stiffness (``Mesh.interior_stiffness_lu``), so every preconditioner on
+    a mesh shares that factorization.
+    """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.solve = scipy.sparse.linalg.factorized(mesh.interior_stiffness)
+        self.solve = mesh.interior_stiffness_lu.solve
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
         out = np.zeros(self.mesh.n_vertices)
@@ -99,12 +108,17 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
 
     These span the nested subspaces used to seed the multiplicity search and
     provide smooth low-frequency probe directions.  They come from a sparse
-    shift-invert eigensolve of the interior stiffness and mass pencil,
-    normalized in the mass inner product; ARPACK finds at most n - 1 of n
-    pairs, so a full basis takes its last vector as the mass-orthogonal
-    complement of the others.  Signs are fixed so the entry of largest
-    magnitude is positive.
+    shift-invert eigensolve of the interior stiffness and mass pencil at
+    shift 0, which inverts the stiffness with the mesh's one symmetric LU
+    (``Mesh.interior_stiffness_lu``), and are normalized in the mass inner
+    product; ARPACK finds at most n - 1 of n pairs, so a full basis takes
+    its last vector as the mass-orthogonal complement of the others.  Signs
+    are fixed so the entry of largest magnitude is positive.  Raises
+    TypeError when k is not an integer and DomainError when it is negative
+    or exceeds the number of interior vertices.
     """
+    k = operator.index(k)
+    _nonnegative("k", k)
     idx = mesh.interior
     n = len(idx)
     if k > n:
@@ -112,9 +126,11 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     M = mesh.mass[np.ix_(idx, idx)].tocsc()
     vecs = np.empty((n, 0))
     if min(k, n - 1) > 0:
+        OPinv = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=mesh.interior_stiffness_lu.solve, dtype=float)
         vals, vecs = scipy.sparse.linalg.eigsh(
             mesh.interior_stiffness, min(k, n - 1), M,
-            sigma=0.0, v0=_start_vector(n),
+            sigma=0.0, OPinv=OPinv, v0=_start_vector(n),
         )
         vecs = vecs[:, np.argsort(vals)]
     if k == n:
@@ -522,15 +538,6 @@ def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
     return point, float(J[k])
 
 
-def _splu(S):
-    """Sparse LU of the symmetric CSC matrix S, factored as symmetric:
-    minimum-degree order on S + S^T and the diagonal pivot wherever it is
-    nonzero, so the row order equals the column order unless a diagonal
-    pivot vanishes.  Raises RuntimeError when S is singular."""
-    return scipy.sparse.linalg.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                    options=dict(SymmetricMode=True))
-
-
 def _newton_direction(S, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (S - b dA dA^T) d = rhs with one sparse LU of S (``_splu``) and
     the Sherman-Morrison formula for the rank-one term.  Raises RuntimeError
@@ -616,8 +623,9 @@ def _morse(prob: KirchhoffProblem, u: GridFunction, precond) -> tuple:
 
     The stiffness is positive definite, so the index is the number of
     negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
-    one symmetric LU.  One ARPACK call then finds the two lowest
+    one symmetric LU of its sparse part.  One ARPACK call then finds the two lowest
     eigenvalues (with two interior vertices, the lowest and the largest),
+    inverting the stiffness with ``precond.solve``, the mesh's stiffness LU,
     and the number of negatives among them must equal min(index, 2).  When
     the inertia is unavailable or that cross-check fails, ARPACK finds the
     k lowest eigenvalues, k = 2, 4, 8, ... until one is nonnegative; it

@@ -233,3 +233,19 @@ def test_hat_gradients_are_the_gradient_map(mesh):
     assert np.allclose(grads, element_gradients(mesh, values), rtol=1e-13, atol=1e-13)
     # the hat gradients of an element sum to zero: constants have no gradient
     assert np.allclose(mesh.hat_gradients.sum(axis=2), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(40, 0.0, 1.0),
+    build_rect_mesh(9, 7, ((0.0, 0.0), (2.0, 1.0))),
+])
+def test_interior_stiffness_lu_is_symmetric_and_solves(mesh):
+    lu = mesh.interior_stiffness_lu
+    assert lu is mesh.interior_stiffness_lu  # factored once, on first use
+    # the stiffness is positive definite: every pivot is diagonal and positive
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.all(lu.U.diagonal() > 0.0)
+    S = mesh.interior_stiffness.toarray()
+    rhs = np.random.default_rng(3).standard_normal(S.shape[0])
+    ref = np.linalg.solve(S, rhs)
+    assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import time
 import tracemalloc
 
@@ -1285,3 +1286,68 @@ def test_eigenbasis_2d_near_degenerate_modes_by_span():
     assert np.max(scipy.linalg.subspace_angles(V[:, 1:3], ref[:, 1:3])) <= 1e-8
     for j in (0, 3):
         assert min(np.max(np.abs(V[:, j] - s * ref[:, j])) for s in (1, -1)) <= 1e-8
+
+
+def test_eigenbasis_rejects_a_negative_or_fractional_k():
+    mesh = build_interval_mesh(12, 0.0, 1.0)
+    with pytest.raises(DomainError, match="k must be nonnegative, got -1"):
+        laplace_eigenbasis(mesh, -1)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        laplace_eigenbasis(mesh, 2.5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        multiplicity_search(model_problem(n=12), n_starts=2, k_max=2.5)
+    assert laplace_eigenbasis(mesh, np.int64(2))[1].nodal_values[3] != 0.0
+
+
+# -- one stiffness LU per mesh -------------------------------------------------
+
+def _geometry_and_solve(prob):
+    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    assert rep.morse_index == 1
+
+
+def _two_rayleigh_minimizations(prob):
+    for seed in (0, 1):
+        rayleigh_quotient_min(prob.p, prob.mesh, seed=seed)
+
+
+STIFFNESS_TASKS = pytest.mark.parametrize("n, task", [
+    (40, _geometry_and_solve),
+    (12, lambda prob: multiplicity_search(prob, n_starts=5, k_max=4, seed=1)),
+    (40, _two_rayleigh_minimizations),
+], ids=["geometry_and_solve", "multiplicity", "rayleigh"])
+
+
+def _count_stiffness_lus(monkeypatch, mesh) -> list:
+    """Wrap splu in every module that binds it (eigsh's shift-invert and
+    ``factorized`` hold their own bindings); the list collects each
+    factorization of the mesh's interior stiffness."""
+    S, splu, calls = mesh.interior_stiffness, scipy.sparse.linalg.splu, []
+
+    def counted(A, *args, **kwargs):
+        if A.shape == S.shape and abs(A - S).max() == 0.0:
+            calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("splu") is splu:
+            monkeypatch.setattr(module, "splu", counted)
+    return calls
+
+
+@STIFFNESS_TASKS
+def test_stiffness_is_factored_once_per_mesh(n, task, monkeypatch):
+    prob = model_problem(n=n)
+    calls = _count_stiffness_lus(monkeypatch, prob.mesh)
+    task(prob)
+    assert len(calls) == 1
+
+
+@STIFFNESS_TASKS
+def test_no_stiffness_solve_calls_factorized(n, task, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorized was called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "factorized", refuse)
+    task(model_problem(n=n))
