@@ -20,10 +20,10 @@ solvers.
 
 Every functional reads nodal values only through their element data: the
 element gradients Dg u and centroid values C u (``_gather``, two sparse
-products).  The ``*_of_elements`` forms take those data, so a solver step
-gathers once and evaluates everything else elementwise; the nodal forms
-(``_rayleigh_ratio``, ``_rayleigh_gradient``, ``_derivative_terms``) gather
-and call them.
+products).  The ``*_of_elements`` forms take those data (J, J' with A,
+J'', R and R'), so a solver step gathers once and evaluates everything else
+elementwise; the nodal forms (``gradient_J``, ``hessian_J``,
+``_rayleigh_ratio``, ``_rayleigh_gradient``) gather and call them.
 """
 
 from dataclasses import dataclass, replace
@@ -239,28 +239,22 @@ def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
     return float(_energy_of_elements(prob, A, centroid_values(u)))
 
 
-def _derivative_terms(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
-    """``_derivative_terms_of_elements`` at raw nodal values."""
-    grads, uc = _gather(mesh, nodal)
-    return _derivative_terms_of_elements(mesh, p, grads, _magnitude(grads), uc)
-
-
 def _derivative_terms_of_elements(mesh: Mesh, p: ExponentField, grads: np.ndarray,
                                   gmag: np.ndarray, uc: np.ndarray):
     """A(u) and the element data of the derivatives of A and B, from the
     element gradients, their magnitudes and the centroid values of u.
 
-    Returns (A, flux, uc, s_pow), with ``uc`` passed through.  ``flux``
-    holds |grad u|^{p-2} grad u times the element measure in the rows of the
-    gradient map, so that A'(u) = Dg^T flux; s_pow = |uc|^{p-2} uc, so that
-    B'(u) = C^T (s_pow * meas).  Both weights are continuously extended by 0
-    where their argument vanishes.
+    Returns (A, flux, s_pow).  ``flux`` holds |grad u|^{p-2} grad u times
+    the element measure in the rows of the gradient map, so that
+    A'(u) = Dg^T flux; s_pow = |uc|^{p-2} uc, so that B'(u) = C^T (s_pow *
+    meas).  Both weights are continuously extended by 0 where their argument
+    vanishes.
     """
     pv, meas = p.values, mesh.element_measures
     A = _p_integral(gmag, p, meas)
     w = _positive_power(gmag, pv - 2.0) * meas
     s_pow = _positive_power(np.abs(uc), pv - 2.0) * uc
-    return A, (w[:, None] * grads).ravel(), uc, s_pow
+    return A, (w[:, None] * grads).ravel(), s_pow
 
 
 def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
@@ -271,14 +265,21 @@ def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
     K * Dg^T(flux * meas) - C^T((lambda |u_c|^{p-2} u_c + g(x, u_c)) * meas),
     with the nonlocal coefficient K = a - b*A(u) computed once.  The adjoint
     maps are fixed CSR matrices, so identical inputs give bitwise-identical
-    sums.
+    sums; ``_residual_of_elements`` assembles it.
     """
+    grads, uc = _gather(prob.mesh, u.nodal_values)
+    return GridFunction(prob.mesh, _residual_of_elements(prob, grads, _magnitude(grads), uc)[0])
+
+
+def _residual_of_elements(prob: KirchhoffProblem, grads: np.ndarray, gmag: np.ndarray,
+                          uc: np.ndarray):
+    """(residual, A): the raw nodal values of ``gradient_J`` and A(u), from
+    the element gradients, their magnitudes and the centroid values of u."""
     mesh = prob.mesh
-    A, flux, uc, s_pow = _derivative_terms(mesh, prob.p, u.nodal_values)
+    A, flux, s_pow = _derivative_terms_of_elements(mesh, prob.p, grads, gmag, uc)
     K = prob.a - prob.b * A
     lumped = (prob.lam * s_pow + _g(prob.g, uc)) * mesh.element_measures
-    residual = K * (mesh.gradient_adjoint @ flux) - mesh.centroid_adjoint @ lumped
-    return GridFunction(mesh, residual)
+    return K * (mesh.gradient_adjoint @ flux) - mesh.centroid_adjoint @ lumped, float(A)
 
 
 def _bounded_power(mag: np.ndarray, e: np.ndarray, live: np.ndarray,
@@ -317,13 +318,19 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
     (or, in the lambda and g' terms, a vanishing centroid value), because
     |.|^{p-2} is unbounded there.  Only elements with an interior vertex
     are checked: on the others a zero-trace u vanishes, and they add
-    nothing to the interior J''.
+    nothing to the interior J''; ``_hessian_of_elements`` assembles it.
     """
+    grads, uc = _gather(prob.mesh, u.nodal_values)
+    return _hessian_of_elements(prob, grads, _magnitude(grads), uc)
+
+
+def _hessian_of_elements(prob: KirchhoffProblem, grads: np.ndarray, gmag: np.ndarray,
+                         uc: np.ndarray):
+    """``hessian_J`` from the element gradients, their magnitudes and the
+    centroid values of u."""
     mesh = prob.mesh
     pattern = mesh.interior_pattern
     pv, meas, live = prob.p.values, mesh.element_measures, pattern.live
-    grads = gradient_of(u)
-    gmag = _magnitude(grads)
     w = _bounded_power(gmag, pv - 2.0, live, "a vanishing element gradient") * meas
     dA = (mesh.gradient_adjoint @ (w[:, None] * grads).ravel())[mesh.interior]
     # element-last stacks: G is (d, d+1, n_e), the blocks (d+1, d+1, n_e)
@@ -335,7 +342,6 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
     K = prob.a - prob.b * _p_integral(gmag, prob.p, meas)
     blocks *= K * w
 
-    uc = centroid_values(u)
     lower = _g_prime(prob.g, uc, live)
     if prob.lam != 0.0:
         lower = lower + prob.lam * (pv - 1.0) * _bounded_power(
@@ -504,7 +510,7 @@ def _rayleigh_gradient_of_elements(mesh: Mesh, p: ExponentField, grads: np.ndarr
     element gradients, their magnitudes and the centroid values of u; the
     two adjoint products are its only sparse products."""
     meas = mesh.element_measures
-    A, flux, _, s_pow = _derivative_terms_of_elements(mesh, p, grads, gmag, uc)
+    A, flux, s_pow = _derivative_terms_of_elements(mesh, p, grads, gmag, uc)
     B = _p_integral(np.abs(uc), p, meas)
     grad = (mesh.gradient_adjoint @ flux
             - (A / B) * (mesh.centroid_adjoint @ (s_pow * meas))) / B

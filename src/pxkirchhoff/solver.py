@@ -38,8 +38,10 @@ from .discretization import GridFunction, Mesh, _splu
 from .energy import (
     KirchhoffProblem,
     _line_energy,
+    _energy_of_elements,
     _energy_ray,
     _gather,
+    _hessian_of_elements,
     _magnitude,
     _rayleigh_gradient_of_elements,
     _rayleigh_line,
@@ -47,11 +49,9 @@ from .energy import (
     _rayleigh_on_ray,
     _rayleigh_ratio,
     _rayleigh_ray_of_elements,
+    _residual_of_elements,
     _stiffness_norm,
     energy_J,
-    gradient_J,
-    hessian_J,
-    kirchhoff_A,
 )
 from .errors import (
     DegenerateCoefficient,
@@ -303,9 +303,11 @@ def rayleigh_quotient_min(
     the line search stalls; MaxIterations is raised if every start uses up
     ``max_iter`` steps, and at once when R decreases along a whole ray
     (for non-monotone p the infimum can be 0, and no minimizer exists).
-    A negative ``seed`` is a DomainError.
+    A negative ``seed`` or an ``n_seeds`` below 1 is a DomainError.
     """
     _nonnegative("seed", seed)
+    if n_seeds < 1:
+        raise DomainError(f"n_seeds must be at least 1, got {n_seeds}")
     rng = np.random.default_rng(seed)
     precond = _SobolevPreconditioner(mesh)
     idx = mesh.interior
@@ -495,6 +497,21 @@ class SolveReport:
     lowest_eigenvalues: tuple[float, ...] | None = None
 
 
+@dataclass(eq=False)
+class _Point:
+    """u with its element data, from one gather: Dg u, |Dg u| and C u."""
+
+    u: GridFunction
+    grads: np.ndarray
+    gmag: np.ndarray
+    uc: np.ndarray
+
+
+def _point(u: GridFunction) -> _Point:
+    grads, uc = _gather(u.mesh, u.nodal_values)
+    return _Point(u, grads, _magnitude(grads), uc)
+
+
 _CANDIDATES = 5     # equispaced points of a cell evaluated in one batch
 _T_TOL = 1e-12      # resolution in t of a segment maximum
 _NEWTON_STEPS = 20  # Newton steps per polish attempt
@@ -556,40 +573,42 @@ def _newton_polish(prob, u: GridFunction, g: np.ndarray, res: float, tol: float)
     Each step solves J''(u) d = -J'(u) on the interior vertices and halves
     the step (``_armijo`` on res^2/2, whose slope along d is -res^2) until
     K > 0 and the residual falls; a trial with K <= 0 is never accepted.
-    Returns (point, residual, K, steps) once the residual is at most tol,
-    or (None, None, None, steps) when the attempt cannot certify: J'' is
-    undefined or singular, no step decreases the residual, or _NEWTON_STEPS
-    run out.  ``steps`` counts the accepted steps.  The point may be any
-    nearby critical point; the caller checks its level.
+    u and each trial are gathered once (``_point``).  Returns (point,
+    residual, A, steps) once the residual is at most tol, or (None, None,
+    None, steps) when the attempt cannot certify: J'' is undefined or
+    singular, no step decreases the residual, or _NEWTON_STEPS run out.
+    ``steps`` counts the accepted steps.  The point, any nearby critical
+    point, keeps its element data; the caller checks its level.
     """
     mesh, idx = prob.mesh, prob.mesh.interior
-    accepted = {}
+    at = _point(u)
+    trials = {}
 
     def merit(t):
-        trial = GridFunction(mesh, u.nodal_values + t * d)
-        K = prob.a - prob.b * kirchhoff_A(trial, prob.p)
-        if not K > 0.0:
+        trial = _point(GridFunction(mesh, at.u.nodal_values + t * d))
+        grad, A = _residual_of_elements(prob, trial.grads, trial.gmag, trial.uc)
+        if not prob.a - prob.b * A > 0.0:
             return np.inf
-        r = float(np.linalg.norm(gradient_J(trial, prob).nodal_values[idx]))
-        accepted[t] = (trial, r, K)
+        r = float(np.linalg.norm(grad[idx]))
+        trials[t] = (trial, grad, r, A)
         return 0.5 * r * r
 
     steps = 0
     while steps < _NEWTON_STEPS:
         d = np.zeros(mesh.n_vertices)
         try:
-            d[idx] = _newton_direction(*hessian_J(u, prob), prob.b, -g[idx])
+            S, dA = _hessian_of_elements(prob, at.grads, at.gmag, at.uc)
+            d[idx] = _newton_direction(S, dA, prob.b, -g[idx])
         except (DomainError, RuntimeError):
             break
         t = _armijo(merit, 0.5 * res * res, -res * res, 1.0)
         if t is None:
             break
-        u, res, K = accepted.pop(t)
+        at, g, res, A = trials.pop(t)
         steps += 1
         if res <= tol:
-            return u, res, K, steps
-        g = gradient_J(u, prob).nodal_values
-        accepted.clear()
+            return at, res, A, steps
+        trials.clear()
     return None, None, None, steps
 
 
@@ -617,9 +636,10 @@ def _inertia_index(S, dA: np.ndarray, b: float) -> int | None:
     return int(np.count_nonzero(lu.U.diagonal() < 0.0)) + int(schur < 0.0)
 
 
-def _morse(prob: KirchhoffProblem, u: GridFunction, precond) -> tuple:
+def _morse(prob: KirchhoffProblem, at: _Point, precond) -> tuple:
     """(index, two lowest eigenvalues) of the pencil (J''(u), stiffness) on
-    the interior vertices, or (None, None) where J'' does not exist.
+    the interior vertices at the point ``at``, or (None, None) where J''
+    does not exist.
 
     The stiffness is positive definite, so the index is the number of
     negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
@@ -633,7 +653,7 @@ def _morse(prob: KirchhoffProblem, u: GridFunction, precond) -> tuple:
     eigenvalue decides the last.
     """
     try:
-        S, dA = hessian_J(u, prob)
+        S, dA = _hessian_of_elements(prob, at.grads, at.gmag, at.uc)
     except DomainError:
         return None, None
     n = S.shape[0]
@@ -696,25 +716,27 @@ def mountain_pass_solve(
     Newton steps; the trace holds one row per peak.  The solution's Morse
     index is computed last (``_morse``).
 
-    Path-point energies are evaluated once and cached; after each sweep only
-    the updated points (the peak's vertex and its interior neighbors) are
-    re-evaluated, and the endpoint e is evaluated once.  The segment maxima
-    and the line search evaluate J through its restriction to a line, whose
-    element data is gathered once per segment, and the energy guard costs
-    one call per Newton attempt that reaches ``tol``, so a solve makes at
-    most ``n_path + 3 * iterations`` calls to ``energy_J`` plus one per such
-    attempt.  A segment maximum comes from one batched evaluation of
-    J and its exact slope dJ/dt at five candidates and, when it lies inside
-    the segment, from the root of dJ/dt in the bracketing cell.
+    Path-point energies are cached: J(t e) on the first path comes from e's
+    ray (``_energy_ray``), and after each sweep only the updated points (the
+    peak's vertex and its interior neighbors) are re-evaluated, so a solve
+    makes at most ``1 + 3 * iterations`` calls to ``energy_J``.  The segment
+    maxima and the line search evaluate J through its restriction to a line,
+    gathered once per segment: one batched evaluation of J and its exact
+    slope dJ/dt at five candidates and, when the maximum lies inside the
+    segment, the root of dJ/dt in the bracketing cell.  A peak or Newton
+    trial is gathered once (``_point``); A, K, J, J' and J'' there, the
+    energy guard and the Morse index included, come from its element data.
 
     Raises DegenerateCoefficient the moment the nonlocal coefficient
     K(u) = a - b*A(u) is nonpositive at a sweep's peak (the operator loses
     its coercive sign there, which this solver refuses to hide; a Newton
     trial with K <= 0 is backtracked instead), MaxIterations if the sweep
     or line-search budget runs out, and DomainError for a negative
-    ``max_iter``.
+    ``max_iter`` or a ``tol`` that is not finite and positive.
     """
     prob.require_valid_chain()
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     mesh = prob.mesh
     J_e = energy_J(e, prob)
     if not J_e < 0.0:
@@ -732,13 +754,10 @@ def mountain_pass_solve(
     record = np.inf
     newton_from, newton_steps = np.inf, 0
 
-    def energy_at(nodal):
-        return energy_J(GridFunction(mesh, nodal), prob)
-
-    def report(u, energy, res, K, sweeps):
-        morse_index, lowest = _morse(prob, u, precond)
+    def report(point, energy, res, K, sweeps):
+        morse_index, lowest = _morse(prob, point, precond)
         return SolveReport(
-            solution=u,
+            solution=point.u,
             energy=energy,
             residual_norm=res,
             nonlocal_coefficient=K,
@@ -751,8 +770,8 @@ def mountain_pass_solve(
             lowest_eigenvalues=lowest,
         )
 
-    # the last path point is e itself (1.0 * e), whose energy is known
-    energies = [energy_at(nodal) for nodal in path[:-1]] + [J_e]
+    # J(0) = 0 and J(e) are known; J(t e) at the other points from e's ray
+    energies = [0.0, *_energy_ray(prob, e.nodal_values)[1](ts[1:-1]), J_e]
     for it in range(max_iter):
         m = 1 + int(np.argmax(energies[1:-1]))
         # continuous peak along the two segments adjacent to the vertex max
@@ -760,33 +779,32 @@ def mountain_pass_solve(
         hi = _segment_max(prob, path[m], path[m + 1])
         peak, J_peak = lo if lo[1] >= hi[1] else hi
 
-        u_peak = GridFunction(mesh, peak)
-        A = kirchhoff_A(u_peak, prob.p)
+        at = _point(GridFunction(mesh, peak))
+        g, A = _residual_of_elements(prob, at.grads, at.gmag, at.uc)
         K = prob.a - prob.b * A
         if K <= 0.0:
             raise DegenerateCoefficient(
                 f"nonlocal coefficient K = {K:.6g} <= 0 at the current iterate"
             )
-        g = gradient_J(u_peak, prob)
-        res = float(np.linalg.norm(g.nodal_values[idx]))
+        res = float(np.linalg.norm(g[idx]))
 
         record = min(record, J_peak)
         path_energies.append(record)
         trace.append((it, J_peak, res, A, K))
 
         if res <= tol:
-            return report(u_peak, J_peak, res, K, it)
+            return report(at, J_peak, res, K, it)
         if res <= newton_from:
-            u, res_n, K_n, steps = _newton_polish(prob, u_peak, g.nodal_values, res, tol)
+            point, res_n, A_n, steps = _newton_polish(prob, at.u, g, res, tol)
             newton_steps += steps
-            if u is not None:
-                J_u = energy_J(u, prob)
+            if point is not None:
+                J_u = float(_energy_of_elements(prob, A_n, point.uc))
                 if J_u <= J_peak:  # a critical point no higher than the path's peak
-                    return report(u, J_u, res_n, K_n, it)
+                    return report(point, J_u, res_n, prob.a - prob.b * A_n, it)
             newton_from = res / 10.0  # retry one decade further down
 
-        d = -precond.apply(g.nodal_values)
-        slope = float(np.dot(g.nodal_values[idx], d[idx]))
+        d = -precond.apply(g)
+        slope = float(np.dot(g[idx], d[idx]))
         # keep the deformation local: never step past the neighbor spacing,
         # otherwise the peak can vault the ridge into the far valley
         spacing = max(
@@ -803,11 +821,11 @@ def mountain_pass_solve(
             )
         new = peak + step * d
         path[m] = new
-        energies[m] = energy_at(new)
+        energies[m] = energy_J(GridFunction(mesh, new), prob)
         for j in (m - 1, m + 1):
             if 0 < j < n_path - 1:
                 path[j] = 0.5 * (path[j] + new)
-                energies[j] = energy_at(path[j])
+                energies[j] = energy_J(GridFunction(mesh, path[j]), prob)
 
     raise MaxIterations(f"no convergence within {max_iter} sweeps")
 
@@ -828,8 +846,8 @@ def multiplicity_search(
     """Mountain-pass solves from nested eigen-subspace seeds, one per orbit.
 
     Requires a >= b and an odd nonlinearity (every cataloged kind is odd),
-    a nonnegative seed, and k_max >= 1 when n_starts > 0 (DomainError
-    otherwise).  The first
+    a nonnegative seed and n_starts, and k_max >= 1 when n_starts > 0
+    (DomainError otherwise, as for a bad ``tol``).  The first
     min(k_max, n_starts) starts are the pure eigenvector directions; the
     rest draw random combinations from the nested spans.
     Starts whose solve fails (MaxIterations, DegenerateCoefficient) are
@@ -842,8 +860,9 @@ def multiplicity_search(
     if not prob.a >= prob.b:
         raise DomainError("multiplicity search requires a >= b")
     _nonnegative("seed", seed)
+    _nonnegative("n_starts", n_starts)
     results = []
-    if n_starts <= 0:
+    if n_starts == 0:
         return results
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max}")

@@ -21,7 +21,7 @@ from pxkirchhoff import (
     nonlinearity_eval,
 )
 from pxkirchhoff.energy import (
-    _derivative_terms,
+    _derivative_terms_of_elements,
     _gather,
     _line_energy,
     _magnitude,
@@ -287,7 +287,8 @@ def test_gradient_equals_reference_assembly_bitwise(kind):
     nodal = 3.0 * np.sin(np.pi * x)
     nodal[mesh.boundary_mask] = 0.0
     nodal[10:13] = 0.0  # zero centroid values and gradients on two elements
-    A, flux, uc, s_pow = _derivative_terms(mesh, p, nodal)
+    grads, uc = _gather(mesh, nodal)
+    A, flux, s_pow = _derivative_terms_of_elements(mesh, p, grads, _magnitude(grads), uc)
     mag = np.abs(uc)
     g = np.where(mag > 0.0, mag ** (q.values - 2.0) * uc, 0.0)
     g = {"pure_power": g, "scaled_power": 2.5 * g, "zero": 0.0 * g}[kind]
@@ -442,7 +443,9 @@ def test_hessian_rank_one_factor_is_the_derivative_of_A():
         rng = np.random.default_rng(3)
         u = GridFunction(prob.mesh, 0.3 + rng.random(prob.mesh.n_vertices))
         _, dA = hessian_J(u, prob)
-        _, flux, _, _ = _derivative_terms(prob.mesh, prob.p, u.nodal_values)
+        grads, uc = _gather(prob.mesh, u.nodal_values)
+        _, flux, _ = _derivative_terms_of_elements(prob.mesh, prob.p, grads,
+                                                   _magnitude(grads), uc)
         assert np.array_equal(dA, (prob.mesh.gradient_adjoint @ flux)[prob.mesh.interior])
 
 

@@ -27,6 +27,7 @@ from pxkirchhoff import (
     find_negative_energy_point,
     gradient_J,
     hessian_J,
+    kirchhoff_A,
     laplace_eigenbasis,
     mountain_pass_solve,
     multiplicity_search,
@@ -767,22 +768,24 @@ def test_degenerate_coefficient_is_raised():
 def test_newton_trial_with_nonpositive_K_is_backtracked(monkeypatch):
     # from the third eigenvector's ray peak on the coarse mesh, full Newton
     # steps toward the two-node orbit (K 0.0023) overshoot into K <= 0;
-    # those trials must be halved away, never accepted
+    # those trials must be halved away, never accepted.  Each trial's K
+    # comes from the A that the kernel's residual form returns.
     prob = model_problem(n=12)
     phi3 = laplace_eigenbasis(prob.mesh, 3)[2]
     e = _scale_until_negative(prob, phi3.nodal_values / sobolev_norm(phi3, prob.p))
     polishing, trial_K, accepted = [False], [], []
-    polish, kirchhoff_A, armijo = solver._newton_polish, solver.kirchhoff_A, solver._armijo
+    polish, residual, armijo = (solver._newton_polish, solver._residual_of_elements,
+                                solver._armijo)
 
     def flagged_polish(*args):
         polishing[0] = True
         return polish(*args)
 
-    def recorded_A(u, p):
-        A = kirchhoff_A(u, p)
+    def recorded_residual(pb, *data):
+        g, A = residual(pb, *data)
         if polishing[0]:
-            trial_K.append(prob.a - prob.b * A)
-        return A
+            trial_K.append(pb.a - pb.b * A)
+        return g, A
 
     def recorded_armijo(f, f0, slope, step):
         t = armijo(f, f0, slope, step)
@@ -791,7 +794,7 @@ def test_newton_trial_with_nonpositive_K_is_backtracked(monkeypatch):
         return t
 
     monkeypatch.setattr(solver, "_newton_polish", flagged_polish)
-    monkeypatch.setattr(solver, "kirchhoff_A", recorded_A)
+    monkeypatch.setattr(solver, "_residual_of_elements", recorded_residual)
     monkeypatch.setattr(solver, "_armijo", recorded_armijo)
     rep = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
     assert min(trial_K) <= 0.0
@@ -802,14 +805,11 @@ def test_newton_trial_with_nonpositive_K_is_backtracked(monkeypatch):
     assert rep.energy == pytest.approx(4.989576, abs=1e-6)
 
     # even a K <= 0 trial whose residual read 0 would not be accepted
-    gradient = solver.gradient_J
+    def zero_where_K_nonpositive(pb, *data):
+        g, A = residual(pb, *data)
+        return (np.zeros_like(g) if pb.a - pb.b * A <= 0.0 else g), A
 
-    def zero_where_K_nonpositive(u, pb):
-        if pb.a - pb.b * kirchhoff_A(u, pb.p) <= 0.0:
-            return GridFunction(pb.mesh, np.zeros(pb.mesh.n_vertices))
-        return gradient(u, pb)
-
-    monkeypatch.setattr(solver, "gradient_J", zero_where_K_nonpositive)
+    monkeypatch.setattr(solver, "_residual_of_elements", zero_where_K_nonpositive)
     faked = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
     assert faked.nonlocal_coefficient > 0.0
     assert faked.energy == rep.energy
@@ -835,7 +835,7 @@ def test_newton_invariants_sweeps_budget_and_searches(monkeypatch):
     rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
     assert rep.newton_steps > 0 and rep.iterations > 0
     assert len(rep.path_energies) == len(rep.iteration_trace) == rep.iterations + 1
-    assert energy_calls[0] <= 15 + 1 + 3 * rep.iterations
+    assert energy_calls[0] <= 1 + 3 * rep.iterations
     assert searches[0] == 2 * (rep.iterations + 1)
     # Newton was first tried from the first sweep's peak, and the sweep that
     # handed over again had its peak residual a decade lower
@@ -844,6 +844,112 @@ def test_newton_invariants_sweeps_budget_and_searches(monkeypatch):
     assert rep.iteration_trace[-1][2] == attempts[1] <= attempts[0] / 10.0
     assert rep.residual_norm <= 1e-6 < rep.iteration_trace[-1][2]
     assert rep.energy == energy(rep.solution, prob)
+
+
+def _kernel_cases():
+    """A 1-D and a 2-D problem with variable p, lambda != 0 and a scaled
+    power, each with a random zero-trace point."""
+    rng = np.random.default_rng(5)
+    for mesh in (build_interval_mesh(30, 0.0, 1.0),
+                 build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0)))):
+        p = build_exponent_field(2.1 + 0.3 * mesh.element_centroids[:, 0], mesh)
+        spec = NonlinearitySpec("scaled_power", constant_exponent(5.0, mesh),
+                                coefficient=1.5)
+        prob = KirchhoffProblem(1.0, 0.1, 2.0, p, spec, mesh)
+        yield prob, GridFunction(mesh, rng.standard_normal(mesh.n_vertices))
+
+
+def test_kernel_forms_are_bitwise_the_nodal_functions():
+    # the residual, A, J and J'' that the solver forms from one gather are
+    # bitwise those of gradient_J, kirchhoff_A, energy_J and hessian_J
+    for prob, u in _kernel_cases():
+        at, idx = solver._point(u), prob.mesh.interior
+        g, A = solver._residual_of_elements(prob, at.grads, at.gmag, at.uc)
+        assert np.array_equal(g[idx], gradient_J(u, prob).nodal_values[idx])
+        assert A == kirchhoff_A(u, prob.p)
+        assert float(solver._energy_of_elements(prob, A, at.uc)) == energy_J(u, prob)
+        S, dA = solver._hessian_of_elements(prob, at.grads, at.gmag, at.uc)
+        S_ref, dA_ref = hessian_J(u, prob)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(S, name), getattr(S_ref, name))
+        assert np.array_equal(dA, dA_ref)
+
+
+def test_solve_certificate_is_bitwise_the_nodal_functions():
+    # the residual, K and energy reported for a Newton point come from its
+    # kept element data, and equal the nodal functions at the solution
+    prob = model_problem(n=60)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    assert rep.newton_steps > 0
+    u, idx = rep.solution, prob.mesh.interior
+    assert rep.residual_norm == float(np.linalg.norm(gradient_J(u, prob).nodal_values[idx]))
+    assert rep.nonlocal_coefficient == prob.a - prob.b * kirchhoff_A(u, prob.p)
+    assert rep.energy == energy_J(u, prob)
+    precond = solver._SobolevPreconditioner(prob.mesh)
+    assert (rep.morse_index, rep.lowest_eigenvalues) == solver._morse(
+        prob, solver._point(u), precond)
+
+
+def test_newton_polish_gathers_once_per_trial(monkeypatch):
+    # one gather at the start of the attempt and one per merit trial; the
+    # Hessians, the accepted residuals and the returned point need none
+    prob = model_problem(n=60)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    handed, polish = [], solver._newton_polish
+    monkeypatch.setattr(solver, "_newton_polish",
+                        lambda *args: handed.append(args) or polish(*args))
+    mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    monkeypatch.undo()
+
+    gathers, trials = [], [0]
+    element_gradients, armijo = energy.element_gradients, solver._armijo
+    monkeypatch.setattr(energy, "element_gradients",
+                        lambda *args: gathers.append(1) or element_gradients(*args))
+
+    def counted(f, f0, slope, step):
+        def trial(t):
+            trials[0] += 1
+            return f(t)
+        return armijo(trial, f0, slope, step)
+
+    monkeypatch.setattr(solver, "_armijo", counted)
+    point, res, A, steps = polish(*handed[0])
+    assert point is not None and res <= 1e-6 and trials[0] >= steps > 1
+    assert len(gathers) == 1 + trials[0]
+    monkeypatch.undo()
+    again = solver._point(point.u)  # the kept data are those of the point
+    for name in ("grads", "gmag", "uc"):
+        assert np.array_equal(getattr(point, name), getattr(again, name))
+
+
+def test_first_path_energies_come_from_the_ray_of_e(monkeypatch):
+    # J(t e) at the interior points of the first path comes from the
+    # weights of e's ray, gathered once, and agrees with energy_J there
+    rays, ray = [], solver._energy_ray
+
+    def recorded(pb, nodal):
+        gmag, energy_on_ray = ray(pb, nodal)
+
+        def evaluate(r):
+            J = energy_on_ray(r)
+            rays.append((nodal, np.asarray(r), J))
+            return J
+
+        return gmag, evaluate
+
+    monkeypatch.setattr(solver, "_energy_ray", recorded)
+    n_path = 15
+    (variable, _), _ = _kernel_cases()  # 1-D, variable p, lambda = 2
+    for prob in (model_problem(n=60), variable):
+        e = find_negative_energy_point(prob, tent_on(prob.mesh))
+        rays.clear()
+        mountain_pass_solve(prob, e, n_path=n_path, tol=1e-6)
+        (nodal, r, J), = rays
+        assert np.array_equal(nodal, e.nodal_values)
+        assert np.array_equal(r, np.linspace(0.0, 1.0, n_path)[1:-1])
+        ref = np.array([energy_J(GridFunction(prob.mesh, t * nodal), prob) for t in r])
+        assert np.all(np.abs(J - ref) <= 1e-13 * np.abs(ref))
 
 
 def test_failed_newton_attempts_fall_back_to_sweeping(monkeypatch):
@@ -885,7 +991,8 @@ def test_newton_point_above_the_path_peak_is_discarded(monkeypatch):
 
     def polish_to_higher(prob_, u, g, res, tol):
         peaks.append(energy_J(u, prob_))
-        return higher.solution, higher.residual_norm, higher.nonlocal_coefficient, 1
+        return (solver._point(higher.solution), higher.residual_norm,
+                kirchhoff_A(higher.solution, prob_.p), 1)
 
     monkeypatch.setattr(solver, "_newton_polish", polish_to_higher)
     rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
@@ -1020,7 +1127,7 @@ def test_morse_index_counts_every_negative_eigenvalue(index_three_orbit, monkeyp
     assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
     calls = _count_eigsh(monkeypatch)
     precond = solver._SobolevPreconditioner(prob.mesh)
-    assert solver._morse(prob, rep.solution, precond) == (3, rep.lowest_eigenvalues)
+    assert solver._morse(prob, solver._point(rep.solution), precond) == (3, rep.lowest_eigenvalues)
     assert calls == [2]
 
 
@@ -1034,13 +1141,13 @@ def test_inertia_counts_the_rank_one_term():
     tent = tent_on(mesh)
     precond = solver._SobolevPreconditioner(mesh)
     for A, index in ((0.5, 0), (2.0, 1)):  # in units of a / (3b)
-        scale = np.sqrt(A * prob.a / (3.0 * prob.b) / solver.kirchhoff_A(tent, prob.p))
+        scale = np.sqrt(A * prob.a / (3.0 * prob.b) / kirchhoff_A(tent, prob.p))
         u = GridFunction(mesh, scale * tent.nodal_values)
         S, dA = hessian_J(u, prob)
         assert np.all(np.linalg.eigvalsh(S.toarray()) > 0.0)
         dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
         assert solver._inertia_index(S, dA, prob.b) == int(np.sum(dense < 0.0)) == index
-        assert solver._morse(prob, u, precond)[0] == index
+        assert solver._morse(prob, solver._point(u), precond)[0] == index
 
 
 def test_inertia_matches_a_dense_count_at_random_points():
@@ -1081,17 +1188,17 @@ def test_morse_falls_back_to_doubling_without_a_symmetric_lu(index_three_orbit, 
     precond = solver._SobolevPreconditioner(prob.mesh)
     calls = _count_eigsh(monkeypatch)
     monkeypatch.setattr(solver, "_inertia_index", lambda *args: None)
-    doubling = solver._morse(prob, rep.solution, precond)
+    doubling = solver._morse(prob, solver._point(rep.solution), precond)
     assert doubling[0] == 3 and calls == [2, 4]
     monkeypatch.undo()
 
     splu = solver._splu
     monkeypatch.setattr(solver, "_splu", lambda S: _OffDiagonalLU(splu(S)))
     assert solver._inertia_index(*hessian_J(rep.solution, prob), prob.b) is None
-    assert solver._morse(prob, rep.solution, precond) == doubling
+    assert solver._morse(prob, solver._point(rep.solution), precond) == doubling
     # an index that the eigenvalues contradict is not reported either
     monkeypatch.setattr(solver, "_inertia_index", lambda *args: 1)
-    assert solver._morse(prob, rep.solution, precond) == doubling
+    assert solver._morse(prob, solver._point(rep.solution), precond) == doubling
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1111,7 +1218,8 @@ def test_morse_index_is_none_where_the_hessian_does_not_exist():
     prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(1.8, mesh), spec, mesh)
     x = mesh.vertices[:, 0]
     flat = GridFunction(mesh, np.minimum(np.minimum(x, 1.0 - x), 0.3))
-    assert solver._morse(prob, flat, solver._SobolevPreconditioner(mesh)) == (None, None)
+    precond = solver._SobolevPreconditioner(mesh)
+    assert solver._morse(prob, solver._point(flat), precond) == (None, None)
 
 
 def test_p_below_two_in_2d_certifies_with_newton_and_a_morse_index():
@@ -1241,6 +1349,32 @@ def test_multiplicity_finds_the_one_node_orbit_for_variable_p():
 def test_negative_seed_is_a_domain_error(call):
     with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
         call(model_problem(n=12))
+
+
+def test_negative_n_starts_is_a_domain_error():
+    prob = model_problem(n=12)
+    with pytest.raises(DomainError, match="n_starts must be nonnegative, got -1"):
+        multiplicity_search(prob, n_starts=-1)
+    assert multiplicity_search(prob, n_starts=0) == []
+
+
+@pytest.mark.parametrize("n_seeds", [0, -2])
+def test_rayleigh_needs_at_least_one_seed(n_seeds):
+    prob = model_problem(n=12)
+    with pytest.raises(DomainError, match=f"n_seeds must be at least 1, got {n_seeds}"):
+        rayleigh_quotient_min(prob.p, prob.mesh, n_seeds=n_seeds)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_tol_must_be_finite_and_positive(tol):
+    # nan or a nonpositive tol can never certify, so the solve would run its
+    # whole sweep budget before MaxIterations; an infinite one certifies any peak
+    prob = model_problem(n=12)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        mountain_pass_solve(prob, e, tol=tol)
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        multiplicity_search(prob, n_starts=2, tol=tol)
 
 
 def test_eigenbasis_shapes():
