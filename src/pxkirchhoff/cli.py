@@ -218,40 +218,22 @@ def parse_config(text: str) -> RunConfig:
 
 
 def render_config(config: RunConfig) -> str:
-    """Inverse of parse_config: parse_config(render_config(c)) == c."""
-    d = config.domain
-    domain = (
-        f"interval:{d[1]!r},{d[2]!r},{d[3]}"
-        if d[0] == "interval"
-        else f"rect:{d[1]!r},{d[2]!r},{d[3]!r},{d[4]!r},{d[5]},{d[6]}"
-    )
-    lines = [
-        f"command = {config.command}",
-        f"domain = {domain}",
-        f"p = {config.p}",
-        f"q = {config.q}",
-        f"a = {config.a!r}",
-        f"b = {config.b!r}",
-        f"lambda = {config.lam!r}",
-        f"g_kind = {config.g_kind}",
-        f"coefficient = {config.coefficient!r}",
-        f"s_A = {config.s_A!r}",
-        f"tol = {config.tol!r}",
-        f"max_iter = {config.max_iter}",
-        f"n_path = {config.n_path}",
-        f"n_starts = {config.n_starts}",
-        f"k_max = {config.k_max}",
-        f"seed = {config.seed}",
-        f"n_dirs = {config.n_dirs}",
-        f"rho_grid = {','.join(repr(r) for r in config.rho_grid)}",
-        f"out = {config.out}",
-    ]
-    if config.theta is not None:
-        lines.append(f"theta = {config.theta!r}")
-    if config.u is not None:
-        lines.append(f"u = {config.u}")
-    if config.ambient_dim is not None:
-        lines.append(f"ambient_dim = {config.ambient_dim}")
+    """Inverse of parse_config: parse_config(render_config(c)) == c.
+
+    One line per key of ``_PARSERS`` whose field is set; floats are written
+    by ``repr``, so they read back exactly."""
+    lines = []
+    for key in _PARSERS:
+        value = getattr(config, _FIELD_FOR_KEY.get(key, key))
+        if value is None:
+            continue
+        if key == "domain":
+            value = f"{value[0]}:{','.join(map(repr, value[1:]))}"
+        elif key == "rho_grid":
+            value = ",".join(map(repr, value))
+        elif isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

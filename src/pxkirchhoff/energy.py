@@ -18,12 +18,12 @@ gradient, its values along a line u + t d (``_rayleigh_line``) and along the
 ray e^s u (``_rayleigh_ray``, ``_rayleigh_on_ray``), live here too, for the
 solvers.
 
-Every functional reads nodal values only through their element data: the
-element gradients Dg u and centroid values C u (``_gather``, two sparse
-products).  The ``*_of_elements`` forms take those data (J, J' with A,
-J'', R and R'), so a solver step gathers once and evaluates everything else
-elementwise; the nodal forms (``gradient_J``, ``hessian_J``,
-``_rayleigh_ratio``, ``_rayleigh_gradient``) gather and call them.
+Every functional reads nodal values only through their element data, and
+this module owns them: ``_point`` gathers a ``_Point`` once (Dg u and C u,
+two sparse products, then |Dg u|).  The ``*_of_elements`` forms take a
+point or arrays of its data (J, J' with A, J'', R and R'), and the nodal
+forms (``gradient_J``, ``hessian_J``, the Rayleigh forms) call them on
+their ``_point``; the solvers hold points and never gather.
 """
 
 from dataclasses import dataclass, replace
@@ -95,6 +95,23 @@ def _gather(mesh: Mesh, nodal: np.ndarray):
     """The element data of raw nodal values: the element gradients Dg u,
     shape (n_elements, d), and the centroid values C u."""
     return element_gradients(mesh, nodal), mesh.centroid_map @ nodal
+
+
+@dataclass(eq=False)
+class _Point:
+    """Raw nodal values and their element data from one gather: the element
+    gradients Dg u, their magnitudes and the centroid values C u."""
+
+    nodal: np.ndarray
+    grads: np.ndarray
+    gmag: np.ndarray
+    uc: np.ndarray
+
+
+def _point(mesh: Mesh, nodal: np.ndarray) -> _Point:
+    """The ``_Point`` of raw nodal values: one gather, then the magnitude."""
+    grads, uc = _gather(mesh, nodal)
+    return _Point(nodal, grads, _magnitude(grads), uc)
 
 
 def _positive_power(mag: np.ndarray, e) -> np.ndarray:
@@ -239,10 +256,9 @@ def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
     return float(_energy_of_elements(prob, A, centroid_values(u)))
 
 
-def _derivative_terms_of_elements(mesh: Mesh, p: ExponentField, grads: np.ndarray,
-                                  gmag: np.ndarray, uc: np.ndarray):
+def _derivative_terms_of_elements(mesh: Mesh, p: ExponentField, at: _Point):
     """A(u) and the element data of the derivatives of A and B, from the
-    element gradients, their magnitudes and the centroid values of u.
+    element data of the point ``at``.
 
     Returns (A, flux, s_pow).  ``flux`` holds |grad u|^{p-2} grad u times
     the element measure in the rows of the gradient map, so that
@@ -251,10 +267,10 @@ def _derivative_terms_of_elements(mesh: Mesh, p: ExponentField, grads: np.ndarra
     vanishes.
     """
     pv, meas = p.values, mesh.element_measures
-    A = _p_integral(gmag, p, meas)
-    w = _positive_power(gmag, pv - 2.0) * meas
-    s_pow = _positive_power(np.abs(uc), pv - 2.0) * uc
-    return A, (w[:, None] * grads).ravel(), s_pow
+    A = _p_integral(at.gmag, p, meas)
+    w = _positive_power(at.gmag, pv - 2.0) * meas
+    s_pow = _positive_power(np.abs(at.uc), pv - 2.0) * at.uc
+    return A, (w[:, None] * at.grads).ravel(), s_pow
 
 
 def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
@@ -267,18 +283,17 @@ def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
     maps are fixed CSR matrices, so identical inputs give bitwise-identical
     sums; ``_residual_of_elements`` assembles it.
     """
-    grads, uc = _gather(prob.mesh, u.nodal_values)
-    return GridFunction(prob.mesh, _residual_of_elements(prob, grads, _magnitude(grads), uc)[0])
+    at = _point(prob.mesh, u.nodal_values)
+    return GridFunction(prob.mesh, _residual_of_elements(prob, at)[0])
 
 
-def _residual_of_elements(prob: KirchhoffProblem, grads: np.ndarray, gmag: np.ndarray,
-                          uc: np.ndarray):
+def _residual_of_elements(prob: KirchhoffProblem, at: _Point):
     """(residual, A): the raw nodal values of ``gradient_J`` and A(u), from
-    the element gradients, their magnitudes and the centroid values of u."""
+    the element data of the point ``at``."""
     mesh = prob.mesh
-    A, flux, s_pow = _derivative_terms_of_elements(mesh, prob.p, grads, gmag, uc)
+    A, flux, s_pow = _derivative_terms_of_elements(mesh, prob.p, at)
     K = prob.a - prob.b * A
-    lumped = (prob.lam * s_pow + _g(prob.g, uc)) * mesh.element_measures
+    lumped = (prob.lam * s_pow + _g(prob.g, at.uc)) * mesh.element_measures
     return K * (mesh.gradient_adjoint @ flux) - mesh.centroid_adjoint @ lumped, float(A)
 
 
@@ -320,15 +335,12 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
     are checked: on the others a zero-trace u vanishes, and they add
     nothing to the interior J''; ``_hessian_of_elements`` assembles it.
     """
-    grads, uc = _gather(prob.mesh, u.nodal_values)
-    return _hessian_of_elements(prob, grads, _magnitude(grads), uc)
+    return _hessian_of_elements(prob, _point(prob.mesh, u.nodal_values))
 
 
-def _hessian_of_elements(prob: KirchhoffProblem, grads: np.ndarray, gmag: np.ndarray,
-                         uc: np.ndarray):
-    """``hessian_J`` from the element gradients, their magnitudes and the
-    centroid values of u."""
-    mesh = prob.mesh
+def _hessian_of_elements(prob: KirchhoffProblem, at: _Point):
+    """``hessian_J`` from the element data of the point ``at``."""
+    mesh, grads, gmag, uc = prob.mesh, at.grads, at.gmag, at.uc
     pattern = mesh.interior_pattern
     pv, meas, live = prob.p.values, mesh.element_measures, pattern.live
     w = _bounded_power(gmag, pv - 2.0, live, "a vanishing element gradient") * meas
@@ -412,15 +424,14 @@ def _rayleigh_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,
 
 def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
     """R(u) = A(u) / B(u) at raw nodal values; no derivative is assembled."""
-    grads, uc = _gather(mesh, nodal)
-    return _rayleigh_of_elements(mesh, p, _magnitude(grads), uc)
+    at = _point(mesh, nodal)
+    return _rayleigh_of_elements(mesh, p, at.gmag, at.uc)
 
 
-def _rayleigh_line(mesh: Mesh, p: ExponentField, grads: np.ndarray, uc: np.ndarray,
-                   direction: np.ndarray):
+def _rayleigh_line(mesh: Mesh, p: ExponentField, at: _Point, direction: np.ndarray):
     """R along the line u + t*direction, from element data gathered once.
 
-    ``grads`` and ``uc`` are the element gradients and centroid values of u;
+    ``at`` holds the element gradients G and centroid values uc of u;
     those of the direction, Gd and dc, are gathered here, together with the
     per-element products G.G, G.Gd and Gd.Gd, so |grad(u + t d)|^2 is a
     quadratic in t and the centroid values are uc + t dc.  Returns
@@ -430,10 +441,10 @@ def _rayleigh_line(mesh: Mesh, p: ExponentField, grads: np.ndarray, uc: np.ndarr
     """
     dg, dc = _gather(mesh, direction)
     gg, gd, dd = (np.einsum("ed,ed->e", x, y)
-                  for x, y in ((grads, grads), (grads, dg), (dg, dg)))
+                  for x, y in ((at.grads, at.grads), (at.grads, dg), (dg, dg)))
 
     def data(t):
-        return np.sqrt(np.maximum(gg + t * (2.0 * gd + t * dd), 0.0)), uc + t * dc
+        return np.sqrt(np.maximum(gg + t * (2.0 * gd + t * dd), 0.0)), at.uc + t * dc
 
     def ratio(t):
         return _rayleigh_of_elements(mesh, p, *data(t))
@@ -453,10 +464,9 @@ def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
     every term of J is a power along the ray, A and B by ``_ray_weights``
     and I(G(x, r u)) = sum w_G r^q with w_G = meas G(x, u_c)."""
     pv, qv = prob.p.values, prob.g.q.values
-    grads, uc = _gather(prob.mesh, nodal)
-    gmag = _magnitude(grads)
-    w_A, w_B = _ray_weights(prob.mesh, prob.p, gmag, uc)
-    w_G = _G(prob.g, uc) * prob.mesh.element_measures
+    at = _point(prob.mesh, nodal)
+    w_A, w_B = _ray_weights(prob.mesh, prob.p, at.gmag, at.uc)
+    w_G = _G(prob.g, at.uc) * prob.mesh.element_measures
 
     def energy(r):
         log_r = np.log(np.asarray(r, dtype=float))[..., None]
@@ -465,13 +475,13 @@ def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
         r_q = np.exp(np.multiply(log_r, qv, out=r_p), out=r_p)  # one stack in memory
         return _energy_of_terms(prob, A, B, r_q @ w_G)
 
-    return gmag, energy
+    return at.gmag, energy
 
 
 def _rayleigh_ray(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
     """``_rayleigh_ray_of_elements`` at raw nodal values."""
-    grads, uc = _gather(mesh, nodal)
-    return _rayleigh_ray_of_elements(mesh, p, _magnitude(grads), uc)
+    at = _point(mesh, nodal)
+    return _rayleigh_ray_of_elements(mesh, p, at.gmag, at.uc)
 
 
 def _rayleigh_ray_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,
@@ -500,18 +510,16 @@ def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):
 
 def _rayleigh_gradient(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
     """``_rayleigh_gradient_of_elements`` at raw nodal values."""
-    grads, uc = _gather(mesh, nodal)
-    return _rayleigh_gradient_of_elements(mesh, p, grads, _magnitude(grads), uc)
+    return _rayleigh_gradient_of_elements(mesh, p, _point(mesh, nodal))
 
 
-def _rayleigh_gradient_of_elements(mesh: Mesh, p: ExponentField, grads: np.ndarray,
-                                   gmag: np.ndarray, uc: np.ndarray) -> np.ndarray:
+def _rayleigh_gradient_of_elements(mesh: Mesh, p: ExponentField, at: _Point) -> np.ndarray:
     """R'(u) = (A'(u) - R(u) B'(u)) / B(u), zero on the boundary, from the
-    element gradients, their magnitudes and the centroid values of u; the
-    two adjoint products are its only sparse products."""
+    element data of the point ``at``; the two adjoint products are its only
+    sparse products."""
     meas = mesh.element_measures
-    A, flux, s_pow = _derivative_terms_of_elements(mesh, p, grads, gmag, uc)
-    B = _p_integral(np.abs(uc), p, meas)
+    A, flux, s_pow = _derivative_terms_of_elements(mesh, p, at)
+    B = _p_integral(np.abs(at.uc), p, meas)
     grad = (mesh.gradient_adjoint @ flux
             - (A / B) * (mesh.centroid_adjoint @ (s_pow * meas))) / B
     grad[mesh.boundary_mask] = 0.0

@@ -13,15 +13,15 @@ sparse part of J'' with one symmetric sparse LU (``_splu``); the rank-one
 part is solved by Sherman-Morrison.  The fallback deforms
 the path: a descent step at its peak, neighboring points pulled toward it.
 Descent directions are preconditioned with the constant-exponent stiffness
-(a discrete Sobolev gradient), which keeps iteration counts
-mesh-independent; the reported residual stays the plain interior l2 norm of
-the assembled derivative.  The solution's Morse index is reported: it is
-counted by inertia from the same symmetric LU, and one sparse eigensolve
-for the two lowest eigenvalues cross-checks it (``_morse``).  All
-eigensolves (the Laplace eigenbasis, the Morse index) are sparse.  Every
-solve with the constant-exponent stiffness (the preconditioner, the
-eigenbasis shift-invert, the Morse eigensolve's inverse mass) goes through
-the one symmetric LU that the mesh caches (``Mesh.interior_stiffness_lu``).
+(a discrete Sobolev gradient, ``_sobolev_descent``), which keeps iteration
+counts mesh-independent; the reported residual stays the plain interior l2
+norm of the assembled derivative.  The solution's Morse index is reported:
+it is counted by inertia from the same symmetric LU, and one sparse
+eigensolve for the two lowest eigenvalues cross-checks it (``_morse``).
+All eigensolves are sparse, and every stiffness solve (the descent, the
+eigenbasis shift-invert, the Morse inverse mass) uses the mesh's one LU
+(``Mesh.interior_stiffness_lu``).  Element data come only from
+``energy._point``: the solvers hold its points and never gather.
 
 The multiplicity search runs its starts one after another, in start-index
 order, and merges results deterministically by (energy, start-index) order.
@@ -40,14 +40,13 @@ from .energy import (
     _line_energy,
     _energy_of_elements,
     _energy_ray,
-    _gather,
     _hessian_of_elements,
-    _magnitude,
+    _point,
+    _Point,
     _rayleigh_gradient_of_elements,
     _rayleigh_line,
     _rayleigh_of_elements,
     _rayleigh_on_ray,
-    _rayleigh_ratio,
     _rayleigh_ray_of_elements,
     _residual_of_elements,
     _stiffness_norm,
@@ -74,28 +73,15 @@ __all__ = [
 ]
 
 
-# -- Sobolev preconditioner, eigenbasis, backtracking and Brent's root --------
+# -- Sobolev descent, eigenbasis, backtracking and Brent's root ---------------
 
-class _SobolevPreconditioner:
-    """Riesz map for the discrete H1_0 inner product on interior vertices.
-
-    ``solve`` is the solve of the mesh's one symmetric LU of its interior
-    stiffness (``Mesh.interior_stiffness_lu``), so every preconditioner on
-    a mesh shares that factorization.
-    """
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        self.solve = mesh.interior_stiffness_lu.solve
-
-    def apply(self, nodal: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.mesh.n_vertices)
-        out[self.mesh.interior] = self.solve(nodal[self.mesh.interior])
-        return out
-
-    def h_norm(self, nodal: np.ndarray) -> float:
-        """Norm induced by the constant-exponent stiffness."""
-        return float(np.sqrt(max(nodal @ (self.mesh.stiffness @ nodal), 0.0)))
+def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
+    """-K^{-1} g on the interior vertices and 0 on the boundary, K the
+    interior stiffness: the discrete H1_0 descent direction, solved with the
+    mesh's one symmetric LU of K (``Mesh.interior_stiffness_lu``)."""
+    d = np.zeros(mesh.n_vertices)
+    d[mesh.interior] = -mesh.interior_stiffness_lu.solve(g[mesh.interior])
+    return d
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -237,8 +223,8 @@ _S_TOL = 2e-12  # resolution in s of that minimum
 def _ray_minimize(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
     """e^s u at the minimum of R(e^s u) over |s| <= _S_MAX, by ``_ray_scale``
     on the element data of raw nodal values."""
-    grads, uc = _gather(mesh, nodal)
-    return _ray_scale(mesh, p, _magnitude(grads), uc) * nodal
+    at = _point(mesh, nodal)
+    return _ray_scale(mesh, p, at.gmag, at.uc) * nodal
 
 
 def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -> float:
@@ -288,12 +274,12 @@ def rayleigh_quotient_min(
     starts; the smallest converged value wins.  For constant p this is the
     classical p-Laplacian Rayleigh quotient.  After each accepted step the
     iterate is normalized in the stiffness norm and R is minimized exactly
-    along its ray e^s u (``_ray_scale``); a random start is only
-    normalized, since the first step renormalizes anyway.
+    along its ray e^s u (``_ray_scale``); a random start is only normalized,
+    from one gather, since the first step renormalizes anyway.
 
-    Each step gathers the element data of the iterate u and of the
-    direction d once, two sparse products each.  The gradient of R, every
-    Armijo trial (``_rayleigh_line``), the normalization
+    Each step gathers the element data of the iterate u (``_point``) and of
+    the direction d (``_sobolev_descent``) once, two sparse products each.
+    The gradient of R, every Armijo trial (``_rayleigh_line``), the normalization
     (``_stiffness_norm``), the ray search and R at the new iterate come from
     those data by elementwise arithmetic; with the two adjoint products of
     the gradient a step makes six sparse products.  The data are gathered
@@ -303,34 +289,38 @@ def rayleigh_quotient_min(
     the line search stalls; MaxIterations is raised if every start uses up
     ``max_iter`` steps, and at once when R decreases along a whole ray
     (for non-monotone p the infimum can be 0, and no minimizer exists).
-    A negative ``seed`` or an ``n_seeds`` below 1 is a DomainError.
+    A negative ``seed`` or ``max_iter``, an ``n_seeds`` below 1, or a
+    ``tol`` that is not finite and positive is a DomainError.
     """
     _nonnegative("seed", seed)
+    _nonnegative("max_iter", max_iter)
     if n_seeds < 1:
         raise DomainError(f"n_seeds must be at least 1, got {n_seeds}")
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     rng = np.random.default_rng(seed)
-    precond = _SobolevPreconditioner(mesh)
     idx = mesh.interior
 
     best = None
     for _ in range(n_seeds):
         nodal = np.zeros(mesh.n_vertices)
         nodal[idx] = 0.1 + rng.random(len(idx))
-        nodal /= precond.h_norm(nodal)
-        R = _rayleigh_ratio(mesh, p, nodal)
+        at = _point(mesh, nodal)
+        norm = _stiffness_norm(mesh, at.gmag)
+        nodal /= norm
+        R = _rayleigh_of_elements(mesh, p, at.gmag / norm, at.uc / norm)
         converged = False
         stable = 0
         for _ in range(max_iter):
-            grads, uc = _gather(mesh, nodal)
-            gmag = _magnitude(grads)
-            grad = _rayleigh_gradient_of_elements(mesh, p, grads, gmag, uc)
-            d = -precond.apply(grad)
+            at = _point(mesh, nodal)
+            grad = _rayleigh_gradient_of_elements(mesh, p, at)
+            d = _sobolev_descent(mesh, grad)
             slope = float(np.dot(grad[idx], d[idx]))
             if slope >= 0.0:
                 converged = True
                 break
-            step = min(1.0, _stiffness_norm(mesh, gmag) / np.sqrt(-slope))
-            ratio, data = _rayleigh_line(mesh, p, grads, uc, d)
+            step = min(1.0, _stiffness_norm(mesh, at.gmag) / np.sqrt(-slope))
+            ratio, data = _rayleigh_line(mesh, p, at, d)
             step = _armijo(ratio, R, slope, step)
             if step is None:
                 converged = True  # stalled at line-search resolution
@@ -497,21 +487,6 @@ class SolveReport:
     lowest_eigenvalues: tuple[float, ...] | None = None
 
 
-@dataclass(eq=False)
-class _Point:
-    """u with its element data, from one gather: Dg u, |Dg u| and C u."""
-
-    u: GridFunction
-    grads: np.ndarray
-    gmag: np.ndarray
-    uc: np.ndarray
-
-
-def _point(u: GridFunction) -> _Point:
-    grads, uc = _gather(u.mesh, u.nodal_values)
-    return _Point(u, grads, _magnitude(grads), uc)
-
-
 _CANDIDATES = 5     # equispaced points of a cell evaluated in one batch
 _T_TOL = 1e-12      # resolution in t of a segment maximum
 _NEWTON_STEPS = 20  # Newton steps per polish attempt
@@ -567,26 +542,27 @@ def _newton_direction(S, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarra
     return y + z * (b * float(dA @ y) / denom)
 
 
-def _newton_polish(prob, u: GridFunction, g: np.ndarray, res: float, tol: float):
-    """Newton's method on J'(u) = 0 from u, where J'(u) = g has residual res.
+def _newton_polish(prob, at: _Point, g: np.ndarray, res: float, tol: float):
+    """Newton's method on J'(u) = 0 from the point ``at``, where J'(u) = g
+    has residual res.
 
     Each step solves J''(u) d = -J'(u) on the interior vertices and halves
     the step (``_armijo`` on res^2/2, whose slope along d is -res^2) until
     K > 0 and the residual falls; a trial with K <= 0 is never accepted.
-    u and each trial are gathered once (``_point``).  Returns (point,
-    residual, A, steps) once the residual is at most tol, or (None, None,
-    None, steps) when the attempt cannot certify: J'' is undefined or
-    singular, no step decreases the residual, or _NEWTON_STEPS run out.
-    ``steps`` counts the accepted steps.  The point, any nearby critical
-    point, keeps its element data; the caller checks its level.
+    The start comes with its element data, so only the trials are gathered,
+    once each (``_point``).  Returns (point, residual, A, steps) once the
+    residual is at most tol, or (None, None, None, steps) when the attempt
+    cannot certify: J'' is undefined or singular, no step decreases the
+    residual, or _NEWTON_STEPS run out.  ``steps`` counts the accepted
+    steps.  The point, any nearby critical point, keeps its element data;
+    the caller checks its level.
     """
     mesh, idx = prob.mesh, prob.mesh.interior
-    at = _point(u)
     trials = {}
 
     def merit(t):
-        trial = _point(GridFunction(mesh, at.u.nodal_values + t * d))
-        grad, A = _residual_of_elements(prob, trial.grads, trial.gmag, trial.uc)
+        trial = _point(mesh, at.nodal + t * d)
+        grad, A = _residual_of_elements(prob, trial)
         if not prob.a - prob.b * A > 0.0:
             return np.inf
         r = float(np.linalg.norm(grad[idx]))
@@ -597,7 +573,7 @@ def _newton_polish(prob, u: GridFunction, g: np.ndarray, res: float, tol: float)
     while steps < _NEWTON_STEPS:
         d = np.zeros(mesh.n_vertices)
         try:
-            S, dA = _hessian_of_elements(prob, at.grads, at.gmag, at.uc)
+            S, dA = _hessian_of_elements(prob, at)
             d[idx] = _newton_direction(S, dA, prob.b, -g[idx])
         except (DomainError, RuntimeError):
             break
@@ -636,7 +612,7 @@ def _inertia_index(S, dA: np.ndarray, b: float) -> int | None:
     return int(np.count_nonzero(lu.U.diagonal() < 0.0)) + int(schur < 0.0)
 
 
-def _morse(prob: KirchhoffProblem, at: _Point, precond) -> tuple:
+def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
     """(index, two lowest eigenvalues) of the pencil (J''(u), stiffness) on
     the interior vertices at the point ``at``, or (None, None) where J''
     does not exist.
@@ -645,15 +621,15 @@ def _morse(prob: KirchhoffProblem, at: _Point, precond) -> tuple:
     negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
     one symmetric LU of its sparse part.  One ARPACK call then finds the two lowest
     eigenvalues (with two interior vertices, the lowest and the largest),
-    inverting the stiffness with ``precond.solve``, the mesh's stiffness LU,
-    and the number of negatives among them must equal min(index, 2).  When
-    the inertia is unavailable or that cross-check fails, ARPACK finds the
-    k lowest eigenvalues, k = 2, 4, 8, ... until one is nonnegative; it
-    finds at most n - 1 of n, so when all of those are negative the largest
+    inverting the stiffness with ``Mesh.interior_stiffness_lu``, and the
+    number of negatives among them must equal min(index, 2).  When the
+    inertia is unavailable or that cross-check fails, ARPACK finds the k
+    lowest eigenvalues, k = 2, 4, 8, ... until one is nonnegative; it finds
+    at most n - 1 of n, so when all of those are negative the largest
     eigenvalue decides the last.
     """
     try:
-        S, dA = _hessian_of_elements(prob, at.grads, at.gmag, at.uc)
+        S, dA = _hessian_of_elements(prob, at)
     except DomainError:
         return None, None
     n = S.shape[0]
@@ -663,7 +639,8 @@ def _morse(prob: KirchhoffProblem, at: _Point, precond) -> tuple:
         return int(vals[0] < 0.0), (float(vals[0]),)
     H = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: S @ v - prob.b * dA * (dA @ v), dtype=float)
-    Minv = scipy.sparse.linalg.LinearOperator((n, n), matvec=precond.solve, dtype=float)
+    Minv = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=prob.mesh.interior_stiffness_lu.solve, dtype=float)
 
     def lowest(k, which="SA"):
         return np.sort(scipy.sparse.linalg.eigsh(
@@ -724,8 +701,9 @@ def mountain_pass_solve(
     gathered once per segment: one batched evaluation of J and its exact
     slope dJ/dt at five candidates and, when the maximum lies inside the
     segment, the root of dJ/dt in the bracketing cell.  A peak or Newton
-    trial is gathered once (``_point``); A, K, J, J' and J'' there, the
-    energy guard and the Morse index included, come from its element data.
+    trial is gathered once (``_point``), and the Newton polish starts from
+    the peak's point; A, K, J, J' and J'' there, the energy guard and the
+    Morse index included, come from its element data.
 
     Raises DegenerateCoefficient the moment the nonlocal coefficient
     K(u) = a - b*A(u) is nonpositive at a sweep's peak (the operator loses
@@ -744,7 +722,6 @@ def mountain_pass_solve(
     if n_path < 3:
         raise DomainError("need at least 3 path points")
     _nonnegative("max_iter", max_iter)
-    precond = _SobolevPreconditioner(mesh)
     idx = mesh.interior
 
     ts = np.linspace(0.0, 1.0, n_path)
@@ -755,9 +732,9 @@ def mountain_pass_solve(
     newton_from, newton_steps = np.inf, 0
 
     def report(point, energy, res, K, sweeps):
-        morse_index, lowest = _morse(prob, point, precond)
+        morse_index, lowest = _morse(prob, point)
         return SolveReport(
-            solution=point.u,
+            solution=GridFunction(mesh, point.nodal),
             energy=energy,
             residual_norm=res,
             nonlocal_coefficient=K,
@@ -779,8 +756,8 @@ def mountain_pass_solve(
         hi = _segment_max(prob, path[m], path[m + 1])
         peak, J_peak = lo if lo[1] >= hi[1] else hi
 
-        at = _point(GridFunction(mesh, peak))
-        g, A = _residual_of_elements(prob, at.grads, at.gmag, at.uc)
+        at = _point(mesh, peak)
+        g, A = _residual_of_elements(prob, at)
         K = prob.a - prob.b * A
         if K <= 0.0:
             raise DegenerateCoefficient(
@@ -795,7 +772,7 @@ def mountain_pass_solve(
         if res <= tol:
             return report(at, J_peak, res, K, it)
         if res <= newton_from:
-            point, res_n, A_n, steps = _newton_polish(prob, at.u, g, res, tol)
+            point, res_n, A_n, steps = _newton_polish(prob, at, g, res, tol)
             newton_steps += steps
             if point is not None:
                 J_u = float(_energy_of_elements(prob, A_n, point.uc))
@@ -803,14 +780,12 @@ def mountain_pass_solve(
                     return report(point, J_u, res_n, prob.a - prob.b * A_n, it)
             newton_from = res / 10.0  # retry one decade further down
 
-        d = -precond.apply(g)
+        d = _sobolev_descent(mesh, g)
         slope = float(np.dot(g[idx], d[idx]))
         # keep the deformation local: never step past the neighbor spacing,
         # otherwise the peak can vault the ridge into the far valley
-        spacing = max(
-            precond.h_norm(peak - path[m - 1]),
-            precond.h_norm(path[m + 1] - peak),
-        )
+        spacing = max(_stiffness_norm(mesh, _point(mesh, v).gmag)
+                      for v in (peak - path[m - 1], path[m + 1] - peak))
         d_norm = np.sqrt(-slope)
         step = min(1.0, spacing / d_norm) if d_norm > 0.0 else 1.0
         J_ray = _line_energy(prob, peak, d)
@@ -846,8 +821,9 @@ def multiplicity_search(
     """Mountain-pass solves from nested eigen-subspace seeds, one per orbit.
 
     Requires a >= b and an odd nonlinearity (every cataloged kind is odd),
-    a nonnegative seed and n_starts, and k_max >= 1 when n_starts > 0
-    (DomainError otherwise, as for a bad ``tol``).  The first
+    a nonnegative seed and n_starts, 0 <= distinct_tol < inf, and
+    k_max >= 1 when n_starts > 0 (DomainError otherwise, as for a bad
+    ``tol``).  The first
     min(k_max, n_starts) starts are the pure eigenvector directions; the
     rest draw random combinations from the nested spans.
     Starts whose solve fails (MaxIterations, DegenerateCoefficient) are
@@ -861,6 +837,8 @@ def multiplicity_search(
         raise DomainError("multiplicity search requires a >= b")
     _nonnegative("seed", seed)
     _nonnegative("n_starts", n_starts)
+    if not 0.0 <= distinct_tol < np.inf:
+        raise DomainError(f"distinct_tol must be finite and nonnegative, got {distinct_tol}")
     results = []
     if n_starts == 0:
         return results

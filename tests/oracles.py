@@ -12,10 +12,11 @@ nodal values.
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.optimize import brentq
 
 from pxkirchhoff.energy import _rayleigh_gradient, _rayleigh_ratio
-from pxkirchhoff.solver import _SobolevPreconditioner, _armijo, _ray_minimize
+from pxkirchhoff.solver import _armijo, _ray_minimize
 
 
 def central_difference(f, u, v, h=1e-5):
@@ -220,29 +221,35 @@ def hessian_by_operators(u, prob):
 
 def rayleigh_descent_on_nodes(p, mesh, seed=0, n_seeds=3, max_iter=500, tol=1e-10):
     """The descent of ``rayleigh_quotient_min`` with every quantity taken
-    from nodal values: the gradient, each Armijo trial, both stiffness
-    norms, the ray search and R at the new iterate each gather their own
-    element data.  Returns (R, nodal values, steps), where steps counts the
-    line searches of all starts, or None if no start converged."""
+    from nodal values: the gradient, each Armijo trial, the ray search and
+    R at the new iterate each gather their own element data, and the
+    stiffness norms and the descent direction come from the stiffness
+    matrix itself, by a product and a sparse direct solve.  Returns (R,
+    nodal values, steps), where steps counts the line searches of all
+    starts, or None if no start converged."""
     rng = np.random.default_rng(seed)
-    precond = _SobolevPreconditioner(mesh)
     idx = mesh.interior
+
+    def h_norm(v):
+        return np.sqrt(v @ mesh.stiffness @ v)
+
     best, steps = None, 0
     for _ in range(n_seeds):
         nodal = np.zeros(mesh.n_vertices)
         nodal[idx] = 0.1 + rng.random(len(idx))
-        nodal /= precond.h_norm(nodal)
+        nodal /= h_norm(nodal)
         R = _rayleigh_ratio(mesh, p, nodal)
         converged = False
         stable = 0
         for _ in range(max_iter):
             grad = _rayleigh_gradient(mesh, p, nodal)
-            d = -precond.apply(grad)
+            d = np.zeros(mesh.n_vertices)
+            d[idx] = -scipy.sparse.linalg.spsolve(mesh.interior_stiffness, grad[idx])
             slope = float(np.dot(grad[idx], d[idx]))
             if slope >= 0.0:
                 converged = True
                 break
-            step = min(1.0, precond.h_norm(nodal) / np.sqrt(-slope))
+            step = min(1.0, h_norm(nodal) / np.sqrt(-slope))
             steps += 1
             step = _armijo(lambda s: _rayleigh_ratio(mesh, p, nodal + s * d),
                            R, slope, step)
@@ -250,7 +257,7 @@ def rayleigh_descent_on_nodes(p, mesh, seed=0, n_seeds=3, max_iter=500, tol=1e-1
                 converged = True
                 break
             accepted = nodal + step * d
-            nodal = _ray_minimize(mesh, p, accepted / precond.h_norm(accepted))
+            nodal = _ray_minimize(mesh, p, accepted / h_norm(accepted))
             R_new = _rayleigh_ratio(mesh, p, nodal)
             stable = stable + 1 if abs(R - R_new) <= tol * max(1.0, abs(R_new)) else 0
             R = R_new

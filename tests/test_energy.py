@@ -22,14 +22,13 @@ from pxkirchhoff import (
 )
 from pxkirchhoff.energy import (
     _derivative_terms_of_elements,
-    _gather,
     _line_energy,
     _magnitude,
+    _point,
     _rayleigh_line,
     _rayleigh_ratio,
     _stiffness_norm,
 )
-from pxkirchhoff.solver import _SobolevPreconditioner
 from oracles import central_difference, hessian_by_operators
 
 
@@ -225,13 +224,12 @@ def test_magnitude_is_the_row_norm():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_rayleigh_line_matches_the_ratio_on_nodes(dim):
     mesh, p, u, d = _rayleigh_case(dim)
-    grads, uc = _gather(mesh, u)
-    ratio, data = _rayleigh_line(mesh, p, grads, uc, d)
+    ratio, data = _rayleigh_line(mesh, p, _point(mesh, u), d)
     for t in (0.0, 1e-3, 0.5, 1.0):
         assert ratio(t) == pytest.approx(_rayleigh_ratio(mesh, p, u + t * d), rel=1e-13)
         gmag, uct = data(t)
-        ref_grads, ref_uc = _gather(mesh, u + t * d)
-        ref = _magnitude(ref_grads)
+        ref_at = _point(mesh, u + t * d)
+        ref, ref_uc = ref_at.gmag, ref_at.uc
         assert np.max(np.abs(gmag - ref)) <= 1e-13 * np.max(ref)
         assert np.max(np.abs(uct - ref_uc)) <= 1e-14 * np.max(np.abs(ref_uc))
 
@@ -239,10 +237,9 @@ def test_rayleigh_line_matches_the_ratio_on_nodes(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stiffness_norm_of_element_data_matches_the_matrix(dim):
     mesh, _, u, d = _rayleigh_case(dim)
-    precond = _SobolevPreconditioner(mesh)
     for v in (u, d, u - 0.3 * d):
-        h = _stiffness_norm(mesh, _magnitude(_gather(mesh, v)[0]))
-        assert h == pytest.approx(precond.h_norm(v), rel=1e-14)
+        h = _stiffness_norm(mesh, _point(mesh, v).gmag)
+        assert h == pytest.approx(np.sqrt(v @ mesh.stiffness @ v), rel=1e-14)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -287,10 +284,10 @@ def test_gradient_equals_reference_assembly_bitwise(kind):
     nodal = 3.0 * np.sin(np.pi * x)
     nodal[mesh.boundary_mask] = 0.0
     nodal[10:13] = 0.0  # zero centroid values and gradients on two elements
-    grads, uc = _gather(mesh, nodal)
-    A, flux, s_pow = _derivative_terms_of_elements(mesh, p, grads, _magnitude(grads), uc)
-    mag = np.abs(uc)
-    g = np.where(mag > 0.0, mag ** (q.values - 2.0) * uc, 0.0)
+    at = _point(mesh, nodal)
+    A, flux, s_pow = _derivative_terms_of_elements(mesh, p, at)
+    mag = np.abs(at.uc)
+    g = np.where(mag > 0.0, mag ** (q.values - 2.0) * at.uc, 0.0)
     g = {"pure_power": g, "scaled_power": 2.5 * g, "zero": 0.0 * g}[kind]
     lumped = (prob.lam * s_pow + g) * mesh.element_measures
     ref = (prob.a - prob.b * A) * (mesh.gradient_adjoint @ flux) \
@@ -443,9 +440,8 @@ def test_hessian_rank_one_factor_is_the_derivative_of_A():
         rng = np.random.default_rng(3)
         u = GridFunction(prob.mesh, 0.3 + rng.random(prob.mesh.n_vertices))
         _, dA = hessian_J(u, prob)
-        grads, uc = _gather(prob.mesh, u.nodal_values)
-        _, flux, _ = _derivative_terms_of_elements(prob.mesh, prob.p, grads,
-                                                   _magnitude(grads), uc)
+        _, flux, _ = _derivative_terms_of_elements(
+            prob.mesh, prob.p, _point(prob.mesh, u.nodal_values))
         assert np.array_equal(dA, (prob.mesh.gradient_adjoint @ flux)[prob.mesh.interior])
 
 

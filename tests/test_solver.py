@@ -37,6 +37,7 @@ from pxkirchhoff import (
 )
 from pxkirchhoff import energy, solver
 from pxkirchhoff.energy import (
+    _point,
     _rayleigh_gradient,
     _rayleigh_on_ray,
     _rayleigh_ratio,
@@ -78,11 +79,11 @@ def fail_first_newton_attempt(monkeypatch):
     attempts = []
     direction, polish = solver._newton_direction, solver._newton_polish
 
-    def first_attempt_fails(prob_, u, g, res, tol):
+    def first_attempt_fails(prob_, at, g, res, tol):
         attempts.append(res)
         monkeypatch.setattr(solver, "_newton_direction",
                             _singular if len(attempts) == 1 else direction)
-        return polish(prob_, u, g, res, tol)
+        return polish(prob_, at, g, res, tol)
 
     monkeypatch.setattr(solver, "_newton_polish", first_attempt_fails)
     return attempts
@@ -181,8 +182,8 @@ class _CountingMap:
 
 
 def test_rayleigh_descent_gathers_twice_per_step(monkeypatch):
-    # a start normalizes (one stiffness product) and takes R (one gather of
-    # two products); then each step gathers u and d and makes the two
+    # a start normalizes and takes R from one gather (two products, and no
+    # stiffness product); then each step gathers u and d and makes the two
     # adjoint products of the gradient; the Armijo trials make none
     mesh, p = _rayleigh_mesh_and_p("2d_variable_p")
     mesh.interior_stiffness  # the preconditioner's matrix, built before counting
@@ -210,7 +211,7 @@ def test_rayleigh_descent_gathers_twice_per_step(monkeypatch):
         rayleigh_quotient_min(p, mesh, n_seeds=1, max_iter=steps)
     assert trial_products == [0] * steps
     assert len(gathers) == 1 + 2 * steps
-    assert len(products) == 3 + 6 * steps
+    assert len(products) == 2 + 6 * steps
 
 
 def _ray_cases(dim):
@@ -863,12 +864,12 @@ def test_kernel_forms_are_bitwise_the_nodal_functions():
     # the residual, A, J and J'' that the solver forms from one gather are
     # bitwise those of gradient_J, kirchhoff_A, energy_J and hessian_J
     for prob, u in _kernel_cases():
-        at, idx = solver._point(u), prob.mesh.interior
-        g, A = solver._residual_of_elements(prob, at.grads, at.gmag, at.uc)
+        at, idx = _point(prob.mesh, u.nodal_values), prob.mesh.interior
+        g, A = solver._residual_of_elements(prob, at)
         assert np.array_equal(g[idx], gradient_J(u, prob).nodal_values[idx])
         assert A == kirchhoff_A(u, prob.p)
         assert float(solver._energy_of_elements(prob, A, at.uc)) == energy_J(u, prob)
-        S, dA = solver._hessian_of_elements(prob, at.grads, at.gmag, at.uc)
+        S, dA = solver._hessian_of_elements(prob, at)
         S_ref, dA_ref = hessian_J(u, prob)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(S, name), getattr(S_ref, name))
@@ -886,13 +887,12 @@ def test_solve_certificate_is_bitwise_the_nodal_functions():
     assert rep.residual_norm == float(np.linalg.norm(gradient_J(u, prob).nodal_values[idx]))
     assert rep.nonlocal_coefficient == prob.a - prob.b * kirchhoff_A(u, prob.p)
     assert rep.energy == energy_J(u, prob)
-    precond = solver._SobolevPreconditioner(prob.mesh)
     assert (rep.morse_index, rep.lowest_eigenvalues) == solver._morse(
-        prob, solver._point(u), precond)
+        prob, _point(prob.mesh, u.nodal_values))
 
 
 def test_newton_polish_gathers_once_per_trial(monkeypatch):
-    # one gather at the start of the attempt and one per merit trial; the
+    # one gather per merit trial: the start is the peak's point, and the
     # Hessians, the accepted residuals and the returned point need none
     prob = model_problem(n=60)
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
@@ -916,9 +916,9 @@ def test_newton_polish_gathers_once_per_trial(monkeypatch):
     monkeypatch.setattr(solver, "_armijo", counted)
     point, res, A, steps = polish(*handed[0])
     assert point is not None and res <= 1e-6 and trials[0] >= steps > 1
-    assert len(gathers) == 1 + trials[0]
+    assert len(gathers) == trials[0]
     monkeypatch.undo()
-    again = solver._point(point.u)  # the kept data are those of the point
+    again = _point(prob.mesh, point.nodal)  # the kept data are those of the point
     for name in ("grads", "gmag", "uc"):
         assert np.array_equal(getattr(point, name), getattr(again, name))
 
@@ -989,9 +989,9 @@ def test_newton_point_above_the_path_peak_is_discarded(monkeypatch):
     polished = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
     peaks = []
 
-    def polish_to_higher(prob_, u, g, res, tol):
-        peaks.append(energy_J(u, prob_))
-        return (solver._point(higher.solution), higher.residual_norm,
+    def polish_to_higher(prob_, at, g, res, tol):
+        peaks.append(energy_J(GridFunction(prob_.mesh, at.nodal), prob_))
+        return (_point(prob_.mesh, higher.solution.nodal_values), higher.residual_norm,
                 kirchhoff_A(higher.solution, prob_.p), 1)
 
     monkeypatch.setattr(solver, "_newton_polish", polish_to_higher)
@@ -1021,6 +1021,9 @@ def test_negative_max_iter_is_a_domain_error():
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
     with pytest.raises(DomainError, match="max_iter must be nonnegative, got -1"):
         mountain_pass_solve(prob, e, max_iter=-1)
+    # not MaxIterations, which would name a used-up budget
+    with pytest.raises(DomainError, match="max_iter must be nonnegative, got -1"):
+        rayleigh_quotient_min(prob.p, prob.mesh, max_iter=-1)
 
 
 def test_sherman_morrison_solve_matches_a_dense_solve():
@@ -1126,8 +1129,8 @@ def test_morse_index_counts_every_negative_eigenvalue(index_three_orbit, monkeyp
     assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 3
     assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
     calls = _count_eigsh(monkeypatch)
-    precond = solver._SobolevPreconditioner(prob.mesh)
-    assert solver._morse(prob, solver._point(rep.solution), precond) == (3, rep.lowest_eigenvalues)
+    at = _point(prob.mesh, rep.solution.nodal_values)
+    assert solver._morse(prob, at) == (3, rep.lowest_eigenvalues)
     assert calls == [2]
 
 
@@ -1139,7 +1142,6 @@ def test_inertia_counts_the_rank_one_term():
     spec = NonlinearitySpec("zero", constant_exponent(4.5, mesh))
     prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
     tent = tent_on(mesh)
-    precond = solver._SobolevPreconditioner(mesh)
     for A, index in ((0.5, 0), (2.0, 1)):  # in units of a / (3b)
         scale = np.sqrt(A * prob.a / (3.0 * prob.b) / kirchhoff_A(tent, prob.p))
         u = GridFunction(mesh, scale * tent.nodal_values)
@@ -1147,7 +1149,7 @@ def test_inertia_counts_the_rank_one_term():
         assert np.all(np.linalg.eigvalsh(S.toarray()) > 0.0)
         dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
         assert solver._inertia_index(S, dA, prob.b) == int(np.sum(dense < 0.0)) == index
-        assert solver._morse(prob, solver._point(u), precond)[0] == index
+        assert solver._morse(prob, _point(mesh, u.nodal_values))[0] == index
 
 
 def test_inertia_matches_a_dense_count_at_random_points():
@@ -1185,20 +1187,20 @@ class _OffDiagonalLU:
 
 def test_morse_falls_back_to_doubling_without_a_symmetric_lu(index_three_orbit, monkeypatch):
     prob, rep = index_three_orbit
-    precond = solver._SobolevPreconditioner(prob.mesh)
+    at = _point(prob.mesh, rep.solution.nodal_values)
     calls = _count_eigsh(monkeypatch)
     monkeypatch.setattr(solver, "_inertia_index", lambda *args: None)
-    doubling = solver._morse(prob, solver._point(rep.solution), precond)
+    doubling = solver._morse(prob, at)
     assert doubling[0] == 3 and calls == [2, 4]
     monkeypatch.undo()
 
     splu = solver._splu
     monkeypatch.setattr(solver, "_splu", lambda S: _OffDiagonalLU(splu(S)))
     assert solver._inertia_index(*hessian_J(rep.solution, prob), prob.b) is None
-    assert solver._morse(prob, solver._point(rep.solution), precond) == doubling
+    assert solver._morse(prob, at) == doubling
     # an index that the eigenvalues contradict is not reported either
     monkeypatch.setattr(solver, "_inertia_index", lambda *args: 1)
-    assert solver._morse(prob, solver._point(rep.solution), precond) == doubling
+    assert solver._morse(prob, at) == doubling
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1218,8 +1220,7 @@ def test_morse_index_is_none_where_the_hessian_does_not_exist():
     prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(1.8, mesh), spec, mesh)
     x = mesh.vertices[:, 0]
     flat = GridFunction(mesh, np.minimum(np.minimum(x, 1.0 - x), 0.3))
-    precond = solver._SobolevPreconditioner(mesh)
-    assert solver._morse(prob, solver._point(flat), precond) == (None, None)
+    assert solver._morse(prob, _point(mesh, flat.nodal_values)) == (None, None)
 
 
 def test_p_below_two_in_2d_certifies_with_newton_and_a_morse_index():
@@ -1369,12 +1370,25 @@ def test_rayleigh_needs_at_least_one_seed(n_seeds):
 def test_tol_must_be_finite_and_positive(tol):
     # nan or a nonpositive tol can never certify, so the solve would run its
     # whole sweep budget before MaxIterations; an infinite one certifies any peak
+    # (the Rayleigh descent accepted each of them silently)
     prob = model_problem(n=12)
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
     with pytest.raises(DomainError, match="tol must be finite and positive"):
         mountain_pass_solve(prob, e, tol=tol)
     with pytest.raises(DomainError, match="tol must be finite and positive"):
         multiplicity_search(prob, n_starts=2, tol=tol)
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        rayleigh_quotient_min(prob.p, prob.mesh, tol=tol)
+
+
+@pytest.mark.parametrize("distinct_tol", [math.nan, -1.0, math.inf])
+def test_multiplicity_distinct_tol_must_be_finite_and_nonnegative(distinct_tol):
+    # nan merges every orbit into the first one kept, and a negative tol
+    # keeps the ground orbit once per start that found it
+    prob = model_problem(n=12)
+    with pytest.raises(DomainError, match="distinct_tol must be finite and nonnegative"):
+        multiplicity_search(prob, n_starts=5, k_max=4, distinct_tol=distinct_tol)
+    assert len(multiplicity_search(prob, n_starts=5, k_max=4, distinct_tol=0.0)) >= 4
 
 
 def test_eigenbasis_shapes():
