@@ -13,10 +13,11 @@ from pxkirchhoff import (
 for length in (1.0, 2.0):
     mesh = build_interval_mesh(200, 0.0, length)
     p = constant_exponent(2.0, mesh)
-    lam, minimizer = rayleigh_quotient_min(p, mesh, seed=0)
+    ray = rayleigh_quotient_min(p, mesh, seed=0)
     exact = (np.pi / length) ** 2
-    print(f"(0, {length:g}), p = 2: lambda = {lam:.6f}  (pi/L)^2 = {exact:.6f}  "
-          f"rel err {abs(lam - exact) / exact:.2e}")
+    print(f"(0, {length:g}), p = 2: lambda = {ray.value:.6f}  (pi/L)^2 = {exact:.6f}  "
+          f"rel err {abs(ray.value - exact) / exact:.2e}  "
+          f"(residual {ray.residual:.1e} after {ray.steps} steps)")
 
 # variable exponent: positivity of the infimum hinges on monotonicity of p.
 # For a monotone p there is a clean local minimum.  For a non-monotone p the
@@ -31,7 +32,7 @@ for descr, samples in (
 ):
     p = build_exponent_field(samples, mesh)
     try:
-        lam, _ = rayleigh_quotient_min(p, mesh, seed=0)
+        lam = rayleigh_quotient_min(p, mesh, seed=0).value
     except MaxIterations as exc:
         print(f"{descr}: {exc}")
         continue

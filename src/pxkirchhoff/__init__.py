@@ -58,6 +58,7 @@ from .modular_spaces import (
 )
 from .solver import (
     GeometryReport,
+    RayleighResult,
     SolveReport,
     find_negative_energy_point,
     laplace_eigenbasis,

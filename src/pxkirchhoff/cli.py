@@ -15,8 +15,8 @@ unknown keys and non-finite numbers are errors.  Keys:
     theta, s_A  superlinearity exponent and threshold (theta defaults to
                 min(q-, 2(p-)^2/p+ - 1e-6))
     tol, max_iter, n_path, n_starts, k_max, seed, n_dirs, rho_grid
-                solver options (rayleigh ignores tol and stops at its own
-                1e-10); rho_grid is a comma list of positive radii,
+                solver options (rayleigh stops once the H^-1 norm of R'
+                is at most tol); rho_grid is a comma list of positive radii,
                 max_iter, n_starts, seed and n_dirs are nonnegative and
                 k_max is positive
     ambient_dim optional ambient N for the subcritical check (validate)
@@ -382,11 +382,12 @@ def run(config: RunConfig) -> int:
         lines += _chain_lines(config, p, q, prob.g.theta)
 
         if config.command == "rayleigh":
-            lam_p, minimizer = rayleigh_quotient_min(
-                p, mesh, seed=config.seed, max_iter=config.max_iter
+            ray = rayleigh_quotient_min(
+                p, mesh, seed=config.seed, max_iter=config.max_iter, tol=config.tol
             )
-            lines.append(f"lambda_p: {lam_p:.17g}")
-            write_solution(outdir / "minimizer.txt", minimizer)
+            lines += [f"lambda_p: {ray.value:.17g}", f"residual: {ray.residual:.17g}",
+                      f"steps: {ray.steps}"]
+            write_solution(outdir / "minimizer.txt", ray.minimizer)
         elif config.command == "geometry":
             geo = verify_mountain_geometry(
                 prob, config.rho_grid, config.n_dirs, config.seed

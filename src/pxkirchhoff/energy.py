@@ -14,16 +14,15 @@ The second derivative on the interior vertices (``hessian_J``) is a
 symmetric sparse matrix, filled into the mesh's fixed interior pattern,
 plus a rank-one term.  J along a line (``_line_energy``) and along a ray r u
 (``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p), with its
-gradient, its values along a line u + t d (``_rayleigh_line``) and along the
-ray e^s u (``_rayleigh_ray``, ``_rayleigh_on_ray``), live here too, for the
-solvers.
+gradient, its change along a line u + t d (``_rayleigh_line``) and its
+values along the ray e^s u (``_rayleigh_on_ray``), live here too.
 
 Every functional reads nodal values only through their element data, and
 this module owns them: ``_point`` gathers a ``_Point`` once (Dg u and C u,
 two sparse products, then |Dg u|).  The ``*_of_elements`` forms take a
-point or arrays of its data (J, J' with A, J'', R and R'), and the nodal
-forms (``gradient_J``, ``hessian_J``, the Rayleigh forms) call them on
-their ``_point``; the solvers hold points and never gather.
+point or arrays of its data (J, J' with A, J'', R' with R), and the nodal
+forms (``gradient_J``, ``hessian_J``) call them on their ``_point``; the
+solvers hold points and never gather.
 """
 
 from dataclasses import dataclass, replace
@@ -415,19 +414,6 @@ def _stiffness_norm(mesh: Mesh, gmag: np.ndarray) -> float:
     return float(np.sqrt(np.dot(gmag * gmag, mesh.element_measures)))
 
 
-def _rayleigh_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,
-                          uc: np.ndarray) -> float:
-    """R(u) = A(u) / B(u) from |grad u| and the centroid values u_c."""
-    meas = mesh.element_measures
-    return float(_p_integral(gmag, p, meas) / _p_integral(np.abs(uc), p, meas))
-
-
-def _rayleigh_ratio(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> float:
-    """R(u) = A(u) / B(u) at raw nodal values; no derivative is assembled."""
-    at = _point(mesh, nodal)
-    return _rayleigh_of_elements(mesh, p, at.gmag, at.uc)
-
-
 def _rayleigh_line(mesh: Mesh, p: ExponentField, at: _Point, direction: np.ndarray):
     """R along the line u + t*direction, from element data gathered once.
 
@@ -435,21 +421,39 @@ def _rayleigh_line(mesh: Mesh, p: ExponentField, at: _Point, direction: np.ndarr
     those of the direction, Gd and dc, are gathered here, together with the
     per-element products G.G, G.Gd and Gd.Gd, so |grad(u + t d)|^2 is a
     quadratic in t and the centroid values are uc + t dc.  Returns
-    (ratio, data): ratio(t) = R(u + t d), for ``_armijo``, and
+    (change, data): change(t) = R(u + t d) - R(u), for ``_armijo``, and
     data(t) = (|grad(u + t d)|, uc + t dc), the element data of the point.
-    Neither makes a sparse product.
+    Neither makes a sparse product.  The change is (dA - R dB) / (B + dB),
+    summed from the increments |a|^p expm1(p/2 log1p(x)) = |a(t)|^p - |a|^p,
+    |a(t)|^2 = |a|^2 (1 + x), of a = |grad u| and a = u_c; each keeps its
+    relative accuracy where a difference of two values of R is rounding.
     """
     dg, dc = _gather(mesh, direction)
     gg, gd, dd = (np.einsum("ed,ed->e", x, y)
                   for x, y in ((at.grads, at.grads), (at.grads, dg), (dg, dg)))
+    # the rows of each stack are a = |grad u| and a = u_c; w = meas |a|^p / p,
+    # |a(t)|^2 = |a|^2 (1 + t (lin + t quad)) where a != 0, and t^2 a2 where a = 0
+    w = np.array(_ray_weights(mesh, p, at.gmag, at.uc))
+    A, B = w.sum(axis=1)
+    r = np.divide(dc, at.uc, out=np.zeros_like(dc), where=at.uc != 0.0)
+    lin = np.array([np.divide(2.0 * gd, gg, out=np.zeros_like(gg), where=gg > 0.0), 2.0 * r])
+    quad = np.array([np.divide(dd, gg, out=np.zeros_like(gg), where=gg > 0.0), r * r])
+    a2 = np.array([dd, dc * dc])
+    born = np.nonzero((np.array([gg, at.uc]) == 0.0) & (a2 > 0.0))
+    half_p = 0.5 * p.values
+    w_born = (mesh.element_measures / p.values)[born[1]] * a2[born] ** half_p[born[1]]
 
     def data(t):
         return np.sqrt(np.maximum(gg + t * (2.0 * gd + t * dd), 0.0)), at.uc + t * dc
 
-    def ratio(t):
-        return _rayleigh_of_elements(mesh, p, *data(t))
+    def change(t):
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf where a(t) = 0
+            rise = w * np.expm1(half_p * np.log1p(np.maximum(t * (lin + t * quad), -1.0)))
+        rise[born] += w_born * abs(t) ** (2 * half_p[born[1]])
+        dA, dB = rise.sum(axis=1)
+        return float((dA - (A / B) * dB) / (B + dB))
 
-    return ratio, data
+    return change, data
 
 
 def _ray_weights(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray):
@@ -478,12 +482,6 @@ def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
     return at.gmag, energy
 
 
-def _rayleigh_ray(mesh: Mesh, p: ExponentField, nodal: np.ndarray):
-    """``_rayleigh_ray_of_elements`` at raw nodal values."""
-    at = _point(mesh, nodal)
-    return _rayleigh_ray_of_elements(mesh, p, at.gmag, at.uc)
-
-
 def _rayleigh_ray_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,
                               uc: np.ndarray):
     """Element data of R along the ray e^s u, from |grad u| and u_c:
@@ -497,7 +495,8 @@ def _rayleigh_ray_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,
 
 
 def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):
-    """R(e^s u) and its slope d ln R / ds from the data of ``_rayleigh_ray``.
+    """R(e^s u) and its slope d ln R / ds from the data of
+    ``_rayleigh_ray_of_elements``.
 
     The slope is the difference of the means of c under the weights
     w_A e^{s c} and w_B e^{s c}; it is exactly 0 when c is.
@@ -508,22 +507,17 @@ def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):
     return float(A / B), float((w_A @ c_tilt) / A - (w_B @ c_tilt) / B)
 
 
-def _rayleigh_gradient(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
-    """``_rayleigh_gradient_of_elements`` at raw nodal values."""
-    return _rayleigh_gradient_of_elements(mesh, p, _point(mesh, nodal))
-
-
-def _rayleigh_gradient_of_elements(mesh: Mesh, p: ExponentField, at: _Point) -> np.ndarray:
-    """R'(u) = (A'(u) - R(u) B'(u)) / B(u), zero on the boundary, from the
-    element data of the point ``at``; the two adjoint products are its only
-    sparse products."""
+def _rayleigh_gradient_of_elements(mesh: Mesh, p: ExponentField, at: _Point):
+    """(R'(u), R(u)) with R = A / B and R' = (A'(u) - R(u) B'(u)) / B(u),
+    zero on the boundary, from the element data of the point ``at``; the
+    two adjoint products are its only sparse products."""
     meas = mesh.element_measures
     A, flux, s_pow = _derivative_terms_of_elements(mesh, p, at)
     B = _p_integral(np.abs(at.uc), p, meas)
     grad = (mesh.gradient_adjoint @ flux
             - (A / B) * (mesh.centroid_adjoint @ (s_pow * meas))) / B
     grad[mesh.boundary_mask] = 0.0
-    return grad
+    return grad, float(A / B)
 
 
 @dataclass

@@ -2,9 +2,9 @@
 the path-deformation solver, and a finite-dimensional multiplicity search.
 
 Only the algorithms live here.  Every functional they evaluate (J, J', J
-along a line, the Rayleigh quotient, its gradient and its restriction to a
-ray) comes from ``energy``, and both descents backtrack through one Armijo
-step, ``_armijo``.
+along a line, the Rayleigh quotient, its gradient, its change along a line
+and its restriction to a ray) comes from ``energy``, and both descents
+backtrack through one Armijo step, ``_armijo``.
 
 The solver runs Newton's method on the exact sparse Hessian from the peak
 of a discrete path from 0 to a low-energy point e, and accepts its point
@@ -45,7 +45,6 @@ from .energy import (
     _Point,
     _rayleigh_gradient_of_elements,
     _rayleigh_line,
-    _rayleigh_of_elements,
     _rayleigh_on_ray,
     _rayleigh_ray_of_elements,
     _residual_of_elements,
@@ -63,6 +62,7 @@ from .modular_spaces import luxemburg_norm, sobolev_norm
 
 __all__ = [
     "GeometryReport",
+    "RayleighResult",
     "SolveReport",
     "rayleigh_quotient_min",
     "find_negative_energy_point",
@@ -220,13 +220,6 @@ _S_MAX = 6.0   # a ray search looks for the minimum of R(e^s u) on |s| <= _S_MAX
 _S_TOL = 2e-12  # resolution in s of that minimum
 
 
-def _ray_minimize(mesh: Mesh, p: ExponentField, nodal: np.ndarray) -> np.ndarray:
-    """e^s u at the minimum of R(e^s u) over |s| <= _S_MAX, by ``_ray_scale``
-    on the element data of raw nodal values."""
-    at = _point(mesh, nodal)
-    return _ray_scale(mesh, p, at.gmag, at.uc) * nodal
-
-
 def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -> float:
     """e^s at the minimum of R(e^s u) over |s| <= _S_MAX, from |grad u| and
     the centroid values u_c of u; e^s u has the element data e^s |grad u|
@@ -258,39 +251,57 @@ def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -
     return float(np.exp(_brent_root(slope, -_S_MAX, lo, _S_MAX, hi, _S_TOL)))
 
 
+@dataclass(eq=False)
+class RayleighResult:
+    """The smallest certified ``value`` of R, its ``minimizer``, and the
+    certificate of its start: the ``residual`` (at most ``tol``) and the
+    descent ``steps`` taken."""
+
+    value: float
+    minimizer: GridFunction
+    residual: float
+    steps: int
+
+
 def rayleigh_quotient_min(
     p: ExponentField,
     mesh: Mesh,
     *,
     seed: int = 0,
-    n_seeds: int = 3,
+    n_seeds: int = 1,
     max_iter: int = 500,
-    tol: float = 1e-10,
-) -> tuple[float, GridFunction]:
+    tol: float = 1e-6,
+) -> RayleighResult:
     """Locally minimize R(u) = A(u) / I(1/p |u|^p) over nonzero functions.
 
     Preconditioned gradient descent on the ratio (quotient rule for its
-    gradient) with backtracking, restarted from ``n_seeds`` positive random
-    starts; the smallest converged value wins.  For constant p this is the
-    classical p-Laplacian Rayleigh quotient.  After each accepted step the
-    iterate is normalized in the stiffness norm and R is minimized exactly
-    along its ray e^s u (``_ray_scale``); a random start is only normalized,
-    from one gather, since the first step renormalizes anyway.
+    gradient) with backtracking, from ``n_seeds`` positive random starts;
+    the smallest certified value wins.  For constant p this is the
+    classical p-Laplacian Rayleigh quotient, whose positive minimizer is
+    unique up to scale (Lindqvist 1990), so one start is the default.
+    After each accepted step the iterate is normalized in the stiffness
+    norm and R is minimized exactly along its ray e^s u (``_ray_scale``); a
+    random start is only normalized, from one gather.
 
     Each step gathers the element data of the iterate u (``_point``) and of
     the direction d (``_sobolev_descent``) once, two sparse products each.
-    The gradient of R, every Armijo trial (``_rayleigh_line``), the normalization
-    (``_stiffness_norm``), the ray search and R at the new iterate come from
-    those data by elementwise arithmetic; with the two adjoint products of
-    the gradient a step makes six sparse products.  The data are gathered
-    afresh at the start of every step, so no rounding carries over from
-    one step to the next.  A start converges when R moves by at most
-    ``tol`` (relative) twice in a row, the slope is no longer negative, or
-    the line search stalls; MaxIterations is raised if every start uses up
-    ``max_iter`` steps, and at once when R decreases along a whole ray
-    (for non-monotone p the infimum can be 0, and no minimizer exists).
-    A negative ``seed`` or ``max_iter``, an ``n_seeds`` below 1, or a
-    ``tol`` that is not finite and positive is a DomainError.
+    The gradient of R, every Armijo trial, the normalization
+    (``_stiffness_norm``) and the ray search come from those data by
+    elementwise arithmetic; with the two adjoint products of the gradient a
+    step makes six sparse products.  The trials judge the change of R along
+    the line (``_rayleigh_line``), which keeps its relative accuracy where R
+    moves by a few ulps.  The data are gathered afresh at every step, so no
+    rounding carries over from one step to the next.
+
+    A start is certified, and stops, once its residual sqrt(-slope) =
+    sqrt(g^T K^{-1} g), the H^{-1} norm of g = R'(u), is at most ``tol``.
+    A start whose line search stalls or that uses up ``max_iter`` steps is
+    never returned; if no start is certified, MaxIterations names how the
+    closest one ended and its smallest residual.  It is raised at once when
+    R decreases along a whole ray (for non-monotone p the infimum can be 0,
+    and no minimizer exists).  A negative ``seed`` or ``max_iter``, an
+    ``n_seeds`` below 1, or a ``tol`` that is not finite and positive is a
+    DomainError.
     """
     _nonnegative("seed", seed)
     _nonnegative("max_iter", max_iter)
@@ -301,46 +312,41 @@ def rayleigh_quotient_min(
     rng = np.random.default_rng(seed)
     idx = mesh.interior
 
-    best = None
+    best = miss = None
     for _ in range(n_seeds):
         nodal = np.zeros(mesh.n_vertices)
         nodal[idx] = 0.1 + rng.random(len(idx))
-        at = _point(mesh, nodal)
-        norm = _stiffness_norm(mesh, at.gmag)
-        nodal /= norm
-        R = _rayleigh_of_elements(mesh, p, at.gmag / norm, at.uc / norm)
-        converged = False
-        stable = 0
-        for _ in range(max_iter):
+        nodal /= _stiffness_norm(mesh, _point(mesh, nodal).gmag)
+        smallest, ended = math.inf, f"{max_iter} steps were used up"
+        for steps in range(max_iter):
             at = _point(mesh, nodal)
-            grad = _rayleigh_gradient_of_elements(mesh, p, at)
+            grad, R = _rayleigh_gradient_of_elements(mesh, p, at)
             d = _sobolev_descent(mesh, grad)
             slope = float(np.dot(grad[idx], d[idx]))
-            if slope >= 0.0:
-                converged = True
+            residual = math.sqrt(max(-slope, 0.0))
+            if residual <= tol:
+                if best is None or R < best.value:
+                    best = RayleighResult(R, GridFunction(mesh, nodal), residual, steps)
                 break
-            step = min(1.0, _stiffness_norm(mesh, at.gmag) / np.sqrt(-slope))
-            ratio, data = _rayleigh_line(mesh, p, at, d)
-            step = _armijo(ratio, R, slope, step)
+            smallest = min(smallest, residual)
+            step = min(1.0, _stiffness_norm(mesh, at.gmag) / residual)
+            change, data = _rayleigh_line(mesh, p, at, d)
+            step = _armijo(change, 0.0, slope, step)
             if step is None:
-                converged = True  # stalled at line-search resolution
+                ended = "the line search stalled"
                 break
             gmag, uc = data(step)
             scale = 1.0 / _stiffness_norm(mesh, gmag)
             scale *= _ray_scale(mesh, p, scale * gmag, scale * uc)
             nodal = (nodal + step * d) * scale
-            R_new = _rayleigh_of_elements(mesh, p, scale * gmag, scale * uc)
-            stable = stable + 1 if abs(R - R_new) <= tol * max(1.0, abs(R_new)) else 0
-            R = R_new
-            if stable >= 2:
-                converged = True
-                break
-        if converged and (best is None or R < best[0]):
-            best = (R, nodal)
+            del change, data  # keep no line data through the next step's gather
+        if miss is None or smallest < miss[0]:
+            miss = (smallest, ended)
 
     if best is None:
-        raise MaxIterations(f"no Rayleigh start converged within {max_iter} steps")
-    return best[0], GridFunction(mesh, best[1])
+        raise MaxIterations(f"no Rayleigh start was certified ({miss[1]}): its smallest "
+                            f"residual was {miss[0]:.3g} > tol {tol:g}")
+    return best
 
 
 # -- mountain-pass geometry ---------------------------------------------------

@@ -6,7 +6,8 @@ Euler-Lagrange assembly with damped (optionally deflated) Newton iteration,
 a tridiagonal eigenvalue reference, scalar root-finds on closed-form
 integrals, a Luxemburg norm by bracket expansion and bisection, J''
 assembled from the mesh's sparse operators, and the Rayleigh descent on
-nodal values.
+nodal values, with the nodal forms of R, R' and the ray search that it and
+the tests call (the library itself only works on gathered element data).
 """
 
 import numpy as np
@@ -15,8 +16,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.optimize import brentq
 
-from pxkirchhoff.energy import _rayleigh_gradient, _rayleigh_ratio
-from pxkirchhoff.solver import _armijo, _ray_minimize
+from pxkirchhoff.energy import (
+    _point,
+    _rayleigh_gradient_of_elements,
+    _rayleigh_ray_of_elements,
+)
+from pxkirchhoff.solver import _armijo, _ray_scale
 
 
 def central_difference(f, u, v, h=1e-5):
@@ -219,14 +224,53 @@ def hessian_by_operators(u, prob):
     return S[idx][:, idx], dA[idx]
 
 
-def rayleigh_descent_on_nodes(p, mesh, seed=0, n_seeds=3, max_iter=500, tol=1e-10):
+def rayleigh_ratio(mesh, p, nodal):
+    """R(u) = A(u) / B(u) at raw nodal values, as the descent reports it."""
+    return _rayleigh_gradient_of_elements(mesh, p, _point(mesh, nodal))[1]
+
+
+def rayleigh_gradient(mesh, p, nodal):
+    """R'(u) at raw nodal values, zero on the boundary."""
+    return _rayleigh_gradient_of_elements(mesh, p, _point(mesh, nodal))[0]
+
+
+def rayleigh_ray(mesh, p, nodal):
+    """The element data (c, w_A, w_B) of R along the ray e^s u at raw nodal
+    values, for ``_rayleigh_on_ray``."""
+    at = _point(mesh, nodal)
+    return _rayleigh_ray_of_elements(mesh, p, at.gmag, at.uc)
+
+
+def ray_minimize(mesh, p, nodal):
+    """e^s u at the minimum of R(e^s u) over the solver's interval of s, by
+    its ray search ``_ray_scale`` on the element data of raw nodal values."""
+    at = _point(mesh, nodal)
+    return _ray_scale(mesh, p, at.gmag, at.uc) * nodal
+
+
+def rayleigh_ratio_long(mesh, p, nodal):
+    """R(u) in long double from raw nodal values, gathered vertex by vertex
+    through the hat gradients instead of the sparse maps."""
+    u = np.asarray(nodal, dtype=np.longdouble)[mesh.elements]
+    grads = np.einsum("edk,ek->ed", mesh.hat_gradients.astype(np.longdouble), u)
+    pv = p.values.astype(np.longdouble)
+    meas = mesh.element_measures.astype(np.longdouble)
+    A = np.sum(meas * np.sum(grads * grads, axis=1) ** (pv / 2) / pv)
+    return A / np.sum(meas * np.abs(u.mean(axis=1)) ** pv / pv)
+
+
+def rayleigh_descent_on_nodes(p, mesh, seed=0, n_seeds=1, max_iter=500, tol=1e-6):
     """The descent of ``rayleigh_quotient_min`` with every quantity taken
     from nodal values: the gradient, each Armijo trial, the ray search and
     R at the new iterate each gather their own element data, and the
     stiffness norms and the descent direction come from the stiffness
-    matrix itself, by a product and a sparse direct solve.  Returns (R,
-    nodal values, steps), where steps counts the line searches of all
-    starts, or None if no start converged."""
+    matrix itself, by a product and a sparse direct solve.  Each Armijo
+    trial compares values of R in long double (``rayleigh_ratio_long``),
+    whose rounding lies far below the changes of R that it judges.  A
+    start stops once its residual sqrt(-slope) is at most ``tol``.  Returns
+    (R, nodal values, steps) of the smallest certified start, where steps
+    counts the line searches of all starts, or None if no start was
+    certified."""
     rng = np.random.default_rng(seed)
     idx = mesh.interior
 
@@ -238,32 +282,27 @@ def rayleigh_descent_on_nodes(p, mesh, seed=0, n_seeds=3, max_iter=500, tol=1e-1
         nodal = np.zeros(mesh.n_vertices)
         nodal[idx] = 0.1 + rng.random(len(idx))
         nodal /= h_norm(nodal)
-        R = _rayleigh_ratio(mesh, p, nodal)
-        converged = False
-        stable = 0
+        R = rayleigh_ratio(mesh, p, nodal)
+        certified = False
         for _ in range(max_iter):
-            grad = _rayleigh_gradient(mesh, p, nodal)
+            grad = rayleigh_gradient(mesh, p, nodal)
             d = np.zeros(mesh.n_vertices)
             d[idx] = -scipy.sparse.linalg.spsolve(mesh.interior_stiffness, grad[idx])
             slope = float(np.dot(grad[idx], d[idx]))
-            if slope >= 0.0:
-                converged = True
+            if np.sqrt(max(-slope, 0.0)) <= tol:
+                certified = True
                 break
             step = min(1.0, h_norm(nodal) / np.sqrt(-slope))
             steps += 1
-            step = _armijo(lambda s: _rayleigh_ratio(mesh, p, nodal + s * d),
-                           R, slope, step)
+            R_long = rayleigh_ratio_long(mesh, p, nodal)
+            step = _armijo(
+                lambda s: float(rayleigh_ratio_long(mesh, p, nodal + s * d) - R_long),
+                0.0, slope, step)
             if step is None:
-                converged = True
                 break
             accepted = nodal + step * d
-            nodal = _ray_minimize(mesh, p, accepted / h_norm(accepted))
-            R_new = _rayleigh_ratio(mesh, p, nodal)
-            stable = stable + 1 if abs(R - R_new) <= tol * max(1.0, abs(R_new)) else 0
-            R = R_new
-            if stable >= 2:
-                converged = True
-                break
-        if converged and (best is None or R < best[0]):
+            nodal = ray_minimize(mesh, p, accepted / h_norm(accepted))
+            R = rayleigh_ratio(mesh, p, nodal)
+        if certified and (best is None or R < best[0]):
             best = (R, nodal)
     return (None if best is None else (best[0], best[1], steps))

@@ -319,8 +319,10 @@ out = {tmp_path}
 """
     assert run(parse_config(text)) == 0
     report = (tmp_path / "report.txt").read_text()
-    lam = float([ln for ln in report.splitlines() if ln.startswith("lambda_p:")][0].split()[1])
-    assert lam == pytest.approx(np.pi**2, rel=0.01)
+    fields = dict(ln.split(": ", 1) for ln in report.splitlines() if ": " in ln)
+    assert float(fields["lambda_p"]) == pytest.approx(np.pi**2, rel=0.01)
+    assert float(fields["residual"]) <= 1e-6  # the default tol
+    assert int(fields["steps"]) > 0
     assert (tmp_path / "minimizer.txt").exists()
 
 

@@ -26,10 +26,14 @@ from pxkirchhoff.energy import (
     _magnitude,
     _point,
     _rayleigh_line,
-    _rayleigh_ratio,
     _stiffness_norm,
 )
-from oracles import central_difference, hessian_by_operators
+from oracles import (
+    central_difference,
+    hessian_by_operators,
+    rayleigh_ratio,
+    rayleigh_ratio_long,
+)
 
 
 def tent_problem(n=100, a=1.0, b=0.1, lam=0.0, q_const=4.5, kind="pure_power",
@@ -224,14 +228,36 @@ def test_magnitude_is_the_row_norm():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_rayleigh_line_matches_the_ratio_on_nodes(dim):
     mesh, p, u, d = _rayleigh_case(dim)
-    ratio, data = _rayleigh_line(mesh, p, _point(mesh, u), d)
+    change, data = _rayleigh_line(mesh, p, _point(mesh, u), d)
+    R = rayleigh_ratio(mesh, p, u)
     for t in (0.0, 1e-3, 0.5, 1.0):
-        assert ratio(t) == pytest.approx(_rayleigh_ratio(mesh, p, u + t * d), rel=1e-13)
+        assert R + change(t) == pytest.approx(rayleigh_ratio(mesh, p, u + t * d), rel=1e-13)
         gmag, uct = data(t)
         ref_at = _point(mesh, u + t * d)
         ref, ref_uc = ref_at.gmag, ref_at.uc
         assert np.max(np.abs(gmag - ref)) <= 1e-13 * np.max(ref)
         assert np.max(np.abs(uct - ref_uc)) <= 1e-14 * np.max(np.abs(ref_uc))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rayleigh_line_change_keeps_its_accuracy_below_the_ulp_of_R(dim):
+    # R(u + t d) - R(u) where it is a few ulps of R or less, against long
+    # double; then u vanishes on one element, where the increment of |a|^p
+    # is |a(t)|^p itself, and u + d vanishes on one element
+    mesh, p, u, d = _rayleigh_case(dim)
+    vertices = mesh.elements[mesh.n_elements // 2]
+    zero_u, zero_d = u.copy(), d.copy()
+    zero_u[vertices] = 0.0
+    zero_d[vertices] = -u[vertices]
+    for nodal, direction in ((u, d), (zero_u, d), (u, zero_d)):
+        change, _ = _rayleigh_line(mesh, p, _point(mesh, nodal), direction)
+        base = np.asarray(nodal, dtype=np.longdouble)
+        R = rayleigh_ratio_long(mesh, p, base)
+        # the difference of two float64 values of R misses by 6e-6 to 8e-2
+        for t, rel in ((1e-13, 1e-4), (1e-11, 1e-6), (0.5, 1e-12), (1.0, 1e-12)):
+            moved = base + np.longdouble(t) * np.asarray(direction, dtype=np.longdouble)
+            ref = float(rayleigh_ratio_long(mesh, p, moved) - R)
+            assert change(t) == pytest.approx(ref, rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -36,19 +37,17 @@ from pxkirchhoff import (
     verify_mountain_geometry,
 )
 from pxkirchhoff import energy, solver
-from pxkirchhoff.energy import (
-    _point,
-    _rayleigh_gradient,
-    _rayleigh_on_ray,
-    _rayleigh_ratio,
-    _rayleigh_ray,
-)
+from pxkirchhoff.energy import _point, _rayleigh_on_ray
 from pxkirchhoff.solver import _scale_until_negative, _segment_max
 from oracles import (
     central_difference,
     make_residual_1d,
     newton_1d,
+    ray_minimize,
     rayleigh_descent_on_nodes,
+    rayleigh_gradient,
+    rayleigh_ratio,
+    rayleigh_ray,
 )
 
 RHO_GRID = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
@@ -102,10 +101,10 @@ def model_solution():
 def test_rayleigh_homogeneity_constant_p():
     mesh = build_interval_mesh(80, 0.0, 1.0)
     p = constant_exponent(2.0, mesh)
-    lam, minimizer = rayleigh_quotient_min(p, mesh, seed=1, max_iter=200)
-    base = _rayleigh_ratio(mesh, p, minimizer.nodal_values)
+    minimizer = rayleigh_quotient_min(p, mesh, seed=1, max_iter=200).minimizer
+    base = rayleigh_ratio(mesh, p, minimizer.nodal_values)
     for c in (0.5, -3.0, 7.7):
-        assert _rayleigh_ratio(mesh, p, c * minimizer.nodal_values) == pytest.approx(
+        assert rayleigh_ratio(mesh, p, c * minimizer.nodal_values) == pytest.approx(
             base, rel=1e-12
         )
 
@@ -120,11 +119,11 @@ def test_rayleigh_descent_gradient_matches_finite_differences(dim):
         p = constant_exponent(2.5, mesh)
     rng = np.random.default_rng(dim)
     nodal = GridFunction(mesh, 0.2 + rng.random(mesh.n_vertices)).nodal_values
-    grad = _rayleigh_gradient(mesh, p, nodal)
+    grad = rayleigh_gradient(mesh, p, nodal)
     assert np.all(grad[mesh.boundary_mask] == 0.0)
     for _ in range(3):
         v = GridFunction(mesh, rng.standard_normal(mesh.n_vertices)).nodal_values
-        fd = central_difference(lambda x: _rayleigh_ratio(mesh, p, x), nodal, v)
+        fd = central_difference(lambda x: rayleigh_ratio(mesh, p, x), nodal, v)
         assert fd == pytest.approx(float(np.dot(grad, v)), rel=1e-6)
 
 
@@ -133,7 +132,7 @@ def test_rayleigh_monotone_variable_p():
     from pxkirchhoff import build_exponent_field
 
     p = build_exponent_field(2.0 + mesh.element_centroids[:, 0], mesh)
-    lam, _ = rayleigh_quotient_min(p, mesh, seed=0, max_iter=300)
+    lam = rayleigh_quotient_min(p, mesh, seed=0, max_iter=300).value
     assert lam > 0.0
 
 
@@ -141,6 +140,66 @@ def test_rayleigh_stall_raises():
     mesh = build_interval_mesh(20, 0.0, 1.0)
     with pytest.raises(MaxIterations):
         rayleigh_quotient_min(constant_exponent(2.0, mesh), mesh, max_iter=0)
+
+
+def _square_with_variable_p(n):
+    mesh = build_rect_mesh(n, n, ((0.0, 0.0), (1.0, 1.0)))
+    return mesh, build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
+
+
+def test_rayleigh_tol_below_the_floor_names_the_residual_reached():
+    # the line search judges changes of R far below its ulp, so 1e-12 is
+    # reached; 1e-16 lies below rounding, and the start that stalls there
+    # is not returned as certified
+    mesh, p = _square_with_variable_p(8)
+    ray = rayleigh_quotient_min(p, mesh, tol=1e-12)
+    assert ray.residual <= 1e-12
+    start = time.perf_counter()
+    with pytest.raises(MaxIterations) as err:
+        rayleigh_quotient_min(p, mesh, tol=1e-16)
+    assert time.perf_counter() - start < 1.0
+    found = re.fullmatch(r"no Rayleigh start was certified \(the line search stalled\): "
+                         r"its smallest residual was (\S+) > tol 1e-16", str(err.value))
+    assert found and 1e-16 < float(found[1]) < 1e-12
+
+
+def test_rayleigh_value_spreads_by_rounding_over_seeds():
+    mesh, p = _square_with_variable_p(16)
+    rays = [rayleigh_quotient_min(p, mesh, seed=seed) for seed in range(5)]
+    values = [ray.value for ray in rays]
+    assert max(values) - min(values) <= 1e-13 * min(values)
+    assert all(ray.residual <= 1e-6 and ray.steps > 0 for ray in rays)
+
+
+def test_rayleigh_returns_the_smallest_certified_start(monkeypatch):
+    # three starts; the first stalls at once and must not be returned.  A
+    # start is certified at a gradient that no line search follows.
+    mesh, p = _square_with_variable_p(16)
+    armijo, gradient = solver._armijo, solver._rayleigh_gradient_of_elements
+    events = []
+
+    def stall_first(*args):
+        events.append(None)
+        return None if len(events) == 2 else armijo(*args)
+
+    def recorded(*args):
+        out = gradient(*args)
+        events.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_armijo", stall_first)
+    monkeypatch.setattr(solver, "_rayleigh_gradient_of_elements", recorded)
+    ray = rayleigh_quotient_min(p, mesh, n_seeds=3, seed=2)
+    certified = [R for R, after in zip(events, events[1:] + ["end"])
+                 if R is not None and after is not None]
+    assert events[:2] == [events[0], None] and len(certified) == 2
+    assert certified[0] != certified[1]  # the choice is not a tie
+    assert ray.value == min(certified) == rayleigh_ratio(mesh, p, ray.minimizer.nodal_values)
+    assert ray.residual <= 1e-6 and ray.steps > 0
+    with pytest.raises(MaxIterations, match=r"\(the line search stalled\): its smallest "
+                       r"residual was .* > tol 1e-06"):
+        events.clear()
+        rayleigh_quotient_min(p, mesh, n_seeds=1)
 
 
 def _rayleigh_mesh_and_p(case):
@@ -162,12 +221,12 @@ def test_rayleigh_descent_matches_the_descent_on_nodes(case, monkeypatch):
     searches = []
     armijo = solver._armijo
     monkeypatch.setattr(solver, "_armijo", lambda *args: searches.append(1) or armijo(*args))
-    lam, minimizer = rayleigh_quotient_min(p, mesh, seed=3, max_iter=300)
+    ray = rayleigh_quotient_min(p, mesh, seed=3, max_iter=300)
     ref_lam, ref_nodal, ref_steps = rayleigh_descent_on_nodes(p, mesh, seed=3, max_iter=300)
-    assert lam == pytest.approx(ref_lam, rel=1e-12)
-    assert len(searches) == ref_steps
+    assert ray.value == pytest.approx(ref_lam, rel=1e-12)
+    assert len(searches) == ref_steps == ray.steps
     scale = np.max(np.abs(ref_nodal))
-    assert np.max(np.abs(minimizer.nodal_values - ref_nodal)) <= 1e-8 * scale
+    assert np.max(np.abs(ray.minimizer.nodal_values - ref_nodal)) <= 1e-8 * scale
 
 
 class _CountingMap:
@@ -240,12 +299,12 @@ def _ray_cases(dim):
 def test_ray_restriction_matches_the_ratio_and_its_slope(dim):
     mesh, p, us = _ray_cases(dim)
     for u in us:
-        ray = _rayleigh_ray(mesh, p, u)
+        ray = rayleigh_ray(mesh, p, u)
         for s in (-6.0, -1.0, 0.0, 2.0, 6.0):
             R, slope = _rayleigh_on_ray(s, *ray)
-            assert R == pytest.approx(_rayleigh_ratio(mesh, p, np.exp(s) * u), rel=1e-13)
+            assert R == pytest.approx(rayleigh_ratio(mesh, p, np.exp(s) * u), rel=1e-13)
             fd = central_difference(
-                lambda t: np.log(_rayleigh_ratio(mesh, p, np.exp(t) * u)), s, 1.0)
+                lambda t: np.log(rayleigh_ratio(mesh, p, np.exp(t) * u)), s, 1.0)
             assert slope == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -254,19 +313,19 @@ def test_ray_search_matches_bounded_brent(dim):
     mesh, p, us = _ray_cases(dim)
     for u in us:
         res = minimize_scalar(  # the derivative-free reference
-            lambda s: _rayleigh_ratio(mesh, p, np.exp(s) * u),
+            lambda s: rayleigh_ratio(mesh, p, np.exp(s) * u),
             bounds=(-6.0, 6.0), method="bounded", options={"xatol": 1e-10},
         )
         assert -6.0 + 1e-3 < res.x < 6.0 - 1e-3  # an interior minimum
-        R = _rayleigh_ratio(mesh, p, solver._ray_minimize(mesh, p, u))
+        R = rayleigh_ratio(mesh, p, ray_minimize(mesh, p, u))
         assert R <= res.fun * (1.0 + 1e-13)
 
 
 def test_ray_search_is_a_no_op_for_constant_p():
     mesh, _, us = _ray_cases(2)
     p = constant_exponent(2.5, mesh)
-    assert _rayleigh_on_ray(3.0, *_rayleigh_ray(mesh, p, us[0]))[1] == 0.0
-    assert solver._ray_minimize(mesh, p, us[0]).tobytes() == us[0].tobytes()
+    assert _rayleigh_on_ray(3.0, *rayleigh_ray(mesh, p, us[0]))[1] == 0.0
+    assert ray_minimize(mesh, p, us[0]).tobytes() == us[0].tobytes()
 
 
 def test_rayleigh_non_monotone_p_names_the_missing_minimizer():
@@ -316,8 +375,8 @@ def test_ray_searches_retain_no_element_data():
     mesh, phi = _square_ground_mode()
     p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
     u = phi * (1.0 + 0.3 * mesh.vertices[:, 0])
-    assert not np.array_equal(solver._ray_minimize(mesh, p, u), u)
-    assert _retained_per_call(lambda: solver._ray_minimize(mesh, p, u)) < 8 * mesh.n_elements
+    assert not np.array_equal(ray_minimize(mesh, p, u), u)
+    assert _retained_per_call(lambda: ray_minimize(mesh, p, u)) < 8 * mesh.n_elements
 
 
 # -- negative-energy point -----------------------------------------------------
@@ -394,7 +453,7 @@ def test_geometry_computes_eigenbasis_once(monkeypatch):
 def test_geometry_not_found_for_large_lambda():
     mesh = build_interval_mesh(100, 0.0, 1.0)
     p = constant_exponent(2.0, mesh)
-    lam_p, _ = rayleigh_quotient_min(p, mesh, seed=0)
+    lam_p = rayleigh_quotient_min(p, mesh, seed=0).value
     prob = model_problem(lam=1.05 * lam_p)
     with pytest.raises(GeometryNotFound):
         verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
