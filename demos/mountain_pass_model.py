@@ -1,10 +1,11 @@
 """Mountain-pass solve of the model problem, end to end.
 
 -(a - b A(u)) u'' = |u|^{q-2} u on (0, 1) with a = 1, b = 0.1, q = 4.5:
-verify the pass geometry, lay a path from 0 to the negative-energy point,
-run Newton's method from the path's peak (path sweeps are the fallback if
-it cannot certify a point no higher than that peak), and certify the result
-as a critical point of mountain-pass type (Morse index 1).
+verify the pass geometry, find the maximum of the energy on the ray of the
+negative-energy point, run Newton's method from that peak (descent steps
+on the ray maximum are the fallback if it cannot certify a point no higher
+than that peak), and certify the result as a critical point of
+mountain-pass type (Morse index 1).
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ print(f"geometry: floor alpha = {geo.alpha:.4f} on the sphere rho = {geo.rho:g},
       f"J(e) = {geo.negative_energy:.3f} at |e| = {sobolev_norm(geo.negative_point, p):.3f}")
 
 report = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
-print(f"converged in {report.iterations} sweeps and {report.newton_steps} Newton steps:")
+print(f"converged in {report.iterations} descent steps and {report.newton_steps} Newton steps:")
 print(f"  energy c = {report.energy:.8f}  (below ceiling: {report.below_ps_ceiling})")
 print(f"  residual |J'(u*)| = {report.residual_norm:.2e}")
 print(f"  nonlocal coefficient K(u*) = {report.nonlocal_coefficient:.5f}")
@@ -42,5 +43,5 @@ print(f"  Morse index {report.morse_index} (lowest eigenvalues {low:.4f}, {secon
 recheck = gradient_J(report.solution, prob)
 print("  residual recheck:", np.linalg.norm(recheck.nodal_values[mesh.interior]))
 
-print("last five recorded path maxima:",
+print("last five recorded ray maxima:",
       [f"{e:.6f}" for e in report.path_energies[-5:]])

@@ -24,11 +24,12 @@ unknown keys and non-finite numbers are errors.  Keys:
 
 Solution dump format: a header line ``dim n_vertices n_elements``, then one
 vertex coordinate line per vertex, one element index line per element, and
-one nodal value per vertex.  Iteration CSV: a header row, then
-``iteration,path_max_energy,residual,A,K`` with 17 significant digits.
+one nodal value per vertex.  Iteration CSV: a header row, then one row
+per ray peak, ``iteration,path_max_energy,residual,A,K`` with 17
+significant digits.
 
-Exit codes: 0 success, 2 parse/validation error, 3 solver non-convergence,
-4 degenerate nonlocal coefficient.
+Exit codes: 0 success, 2 parse/validation error, 3 solver non-convergence
+or missing pass geometry, 4 degenerate nonlocal coefficient.
 """
 
 import argparse

@@ -1,5 +1,5 @@
 """The functionals of the model: the Kirchhoff energy, its first and second
-derivatives, its restriction to a line, the Rayleigh quotient, and the
+derivatives, its restriction to a ray, the Rayleigh quotient, and the
 nonlinearities.
 
 The energy of a zero-trace grid function u is
@@ -12,7 +12,7 @@ quadratic part a*A - (b/2)*A^2 is capped at a^2/(2b) for every u, which is
 the threshold below which compactness of descent sequences is trusted.
 The second derivative on the interior vertices (``hessian_J``) is a
 symmetric sparse matrix, filled into the mesh's fixed interior pattern,
-plus a rank-one term.  J along a line (``_line_energy``) and along a ray r u
+plus a rank-one term.  J along a ray r u with its exact slope
 (``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p), with its
 gradient, its change along a line u + t d (``_rayleigh_line``) and its
 values along the ray e^s u (``_rayleigh_on_ray``), live here too.
@@ -120,7 +120,7 @@ def _positive_power(mag: np.ndarray, e) -> np.ndarray:
 
 
 def _g(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
-    """Vectorized nonlinearity g at per-element arguments s (or stacks of them)."""
+    """Vectorized nonlinearity g at per-element arguments s."""
     if spec.kind == "zero":
         return np.zeros_like(s)
     g = _positive_power(np.abs(s), spec.q.values - 2.0) * s
@@ -142,7 +142,7 @@ def _g_prime(spec: NonlinearitySpec, s: np.ndarray, live: np.ndarray) -> np.ndar
 
 
 def _G(spec: NonlinearitySpec, s: np.ndarray) -> np.ndarray:
-    """Vectorized primitive G at per-element arguments s (or stacks of them)."""
+    """Vectorized primitive G at per-element arguments s."""
     if spec.kind == "zero":
         return np.zeros_like(s)
     q = spec.q.values
@@ -221,11 +221,7 @@ class KirchhoffProblem:
 
 
 def _p_integral(mag: np.ndarray, p: ExponentField, meas: np.ndarray):
-    """I(1/p |x|^p) of per-element magnitudes: A from |grad u|, B from |u_c|.
-
-    ``mag`` may be a stack of per-element rows; the result has the stack's
-    shape.
-    """
+    """I(1/p |x|^p) of per-element magnitudes: A from |grad u|, B from |u_c|."""
     return np.dot(mag**p.values / p.values, meas)
 
 
@@ -235,9 +231,9 @@ def kirchhoff_A(u: GridFunction, p: ExponentField) -> float:
 
 
 def _energy_of_elements(prob: KirchhoffProblem, A, uc: np.ndarray):
-    """J from A(u) and the per-element centroid values, or from a stack of
-    each (J then has the stack's shape), for ``energy_J`` and
-    ``_line_energy``; J along a ray shares ``_energy_of_terms`` with it."""
+    """J from A(u) and the per-element centroid values, for ``energy_J``
+    and the solvers' points; J along a ray shares ``_energy_of_terms`` with
+    it."""
     meas = prob.mesh.element_measures
     lam_term = _p_integral(np.abs(uc), prob.p, meas)
     return _energy_of_terms(prob, A, lam_term, np.dot(_G(prob.g, uc), meas))
@@ -367,46 +363,6 @@ def _hessian_of_elements(prob: KirchhoffProblem, at: _Point):
     return S, dA
 
 
-def _line_energy(prob: KirchhoffProblem, base: np.ndarray, direction: np.ndarray):
-    """J and its slope dJ/dt along the line base + t*direction.
-
-    Returns a function of a scalar or 1-D array ``t`` that gives the pair
-    (J(t), J'(t)) in the shape of ``t``, from one elementwise pass over the
-    stack.  The element gradients and centroid values of ``base`` and
-    ``direction`` are gathered once, together with the per-element products
-    g0.g0, g0.dg and dg.dg of their gradients, so |grad u(t)|^2 is a
-    quadratic in t.  Zero trace is checked once, on both vectors: every
-    point of the line inherits it exactly.  The slope is exact:
-
-        J'(t) = K(t) A'(t) - I((lambda |u_c|^{p-2} u_c + g(x, u_c)) dc),
-
-    with K(t) = a - b*A(t), A'(t) = I(|grad u|^{p-2} grad u . grad d) and dc
-    the centroid values of the direction.
-    """
-    mesh = prob.mesh
-    pv, meas = prob.p.values, mesh.element_measures
-    for nodal in (base, direction):
-        if np.any(nodal[mesh.boundary_mask] != 0.0):
-            raise DomainError("path points must have zero boundary trace")
-    (g0, c0), (dg, dc) = (_gather(mesh, v) for v in (base, direction))
-    g0g0, g0dg, dgdg = (np.einsum("ed,ed->e", x, y)
-                        for x, y in ((g0, g0), (g0, dg), (dg, dg)))
-    dc_meas = dc * meas
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        gdot = g0dg + t * dgdg  # grad u(t) . grad d
-        gmag = np.sqrt(np.maximum(g0g0 + t * (g0dg + gdot), 0.0))
-        uc = c0 + t * dc
-        A = _p_integral(gmag, prob.p, meas)
-        dA = np.dot(_positive_power(gmag, pv - 2.0) * gdot, meas)
-        lumped = prob.lam * _positive_power(np.abs(uc), pv - 2.0) * uc + _g(prob.g, uc)
-        slope = (prob.a - prob.b * A) * dA - np.dot(lumped, dc_meas)
-        return _energy_of_elements(prob, A, uc), slope
-
-    return evaluate
-
-
 def _stiffness_norm(mesh: Mesh, gmag: np.ndarray) -> float:
     """The norm of u in the constant-exponent stiffness, sqrt(u^T K u), from
     its element gradient magnitudes: K = Dg^T diag(meas) Dg, so
@@ -464,22 +420,36 @@ def _ray_weights(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray)
 
 
 def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
-    """(|grad u|, energy) with energy(r) = J(r u) for scalar or 1-D r > 0:
-    every term of J is a power along the ray, A and B by ``_ray_weights``
-    and I(G(x, r u)) = sum w_G r^q with w_G = meas G(x, u_c)."""
+    """(|grad u|, ray) with ray(r) = (J(r u), r dJ/dr, D(r)) for scalar or
+    1-D r > 0, from one gather.
+
+    Every term of J is a power along the ray: A and B by ``_ray_weights``
+    and I(G(x, r u)) = sum w_G r^q with w_G = meas G(x, u_c).  So the slope
+    is exact from the same weights,
+
+        r dJ/dr = K(r u) sum p w_A r^p - D(r),
+        D(r) = lambda sum p w_B r^p + sum q w_G r^q,
+
+    and where it vanishes, at a maximum of J on the ray, K = D / sum p w_A
+    r^p has the sign of D: positive when lambda >= 0 and G(x, u) != 0.
+    """
     pv, qv = prob.p.values, prob.g.q.values
     at = _point(prob.mesh, nodal)
     w_A, w_B = _ray_weights(prob.mesh, prob.p, at.gmag, at.uc)
     w_G = _G(prob.g, at.uc) * prob.mesh.element_measures
+    pw_A, pw_B, qw_G = pv * w_A, pv * w_B, qv * w_G
 
-    def energy(r):
+    def ray(r):
         log_r = np.log(np.asarray(r, dtype=float))[..., None]
         r_p = np.exp(log_r * pv)
         A, B = r_p @ w_A, r_p @ w_B
+        rise_A, rise_B = r_p @ pw_A, r_p @ pw_B
         r_q = np.exp(np.multiply(log_r, qv, out=r_p), out=r_p)  # one stack in memory
-        return _energy_of_terms(prob, A, B, r_q @ w_G)
+        drive = prob.lam * rise_B + r_q @ qw_G
+        J = _energy_of_terms(prob, A, B, r_q @ w_G)
+        return J, (prob.a - prob.b * A) * rise_A - drive, drive
 
-    return at.gmag, energy
+    return at.gmag, ray
 
 
 def _rayleigh_ray_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,

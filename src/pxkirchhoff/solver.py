@@ -1,27 +1,30 @@
 """Critical-point machinery: Rayleigh quotients, mountain-pass geometry,
-the path-deformation solver, and a finite-dimensional multiplicity search.
+the ray-maximum descent solver, and a finite-dimensional multiplicity search.
 
 Only the algorithms live here.  Every functional they evaluate (J, J', J
-along a line, the Rayleigh quotient, its gradient, its change along a line
-and its restriction to a ray) comes from ``energy``, and both descents
-backtrack through one Armijo step, ``_armijo``.
+and its slope along a ray, the Rayleigh quotient, its gradient, its change
+along a line and its restriction to a ray) comes from ``energy``, and both
+descents backtrack through one Armijo step, ``_armijo``.
 
-The solver runs Newton's method on the exact sparse Hessian from the peak
-of a discrete path from 0 to a low-energy point e, and accepts its point
-only at or below the peak's energy (Li-Zhou 2001).  Each step factors the
-sparse part of J'' with one symmetric sparse LU (``_splu``); the rank-one
-part is solved by Sherman-Morrison.  The fallback deforms
-the path: a descent step at its peak, neighboring points pulled toward it.
-Descent directions are preconditioned with the constant-exponent stiffness
-(a discrete Sobolev gradient, ``_sobolev_descent``), which keeps iteration
-counts mesh-independent; the reported residual stays the plain interior l2
-norm of the assembled derivative.  The solution's Morse index is reported:
-it is counted by inertia from the same symmetric LU, and one sparse
-eigensolve for the two lowest eigenvalues cross-checks it (``_morse``).
-All eigensolves are sparse, and every stiffness solve (the descent, the
-eigenbasis shift-invert, the Morse inverse mass) uses the mesh's one LU
-(``Mesh.interior_stiffness_lu``).  Element data come only from
-``energy._point``: the solvers hold its points and never gather.
+The mountain-pass solver holds one point, the maximum of J on its ray
+(``_ray_max``): each ray from 0 is a path to negative energy, so its peak
+bounds the mountain-pass level from above.  It runs Newton's method on the
+exact sparse Hessian from that peak, and accepts its point only at or below
+the peak's energy (Li-Zhou 2001).  Each step factors the sparse part of J''
+with one symmetric sparse LU (``_splu``); the rank-one part is solved by
+Sherman-Morrison.  The fallback descends on the ray maximum: a
+backtracking step at the peak, after which each trial's ray is maximized
+again.  Descent directions are preconditioned with the constant-exponent
+stiffness (a discrete Sobolev gradient, ``_sobolev_descent``), which keeps
+iteration counts mesh-independent; the reported residual stays the plain
+interior l2 norm of the assembled derivative.  The solution's Morse index
+is reported: it is counted by inertia from the same symmetric LU, and one
+sparse eigensolve for the two lowest eigenvalues cross-checks it
+(``_morse``).  All eigensolves are sparse, and every stiffness solve (the
+descent, the eigenbasis shift-invert, the Morse inverse mass) uses the
+mesh's one LU (``Mesh.interior_stiffness_lu``).  Element data come only
+from ``energy._point`` and ``energy._energy_ray``: the solvers hold their
+points and rays and never gather.
 
 The multiplicity search runs its starts one after another, in start-index
 order, and merges results deterministically by (energy, start-index) order.
@@ -37,7 +40,6 @@ import scipy.sparse.linalg
 from .discretization import GridFunction, Mesh, _splu
 from .energy import (
     KirchhoffProblem,
-    _line_energy,
     _energy_of_elements,
     _energy_ray,
     _hessian_of_elements,
@@ -371,11 +373,11 @@ def _scale_until_negative(
 ) -> GridFunction:
     """The first t u, t = 1, 2, 4, ..., with J(t u) < 0 and norm t|u| above
     ``min_norm``; J from the ray's weights (``_energy_ray``), gathered once."""
-    gmag, energy = _energy_ray(prob, nodal)
+    gmag, ray = _energy_ray(prob, nodal)
     norm = 0.0 if min_norm is None else luxemburg_norm(gmag, prob.p, prob.mesh)
     t = 1.0
     for _ in range(max_doublings + 1):
-        if energy(t) < 0.0 and (min_norm is None or t * norm > min_norm):
+        if ray(t)[0] < 0.0 and (min_norm is None or t * norm > min_norm):
             return GridFunction(prob.mesh, t * nodal)
         t *= 2.0
     raise MaxIterations(
@@ -437,8 +439,8 @@ def verify_mountain_geometry(
 
     floors = np.full(radii.size, np.inf)
     for nodal in directions:
-        gmag, energy = _energy_ray(prob, nodal)
-        floors = np.minimum(floors, energy(radii / luxemburg_norm(gmag, p, mesh)))
+        gmag, ray = _energy_ray(prob, nodal)
+        floors = np.minimum(floors, ray(radii / luxemburg_norm(gmag, p, mesh))[0])
     positive = np.flatnonzero(floors > 0.0)
     if positive.size == 0:
         raise GeometryNotFound(
@@ -463,12 +465,12 @@ def verify_mountain_geometry(
 class SolveReport:
     """Outcome of one mountain-pass solve.
 
-    ``iterations`` counts path sweeps, 0 when Newton certifies from the
-    first path's peak, and ``newton_steps`` the accepted Newton steps, over
+    ``iterations`` counts ray-descent steps, 0 when Newton certifies from the
+    first ray's peak, and ``newton_steps`` the accepted Newton steps, over
     all polish attempts, discarded ones included.  ``path_energies`` is the
-    monotone record of path maxima (the running minimax estimate, an upper
-    bound for ``energy``); ``iteration_trace`` holds one raw row per path
-    peak, ``iterations + 1`` in all (iteration, path-max energy, residual,
+    monotone record of ray maxima (the running minimax estimate, an upper
+    bound for ``energy``); ``iteration_trace`` holds one raw row per ray
+    peak, ``iterations + 1`` in all (iteration, ray-max energy, residual,
     A(u), K(u)), emitted as CSV.  ``morse_index`` is the
     number of negative eigenvalues of the pencil (J''(u), interior
     stiffness) at the solution, counted by inertia from a symmetric LU of
@@ -493,47 +495,45 @@ class SolveReport:
     lowest_eigenvalues: tuple[float, ...] | None = None
 
 
-_CANDIDATES = 5     # equispaced points of a cell evaluated in one batch
-_T_TOL = 1e-12      # resolution in t of a segment maximum
 _NEWTON_STEPS = 20  # Newton steps per polish attempt
+_R_TOL = 1e-12      # resolution in r of a ray maximum
+_R_DOUBLINGS = 60   # doublings or halvings of r past the samples before a ray gives up
+_ONE = np.ones(1)   # the sample of a ray whose maximum lies near r = 1
 
 
-def _segment_max(prob: KirchhoffProblem, ua: np.ndarray, ub: np.ndarray):
-    """Maximize J along the segment ua + t (ub - ua); return (point, J).
+def _ray_max(prob: KirchhoffProblem, nodal: np.ndarray, radii: np.ndarray):
+    """The maximum of J on the ray r u, r > 0: (r u, J(r u), D(r)) with D
+    the drive of ``_energy_ray``, or None when J has no maximum on the ray.
 
-    J and its slope are evaluated at five equispaced candidates of a cell,
-    first [0, 1], in one batched call.  The slope at the best candidate
-    points to the side of the maximum:
-
-    * if it vanishes, or points out of the cell at one of its ends (at the
-      segment's ends: the maximum is that endpoint), that candidate is
-      returned, an endpoint bitwise as ``ua`` or ``ub``;
-    * if it changes sign across the neighbouring cell, the root of dJ/dt
-      there is the maximum, found by ``_brent_root`` to 1e-12 in t from
-      the batch's slopes at the cell's ends;
-    * otherwise the neighbouring cell holds a maximum without a sign change
-      at its ends, and it is searched the same way.
+    J and its slope r dJ/dr come from the ray's weights, gathered once, and
+    are evaluated at the increasing samples ``radii`` in one batch.  From
+    the sample of largest J the search walks the way the slope points, from
+    sample to sample and past the samples by doubling or halving r, until
+    the slope changes sign; a local maximum lies in that cell, at the root
+    of the slope, which ``_brent_root`` finds to _R_TOL in r.  A sample
+    where the slope is exactly 0 is the maximum itself.  None is returned
+    when the slope keeps its sign for _R_DOUBLINGS steps past the samples.
     """
-    delta = ub - ua
-    line = _line_energy(prob, ua, delta)
-    lo, hi = 0.0, 1.0
-    while True:
-        t = np.linspace(lo, hi, _CANDIDATES)
-        J, dJ = line(t)
-        k = int(np.argmax(J))
-        step = int(np.sign(dJ[k]))
-        j = k + step
-        if step == 0 or not 0 <= j < _CANDIDATES:
-            break
-        (lo, f_lo), (hi, f_hi) = sorted(((t[k], dJ[k]), (t[j], dJ[j])))
-        if dJ[j] * step <= 0.0:
-            root = _brent_root(lambda s: line(s)[1], lo, f_lo, hi, f_hi, _T_TOL)
-            return ua + root * delta, float(line(root)[0])
-        if hi - lo <= _T_TOL:
-            break
-    best = t[k]
-    point = ua.copy() if best == 0.0 else ub.copy() if best == 1.0 else ua + best * delta
-    return point, float(J[k])
+    ray = _energy_ray(prob, nodal)[1]
+    J, slope, drive = ray(radii)
+    k = int(np.argmax(J))
+    r, f = float(radii[k]), float(slope[k])
+    if f == 0.0:
+        return r * nodal, float(J[k]), float(drive[k])
+    up = f > 0.0
+    for _ in range(len(radii) + _R_DOUBLINGS):
+        k += 1 if up else -1
+        if 0 <= k < len(radii):
+            r_next, f_next = float(radii[k]), float(slope[k])
+        else:
+            r_next = 2.0 * r if up else 0.5 * r
+            f_next = float(ray(r_next)[1])
+        if (f_next <= 0.0) if up else (f_next >= 0.0):
+            root = _brent_root(lambda x: ray(x)[1], r, f, r_next, f_next, _R_TOL)
+            J_root, _, drive_root = ray(root)
+            return root * nodal, float(J_root), float(drive_root)
+        r, f = r_next, f_next
+    return None
 
 
 def _newton_direction(S, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
@@ -680,64 +680,65 @@ def mountain_pass_solve(
     tol: float = 1e-6,
     max_iter: int = 5000,
 ) -> SolveReport:
-    """Deform a discrete path from 0 to e until its peak is a critical point.
+    """Descend on the ray maximum phi(u) = max_r J(r u) from the ray of e
+    until its peak is a critical point.
 
-    Each sweep locates the maximal-energy point along the current polyline
-    (continuously, on the segments adjacent to the vertex maximum).  The
-    solve terminates when the interior l2 residual there is at most ``tol``.
+    Along every ray J(r u) -> -inf (2p- > p+), so phi(u) exists, and each
+    ray, a path from 0 to a point of negative energy, bounds the
+    mountain-pass level from above: minimizing phi is the local minimax
+    method with empty support (Li-Zhou 2001).  The first peak is the
+    maximum of J on e's ray, bracketed by its ``n_path`` equispaced samples
+    r = 1/(n_path - 1), ..., 1 (``_ray_max``).  The solve terminates when the
+    interior l2 residual at a peak is at most ``tol``.
 
-    From the first sweep on, the peak is handed to a Newton polish on the
+    From the first peak on, the peak is handed to a Newton polish on the
     exact sparse Hessian (``_newton_polish``), which returns as soon as its
     residual is at most ``tol``.  Its point is accepted only if its energy
-    is at most J_peak, the energy of the path peak it started from: any
-    path's peak bounds the mountain-pass level from above.  An attempt that
-    cannot certify, or lands above J_peak, is discarded, and the next waits
-    until the peak residual has fallen another decade.  Meanwhile the sweep
-    takes a backtracking descent step at the peak along the preconditioned
-    negative gradient and pulls the neighboring path points toward it.
+    is at most J_peak, the energy of the ray peak it started from.  An
+    attempt that cannot certify, or lands above J_peak, is discarded, and
+    the next waits until the peak residual has halved.  Meanwhile each
+    descent step moves the peak along the preconditioned negative gradient
+    d (``_sobolev_descent``) and re-maximizes J on the ray of every trial,
+    from a bracket grown outward from r = 1; ``_armijo`` backtracks on
+    phi(peak + t d), whose slope at t = 0 is J'(peak) d, from the step that
+    moves the peak by its own stiffness norm (or 1, if smaller).
     ``iterations`` counts these steps and ``newton_steps`` the accepted
     Newton steps; the trace holds one row per peak.  The solution's Morse
     index is computed last (``_morse``).
 
-    Path-point energies are cached: J(t e) on the first path comes from e's
-    ray (``_energy_ray``), and after each sweep only the updated points (the
-    peak's vertex and its interior neighbors) are re-evaluated, so a solve
-    makes at most ``1 + 3 * iterations`` calls to ``energy_J``.  The segment
-    maxima and the line search evaluate J through its restriction to a line,
-    gathered once per segment: one batched evaluation of J and its exact
-    slope dJ/dt at five candidates and, when the maximum lies inside the
-    segment, the root of dJ/dt in the bracketing cell.  A peak or Newton
-    trial is gathered once (``_point``), and the Newton polish starts from
+    ``energy_J`` is called once, at e.  A ray and a peak are each gathered
+    once (``_energy_ray``, ``_point``), and the Newton polish starts from
     the peak's point; A, K, J, J' and J'' there, the energy guard and the
     Morse index included, come from its element data.
 
     Raises DegenerateCoefficient the moment the nonlocal coefficient
-    K(u) = a - b*A(u) is nonpositive at a sweep's peak (the operator loses
-    its coercive sign there, which this solver refuses to hide; a Newton
-    trial with K <= 0 is backtracked instead), MaxIterations if the sweep
-    or line-search budget runs out, and DomainError for a negative
-    ``max_iter`` or a ``tol`` that is not finite and positive.
+    K(u) = a - b*A(u) is nonpositive at a ray's peak (the operator loses its
+    coercive sign there, which this solver refuses to hide; a Newton trial
+    with K <= 0 is backtracked instead).  At a peak r dJ/dr = 0 makes K the
+    ratio of r d(lambda B + I(G))/dr to r dA/dr, which is positive when
+    lambda >= 0 and g != 0: a degenerate peak needs lambda < 0 or g = 0.
+    Raises GeometryNotFound when J has no maximum on e's ray, MaxIterations
+    if the step or line-search budget runs out, and DomainError for a
+    negative ``max_iter``, fewer than 3 ``n_path`` points or a ``tol`` that
+    is not finite and positive.
     """
     prob.require_valid_chain()
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
     mesh = prob.mesh
-    J_e = energy_J(e, prob)
-    if not J_e < 0.0:
+    if not energy_J(e, prob) < 0.0:
         raise DomainError("e must have negative energy; run the geometry check")
     if n_path < 3:
         raise DomainError("need at least 3 path points")
     _nonnegative("max_iter", max_iter)
     idx = mesh.interior
 
-    ts = np.linspace(0.0, 1.0, n_path)
-    path = [t * e.nodal_values for t in ts]
     path_energies: list[float] = []
     trace: list[tuple[int, float, float, float, float]] = []
     record = np.inf
     newton_from, newton_steps = np.inf, 0
 
-    def report(point, energy, res, K, sweeps):
+    def report(point, energy, res, K, steps):
         morse_index, lowest = _morse(prob, point)
         return SolveReport(
             solution=GridFunction(mesh, point.nodal),
@@ -745,7 +746,7 @@ def mountain_pass_solve(
             residual_norm=res,
             nonlocal_coefficient=K,
             below_ps_ceiling=energy < prob.ps_ceiling,
-            iterations=sweeps,
+            iterations=steps,
             path_energies=path_energies,
             iteration_trace=trace,
             newton_steps=newton_steps,
@@ -753,21 +754,23 @@ def mountain_pass_solve(
             lowest_eigenvalues=lowest,
         )
 
-    # J(0) = 0 and J(e) are known; J(t e) at the other points from e's ray
-    energies = [0.0, *_energy_ray(prob, e.nodal_values)[1](ts[1:-1]), J_e]
+    peak = _ray_max(prob, e.nodal_values, np.linspace(0.0, 1.0, n_path)[1:])
+    if peak is None:
+        raise GeometryNotFound(
+            "J has no maximum on the ray of e: its slope r dJ/dr keeps one sign "
+            f"over r in [2^-{_R_DOUBLINGS}, 2^{_R_DOUBLINGS}] times e"
+        )
     for it in range(max_iter):
-        m = 1 + int(np.argmax(energies[1:-1]))
-        # continuous peak along the two segments adjacent to the vertex max
-        lo = _segment_max(prob, path[m - 1], path[m])
-        hi = _segment_max(prob, path[m], path[m + 1])
-        peak, J_peak = lo if lo[1] >= hi[1] else hi
-
-        at = _point(mesh, peak)
+        nodal, J_peak, drive = peak
+        at = _point(mesh, nodal)
         g, A = _residual_of_elements(prob, at)
         K = prob.a - prob.b * A
-        if K <= 0.0:
+        if K <= 0.0 or drive <= 0.0:
             raise DegenerateCoefficient(
-                f"nonlocal coefficient K = {K:.6g} <= 0 at the current iterate"
+                f"nonlocal coefficient K = {K:.6g} <= 0 at the current iterate" if K <= 0.0
+                else f"nonlocal coefficient K <= 0 at the ray's peak: r d(lambda B + I(G))/dr "
+                f"= {drive:.6g} <= 0 there, and r dJ/dr = 0 makes K = that / r dA/dr "
+                f"(computed K = {K:.3g})"
             )
         res = float(np.linalg.norm(g[idx]))
 
@@ -782,33 +785,27 @@ def mountain_pass_solve(
             newton_steps += steps
             if point is not None:
                 J_u = float(_energy_of_elements(prob, A_n, point.uc))
-                if J_u <= J_peak:  # a critical point no higher than the path's peak
+                if J_u <= J_peak:  # a critical point no higher than the ray's peak
                     return report(point, J_u, res_n, prob.a - prob.b * A_n, it)
-            newton_from = res / 10.0  # retry one decade further down
+            newton_from = res / 2.0  # retry once the residual has halved
 
         d = _sobolev_descent(mesh, g)
         slope = float(np.dot(g[idx], d[idx]))
-        # keep the deformation local: never step past the neighbor spacing,
-        # otherwise the peak can vault the ridge into the far valley
-        spacing = max(_stiffness_norm(mesh, _point(mesh, v).gmag)
-                      for v in (peak - path[m - 1], path[m + 1] - peak))
-        d_norm = np.sqrt(-slope)
-        step = min(1.0, spacing / d_norm) if d_norm > 0.0 else 1.0
-        J_ray = _line_energy(prob, peak, d)
-        step = _armijo(lambda s: J_ray(s)[0], J_peak, slope, step)
+        trials = {}
+
+        def phi(t):
+            trials[t] = _ray_max(prob, nodal + t * d, _ONE)
+            return np.inf if trials[t] is None else trials[t][1]
+
+        step = _armijo(phi, J_peak, slope,
+                       min(1.0, _stiffness_norm(mesh, at.gmag) / math.sqrt(-slope)))
         if step is None:
             raise MaxIterations(
                 f"line search stalled at residual {res:.3e} (tol {tol:g})"
             )
-        new = peak + step * d
-        path[m] = new
-        energies[m] = energy_J(GridFunction(mesh, new), prob)
-        for j in (m - 1, m + 1):
-            if 0 < j < n_path - 1:
-                path[j] = 0.5 * (path[j] + new)
-                energies[j] = energy_J(GridFunction(mesh, path[j]), prob)
+        peak = trials[step]
 
-    raise MaxIterations(f"no convergence within {max_iter} sweeps")
+    raise MaxIterations(f"no convergence within {max_iter} descent steps")
 
 
 # -- multiplicity -------------------------------------------------------------

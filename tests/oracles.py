@@ -5,8 +5,8 @@ implementation: central finite differences, a from-scratch 1-D
 Euler-Lagrange assembly with damped (optionally deflated) Newton iteration,
 a tridiagonal eigenvalue reference, scalar root-finds on closed-form
 integrals, a Luxemburg norm by bracket expansion and bisection, J''
-assembled from the mesh's sparse operators, and the Rayleigh descent on
-nodal values, with the nodal forms of R, R' and the ray search that it and
+assembled from the mesh's sparse operators, a bounded scalar maximization
+of the direct energy along a ray, and the Rayleigh descent on nodal values, with the nodal forms of R, R' and the ray search that it and
 the tests call (the library itself only works on gathered element data).
 """
 
@@ -14,8 +14,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
+from pxkirchhoff import GridFunction, energy_J
 from pxkirchhoff.energy import (
     _point,
     _rayleigh_gradient_of_elements,
@@ -222,6 +223,16 @@ def hessian_by_operators(u, prob):
     K = prob.a - prob.b * np.dot(gmag**pv / pv, meas)
     S = (K * A2 - lower2).tocsr()
     return S[idx][:, idx], dA[idx]
+
+
+def ray_max_bounded(prob, nodal, lo, hi):
+    """(r, J(r u)) at the maximum of J(r u) over r in [lo, hi]: bounded Brent
+    on ``energy_J`` of each scaled point, with no slope and no ray weights."""
+    res = minimize_scalar(
+        lambda r: -energy_J(GridFunction(prob.mesh, r * nodal), prob),
+        bounds=(lo, hi), method="bounded", options={"xatol": 1e-12},
+    )
+    return float(res.x), -float(res.fun)
 
 
 def rayleigh_ratio(mesh, p, nodal):

@@ -158,7 +158,7 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 def test_solver_nonconvergence_exit_code(tmp_path, capsys):
     # Newton from the first peak stalls at rounding level, far above this
-    # tol, and two sweeps cannot reach it either
+    # tol, and two descent steps cannot reach it either
     text = MODEL.replace("tol = 1e-5", "tol = 1e-30")
     path = write_cfg(tmp_path, text + f"\nmax_iter = 2\nout = {tmp_path}")
     assert main([path]) == 3
@@ -413,6 +413,6 @@ def test_solve_report_lists_newton_steps_and_morse_index(tmp_path, capsys):
     assert fields["morse_index"] == "1"
     lowest = [float(v) for v in fields["lowest_eigenvalues"].split()]
     assert len(lowest) == 2 and lowest[0] < 0.0 < lowest[1]
-    # iterations.csv keeps one row per sweep, Newton steps add none
+    # iterations.csv keeps one row per ray peak, Newton steps add none
     rows = (tmp_path / "iterations.csv").read_text().splitlines()
     assert len(rows) == 1 + int(fields["iterations"]) + 1

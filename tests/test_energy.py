@@ -22,7 +22,7 @@ from pxkirchhoff import (
 )
 from pxkirchhoff.energy import (
     _derivative_terms_of_elements,
-    _line_energy,
+    _energy_ray,
     _magnitude,
     _point,
     _rayleigh_line,
@@ -169,6 +169,9 @@ def test_energy_even():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_line_restriction_matches_energy(dim):
+    # J restricted to the line through 0 and u, r -> J(r u): its values are
+    # energy_J's, and its slope r dJ/dr is exactly J'(r u) . (r u) on the
+    # interior, to rounding of the slope's two terms
     if dim == 1:
         mesh = build_interval_mesh(50, 0.0, 1.0)
         p = build_exponent_field(2.0 + 0.5 * mesh.element_centroids[:, 0], mesh)
@@ -179,28 +182,19 @@ def test_line_restriction_matches_energy(dim):
     spec = NonlinearitySpec("scaled_power", q, coefficient=1.5, theta=3.2)
     prob = KirchhoffProblem(1.0, 0.1, 0.7, p, spec, mesh)
     rng = np.random.default_rng(dim)
-    ua, ub = (GridFunction(mesh, 0.3 * rng.standard_normal(mesh.n_vertices))
-              .nodal_values for _ in range(2))
-    J = _line_energy(prob, ua, ub - ua)
-    for t in (0.0, 0.37, 1.0):
-        direct = energy_J(GridFunction(mesh, ua + t * (ub - ua)), prob)
-        assert J(t)[0] == pytest.approx(direct, rel=1e-13)
-        fd = central_difference(lambda s: J(s)[0], t, 1.0)
-        assert J(t)[1] == pytest.approx(fd, rel=1e-7)
-    # a stack of t gives the same pairs as one t at a time
-    ts = np.array([0.0, 0.37, 1.0])
-    for stacked, single in zip(np.array(J(ts)).T, ts):
-        assert stacked == pytest.approx(J(single), rel=1e-13)
-
-
-def test_line_restriction_rejects_nonzero_trace():
-    prob, tent = tent_problem()
-    bad = tent.nodal_values.copy()
-    bad[-1] = 0.5
-    with pytest.raises(DomainError):
-        _line_energy(prob, tent.nodal_values, bad - tent.nodal_values)
-    with pytest.raises(DomainError):
-        _line_energy(prob, bad, tent.nodal_values)
+    u = GridFunction(mesh, 0.3 * rng.standard_normal(mesh.n_vertices)).nodal_values
+    _, ray = _energy_ray(prob, u)
+    idx = mesh.interior
+    rs = np.array([0.37, 1.0, 2.5])
+    for r in rs:
+        ru = GridFunction(mesh, r * u)
+        J, slope, drive = ray(r)
+        assert J == pytest.approx(energy_J(ru, prob), rel=1e-13)
+        exact = float(np.dot(gradient_J(ru, prob).nodal_values[idx], r * u[idx]))
+        assert abs(slope - exact) <= 1e-13 * (abs(slope + drive) + abs(drive))
+    # a stack of r gives the same triples as one r at a time
+    for stacked, single in zip(np.array(ray(rs)).T, rs):
+        assert stacked == pytest.approx(ray(single), rel=1e-13)
 
 
 def _rayleigh_case(dim):
