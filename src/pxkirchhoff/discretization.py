@@ -187,7 +187,8 @@ def _splu(S: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
     pivot vanishes; it never does when S is positive definite.  Raises
     RuntimeError when S is singular.  It factors the interior stiffness once
     per mesh (``Mesh.interior_stiffness_lu``), and the solver's Newton steps
-    and Morse counts factor the sparse part of J'' with it."""
+    factor the sparse part of J'' with it, as does its Morse count by
+    inertia on more than ``solver._DENSE_N`` interior vertices."""
     return scipy.sparse.linalg.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                     options=dict(SymmetricMode=True))
 

@@ -18,12 +18,15 @@ again.  Descent directions are preconditioned with the constant-exponent
 stiffness (a discrete Sobolev gradient, ``_sobolev_descent``), which keeps
 iteration counts mesh-independent; the reported residual stays the plain
 interior l2 norm of the assembled derivative.  The solution's Morse index
-is reported: it is counted by inertia from the same symmetric LU, and one
-sparse eigensolve for the two lowest eigenvalues cross-checks it
-(``_morse``).  All eigensolves are sparse, and every stiffness solve (the
-descent, the eigenbasis shift-invert, the Morse inverse mass) uses the
-mesh's one LU (``Mesh.interior_stiffness_lu``).  Element data come only
-from ``energy._point`` and ``energy._energy_ray``: the solvers hold their
+is reported (``_morse``).  The eigenproblems, the Morse pencil and the
+Laplace eigenbasis, are solved dense by LAPACK on at most _DENSE_N
+interior vertices, where ARPACK's per-call overhead dominates.  Above it
+they are sparse: the index is counted by inertia from a symmetric LU of
+the sparse part of J'', and one ARPACK call for the two lowest eigenvalues
+cross-checks it.  Every stiffness solve (the descent, the eigenbasis
+shift-invert, the Morse inverse mass) uses the mesh's one LU
+(``Mesh.interior_stiffness_lu``).  Element data come only from
+``energy._point`` and ``energy._energy_ray``: the solvers hold their
 points and rays and never gather.
 
 The multiplicity search runs its starts one after another, in start-index
@@ -35,6 +38,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .discretization import GridFunction, Mesh, _splu
@@ -86,8 +90,15 @@ def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
     return d
 
 
+# Pencils on at most this many interior vertices are solved dense with LAPACK
+# (``scipy.linalg.eigh``), above it by ARPACK.  The two routes break even at
+# about 150-190 interior vertices (1-D, p = 2 + 0.2x, BLAS on one thread).
+_DENSE_N = 128
+
+
 def _start_vector(n: int) -> np.ndarray:
-    """Fixed ARPACK start vector, so eigensolves are deterministic."""
+    """Fixed ARPACK start vector, so the sparse eigensolves (pencils above
+    _DENSE_N interior vertices) are deterministic."""
     return np.random.default_rng(0).standard_normal(n)
 
 
@@ -95,15 +106,16 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     """First k Dirichlet eigenvectors of the constant-2 Laplacian.
 
     These span the nested subspaces used to seed the multiplicity search and
-    provide smooth low-frequency probe directions.  They come from a sparse
-    shift-invert eigensolve of the interior stiffness and mass pencil at
-    shift 0, which inverts the stiffness with the mesh's one symmetric LU
-    (``Mesh.interior_stiffness_lu``), and are normalized in the mass inner
-    product; ARPACK finds at most n - 1 of n pairs, so a full basis takes
-    its last vector as the mass-orthogonal complement of the others.  Signs
-    are fixed so the entry of largest magnitude is positive.  Raises
-    TypeError when k is not an integer and DomainError when it is negative
-    or exceeds the number of interior vertices.
+    provide smooth low-frequency probe directions.  They are the lowest
+    eigenvectors of the interior stiffness and mass pencil: on at most
+    _DENSE_N interior vertices, or for a full basis (k = n, which ARPACK
+    cannot give), from one dense LAPACK solve; above it, from a sparse
+    shift-invert eigensolve at shift 0, which inverts the stiffness with the
+    mesh's one symmetric LU (``Mesh.interior_stiffness_lu``).  They are
+    normalized in the mass inner product, and signs are fixed so the entry
+    of largest magnitude is positive.  Raises TypeError when k is not an
+    integer and DomainError when it is negative or exceeds the number of
+    interior vertices.
     """
     k = operator.index(k)
     _nonnegative("k", k)
@@ -111,19 +123,18 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     n = len(idx)
     if k > n:
         raise DomainError(f"mesh has only {n} interior vertices")
+    if k == 0:
+        return []
     M = mesh.mass[np.ix_(idx, idx)].tocsc()
-    vecs = np.empty((n, 0))
-    if min(k, n - 1) > 0:
+    if k == n or n <= _DENSE_N:
+        vecs = scipy.linalg.eigh(mesh.interior_stiffness.toarray(), M.toarray(),
+                                 subset_by_index=[0, k - 1])[1]
+    else:
         OPinv = scipy.sparse.linalg.LinearOperator(
             (n, n), matvec=mesh.interior_stiffness_lu.solve, dtype=float)
         vals, vecs = scipy.sparse.linalg.eigsh(
-            mesh.interior_stiffness, min(k, n - 1), M,
-            sigma=0.0, OPinv=OPinv, v0=_start_vector(n),
-        )
+            mesh.interior_stiffness, k, M, sigma=0.0, OPinv=OPinv, v0=_start_vector(n))
         vecs = vecs[:, np.argsort(vals)]
-    if k == n:
-        complement = np.linalg.qr(M @ vecs, mode="complete")[0][:, -1:]
-        vecs = np.hstack([vecs, complement])
     basis = []
     for v in vecs.T:
         v = v * np.sign(v[np.argmax(np.abs(v))]) / np.sqrt(v @ (M @ v))
@@ -473,10 +484,12 @@ class SolveReport:
     peak, ``iterations + 1`` in all (iteration, ray-max energy, residual,
     A(u), K(u)), emitted as CSV.  ``morse_index`` is the
     number of negative eigenvalues of the pencil (J''(u), interior
-    stiffness) at the solution, counted by inertia from a symmetric LU of
-    the sparse part of J'' and cross-checked by ARPACK (``_morse``), and
-    ``lowest_eigenvalues`` its two lowest eigenvalues; both are None where
-    J'' does not exist (an exponent below 2 at a vanishing gradient on an
+    stiffness) at the solution (``_morse``): from the pencil's whole dense
+    spectrum on at most _DENSE_N interior vertices, and above it counted by
+    inertia from a symmetric LU of the sparse part of J'' and cross-checked
+    by ARPACK.  ``lowest_eigenvalues`` holds up to two of its lowest
+    eigenvalues (one on a mesh with one interior vertex); both are None
+    where J'' does not exist (an exponent below 2 at a vanishing gradient on an
     element with an interior vertex).  The index is reported, not gated on.
     ``below_ps_ceiling`` is true iff ``energy`` is strictly below the
     compactness ceiling a^2/(2b).
@@ -619,14 +632,16 @@ def _inertia_index(S, dA: np.ndarray, b: float) -> int | None:
 
 
 def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
-    """(index, two lowest eigenvalues) of the pencil (J''(u), stiffness) on
-    the interior vertices at the point ``at``, or (None, None) where J''
-    does not exist.
+    """(index, up to two lowest eigenvalues) of the pencil (J''(u),
+    stiffness) on the interior vertices at the point ``at``, or (None, None)
+    where J'' does not exist.
 
-    The stiffness is positive definite, so the index is the number of
-    negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
-    one symmetric LU of its sparse part.  One ARPACK call then finds the two lowest
-    eigenvalues (with two interior vertices, the lowest and the largest),
+    On at most _DENSE_N interior vertices (and always on one or two), LAPACK
+    finds the pencil's whole spectrum from dense matrices, and the index is
+    the number of negative eigenvalues.  Above it, the stiffness being
+    positive definite, the index is the number of negative eigenvalues of
+    J'' itself, which ``_inertia_index`` counts from one symmetric LU of its
+    sparse part.  One ARPACK call then finds the two lowest eigenvalues,
     inverting the stiffness with ``Mesh.interior_stiffness_lu``, and the
     number of negatives among them must equal min(index, 2).  When the
     inertia is unavailable or that cross-check fails, ARPACK finds the k
@@ -640,9 +655,10 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
         return None, None
     n = S.shape[0]
     stiff = prob.mesh.interior_stiffness
-    if n == 1:
-        vals = np.array([(S[0, 0] - prob.b * dA[0] ** 2) / stiff[0, 0]])
-        return int(vals[0] < 0.0), (float(vals[0]),)
+    if n <= max(_DENSE_N, 2):  # ARPACK needs k = 2 < n
+        vals = scipy.linalg.eigh(S.toarray() - prob.b * np.outer(dA, dA), stiff.toarray(),
+                                 eigvals_only=True)
+        return int(np.count_nonzero(vals < 0.0)), tuple(float(v) for v in vals[:2])
     H = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: S @ v - prob.b * dA * (dA @ v), dtype=float)
     Minv = scipy.sparse.linalg.LinearOperator(
@@ -653,15 +669,11 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
             H, k, stiff, which=which, Minv=Minv, v0=_start_vector(n),
             return_eigenvectors=False))
 
-    k = min(2, n - 1)
+    k = 2
     vals = lowest(k)
     index = _inertia_index(S, dA, prob.b)
-    if index is not None:
-        if k == 1:
-            vals = np.append(vals, lowest(1, "LA"))
-        if np.count_nonzero(vals < 0.0) == min(index, 2):
-            return index, tuple(float(v) for v in vals)
-        vals = vals[:k]
+    if index is not None and np.count_nonzero(vals < 0.0) == min(index, 2):
+        return index, tuple(float(v) for v in vals)
     while vals[-1] < 0.0 and k < n - 1:
         k = min(2 * k, n - 1)
         vals = lowest(k)

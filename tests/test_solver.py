@@ -1210,52 +1210,6 @@ def _inertia(prob, u):
     return solver._inertia_index(*hessian_J(u, prob), prob.b)
 
 
-def test_morse_index_1d_model(model_solution):
-    prob, _, rep = model_solution
-    assert rep.morse_index == 1
-    low, second = rep.lowest_eigenvalues
-    assert low < 0.0 < second
-    ref = _dense_pencil_eigenvalues(prob, rep.solution)
-    assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
-    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
-
-
-@pytest.mark.parametrize("n", [24, 25])
-def test_morse_index_on_even_and_odd_meshes(n):
-    # an odd mesh puts an element, not a vertex, at the middle of the
-    # symmetric ground state; the index is still 1 there
-    prob = model_problem(n=n)
-    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
-    ref = _dense_pencil_eigenvalues(prob, rep.solution)
-    assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
-    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
-
-
-def test_morse_index_2d():
-    mesh = build_rect_mesh(8, 8, ((0.0, 0.0), (1.0, 1.0)))
-    p = constant_exponent(2.0, mesh)
-    q = constant_exponent(4.5, mesh)
-    prob = KirchhoffProblem(
-        1.0, 0.02, 0.0, p, NonlinearitySpec("pure_power", q, theta=3.2), mesh
-    )
-    geo = verify_mountain_geometry(prob, [0.01, 0.05, 0.1, 0.5, 1.0, 2.0], 15, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=25, tol=1e-6)
-    assert rep.morse_index == 1
-    ref = _dense_pencil_eigenvalues(prob, rep.solution)
-    assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0))
-    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
-
-
-@pytest.fixture(scope="module")
-def index_three_orbit():
-    # the two-node orbit of the coarse mesh has index 3
-    prob = model_problem(n=12)
-    phi3 = laplace_eigenbasis(prob.mesh, 3)[2]
-    e = _scale_until_negative(prob, phi3.nodal_values / sobolev_norm(phi3, prob.p))
-    return prob, mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
-
-
 def _count_eigsh(monkeypatch):
     calls = []
     eigsh = scipy.sparse.linalg.eigsh
@@ -1268,20 +1222,102 @@ def _count_eigsh(monkeypatch):
     return calls
 
 
+# The cutoff 0 sends every pencil on three or more interior vertices to
+# ARPACK; the real cutoff sends the small meshes of these tests to LAPACK.
+ROUTES = (("arpack", 0), ("dense", solver._DENSE_N))
+
+
+def _morse_on_both_routes(monkeypatch, prob, u) -> dict:
+    """solver._morse at u on each route, by route name; the dense route
+    makes no ARPACK call and the ARPACK route at least one."""
+    at = _point(prob.mesh, u.nodal_values)
+    out = {}
+    for route, cutoff in ROUTES:
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        calls = _count_eigsh(monkeypatch)
+        out[route] = solver._morse(prob, at)
+        assert (len(calls) > 0) == (route == "arpack")
+        monkeypatch.undo()
+    return out
+
+
+def _check_morse_on_both_routes(monkeypatch, prob, rep, ref):
+    """Each route gives the solve's index and the oracle's two lowest
+    eigenvalues; the solve, on these small meshes, took the dense route."""
+    routes = _morse_on_both_routes(monkeypatch, prob, rep.solution)
+    assert routes["dense"] == (rep.morse_index, rep.lowest_eigenvalues)
+    for index, lowest in routes.values():
+        assert index == rep.morse_index
+        assert lowest == pytest.approx(ref[:2], abs=1e-6)
+
+
+def test_morse_index_1d_model(model_solution, monkeypatch):
+    prob, _, rep = model_solution
+    assert rep.morse_index == 1
+    low, second = rep.lowest_eigenvalues
+    assert low < 0.0 < second
+    ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
+    _check_morse_on_both_routes(monkeypatch, prob, rep, ref)
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_morse_index_on_even_and_odd_meshes(n, monkeypatch):
+    # an odd mesh puts an element, not a vertex, at the middle of the
+    # symmetric ground state; the index is still 1 there
+    prob = model_problem(n=n)
+    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
+    _check_morse_on_both_routes(monkeypatch, prob, rep, ref)
+
+
+def test_morse_index_2d(monkeypatch):
+    mesh = build_rect_mesh(8, 8, ((0.0, 0.0), (1.0, 1.0)))
+    p = constant_exponent(2.0, mesh)
+    q = constant_exponent(4.5, mesh)
+    prob = KirchhoffProblem(
+        1.0, 0.02, 0.0, p, NonlinearitySpec("pure_power", q, theta=3.2), mesh
+    )
+    geo = verify_mountain_geometry(prob, [0.01, 0.05, 0.1, 0.5, 1.0, 2.0], 15, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, n_path=25, tol=1e-6)
+    assert rep.morse_index == 1
+    ref = _dense_pencil_eigenvalues(prob, rep.solution)
+    assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0))
+    _check_morse_on_both_routes(monkeypatch, prob, rep, ref)
+
+
+@pytest.fixture(scope="module")
+def index_three_orbit():
+    # the two-node orbit of the coarse mesh has index 3
+    prob = model_problem(n=12)
+    phi3 = laplace_eigenbasis(prob.mesh, 3)[2]
+    e = _scale_until_negative(prob, phi3.nodal_values / sobolev_norm(phi3, prob.p))
+    return prob, mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+
+
 def test_morse_index_counts_every_negative_eigenvalue(index_three_orbit, monkeypatch):
-    # the index comes from inertia and one ARPACK call for the two lowest
-    # eigenvalues, which the index-3 orbit has both negative
+    # on the ARPACK route the index comes from inertia and one ARPACK call
+    # for the two lowest eigenvalues, which the index-3 orbit has both
+    # negative; the dense route counts the whole spectrum with no ARPACK call
     prob, rep = index_three_orbit
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 3
     assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
-    calls = _count_eigsh(monkeypatch)
     at = _point(prob.mesh, rep.solution.nodal_values)
+    for route, cutoff in ROUTES:
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        calls = _count_eigsh(monkeypatch)
+        index, lowest = solver._morse(prob, at)
+        assert index == 3
+        assert lowest == pytest.approx(ref[:2], abs=1e-6)
+        assert calls == ([2] if route == "arpack" else [])
+        monkeypatch.undo()
     assert solver._morse(prob, at) == (3, rep.lowest_eigenvalues)
-    assert calls == [2]
 
 
-def test_inertia_counts_the_rank_one_term():
+def test_inertia_counts_the_rank_one_term(monkeypatch):
     # with g = 0 and p = 2, S = K * stiffness is positive definite, and
     # 1 - b A'^T S^{-1} A' = 1 - 2bA/K: the rank-one term -b A'A'^T makes
     # one eigenvalue negative exactly when A(u) > a / (3b)
@@ -1296,7 +1332,8 @@ def test_inertia_counts_the_rank_one_term():
         assert np.all(np.linalg.eigvalsh(S.toarray()) > 0.0)
         dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
         assert solver._inertia_index(S, dA, prob.b) == int(np.sum(dense < 0.0)) == index
-        assert solver._morse(prob, _point(mesh, u.nodal_values))[0] == index
+        routes = _morse_on_both_routes(monkeypatch, prob, u)
+        assert [route[0] for route in routes.values()] == [index, index]
 
 
 def test_inertia_matches_a_dense_count_at_random_points():
@@ -1337,10 +1374,15 @@ def test_morse_falls_back_to_doubling_without_a_symmetric_lu(index_three_orbit, 
     at = _point(prob.mesh, rep.solution.nodal_values)
     calls = _count_eigsh(monkeypatch)
     monkeypatch.setattr(solver, "_inertia_index", lambda *args: None)
+    dense = solver._morse(prob, at)  # the dense route never asks for inertia
+    assert dense == (3, rep.lowest_eigenvalues) and calls == []
+    monkeypatch.setattr(solver, "_DENSE_N", 0)
     doubling = solver._morse(prob, at)
     assert doubling[0] == 3 and calls == [2, 4]
+    assert doubling[1] == pytest.approx(dense[1], abs=1e-10)
     monkeypatch.undo()
 
+    monkeypatch.setattr(solver, "_DENSE_N", 0)
     splu = solver._splu
     monkeypatch.setattr(solver, "_splu", lambda S: _OffDiagonalLU(splu(S)))
     assert solver._inertia_index(*hessian_J(rep.solution, prob), prob.b) is None
@@ -1351,14 +1393,21 @@ def test_morse_falls_back_to_doubling_without_a_symmetric_lu(index_three_orbit, 
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_morse_index_with_one_or_two_interior_vertices(n):
-    # ARPACK finds at most n - 1 of n eigenvalues; the rest come another way
+def test_morse_index_with_one_or_two_interior_vertices(n, monkeypatch):
+    # ARPACK needs more than two interior vertices, so one or two take the
+    # dense route even where the cutoff sends every other mesh to ARPACK
     prob = model_problem(n=n)
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
     rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
+    assert len(rep.lowest_eigenvalues) == min(n - 1, 2)
     assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
+    monkeypatch.setattr(solver, "_DENSE_N", 0)
+    calls = _count_eigsh(monkeypatch)
+    assert solver._morse(prob, _point(prob.mesh, rep.solution.nodal_values)) == (
+        rep.morse_index, rep.lowest_eigenvalues)
+    assert calls == []
 
 
 def test_morse_index_is_none_where_the_hessian_does_not_exist():
@@ -1538,49 +1587,81 @@ def test_multiplicity_distinct_tol_must_be_finite_and_nonnegative(distinct_tol):
     assert len(multiplicity_search(prob, n_starts=5, k_max=4, distinct_tol=0.0)) >= 4
 
 
-def test_eigenbasis_shapes():
+def test_eigenbasis_shapes(monkeypatch):
     mesh = build_interval_mesh(40, 0.0, 1.0)
-    basis = laplace_eigenbasis(mesh, 3)
     x = mesh.vertices[:, 0]
-    first = basis[0].nodal_values
     ref = np.sin(np.pi * x)
-    ref *= first[20] / ref[20]
-    assert np.allclose(first, ref, atol=2e-3)
+    for _, cutoff in ROUTES:
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        first = laplace_eigenbasis(mesh, 3)[0].nodal_values
+        assert np.allclose(first, ref * first[20] / ref[20], atol=2e-3)
+    assert laplace_eigenbasis(mesh, 0) == []
     with pytest.raises(DomainError):
         laplace_eigenbasis(mesh, 40)
 
 
-def test_eigenbasis_full_basis_without_warning():
-    # ARPACK finds at most n - 1 of n pairs; k = n still works, silently
+def test_eigenbasis_full_basis_without_warning(monkeypatch):
+    # ARPACK finds at most n - 1 of n pairs, so k = n takes the dense route
+    # on either side of the cutoff, silently
     mesh = build_interval_mesh(6, 0.0, 1.0)
     idx = mesh.interior
-    basis = laplace_eigenbasis(mesh, len(idx))
-    V = np.array([b.nodal_values[idx] for b in basis]).T
     K = mesh.stiffness[np.ix_(idx, idx)].toarray()
     M = mesh.mass[np.ix_(idx, idx)].toarray()
     ref = scipy.linalg.eigh(K, M, eigvals_only=True)
-    assert np.allclose(V.T @ M @ V, np.eye(len(idx)), atol=1e-12)
-    assert np.allclose(np.diag(V.T @ K @ V), ref, rtol=1e-12)
     one = build_interval_mesh(2, 0.0, 1.0)
-    (only,) = laplace_eigenbasis(one, 1)
-    assert only.nodal_values[1] > 0.0
+    for _, cutoff in ROUTES:
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        calls = _count_eigsh(monkeypatch)
+        basis = laplace_eigenbasis(mesh, len(idx))
+        V = np.array([b.nodal_values[idx] for b in basis]).T
+        assert np.allclose(V.T @ M @ V, np.eye(len(idx)), atol=1e-12)
+        assert np.allclose(np.diag(V.T @ K @ V), ref, rtol=1e-12)
+        (only,) = laplace_eigenbasis(one, 1)
+        assert only.nodal_values[1] > 0.0
+        assert calls == []
 
 
-def test_eigenbasis_2d_near_degenerate_modes_by_span():
+def test_eigenbasis_2d_near_degenerate_modes_by_span(monkeypatch):
     # modes 2 and 3 of the square nearly coincide (49.67 and 49.82 at 32^2):
     # the vectors are not unique, their span is
     mesh = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
     idx = mesh.interior
-    basis = laplace_eigenbasis(mesh, 4)
-    V = np.array([b.nodal_values[idx] for b in basis]).T
     K = mesh.stiffness[np.ix_(idx, idx)].toarray()
     M = mesh.mass[np.ix_(idx, idx)].toarray()
     vals, ref = scipy.linalg.eigh(K, M, subset_by_index=(0, 3))
     assert vals[1:3] == pytest.approx([49.67, 49.82], abs=5e-3)
-    assert np.allclose(np.diag(V.T @ K @ V), vals, rtol=1e-10)
-    assert np.max(scipy.linalg.subspace_angles(V[:, 1:3], ref[:, 1:3])) <= 1e-8
-    for j in (0, 3):
-        assert min(np.max(np.abs(V[:, j] - s * ref[:, j])) for s in (1, -1)) <= 1e-8
+    # 961 interior vertices: ARPACK at the real cutoff, dense above it
+    for cutoff in (solver._DENSE_N, len(idx)):
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        basis = laplace_eigenbasis(mesh, 4)
+        V = np.array([b.nodal_values[idx] for b in basis]).T
+        assert np.allclose(np.diag(V.T @ K @ V), vals, rtol=1e-10)
+        assert np.max(scipy.linalg.subspace_angles(V[:, 1:3], ref[:, 1:3])) <= 1e-8
+        for j in (0, 3):
+            assert min(np.max(np.abs(V[:, j] - s * ref[:, j])) for s in (1, -1)) <= 1e-8
+
+
+def test_routes_agree_at_the_cutoff(monkeypatch):
+    # a 1-D mesh with _DENSE_N interior vertices takes the dense route and
+    # one with _DENSE_N + 1 the ARPACK route; the other route, forced, gives
+    # the same Morse index and eigenvalues and the same eigenbasis
+    for n, real in ((solver._DENSE_N, "dense"), (solver._DENSE_N + 1, "arpack")):
+        prob = model_problem(n=n + 1)
+        geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+        rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+        at = _point(prob.mesh, rep.solution.nodal_values)
+        calls = _count_eigsh(monkeypatch)
+        morse, basis = solver._morse(prob, at), laplace_eigenbasis(prob.mesh, 4)
+        assert (len(calls) > 0) == (real == "arpack")
+        assert (rep.morse_index, rep.lowest_eigenvalues) == morse
+        monkeypatch.setattr(solver, "_DENSE_N", n if real == "arpack" else 0)
+        other, other_basis = solver._morse(prob, at), laplace_eigenbasis(prob.mesh, 4)
+        monkeypatch.undo()
+        assert morse[0] == other[0] == 1
+        assert morse[1] == pytest.approx(other[1], rel=0.0, abs=1e-10)
+        for u, v in zip(basis, other_basis):
+            u, v = u.nodal_values, v.nodal_values
+            assert min(np.max(np.abs(u - s * v)) for s in (1, -1)) <= 1e-10
 
 
 def test_eigenbasis_rejects_a_negative_or_fractional_k():
@@ -1607,10 +1688,14 @@ def _two_rayleigh_minimizations(prob):
         rayleigh_quotient_min(prob.p, prob.mesh, seed=seed)
 
 
-STIFFNESS_TASKS = pytest.mark.parametrize("n, task", [
-    (40, _geometry_and_solve),
-    (12, lambda prob: multiplicity_search(prob, n_starts=5, k_max=4, seed=1)),
-    (40, _two_rayleigh_minimizations),
+# Each task with the stiffness LUs it makes on the ARPACK route and on the
+# dense route: the two mountain-pass tasks take no descent step, so on the
+# dense route nothing solves with the stiffness.
+STIFFNESS_TASKS = pytest.mark.parametrize("n, task, lus", [
+    (40, _geometry_and_solve, {"arpack": 1, "dense": 0}),
+    (12, lambda prob: multiplicity_search(prob, n_starts=5, k_max=4, seed=1),
+     {"arpack": 1, "dense": 0}),
+    (40, _two_rayleigh_minimizations, {"arpack": 1, "dense": 1}),
 ], ids=["geometry_and_solve", "multiplicity", "rayleigh"])
 
 
@@ -1632,17 +1717,22 @@ def _count_stiffness_lus(monkeypatch, mesh) -> list:
 
 
 @STIFFNESS_TASKS
-def test_stiffness_is_factored_once_per_mesh(n, task, monkeypatch):
-    prob = model_problem(n=n)
-    calls = _count_stiffness_lus(monkeypatch, prob.mesh)
-    task(prob)
-    assert len(calls) == 1
+def test_stiffness_is_factored_once_per_mesh(n, task, lus, monkeypatch):
+    for route, cutoff in ROUTES:
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        prob = model_problem(n=n)
+        calls = _count_stiffness_lus(monkeypatch, prob.mesh)
+        task(prob)
+        assert len(calls) == lus[route]
+        monkeypatch.undo()
 
 
 @STIFFNESS_TASKS
-def test_no_stiffness_solve_calls_factorized(n, task, monkeypatch):
+def test_no_stiffness_solve_calls_factorized(n, task, lus, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("factorized was called")
 
     monkeypatch.setattr(scipy.sparse.linalg, "factorized", refuse)
-    task(model_problem(n=n))
+    for _, cutoff in ROUTES:
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        task(model_problem(n=n))
