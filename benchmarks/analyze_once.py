@@ -1,0 +1,254 @@
+"""Benchmark of the analyze-once, factor-many sparse LUs.
+
+    python3 benchmarks/analyze_once.py lu    [--reps N]
+    python3 benchmarks/analyze_once.py pairs --parent DIR --workload W --pairs N --seed S
+                                             [--seconds T]
+    python3 benchmarks/analyze_once.py slow  --parent DIR [--reps N]
+
+Each command prints one JSON document; ``--out FILE --key KEY`` also
+stores it under KEY in the JSON file FILE.  Every process runs with the
+BLAS on one thread.
+
+* ``lu``: milliseconds per sparse LU, the median over ``--reps`` rounds
+  that each call every variant once, in an order rotated round by round.
+  The matrices are the sparse part S of J'' at the solved mountain-pass
+  point of a 1-D mesh with 399 interior vertices (p = 2 + 0.2x) and of 32²
+  and 64² squares (p = 2), and the interior stiffness of a 48² square.
+  The variants: SuperLU's minimum-degree order with its default supernodes
+  (``mmd_default``, the LU before the ordering was kept) and with
+  ``_RELAX``/``_PANEL_SIZE`` (``mmd_small``); S renumbered by the kept
+  order and factored in natural order, with the default supernodes
+  (``reordered_default``), with relax = panel = 1 (``reordered_1_1``) and
+  as ``Mesh.interior_pattern_lu`` does it (``reordered``, the data gather
+  included).
+* ``pairs``: ``perfbench/run.py --workload W --trace 0`` from the checkout
+  DIR (the parent) and from this checkout, alternated pair by pair, at
+  seeds S, S+1, ...; each run's metrics and the medians, quartiles and
+  wins of ``task_s``.
+* ``slow``: the six slow mountain-pass cases of ROADMAP item 2 (a = 1,
+  b = 0.1, q = 4.5, theta = 3.2, geometry seed 1000, solve only), each
+  solved ``--reps`` times from DIR's sources and from this checkout,
+  alternated; steps, Newton steps, energy, Morse index and the median
+  solve time.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+SLOW_CASES = [
+    ("2d32_p2+0.2x", "rect:0,0,1,1,32,32", "affine:2,0.2", 0.0),
+    ("2d32_p1.8+0.2x", "rect:0,0,1,1,32,32", "affine:1.8,0.2", 0.0),
+    ("2d64_p2+0.2x", "rect:0,0,1,1,64,64", "affine:2,0.2", 0.0),
+    ("2d64_p1.8+0.2x", "rect:0,0,1,1,64,64", "affine:1.8,0.2", 0.0),
+    ("1d401_p1.6_lambda2", "interval:0,1,401", "const:1.6", 2.0),
+    ("1d401_p1.9_lambda2", "interval:0,1,401", "const:1.9", 2.0),
+]
+
+
+def _config(domain: str, p: str, lam: float, out: str) -> str:
+    return (f"command = solve\ndomain = {domain}\np = {p}\nq = const:4.5\n"
+            f"a = 1\nb = 0.1\nlambda = {lam:g}\ntheta = 3.2\nseed = 1000\nout = {out}\n")
+
+
+def _solved(cli, domain: str, p: str, lam: float = 0.0):
+    """The problem of a solve config and the solution of its solve."""
+    import pxkirchhoff.cli as cli_module
+
+    captured = {}
+    solve = cli_module.mountain_pass_solve
+
+    def keep(prob, *args, **kwargs):
+        captured["prob"] = prob
+        captured["rep"] = solve(prob, *args, **kwargs)
+        return captured["rep"]
+
+    cli_module.mountain_pass_solve = keep
+    try:
+        out = ROOT / ".bench_work" / "analyze_once"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(cli.parse_config(_config(domain, p, lam, str(out))))
+    finally:
+        cli_module.mountain_pass_solve = solve
+    return captured["prob"], captured["rep"]
+
+
+def lu_table(reps: int) -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    import scipy.sparse.linalg as sla
+    from pxkirchhoff import cli
+    from pxkirchhoff.discretization import _PANEL_SIZE, _RELAX, build_rect_mesh
+    from pxkirchhoff.energy import hessian_J
+
+    def mmd(S, **kw):
+        return sla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True), **kw)
+
+    cases = []
+    for label, domain, p in (("1d_hessian_n399", "interval:0,1,400", "affine:2,0.2"),
+                             ("2d_hessian_32", "rect:0,0,1,1,32,32", "const:2"),
+                             ("2d_hessian_64", "rect:0,0,1,1,64,64", "const:2")):
+        prob, rep = _solved(cli, domain, p)
+        S = hessian_J(rep.solution, prob)[0]
+        mesh = prob.mesh
+        mesh.interior_pattern_lu(S)  # the first LU keeps the order
+        order = mesh._pattern_order
+
+        def natural(S=S, order=order, **kw):
+            order.matrix.data = S.data[order.data_map]
+            return sla.splu(order.matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True), **kw)
+
+        cases.append((label, S, {
+            "mmd_default": lambda S=S: mmd(S),
+            "mmd_small": lambda S=S: mmd(S, relax=_RELAX, panel_size=_PANEL_SIZE),
+            "reordered_default": natural,
+            "reordered_1_1": lambda natural=natural: natural(relax=1, panel_size=1),
+            "reordered": lambda S=S, mesh=mesh: mesh.interior_pattern_lu(S).lu,
+        }))
+    K = build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0))).interior_stiffness
+    cases.append(("2d_stiffness_48", K, {
+        "mmd_default": lambda: mmd(K),
+        "mmd_small": lambda: mmd(K, relax=_RELAX, panel_size=_PANEL_SIZE),
+    }))
+
+    rows = []
+    for label, S, variants in cases:
+        names = list(variants)
+        times = {name: [] for name in names}
+        for r in range(reps):
+            for k in range(len(names)):
+                name = names[(r + k) % len(names)]
+                t0 = time.perf_counter()
+                variants[name]()
+                times[name].append(time.perf_counter() - t0)
+        row = {"matrix": label, "n": S.shape[0], "nnz": S.nnz}
+        for name in names:
+            lu = variants[name]()
+            row[name + "_ms"] = round(1e3 * statistics.median(times[name]), 4)
+            row[name + "_fill"] = int(lu.L.nnz + lu.U.nnz)
+        rows.append(row)
+    return {"what": f"ms per LU, median of {reps} rounds; fill = nnz(L) + nnz(U)",
+            "rows": rows}
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def pairs(parent: Path, workload: str, n_pairs: int, seed: int, seconds: float,
+          save=lambda result: None) -> dict:
+    """Alternated parent/change runs; ``save`` gets the result so far after
+    each pair."""
+    names = [workload] if workload != "all" else ["mp1d", "mp2d", "mult1d", "eig2d"]
+    out = {"command": f"perfbench/run.py --workload {workload} --seconds {seconds:g} --trace 0",
+           "runs": []}
+    for k in range(n_pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed + k, "order": list(order)}
+        for side in order:
+            pair[side] = _run(parent if side == "parent" else ROOT, workload, seed + k, seconds)
+        out["runs"].append(pair)
+        save(out)
+    if n_pairs >= 2:
+        for name in names:
+            key = f"{name}.task_s" if workload == "all" else "task_s"
+            before = [r["parent"]["metrics"][key]["value"] for r in out["runs"]]
+            after = [r["change"]["metrics"][key]["value"] for r in out["runs"]]
+            out[f"{name}_task_s"] = {
+                "parent": _summary(before), "change": _summary(after),
+                "change_faster_pairs": sum(a < b for a, b in zip(after, before)),
+                "pairs": n_pairs}
+    return out
+
+
+_SLOW_CHILD = r"""
+import contextlib, io, json, sys, time
+sys.path.insert(0, sys.argv[1])
+from pxkirchhoff import cli
+import pxkirchhoff.cli as cli_module
+solve, out = cli_module.mountain_pass_solve, {}
+def timed(prob, *args, **kwargs):
+    t0 = time.perf_counter()
+    rep = solve(prob, *args, **kwargs)
+    out.update(solve_s=time.perf_counter() - t0, steps=rep.iterations,
+               newton_steps=rep.newton_steps, energy=rep.energy,
+               residual=rep.residual_norm, morse_index=rep.morse_index)
+    return rep
+cli_module.mountain_pass_solve = timed
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.run(cli.parse_config(sys.argv[2]))
+print(json.dumps(out))
+"""
+
+
+def slow(parent: Path, reps: int) -> dict:
+    rows = []
+    for label, domain, p, lam in SLOW_CASES:
+        text = _config(domain, p, lam, str(ROOT / ".bench_work" / "analyze_once"))
+        got = {"parent": [], "change": []}
+        for r in range(reps):
+            for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+                src = (parent if side == "parent" else ROOT) / "src"
+                proc = subprocess.run([sys.executable, "-c", _SLOW_CHILD, str(src), text],
+                                      capture_output=True, text=True, check=True)
+                got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        row = {"case": label, "domain": domain, "p": p, "lambda": lam}
+        for side, results in got.items():
+            row[side] = dict(results[0], solve_s=statistics.median(x["solve_s"] for x in results))
+        rows.append(row)
+    return {"what": f"solve only, median of {reps} solves per side, alternated", "rows": rows}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("command", choices=["lu", "pairs", "slow"])
+    ap.add_argument("--reps", type=int, default=40)
+    ap.add_argument("--parent", type=Path)
+    ap.add_argument("--workload", default="mp2d")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--key")
+    args = ap.parse_args(argv)
+
+    def save(result):
+        if args.out is not None:
+            doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+            doc[args.key or args.command] = result
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    if args.command == "lu":
+        result = lu_table(args.reps)
+    elif args.command == "pairs":
+        result = pairs(args.parent.resolve(), args.workload, args.pairs, args.seed,
+                       args.seconds, save)
+    else:
+        result = slow(args.parent.resolve(), args.reps)
+    print(json.dumps(result, indent=1))
+    save(result)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,10 +9,14 @@ C^T diag(meas) C.  Second derivatives are sums of (d+1) x (d+1) element
 blocks, which ``BlockPattern`` scatters into one fixed sparse pattern on the
 interior vertices.  A mesh caches its derived data and operators on first
 use, the symmetric LU of its interior stiffness among them (``_splu``), so
-its arrays must not be modified after construction.
+its arrays must not be modified after construction.  It also keeps the
+column order of the first LU on its interior pattern: that order depends on
+the pattern alone, so every later matrix on the pattern is renumbered by it
+and factored without a new ordering (``Mesh.interior_pattern_lu``), the
+analyze-once, factor-many split of sparse direct solvers (George-Liu 1981).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -66,6 +70,8 @@ class Mesh:
     elements: np.ndarray          # (n_elements, dimension + 1) vertex indices
     boundary_mask: np.ndarray     # (n_vertices,) bool
     element_measures: np.ndarray  # (n_elements,) lengths / areas
+    # set by the first ``interior_pattern_lu``
+    _pattern_order: "_PatternOrder | None" = field(default=None, init=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -108,13 +114,21 @@ class Mesh:
 
         With the edge vectors x_i - x_0 of an element as the rows of E, the
         gradient is E^{-1} (u_i - u_0), so the columns are [-E^{-1} 1, E^{-1}].
+        E^{-1} is 1/E in 1-D and the adjugate over the determinant in 2-D.
         The array is stored element-last, so ``hat_gradients.transpose(1, 2, 0)``
         is contiguous for element-wise products.
         """
+        d = self.dimension
         coords = self.vertices[self.elements]  # (n_e, d+1, d)
-        einv = np.linalg.inv(coords[:, 1:] - coords[:, :1])  # (n_e, d, d)
-        hats = np.concatenate([-einv.sum(axis=2, keepdims=True), einv], axis=2)
-        return np.ascontiguousarray(hats.transpose(1, 2, 0)).transpose(2, 0, 1)
+        edges = (coords[:, 1:] - coords[:, :1]).transpose(1, 2, 0)  # E, element-last
+        hats = np.empty((d, d + 1, self.n_elements))
+        if d == 1:
+            hats[0, 1] = 1.0 / edges[0, 0]
+        else:
+            (a, b), (c, e) = edges
+            hats[:, 1:] = np.array([[e, -b], [-c, a]]) / (a * e - b * c)
+        hats[:, 0] = -hats[:, 1:].sum(axis=1)
+        return hats.transpose(2, 0, 1)
 
     @cached_property
     def gradient_map(self) -> scipy.sparse.csr_matrix:
@@ -173,24 +187,99 @@ class Mesh:
         once per mesh: every stiffness solve goes through its ``solve``."""
         return _splu(self.interior_stiffness)
 
+    def interior_pattern_lu(self, S: scipy.sparse.csc_matrix) -> "_PermutedLU":
+        """The symmetric LU of S, a matrix on ``interior_pattern``.
+
+        The first call on a mesh factors S itself (``_splu``) and keeps the
+        column order of that LU: it depends on the pattern alone.  Every
+        later call scatters S's data into the pattern renumbered by that
+        order and factors it in natural order, so no call but the first
+        orders the pattern.  Raises RuntimeError when S is singular.
+        """
+        if self._pattern_order is None:
+            lu = _splu(S)
+            self._pattern_order = _PatternOrder(self.interior_pattern, lu.perm_c)
+            return _PermutedLU(lu, np.arange(S.shape[0]))
+        return self._pattern_order.factor(S.data)
+
     @cached_property
     def mass(self) -> scipy.sparse.csr_matrix:
         """Centroid-quadrature mass C^T diag(meas) C."""
         meas = scipy.sparse.diags(self.element_measures)
         return (self.centroid_adjoint @ meas @ self.centroid_map).tocsr()
 
+    @cached_property
+    def interior_mass(self) -> scipy.sparse.csc_matrix:
+        """The mass restricted to the interior vertices."""
+        idx = self.interior
+        return self.mass[np.ix_(idx, idx)].tocsc()
 
-def _splu(S: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
+
+# SuperLU's supernode relaxation and panel size, in columns, for every LU:
+# the thin factors of these meshes gain nothing from wider supernodes, which
+# cost more to set up than they save (SuperLU's defaults are 10 and 20).
+_RELAX = 2
+_PANEL_SIZE = 2
+
+
+def _splu(S: scipy.sparse.csc_matrix,
+          permc_spec: str = "MMD_AT_PLUS_A") -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of the symmetric CSC matrix S, factored as symmetric:
-    minimum-degree order on S + S^T and the diagonal pivot wherever it is
-    nonzero, so the row order equals the column order unless a diagonal
-    pivot vanishes; it never does when S is positive definite.  Raises
-    RuntimeError when S is singular.  It factors the interior stiffness once
-    per mesh (``Mesh.interior_stiffness_lu``), and the solver's Newton steps
-    factor the sparse part of J'' with it, as does its Morse count by
-    inertia on more than ``solver._DENSE_N`` interior vertices."""
-    return scipy.sparse.linalg.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    minimum-degree order on S + S^T (or S's own order, for ``"NATURAL"``)
+    and the diagonal pivot wherever it is nonzero, so the row order equals
+    the column order unless a diagonal pivot vanishes; it never does when S
+    is positive definite.  Supernodes are small (``_RELAX``,
+    ``_PANEL_SIZE``).  Raises RuntimeError when S is singular.  It factors
+    the interior stiffness once per mesh (``Mesh.interior_stiffness_lu``)
+    and every matrix on the interior pattern (``Mesh.interior_pattern_lu``):
+    the sparse part of J'' in the solver's Newton steps and, on more than
+    ``solver._DENSE_N`` interior vertices, in its Morse count by inertia."""
+    return scipy.sparse.linalg.splu(S, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                                    relax=_RELAX, panel_size=_PANEL_SIZE,
                                     options=dict(SymmetricMode=True))
+
+
+class _PermutedLU(NamedTuple):
+    """The LU of S renumbered: ``lu`` factors the matrix whose entry (i, j)
+    is S[order[i], order[j]], so S x = r is solved as
+    ``lu.solve(r[order])`` placed back at ``order``.  By Sylvester's law
+    the renumbered matrix has S's inertia."""
+
+    lu: scipy.sparse.linalg.SuperLU
+    order: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """S^{-1} rhs, for one right-hand side or a column of them."""
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order])
+        return x
+
+
+class _PatternOrder:
+    """A symmetric ``BlockPattern`` renumbered by the column order
+    ``perm_c`` of an LU on it: row and column r become perm_c[r].
+    ``data_map`` sends the data of any matrix on the pattern to the
+    renumbered CSC arrays, which SuperLU then factors in natural order.  The
+    renumbered matrix is kept and refilled for each factorization; SuperLU
+    copies the values it factors."""
+
+    def __init__(self, pattern: BlockPattern, perm_c: np.ndarray):
+        n = len(pattern.indptr) - 1
+        rows = perm_c[pattern.indices]
+        cols = np.repeat(perm_c, np.diff(pattern.indptr))
+        # column-major, rows sorted; each (row, col) pair occurs once
+        self.data_map = np.argsort(cols.astype(np.int64) * n + rows)
+        new_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=new_indptr[1:])
+        self.matrix = scipy.sparse.csc_matrix(
+            (np.zeros(len(rows)), rows[self.data_map].astype(np.int32), new_indptr),
+            shape=(n, n))
+        self.order = np.argsort(perm_c)
+
+    def factor(self, data: np.ndarray) -> _PermutedLU:
+        """The symmetric LU of the matrix with pattern data ``data``."""
+        self.matrix.data = data[self.data_map]
+        return _PermutedLU(_splu(self.matrix, "NATURAL"), self.order)
 
 
 def build_interval_mesh(n: int, a_end: float, b_end: float) -> Mesh:

@@ -11,20 +11,22 @@ The mountain-pass solver holds one point, the maximum of J on its ray
 bounds the mountain-pass level from above.  It runs Newton's method on the
 exact sparse Hessian from that peak, and accepts its point only at or below
 the peak's energy (Li-Zhou 2001).  Each step factors the sparse part of J''
-with one symmetric sparse LU (``_splu``); the rank-one part is solved by
-Sherman-Morrison.  The fallback descends on the ray maximum: a
-backtracking step at the peak, after which each trial's ray is maximized
-again.  Descent directions are preconditioned with the constant-exponent
-stiffness (a discrete Sobolev gradient, ``_sobolev_descent``), which keeps
-iteration counts mesh-independent; the reported residual stays the plain
-interior l2 norm of the assembled derivative.  The solution's Morse index
-is reported (``_morse``).  The eigenproblems, the Morse pencil and the
-Laplace eigenbasis, are solved dense by LAPACK on at most _DENSE_N
-interior vertices, where ARPACK's per-call overhead dominates.  Above it
-they are sparse: the index is counted by inertia from a symmetric LU of
-the sparse part of J'', and one ARPACK call for the two lowest eigenvalues
-cross-checks it.  Every stiffness solve (the descent, the eigenbasis
-shift-invert, the Morse inverse mass) uses the mesh's one LU
+with one symmetric sparse LU on the mesh's interior pattern, in the column
+order the mesh keeps from its first one (``Mesh.interior_pattern_lu``);
+the rank-one part is solved by Sherman-Morrison.  The fallback descends on
+the ray maximum: a backtracking step at the peak, after which each trial's
+ray is maximized again.  Descent directions are preconditioned with the
+constant-exponent stiffness (a discrete Sobolev gradient,
+``_sobolev_descent``), which keeps iteration counts mesh-independent; the
+reported residual stays the plain interior l2 norm of the assembled
+derivative.  The solution's Morse index is reported (``_morse``).  The
+eigenproblems, the Morse pencil and the Laplace eigenbasis, are solved
+dense by LAPACK on at most _DENSE_N interior vertices, where ARPACK's
+per-call overhead dominates.  Above it they are sparse: the index is
+counted by inertia from a symmetric LU of the sparse part of J'' (again
+``Mesh.interior_pattern_lu``), and one ARPACK call for the two lowest
+eigenvalues cross-checks it.  Every stiffness solve (the descent, the
+eigenbasis shift-invert, the Morse inverse mass) uses the mesh's one LU
 (``Mesh.interior_stiffness_lu``).  Element data come only from
 ``energy._point`` and ``energy._energy_ray``: the solvers hold their
 points and rays and never gather.
@@ -41,7 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .discretization import GridFunction, Mesh, _splu
+from .discretization import GridFunction, Mesh
 from .energy import (
     KirchhoffProblem,
     _energy_of_elements,
@@ -96,6 +98,11 @@ def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
 _DENSE_N = 128
 
 
+# Eigenvector entries within this relative distance of the largest magnitude
+# tie for fixing the sign, so the sign does not follow rounding.
+_SIGN_RTOL = 1e-8
+
+
 def _start_vector(n: int) -> np.ndarray:
     """Fixed ARPACK start vector, so the sparse eigensolves (pencils above
     _DENSE_N interior vertices) are deterministic."""
@@ -113,7 +120,9 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     shift-invert eigensolve at shift 0, which inverts the stiffness with the
     mesh's one symmetric LU (``Mesh.interior_stiffness_lu``).  They are
     normalized in the mass inner product, and signs are fixed so the entry
-    of largest magnitude is positive.  Raises TypeError when k is not an
+    of largest magnitude is positive; among entries within a relative 1e-8
+    of that magnitude the first vertex decides, so an antisymmetric mode
+    gets the same sign on both routes.  Raises TypeError when k is not an
     integer and DomainError when it is negative or exceeds the number of
     interior vertices.
     """
@@ -125,7 +134,7 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
         raise DomainError(f"mesh has only {n} interior vertices")
     if k == 0:
         return []
-    M = mesh.mass[np.ix_(idx, idx)].tocsc()
+    M = mesh.interior_mass
     if k == n or n <= _DENSE_N:
         vecs = scipy.linalg.eigh(mesh.interior_stiffness.toarray(), M.toarray(),
                                  subset_by_index=[0, k - 1])[1]
@@ -137,7 +146,9 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
         vecs = vecs[:, np.argsort(vals)]
     basis = []
     for v in vecs.T:
-        v = v * np.sign(v[np.argmax(np.abs(v))]) / np.sqrt(v @ (M @ v))
+        mag = np.abs(v)
+        first = np.argmax(mag >= (1.0 - _SIGN_RTOL) * mag.max())
+        v = v * np.sign(v[first]) / np.sqrt(v @ (M @ v))
         nodal = np.zeros(mesh.n_vertices)
         nodal[idx] = v
         basis.append(GridFunction(mesh, nodal))
@@ -549,12 +560,12 @@ def _ray_max(prob: KirchhoffProblem, nodal: np.ndarray, radii: np.ndarray):
     return None
 
 
-def _newton_direction(S, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (S - b dA dA^T) d = rhs with one sparse LU of S (``_splu``) and
-    the Sherman-Morrison formula for the rank-one term.  Raises RuntimeError
-    when S or the rank-one update is singular."""
-    lu = _splu(S)
-    y, z = lu.solve(rhs), lu.solve(dA)
+def _newton_direction(lu, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (S - b dA dA^T) d = rhs from a sparse LU of S
+    (``Mesh.interior_pattern_lu``) by the Sherman-Morrison formula for the
+    rank-one term: one solve with the two columns rhs and dA.  Raises
+    RuntimeError when the rank-one update is singular."""
+    y, z = lu.solve(np.column_stack([rhs, dA])).T
     denom = 1.0 - b * float(dA @ z)
     if not (np.isfinite(denom) and denom != 0.0):
         raise RuntimeError("the rank-one update makes J'' singular")
@@ -593,7 +604,7 @@ def _newton_polish(prob, at: _Point, g: np.ndarray, res: float, tol: float):
         d = np.zeros(mesh.n_vertices)
         try:
             S, dA = _hessian_of_elements(prob, at)
-            d[idx] = _newton_direction(S, dA, prob.b, -g[idx])
+            d[idx] = _newton_direction(mesh.interior_pattern_lu(S), dA, prob.b, -g[idx])
         except (DomainError, RuntimeError):
             break
         t = _armijo(merit, 0.5 * res * res, -res * res, 1.0)
@@ -607,11 +618,13 @@ def _newton_polish(prob, at: _Point, g: np.ndarray, res: float, tol: float):
     return None, None, None, steps
 
 
-def _inertia_index(S, dA: np.ndarray, b: float) -> int | None:
-    """The number of negative eigenvalues of S - b dA dA^T, by inertia.
+def _inertia_index(mesh: Mesh, S, dA: np.ndarray, b: float) -> int | None:
+    """The number of negative eigenvalues of S - b dA dA^T, by inertia, for
+    S on the interior pattern of ``mesh``.
 
-    When the symmetric LU of S (``_splu``) keeps its row order equal to its
-    column order, P S P^T = L U with U = D L^T, so by Sylvester's law S has
+    The symmetric LU of S (``Mesh.interior_pattern_lu``) factors Q S Q^T
+    for a permutation Q.  When it keeps its row order equal to its column
+    order, P Q S Q^T P^T = L U with U = D L^T, so by Sylvester's law S has
     as many negative eigenvalues as D = diag(U).  The bordered matrix
     [[S, dA], [dA^T, 1/b]] has S - b dA dA^T as the Schur complement of
     1/b > 0 and 1/b - dA^T S^{-1} dA as that of S, so by Haynsworth's
@@ -620,12 +633,13 @@ def _inertia_index(S, dA: np.ndarray, b: float) -> int | None:
     rank-one term is not finite.
     """
     try:
-        lu = _splu(S)
+        factor = mesh.interior_pattern_lu(S)
     except RuntimeError:
         return None
+    lu = factor.lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
-    schur = 1.0 - b * float(dA @ lu.solve(dA))
+    schur = 1.0 - b * float(dA @ factor.solve(dA))
     if not np.isfinite(schur):
         return None
     return int(np.count_nonzero(lu.U.diagonal() < 0.0)) + int(schur < 0.0)
@@ -671,7 +685,7 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
 
     k = 2
     vals = lowest(k)
-    index = _inertia_index(S, dA, prob.b)
+    index = _inertia_index(prob.mesh, S, dA, prob.b)
     if index is not None and np.count_nonzero(vals < 0.0) == min(index, 2):
         return index, tuple(float(v) for v in vals)
     while vals[-1] < 0.0 and k < n - 1:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from pxkirchhoff import (
     GridFunction,
+    Mesh,
     ShapeError,
     build_interval_mesh,
     build_rect_mesh,
@@ -11,6 +13,7 @@ from pxkirchhoff import (
     gradient_of,
     integrate,
 )
+from pxkirchhoff.discretization import _splu
 
 
 def test_uniform_interval():
@@ -249,3 +252,72 @@ def test_interior_stiffness_lu_is_symmetric_and_solves(mesh):
     rhs = np.random.default_rng(3).standard_normal(S.shape[0])
     ref = np.linalg.solve(S, rhs)
     assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _jittered_rect_mesh(nx, ny, seed):
+    """A criss-cross mesh of the unit square with its interior vertices
+    moved at random by up to a quarter of a cell."""
+    mesh = build_rect_mesh(nx, ny, ((0.0, 0.0), (1.0, 1.0)))
+    rng = np.random.default_rng(seed)
+    vertices = mesh.vertices.copy()
+    vertices[mesh.interior] += rng.uniform(-0.25, 0.25, (len(mesh.interior), 2)) / [nx, ny]
+    e1, e2 = (vertices[mesh.elements[:, k]] - vertices[mesh.elements[:, 0]] for k in (1, 2))
+    measures = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return Mesh(2, vertices, mesh.elements, mesh.boundary_mask, measures)
+
+
+@pytest.mark.parametrize("mesh", [
+    Mesh(1, np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.5, 2.0, 9)])[:, None],
+         np.column_stack([np.arange(9), np.arange(1, 10)]),
+         np.r_[True, np.zeros(8, bool), True], np.ones(9)),
+    _jittered_rect_mesh(7, 6, seed=5),
+], ids=["1d_graded", "2d_jittered"])
+def test_hat_gradients_match_the_inverted_edge_matrices(mesh):
+    coords = mesh.vertices[mesh.elements]
+    einv = np.linalg.inv(coords[:, 1:] - coords[:, :1])
+    ref = np.concatenate([-einv.sum(axis=2, keepdims=True), einv], axis=2)
+    assert np.max(np.abs(mesh.hat_gradients - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_interior_mass_is_the_interior_block_of_the_mass():
+    mesh = _jittered_rect_mesh(5, 4, seed=6)
+    idx = mesh.interior
+    assert mesh.interior_mass is mesh.interior_mass  # built once, on first use
+    assert mesh.interior_mass.format == "csc"
+    assert np.array_equal(mesh.interior_mass.toarray(), mesh.mass[np.ix_(idx, idx)].toarray())
+
+
+def _pattern_matrix(mesh, rng):
+    """A random nonsingular matrix on the interior pattern, from symmetric
+    element blocks."""
+    nloc = mesh.dimension + 1
+    blocks = rng.standard_normal((nloc, nloc, mesh.n_elements))
+    blocks = blocks + blocks.transpose(1, 0, 2) + 4.0 * nloc * np.eye(nloc)[:, :, None]
+    pattern = mesh.interior_pattern
+    data = np.bincount(pattern.slot, blocks.ravel()[pattern.keep], len(pattern.indices))
+    n = len(mesh.interior)
+    return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(40, 0.0, 1.0),
+    _jittered_rect_mesh(9, 7, seed=7),
+], ids=["1d", "2d"])
+def test_interior_pattern_lu_orders_once_and_solves(mesh):
+    rng = np.random.default_rng(8)
+    first = mesh.interior_pattern_lu(_pattern_matrix(mesh, rng))
+    perm_c = first.lu.perm_c
+    n = len(mesh.interior)
+    for _ in range(3):
+        S = _pattern_matrix(mesh, rng)
+        fresh = _splu(S)
+        # the minimum-degree order depends on the pattern alone
+        assert np.array_equal(fresh.perm_c, perm_c)
+        later = mesh.interior_pattern_lu(S)
+        assert np.array_equal(later.order, np.argsort(perm_c))
+        assert np.array_equal(later.lu.perm_c, np.arange(n))  # natural order
+        assert later.lu.L.nnz == fresh.L.nnz and later.lu.U.nnz == fresh.U.nnz
+        rhs = rng.standard_normal((n, 2))
+        ref = fresh.solve(rhs)
+        assert np.max(np.abs(later.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(later.solve(rhs[:, 0]) - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref))

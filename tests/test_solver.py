@@ -36,7 +36,8 @@ from pxkirchhoff import (
     sobolev_norm,
     verify_mountain_geometry,
 )
-from pxkirchhoff import energy, solver
+from pxkirchhoff import discretization, energy, solver
+from pxkirchhoff.discretization import _splu
 from pxkirchhoff.energy import _point, _rayleigh_on_ray
 from pxkirchhoff.solver import _ONE, _ray_max, _scale_until_negative
 from oracles import (
@@ -1180,13 +1181,13 @@ def test_sherman_morrison_solve_matches_a_dense_solve():
     S, dA = hessian_J(u, prob)
     dense = S.toarray() - prob.b * np.outer(dA, dA)
     rhs = rng.standard_normal(len(dA))
-    d = solver._newton_direction(S, dA, prob.b, rhs)
+    d = solver._newton_direction(prob.mesh.interior_pattern_lu(S), dA, prob.b, rhs)
     assert np.allclose(d, np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-12)
     with pytest.raises(RuntimeError):  # a singular rank-one update
-        solver._newton_direction(scipy.sparse.identity(3, format="csc"),
+        solver._newton_direction(_splu(scipy.sparse.identity(3, format="csc")),
                                  np.array([1.0, 0.0, 0.0]), 1.0, np.ones(3))
     with pytest.raises(RuntimeError):  # a singular sparse part
-        solver._newton_direction(scipy.sparse.csc_matrix((3, 3)),
+        solver._newton_direction(_splu(scipy.sparse.csc_matrix((3, 3))),
                                  np.ones(3), 1.0, np.ones(3))
 
 
@@ -1207,7 +1208,7 @@ def _dense_pencil_eigenvalues(prob, u):
 
 
 def _inertia(prob, u):
-    return solver._inertia_index(*hessian_J(u, prob), prob.b)
+    return solver._inertia_index(prob.mesh, *hessian_J(u, prob), prob.b)
 
 
 def _count_eigsh(monkeypatch):
@@ -1331,7 +1332,7 @@ def test_inertia_counts_the_rank_one_term(monkeypatch):
         S, dA = hessian_J(u, prob)
         assert np.all(np.linalg.eigvalsh(S.toarray()) > 0.0)
         dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
-        assert solver._inertia_index(S, dA, prob.b) == int(np.sum(dense < 0.0)) == index
+        assert solver._inertia_index(mesh, S, dA, prob.b) == int(np.sum(dense < 0.0)) == index
         routes = _morse_on_both_routes(monkeypatch, prob, u)
         assert [route[0] for route in routes.values()] == [index, index]
 
@@ -1353,10 +1354,61 @@ def test_inertia_matches_a_dense_count_at_random_points():
                 nodal = rng.standard_normal(4) @ basis * rng.uniform(0.05, 1.0)
                 S, dA = hessian_J(GridFunction(mesh, nodal), prob)
                 dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
-                index = solver._inertia_index(S, dA, prob.b)
+                index = solver._inertia_index(mesh, S, dA, prob.b)
                 assert index == int(np.sum(dense < 0.0))
                 counts.add(index)
     assert len(counts) >= 4
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_inertia_from_a_reordered_lu_matches_the_first(dim):
+    # the first LU on a mesh's pattern orders it by minimum degree; every
+    # later one reuses that order: both give the same count at each point
+    def build():
+        if dim == 1:
+            return build_interval_mesh(30, 0.0, 1.0)
+        return build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0)))
+
+    mesh = build()
+    p = build_exponent_field(2.1 + 0.3 * mesh.element_centroids[:, 0], mesh)
+    spec = NonlinearitySpec("pure_power", constant_exponent(5.0, mesh))
+    prob = KirchhoffProblem(1.0, 0.1, 2.0, p, spec, mesh)
+    basis = np.array([b.nodal_values for b in laplace_eigenbasis(mesh, 4)])
+    rng = np.random.default_rng(10 + dim)
+    counts = set()
+    for _ in range(8):
+        nodal = rng.standard_normal(4) @ basis * rng.uniform(0.05, 1.0)
+        S, dA = hessian_J(GridFunction(mesh, nodal), prob)
+        index = solver._inertia_index(mesh, S, dA, prob.b)
+        assert mesh._pattern_order is not None
+        assert index == solver._inertia_index(build(), S, dA, prob.b)
+        dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
+        assert index == int(np.sum(dense < 0.0))
+        counts.add(index)
+    assert len(counts) >= 2
+
+
+def test_hessian_pattern_is_ordered_once_per_mesh(monkeypatch):
+    # a 32^2 solve: the first Hessian LU orders the pattern by minimum
+    # degree, every later one (Newton's and the Morse inertia's) reuses it
+    mesh = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
+    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+    specs, splu = [], scipy.sparse.linalg.splu
+
+    def counted(A, permc_spec=None, *args, **kwargs):
+        if A is not mesh.interior_stiffness:
+            assert A.nnz == len(mesh.interior_pattern.indices)
+            specs.append(permc_spec)
+        return splu(A, permc_spec, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    assert rep.morse_index == 1 and rep.newton_steps >= 2
+    # one LU per Newton step and one for the inertia (961 > _DENSE_N)
+    assert len(specs) == rep.newton_steps + 1
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * rep.newton_steps
 
 
 class _OffDiagonalLU:
@@ -1383,9 +1435,8 @@ def test_morse_falls_back_to_doubling_without_a_symmetric_lu(index_three_orbit, 
     monkeypatch.undo()
 
     monkeypatch.setattr(solver, "_DENSE_N", 0)
-    splu = solver._splu
-    monkeypatch.setattr(solver, "_splu", lambda S: _OffDiagonalLU(splu(S)))
-    assert solver._inertia_index(*hessian_J(rep.solution, prob), prob.b) is None
+    monkeypatch.setattr(discretization, "_splu", lambda *args: _OffDiagonalLU(_splu(*args)))
+    assert solver._inertia_index(prob.mesh, *hessian_J(rep.solution, prob), prob.b) is None
     assert solver._morse(prob, at) == doubling
     # an index that the eigenvalues contradict is not reported either
     monkeypatch.setattr(solver, "_inertia_index", lambda *args: 1)
@@ -1662,6 +1713,29 @@ def test_routes_agree_at_the_cutoff(monkeypatch):
         for u, v in zip(basis, other_basis):
             u, v = u.nodal_values, v.nodal_values
             assert min(np.max(np.abs(u - s * v)) for s in (1, -1)) <= 1e-10
+
+
+def test_eigenbasis_signs_agree_on_both_routes(monkeypatch):
+    # modes 2 and 4 of the symmetric interval are antisymmetric: their two
+    # entries of largest magnitude differ only by rounding, and the first
+    # vertex among them fixes the sign on either route
+    mesh = build_interval_mesh(12, 0.0, 1.0)
+    dense = laplace_eigenbasis(mesh, 4)
+    monkeypatch.setattr(solver, "_DENSE_N", 0)
+    arpack = laplace_eigenbasis(mesh, 4)
+    for u, v in zip(dense, arpack):
+        u, v = u.nodal_values, v.nodal_values
+        assert np.max(np.abs(u - v)) <= 1e-10 * np.max(np.abs(u))
+
+
+def test_eigenbasis_uses_the_cached_interior_mass(monkeypatch):
+    mesh = build_interval_mesh(12, 0.0, 1.0)
+    M = mesh.interior_mass
+    monkeypatch.setattr(type(mesh), "mass", property(lambda self: pytest.fail("sliced")))
+    for _, cutoff in ROUTES:
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        V = np.array([b.nodal_values[mesh.interior] for b in laplace_eigenbasis(mesh, 4)]).T
+        assert np.allclose(V.T @ (M @ V), np.eye(4), atol=1e-12)
 
 
 def test_eigenbasis_rejects_a_negative_or_fractional_k():
