@@ -4,6 +4,7 @@
     python3 benchmarks/analyze_once.py pairs --parent DIR --workload W --pairs N --seed S
                                              [--seconds T]
     python3 benchmarks/analyze_once.py slow  --parent DIR [--reps N]
+    python3 benchmarks/analyze_once.py counts --parent DIR --workload W --seed S
 
 Each command prints one JSON document; ``--out FILE --key KEY`` also
 stores it under KEY in the JSON file FILE.  Every process runs with the
@@ -30,6 +31,11 @@ BLAS on one thread.
   solved ``--reps`` times from DIR's sources and from this checkout,
   alternated; steps, Newton steps, energy, Morse index and the median
   solve time.
+* ``counts``: one task of workload W at config seed S from DIR's sources
+  and from this checkout, each in its own process: its mountain-pass
+  solves, Hessian assemblies (``_hessian_of_elements``), sparse LUs
+  (``discretization._splu``) and ``csc_matrix`` constructions, scipy's own
+  included.
 """
 
 import argparse
@@ -101,7 +107,7 @@ def lu_table(reps: int) -> dict:
         prob, rep = _solved(cli, domain, p)
         S = hessian_J(rep.solution, prob)[0]
         mesh = prob.mesh
-        mesh.interior_pattern_lu(S)  # the first LU keeps the order
+        mesh.interior_pattern_lu(S.data)  # the first LU keeps the order
         order = mesh._pattern_order
 
         def natural(S=S, order=order, **kw):
@@ -114,7 +120,7 @@ def lu_table(reps: int) -> dict:
             "mmd_small": lambda S=S: mmd(S, relax=_RELAX, panel_size=_PANEL_SIZE),
             "reordered_default": natural,
             "reordered_1_1": lambda natural=natural: natural(relax=1, panel_size=1),
-            "reordered": lambda S=S, mesh=mesh: mesh.interior_pattern_lu(S).lu,
+            "reordered": lambda S=S, mesh=mesh: mesh.interior_pattern_lu(S.data).lu,
         }))
     K = build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0))).interior_stiffness
     cases.append(("2d_stiffness_48", K, {
@@ -219,9 +225,46 @@ def slow(parent: Path, reps: int) -> dict:
     return {"what": f"solve only, median of {reps} solves per side, alternated", "rows": rows}
 
 
+_COUNT_CHILD = r"""
+import contextlib, io, json, sys
+root, name, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import scipy.sparse
+from configs import config_text
+from pxkirchhoff import cli, discretization, energy, solver
+counts = dict(mountain_pass_solves=0, hessian_assemblies=0, lus=0, csc_matrix_constructions=0)
+def counted(key, f):
+    def wrapped(*args, **kwargs):
+        counts[key] += 1
+        return f(*args, **kwargs)
+    return wrapped
+solver.mountain_pass_solve = counted("mountain_pass_solves", solver.mountain_pass_solve)
+energy._hessian_of_elements = solver._hessian_of_elements = counted(
+    "hessian_assemblies", energy._hessian_of_elements)
+discretization._splu = counted("lus", discretization._splu)
+scipy.sparse.csc_matrix.__init__ = counted("csc_matrix_constructions",
+                                           scipy.sparse.csc_matrix.__init__)
+out = sys.argv[4]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.run(cli.parse_config(config_text(name, seed) + f"out = {out}\n"))
+print(json.dumps(counts))
+"""
+
+
+def counts(parent: Path, workload: str, seed: int) -> dict:
+    out = {"what": f"counts in one {workload} task at config seed {seed}"}
+    for side, checkout in (("parent", parent), ("change", ROOT)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_CHILD, str(checkout), workload, str(seed),
+             str(ROOT / ".bench_work" / "analyze_once")],
+            capture_output=True, text=True, check=True)
+        out[side] = json.loads(proc.stdout.strip().splitlines()[-1])
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("command", choices=["lu", "pairs", "slow"])
+    ap.add_argument("command", choices=["lu", "pairs", "slow", "counts"])
     ap.add_argument("--reps", type=int, default=40)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--workload", default="mp2d")
@@ -243,6 +286,8 @@ def main(argv=None) -> int:
     elif args.command == "pairs":
         result = pairs(args.parent.resolve(), args.workload, args.pairs, args.seed,
                        args.seconds, save)
+    elif args.command == "counts":
+        result = counts(args.parent.resolve(), args.workload, args.seed)
     else:
         result = slow(args.parent.resolve(), args.reps)
     print(json.dumps(result, indent=1))

@@ -7,13 +7,17 @@ values; derivatives of element integrals are their adjoint products, and the
 constant-exponent stiffness and mass are Dg^T diag(meas) Dg and
 C^T diag(meas) C.  Second derivatives are sums of (d+1) x (d+1) element
 blocks, which ``BlockPattern`` scatters into one fixed sparse pattern on the
-interior vertices.  A mesh caches its derived data and operators on first
-use, the symmetric LU of its interior stiffness among them (``_splu``), so
-its arrays must not be modified after construction.  It also keeps the
-column order of the first LU on its interior pattern: that order depends on
-the pattern alone, so every later matrix on the pattern is renumbered by it
-and factored without a new ordering (``Mesh.interior_pattern_lu``), the
-analyze-once, factor-many split of sparse direct solvers (George-Liu 1981).
+interior vertices.  A matrix on that pattern is passed around as its data;
+``Mesh.interior_pattern_matrix`` builds the CSC matrix only where one is
+used.  A mesh caches its derived data and operators on first use: the Gram
+blocks of its hat gradients (``Mesh.hat_gram``), which every second
+derivative adds, and the symmetric LU of its interior stiffness
+(``_splu``) among them, so its arrays must not be modified after
+construction.  It also keeps the column order of the first LU on its
+interior pattern: that order depends on the pattern alone, so the data of
+every later matrix on the pattern are renumbered by it and factored without
+a new ordering (``Mesh.interior_pattern_lu``), the analyze-once, factor-many
+split of sparse direct solvers (George-Liu 1981).
 """
 
 from dataclasses import dataclass, field
@@ -138,6 +142,14 @@ class Mesh:
         return self._element_map(self.hat_gradients.reshape(-1, self.dimension + 1))
 
     @cached_property
+    def hat_gram(self) -> np.ndarray:
+        """(d+1, d+1, n_elements): the Gram block G^T G of each element's hat
+        gradients G, element-last; entry (i, j, e) is the dot product of the
+        gradients of the hat functions of local vertices i and j."""
+        G = self.hat_gradients.transpose(1, 2, 0)
+        return np.einsum("kie,kje->ije", G, G)
+
+    @cached_property
     def interior_pattern(self) -> BlockPattern:
         """The ``BlockPattern`` of the element blocks on the interior vertices."""
         n = len(self.interior)
@@ -187,20 +199,31 @@ class Mesh:
         once per mesh: every stiffness solve goes through its ``solve``."""
         return _splu(self.interior_stiffness)
 
-    def interior_pattern_lu(self, S: scipy.sparse.csc_matrix) -> "_PermutedLU":
-        """The symmetric LU of S, a matrix on ``interior_pattern``.
+    def interior_pattern_matrix(self, data: np.ndarray) -> scipy.sparse.csc_matrix:
+        """The symmetric matrix on ``interior_pattern`` with pattern data
+        ``data``, as CSC: its CSR arrays are its CSC arrays.  Only a caller
+        that needs the matrix itself builds it; an LU on the pattern takes
+        the data (``interior_pattern_lu``)."""
+        pattern, n = self.interior_pattern, len(self.interior)
+        return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
-        The first call on a mesh factors S itself (``_splu``) and keeps the
-        column order of that LU: it depends on the pattern alone.  Every
-        later call scatters S's data into the pattern renumbered by that
-        order and factors it in natural order, so no call but the first
-        orders the pattern.  Raises RuntimeError when S is singular.
+    def interior_pattern_lu(self, data: np.ndarray) -> "_PermutedLU":
+        """The symmetric LU of the matrix on ``interior_pattern`` with
+        pattern data ``data``.
+
+        The first call on a mesh factors that matrix itself
+        (``interior_pattern_matrix``, ``_splu``) and keeps the column order
+        of its LU: it depends on the pattern alone.  Every later call
+        scatters the data into the pattern renumbered by that order and
+        factors it in natural order, so no call but the first orders the
+        pattern or builds a matrix.  Raises RuntimeError when the matrix is
+        singular.
         """
         if self._pattern_order is None:
-            lu = _splu(S)
+            lu = _splu(self.interior_pattern_matrix(data))
             self._pattern_order = _PatternOrder(self.interior_pattern, lu.perm_c)
-            return _PermutedLU(lu, np.arange(S.shape[0]))
-        return self._pattern_order.factor(S.data)
+            return _PermutedLU(lu, np.arange(len(self.interior)))
+        return self._pattern_order.factor(data)
 
     @cached_property
     def mass(self) -> scipy.sparse.csr_matrix:

@@ -10,25 +10,26 @@ with A(u) = I(1/p |grad u|^p) and I(.) the centroid quadrature.  Its
 derivative against the interior hat functions is the discrete residual; the
 quadratic part a*A - (b/2)*A^2 is capped at a^2/(2b) for every u, which is
 the threshold below which compactness of descent sequences is trusted.
-The second derivative on the interior vertices (``hessian_J``) is a
-symmetric sparse matrix, filled into the mesh's fixed interior pattern,
-plus a rank-one term.  J along a ray r u with its exact slope
-(``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p), with its
-gradient, its change along a line u + t d (``_rayleigh_line``) and its
-values along the ray e^s u (``_rayleigh_on_ray``), live here too.
+The second derivative on the interior vertices is a symmetric sparse
+matrix on the mesh's fixed interior pattern plus a rank-one term: the
+solvers take the sparse part as its pattern data (``_hessian_of_elements``),
+and ``hessian_J`` returns it as a matrix.  J along a ray r u with its exact
+slope (``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p), with its
+gradient, its change along a line u + t d (``_rayleigh_line``, from the
+ray weights the gradient returns) and its values along the ray e^s u
+(``_rayleigh_on_ray``), live here too.
 
 Every functional reads nodal values only through their element data, and
 this module owns them: ``_point`` gathers a ``_Point`` once (Dg u and C u,
 two sparse products, then |Dg u|).  The ``*_of_elements`` forms take a
-point or arrays of its data (J, J' with A, J'', R' with R), and the nodal
-forms (``gradient_J``, ``hessian_J``) call them on their ``_point``; the
-solvers hold points and never gather.
+point or arrays of its data (J, J' with A, J'' as pattern data, R' with R
+and the ray weights), and the nodal forms (``gradient_J``, ``hessian_J``)
+call them on their ``_point``; the solvers hold points and never gather.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 
 from .discretization import (
     GridFunction,
@@ -252,20 +253,19 @@ def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
 
 
 def _derivative_terms_of_elements(mesh: Mesh, p: ExponentField, at: _Point):
-    """A(u) and the element data of the derivatives of A and B, from the
-    element data of the point ``at``.
+    """The element data of the derivatives of A and B, from the element data
+    of the point ``at``.
 
-    Returns (A, flux, s_pow).  ``flux`` holds |grad u|^{p-2} grad u times
+    Returns (flux, s_pow).  ``flux`` holds |grad u|^{p-2} grad u times
     the element measure in the rows of the gradient map, so that
     A'(u) = Dg^T flux; s_pow = |uc|^{p-2} uc, so that B'(u) = C^T (s_pow *
     meas).  Both weights are continuously extended by 0 where their argument
     vanishes.
     """
     pv, meas = p.values, mesh.element_measures
-    A = _p_integral(at.gmag, p, meas)
     w = _positive_power(at.gmag, pv - 2.0) * meas
     s_pow = _positive_power(np.abs(at.uc), pv - 2.0) * at.uc
-    return A, (w[:, None] * at.grads).ravel(), s_pow
+    return (w[:, None] * at.grads).ravel(), s_pow
 
 
 def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
@@ -286,7 +286,8 @@ def _residual_of_elements(prob: KirchhoffProblem, at: _Point):
     """(residual, A): the raw nodal values of ``gradient_J`` and A(u), from
     the element data of the point ``at``."""
     mesh = prob.mesh
-    A, flux, s_pow = _derivative_terms_of_elements(mesh, prob.p, at)
+    A = _p_integral(at.gmag, prob.p, mesh.element_measures)
+    flux, s_pow = _derivative_terms_of_elements(mesh, prob.p, at)
     K = prob.a - prob.b * A
     lumped = (prob.lam * s_pow + _g(prob.g, at.uc)) * mesh.element_measures
     return K * (mesh.gradient_adjoint @ flux) - mesh.centroid_adjoint @ lumped, float(A)
@@ -319,10 +320,11 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
     w = meas |grad u|^{p-2}, v = G^T n for n = grad u / |grad u|, and
     lower = lambda (p-1) |u_c|^{p-2} + g'(x, u_c).  One ``np.bincount``
     scatters the blocks into the mesh's fixed interior pattern
-    (``Mesh.interior_pattern``).  Every block is bitwise symmetric, so S is
-    too: its CSR arrays are its CSC arrays, and it is built as a
-    ``csc_matrix``.  dA is Dg^T(meas |grad u|^{p-2} grad u), the gradient
-    of A, restricted to the interior.
+    (``Mesh.interior_pattern``), and S is built from those data as a
+    ``csc_matrix`` (``Mesh.interior_pattern_matrix``).  Every block is
+    bitwise symmetric, so S is too: its CSR arrays are its CSC arrays.  dA
+    is Dg^T(meas |grad u|^{p-2} grad u), the gradient of A, restricted to
+    the interior.
 
     Raises DomainError where an exponent below 2 meets a vanishing gradient
     (or, in the lambda and g' terms, a vanishing centroid value), because
@@ -330,11 +332,16 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
     are checked: on the others a zero-trace u vanishes, and they add
     nothing to the interior J''; ``_hessian_of_elements`` assembles it.
     """
-    return _hessian_of_elements(prob, _point(prob.mesh, u.nodal_values))
+    data, dA = _hessian_of_elements(prob, _point(prob.mesh, u.nodal_values))
+    return prob.mesh.interior_pattern_matrix(data), dA
 
 
 def _hessian_of_elements(prob: KirchhoffProblem, at: _Point):
-    """``hessian_J`` from the element data of the point ``at``."""
+    """``hessian_J`` from the element data of the point ``at``, with S as
+    its data in ``Mesh.interior_pattern`` order: (data, dA).  The solvers
+    factor S from its data (``Mesh.interior_pattern_lu``) and build no
+    matrix.  The Gram part G^T G of every block is the mesh's
+    (``Mesh.hat_gram``)."""
     mesh, grads, gmag, uc = prob.mesh, at.grads, at.gmag, at.uc
     pattern = mesh.interior_pattern
     pv, meas, live = prob.p.values, mesh.element_measures, pattern.live
@@ -344,8 +351,7 @@ def _hessian_of_elements(prob: KirchhoffProblem, at: _Point):
     G = mesh.hat_gradients.transpose(1, 2, 0)
     n = np.divide(grads.T, gmag, out=np.zeros(grads.shape[::-1]), where=gmag > 0.0)
     v = np.einsum("ke,kie->ie", n, G)
-    blocks = np.einsum("kie,kje->ije", G, G)
-    blocks += (pv - 2.0) * (v[:, None] * v[None])
+    blocks = mesh.hat_gram + (pv - 2.0) * (v[:, None] * v[None])
     K = prob.a - prob.b * _p_integral(gmag, prob.p, meas)
     blocks *= K * w
 
@@ -357,10 +363,7 @@ def _hessian_of_elements(prob: KirchhoffProblem, at: _Point):
     # an off-diagonal entry sums at most two blocks (an edge of at most two
     # simplices for d <= 2), so the sum is the same in either order
     data = np.bincount(pattern.slot, blocks.ravel()[pattern.keep], len(pattern.indices))
-    n_int = len(pattern.indptr) - 1
-    S = scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr),
-                                shape=(n_int, n_int))
-    return S, dA
+    return data, dA
 
 
 def _stiffness_norm(mesh: Mesh, gmag: np.ndarray) -> float:
@@ -370,13 +373,17 @@ def _stiffness_norm(mesh: Mesh, gmag: np.ndarray) -> float:
     return float(np.sqrt(np.dot(gmag * gmag, mesh.element_measures)))
 
 
-def _rayleigh_line(mesh: Mesh, p: ExponentField, at: _Point, direction: np.ndarray):
+def _rayleigh_line(mesh: Mesh, p: ExponentField, at: _Point, direction: np.ndarray,
+                   w: np.ndarray):
     """R along the line u + t*direction, from element data gathered once.
 
-    ``at`` holds the element gradients G and centroid values uc of u;
-    those of the direction, Gd and dc, are gathered here, together with the
-    per-element products G.G, G.Gd and Gd.Gd, so |grad(u + t d)|^2 is a
-    quadratic in t and the centroid values are uc + t dc.  Returns
+    ``at`` holds the element gradients G and centroid values uc of u, and
+    ``w`` its ray weights (``_ray_weights``) stacked as rows, as
+    ``_rayleigh_gradient_of_elements`` returns them, so the powers of u are
+    not taken again.  Those of the direction, Gd and dc, are gathered here,
+    together with the per-element products G.G, G.Gd and Gd.Gd, so
+    |grad(u + t d)|^2 is a quadratic in t and the centroid values are
+    uc + t dc.  Returns
     (change, data): change(t) = R(u + t d) - R(u), for ``_armijo``, and
     data(t) = (|grad(u + t d)|, uc + t dc), the element data of the point.
     Neither makes a sparse product.  The change is (dA - R dB) / (B + dB),
@@ -389,7 +396,6 @@ def _rayleigh_line(mesh: Mesh, p: ExponentField, at: _Point, direction: np.ndarr
                   for x, y in ((at.grads, at.grads), (at.grads, dg), (dg, dg)))
     # the rows of each stack are a = |grad u| and a = u_c; w = meas |a|^p / p,
     # |a(t)|^2 = |a|^2 (1 + t (lin + t quad)) where a != 0, and t^2 a2 where a = 0
-    w = np.array(_ray_weights(mesh, p, at.gmag, at.uc))
     A, B = w.sum(axis=1)
     r = np.divide(dc, at.uc, out=np.zeros_like(dc), where=at.uc != 0.0)
     lin = np.array([np.divide(2.0 * gd, gg, out=np.zeros_like(gg), where=gg > 0.0), 2.0 * r])
@@ -478,16 +484,23 @@ def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):
 
 
 def _rayleigh_gradient_of_elements(mesh: Mesh, p: ExponentField, at: _Point):
-    """(R'(u), R(u)) with R = A / B and R' = (A'(u) - R(u) B'(u)) / B(u),
+    """(R'(u), R(u), w) with R = A / B and R' = (A'(u) - R(u) B'(u)) / B(u),
     zero on the boundary, from the element data of the point ``at``; the
-    two adjoint products are its only sparse products."""
-    meas = mesh.element_measures
-    A, flux, s_pow = _derivative_terms_of_elements(mesh, p, at)
-    B = _p_integral(np.abs(at.uc), p, meas)
+    two adjoint products are its only sparse products.
+
+    The powers |grad u|^p and |u_c|^p are taken once.  A and B come from
+    them with the arithmetic of ``_p_integral``, and w, the rows w_A and w_B
+    of ``_ray_weights``, with its arithmetic, for ``_rayleigh_line``: both
+    are bitwise those functions' values.
+    """
+    pv, meas = p.values, mesh.element_measures
+    x_A, x_B = at.gmag**pv, np.abs(at.uc) ** pv
+    A, B = np.dot(x_A / pv, meas), np.dot(x_B / pv, meas)
+    flux, s_pow = _derivative_terms_of_elements(mesh, p, at)
     grad = (mesh.gradient_adjoint @ flux
             - (A / B) * (mesh.centroid_adjoint @ (s_pow * meas))) / B
     grad[mesh.boundary_mask] = 0.0
-    return grad, float(A / B)
+    return grad, float(A / B), np.array([meas * x_A / pv, meas * x_B / pv])
 
 
 @dataclass

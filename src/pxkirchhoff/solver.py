@@ -11,9 +11,10 @@ The mountain-pass solver holds one point, the maximum of J on its ray
 bounds the mountain-pass level from above.  It runs Newton's method on the
 exact sparse Hessian from that peak, and accepts its point only at or below
 the peak's energy (Li-Zhou 2001).  Each step factors the sparse part of J''
-with one symmetric sparse LU on the mesh's interior pattern, in the column
-order the mesh keeps from its first one (``Mesh.interior_pattern_lu``);
-the rank-one part is solved by Sherman-Morrison.  The fallback descends on
+from its pattern data (``energy._hessian_of_elements``) with one symmetric
+sparse LU on the mesh's interior pattern, in the column order the mesh
+keeps from its first one (``Mesh.interior_pattern_lu``); the rank-one part
+is solved by Sherman-Morrison.  The fallback descends on
 the ray maximum: a backtracking step at the peak, after which each trial's
 ray is maximized again.  Descent directions are preconditioned with the
 constant-exponent stiffness (a discrete Sobolev gradient,
@@ -32,7 +33,8 @@ eigenbasis shift-invert, the Morse inverse mass) uses the mesh's one LU
 points and rays and never gather.
 
 The multiplicity search runs its starts one after another, in start-index
-order, and merges results deterministically by (energy, start-index) order.
+order, skips a start that lies on start 0's ray, and merges results
+deterministically by (energy, start-index) order.
 """
 
 import math
@@ -344,7 +346,7 @@ def rayleigh_quotient_min(
         smallest, ended = math.inf, f"{max_iter} steps were used up"
         for steps in range(max_iter):
             at = _point(mesh, nodal)
-            grad, R = _rayleigh_gradient_of_elements(mesh, p, at)
+            grad, R, w = _rayleigh_gradient_of_elements(mesh, p, at)
             d = _sobolev_descent(mesh, grad)
             slope = float(np.dot(grad[idx], d[idx]))
             residual = math.sqrt(max(-slope, 0.0))
@@ -354,7 +356,7 @@ def rayleigh_quotient_min(
                 break
             smallest = min(smallest, residual)
             step = min(1.0, _stiffness_norm(mesh, at.gmag) / residual)
-            change, data = _rayleigh_line(mesh, p, at, d)
+            change, data = _rayleigh_line(mesh, p, at, d, w)
             step = _armijo(change, 0.0, slope, step)
             if step is None:
                 ended = "the line search stalled"
@@ -363,7 +365,7 @@ def rayleigh_quotient_min(
             scale = 1.0 / _stiffness_norm(mesh, gmag)
             scale *= _ray_scale(mesh, p, scale * gmag, scale * uc)
             nodal = (nodal + step * d) * scale
-            del change, data  # keep no line data through the next step's gather
+            del change, data, w  # keep no line data through the next step's gather
         if miss is None or smallest < miss[0]:
             miss = (smallest, ended)
 
@@ -387,23 +389,24 @@ class GeometryReport:
     negative_energy: float
 
 
+_R_DOUBLINGS = 60  # doublings (or halvings) of r along a ray before it gives up
+
+
 def _scale_until_negative(
-    prob: KirchhoffProblem,
-    nodal: np.ndarray,
-    min_norm: float | None = None,
-    max_doublings: int = 60,
+    prob: KirchhoffProblem, nodal: np.ndarray, min_norm: float | None = None
 ) -> GridFunction:
-    """The first t u, t = 1, 2, 4, ..., with J(t u) < 0 and norm t|u| above
-    ``min_norm``; J from the ray's weights (``_energy_ray``), gathered once."""
+    """The first t u, t = 1, 2, 4, ..., 2^_R_DOUBLINGS, with J(t u) < 0 and
+    norm t|u| above ``min_norm``; J from the ray's weights
+    (``_energy_ray``), gathered once."""
     gmag, ray = _energy_ray(prob, nodal)
     norm = 0.0 if min_norm is None else luxemburg_norm(gmag, prob.p, prob.mesh)
     t = 1.0
-    for _ in range(max_doublings + 1):
+    for _ in range(_R_DOUBLINGS + 1):
         if ray(t)[0] < 0.0 and (min_norm is None or t * norm > min_norm):
             return GridFunction(prob.mesh, t * nodal)
         t *= 2.0
     raise MaxIterations(
-        "energy stayed nonnegative after 60 doublings; "
+        f"energy stayed nonnegative after {_R_DOUBLINGS} doublings; "
         "check the superlinearity hypotheses and exponent chain"
     )
 
@@ -414,8 +417,8 @@ def find_negative_energy_point(
     """Double t from 1 until J(t*psi) < 0 and return e = t*psi.
 
     psi must be nonzero, nonnegative, and zero on the boundary.  Superlinear
-    growth guarantees termination; MaxIterations after 60 doublings signals
-    a hypothesis violation upstream.
+    growth guarantees termination; MaxIterations after _R_DOUBLINGS (60)
+    doublings signals a hypothesis violation upstream.
     """
     if np.all(psi.nodal_values == 0.0):
         raise DomainError("psi must be nonzero")
@@ -521,7 +524,6 @@ class SolveReport:
 
 _NEWTON_STEPS = 20  # Newton steps per polish attempt
 _R_TOL = 1e-12      # resolution in r of a ray maximum
-_R_DOUBLINGS = 60   # doublings or halvings of r past the samples before a ray gives up
 _ONE = np.ones(1)   # the sample of a ray whose maximum lies near r = 1
 
 
@@ -562,9 +564,9 @@ def _ray_max(prob: KirchhoffProblem, nodal: np.ndarray, radii: np.ndarray):
 
 def _newton_direction(lu, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (S - b dA dA^T) d = rhs from a sparse LU of S
-    (``Mesh.interior_pattern_lu``) by the Sherman-Morrison formula for the
-    rank-one term: one solve with the two columns rhs and dA.  Raises
-    RuntimeError when the rank-one update is singular."""
+    (``Mesh.interior_pattern_lu`` of its pattern data) by the Sherman-Morrison
+    formula for the rank-one term: one solve with the two columns rhs and
+    dA.  Raises RuntimeError when the rank-one update is singular."""
     y, z = lu.solve(np.column_stack([rhs, dA])).T
     denom = 1.0 - b * float(dA @ z)
     if not (np.isfinite(denom) and denom != 0.0):
@@ -603,8 +605,8 @@ def _newton_polish(prob, at: _Point, g: np.ndarray, res: float, tol: float):
     while steps < _NEWTON_STEPS:
         d = np.zeros(mesh.n_vertices)
         try:
-            S, dA = _hessian_of_elements(prob, at)
-            d[idx] = _newton_direction(mesh.interior_pattern_lu(S), dA, prob.b, -g[idx])
+            data, dA = _hessian_of_elements(prob, at)
+            d[idx] = _newton_direction(mesh.interior_pattern_lu(data), dA, prob.b, -g[idx])
         except (DomainError, RuntimeError):
             break
         t = _armijo(merit, 0.5 * res * res, -res * res, 1.0)
@@ -618,9 +620,10 @@ def _newton_polish(prob, at: _Point, g: np.ndarray, res: float, tol: float):
     return None, None, None, steps
 
 
-def _inertia_index(mesh: Mesh, S, dA: np.ndarray, b: float) -> int | None:
+def _inertia_index(mesh: Mesh, data: np.ndarray, dA: np.ndarray, b: float) -> int | None:
     """The number of negative eigenvalues of S - b dA dA^T, by inertia, for
-    S on the interior pattern of ``mesh``.
+    the matrix S on the interior pattern of ``mesh`` with pattern data
+    ``data`` (``_hessian_of_elements``).
 
     The symmetric LU of S (``Mesh.interior_pattern_lu``) factors Q S Q^T
     for a permutation Q.  When it keeps its row order equal to its column
@@ -633,7 +636,7 @@ def _inertia_index(mesh: Mesh, S, dA: np.ndarray, b: float) -> int | None:
     rank-one term is not finite.
     """
     try:
-        factor = mesh.interior_pattern_lu(S)
+        factor = mesh.interior_pattern_lu(data)
     except RuntimeError:
         return None
     lu = factor.lu
@@ -650,25 +653,29 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
     stiffness) on the interior vertices at the point ``at``, or (None, None)
     where J'' does not exist.
 
-    On at most _DENSE_N interior vertices (and always on one or two), LAPACK
-    finds the pencil's whole spectrum from dense matrices, and the index is
-    the number of negative eigenvalues.  Above it, the stiffness being
-    positive definite, the index is the number of negative eigenvalues of
-    J'' itself, which ``_inertia_index`` counts from one symmetric LU of its
-    sparse part.  One ARPACK call then finds the two lowest eigenvalues,
-    inverting the stiffness with ``Mesh.interior_stiffness_lu``, and the
-    number of negatives among them must equal min(index, 2).  When the
-    inertia is unavailable or that cross-check fails, ARPACK finds the k
+    J'' comes as the pattern data of its sparse part S and the rank-one
+    factor dA (``_hessian_of_elements``); S is built as a matrix
+    (``Mesh.interior_pattern_matrix``) only for LAPACK's dense pencil and
+    ARPACK's products.  On at most _DENSE_N interior vertices (and always on
+    one or two), LAPACK finds the pencil's whole spectrum from dense
+    matrices, and the index is the number of negative eigenvalues.  Above
+    it, the stiffness being positive definite, the index is the number of
+    negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
+    one symmetric LU of S's data.  One ARPACK call then finds the two lowest
+    eigenvalues, inverting the stiffness with ``Mesh.interior_stiffness_lu``,
+    and the number of negatives among them must equal min(index, 2).  When
+    the inertia is unavailable or that cross-check fails, ARPACK finds the k
     lowest eigenvalues, k = 2, 4, 8, ... until one is nonnegative; it finds
     at most n - 1 of n, so when all of those are negative the largest
     eigenvalue decides the last.
     """
     try:
-        S, dA = _hessian_of_elements(prob, at)
+        data, dA = _hessian_of_elements(prob, at)
     except DomainError:
         return None, None
-    n = S.shape[0]
+    n = len(dA)
     stiff = prob.mesh.interior_stiffness
+    S = prob.mesh.interior_pattern_matrix(data)
     if n <= max(_DENSE_N, 2):  # ARPACK needs k = 2 < n
         vals = scipy.linalg.eigh(S.toarray() - prob.b * np.outer(dA, dA), stiff.toarray(),
                                  eigvals_only=True)
@@ -685,7 +692,7 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
 
     k = 2
     vals = lowest(k)
-    index = _inertia_index(prob.mesh, S, dA, prob.b)
+    index = _inertia_index(prob.mesh, data, dA, prob.b)
     if index is not None and np.count_nonzero(vals < 0.0) == min(index, 2):
         return index, tuple(float(v) for v in vals)
     while vals[-1] < 0.0 and k < n - 1:
@@ -852,14 +859,17 @@ def multiplicity_search(
     Requires a >= b and an odd nonlinearity (every cataloged kind is odd),
     a nonnegative seed and n_starts, 0 <= distinct_tol < inf, and
     k_max >= 1 when n_starts > 0 (DomainError otherwise, as for a bad
-    ``tol``).  The first
-    min(k_max, n_starts) starts are the pure eigenvector directions; the
-    rest draw random combinations from the nested spans.
-    Starts whose solve fails (MaxIterations, DegenerateCoefficient) are
-    skipped; if every start fails, the last failure's type is raised with
-    each start's index, exception type and message.  Solutions are
-    deduplicated under u -> -u using ``distinct_tol`` in the Sobolev norm
-    and returned sorted by increasing energy (ties broken by start index).
+    ``tol``).  The first min(k_max, n_starts) starts are the pure
+    eigenvector directions; each later start i draws k = 1 + (i mod k_max)
+    random coefficients of the first k eigenvectors.  A start with k = 1
+    lies on the ray of start 0 or of its mirror image, where the solve
+    repeats start 0's up to sign, so it draws its coefficient, which keeps
+    the random stream of the later starts, and is not solved.  Starts
+    whose solve fails (MaxIterations, DegenerateCoefficient) are skipped;
+    if every start fails, the last failure's type is raised with each
+    start's index, exception type and message.  Solutions are deduplicated
+    under u -> -u using ``distinct_tol`` in the Sobolev norm and returned
+    sorted by increasing energy (ties broken by start index).
     """
     prob.require_valid_chain()
     if not prob.a >= prob.b:
@@ -883,6 +893,8 @@ def multiplicity_search(
         else:
             k = 1 + (i % k_max)
             coeffs = rng.standard_normal(k)
+            if k == 1:  # start 0's ray or its mirror: the same orbit
+                continue
             nodal = sum(c * b.nodal_values for c, b in zip(coeffs, basis))
         nrm = sobolev_norm(GridFunction(prob.mesh, nodal), prob.p)
         if nrm == 0.0:

@@ -305,7 +305,7 @@ def _pattern_matrix(mesh, rng):
 ], ids=["1d", "2d"])
 def test_interior_pattern_lu_orders_once_and_solves(mesh):
     rng = np.random.default_rng(8)
-    first = mesh.interior_pattern_lu(_pattern_matrix(mesh, rng))
+    first = mesh.interior_pattern_lu(_pattern_matrix(mesh, rng).data)
     perm_c = first.lu.perm_c
     n = len(mesh.interior)
     for _ in range(3):
@@ -313,7 +313,7 @@ def test_interior_pattern_lu_orders_once_and_solves(mesh):
         fresh = _splu(S)
         # the minimum-degree order depends on the pattern alone
         assert np.array_equal(fresh.perm_c, perm_c)
-        later = mesh.interior_pattern_lu(S)
+        later = mesh.interior_pattern_lu(S.data)
         assert np.array_equal(later.order, np.argsort(perm_c))
         assert np.array_equal(later.lu.perm_c, np.arange(n))  # natural order
         assert later.lu.L.nnz == fresh.L.nnz and later.lu.U.nnz == fresh.U.nnz
@@ -321,3 +321,37 @@ def test_interior_pattern_lu_orders_once_and_solves(mesh):
         ref = fresh.solve(rhs)
         assert np.max(np.abs(later.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(later.solve(rhs[:, 0]) - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(40, 0.0, 1.0),
+    _jittered_rect_mesh(9, 7, seed=7),
+], ids=["1d", "2d"])
+def test_first_pattern_lu_orders_the_matrix_of_its_data(mesh):
+    # the first LU builds the matrix of its data (interior_pattern_matrix)
+    # and orders it, so it keeps the order an LU of that matrix finds
+    S = _pattern_matrix(mesh, np.random.default_rng(9))
+    built = mesh.interior_pattern_matrix(S.data)
+    assert built.format == "csc"
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(built, name), getattr(S, name))
+    first = mesh.interior_pattern_lu(S.data)
+    fresh = _splu(S)
+    assert np.array_equal(first.lu.perm_c, fresh.perm_c)
+    assert np.array_equal(first.order, np.arange(len(mesh.interior)))
+    assert np.array_equal(mesh._pattern_order.order, np.argsort(fresh.perm_c))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(7, 0.0, 1.0),
+    build_rect_mesh(5, 4, ((0.0, 0.0), (2.0, 1.0))),
+])
+def test_hat_gram_blocks_assemble_the_stiffness(mesh):
+    gram = mesh.hat_gram
+    assert gram is mesh.hat_gram  # built once, on first use
+    ref = np.einsum("edi,edj->ije", mesh.hat_gradients, mesh.hat_gradients)
+    assert np.allclose(gram, ref, rtol=1e-14, atol=0.0)
+    pattern = mesh.interior_pattern
+    blocks = (gram * mesh.element_measures).ravel()[pattern.keep]
+    K = mesh.interior_pattern_matrix(np.bincount(pattern.slot, blocks, len(pattern.indices)))
+    assert abs(K - mesh.interior_stiffness).max() <= 1e-13 * abs(mesh.interior_stiffness).max()

@@ -24,7 +24,10 @@ from pxkirchhoff.energy import (
     _derivative_terms_of_elements,
     _energy_ray,
     _magnitude,
+    _p_integral,
     _point,
+    _ray_weights,
+    _rayleigh_gradient_of_elements,
     _rayleigh_line,
     _stiffness_norm,
 )
@@ -222,7 +225,8 @@ def test_magnitude_is_the_row_norm():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_rayleigh_line_matches_the_ratio_on_nodes(dim):
     mesh, p, u, d = _rayleigh_case(dim)
-    change, data = _rayleigh_line(mesh, p, _point(mesh, u), d)
+    at = _point(mesh, u)
+    change, data = _rayleigh_line(mesh, p, at, d, _rayleigh_gradient_of_elements(mesh, p, at)[2])
     R = rayleigh_ratio(mesh, p, u)
     for t in (0.0, 1e-3, 0.5, 1.0):
         assert R + change(t) == pytest.approx(rayleigh_ratio(mesh, p, u + t * d), rel=1e-13)
@@ -231,6 +235,19 @@ def test_rayleigh_line_matches_the_ratio_on_nodes(dim):
         ref, ref_uc = ref_at.gmag, ref_at.uc
         assert np.max(np.abs(gmag - ref)) <= 1e-13 * np.max(ref)
         assert np.max(np.abs(uct - ref_uc)) <= 1e-14 * np.max(np.abs(ref_uc))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rayleigh_gradient_takes_the_powers_once_for_R_and_the_line(dim):
+    # R and the weights it hands the line are bitwise those of _p_integral
+    # and _ray_weights, so the descent's iterates do not move
+    mesh, p, u, _ = _rayleigh_case(dim)
+    at = _point(mesh, u)
+    _, R, w = _rayleigh_gradient_of_elements(mesh, p, at)
+    meas = mesh.element_measures
+    A, B = _p_integral(at.gmag, p, meas), _p_integral(np.abs(at.uc), p, meas)
+    assert R == float(A / B)
+    assert np.array_equal(w, np.array(_ray_weights(mesh, p, at.gmag, at.uc)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -244,7 +261,9 @@ def test_rayleigh_line_change_keeps_its_accuracy_below_the_ulp_of_R(dim):
     zero_u[vertices] = 0.0
     zero_d[vertices] = -u[vertices]
     for nodal, direction in ((u, d), (zero_u, d), (u, zero_d)):
-        change, _ = _rayleigh_line(mesh, p, _point(mesh, nodal), direction)
+        at = _point(mesh, nodal)
+        change, _ = _rayleigh_line(mesh, p, at, direction,
+                                   _rayleigh_gradient_of_elements(mesh, p, at)[2])
         base = np.asarray(nodal, dtype=np.longdouble)
         R = rayleigh_ratio_long(mesh, p, base)
         # the difference of two float64 values of R misses by 6e-6 to 8e-2
@@ -305,7 +324,8 @@ def test_gradient_equals_reference_assembly_bitwise(kind):
     nodal[mesh.boundary_mask] = 0.0
     nodal[10:13] = 0.0  # zero centroid values and gradients on two elements
     at = _point(mesh, nodal)
-    A, flux, s_pow = _derivative_terms_of_elements(mesh, p, at)
+    A = _p_integral(at.gmag, p, mesh.element_measures)
+    flux, s_pow = _derivative_terms_of_elements(mesh, p, at)
     mag = np.abs(at.uc)
     g = np.where(mag > 0.0, mag ** (q.values - 2.0) * at.uc, 0.0)
     g = {"pure_power": g, "scaled_power": 2.5 * g, "zero": 0.0 * g}[kind]
@@ -460,7 +480,7 @@ def test_hessian_rank_one_factor_is_the_derivative_of_A():
         rng = np.random.default_rng(3)
         u = GridFunction(prob.mesh, 0.3 + rng.random(prob.mesh.n_vertices))
         _, dA = hessian_J(u, prob)
-        _, flux, _ = _derivative_terms_of_elements(
+        flux, _ = _derivative_terms_of_elements(
             prob.mesh, prob.p, _point(prob.mesh, u.nodal_values))
         assert np.array_equal(dA, (prob.mesh.gradient_adjoint @ flux)[prob.mesh.interior])
 

@@ -20,6 +20,7 @@ from pxkirchhoff import (
     KirchhoffProblem,
     MaxIterations,
     NonlinearitySpec,
+    SolveReport,
     build_exponent_field,
     build_interval_mesh,
     build_rect_mesh,
@@ -401,6 +402,18 @@ def test_doubling_continues_past_min_norm():
     tent = tent_on(prob.mesh)
     e = find_negative_energy_point(prob, tent, min_norm=10.0)
     assert np.array_equal(e.nodal_values, 8.0 * tent.nodal_values)
+
+
+def test_doubling_stops_after_the_ray_doubling_budget(monkeypatch):
+    # J(t tent) < 0 from t = 4 = 2^2: one doubling reaches only t = 2
+    prob = model_problem(q_const=4.0, theta=3.0)
+    tent = tent_on(prob.mesh)
+    monkeypatch.setattr(solver, "_R_DOUBLINGS", 1)
+    with pytest.raises(MaxIterations, match="energy stayed nonnegative after 1 doublings"):
+        find_negative_energy_point(prob, tent)
+    monkeypatch.setattr(solver, "_R_DOUBLINGS", 2)
+    e = find_negative_energy_point(prob, tent)
+    assert np.array_equal(e.nodal_values, 4.0 * tent.nodal_values)
 
 
 def test_doubling_without_nonlinearity():
@@ -982,7 +995,8 @@ def test_kernel_forms_are_bitwise_the_nodal_functions():
         assert np.array_equal(g[idx], gradient_J(u, prob).nodal_values[idx])
         assert A == kirchhoff_A(u, prob.p)
         assert float(solver._energy_of_elements(prob, A, at.uc)) == energy_J(u, prob)
-        S, dA = solver._hessian_of_elements(prob, at)
+        data, dA = solver._hessian_of_elements(prob, at)
+        S = prob.mesh.interior_pattern_matrix(data)
         S_ref, dA_ref = hessian_J(u, prob)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(S, name), getattr(S_ref, name))
@@ -1181,7 +1195,7 @@ def test_sherman_morrison_solve_matches_a_dense_solve():
     S, dA = hessian_J(u, prob)
     dense = S.toarray() - prob.b * np.outer(dA, dA)
     rhs = rng.standard_normal(len(dA))
-    d = solver._newton_direction(prob.mesh.interior_pattern_lu(S), dA, prob.b, rhs)
+    d = solver._newton_direction(prob.mesh.interior_pattern_lu(S.data), dA, prob.b, rhs)
     assert np.allclose(d, np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-12)
     with pytest.raises(RuntimeError):  # a singular rank-one update
         solver._newton_direction(_splu(scipy.sparse.identity(3, format="csc")),
@@ -1208,7 +1222,8 @@ def _dense_pencil_eigenvalues(prob, u):
 
 
 def _inertia(prob, u):
-    return solver._inertia_index(prob.mesh, *hessian_J(u, prob), prob.b)
+    S, dA = hessian_J(u, prob)
+    return solver._inertia_index(prob.mesh, S.data, dA, prob.b)
 
 
 def _count_eigsh(monkeypatch):
@@ -1332,7 +1347,7 @@ def test_inertia_counts_the_rank_one_term(monkeypatch):
         S, dA = hessian_J(u, prob)
         assert np.all(np.linalg.eigvalsh(S.toarray()) > 0.0)
         dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
-        assert solver._inertia_index(mesh, S, dA, prob.b) == int(np.sum(dense < 0.0)) == index
+        assert solver._inertia_index(mesh, S.data, dA, prob.b) == int(np.sum(dense < 0.0)) == index
         routes = _morse_on_both_routes(monkeypatch, prob, u)
         assert [route[0] for route in routes.values()] == [index, index]
 
@@ -1354,7 +1369,7 @@ def test_inertia_matches_a_dense_count_at_random_points():
                 nodal = rng.standard_normal(4) @ basis * rng.uniform(0.05, 1.0)
                 S, dA = hessian_J(GridFunction(mesh, nodal), prob)
                 dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
-                index = solver._inertia_index(mesh, S, dA, prob.b)
+                index = solver._inertia_index(mesh, S.data, dA, prob.b)
                 assert index == int(np.sum(dense < 0.0))
                 counts.add(index)
     assert len(counts) >= 4
@@ -1379,9 +1394,9 @@ def test_inertia_from_a_reordered_lu_matches_the_first(dim):
     for _ in range(8):
         nodal = rng.standard_normal(4) @ basis * rng.uniform(0.05, 1.0)
         S, dA = hessian_J(GridFunction(mesh, nodal), prob)
-        index = solver._inertia_index(mesh, S, dA, prob.b)
+        index = solver._inertia_index(mesh, S.data, dA, prob.b)
         assert mesh._pattern_order is not None
-        assert index == solver._inertia_index(build(), S, dA, prob.b)
+        assert index == solver._inertia_index(build(), S.data, dA, prob.b)
         dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
         assert index == int(np.sum(dense < 0.0))
         counts.add(index)
@@ -1436,7 +1451,8 @@ def test_morse_falls_back_to_doubling_without_a_symmetric_lu(index_three_orbit, 
 
     monkeypatch.setattr(solver, "_DENSE_N", 0)
     monkeypatch.setattr(discretization, "_splu", lambda *args: _OffDiagonalLU(_splu(*args)))
-    assert solver._inertia_index(prob.mesh, *hessian_J(rep.solution, prob), prob.b) is None
+    S, dA = hessian_J(rep.solution, prob)
+    assert solver._inertia_index(prob.mesh, S.data, dA, prob.b) is None
     assert solver._morse(prob, at) == doubling
     # an index that the eigenvalues contradict is not reported either
     monkeypatch.setattr(solver, "_inertia_index", lambda *args: 1)
@@ -1569,6 +1585,90 @@ def test_multiplicity_dedups_sign_orbit():
     reports = multiplicity_search(prob, n_starts=2, k_max=1, seed=0)
     assert len(reports) == 1
     assert reports[0].residual_norm <= 1e-6
+
+
+def _recorded_solves(monkeypatch):
+    """Wrap the solver's mountain_pass_solve; the list collects the start e
+    of each call."""
+    solve, starts = solver.mountain_pass_solve, []
+
+    def recorded(prob, e, **kwargs):
+        starts.append(e.nodal_values)
+        return solve(prob, e, **kwargs)
+
+    monkeypatch.setattr(solver, "mountain_pass_solve", recorded)
+    return starts
+
+
+def test_multiplicity_solves_no_one_term_mixture(monkeypatch):
+    # start 4 of eight (k_max = 4) is a multiple of eigenvector 1, on the ray
+    # of start 0: it draws its coefficient but is not solved, so starts 5-7
+    # keep the mixtures the seed's stream gave them, and the orbits are those
+    # of acceptance 8
+    prob = model_problem(n=12)
+    starts = _recorded_solves(monkeypatch)
+    reports = multiplicity_search(prob, n_starts=8, k_max=4, seed=0)
+    assert len(starts) == 7
+    basis = np.array([b.nodal_values for b in laplace_eigenbasis(prob.mesh, 4)])
+    rng = np.random.default_rng(0)
+    rng.standard_normal(1)  # start 4's coefficient
+    for k, e in zip((2, 3, 4), starts[4:]):  # starts 5, 6 and 7
+        mixture = rng.standard_normal(k) @ basis[:k]
+        ratio = e @ mixture / (mixture @ mixture)
+        assert ratio > 0.0 and np.allclose(e, ratio * mixture, rtol=0.0, atol=1e-12 * ratio)
+    assert [r.energy for r in reports] == pytest.approx(
+        [3.7148637507215154, 4.926006462901305, 4.989576453445927, 4.9976373600474995],
+        rel=1e-10)
+
+
+@pytest.mark.parametrize("shift, kept", [(0.0, 0), (-1e-12, 1)])
+def test_multiplicity_keeps_the_lower_of_a_sign_pair(shift, kept, monkeypatch):
+    # starts 0 and 1 return u and -u: only the report first in (energy,
+    # start index) order is kept
+    prob = model_problem(n=12)
+    solve, made = solver.mountain_pass_solve, []
+
+    def mirrored(prob, e, **kwargs):
+        if not made:
+            made.append(solve(prob, e, **kwargs))
+            return made[0]
+        first = made[0]
+        made.append(SolveReport(**{**vars(first), "energy": first.energy + shift,
+                                   "solution": GridFunction(
+                                       prob.mesh, -first.solution.nodal_values)}))
+        return made[1]
+
+    monkeypatch.setattr(solver, "mountain_pass_solve", mirrored)
+    reports = multiplicity_search(prob, n_starts=2, k_max=2, seed=0)
+    assert len(made) == 2 and reports == [made[kept]]
+
+
+def test_newton_polish_builds_no_sparse_matrix(monkeypatch):
+    # J'' reaches the LU as pattern data: only the first LU on the mesh
+    # builds a matrix, to order it, and no later Newton attempt constructs
+    # a csc_matrix
+    prob = model_problem(n=12)
+    polish, init = solver._newton_polish, scipy.sparse.csc_matrix.__init__
+    built, attempts = [], []
+
+    def counted_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    def counted_polish(*args):
+        ordered, before = prob.mesh._pattern_order is not None, len(built)
+        out = polish(*args)
+        attempts.append((ordered, len(built) - before, out[3]))
+        return out
+
+    monkeypatch.setattr(scipy.sparse.csc_matrix, "__init__", counted_init)
+    monkeypatch.setattr(solver, "_newton_polish", counted_polish)
+    multiplicity_search(prob, n_starts=5, k_max=4, seed=1)
+    first = [n_built for ordered, n_built, _ in attempts if not ordered]
+    later = [(n_built, steps) for ordered, n_built, steps in attempts if ordered]
+    assert len(first) == 1 and first[0] > 0
+    assert len(later) >= 2 and all(steps > 0 for _, steps in later)
+    assert [n_built for n_built, _ in later] == [0] * len(later)
 
 
 def test_multiplicity_finds_the_one_node_orbit_for_variable_p():
