@@ -1,7 +1,7 @@
 """Mountain-pass solve of the model problem, end to end.
 
 -(a - b A(u)) u'' = |u|^{q-2} u on (0, 1) with a = 1, b = 0.1, q = 4.5:
-verify the pass geometry, find the maximum of the energy on the ray of the
+sample the pass geometry, find the maximum of the energy on the ray of the
 negative-energy point, run Newton's method from that peak (descent steps
 on the ray maximum are the fallback if it cannot certify a point no higher
 than that peak), and certify the result as a critical point of
@@ -28,10 +28,10 @@ prob = KirchhoffProblem(1.0, 0.1, 0.0, p, NonlinearitySpec("pure_power", q, thet
 print(f"compactness ceiling a^2/(2b) = {prob.ps_ceiling:g}")
 
 geo = verify_mountain_geometry(prob, [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0], 20, seed=0)
-print(f"geometry: floor alpha = {geo.alpha:.4f} on the sphere rho = {geo.rho:g}, "
+print(f"geometry: sampled minimum alpha = {geo.alpha:.4f} on the sphere rho = {geo.rho:g}, "
       f"J(e) = {geo.negative_energy:.3f} at |e| = {sobolev_norm(geo.negative_point, p):.3f}")
 
-report = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+report = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
 print(f"converged in {report.iterations} descent steps and {report.newton_steps} Newton steps:")
 print(f"  energy c = {report.energy:.8f}  (below ceiling: {report.below_ps_ceiling})")
 print(f"  residual |J'(u*)| = {report.residual_norm:.2e}")

@@ -14,12 +14,13 @@ unknown keys and non-finite numbers are errors.  Keys:
     coefficient positive weight for scaled_power, default 1
     theta, s_A  superlinearity exponent and threshold (theta defaults to
                 min(q-, 2(p-)^2/p+ - 1e-6))
-    tol, max_iter, n_path, n_starts, k_max, seed, n_dirs, rho_grid
+    tol, max_iter, n_starts, k_max, seed, n_dirs, rho_grid
                 solver options (rayleigh stops once the H^-1 norm of R'
                 is at most tol); rho_grid is a comma list of positive radii,
                 max_iter, n_starts, seed and n_dirs are nonnegative and
                 k_max is positive
-    ambient_dim optional ambient N for the subcritical check (validate)
+    ambient_dim optional ambient N for the subcritical check (validate),
+                a positive integer
     out         output directory, default "."
 
 Solution dump format: a header line ``dim n_vertices n_elements``, then one
@@ -94,7 +95,6 @@ class RunConfig:
     u: str | None = None
     tol: float = 1e-6
     max_iter: int = 5000
-    n_path: int = 31
     n_starts: int = 8
     k_max: int = 4
     seed: int = 0
@@ -173,13 +173,12 @@ _PARSERS = {
     "s_A": _finite,
     "tol": _finite,
     "max_iter": _count,
-    "n_path": int,
     "n_starts": _count,
     "k_max": _positive_count,
     "seed": _count,
     "n_dirs": _count,
     "rho_grid": _radii,
-    "ambient_dim": int,
+    "ambient_dim": _positive_count,
     "out": str,
 }
 
@@ -406,8 +405,7 @@ def run(config: RunConfig) -> int:
                 prob, config.rho_grid, config.n_dirs, config.seed
             )
             rep = mountain_pass_solve(
-                prob, geo.negative_point,
-                n_path=config.n_path, tol=config.tol, max_iter=config.max_iter,
+                prob, geo.negative_point, tol=config.tol, max_iter=config.max_iter
             )
             lines += [f"rho: {geo.rho:.17g}", f"alpha: {geo.alpha:.17g}"]
             lines += _solve_report_lines(rep)
@@ -417,8 +415,7 @@ def run(config: RunConfig) -> int:
             reports = multiplicity_search(
                 prob,
                 n_starts=config.n_starts, k_max=config.k_max,
-                seed=config.seed, n_path=config.n_path,
-                tol=config.tol, max_iter=config.max_iter,
+                seed=config.seed, tol=config.tol, max_iter=config.max_iter,
             )
             lines.append(f"orbits: {len(reports)}")
             for i, rep in enumerate(reports):

@@ -458,24 +458,15 @@ def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
     return at.gmag, ray
 
 
-def _rayleigh_ray_of_elements(mesh: Mesh, p: ExponentField, gmag: np.ndarray,
-                              uc: np.ndarray):
-    """Element data of R along the ray e^s u, from |grad u| and u_c:
-    (c, w_A, w_B).
-
-    The weights are those of ``_ray_weights`` at r = e^s.  The common factor
-    e^{s p-} cancels in R, so ``_rayleigh_on_ray`` tilts the weights by the
-    centred exponent c = p - p- instead, which is exactly 0 for constant p.
-    """
-    return (p.values - p.lo, *_ray_weights(mesh, p, gmag, uc))
-
-
 def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):
-    """R(e^s u) and its slope d ln R / ds from the data of
-    ``_rayleigh_ray_of_elements``.
+    """R(e^s u) and its slope d ln R / ds from the weights w_A, w_B of u
+    (``_ray_weights``) and the centred exponent c = p - p-.
 
-    The slope is the difference of the means of c under the weights
-    w_A e^{s c} and w_B e^{s c}; it is exactly 0 when c is.
+    The weights of e^s u are those of u times e^{s p}.  The common factor
+    e^{s p-} cancels in R, so the weights are tilted by e^{s c} instead,
+    which is exactly 1 for constant p.  The slope is the difference of the
+    means of c under the weights w_A e^{s c} and w_B e^{s c}; it is exactly
+    0 when c is.
     """
     tilt = np.exp(s * c)
     A, B = w_A @ tilt, w_B @ tilt

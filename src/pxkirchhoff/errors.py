@@ -22,7 +22,7 @@ class MaxIterations(RuntimeError):
 
 
 class GeometryNotFound(RuntimeError):
-    """No radius in the probe grid had a positive sampled energy floor."""
+    """No radius in the probe grid had a positive sampled energy minimum."""
 
 
 class DegenerateCoefficient(RuntimeError):

@@ -56,7 +56,10 @@ def constant_exponent(value: float, mesh: Mesh) -> ExponentField:
 
 
 def critical_exponent(p: ExponentField, dimension: int) -> ExponentField:
-    """Elementwise Sobolev-critical exponent N*p/(N - p) for p below N."""
+    """Elementwise Sobolev-critical exponent N*p/(N - p) for p below N;
+    DomainError for a dimension N below 1 or a sample p >= N."""
+    if dimension < 1:
+        raise DomainError(f"dimension must be at least 1, got {dimension}")
     if np.any(p.values >= dimension):
         raise DomainError("supercritical exponent sample")
     values = dimension * p.values / (dimension - p.values)

@@ -29,6 +29,7 @@ __all__ = [
 
 _S_TOL = 1e-10  # a Newton step in ln(mu) this small leaves an error of about its square
 _NEWTON_CAP = 50
+_SLACK = 1e-9  # relative slack of the norm-modular relations for root-finding error
 
 
 def _check_shapes(samples: np.ndarray, p: ExponentField, mesh: Mesh):
@@ -132,12 +133,10 @@ class ModularNormReport:
         return not self.violations
 
 
-def check_modular_norm_relations(
-    u, p: ExponentField, mesh: Mesh, slack: float = 1e-9
-) -> ModularNormReport:
+def check_modular_norm_relations(u, p: ExponentField, mesh: Mesh) -> ModularNormReport:
     """Verify the power inequalities between Luxemburg norm and modular.
 
-    Checks, up to a small relative slack absorbing root-finding error:
+    Checks, up to a relative _SLACK absorbing root-finding error:
     norm > 1 implies norm^{p-} <= rho <= norm^{p+};
     norm < 1 implies norm^{p+} <= rho <= norm^{p-};
     and norm and rho sit on the same side of 1.
@@ -147,19 +146,19 @@ def check_modular_norm_relations(
     violations = []
 
     def leq(x, y):
-        return x <= y * (1.0 + slack) + slack
+        return x <= y * (1.0 + _SLACK) + _SLACK
 
-    if nrm > 1.0 + slack:
+    if nrm > 1.0 + _SLACK:
         if not (leq(nrm**p.lo, rho) and leq(rho, nrm**p.hi)):
             violations.append("norm>1: norm^p- <= rho <= norm^p+")
-        if not rho > 1.0 - slack:
+        if not rho > 1.0 - _SLACK:
             violations.append("norm>1 but rho<=1")
-    elif nrm < 1.0 - slack:
+    elif nrm < 1.0 - _SLACK:
         if not (leq(nrm**p.hi, rho) and leq(rho, nrm**p.lo)):
             violations.append("norm<1: norm^p+ <= rho <= norm^p-")
-        if not rho < 1.0 + slack:
+        if not rho < 1.0 + _SLACK:
             violations.append("norm<1 but rho>=1")
     else:
-        if abs(rho - 1.0) > max(p.hi, 2.0) * slack:
+        if abs(rho - 1.0) > max(p.hi, 2.0) * _SLACK:
             violations.append("norm=1 but rho!=1")
     return ModularNormReport(nrm, rho, violations)

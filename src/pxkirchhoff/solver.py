@@ -53,10 +53,10 @@ from .energy import (
     _hessian_of_elements,
     _point,
     _Point,
+    _ray_weights,
     _rayleigh_gradient_of_elements,
     _rayleigh_line,
     _rayleigh_on_ray,
-    _rayleigh_ray_of_elements,
     _residual_of_elements,
     _stiffness_norm,
     energy_J,
@@ -252,16 +252,16 @@ def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -
     and e^s u_c.
 
     The minimum is the root of d ln R / ds on the ray's weights
-    (``_rayleigh_ray_of_elements``), bracketed by the slopes at the ends of
-    the interval and found by ``_brent_root``.  For constant p the slope is
-    exactly 0, R is scale-free, and the scale is 1.  Raises MaxIterations
-    when the slope keeps one sign over the interval: R then has no minimizer
-    on the ray.
+    (``_ray_weights``, tilted by ``_rayleigh_on_ray``), bracketed by the
+    slopes at the ends of the interval and found by ``_brent_root``.  For
+    constant p the slope is exactly 0, R is scale-free, and the scale is 1.
+    Raises MaxIterations when the slope keeps one sign over the interval: R
+    then has no minimizer on the ray.
     """
-    ray = _rayleigh_ray_of_elements(mesh, p, gmag, uc)
+    c, (w_A, w_B) = p.values - p.lo, _ray_weights(mesh, p, gmag, uc)
 
     def slope(s):
-        return _rayleigh_on_ray(s, *ray)[1]
+        return _rayleigh_on_ray(s, c, w_A, w_B)[1]
 
     lo, hi = slope(-_S_MAX), slope(_S_MAX)
     if lo == hi == 0.0:
@@ -279,9 +279,9 @@ def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -
 
 @dataclass(eq=False)
 class RayleighResult:
-    """The smallest certified ``value`` of R, its ``minimizer``, and the
-    certificate of its start: the ``residual`` (at most ``tol``) and the
-    descent ``steps`` taken."""
+    """The certified ``value`` of R, its ``minimizer``, and the certificate
+    of its start: the ``residual`` (at most ``tol``) and the descent
+    ``steps`` taken."""
 
     value: float
     minimizer: GridFunction
@@ -294,20 +294,18 @@ def rayleigh_quotient_min(
     mesh: Mesh,
     *,
     seed: int = 0,
-    n_seeds: int = 1,
     max_iter: int = 500,
     tol: float = 1e-6,
 ) -> RayleighResult:
     """Locally minimize R(u) = A(u) / I(1/p |u|^p) over nonzero functions.
 
     Preconditioned gradient descent on the ratio (quotient rule for its
-    gradient) with backtracking, from ``n_seeds`` positive random starts;
-    the smallest certified value wins.  For constant p this is the
-    classical p-Laplacian Rayleigh quotient, whose positive minimizer is
-    unique up to scale (Lindqvist 1990), so one start is the default.
-    After each accepted step the iterate is normalized in the stiffness
-    norm and R is minimized exactly along its ray e^s u (``_ray_scale``); a
-    random start is only normalized, from one gather.
+    gradient) with backtracking, from one positive random start.  For
+    constant p this is the classical p-Laplacian Rayleigh quotient, whose
+    positive minimizer is unique up to scale (Lindqvist 1990).  After each
+    accepted step the iterate is normalized in the stiffness norm and R is
+    minimized exactly along its ray e^s u (``_ray_scale``); the start is
+    only normalized, from one gather.
 
     Each step gathers the element data of the iterate u (``_point``) and of
     the direction d (``_sobolev_descent``) once, two sparse products each.
@@ -319,68 +317,61 @@ def rayleigh_quotient_min(
     moves by a few ulps.  The data are gathered afresh at every step, so no
     rounding carries over from one step to the next.
 
-    A start is certified, and stops, once its residual sqrt(-slope) =
+    The start is certified, and stops, once its residual sqrt(-slope) =
     sqrt(g^T K^{-1} g), the H^{-1} norm of g = R'(u), is at most ``tol``.
-    A start whose line search stalls or that uses up ``max_iter`` steps is
-    never returned; if no start is certified, MaxIterations names how the
-    closest one ended and its smallest residual.  It is raised at once when
-    R decreases along a whole ray (for non-monotone p the infimum can be 0,
-    and no minimizer exists).  A negative ``seed`` or ``max_iter``, an
-    ``n_seeds`` below 1, or a ``tol`` that is not finite and positive is a
+    If its line search stalls or it uses up ``max_iter`` steps first,
+    MaxIterations names how it ended and its smallest residual.  It is
+    raised at once when R decreases along a whole ray (for non-monotone p
+    the infimum can be 0, and no minimizer exists).  A negative ``seed`` or
+    ``max_iter``, or a ``tol`` that is not finite and positive is a
     DomainError.
     """
     _nonnegative("seed", seed)
     _nonnegative("max_iter", max_iter)
-    if n_seeds < 1:
-        raise DomainError(f"n_seeds must be at least 1, got {n_seeds}")
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
-    rng = np.random.default_rng(seed)
     idx = mesh.interior
 
-    best = miss = None
-    for _ in range(n_seeds):
-        nodal = np.zeros(mesh.n_vertices)
-        nodal[idx] = 0.1 + rng.random(len(idx))
-        nodal /= _stiffness_norm(mesh, _point(mesh, nodal).gmag)
-        smallest, ended = math.inf, f"{max_iter} steps were used up"
-        for steps in range(max_iter):
-            at = _point(mesh, nodal)
-            grad, R, w = _rayleigh_gradient_of_elements(mesh, p, at)
-            d = _sobolev_descent(mesh, grad)
-            slope = float(np.dot(grad[idx], d[idx]))
-            residual = math.sqrt(max(-slope, 0.0))
-            if residual <= tol:
-                if best is None or R < best.value:
-                    best = RayleighResult(R, GridFunction(mesh, nodal), residual, steps)
-                break
-            smallest = min(smallest, residual)
-            step = min(1.0, _stiffness_norm(mesh, at.gmag) / residual)
-            change, data = _rayleigh_line(mesh, p, at, d, w)
-            step = _armijo(change, 0.0, slope, step)
-            if step is None:
-                ended = "the line search stalled"
-                break
-            gmag, uc = data(step)
-            scale = 1.0 / _stiffness_norm(mesh, gmag)
-            scale *= _ray_scale(mesh, p, scale * gmag, scale * uc)
-            nodal = (nodal + step * d) * scale
-            del change, data, w  # keep no line data through the next step's gather
-        if miss is None or smallest < miss[0]:
-            miss = (smallest, ended)
-
-    if best is None:
-        raise MaxIterations(f"no Rayleigh start was certified ({miss[1]}): its smallest "
-                            f"residual was {miss[0]:.3g} > tol {tol:g}")
-    return best
+    nodal = np.zeros(mesh.n_vertices)
+    nodal[idx] = 0.1 + np.random.default_rng(seed).random(len(idx))
+    nodal /= _stiffness_norm(mesh, _point(mesh, nodal).gmag)
+    smallest, ended = math.inf, f"{max_iter} steps were used up"
+    for steps in range(max_iter):
+        at = _point(mesh, nodal)
+        grad, R, w = _rayleigh_gradient_of_elements(mesh, p, at)
+        d = _sobolev_descent(mesh, grad)
+        slope = float(np.dot(grad[idx], d[idx]))
+        residual = math.sqrt(max(-slope, 0.0))
+        if residual <= tol:
+            return RayleighResult(R, GridFunction(mesh, nodal), residual, steps)
+        smallest = min(smallest, residual)
+        step = min(1.0, _stiffness_norm(mesh, at.gmag) / residual)
+        change, data = _rayleigh_line(mesh, p, at, d, w)
+        step = _armijo(change, 0.0, slope, step)
+        if step is None:
+            ended = "the line search stalled"
+            break
+        gmag, uc = data(step)
+        scale = 1.0 / _stiffness_norm(mesh, gmag)
+        scale *= _ray_scale(mesh, p, scale * gmag, scale * uc)
+        nodal = (nodal + step * d) * scale
+        del change, data, w  # keep no line data through the next step's gather
+    raise MaxIterations(f"no Rayleigh start was certified ({ended}): its smallest "
+                        f"residual was {smallest:.3g} > tol {tol:g}")
 
 
 # -- mountain-pass geometry ---------------------------------------------------
 
 @dataclass(eq=False)
 class GeometryReport:
-    """Verified mountain-pass geometry: a sphere with a positive energy
-    floor and a point beyond it with negative energy."""
+    """Sampled mountain-pass geometry: a sphere of radius ``rho`` on which
+    every sampled direction has energy at least ``alpha`` > 0, and a point
+    beyond it with negative energy.
+
+    ``alpha`` is the minimum of J over the ``directions_tested`` sampled
+    directions, not over the sphere, so it is no proven floor: at
+    p = 2 + 0.2x and lambda = 1.02 lambda_p (1-D, n = 100) the solution's
+    own ray meets the sphere rho = 0.02 below the reported alpha."""
 
     rho: float
     alpha: float
@@ -433,7 +424,9 @@ def verify_mountain_geometry(
     n_dirs: int,
     seed: int = 0,
 ) -> GeometryReport:
-    """Sample J on spheres of the given radii and certify the pass geometry.
+    """Sample J on spheres of the given radii and report the pass geometry
+    that the samples show (``GeometryReport``; its alpha is a sampled
+    minimum, not a proven floor).
 
     Directions mix a few deterministic low-frequency eigenvector probes with
     ``n_dirs`` random zero-trace draws, each gathered once (``_energy_ray``):
@@ -441,7 +434,7 @@ def verify_mountain_geometry(
     same gradient magnitudes.  The largest radius whose sampled minimum is
     positive is selected and a negative-energy point beyond it is attached.
     Raises GeometryNotFound when every radius has a nonpositive sampled
-    floor (or the grid is empty), and DomainError for a radius not finite
+    minimum (or the grid is empty), and DomainError for a radius not finite
     and positive or a negative ``n_dirs`` or ``seed``."""
     prob.require_valid_chain()
     _nonnegative("n_dirs", n_dirs)
@@ -524,36 +517,29 @@ class SolveReport:
 
 _NEWTON_STEPS = 20  # Newton steps per polish attempt
 _R_TOL = 1e-12      # resolution in r of a ray maximum
-_ONE = np.ones(1)   # the sample of a ray whose maximum lies near r = 1
 
 
-def _ray_max(prob: KirchhoffProblem, nodal: np.ndarray, radii: np.ndarray):
+def _ray_max(prob: KirchhoffProblem, nodal: np.ndarray):
     """The maximum of J on the ray r u, r > 0: (r u, J(r u), D(r)) with D
     the drive of ``_energy_ray``, or None when J has no maximum on the ray.
 
-    J and its slope r dJ/dr come from the ray's weights, gathered once, and
-    are evaluated at the increasing samples ``radii`` in one batch.  From
-    the sample of largest J the search walks the way the slope points, from
-    sample to sample and past the samples by doubling or halving r, until
-    the slope changes sign; a local maximum lies in that cell, at the root
-    of the slope, which ``_brent_root`` finds to _R_TOL in r.  A sample
-    where the slope is exactly 0 is the maximum itself.  None is returned
-    when the slope keeps its sign for _R_DOUBLINGS steps past the samples.
+    J and its slope r dJ/dr come from the ray's weights, gathered once.
+    From r = 1 the search walks the way the slope points, doubling or
+    halving r, until the slope changes sign; a local maximum lies in that
+    last step, at the root of the slope, which ``_brent_root`` finds to
+    _R_TOL in r.  A slope of exactly 0 at r = 1 makes u the maximum itself.
+    None is returned when the slope keeps its sign for _R_DOUBLINGS steps,
+    over r in [2^-_R_DOUBLINGS, 2^_R_DOUBLINGS].
     """
     ray = _energy_ray(prob, nodal)[1]
-    J, slope, drive = ray(radii)
-    k = int(np.argmax(J))
-    r, f = float(radii[k]), float(slope[k])
+    r = 1.0
+    J, f, drive = ray(r)
     if f == 0.0:
-        return r * nodal, float(J[k]), float(drive[k])
+        return r * nodal, float(J), float(drive)
     up = f > 0.0
-    for _ in range(len(radii) + _R_DOUBLINGS):
-        k += 1 if up else -1
-        if 0 <= k < len(radii):
-            r_next, f_next = float(radii[k]), float(slope[k])
-        else:
-            r_next = 2.0 * r if up else 0.5 * r
-            f_next = float(ray(r_next)[1])
+    for _ in range(_R_DOUBLINGS):
+        r_next = 2.0 * r if up else 0.5 * r
+        f_next = float(ray(r_next)[1])
         if (f_next <= 0.0) if up else (f_next >= 0.0):
             root = _brent_root(lambda x: ray(x)[1], r, f, r_next, f_next, _R_TOL)
             J_root, _, drive_root = ray(root)
@@ -709,7 +695,6 @@ def mountain_pass_solve(
     prob: KirchhoffProblem,
     e: GridFunction,
     *,
-    n_path: int = 31,
     tol: float = 1e-6,
     max_iter: int = 5000,
 ) -> SolveReport:
@@ -719,10 +704,10 @@ def mountain_pass_solve(
     Along every ray J(r u) -> -inf (2p- > p+), so phi(u) exists, and each
     ray, a path from 0 to a point of negative energy, bounds the
     mountain-pass level from above: minimizing phi is the local minimax
-    method with empty support (Li-Zhou 2001).  The first peak is the
-    maximum of J on e's ray, bracketed by its ``n_path`` equispaced samples
-    r = 1/(n_path - 1), ..., 1 (``_ray_max``).  The solve terminates when the
-    interior l2 residual at a peak is at most ``tol``.
+    method with empty support (Li-Zhou 2001).  Every peak, the first on e's
+    ray and then each trial's, is found by one walk from r = 1
+    (``_ray_max``).  The solve terminates when the interior l2 residual at
+    a peak is at most ``tol``.
 
     From the first peak on, the peak is handed to a Newton polish on the
     exact sparse Hessian (``_newton_polish``), which returns as soon as its
@@ -731,10 +716,10 @@ def mountain_pass_solve(
     attempt that cannot certify, or lands above J_peak, is discarded, and
     the next waits until the peak residual has halved.  Meanwhile each
     descent step moves the peak along the preconditioned negative gradient
-    d (``_sobolev_descent``) and re-maximizes J on the ray of every trial,
-    from a bracket grown outward from r = 1; ``_armijo`` backtracks on
-    phi(peak + t d), whose slope at t = 0 is J'(peak) d, from the step that
-    moves the peak by its own stiffness norm (or 1, if smaller).
+    d (``_sobolev_descent``) and re-maximizes J on the ray of every trial;
+    ``_armijo`` backtracks on phi(peak + t d), whose slope at t = 0 is
+    J'(peak) d, from the step that moves the peak by its own stiffness norm
+    (or 1, if smaller).
     ``iterations`` counts these steps and ``newton_steps`` the accepted
     Newton steps; the trace holds one row per peak.  The solution's Morse
     index is computed last (``_morse``).
@@ -752,8 +737,7 @@ def mountain_pass_solve(
     lambda >= 0 and g != 0: a degenerate peak needs lambda < 0 or g = 0.
     Raises GeometryNotFound when J has no maximum on e's ray, MaxIterations
     if the step or line-search budget runs out, and DomainError for a
-    negative ``max_iter``, fewer than 3 ``n_path`` points or a ``tol`` that
-    is not finite and positive.
+    negative ``max_iter`` or a ``tol`` that is not finite and positive.
     """
     prob.require_valid_chain()
     if not 0.0 < tol < np.inf:
@@ -761,8 +745,6 @@ def mountain_pass_solve(
     mesh = prob.mesh
     if not energy_J(e, prob) < 0.0:
         raise DomainError("e must have negative energy; run the geometry check")
-    if n_path < 3:
-        raise DomainError("need at least 3 path points")
     _nonnegative("max_iter", max_iter)
     idx = mesh.interior
 
@@ -787,7 +769,7 @@ def mountain_pass_solve(
             lowest_eigenvalues=lowest,
         )
 
-    peak = _ray_max(prob, e.nodal_values, np.linspace(0.0, 1.0, n_path)[1:])
+    peak = _ray_max(prob, e.nodal_values)
     if peak is None:
         raise GeometryNotFound(
             "J has no maximum on the ray of e: its slope r dJ/dr keeps one sign "
@@ -827,7 +809,7 @@ def mountain_pass_solve(
         trials = {}
 
         def phi(t):
-            trials[t] = _ray_max(prob, nodal + t * d, _ONE)
+            trials[t] = _ray_max(prob, nodal + t * d)
             return np.inf if trials[t] is None else trials[t][1]
 
         step = _armijo(phi, J_peak, slope,
@@ -843,41 +825,40 @@ def mountain_pass_solve(
 
 # -- multiplicity -------------------------------------------------------------
 
+_DISTINCT_TOL = 1e-3  # Sobolev distance below which two solutions are one orbit (up to sign)
+
+
 def multiplicity_search(
     prob: KirchhoffProblem,
     *,
     n_starts: int = 8,
     k_max: int = 4,
-    distinct_tol: float = 1e-3,
     seed: int = 0,
-    n_path: int = 31,
     tol: float = 1e-6,
     max_iter: int = 5000,
 ) -> list[SolveReport]:
     """Mountain-pass solves from nested eigen-subspace seeds, one per orbit.
 
     Requires a >= b and an odd nonlinearity (every cataloged kind is odd),
-    a nonnegative seed and n_starts, 0 <= distinct_tol < inf, and
-    k_max >= 1 when n_starts > 0 (DomainError otherwise, as for a bad
-    ``tol``).  The first min(k_max, n_starts) starts are the pure
-    eigenvector directions; each later start i draws k = 1 + (i mod k_max)
-    random coefficients of the first k eigenvectors.  A start with k = 1
-    lies on the ray of start 0 or of its mirror image, where the solve
-    repeats start 0's up to sign, so it draws its coefficient, which keeps
-    the random stream of the later starts, and is not solved.  Starts
-    whose solve fails (MaxIterations, DegenerateCoefficient) are skipped;
-    if every start fails, the last failure's type is raised with each
-    start's index, exception type and message.  Solutions are deduplicated
-    under u -> -u using ``distinct_tol`` in the Sobolev norm and returned
-    sorted by increasing energy (ties broken by start index).
+    a nonnegative seed and n_starts, and k_max >= 1 when n_starts > 0
+    (DomainError otherwise, as for a bad ``tol``).  The first
+    min(k_max, n_starts) starts are the pure eigenvector directions; each
+    later start i draws k = 1 + (i mod k_max) random coefficients of the
+    first k eigenvectors.  A start with k = 1 lies on the ray of start 0
+    or of its mirror image, where the solve repeats start 0's up to sign,
+    so it draws its coefficient, which keeps the random stream of the
+    later starts, and is not solved.  Starts whose solve fails
+    (MaxIterations, DegenerateCoefficient) are skipped; if every start
+    fails, the last failure's type is raised with each start's index,
+    exception type and message.  Solutions are deduplicated under u -> -u,
+    two being one orbit within _DISTINCT_TOL in the Sobolev norm, and
+    returned sorted by increasing energy (ties broken by start index).
     """
     prob.require_valid_chain()
     if not prob.a >= prob.b:
         raise DomainError("multiplicity search requires a >= b")
     _nonnegative("seed", seed)
     _nonnegative("n_starts", n_starts)
-    if not 0.0 <= distinct_tol < np.inf:
-        raise DomainError(f"distinct_tol must be finite and nonnegative, got {distinct_tol}")
     results = []
     if n_starts == 0:
         return results
@@ -901,9 +882,7 @@ def multiplicity_search(
             continue
         try:
             e = _scale_until_negative(prob, nodal / nrm)
-            report = mountain_pass_solve(
-                prob, e, n_path=n_path, tol=tol, max_iter=max_iter
-            )
+            report = mountain_pass_solve(prob, e, tol=tol, max_iter=max_iter)
         except (MaxIterations, DegenerateCoefficient) as exc:
             failures.append((i, exc))
             continue
@@ -923,7 +902,7 @@ def multiplicity_search(
     distinct: list[SolveReport] = []
     for _, _, rep in results:
         u = rep.solution.nodal_values
-        if all(orbit_distance(u, kept.solution.nodal_values) > distinct_tol
+        if all(orbit_distance(u, kept.solution.nodal_values) > _DISTINCT_TOL
                for kept in distinct):
             distinct.append(rep)
     return distinct

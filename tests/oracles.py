@@ -17,11 +17,7 @@ import scipy.sparse.linalg
 from scipy.optimize import brentq, minimize_scalar
 
 from pxkirchhoff import GridFunction, energy_J
-from pxkirchhoff.energy import (
-    _point,
-    _rayleigh_gradient_of_elements,
-    _rayleigh_ray_of_elements,
-)
+from pxkirchhoff.energy import _point, _ray_weights, _rayleigh_gradient_of_elements
 from pxkirchhoff.solver import _armijo, _ray_scale
 
 
@@ -247,9 +243,10 @@ def rayleigh_gradient(mesh, p, nodal):
 
 def rayleigh_ray(mesh, p, nodal):
     """The element data (c, w_A, w_B) of R along the ray e^s u at raw nodal
-    values, for ``_rayleigh_on_ray``."""
+    values, for ``_rayleigh_on_ray``: the centred exponent c = p - p- and
+    the ray weights of u."""
     at = _point(mesh, nodal)
-    return _rayleigh_ray_of_elements(mesh, p, at.gmag, at.uc)
+    return (p.values - p.lo, *_ray_weights(mesh, p, at.gmag, at.uc))
 
 
 def ray_minimize(mesh, p, nodal):
@@ -270,50 +267,42 @@ def rayleigh_ratio_long(mesh, p, nodal):
     return A / np.sum(meas * np.abs(u.mean(axis=1)) ** pv / pv)
 
 
-def rayleigh_descent_on_nodes(p, mesh, seed=0, n_seeds=1, max_iter=500, tol=1e-6):
+def rayleigh_descent_on_nodes(p, mesh, seed=0, max_iter=500, tol=1e-6):
     """The descent of ``rayleigh_quotient_min`` with every quantity taken
     from nodal values: the gradient, each Armijo trial, the ray search and
     R at the new iterate each gather their own element data, and the
     stiffness norms and the descent direction come from the stiffness
     matrix itself, by a product and a sparse direct solve.  Each Armijo
     trial compares values of R in long double (``rayleigh_ratio_long``),
-    whose rounding lies far below the changes of R that it judges.  A
-    start stops once its residual sqrt(-slope) is at most ``tol``.  Returns
-    (R, nodal values, steps) of the smallest certified start, where steps
-    counts the line searches of all starts, or None if no start was
-    certified."""
+    whose rounding lies far below the changes of R that it judges.  The
+    one start stops once its residual sqrt(-slope) is at most ``tol``.
+    Returns (R, nodal values, steps), where steps counts the line searches,
+    or None if the start was not certified."""
     rng = np.random.default_rng(seed)
     idx = mesh.interior
 
     def h_norm(v):
         return np.sqrt(v @ mesh.stiffness @ v)
 
-    best, steps = None, 0
-    for _ in range(n_seeds):
-        nodal = np.zeros(mesh.n_vertices)
-        nodal[idx] = 0.1 + rng.random(len(idx))
-        nodal /= h_norm(nodal)
+    nodal = np.zeros(mesh.n_vertices)
+    nodal[idx] = 0.1 + rng.random(len(idx))
+    nodal /= h_norm(nodal)
+    R = rayleigh_ratio(mesh, p, nodal)
+    for steps in range(max_iter):
+        grad = rayleigh_gradient(mesh, p, nodal)
+        d = np.zeros(mesh.n_vertices)
+        d[idx] = -scipy.sparse.linalg.spsolve(mesh.interior_stiffness, grad[idx])
+        slope = float(np.dot(grad[idx], d[idx]))
+        if np.sqrt(max(-slope, 0.0)) <= tol:
+            return R, nodal, steps
+        step = min(1.0, h_norm(nodal) / np.sqrt(-slope))
+        R_long = rayleigh_ratio_long(mesh, p, nodal)
+        step = _armijo(
+            lambda s: float(rayleigh_ratio_long(mesh, p, nodal + s * d) - R_long),
+            0.0, slope, step)
+        if step is None:
+            return None
+        accepted = nodal + step * d
+        nodal = ray_minimize(mesh, p, accepted / h_norm(accepted))
         R = rayleigh_ratio(mesh, p, nodal)
-        certified = False
-        for _ in range(max_iter):
-            grad = rayleigh_gradient(mesh, p, nodal)
-            d = np.zeros(mesh.n_vertices)
-            d[idx] = -scipy.sparse.linalg.spsolve(mesh.interior_stiffness, grad[idx])
-            slope = float(np.dot(grad[idx], d[idx]))
-            if np.sqrt(max(-slope, 0.0)) <= tol:
-                certified = True
-                break
-            step = min(1.0, h_norm(nodal) / np.sqrt(-slope))
-            steps += 1
-            R_long = rayleigh_ratio_long(mesh, p, nodal)
-            step = _armijo(
-                lambda s: float(rayleigh_ratio_long(mesh, p, nodal + s * d) - R_long),
-                0.0, slope, step)
-            if step is None:
-                break
-            accepted = nodal + step * d
-            nodal = ray_minimize(mesh, p, accepted / h_norm(accepted))
-            R = rayleigh_ratio(mesh, p, nodal)
-        if certified and (best is None or R < best[0]):
-            best = (R, nodal)
-    return (None if best is None else (best[0], best[1], steps))
+    return None

@@ -58,7 +58,7 @@ def meshes():
 def model_run():
     prob = model_problem()
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    report = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    report = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     return prob, geo, report
 
 
@@ -68,7 +68,7 @@ def multiplicity_run():
     # at the compactness ceiling, and the coarse-mesh search reaches four
     # orbits, the highest with K(u) about 5e-4
     prob = model_problem(n=12)
-    reports = multiplicity_search(prob, n_starts=8, k_max=4, seed=0, n_path=31, tol=1e-6)
+    reports = multiplicity_search(prob, n_starts=8, k_max=4, seed=0, tol=1e-6)
     return prob, reports
 
 
@@ -236,7 +236,7 @@ def test_acceptance_8_symmetry_and_multiplicity(model_run, multiplicity_run):
     prob, geo, report = model_run
     minus = mountain_pass_solve(
         prob, GridFunction(prob.mesh, -geo.negative_point.nodal_values),
-        n_path=31, tol=1e-6,
+        tol=1e-6,
     )
     assert abs(minus.energy - report.energy) <= 1e-8
 

@@ -53,6 +53,11 @@ def test_parse_errors():
         parse_config(MODEL.replace("b = 0.1", ""))
     with pytest.raises(ParseError, match="unknown key"):
         parse_config(MODEL + "\nwhatever = 3")
+    with pytest.raises(ParseError, match="unknown key 'n_path'"):
+        parse_config(MODEL + "\nn_path = 31")
+    for dim in ("0", "-1"):  # a dimension, not the exponent, is at fault
+        with pytest.raises(ParseError, match=f"count must be positive, got {dim}"):
+            parse_config(MODEL + f"\nambient_dim = {dim}")
     with pytest.raises(ParseError, match="duplicate"):
         parse_config(MODEL + "\na = 2")
     with pytest.raises(ParseError, match="line"):
@@ -105,7 +110,7 @@ def test_render_round_trip():
         p="affine:2,0.25", q="list:" + ",".join(["4.7"] * 48),
         a=2.0, b=0.5, lam=-1.25, g_kind="scaled_power", coefficient=3.5,
         theta=2.875, s_A=0.5,
-        u="affine:0,1", tol=1e-7, max_iter=321, n_path=17,
+        u="affine:0,1", tol=1e-7, max_iter=321,
         n_starts=5, k_max=2, seed=9, n_dirs=7,
         rho_grid=(0.1, 0.7), ambient_dim=5, out="somewhere",
     )

@@ -58,6 +58,9 @@ def test_critical_exponent_values(mesh10):
     assert np.allclose(critical_exponent(constant_exponent(1.5, mesh10), 3).values, 3.0)
     with pytest.raises(DomainError):
         critical_exponent(constant_exponent(3.0, mesh10), 3)
+    for dim in (0, -1):  # blamed on the dimension, not on the exponent
+        with pytest.raises(DomainError, match=f"dimension must be at least 1, got {dim}"):
+            critical_exponent(constant_exponent(2.0, mesh10), dim)
 
 
 def test_critical_exponent_monotone(mesh10):

@@ -40,7 +40,7 @@ from pxkirchhoff import (
 from pxkirchhoff import discretization, energy, solver
 from pxkirchhoff.discretization import _splu
 from pxkirchhoff.energy import _point, _rayleigh_on_ray
-from pxkirchhoff.solver import _ONE, _ray_max, _scale_until_negative
+from pxkirchhoff.solver import _ray_max, _scale_until_negative
 from oracles import (
     central_difference,
     make_residual_1d,
@@ -95,7 +95,7 @@ def fail_first_newton_attempt(monkeypatch):
 def model_solution():
     prob = model_problem()
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     return prob, geo, rep
 
 
@@ -174,35 +174,22 @@ def test_rayleigh_value_spreads_by_rounding_over_seeds():
     assert all(ray.residual <= 1e-6 and ray.steps > 0 for ray in rays)
 
 
-def test_rayleigh_returns_the_smallest_certified_start(monkeypatch):
-    # three starts; the first stalls at once and must not be returned.  A
-    # start is certified at a gradient that no line search follows.
+def test_rayleigh_stall_names_how_its_start_ended(monkeypatch):
+    # the start's line search stalls at its second step: the start is not
+    # returned, and MaxIterations names the stall and its smallest residual
     mesh, p = _square_with_variable_p(16)
-    armijo, gradient = solver._armijo, solver._rayleigh_gradient_of_elements
-    events = []
+    armijo = solver._armijo
+    searches = []
 
-    def stall_first(*args):
-        events.append(None)
-        return None if len(events) == 2 else armijo(*args)
+    def stall_second(*args):
+        searches.append(1)
+        return None if len(searches) == 2 else armijo(*args)
 
-    def recorded(*args):
-        out = gradient(*args)
-        events.append(out[1])
-        return out
-
-    monkeypatch.setattr(solver, "_armijo", stall_first)
-    monkeypatch.setattr(solver, "_rayleigh_gradient_of_elements", recorded)
-    ray = rayleigh_quotient_min(p, mesh, n_seeds=3, seed=2)
-    certified = [R for R, after in zip(events, events[1:] + ["end"])
-                 if R is not None and after is not None]
-    assert events[:2] == [events[0], None] and len(certified) == 2
-    assert certified[0] != certified[1]  # the choice is not a tie
-    assert ray.value == min(certified) == rayleigh_ratio(mesh, p, ray.minimizer.nodal_values)
-    assert ray.residual <= 1e-6 and ray.steps > 0
+    monkeypatch.setattr(solver, "_armijo", stall_second)
     with pytest.raises(MaxIterations, match=r"\(the line search stalled\): its smallest "
                        r"residual was .* > tol 1e-06"):
-        events.clear()
-        rayleigh_quotient_min(p, mesh, n_seeds=1)
+        rayleigh_quotient_min(p, mesh)
+    assert len(searches) == 2
 
 
 def _rayleigh_mesh_and_p(case):
@@ -270,7 +257,7 @@ def test_rayleigh_descent_gathers_twice_per_step(monkeypatch):
     monkeypatch.setattr(solver, "_armijo", counted)
     steps = 5
     with pytest.raises(MaxIterations):
-        rayleigh_quotient_min(p, mesh, n_seeds=1, max_iter=steps)
+        rayleigh_quotient_min(p, mesh, max_iter=steps)
     assert trial_products == [0] * steps
     assert len(gathers) == 1 + 2 * steps
     assert len(products) == 2 + 6 * steps
@@ -596,7 +583,7 @@ def test_solve_energy_call_budget(monkeypatch):
 
     monkeypatch.setattr(solver, "energy_J", counted)
     attempts = fail_first_newton_attempt(monkeypatch)
-    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
     assert rep.iterations > 0 and rep.newton_steps > 0
     assert attempts[0] == rep.iteration_trace[0][2]  # first attempt at the first peak
     assert len(calls) == 1  # the check of e; every peak comes from its ray
@@ -663,15 +650,15 @@ def test_brent_root_raises_once_its_cap_is_used_up(monkeypatch):
 def test_ray_max_finds_the_ray_peak():
     # J(t*tent) rises from J(0) = 0 and is negative at t = 4, so the ray has
     # an interior maximum; the direct energy must agree with it there, and
-    # the samples of [0, 4 tent] and a bracket grown from tent find it alike
+    # the walks from 4 tent (halving) and from tent find it alike
     prob = model_problem(q_const=4.0, theta=3.0)
     tent = tent_on(prob.mesh).nodal_values
-    point, J, drive = _ray_max(prob, 4.0 * tent, np.linspace(0.0, 1.0, 31)[1:])
+    point, J, drive = _ray_max(prob, 4.0 * tent)
     assert 0.0 < J and 0.0 < drive
     assert J == pytest.approx(energy_J(GridFunction(prob.mesh, point), prob), rel=1e-13)
     for s in (0.99, 1.01):
         assert energy_J(GridFunction(prob.mesh, s * point), prob) <= J
-    grown, J_grown, _ = _ray_max(prob, tent, _ONE)
+    grown, J_grown, _ = _ray_max(prob, tent)
     assert J_grown == pytest.approx(J, rel=1e-13)
     assert np.allclose(grown, point, rtol=1e-10, atol=0.0)
 
@@ -679,8 +666,9 @@ def test_ray_max_finds_the_ray_peak():
 @pytest.mark.parametrize("variable_p", [False, True])
 def test_ray_max_matches_bounded_brent(variable_p):
     # J(t*tent) peaks near t = 2 (q = 4), so rays through tent, bent by
-    # smooth noise, peak inside [0.5, 8]; the maximum matches a bounded
-    # scalar maximization of the direct energy along the ray
+    # smooth noise, peak inside (1, 8): the walk from u doubles r, and the
+    # walk from 8 u halves it.  Both maxima match a bounded scalar
+    # maximization of the direct energy along the ray
     mesh = build_interval_mesh(100, 0.0, 1.0)
     if variable_p:
         p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
@@ -697,9 +685,9 @@ def test_ray_max_matches_bounded_brent(variable_p):
         u = (1.0 + 0.2 * rng.random()) * tent + bend
         u[mesh.boundary_mask] = 0.0
         r_ref, reference = ray_max_bounded(prob, u, 0.5, 8.0)
-        assert 0.5 + 1e-3 < r_ref < 8.0 - 1e-3  # an interior maximum
-        for radii in (_ONE, np.linspace(0.0, 8.0, 31)[1:]):
-            point, J, _ = _ray_max(prob, u, radii)
+        assert 1.0 < r_ref < 8.0 - 1e-3  # an interior maximum above r = 1
+        for start in (u, 8.0 * u):
+            point, J, _ = _ray_max(prob, start)
             assert J == pytest.approx(energy_J(GridFunction(mesh, point), prob), rel=1e-13)
             assert J >= reference - 1e-13 * abs(reference)
             assert abs(J - reference) <= 1e-12 * abs(reference)
@@ -717,7 +705,7 @@ def test_ray_peaks_have_positive_K_for_nonnegative_lambda(lam):
         prob = KirchhoffProblem(1.0, 0.1, lam, p, spec, mesh)
         for _ in range(8):
             u = GridFunction(mesh, rng.standard_normal(mesh.n_vertices))
-            point, J, drive = _ray_max(prob, u.nodal_values, _ONE)
+            point, J, drive = _ray_max(prob, u.nodal_values)
             assert drive > 0.0 and J > 0.0
             assert prob.a - prob.b * kirchhoff_A(GridFunction(mesh, point), p) > 0.0
 
@@ -732,11 +720,11 @@ def test_zero_nonlinearity_peak_is_degenerate(n):
     spec = NonlinearitySpec("zero", constant_exponent(4.5, mesh))
     prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
     e = find_negative_energy_point(prob, tent_on(mesh))
-    point, _, drive = _ray_max(prob, e.nodal_values, np.linspace(0.0, 1.0, 31)[1:])
+    point, _, drive = _ray_max(prob, e.nodal_values)
     assert drive == 0.0
     assert abs(prob.a - prob.b * kirchhoff_A(GridFunction(mesh, point), prob.p)) <= 1e-10
     with pytest.raises(DegenerateCoefficient, match=r"nonlocal coefficient K (= \S+ )?<= 0"):
-        mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+        mountain_pass_solve(prob, e, tol=1e-6)
 
 
 def test_ray_without_a_maximum_is_geometry_not_found():
@@ -744,9 +732,48 @@ def test_ray_without_a_maximum_is_geometry_not_found():
     # ground eigenvector, so J < 0 and falls along its whole ray
     prob = model_problem(lam=30.0)
     phi = laplace_eigenbasis(prob.mesh, 1)[0]
-    assert _ray_max(prob, phi.nodal_values, _ONE) is None
+    assert _ray_max(prob, phi.nodal_values) is None
     with pytest.raises(GeometryNotFound, match="no maximum on the ray of e"):
-        mountain_pass_solve(prob, phi, n_path=31, tol=1e-6)
+        mountain_pass_solve(prob, phi, tol=1e-6)
+
+
+def _walked_radii(monkeypatch, prob, nodal):
+    """(_ray_max(prob, nodal), the radii at which it evaluated the ray)."""
+    radii, energy_ray = [], solver._energy_ray
+
+    def recorded(*args):
+        gmag, ray = energy_ray(*args)
+        return gmag, lambda r: radii.append(float(r)) or ray(r)
+
+    monkeypatch.setattr(solver, "_energy_ray", recorded)
+    out = _ray_max(prob, nodal)
+    monkeypatch.undo()
+    return out, radii
+
+
+def test_ray_max_gives_up_after_the_ray_doubling_budget(monkeypatch):
+    # a slope that keeps one sign is followed for exactly _R_DOUBLINGS steps
+    # from r = 1, halving where J falls along the whole ray (lambda = 30 >
+    # lambda_1, see above) and doubling on a ray scaled so far down that
+    # its peak lies beyond 2^_R_DOUBLINGS; two more doublings reach that peak
+    n = solver._R_DOUBLINGS
+    falling = model_problem(lam=30.0)
+    phi = laplace_eigenbasis(falling.mesh, 1)[0].nodal_values
+    out, radii = _walked_radii(monkeypatch, falling, phi)
+    assert out is None and radii == [2.0**-k for k in range(n + 1)]
+
+    prob = model_problem(q_const=4.0, theta=3.0)
+    tent = tent_on(prob.mesh).nodal_values
+    point, J, _ = _ray_max(prob, tent)
+    r_peak = point[np.argmax(tent)] / tent.max()
+    assert 1.0 < r_peak < 4.0  # so the peak of 2^-n tent lies in (2^n, 2^(n + 2))
+    tiny = 2.0**-n * tent
+    out, radii = _walked_radii(monkeypatch, prob, tiny)
+    assert out is None and radii == [2.0**k for k in range(n + 1)]
+    monkeypatch.setattr(solver, "_R_DOUBLINGS", n + 2)
+    far, J_far, _ = _ray_max(prob, tiny)
+    assert J_far == pytest.approx(J, rel=1e-13)
+    assert np.allclose(far, point, rtol=1e-10, atol=0.0)
 
 
 def test_trial_ray_without_a_maximum_is_halved_away(monkeypatch):
@@ -755,18 +782,16 @@ def test_trial_ray_without_a_maximum_is_halved_away(monkeypatch):
     prob = model_problem(n=60)
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
     monkeypatch.setattr(solver, "_newton_direction", _singular)
-    reference = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    reference = mountain_pass_solve(prob, e, tol=1e-6)
     ray_max, refused = solver._ray_max, []
 
-    def first_trial_has_no_maximum(pb, nodal, radii):
-        if radii is _ONE and not refused:
-            refused.append(1)
-            return None
-        return ray_max(pb, nodal, radii)
+    def first_trial_has_no_maximum(pb, nodal):
+        refused.append(1)
+        return None if len(refused) == 2 else ray_max(pb, nodal)  # e's ray first
 
     monkeypatch.setattr(solver, "_ray_max", first_trial_has_no_maximum)
-    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
-    assert refused and rep.residual_norm <= 1e-6
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
+    assert len(refused) > 2 and rep.residual_norm <= 1e-6
     assert rep.energy == pytest.approx(reference.energy, rel=1e-9)
 
 
@@ -780,10 +805,10 @@ def test_ray_max_retains_no_element_data(monkeypatch):
     roots = []
     brent_root = solver._brent_root
     monkeypatch.setattr(solver, "_brent_root", lambda *a: roots.append(1) or brent_root(*a))
-    _ray_max(prob, phi, _ONE)
+    _ray_max(prob, phi)
     assert roots == [1]
     monkeypatch.undo()
-    assert _retained_per_call(lambda: _ray_max(prob, phi, _ONE)) < 8 * mesh.n_elements
+    assert _retained_per_call(lambda: _ray_max(prob, phi)) < 8 * mesh.n_elements
 
 
 def test_ray_max_gathers_once_per_ray(monkeypatch):
@@ -816,7 +841,7 @@ def test_ray_max_gathers_once_per_ray(monkeypatch):
     monkeypatch.setattr(solver, "_energy_ray", counted_ray)
     monkeypatch.setattr(solver, "_ray_max", counted_max)
     fail_first_newton_attempt(monkeypatch)
-    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
     assert rep.iterations > 0
     assert len(per_ray) > rep.iterations
     assert all(g == 1 for g, _ in per_ray)
@@ -837,7 +862,7 @@ def test_immediate_return_at_critical_path_point(model_solution):
     while energy_J(GridFunction(prob.mesh, scale * u_star), prob) >= 0.0:
         scale *= 2.0
     e = GridFunction(prob.mesh, scale * u_star)
-    quick = mountain_pass_solve(prob, e, n_path=int(scale) + 1, tol=1e-5)
+    quick = mountain_pass_solve(prob, e, tol=1e-5)
     assert quick.iterations == 0
     assert quick.energy == pytest.approx(rep.energy, abs=1e-8)
 
@@ -846,7 +871,7 @@ def test_plus_minus_e_land_on_one_orbit(model_solution):
     prob, geo, rep = model_solution
     neg = mountain_pass_solve(
         prob, GridFunction(prob.mesh, -geo.negative_point.nodal_values),
-        n_path=31, tol=1e-6,
+        tol=1e-6,
     )
     assert abs(neg.energy - rep.energy) <= 1e-8
     mirror = min(
@@ -865,7 +890,7 @@ def test_antisymmetric_seed_reaches_the_one_node_orbit():
     e = _scale_until_negative(
         prob, phi2.nodal_values / sobolev_norm(phi2, prob.p)
     )
-    rep = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
     assert rep.residual_norm <= 1e-6
     assert rep.newton_steps > 0
     assert rep.energy <= rep.iteration_trace[-1][1]
@@ -886,7 +911,7 @@ def test_degenerate_coefficient_is_raised():
     seed = GridFunction(prob.mesh, np.sin(np.pi * x))
     e = _scale_until_negative(prob, seed.nodal_values / sobolev_norm(seed, prob.p))
     with pytest.raises(DegenerateCoefficient, match="K = -1.02"):
-        mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+        mountain_pass_solve(prob, e, tol=1e-6)
 
 
 def test_newton_trial_with_nonpositive_K_is_backtracked(monkeypatch):
@@ -920,7 +945,7 @@ def test_newton_trial_with_nonpositive_K_is_backtracked(monkeypatch):
     monkeypatch.setattr(solver, "_newton_polish", flagged_polish)
     monkeypatch.setattr(solver, "_residual_of_elements", recorded_residual)
     monkeypatch.setattr(solver, "_armijo", recorded_armijo)
-    rep = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
     assert min(trial_K) <= 0.0
     assert accepted and min(accepted) > 0.0
     assert rep.newton_steps > 0
@@ -934,7 +959,7 @@ def test_newton_trial_with_nonpositive_K_is_backtracked(monkeypatch):
         return (np.zeros_like(g) if pb.a - pb.b * A <= 0.0 else g), A
 
     monkeypatch.setattr(solver, "_residual_of_elements", zero_where_K_nonpositive)
-    faked = mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    faked = mountain_pass_solve(prob, e, tol=1e-6)
     assert faked.nonlocal_coefficient > 0.0
     assert faked.energy == rep.energy
 
@@ -958,7 +983,7 @@ def test_newton_invariants_sweeps_budget_and_searches(monkeypatch):
     monkeypatch.setattr(solver, "energy_J", counted_energy)
     monkeypatch.setattr(solver, "_ray_max", counted_search)
     attempts = fail_first_newton_attempt(monkeypatch)
-    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
     assert rep.newton_steps > 0 and rep.iterations > 0
     assert len(rep.path_energies) == len(rep.iteration_trace) == rep.iterations + 1
     assert energy_calls[0] == 1
@@ -1008,7 +1033,7 @@ def test_solve_certificate_is_bitwise_the_nodal_functions():
     # kept element data, and equal the nodal functions at the solution
     prob = model_problem(n=60)
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
-    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
     assert rep.newton_steps > 0
     u, idx = rep.solution, prob.mesh.interior
     assert rep.residual_norm == float(np.linalg.norm(gradient_J(u, prob).nodal_values[idx]))
@@ -1026,7 +1051,7 @@ def test_newton_polish_gathers_once_per_trial(monkeypatch):
     handed, polish = [], solver._newton_polish
     monkeypatch.setattr(solver, "_newton_polish",
                         lambda *args: handed.append(args) or polish(*args))
-    mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    mountain_pass_solve(prob, e, tol=1e-6)
     monkeypatch.undo()
 
     gathers, trials = [], [0]
@@ -1052,8 +1077,8 @@ def test_newton_polish_gathers_once_per_trial(monkeypatch):
 
 def test_first_path_energies_come_from_the_ray_of_e(monkeypatch):
     # the first peak comes from the weights of e's ray, gathered once: its
-    # n_path - 1 samples, one batch that agrees with energy_J there, bracket
-    # the maximum, and the first record is J at the root of the ray's slope
+    # walk starts at e itself, where the ray agrees with energy_J, and the
+    # first record is J at the root of the ray's slope, a local maximum
     rays, ray_form = [], solver._energy_ray
 
     def recorded(pb, nodal):
@@ -1069,18 +1094,16 @@ def test_first_path_energies_come_from_the_ray_of_e(monkeypatch):
         return gmag, evaluate
 
     monkeypatch.setattr(solver, "_energy_ray", recorded)
-    n_path = 15
     (variable, _), _ = _kernel_cases()  # 1-D, variable p, lambda = 2
     for prob in (model_problem(n=60), variable):
         e = find_negative_energy_point(prob, tent_on(prob.mesh))
         rays.clear()
-        rep = mountain_pass_solve(prob, e, n_path=n_path, tol=1e-6)
+        rep = mountain_pass_solve(prob, e, tol=1e-6)
+        assert [np.array_equal(nodal, e.nodal_values) for nodal, _ in rays].count(True) == 1
         nodal, calls = rays[0]
         assert np.array_equal(nodal, e.nodal_values)
         (r, J), (root, J_peak) = calls[0], calls[-1]
-        assert np.array_equal(r, np.linspace(0.0, 1.0, n_path)[1:])
-        ref = np.array([energy_J(GridFunction(prob.mesh, t * nodal), prob) for t in r])
-        assert np.all(np.abs(J - ref) <= 1e-13 * np.abs(ref))
+        assert r == 1.0 and J == pytest.approx(energy_J(e, prob), rel=1e-13)
         assert rep.path_energies[0] == rep.iteration_trace[0][1] == J_peak
         peak = energy_J(GridFunction(prob.mesh, root * nodal), prob)
         assert J_peak == pytest.approx(peak, rel=1e-13)
@@ -1091,11 +1114,11 @@ def test_first_path_energies_come_from_the_ray_of_e(monkeypatch):
 def test_failed_newton_attempts_fall_back_to_sweeping(monkeypatch):
     prob = model_problem(n=60)
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
-    polished = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    polished = mountain_pass_solve(prob, e, tol=1e-6)
     assert polished.iterations == 0 and polished.newton_steps > 0
 
     monkeypatch.setattr(solver, "_newton_direction", _singular)
-    swept = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    swept = mountain_pass_solve(prob, e, tol=1e-6)
     assert swept.residual_norm <= 1e-6
     assert swept.iterations > polished.iterations
     assert swept.newton_steps == 0
@@ -1106,7 +1129,7 @@ def test_failed_newton_attempts_fall_back_to_sweeping(monkeypatch):
     # halved, then certifies
     monkeypatch.undo()
     attempts = fail_first_newton_attempt(monkeypatch)
-    retried = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    retried = mountain_pass_solve(prob, e, tol=1e-6)
     assert retried.newton_steps > 0
     assert polished.iterations < retried.iterations < swept.iterations
     assert retried.iteration_trace[-1][2] <= attempts[0] / 2.0
@@ -1124,7 +1147,7 @@ def test_newton_point_above_the_path_peak_is_discarded(monkeypatch):
     higher = mountain_pass_solve(
         prob, _scale_until_negative(prob, phi2.nodal_values / sobolev_norm(phi2, prob.p)))
     e = find_negative_energy_point(prob, tent_on(prob.mesh))
-    polished = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    polished = mountain_pass_solve(prob, e, tol=1e-6)
     peaks = []
 
     def polish_to_higher(prob_, at, g, res, tol):
@@ -1133,7 +1156,7 @@ def test_newton_point_above_the_path_peak_is_discarded(monkeypatch):
                 kirchhoff_A(higher.solution, prob_.p), 1)
 
     monkeypatch.setattr(solver, "_newton_polish", polish_to_higher)
-    rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
     assert higher.residual_norm <= 1e-6 and higher.nonlocal_coefficient > 0.0
     assert len(peaks) > 1 and higher.energy > max(peaks)
     assert rep.residual_norm == rep.iteration_trace[-1][2] <= 1e-6  # the descent's answer
@@ -1158,7 +1181,7 @@ def test_ray_descent_certifies_where_newton_needs_help(dim, n, p_of_x, lam, max_
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
     prob = KirchhoffProblem(1.0, 0.1, lam, p, spec, mesh)
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     assert 0 < rep.iterations <= max_steps
     assert rep.residual_norm <= 1e-6 and rep.nonlocal_coefficient > 0.0
     assert rep.morse_index == 1
@@ -1172,7 +1195,7 @@ def test_newton_steps_are_mesh_independent():
     for n in (60, 120):
         prob = model_problem(n=n)
         e = find_negative_energy_point(prob, tent_on(prob.mesh))
-        rep = mountain_pass_solve(prob, e, n_path=15, tol=1e-6)
+        rep = mountain_pass_solve(prob, e, tol=1e-6)
         assert rep.iterations == 0 and rep.residual_norm <= 1e-6
         steps.append(rep.newton_steps)
     assert steps[0] == steps[1] > 0
@@ -1283,7 +1306,7 @@ def test_morse_index_on_even_and_odd_meshes(n, monkeypatch):
     # symmetric ground state; the index is still 1 there
     prob = model_problem(n=n)
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
     _check_morse_on_both_routes(monkeypatch, prob, rep, ref)
@@ -1297,7 +1320,7 @@ def test_morse_index_2d(monkeypatch):
         1.0, 0.02, 0.0, p, NonlinearitySpec("pure_power", q, theta=3.2), mesh
     )
     geo = verify_mountain_geometry(prob, [0.01, 0.05, 0.1, 0.5, 1.0, 2.0], 15, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=25, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     assert rep.morse_index == 1
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0))
@@ -1310,7 +1333,7 @@ def index_three_orbit():
     prob = model_problem(n=12)
     phi3 = laplace_eigenbasis(prob.mesh, 3)[2]
     e = _scale_until_negative(prob, phi3.nodal_values / sobolev_norm(phi3, prob.p))
-    return prob, mountain_pass_solve(prob, e, n_path=31, tol=1e-6)
+    return prob, mountain_pass_solve(prob, e, tol=1e-6)
 
 
 def test_morse_index_counts_every_negative_eigenvalue(index_three_orbit, monkeypatch):
@@ -1419,7 +1442,7 @@ def test_hessian_pattern_is_ordered_once_per_mesh(monkeypatch):
         return splu(A, permc_spec, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     assert rep.morse_index == 1 and rep.newton_steps >= 2
     # one LU per Newton step and one for the inertia (961 > _DENSE_N)
     assert len(specs) == rep.newton_steps + 1
@@ -1465,7 +1488,7 @@ def test_morse_index_with_one_or_two_interior_vertices(n, monkeypatch):
     # dense route even where the cutoff sends every other mesh to ARPACK
     prob = model_problem(n=n)
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
     assert len(rep.lowest_eigenvalues) == min(n - 1, 2)
@@ -1494,7 +1517,7 @@ def test_p_below_two_in_2d_certifies_with_newton_and_a_morse_index():
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=2.5)
     prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(1.6, mesh), spec, mesh)
     geo = verify_mountain_geometry(prob, [0.01, 0.05, 0.1, 0.5, 1.0, 2.0], 15, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=25, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     assert rep.iterations == 0 and rep.newton_steps > 0
     assert rep.residual_norm <= 1e-6 and rep.nonlocal_coefficient > 0.0
     assert rep.morse_index is not None
@@ -1506,7 +1529,7 @@ def test_above_ceiling_level_flagged():
     # nonlocal coefficient stays positive
     prob = model_problem(b=1.0, lam=-16.0, kind="scaled_power", coefficient=200.0)
     geo = verify_mountain_geometry(prob, [0.003, 0.01, 0.03, 0.1, 0.3, 1.0], 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     assert rep.energy > prob.ps_ceiling
     assert not rep.below_ps_ceiling
     assert rep.nonlocal_coefficient > 0.0
@@ -1523,7 +1546,7 @@ def test_mountain_pass_2d():
         1.0, 0.02, 0.0, p, NonlinearitySpec("pure_power", q, theta=3.2), mesh
     )
     geo = verify_mountain_geometry(prob, [0.01, 0.05, 0.1, 0.5, 1.0, 2.0], 15, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=25, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     assert rep.residual_norm <= 1e-6
     assert 0.0 < rep.energy < prob.ps_ceiling
     assert rep.nonlocal_coefficient > 0.0
@@ -1706,13 +1729,6 @@ def test_negative_n_starts_is_a_domain_error():
     assert multiplicity_search(prob, n_starts=0) == []
 
 
-@pytest.mark.parametrize("n_seeds", [0, -2])
-def test_rayleigh_needs_at_least_one_seed(n_seeds):
-    prob = model_problem(n=12)
-    with pytest.raises(DomainError, match=f"n_seeds must be at least 1, got {n_seeds}"):
-        rayleigh_quotient_min(prob.p, prob.mesh, n_seeds=n_seeds)
-
-
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
 def test_tol_must_be_finite_and_positive(tol):
     # nan or a nonpositive tol can never certify, so the solve would run its
@@ -1726,16 +1742,6 @@ def test_tol_must_be_finite_and_positive(tol):
         multiplicity_search(prob, n_starts=2, tol=tol)
     with pytest.raises(DomainError, match="tol must be finite and positive"):
         rayleigh_quotient_min(prob.p, prob.mesh, tol=tol)
-
-
-@pytest.mark.parametrize("distinct_tol", [math.nan, -1.0, math.inf])
-def test_multiplicity_distinct_tol_must_be_finite_and_nonnegative(distinct_tol):
-    # nan merges every orbit into the first one kept, and a negative tol
-    # keeps the ground orbit once per start that found it
-    prob = model_problem(n=12)
-    with pytest.raises(DomainError, match="distinct_tol must be finite and nonnegative"):
-        multiplicity_search(prob, n_starts=5, k_max=4, distinct_tol=distinct_tol)
-    assert len(multiplicity_search(prob, n_starts=5, k_max=4, distinct_tol=0.0)) >= 4
 
 
 def test_eigenbasis_shapes(monkeypatch):
@@ -1799,7 +1805,7 @@ def test_routes_agree_at_the_cutoff(monkeypatch):
     for n, real in ((solver._DENSE_N, "dense"), (solver._DENSE_N + 1, "arpack")):
         prob = model_problem(n=n + 1)
         geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-        rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+        rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
         at = _point(prob.mesh, rep.solution.nodal_values)
         calls = _count_eigsh(monkeypatch)
         morse, basis = solver._morse(prob, at), laplace_eigenbasis(prob.mesh, 4)
@@ -1853,7 +1859,7 @@ def test_eigenbasis_rejects_a_negative_or_fractional_k():
 
 def _geometry_and_solve(prob):
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, n_path=31, tol=1e-6)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     assert rep.morse_index == 1
 
 
