@@ -5,6 +5,7 @@
                                              [--seconds T]
     python3 benchmarks/analyze_once.py slow  --parent DIR [--reps N]
     python3 benchmarks/analyze_once.py counts --parent DIR --workload W --seed S
+    python3 benchmarks/analyze_once.py rayleigh --parent DIR [--reps N]
 
 Each command prints one JSON document; ``--out FILE --key KEY`` also
 stores it under KEY in the JSON file FILE.  Every process runs with the
@@ -36,6 +37,14 @@ BLAS on one thread.
   solves, Hessian assemblies (``_hessian_of_elements``), sparse LUs
   (``discretization._splu``) and ``csc_matrix`` constructions, scipy's own
   included.
+* ``rayleigh``: the first eigenvalue (``rayleigh_quotient_min``, default
+  ``tol`` and ``max_iter``) on the cases of ``RAYLEIGH_CASES``, each seed
+  solved on a fresh mesh ``--reps`` times from DIR's sources and from this
+  checkout, alternated, one process per case, side and round.  Per seed:
+  steps, ``newton_steps`` (None where the sources have none), the
+  ``Mesh.interior_pattern_lu`` calls, lambda_p and the residual, or the
+  error that ended the start; per case, the median solve time.  The
+  command fails when a start of this checkout is not certified.
 """
 
 import argparse
@@ -59,6 +68,18 @@ SLOW_CASES = [
     ("2d64_p1.8+0.2x", "rect:0,0,1,1,64,64", "affine:1.8,0.2", 0.0),
     ("1d401_p1.6_lambda2", "interval:0,1,401", "const:1.6", 2.0),
     ("1d401_p1.9_lambda2", "interval:0,1,401", "const:1.9", 2.0),
+]
+
+# (label, mesh, p = c0 + c1 x, seeds): the mesh is ("interval", n) on (0, 1)
+# or ("rect", n), the n x n unit square
+RAYLEIGH_CASES = [
+    ("2d48_p2+0.2x", ("rect", 48), (2.0, 0.2), list(range(1000, 1010))),
+    ("1d100_p2+x", ("interval", 100), (2.0, 1.0), list(range(5))),
+    ("1d100_p1.3+x", ("interval", 100), (1.3, 1.0), list(range(5))),
+    ("1d100_p1.2+0.2x", ("interval", 100), (1.2, 0.2), list(range(5))),
+    ("1d20_p1.2+0.2x", ("interval", 20), (1.2, 0.2), list(range(5))),
+    ("2d96_p2+0.2x", ("rect", 96), (2.0, 0.2), list(range(1000, 1003))),
+    ("2d16_p2.5", ("rect", 16), (2.5, 0.0), list(range(5))),
 ]
 
 
@@ -111,8 +132,9 @@ def lu_table(reps: int) -> dict:
         order = mesh._pattern_order
 
         def natural(S=S, order=order, **kw):
-            order.matrix.data = S.data[order.data_map]
-            return sla.splu(order.matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            data_map, matrix = order.renumbered
+            matrix.data = S.data[data_map]
+            return sla.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True), **kw)
 
         cases.append((label, S, {
@@ -262,9 +284,78 @@ def counts(parent: Path, workload: str, seed: int) -> dict:
     return out
 
 
+_RAYLEIGH_CHILD = r"""
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from pxkirchhoff import (build_exponent_field, build_interval_mesh, build_rect_mesh,
+                         rayleigh_quotient_min)
+from pxkirchhoff.discretization import Mesh
+(kind, n), (c0, c1), seeds = json.loads(sys.argv[2])
+lus = []
+factor = Mesh.interior_pattern_lu
+Mesh.interior_pattern_lu = lambda self, data: lus.append(1) or factor(self, data)
+out = []
+for seed in seeds:
+    mesh = (build_interval_mesh(n, 0.0, 1.0) if kind == "interval"
+            else build_rect_mesh(n, n, ((0.0, 0.0), (1.0, 1.0))))
+    p = build_exponent_field(c0 + c1 * mesh.element_centroids[:, 0], mesh)
+    lus.clear()
+    t0 = time.perf_counter()
+    try:
+        ray = rayleigh_quotient_min(p, mesh, seed=seed)
+    except Exception as exc:
+        out.append(dict(seed=seed, error=f"{type(exc).__name__}: {exc}"))
+        continue
+    out.append(dict(seed=seed, solve_s=time.perf_counter() - t0, steps=ray.steps,
+                    newton_steps=getattr(ray, "newton_steps", None), lus=len(lus),
+                    lambda_p=ray.value, residual=ray.residual))
+print(json.dumps(out))
+"""
+
+
+def rayleigh(parent: Path, reps: int) -> dict:
+    rows = []
+    for label, mesh, p, seeds in RAYLEIGH_CASES:
+        args = json.dumps([mesh, p, seeds])
+        got = {"parent": [], "change": []}
+        for r in range(reps):
+            for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+                src = (parent if side == "parent" else ROOT) / "src"
+                proc = subprocess.run([sys.executable, "-c", _RAYLEIGH_CHILD, str(src), args],
+                                      capture_output=True, text=True, check=True)
+                got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        row = {"case": label, "mesh": list(mesh), "p": f"{p[0]:g}+{p[1]:g}x", "seeds": seeds}
+        for side, rounds in got.items():
+            first = rounds[0]
+            times = [s["solve_s"] for solves in rounds for s in solves if "error" not in s]
+            row[side] = {
+                "certified": sum("error" not in s for s in first),
+                **{key: [s.get(key) for s in first]
+                   for key in ("steps", "newton_steps", "lus", "lambda_p", "residual")},
+                "errors": sorted({s["error"] for s in first if "error" in s}),
+                "solve_ms_median": (round(1e3 * statistics.median(times), 2)
+                                    if times else None),
+            }
+        both = [(a["lambda_p"], b["lambda_p"]) for a, b in zip(got["parent"][0],
+                                                               got["change"][0])
+                if "error" not in a and "error" not in b]
+        row["lambda_p_max_rel_diff"] = max((abs(a - b) / abs(a) for a, b in both),
+                                           default=None)
+        rows.append(row)
+    result = {"what": f"rayleigh_quotient_min on a fresh mesh per seed, {reps} round(s) "
+                      "per side, alternated; solve_ms_median over all seeds and rounds",
+              "rows": rows}
+    failed = [f"{row['case']}: {', '.join(row['change']['errors'])}" for row in rows
+              if row["change"]["certified"] < len(row["seeds"])]
+    if failed:
+        print(json.dumps(result, indent=1))
+        raise SystemExit("uncertified starts in this checkout: " + "; ".join(failed))
+    return result
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("command", choices=["lu", "pairs", "slow", "counts"])
+    ap.add_argument("command", choices=["lu", "pairs", "slow", "counts", "rayleigh"])
     ap.add_argument("--reps", type=int, default=40)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--workload", default="mp2d")
@@ -288,6 +379,8 @@ def main(argv=None) -> int:
                        args.seconds, save)
     elif args.command == "counts":
         result = counts(args.parent.resolve(), args.workload, args.seed)
+    elif args.command == "rayleigh":
+        result = rayleigh(args.parent.resolve(), args.reps)
     else:
         result = slow(args.parent.resolve(), args.reps)
     print(json.dumps(result, indent=1))

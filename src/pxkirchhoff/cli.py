@@ -386,7 +386,7 @@ def run(config: RunConfig) -> int:
                 p, mesh, seed=config.seed, max_iter=config.max_iter, tol=config.tol
             )
             lines += [f"lambda_p: {ray.value:.17g}", f"residual: {ray.residual:.17g}",
-                      f"steps: {ray.steps}"]
+                      f"steps: {ray.steps}", f"newton_steps: {ray.newton_steps}"]
             write_solution(outdir / "minimizer.txt", ray.minimizer)
         elif config.command == "geometry":
             geo = verify_mountain_geometry(

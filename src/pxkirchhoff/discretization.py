@@ -151,17 +151,40 @@ class Mesh:
 
     @cached_property
     def interior_pattern(self) -> BlockPattern:
-        """The ``BlockPattern`` of the element blocks on the interior vertices."""
-        n = len(self.interior)
-        position = np.full(self.n_vertices, -1)
-        position[self.interior] = np.arange(n)
+        """The ``BlockPattern`` of the element blocks on the interior vertices.
+
+        The block rows and columns of the element-last stack are the int32
+        interior positions of the elements' vertices, repeated and tiled;
+        the kept entries get one int64 key, row * n + col, each.  A stable
+        argsort groups equal keys, and the slot of an entry is the number
+        of distinct keys before its group (a cumsum over the first entry of
+        each run), so the keys need no ``np.unique`` and its temporaries.
+        """
+        n, nloc = len(self.interior), self.dimension + 1
+        position = np.full(self.n_vertices, -1, dtype=np.int32)
+        position[self.interior] = np.arange(n, dtype=np.int32)
         local = position[self.elements].T  # (d+1, n_e), -1 on the boundary
-        rows, cols = (x.ravel() for x in np.broadcast_arrays(local[:, None], local[None]))
+        rows = np.repeat(local, nloc, axis=0).ravel()  # entry (i, j, e) is local[i, e]
+        cols = np.tile(local, (nloc, 1)).ravel()       # ... and local[j, e]
         keep = (rows >= 0) & (cols >= 0)
-        keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        keys = rows[keep].astype(np.int64)
+        keys *= n
+        keys += cols[keep]
+        del rows, cols
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        first = np.ones(len(ranked), dtype=bool)  # the first entry of each run of a key
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        unique = ranked[first]
+        # the slots, in the buffers of the keys: the k-th ranked entry has as
+        # many distinct keys before it as runs start up to it, less one
+        np.cumsum(first, out=keys)
+        keys -= 1
+        slot = ranked
+        slot[order] = keys
         indptr = np.zeros(n + 1, dtype=np.int32)  # scipy's own index type
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return BlockPattern(keep, slot.ravel(), indptr, (keys % n).astype(np.int32),
+        np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
+        return BlockPattern(keep, slot, indptr, (unique % n).astype(np.int32),
                             (local >= 0).any(axis=0))
 
     @cached_property
@@ -256,7 +279,8 @@ def _splu(S: scipy.sparse.csc_matrix,
     the interior stiffness once per mesh (``Mesh.interior_stiffness_lu``)
     and every matrix on the interior pattern (``Mesh.interior_pattern_lu``):
     the sparse part of J'' in the solver's Newton steps and, on more than
-    ``solver._DENSE_N`` interior vertices, in its Morse count by inertia."""
+    ``solver._DENSE_N`` interior vertices, in its Morse count by inertia,
+    and A'' - R B'' in the Rayleigh descent."""
     return scipy.sparse.linalg.splu(S, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                                     relax=_RELAX, panel_size=_PANEL_SIZE,
                                     options=dict(SymmetricMode=True))
@@ -281,28 +305,39 @@ class _PermutedLU(NamedTuple):
 class _PatternOrder:
     """A symmetric ``BlockPattern`` renumbered by the column order
     ``perm_c`` of an LU on it: row and column r become perm_c[r].
-    ``data_map`` sends the data of any matrix on the pattern to the
-    renumbered CSC arrays, which SuperLU then factors in natural order.  The
-    renumbered matrix is kept and refilled for each factorization; SuperLU
-    copies the values it factors."""
+    ``renumbered`` holds ``data_map``, which sends the data of any matrix on
+    the pattern to the renumbered CSC arrays, and that renumbered matrix,
+    which SuperLU then factors in natural order.  Both are built at the
+    first factorization, so a mesh with one LU on its pattern builds
+    neither; the matrix is kept and refilled for each factorization, and
+    SuperLU copies the values it factors."""
 
     def __init__(self, pattern: BlockPattern, perm_c: np.ndarray):
+        self.pattern, self.perm_c = pattern, perm_c
+        self.order = np.argsort(perm_c)
+
+    @cached_property
+    def renumbered(self) -> tuple[np.ndarray, scipy.sparse.csc_matrix]:
+        """(data_map, matrix): the gather from pattern data to the
+        renumbered CSC data, and the renumbered matrix."""
+        pattern, perm_c = self.pattern, self.perm_c
         n = len(pattern.indptr) - 1
         rows = perm_c[pattern.indices]
         cols = np.repeat(perm_c, np.diff(pattern.indptr))
         # column-major, rows sorted; each (row, col) pair occurs once
-        self.data_map = np.argsort(cols.astype(np.int64) * n + rows)
+        data_map = np.argsort(cols.astype(np.int64) * n + rows)
         new_indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=new_indptr[1:])
-        self.matrix = scipy.sparse.csc_matrix(
-            (np.zeros(len(rows)), rows[self.data_map].astype(np.int32), new_indptr),
+        matrix = scipy.sparse.csc_matrix(
+            (np.zeros(len(rows)), rows[data_map].astype(np.int32), new_indptr),
             shape=(n, n))
-        self.order = np.argsort(perm_c)
+        return data_map, matrix
 
     def factor(self, data: np.ndarray) -> _PermutedLU:
         """The symmetric LU of the matrix with pattern data ``data``."""
-        self.matrix.data = data[self.data_map]
-        return _PermutedLU(_splu(self.matrix, "NATURAL"), self.order)
+        data_map, matrix = self.renumbered
+        matrix.data = data[data_map]
+        return _PermutedLU(_splu(matrix, "NATURAL"), self.order)
 
 
 def build_interval_mesh(n: int, a_end: float, b_end: float) -> Mesh:

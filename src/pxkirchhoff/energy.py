@@ -12,19 +12,23 @@ quadratic part a*A - (b/2)*A^2 is capped at a^2/(2b) for every u, which is
 the threshold below which compactness of descent sequences is trusted.
 The second derivative on the interior vertices is a symmetric sparse
 matrix on the mesh's fixed interior pattern plus a rank-one term: the
-solvers take the sparse part as its pattern data (``_hessian_of_elements``),
-and ``hessian_J`` returns it as a matrix.  J along a ray r u with its exact
-slope (``_energy_ray``), and R = A / B with B(u) = I(1/p |u|^p), with its
-gradient, its change along a line u + t d (``_rayleigh_line``, from the
-ray weights the gradient returns) and its values along the ray e^s u
-(``_rayleigh_on_ray``), live here too.
+solvers take the sparse part as its pattern data (``_kirchhoff_hessian``),
+and ``hessian_J`` returns it as a matrix.  One element kernel,
+``_hessian_of_elements``, assembles K A'' minus a lower-order centroid
+term for a given K, so it also gives the Hessian A'' - R B'' of the
+Rayleigh equation A'(u) = R B'(u) (``_rayleigh_hessian``).  J along a ray
+r u with its exact slope (``_energy_ray``), and R = A / B with
+B(u) = I(1/p |u|^p), with its gradient, its change along a line u + t d
+(``_rayleigh_line``, from the ray weights the gradient returns) and its
+values along the ray e^s u (``_rayleigh_on_ray``), live here too.
 
 Every functional reads nodal values only through their element data, and
 this module owns them: ``_point`` gathers a ``_Point`` once (Dg u and C u,
 two sparse products, then |Dg u|).  The ``*_of_elements`` forms take a
-point or arrays of its data (J, J' with A, J'' as pattern data, R' with R
-and the ray weights), and the nodal forms (``gradient_J``, ``hessian_J``)
-call them on their ``_point``; the solvers hold points and never gather.
+point or arrays of its data (J, J' with A, J'' and A'' - R B'' as pattern
+data, R' with R and the ray weights), and the nodal forms (``gradient_J``,
+``hessian_J``) call them on their ``_point``; the solvers hold points and
+never gather.
 """
 
 from dataclasses import dataclass, replace
@@ -312,58 +316,91 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
 
         S = K A''(u) - lambda B''(u) - G''(u),   dA = A'(u),
 
-    and K = a - b*A(u).  S is a sum of one (d+1) x (d+1) block per element,
-
-        K w (G^T G + (p-2) v v^T) - lower * meas / (d+1)^2 * 1 1^T,
-
-    with G the element's hat gradients (``Mesh.hat_gradients``),
-    w = meas |grad u|^{p-2}, v = G^T n for n = grad u / |grad u|, and
-    lower = lambda (p-1) |u_c|^{p-2} + g'(x, u_c).  One ``np.bincount``
-    scatters the blocks into the mesh's fixed interior pattern
-    (``Mesh.interior_pattern``), and S is built from those data as a
-    ``csc_matrix`` (``Mesh.interior_pattern_matrix``).  Every block is
-    bitwise symmetric, so S is too: its CSR arrays are its CSC arrays.  dA
-    is Dg^T(meas |grad u|^{p-2} grad u), the gradient of A, restricted to
-    the interior.
+    and K = a - b*A(u).  S is the element kernel ``_hessian_of_elements``
+    with that K and the lower-order term lambda (p-1) |u_c|^{p-2} +
+    g'(x, u_c), built as a ``csc_matrix`` from its pattern data
+    (``Mesh.interior_pattern_matrix``); ``_kirchhoff_hessian`` assembles it.
+    dA is Dg^T(meas |grad u|^{p-2} grad u), the gradient of A, restricted
+    to the interior.
 
     Raises DomainError where an exponent below 2 meets a vanishing gradient
     (or, in the lambda and g' terms, a vanishing centroid value), because
     |.|^{p-2} is unbounded there.  Only elements with an interior vertex
     are checked: on the others a zero-trace u vanishes, and they add
-    nothing to the interior J''; ``_hessian_of_elements`` assembles it.
+    nothing to the interior J''.
     """
-    data, dA = _hessian_of_elements(prob, _point(prob.mesh, u.nodal_values))
+    data, dA = _kirchhoff_hessian(prob, _point(prob.mesh, u.nodal_values))
     return prob.mesh.interior_pattern_matrix(data), dA
 
 
-def _hessian_of_elements(prob: KirchhoffProblem, at: _Point):
+def _kirchhoff_hessian(prob: KirchhoffProblem, at: _Point):
     """``hessian_J`` from the element data of the point ``at``, with S as
     its data in ``Mesh.interior_pattern`` order: (data, dA).  The solvers
     factor S from its data (``Mesh.interior_pattern_lu``) and build no
-    matrix.  The Gram part G^T G of every block is the mesh's
-    (``Mesh.hat_gram``)."""
-    mesh, grads, gmag, uc = prob.mesh, at.grads, at.gmag, at.uc
+    matrix."""
+    mesh = prob.mesh
+    live = mesh.interior_pattern.live
+    lower = _g_prime(prob.g, at.uc, live)
+    if prob.lam != 0.0:
+        lower = lower + _centroid_curvature(prob.p, at.uc, live, prob.lam)
+    K = prob.a - prob.b * _p_integral(at.gmag, prob.p, mesh.element_measures)
+    data, w = _hessian_of_elements(mesh, prob.p, at, K, lower)
+    dA = (mesh.gradient_adjoint @ (w[:, None] * at.grads).ravel())[mesh.interior]
+    return data, dA
+
+
+def _rayleigh_hessian(mesh: Mesh, p: ExponentField, at: _Point, R: float) -> np.ndarray:
+    """The pattern data of A''(u) - R B''(u) at the point ``at``: the
+    element kernel ``_hessian_of_elements`` with K = 1 and the lower-order
+    term R (p-1) |u_c|^{p-2}.  It is the derivative of A'(u) - R B'(u) with
+    R held fixed, and has no rank-one term."""
+    lower = _centroid_curvature(p, at.uc, mesh.interior_pattern.live, R)
+    return _hessian_of_elements(mesh, p, at, 1.0, lower)[0]
+
+
+def _centroid_curvature(p: ExponentField, uc: np.ndarray, live: np.ndarray, c: float):
+    """c (p-1) |u_c|^{p-2} on the ``live`` elements (``_bounded_power``):
+    the element weights of c B''(u) on the centroid mass."""
+    pv = p.values
+    return c * (pv - 1.0) * _bounded_power(np.abs(uc), pv - 2.0, live,
+                                           "a vanishing centroid value")
+
+
+def _hessian_of_elements(mesh: Mesh, p: ExponentField, at: _Point, K: float,
+                         lower: np.ndarray):
+    """The one element kernel of every second derivative: the pattern data
+    of K A''(u) - C^T diag(lower meas) C at the point ``at``, in
+    ``Mesh.interior_pattern`` order, and the weights w = meas |grad u|^{p-2}
+    of A'' (0 off the live elements), from which A'(u) = Dg^T(w grad u).
+
+    The matrix is a sum of one (d+1) x (d+1) block per element,
+
+        K w (G^T G + (p-2) v v^T) - lower * meas / (d+1)^2 * 1 1^T,
+
+    with G the element's hat gradients (``Mesh.hat_gradients``), whose Gram
+    part G^T G is the mesh's (``Mesh.hat_gram``), and v = G^T n for
+    n = grad u / |grad u|.  One ``np.bincount`` scatters the blocks into the
+    mesh's fixed interior pattern (``Mesh.interior_pattern``).  Every block
+    is bitwise symmetric, so the matrix is too: its CSR arrays are its CSC
+    arrays.  The blocks are formed in place.  Raises DomainError where an
+    exponent below 2 meets a vanishing gradient on a live element."""
     pattern = mesh.interior_pattern
-    pv, meas, live = prob.p.values, mesh.element_measures, pattern.live
-    w = _bounded_power(gmag, pv - 2.0, live, "a vanishing element gradient") * meas
-    dA = (mesh.gradient_adjoint @ (w[:, None] * grads).ravel())[mesh.interior]
+    pv, meas = p.values, mesh.element_measures
+    w = _bounded_power(at.gmag, pv - 2.0, pattern.live, "a vanishing element gradient") * meas
     # element-last stacks: G is (d, d+1, n_e), the blocks (d+1, d+1, n_e)
     G = mesh.hat_gradients.transpose(1, 2, 0)
-    n = np.divide(grads.T, gmag, out=np.zeros(grads.shape[::-1]), where=gmag > 0.0)
+    n = np.divide(at.grads.T, at.gmag, out=np.zeros(at.grads.shape[::-1]),
+                  where=at.gmag > 0.0)
     v = np.einsum("ke,kie->ie", n, G)
-    blocks = mesh.hat_gram + (pv - 2.0) * (v[:, None] * v[None])
-    K = prob.a - prob.b * _p_integral(gmag, prob.p, meas)
+    blocks = np.multiply(v[:, None], v[None])
+    blocks *= pv - 2.0
+    blocks += mesh.hat_gram
     blocks *= K * w
-
-    lower = _g_prime(prob.g, uc, live)
-    if prob.lam != 0.0:
-        lower = lower + prob.lam * (pv - 1.0) * _bounded_power(
-            np.abs(uc), pv - 2.0, live, "a vanishing centroid value")
     blocks -= lower * meas / (mesh.dimension + 1) ** 2
     # an off-diagonal entry sums at most two blocks (an edge of at most two
     # simplices for d <= 2), so the sum is the same in either order
     data = np.bincount(pattern.slot, blocks.ravel()[pattern.keep], len(pattern.indices))
-    return data, dA
+    return data, w
 
 
 def _stiffness_norm(mesh: Mesh, gmag: np.ndarray) -> float:

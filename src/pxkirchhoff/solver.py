@@ -6,6 +6,10 @@ and its slope along a ray, the Rayleigh quotient, its gradient, its change
 along a line and its restriction to a ray) comes from ``energy``, and both
 descents backtrack through one Armijo step, ``_armijo``.
 
+The Rayleigh descent finishes, for variable p, along the Hessian of the
+Rayleigh equation, factored once and kept (a chord method), from the same
+element kernel as J'' (``energy._hessian_of_elements``).
+
 The mountain-pass solver holds one point, the maximum of J on its ray
 (``_ray_max``): each ray from 0 is a path to negative energy, so its peak
 bounds the mountain-pass level from above.  It runs Newton's method on the
@@ -50,11 +54,12 @@ from .energy import (
     KirchhoffProblem,
     _energy_of_elements,
     _energy_ray,
-    _hessian_of_elements,
+    _kirchhoff_hessian,
     _point,
     _Point,
     _ray_weights,
     _rayleigh_gradient_of_elements,
+    _rayleigh_hessian,
     _rayleigh_line,
     _rayleigh_on_ray,
     _residual_of_elements,
@@ -280,13 +285,41 @@ def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -
 @dataclass(eq=False)
 class RayleighResult:
     """The certified ``value`` of R, its ``minimizer``, and the certificate
-    of its start: the ``residual`` (at most ``tol``) and the descent
-    ``steps`` taken."""
+    of its start: the ``residual`` (at most ``tol``), the ``steps`` taken,
+    and how many of them, ``newton_steps``, went along the frozen Hessian
+    A'' - R B''."""
 
     value: float
     minimizer: GridFunction
     residual: float
     steps: int
+    newton_steps: int
+
+
+_NEWTON_FROM = 0.1  # residual below which the Rayleigh descent steps along A'' - R B''
+_REFACTOR = 0.5     # that Hessian is refactored after a step leaving more than this share
+                    # of the residual
+
+
+def _rayleigh_newton(mesh: Mesh, p: ExponentField, at: _Point, R: float, grad: np.ndarray,
+                     w: np.ndarray, lu):
+    """(lu, d, slope) for a step along the Hessian H of the Rayleigh
+    equation: ``lu`` is the LU of H, as given, or of H = A''(u) - R B''(u)
+    at the point ``at`` (``energy._rayleigh_hessian``) when it is None;
+    d = -H^{-1}(A'(u) - R B'(u)) = -B H^{-1} R'(u), zero on the boundary,
+    with B = B(u) from the ray weights ``w``; and slope = R'(u) d < 0.
+    (None, None, None) when H or its LU fails (DomainError, RuntimeError)
+    or d is no descent direction."""
+    idx = mesh.interior
+    d = np.zeros(mesh.n_vertices)
+    try:
+        if lu is None:
+            lu = mesh.interior_pattern_lu(_rayleigh_hessian(mesh, p, at, R))
+        d[idx] = -lu.solve(w[1].sum() * grad[idx])
+    except (DomainError, RuntimeError):
+        return None, None, None
+    slope = float(np.dot(grad[idx], d[idx]))
+    return (lu, d, slope) if slope < 0.0 else (None, None, None)
 
 
 def rayleigh_quotient_min(
@@ -307,19 +340,37 @@ def rayleigh_quotient_min(
     minimized exactly along its ray e^s u (``_ray_scale``); the start is
     only normalized, from one gather.
 
+    The descent is preconditioned by the stiffness K (``_sobolev_descent``)
+    until its residual falls below _NEWTON_FROM, and for variable p by the
+    Hessian of the Rayleigh equation A'(u) = R B'(u) from there on: the
+    direction is d = -H^{-1}(A'(u) - R B'(u)) with H = A''(u0) - R(u0)
+    B''(u0) (``energy._rayleigh_hessian``, the element kernel of J'') and
+    its Armijo search starts at 1.  H is factored at the first such
+    iterate u0 (``Mesh.interior_pattern_lu``) and kept, a chord method
+    (Kelley 1995, ch. 5), and refactored at the current iterate only after
+    a step that fails to halve the residual.  A step falls back to the
+    Sobolev direction, and drops the LU, when H or its LU fails, d is no
+    descent direction, or no step along an H of an earlier iterate
+    decreases R.  Along the H of the current iterate that means the
+    computed R' is rounding, and the start stalls, as when no Sobolev step
+    decreases R.  For constant p, R is scale-free and H u = (p-1)(A' - R
+    B'), so the step would only rescale u: the descent keeps the stiffness
+    throughout.
+
     Each step gathers the element data of the iterate u (``_point``) and of
-    the direction d (``_sobolev_descent``) once, two sparse products each.
-    The gradient of R, every Armijo trial, the normalization
-    (``_stiffness_norm``) and the ray search come from those data by
-    elementwise arithmetic; with the two adjoint products of the gradient a
-    step makes six sparse products.  The trials judge the change of R along
-    the line (``_rayleigh_line``), which keeps its relative accuracy where R
-    moves by a few ulps.  The data are gathered afresh at every step, so no
-    rounding carries over from one step to the next.
+    the direction d once, two sparse products each.  The gradient of R,
+    every Armijo trial, the normalization (``_stiffness_norm``) and the ray
+    search come from those data by elementwise arithmetic; with the two
+    adjoint products of the gradient a step makes six sparse products.  The
+    trials judge the change of R along the line (``_rayleigh_line``), which
+    keeps its relative accuracy where R moves by a few ulps.  The data are
+    gathered afresh at every step, so no rounding carries over from one
+    step to the next.
 
     The start is certified, and stops, once its residual sqrt(-slope) =
     sqrt(g^T K^{-1} g), the H^{-1} norm of g = R'(u), is at most ``tol``.
-    If its line search stalls or it uses up ``max_iter`` steps first,
+    ``steps`` counts every step and ``newton_steps`` those along H.  If the
+    line search stalls or it uses up ``max_iter`` steps first,
     MaxIterations names how it ended and its smallest residual.  It is
     raised at once when R decreases along a whole ray (for non-monotone p
     the infimum can be 0, and no minimizer exists).  A negative ``seed`` or
@@ -336,6 +387,7 @@ def rayleigh_quotient_min(
     nodal[idx] = 0.1 + np.random.default_rng(seed).random(len(idx))
     nodal /= _stiffness_norm(mesh, _point(mesh, nodal).gmag)
     smallest, ended = math.inf, f"{max_iter} steps were used up"
+    lu, last, newton_steps = None, math.inf, 0
     for steps in range(max_iter):
         at = _point(mesh, nodal)
         grad, R, w = _rayleigh_gradient_of_elements(mesh, p, at)
@@ -343,14 +395,30 @@ def rayleigh_quotient_min(
         slope = float(np.dot(grad[idx], d[idx]))
         residual = math.sqrt(max(-slope, 0.0))
         if residual <= tol:
-            return RayleighResult(R, GridFunction(mesh, nodal), residual, steps)
+            return RayleighResult(R, GridFunction(mesh, nodal), residual, steps, newton_steps)
         smallest = min(smallest, residual)
-        step = min(1.0, _stiffness_norm(mesh, at.gmag) / residual)
-        change, data = _rayleigh_line(mesh, p, at, d, w)
-        step = _armijo(change, 0.0, slope, step)
+        step = None
+        if p.hi != p.lo and residual < _NEWTON_FROM:
+            fresh = lu is None or residual > _REFACTOR * last
+            lu, h, h_slope = _rayleigh_newton(mesh, p, at, R, grad, w, None if fresh else lu)
+            if lu is not None:
+                change, data = _rayleigh_line(mesh, p, at, h, w)
+                step = _armijo(change, 0.0, h_slope, 1.0)
+                if step is None and fresh:  # no step along this iterate's own H
+                    ended = "the line search stalled"
+                    break
+            if step is None:
+                lu = None
+            else:
+                d, newton_steps = h, newton_steps + 1
+        last = residual
         if step is None:
-            ended = "the line search stalled"
-            break
+            change, data = _rayleigh_line(mesh, p, at, d, w)
+            step = _armijo(change, 0.0, slope,
+                           min(1.0, _stiffness_norm(mesh, at.gmag) / residual))
+            if step is None:
+                ended = "the line search stalled"
+                break
         gmag, uc = data(step)
         scale = 1.0 / _stiffness_norm(mesh, gmag)
         scale *= _ray_scale(mesh, p, scale * gmag, scale * uc)
@@ -591,7 +659,7 @@ def _newton_polish(prob, at: _Point, g: np.ndarray, res: float, tol: float):
     while steps < _NEWTON_STEPS:
         d = np.zeros(mesh.n_vertices)
         try:
-            data, dA = _hessian_of_elements(prob, at)
+            data, dA = _kirchhoff_hessian(prob, at)
             d[idx] = _newton_direction(mesh.interior_pattern_lu(data), dA, prob.b, -g[idx])
         except (DomainError, RuntimeError):
             break
@@ -656,7 +724,7 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
     eigenvalue decides the last.
     """
     try:
-        data, dA = _hessian_of_elements(prob, at)
+        data, dA = _kirchhoff_hessian(prob, at)
     except DomainError:
         return None, None
     n = len(dA)

@@ -4,10 +4,13 @@ Everything here recomputes quantities along routes disjoint from the library
 implementation: central finite differences, a from-scratch 1-D
 Euler-Lagrange assembly with damped (optionally deflated) Newton iteration,
 a tridiagonal eigenvalue reference, scalar root-finds on closed-form
-integrals, a Luxemburg norm by bracket expansion and bisection, J''
-assembled from the mesh's sparse operators, a bounded scalar maximization
-of the direct energy along a ray, and the Rayleigh descent on nodal values, with the nodal forms of R, R' and the ray search that it and
-the tests call (the library itself only works on gathered element data).
+integrals, a Luxemburg norm by bracket expansion and bisection, J'' and
+the Hessian A'' - R B'' of the Rayleigh equation assembled from the mesh's
+sparse operators, the interior block pattern by ``np.unique``, a bounded
+scalar maximization of the direct energy along a ray, and the Rayleigh
+descent on nodal values, with the nodal forms of R, R' and the ray search
+that it and the tests call (the library itself only works on gathered
+element data).
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from pxkirchhoff import GridFunction, energy_J
 from pxkirchhoff.energy import _point, _ray_weights, _rayleigh_gradient_of_elements
-from pxkirchhoff.solver import _armijo, _ray_scale
+from pxkirchhoff.solver import _NEWTON_FROM, _REFACTOR, _armijo, _ray_scale
 
 
 def central_difference(f, u, v, h=1e-5):
@@ -181,17 +184,13 @@ def luxemburg_bisection(samples, p_values, measures, rel_tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def hessian_by_operators(u, prob):
-    """J''(u) = S - b dA dA^T on the interior vertices, as (S, dA), from the
-    gradient and centroid maps of the mesh: K Dg^T W Dg with the block
-    diagonal W = blockdiag(meas |grad u|^{p-2} (I + (p-2) n n^T)), minus
-    C^T diag(meas (lambda (p-1) |u_c|^{p-2} + g'(x, u_c))) C, restricted to
-    the interior.  u must have no vanishing gradient or centroid value on
-    any element with an interior vertex where an exponent is below 2."""
-    mesh = prob.mesh
-    idx = mesh.interior
-    pv, meas, dim = prob.p.values, mesh.element_measures, mesh.dimension
-    grads = (mesh.gradient_map @ u.nodal_values).reshape(-1, dim)
+def _A_second_by_operators(mesh, p, nodal):
+    """(A''(u), A'(u), |grad u|, u_c, live) over all vertices, from the
+    gradient and centroid maps: A'' = Dg^T W Dg with the block diagonal
+    W = blockdiag(meas |grad u|^{p-2} (I + (p-2) n n^T)), and live flags
+    the elements with an interior vertex."""
+    pv, meas, dim = p.values, mesh.element_measures, mesh.dimension
+    grads = (mesh.gradient_map @ nodal).reshape(-1, dim)
     gmag = np.linalg.norm(grads, axis=1)
     live = ~mesh.boundary_mask[mesh.elements].all(axis=1)
     w = np.zeros_like(gmag)
@@ -204,9 +203,26 @@ def hessian_by_operators(u, prob):
     rows = np.arange(mesh.n_elements + 1)
     W = scipy.sparse.bsr_matrix((blocks, rows[:-1], rows),
                                 shape=(mesh.n_elements * dim,) * 2)
-    A2 = mesh.gradient_adjoint @ W @ mesh.gradient_map
+    uc = mesh.centroid_map @ nodal
+    return mesh.gradient_adjoint @ W @ mesh.gradient_map, dA, gmag, uc, live
 
-    uc = mesh.centroid_map @ u.nodal_values
+
+def _centroid_mass(mesh, weights):
+    """C^T diag(weights meas) C over all vertices."""
+    return (mesh.centroid_adjoint @ scipy.sparse.diags(weights * mesh.element_measures)
+            @ mesh.centroid_map)
+
+
+def hessian_by_operators(u, prob):
+    """J''(u) = S - b dA dA^T on the interior vertices, as (S, dA), from the
+    gradient and centroid maps of the mesh: K Dg^T W Dg with the block
+    diagonal W = blockdiag(meas |grad u|^{p-2} (I + (p-2) n n^T)), minus
+    C^T diag(meas (lambda (p-1) |u_c|^{p-2} + g'(x, u_c))) C, restricted to
+    the interior.  u must have no vanishing gradient or centroid value on
+    any element with an interior vertex where an exponent is below 2."""
+    mesh, pv = prob.mesh, prob.p.values
+    idx = mesh.interior
+    A2, dA, gmag, uc, live = _A_second_by_operators(mesh, prob.p, u.nodal_values)
     lower = np.zeros_like(uc)
     if prob.g.kind != "zero":
         q = prob.g.q.values
@@ -214,11 +230,37 @@ def hessian_by_operators(u, prob):
         lower[live] = coeff * (q[live] - 1.0) * np.abs(uc[live]) ** (q[live] - 2.0)
     if prob.lam != 0.0:
         lower[live] += prob.lam * (pv[live] - 1.0) * np.abs(uc[live]) ** (pv[live] - 2.0)
-    lower2 = (mesh.centroid_adjoint @ scipy.sparse.diags(lower * meas)
-              @ mesh.centroid_map)
-    K = prob.a - prob.b * np.dot(gmag**pv / pv, meas)
-    S = (K * A2 - lower2).tocsr()
+    K = prob.a - prob.b * np.dot(gmag**pv / pv, mesh.element_measures)
+    S = (K * A2 - _centroid_mass(mesh, lower)).tocsr()
     return S[idx][:, idx], dA[idx]
+
+
+def rayleigh_hessian_by_operators(mesh, p, nodal, R):
+    """A''(u) - R B''(u) on the interior vertices, the derivative of
+    A'(u) - R B'(u) with R held fixed, from the same operator products:
+    Dg^T W Dg - R C^T diag((p-1) |u_c|^{p-2} meas) C."""
+    pv, idx = p.values, mesh.interior
+    A2, _, _, uc, live = _A_second_by_operators(mesh, p, nodal)
+    lower = np.zeros_like(uc)
+    lower[live] = R * (pv[live] - 1.0) * np.abs(uc[live]) ** (pv[live] - 2.0)
+    return (A2 - _centroid_mass(mesh, lower)).tocsr()[idx][:, idx]
+
+
+def interior_pattern_by_unique(mesh):
+    """The fields of ``Mesh.interior_pattern`` (keep, slot, indptr, indices,
+    live) from ``np.unique`` over int64 keys row * n + col of the broadcast
+    block rows and columns: its sorted keys are the CSR entries, and its
+    inverse is the slot of each kept entry."""
+    n = len(mesh.interior)
+    position = np.full(mesh.n_vertices, -1)
+    position[mesh.interior] = np.arange(n)
+    local = position[mesh.elements].T  # (d+1, n_e), -1 on the boundary
+    rows, cols = (x.ravel() for x in np.broadcast_arrays(local[:, None], local[None]))
+    keep = (rows >= 0) & (cols >= 0)
+    keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return keep, slot.ravel(), indptr, (keys % n).astype(np.int32), (local >= 0).any(axis=0)
 
 
 def ray_max_bounded(prob, nodal, lo, hi):
@@ -274,34 +316,69 @@ def rayleigh_descent_on_nodes(p, mesh, seed=0, max_iter=500, tol=1e-6):
     stiffness norms and the descent direction come from the stiffness
     matrix itself, by a product and a sparse direct solve.  Each Armijo
     trial compares values of R in long double (``rayleigh_ratio_long``),
-    whose rounding lies far below the changes of R that it judges.  The
-    one start stops once its residual sqrt(-slope) is at most ``tol``.
-    Returns (R, nodal values, steps), where steps counts the line searches,
-    or None if the start was not certified."""
+    whose rounding lies far below the changes of R that it judges.
+
+    For variable p, below the solver's residual ``_NEWTON_FROM`` it steps
+    along d = -H^{-1}(A'(u) - R B'(u)) with H from operator products
+    (``rayleigh_hessian_by_operators``), solved by ``spsolve``, with the
+    solver's rules: H is kept and rebuilt at the current iterate after a
+    step that leaves more than ``_REFACTOR`` of the residual; a direction
+    that is no descent direction, or whose search along a kept H fails,
+    gives way to the stiffness direction, and H is dropped; a failed search
+    along an H built at the current iterate is a stall.
+
+    The one start stops once its residual sqrt(-slope) is at most ``tol``.
+    Returns (R, nodal values, steps, newton_steps), where steps counts the
+    steps and newton_steps those along H, or None if the start was not
+    certified."""
     rng = np.random.default_rng(seed)
     idx = mesh.interior
 
     def h_norm(v):
         return np.sqrt(v @ mesh.stiffness @ v)
 
+    def search(d, slope, step):
+        R_long = rayleigh_ratio_long(mesh, p, nodal)
+        return _armijo(
+            lambda s: float(rayleigh_ratio_long(mesh, p, nodal + s * d) - R_long),
+            0.0, slope, step)
+
     nodal = np.zeros(mesh.n_vertices)
     nodal[idx] = 0.1 + rng.random(len(idx))
     nodal /= h_norm(nodal)
     R = rayleigh_ratio(mesh, p, nodal)
+    H, last, newton_steps = None, np.inf, 0
     for steps in range(max_iter):
         grad = rayleigh_gradient(mesh, p, nodal)
         d = np.zeros(mesh.n_vertices)
         d[idx] = -scipy.sparse.linalg.spsolve(mesh.interior_stiffness, grad[idx])
         slope = float(np.dot(grad[idx], d[idx]))
-        if np.sqrt(max(-slope, 0.0)) <= tol:
-            return R, nodal, steps
-        step = min(1.0, h_norm(nodal) / np.sqrt(-slope))
-        R_long = rayleigh_ratio_long(mesh, p, nodal)
-        step = _armijo(
-            lambda s: float(rayleigh_ratio_long(mesh, p, nodal + s * d) - R_long),
-            0.0, slope, step)
+        residual = np.sqrt(max(-slope, 0.0))
+        if residual <= tol:
+            return R, nodal, steps, newton_steps
+        step = None
+        if p.hi != p.lo and residual < _NEWTON_FROM:
+            fresh = H is None or residual > _REFACTOR * last
+            if fresh:
+                H = rayleigh_hessian_by_operators(mesh, p, nodal, R)
+            uc = mesh.centroid_map @ nodal
+            B = np.dot(np.abs(uc) ** p.values / p.values, mesh.element_measures)
+            h = np.zeros(mesh.n_vertices)
+            h[idx] = -scipy.sparse.linalg.spsolve(H.tocsc(), B * grad[idx])
+            h_slope = float(np.dot(grad[idx], h[idx]))
+            if h_slope < 0.0:
+                step = search(h, h_slope, 1.0)
+                if step is None and fresh:
+                    return None
+            if step is None:
+                H = None
+            else:
+                d, newton_steps = h, newton_steps + 1
+        last = residual
         if step is None:
-            return None
+            step = search(d, slope, min(1.0, h_norm(nodal) / residual))
+            if step is None:
+                return None
         accepted = nodal + step * d
         nodal = ray_minimize(mesh, p, accepted / h_norm(accepted))
         R = rayleigh_ratio(mesh, p, nodal)

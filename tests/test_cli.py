@@ -328,6 +328,9 @@ out = {tmp_path}
     assert float(fields["lambda_p"]) == pytest.approx(np.pi**2, rel=0.01)
     assert float(fields["residual"]) <= 1e-6  # the default tol
     assert int(fields["steps"]) > 0
+    lines = report.splitlines()
+    # constant p: every step is a descent step
+    assert lines[lines.index(f"steps: {fields['steps']}") + 1] == "newton_steps: 0"
     assert (tmp_path / "minimizer.txt").exists()
 
 

@@ -14,6 +14,7 @@ from pxkirchhoff import (
     integrate,
 )
 from pxkirchhoff.discretization import _splu
+from oracles import interior_pattern_by_unique
 
 
 def test_uniform_interval():
@@ -285,6 +286,22 @@ def test_interior_mass_is_the_interior_block_of_the_mass():
     assert mesh.interior_mass is mesh.interior_mass  # built once, on first use
     assert mesh.interior_mass.format == "csc"
     assert np.array_equal(mesh.interior_mass.toarray(), mesh.mass[np.ix_(idx, idx)].toarray())
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(12, 0.0, 1.0),
+    build_interval_mesh(400, 0.0, 1.0),
+    build_rect_mesh(2, 2, ((0.0, 0.0), (1.0, 1.0))),
+    build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))),
+    build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0))),
+    build_rect_mesh(5, 4, ((0.0, 0.0), (2.0, 1.0))),
+], ids=["1d_12", "1d_400", "2d_2", "2d_32", "2d_48", "2d_5x4"])
+def test_interior_pattern_is_bitwise_the_unique_construction(mesh):
+    # the sort-and-cumsum build gives np.unique's pattern, dtypes included
+    pattern = mesh.interior_pattern
+    for name, got, ref in zip(pattern._fields, pattern, interior_pattern_by_unique(mesh)):
+        assert got.dtype == ref.dtype, name
+        assert got.shape == ref.shape and np.array_equal(got, ref), name
 
 
 def _pattern_matrix(mesh, rng):

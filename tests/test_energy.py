@@ -23,17 +23,21 @@ from pxkirchhoff import (
 from pxkirchhoff.energy import (
     _derivative_terms_of_elements,
     _energy_ray,
+    _g_prime,
+    _kirchhoff_hessian,
     _magnitude,
     _p_integral,
     _point,
     _ray_weights,
     _rayleigh_gradient_of_elements,
+    _rayleigh_hessian,
     _rayleigh_line,
     _stiffness_norm,
 )
 from oracles import (
     central_difference,
     hessian_by_operators,
+    rayleigh_hessian_by_operators,
     rayleigh_ratio,
     rayleigh_ratio_long,
 )
@@ -472,6 +476,69 @@ def test_hessian_matches_the_operator_assembly(case):
     assert isinstance(S, scipy.sparse.csc_matrix) and S.has_sorted_indices
     assert abs(S - S_ref).max() <= 1e-14 * abs(S_ref).max()
     assert np.max(np.abs(dA - dA_ref)) <= 1e-14 * np.max(np.abs(dA_ref))
+
+
+def _hessian_by_one_block_formula(prob, at):
+    """The pattern data of the sparse part of J'' and dA, written out as one
+    block formula: K w (G^T G + (p-2) v v^T) - lower meas / (d+1)^2 with
+    K = a - b A, in that order of operations."""
+    mesh, grads, gmag, uc = prob.mesh, at.grads, at.gmag, at.uc
+    pattern = mesh.interior_pattern
+    pv, meas, live = prob.p.values, mesh.element_measures, pattern.live
+    w = np.power(gmag, pv - 2.0, out=np.zeros_like(gmag), where=live) * meas
+    dA = (mesh.gradient_adjoint @ (w[:, None] * grads).ravel())[mesh.interior]
+    G = mesh.hat_gradients.transpose(1, 2, 0)
+    n = np.divide(grads.T, gmag, out=np.zeros(grads.shape[::-1]), where=gmag > 0.0)
+    v = np.einsum("ke,kie->ie", n, G)
+    blocks = mesh.hat_gram + (pv - 2.0) * (v[:, None] * v[None])
+    K = prob.a - prob.b * _p_integral(gmag, prob.p, meas)
+    blocks *= K * w
+    lower = _g_prime(prob.g, uc, live)
+    if prob.lam != 0.0:
+        lower = lower + prob.lam * (pv - 1.0) * np.power(
+            np.abs(uc), pv - 2.0, out=np.zeros_like(uc), where=live)
+    blocks -= lower * meas / (mesh.dimension + 1) ** 2
+    data = np.bincount(pattern.slot, blocks.ravel()[pattern.keep], len(pattern.indices))
+    return data, dA
+
+
+@pytest.mark.parametrize("case", HESSIAN_CASES)
+def test_kirchhoff_hessian_is_bitwise_the_one_block_formula(case):
+    # the element kernel takes K and the lower-order term as inputs; J''
+    # keeps every bit of its data
+    prob = _hessian_case(case)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        at = _point(prob.mesh, GridFunction(prob.mesh, rng.standard_normal(
+            prob.mesh.n_vertices)).nodal_values)
+        data, dA = _kirchhoff_hessian(prob, at)
+        data_ref, dA_ref = _hessian_by_one_block_formula(prob, at)
+        assert data.tobytes() == data_ref.tobytes()
+        assert dA.tobytes() == dA_ref.tobytes()
+
+
+@pytest.mark.parametrize("case", ["1d_variable_p", "2d"])
+def test_rayleigh_hessian_vector_products_match_finite_differences(case):
+    # A'' - R B'' is the derivative of A'(u) - R B'(u) with R held fixed
+    prob = _hessian_case(case)
+    mesh, p, idx = prob.mesh, prob.p, prob.mesh.interior
+    rng = np.random.default_rng(13)
+    u = GridFunction(mesh, 0.3 + rng.random(mesh.n_vertices)).nodal_values
+    R = rayleigh_ratio(mesh, p, u)
+    H = mesh.interior_pattern_matrix(_rayleigh_hessian(mesh, p, _point(mesh, u), R))
+    assert (H != H.T).nnz == 0  # bitwise symmetric
+    H_ref = rayleigh_hessian_by_operators(mesh, p, u, R)
+    assert abs(H - H_ref).max() <= 1e-14 * abs(H_ref).max()
+
+    def equation(x):  # A'(x) - R B'(x)
+        flux, s_pow = _derivative_terms_of_elements(mesh, p, _point(mesh, x))
+        return (mesh.gradient_adjoint @ flux
+                - R * (mesh.centroid_adjoint @ (s_pow * mesh.element_measures)))
+
+    for _ in range(3):
+        v = GridFunction(mesh, rng.standard_normal(mesh.n_vertices)).nodal_values
+        fd = central_difference(equation, u, v)[idx]
+        assert np.max(np.abs(H @ v[idx] - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 def test_hessian_rank_one_factor_is_the_derivative_of_A():

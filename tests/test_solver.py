@@ -19,6 +19,7 @@ from pxkirchhoff import (
     GridFunction,
     KirchhoffProblem,
     MaxIterations,
+    Mesh,
     NonlinearitySpec,
     SolveReport,
     build_exponent_field,
@@ -212,11 +213,58 @@ def test_rayleigh_descent_matches_the_descent_on_nodes(case, monkeypatch):
     armijo = solver._armijo
     monkeypatch.setattr(solver, "_armijo", lambda *args: searches.append(1) or armijo(*args))
     ray = rayleigh_quotient_min(p, mesh, seed=3, max_iter=300)
-    ref_lam, ref_nodal, ref_steps = rayleigh_descent_on_nodes(p, mesh, seed=3, max_iter=300)
+    ref_lam, ref_nodal, ref_steps, ref_newton = rayleigh_descent_on_nodes(
+        p, mesh, seed=3, max_iter=300)
     assert ray.value == pytest.approx(ref_lam, rel=1e-12)
     assert len(searches) == ref_steps == ray.steps
+    assert ray.newton_steps == ref_newton
+    # constant p keeps the stiffness throughout; variable p steps along H
+    assert (ray.newton_steps == 0) if case == "2d_constant_p" else (ray.newton_steps > 0)
     scale = np.max(np.abs(ref_nodal))
     assert np.max(np.abs(ray.minimizer.nodal_values - ref_nodal)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rayleigh_1d_variable_p_certifies_within_40_steps(seed):
+    # the descent alone took 128-137 steps here; the steps along the frozen
+    # Hessian finish it
+    mesh, p = _rayleigh_mesh_and_p("1d_variable_p")
+    ray = rayleigh_quotient_min(p, mesh, seed=seed)
+    assert ray.residual <= 1e-6
+    assert ray.steps <= 40 and ray.newton_steps > 0
+
+
+def test_rayleigh_p_below_two_certifies():
+    # p = 1.2 + 0.2x: the descent alone used up its 500 steps at every seed
+    mesh = build_interval_mesh(100, 0.0, 1.0)
+    p = build_exponent_field(1.2 + 0.2 * mesh.element_centroids[:, 0], mesh)
+    ray = rayleigh_quotient_min(p, mesh, seed=0)
+    assert ray.residual <= 1e-6 and ray.newton_steps > 0
+    assert rayleigh_ratio(mesh, p, ray.minimizer.nodal_values) == ray.value
+
+
+def test_rayleigh_falls_back_to_the_stiffness_when_the_lu_fails(monkeypatch):
+    mesh, p = _rayleigh_mesh_and_p("2d_variable_p")
+    reference = rayleigh_quotient_min(p, mesh, seed=3).value
+
+    def singular(self, data):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(Mesh, "interior_pattern_lu", singular)
+    ray = rayleigh_quotient_min(p, mesh, seed=3)
+    assert ray.residual <= 1e-6 and ray.newton_steps == 0
+    assert ray.value == pytest.approx(reference, rel=1e-13)
+
+
+def test_rayleigh_factors_one_hessian_per_start_at_48(monkeypatch):
+    mesh, p = _square_with_variable_p(48)
+    calls = []
+    factor = Mesh.interior_pattern_lu
+    monkeypatch.setattr(Mesh, "interior_pattern_lu",
+                        lambda self, data: calls.append(1) or factor(self, data))
+    ray = rayleigh_quotient_min(p, mesh, seed=1000)
+    assert ray.residual <= 1e-6 and ray.newton_steps >= 2
+    assert len(calls) == 1
 
 
 class _CountingMap:
@@ -1020,7 +1068,7 @@ def test_kernel_forms_are_bitwise_the_nodal_functions():
         assert np.array_equal(g[idx], gradient_J(u, prob).nodal_values[idx])
         assert A == kirchhoff_A(u, prob.p)
         assert float(solver._energy_of_elements(prob, A, at.uc)) == energy_J(u, prob)
-        data, dA = solver._hessian_of_elements(prob, at)
+        data, dA = solver._kirchhoff_hessian(prob, at)
         S = prob.mesh.interior_pattern_matrix(data)
         S_ref, dA_ref = hessian_J(u, prob)
         for name in ("data", "indices", "indptr"):
