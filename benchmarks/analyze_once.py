@@ -6,23 +6,29 @@
     python3 benchmarks/analyze_once.py slow  --parent DIR [--reps N]
     python3 benchmarks/analyze_once.py counts --parent DIR --workload W --seed S
     python3 benchmarks/analyze_once.py rayleigh --parent DIR [--reps N]
+    python3 benchmarks/analyze_once.py pencils [--reps N]
 
 Each command prints one JSON document; ``--out FILE --key KEY`` also
 stores it under KEY in the JSON file FILE.  Every process runs with the
 BLAS on one thread.
 
-* ``lu``: milliseconds per sparse LU, the median over ``--reps`` rounds
-  that each call every variant once, in an order rotated round by round.
-  The matrices are the sparse part S of J'' at the solved mountain-pass
-  point of a 1-D mesh with 399 interior vertices (p = 2 + 0.2x) and of 32²
-  and 64² squares (p = 2), and the interior stiffness of a 48² square.
-  The variants: SuperLU's minimum-degree order with its default supernodes
-  (``mmd_default``, the LU before the ordering was kept) and with
-  ``_RELAX``/``_PANEL_SIZE`` (``mmd_small``); S renumbered by the kept
+* ``lu``: milliseconds per factorization, the median over ``--reps``
+  rounds that each call every variant once, in an order rotated round by
+  round.  The matrices are the sparse part S of J'' at the solved
+  mountain-pass point of a 1-D mesh with 399 interior vertices
+  (p = 2 + 0.2x) and of 32², 48², 64² and 96² squares (p = 2), and the
+  interior stiffness of the same squares; each row records the bandwidth
+  kl and ``_BAND_MAX``, the widest band that is factored by LAPACK.  The
+  variants on S: SuperLU's minimum-degree order with its default
+  supernodes (``mmd_default``, the LU before the ordering was kept) and
+  with ``_RELAX``/``_PANEL_SIZE`` (``mmd_small``); S renumbered by the kept
   order and factored in natural order, with the default supernodes
   (``reordered_default``), with relax = panel = 1 (``reordered_1_1``) and
-  as ``Mesh.interior_pattern_lu`` does it (``reordered``, the data gather
-  included).
+  as ``Mesh.interior_pattern_splu`` does it (``reordered``, the data gather
+  included); and LAPACK's band LU as ``Mesh.interior_pattern_lu`` makes it
+  on a band mesh (``band_dgbtrf``, the scatter included), at every
+  bandwidth.  On the stiffness: ``mmd_default``, ``mmd_small`` and
+  LAPACK's band Cholesky (``band_dpbtrf``).
 * ``pairs``: ``perfbench/run.py --workload W --trace 0`` from the checkout
   DIR (the parent) and from this checkout, alternated pair by pair, at
   seeds S, S+1, ...; each run's metrics and the medians, quartiles and
@@ -35,8 +41,9 @@ BLAS on one thread.
 * ``counts``: one task of workload W at config seed S from DIR's sources
   and from this checkout, each in its own process: its mountain-pass
   solves, Hessian assemblies (``_hessian_of_elements``), sparse LUs
-  (``discretization._splu``) and ``csc_matrix`` constructions, scipy's own
-  included.
+  (``discretization._splu``), LAPACK band LUs and band Cholesky factors
+  (``_band_lu``, ``_band_cholesky``) and ``csc_matrix`` constructions,
+  scipy's own included.
 * ``rayleigh``: the first eigenvalue (``rayleigh_quotient_min``, default
   ``tol`` and ``max_iter``) on the cases of ``RAYLEIGH_CASES``, each seed
   solved on a fresh mesh ``--reps`` times from DIR's sources and from this
@@ -45,6 +52,10 @@ BLAS on one thread.
   ``Mesh.interior_pattern_lu`` calls, lambda_p and the residual, or the
   error that ended the start; per case, the median solve time.  The
   command fails when a start of this checkout is not certified.
+* ``pencils``: milliseconds per call of the dense and the ARPACK route of
+  ``solver._morse`` and ``laplace_eigenbasis`` (k = 3), the routes that
+  ``solver._DENSE_N`` chooses between, at the solved mountain-pass point
+  of 1-D meshes with 99 to 249 interior vertices (p = 2 + 0.2x).
 """
 
 import argparse
@@ -112,23 +123,35 @@ def _solved(cli, domain: str, p: str, lam: float = 0.0):
 
 def lu_table(reps: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
     import scipy.sparse.linalg as sla
-    from pxkirchhoff import cli
-    from pxkirchhoff.discretization import _PANEL_SIZE, _RELAX, build_rect_mesh
+    from pxkirchhoff import cli, discretization
+    from pxkirchhoff.discretization import (_PANEL_SIZE, _RELAX, _band_cholesky,
+                                            _PermutedLU, build_rect_mesh)
     from pxkirchhoff.energy import hessian_J
 
     def mmd(S, **kw):
         return sla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True), **kw)
 
+    def band(mesh, data):
+        """``Mesh.interior_pattern_lu``'s band route at any bandwidth."""
+        band_max, discretization._BAND_MAX = discretization._BAND_MAX, sys.maxsize
+        try:
+            return mesh.interior_pattern_lu(data)
+        finally:
+            discretization._BAND_MAX = band_max
+
     cases = []
     for label, domain, p in (("1d_hessian_n399", "interval:0,1,400", "affine:2,0.2"),
                              ("2d_hessian_32", "rect:0,0,1,1,32,32", "const:2"),
-                             ("2d_hessian_64", "rect:0,0,1,1,64,64", "const:2")):
+                             ("2d_hessian_48", "rect:0,0,1,1,48,48", "const:2"),
+                             ("2d_hessian_64", "rect:0,0,1,1,64,64", "const:2"),
+                             ("2d_hessian_96", "rect:0,0,1,1,96,96", "const:2")):
         prob, rep = _solved(cli, domain, p)
         S = hessian_J(rep.solution, prob)[0]
         mesh = prob.mesh
-        mesh.interior_pattern_lu(S.data)  # the first LU keeps the order
+        mesh.interior_pattern_splu(S.data)  # the first SuperLU keeps the order
         order = mesh._pattern_order
 
         def natural(S=S, order=order, **kw):
@@ -137,37 +160,90 @@ def lu_table(reps: int) -> dict:
             return sla.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True), **kw)
 
-        cases.append((label, S, {
+        cases.append((label, S, mesh, {
             "mmd_default": lambda S=S: mmd(S),
             "mmd_small": lambda S=S: mmd(S, relax=_RELAX, panel_size=_PANEL_SIZE),
             "reordered_default": natural,
             "reordered_1_1": lambda natural=natural: natural(relax=1, panel_size=1),
-            "reordered": lambda S=S, mesh=mesh: mesh.interior_pattern_lu(S.data).lu,
+            "reordered": lambda S=S, mesh=mesh: mesh.interior_pattern_splu(S.data),
+            "band_dgbtrf": lambda S=S, mesh=mesh: band(mesh, S.data),
         }))
-    K = build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0))).interior_stiffness
-    cases.append(("2d_stiffness_48", K, {
-        "mmd_default": lambda: mmd(K),
-        "mmd_small": lambda: mmd(K, relax=_RELAX, panel_size=_PANEL_SIZE),
-    }))
+    for nx in (32, 48, 64, 96):
+        mesh = build_rect_mesh(nx, nx, ((0.0, 0.0), (1.0, 1.0)))
+        K = mesh.interior_stiffness
+        cases.append((f"2d_stiffness_{nx}", K, mesh, {
+            "mmd_default": lambda K=K: mmd(K),
+            "mmd_small": lambda K=K: mmd(K, relax=_RELAX, panel_size=_PANEL_SIZE),
+            "band_dpbtrf": lambda K=K, kl=mesh.interior_bandwidth: _band_cholesky(K, kl),
+        }))
 
-    rows = []
-    for label, S, variants in cases:
+    rows, rng = [], np.random.default_rng(0)
+    for label, S, mesh, variants in cases:
         names = list(variants)
         times = {name: [] for name in names}
+        solves = {name: [] for name in names}
+        b = rng.standard_normal(S.shape[0])
         for r in range(reps):
             for k in range(len(names)):
                 name = names[(r + k) % len(names)]
                 t0 = time.perf_counter()
-                variants[name]()
-                times[name].append(time.perf_counter() - t0)
-        row = {"matrix": label, "n": S.shape[0], "nnz": S.nnz}
+                factor = variants[name]()
+                t1 = time.perf_counter()
+                factor.solve(b)
+                times[name].append(t1 - t0)
+                solves[name].append(time.perf_counter() - t1)
+        row = {"matrix": label, "n": S.shape[0], "nnz": S.nnz, "kl": mesh.interior_bandwidth,
+               "band_max": discretization._BAND_MAX}
         for name in names:
-            lu = variants[name]()
+            factor = variants[name]()
+            if isinstance(factor, _PermutedLU):
+                factor = factor.lu
             row[name + "_ms"] = round(1e3 * statistics.median(times[name]), 4)
-            row[name + "_fill"] = int(lu.L.nnz + lu.U.nnz)
+            row[name + "_solve_ms"] = round(1e3 * statistics.median(solves[name]), 4)
+            # the entries SuperLU keeps, or the size of LAPACK's band array
+            row[name + "_fill"] = int(factor.L.nnz + factor.U.nnz if hasattr(factor, "L")
+                                      else factor[0].size)
         rows.append(row)
-    return {"what": f"ms per LU, median of {reps} rounds; fill = nnz(L) + nnz(U)",
+    return {"what": f"ms per factorization and per solve with one right-hand side, median "
+                    f"of {reps} rounds; fill = nnz(L) + nnz(U) for SuperLU and the band "
+                    "array's size for LAPACK",
             "rows": rows}
+
+
+def pencils(reps: int) -> dict:
+    """The dense and the ARPACK route of ``_morse`` and of
+    ``laplace_eigenbasis`` (k = 3) at the solved mountain-pass point of 1-D
+    meshes around ``solver._DENSE_N``."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from pxkirchhoff import cli, laplace_eigenbasis, solver
+    from pxkirchhoff.energy import _point
+
+    dense_n, rows = solver._DENSE_N, []
+    routes = [("arpack", 0), ("dense", sys.maxsize)]
+    for n in (99, 128, 149, 169, 189, 249):
+        prob, rep = _solved(cli, f"interval:0,1,{n + 1}", "affine:2,0.2")
+        at = _point(prob.mesh, rep.solution.nodal_values)
+        calls = {"morse": lambda prob=prob, at=at: solver._morse(prob, at),
+                 "eigenbasis_k3": lambda mesh=prob.mesh: laplace_eigenbasis(mesh, 3)}
+        times = {}
+        for r in range(reps + 1):  # the first round warms up
+            for route, cutoff in routes if r % 2 else routes[::-1]:
+                solver._DENSE_N = cutoff
+                for name, call in calls.items():
+                    t0 = time.perf_counter()
+                    call()
+                    if r:
+                        times.setdefault(f"{name}_{route}_ms", []).append(
+                            time.perf_counter() - t0)
+        solver._DENSE_N = dense_n
+        rows.append({"interior_n": n, **{key: round(1e3 * statistics.median(values), 3)
+                                         for key, values in times.items()}})
+    return {"what": f"ms per call, median of {reps} rounds after one warm-up, routes "
+                    "alternated; 1-D mesh (interval 0..1, interior_n + 1 elements), "
+                    "p = 2 + 0.2x, a = 1, b = 0.1, q = 4.5, theta = 3.2, lambda = 0, "
+                    "geometry seed 1000; the ARPACK route by _DENSE_N = 0, the dense "
+                    "route by an unbounded _DENSE_N; _morse includes the Hessian assembly",
+            "dense_n": dense_n, "rows": rows}
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -254,7 +330,8 @@ sys.path[:0] = [root + "/src", root + "/perfbench"]
 import scipy.sparse
 from configs import config_text
 from pxkirchhoff import cli, discretization, energy, solver
-counts = dict(mountain_pass_solves=0, hessian_assemblies=0, lus=0, csc_matrix_constructions=0)
+counts = dict(mountain_pass_solves=0, hessian_assemblies=0, lus=0, band_lus=0,
+              band_choleskys=0, csc_matrix_constructions=0)
 def counted(key, f):
     def wrapped(*args, **kwargs):
         counts[key] += 1
@@ -264,6 +341,9 @@ solver.mountain_pass_solve = counted("mountain_pass_solves", solver.mountain_pas
 energy._hessian_of_elements = solver._hessian_of_elements = counted(
     "hessian_assemblies", energy._hessian_of_elements)
 discretization._splu = counted("lus", discretization._splu)
+for key, factor in (("band_lus", "_band_lu"), ("band_choleskys", "_band_cholesky")):
+    if hasattr(discretization, factor):  # sources without the band route count 0
+        setattr(discretization, factor, counted(key, getattr(discretization, factor)))
 scipy.sparse.csc_matrix.__init__ = counted("csc_matrix_constructions",
                                            scipy.sparse.csc_matrix.__init__)
 out = sys.argv[4]
@@ -355,7 +435,7 @@ def rayleigh(parent: Path, reps: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("command", choices=["lu", "pairs", "slow", "counts", "rayleigh"])
+    ap.add_argument("command", choices=["lu", "pairs", "slow", "counts", "rayleigh", "pencils"])
     ap.add_argument("--reps", type=int, default=40)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--workload", default="mp2d")
@@ -374,6 +454,8 @@ def main(argv=None) -> int:
 
     if args.command == "lu":
         result = lu_table(args.reps)
+    elif args.command == "pencils":
+        result = pencils(args.reps)
     elif args.command == "pairs":
         result = pairs(args.parent.resolve(), args.workload, args.pairs, args.seed,
                        args.seconds, save)

@@ -11,13 +11,21 @@ interior vertices.  A matrix on that pattern is passed around as its data;
 ``Mesh.interior_pattern_matrix`` builds the CSC matrix only where one is
 used.  A mesh caches its derived data and operators on first use: the Gram
 blocks of its hat gradients (``Mesh.hat_gram``), which every second
-derivative adds, and the symmetric LU of its interior stiffness
-(``_splu``) among them, so its arrays must not be modified after
-construction.  It also keeps the column order of the first LU on its
-interior pattern: that order depends on the pattern alone, so the data of
-every later matrix on the pattern are renumbered by it and factored without
-a new ordering (``Mesh.interior_pattern_lu``), the analyze-once, factor-many
-split of sparse direct solvers (George-Liu 1981).
+derivative adds, and the factor of its interior stiffness among them, so
+its arrays must not be modified after construction.
+
+How a mesh factors depends on its interior bandwidth alone
+(``Mesh.interior_bandwidth``).  Up to _BAND_MAX, LAPACK factors the band:
+the stiffness by band Cholesky, and every matrix on the interior pattern
+by band LU, its data scattered straight into the band array
+(``Mesh.interior_pattern_lu``).  Above it, SuperLU factors both as
+symmetric (``_splu``).  That symmetric SuperLU of a matrix on the pattern
+(``Mesh.interior_pattern_splu``) is also the one LU whose pivots give the
+matrix's inertia, on every mesh.  The mesh keeps the column order of its
+first one, which depends on the pattern alone, so the data of every later
+matrix on the pattern are renumbered by it and factored without a new
+ordering, the analyze-once, factor-many split of sparse direct solvers
+(George-Liu 1981).
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from .errors import ShapeError
 
@@ -74,7 +83,7 @@ class Mesh:
     elements: np.ndarray          # (n_elements, dimension + 1) vertex indices
     boundary_mask: np.ndarray     # (n_vertices,) bool
     element_measures: np.ndarray  # (n_elements,) lengths / areas
-    # set by the first ``interior_pattern_lu``
+    # set by the first ``interior_pattern_splu``
     _pattern_order: "_PatternOrder | None" = field(default=None, init=False, repr=False)
 
     @property
@@ -188,6 +197,30 @@ class Mesh:
                             (local >= 0).any(axis=0))
 
     @cached_property
+    def interior_bandwidth(self) -> int:
+        """kl, the largest |i - j| over the entries (i, j) of
+        ``interior_pattern``: the widest spread of interior positions within
+        one element.  The interior numbering of ``build_interval_mesh`` has
+        kl = 1, and that of ``build_rect_mesh(nx, ny, ...)`` kl = nx."""
+        n = len(self.interior)
+        position = np.full(self.n_vertices, -1)
+        position[self.interior] = np.arange(n)
+        local = position[self.elements]
+        hi = local.max(axis=1)
+        lo = np.where(local >= 0, local, n).min(axis=1)
+        return int(np.max(hi - lo, initial=0, where=hi >= 0))
+
+    @cached_property
+    def _band_slots(self) -> np.ndarray:
+        """The index of each entry of ``interior_pattern``'s data in the
+        flat band array that ``interior_pattern_lu`` factors: entry (i, j)
+        sits in row 2 kl + i - j of column j, of 3 kl + 1 rows, at flat
+        index (2 kl + i - j) + j (3 kl + 1)."""
+        pattern, kl = self.interior_pattern, self.interior_bandwidth
+        cols = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
+        return 2 * kl + pattern.indices + 3 * kl * cols
+
+    @cached_property
     def gradient_adjoint(self) -> scipy.sparse.csr_matrix:
         """Dg^T as its own CSR matrix, so adjoint products build no transpose."""
         return self.gradient_map.T.tocsr()
@@ -217,9 +250,13 @@ class Mesh:
         return self.stiffness[np.ix_(idx, idx)].tocsc()
 
     @cached_property
-    def interior_stiffness_lu(self) -> scipy.sparse.linalg.SuperLU:
-        """The symmetric LU (``_splu``) of the interior stiffness, factored
-        once per mesh: every stiffness solve goes through its ``solve``."""
+    def interior_stiffness_lu(self) -> "_BandCholesky | scipy.sparse.linalg.SuperLU":
+        """The factor of the interior stiffness, factored once per mesh:
+        every stiffness solve goes through its ``solve``.  It is LAPACK's
+        band Cholesky (``_band_cholesky``) where the interior bandwidth is
+        at most _BAND_MAX, and the symmetric LU (``_splu``) above it."""
+        if self.interior_bandwidth <= _BAND_MAX:
+            return _band_cholesky(self.interior_stiffness, self.interior_bandwidth)
         return _splu(self.interior_stiffness)
 
     def interior_pattern_matrix(self, data: np.ndarray) -> scipy.sparse.csc_matrix:
@@ -230,9 +267,28 @@ class Mesh:
         pattern, n = self.interior_pattern, len(self.interior)
         return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
-    def interior_pattern_lu(self, data: np.ndarray) -> "_PermutedLU":
+    def interior_pattern_lu(self, data: np.ndarray) -> "_BandLU | _PermutedLU":
+        """The LU of the matrix on ``interior_pattern`` with pattern data
+        ``data``, to solve with.
+
+        Where the interior bandwidth kl is at most _BAND_MAX, it is
+        LAPACK's band LU with partial pivoting (``_BandLU``): the data are
+        scattered through ``_band_slots`` into a fresh band array, which
+        ``dgbtrf`` factors in place.  Above it, it is
+        ``interior_pattern_splu``.  Raises RuntimeError when the matrix is
+        singular (an exactly zero pivot), on either route.
+        """
+        if self.interior_bandwidth <= _BAND_MAX:
+            kl, n = self.interior_bandwidth, len(self.interior)
+            band = np.zeros((n, 3 * kl + 1))  # its transpose is the band, column-major
+            band.ravel()[self._band_slots] = data
+            return _band_lu(band.T, kl)
+        return self.interior_pattern_splu(data)
+
+    def interior_pattern_splu(self, data: np.ndarray) -> "_PermutedLU":
         """The symmetric LU of the matrix on ``interior_pattern`` with
-        pattern data ``data``.
+        pattern data ``data``, on every mesh: the LU whose pivots give the
+        matrix's inertia.
 
         The first call on a mesh factors that matrix itself
         (``interior_pattern_matrix``, ``_splu``) and keeps the column order
@@ -261,6 +317,16 @@ class Mesh:
         return self.mass[np.ix_(idx, idx)].tocsc()
 
 
+# Meshes whose interior bandwidth (``Mesh.interior_bandwidth``) is at most
+# this factor with LAPACK's band LU and band Cholesky, wider ones with SuperLU.
+# A band factor costs O(n kl^2) and has no per-column overhead.  On the
+# Hessians of square meshes the band LU takes 0.41 ms against SuperLU's 1.06
+# (in its kept order) at kl = 32 and 2.3 against 4.1 ms at kl = 48.  At
+# kl = 64 its lead is 10% (7.4 against 8.2 ms) while a band solve costs 1.8
+# times SuperLU's, and at kl = 96 the band LU loses, 19 against 15 ms
+# (``benchmarks/analyze_once.py lu``, BLAS on one thread).
+_BAND_MAX = 56
+
 # SuperLU's supernode relaxation and panel size, in columns, for every LU:
 # the thin factors of these meshes gain nothing from wider supernodes, which
 # cost more to set up than they save (SuperLU's defaults are 10 and 20).
@@ -276,14 +342,66 @@ def _splu(S: scipy.sparse.csc_matrix,
     the column order unless a diagonal pivot vanishes; it never does when S
     is positive definite.  Supernodes are small (``_RELAX``,
     ``_PANEL_SIZE``).  Raises RuntimeError when S is singular.  It factors
-    the interior stiffness once per mesh (``Mesh.interior_stiffness_lu``)
-    and every matrix on the interior pattern (``Mesh.interior_pattern_lu``):
-    the sparse part of J'' in the solver's Newton steps and, on more than
-    ``solver._DENSE_N`` interior vertices, in its Morse count by inertia,
-    and A'' - R B'' in the Rayleigh descent."""
+    the interior stiffness of a mesh wider than _BAND_MAX
+    (``Mesh.interior_stiffness_lu``), every matrix on the interior pattern
+    that is solved with on such a mesh (``Mesh.interior_pattern_lu``), and,
+    on every mesh, the sparse part of J'' whose inertia the solver's Morse
+    count reads (``Mesh.interior_pattern_splu``)."""
     return scipy.sparse.linalg.splu(S, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                                     relax=_RELAX, panel_size=_PANEL_SIZE,
                                     options=dict(SymmetricMode=True))
+
+
+class _BandLU(NamedTuple):
+    """LAPACK's band LU (``dgbtrf``) of a matrix with kl sub- and
+    superdiagonals: ``lu`` is the factored band array of 3 kl + 1 rows and
+    ``ipiv`` its row interchanges."""
+
+    lu: np.ndarray
+    ipiv: np.ndarray
+    kl: int
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """S^{-1} rhs, for one right-hand side or a column of them."""
+        return lapack.dgbtrs(self.lu, self.kl, self.kl, rhs, self.ipiv)[0]
+
+
+def _band_lu(band: np.ndarray, kl: int) -> _BandLU:
+    """The band LU of the column-major band array ``band`` (3 kl + 1 rows:
+    kl for the fill of the row interchanges, then the band, entry (i, j) in
+    row 2 kl + i - j), factored in place.  Raises RuntimeError on an exactly
+    zero pivot, as SuperLU does."""
+    lu, ipiv, info = lapack.dgbtrf(band, kl, kl, overwrite_ab=True)
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+    return _BandLU(lu, ipiv, kl)
+
+
+class _BandCholesky(NamedTuple):
+    """LAPACK's band Cholesky (``dpbtrf``): ``factor`` is the band array of
+    the upper factor, kl + 1 rows."""
+
+    factor: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """S^{-1} rhs, for one right-hand side or a column of them."""
+        return lapack.dpbtrs(self.factor, rhs)[0]
+
+
+def _band_cholesky(S: scipy.sparse.csc_matrix, kl: int) -> _BandCholesky:
+    """The band Cholesky of the symmetric positive definite CSC matrix S,
+    whose entries lie within kl of the diagonal: its upper triangle is
+    stored with entry (i, j) in row kl + i - j of column j and factored in
+    place.  Raises RuntimeError when S is not positive definite."""
+    n = S.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(S.indptr))
+    upper = S.indices <= cols
+    band = np.bincount((kl + S.indices + kl * cols)[upper], S.data[upper],
+                       minlength=(kl + 1) * n)
+    factor, info = lapack.dpbtrf(band.reshape(n, kl + 1).T, overwrite_ab=True)
+    if info > 0:
+        raise RuntimeError("the matrix is not positive definite")
+    return _BandCholesky(factor)
 
 
 class _PermutedLU(NamedTuple):

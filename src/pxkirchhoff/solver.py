@@ -15,10 +15,11 @@ The mountain-pass solver holds one point, the maximum of J on its ray
 bounds the mountain-pass level from above.  It runs Newton's method on the
 exact sparse Hessian from that peak, and accepts its point only at or below
 the peak's energy (Li-Zhou 2001).  Each step factors the sparse part of J''
-from its pattern data (``energy._hessian_of_elements``) with one symmetric
-sparse LU on the mesh's interior pattern, in the column order the mesh
-keeps from its first one (``Mesh.interior_pattern_lu``); the rank-one part
-is solved by Sherman-Morrison.  The fallback descends on
+from its pattern data (``energy._hessian_of_elements``) with one LU on the
+mesh's interior pattern (``Mesh.interior_pattern_lu``): LAPACK's band LU on
+a mesh of narrow interior bandwidth, and above it a symmetric sparse LU in
+the column order the mesh keeps from its first one; the rank-one part is
+solved by Sherman-Morrison.  The fallback descends on
 the ray maximum: a backtracking step at the peak, after which each trial's
 ray is maximized again.  Descent directions are preconditioned with the
 constant-exponent stiffness (a discrete Sobolev gradient,
@@ -28,11 +29,12 @@ derivative.  The solution's Morse index is reported (``_morse``).  The
 eigenproblems, the Morse pencil and the Laplace eigenbasis, are solved
 dense by LAPACK on at most _DENSE_N interior vertices, where ARPACK's
 per-call overhead dominates.  Above it they are sparse: the index is
-counted by inertia from a symmetric LU of the sparse part of J'' (again
-``Mesh.interior_pattern_lu``), and one ARPACK call for the two lowest
-eigenvalues cross-checks it.  Every stiffness solve (the descent, the
-eigenbasis shift-invert, the Morse inverse mass) uses the mesh's one LU
-(``Mesh.interior_stiffness_lu``).  Element data come only from
+counted by inertia from the symmetric SuperLU of the sparse part of J'',
+on every mesh (``Mesh.interior_pattern_splu``), and one ARPACK call for
+the two lowest eigenvalues cross-checks it.  Every stiffness solve (the
+descent, the eigenbasis shift-invert, the Morse inverse mass) uses the
+mesh's one factor of the stiffness (``Mesh.interior_stiffness_lu``), a
+band Cholesky on a narrow mesh.  Element data come only from
 ``energy._point`` and ``energy._energy_ray``: the solvers hold their
 points and rays and never gather.
 
@@ -93,7 +95,7 @@ __all__ = [
 def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
     """-K^{-1} g on the interior vertices and 0 on the boundary, K the
     interior stiffness: the discrete H1_0 descent direction, solved with the
-    mesh's one symmetric LU of K (``Mesh.interior_stiffness_lu``)."""
+    mesh's one factor of K (``Mesh.interior_stiffness_lu``)."""
     d = np.zeros(mesh.n_vertices)
     d[mesh.interior] = -mesh.interior_stiffness_lu.solve(g[mesh.interior])
     return d
@@ -101,7 +103,9 @@ def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
 
 # Pencils on at most this many interior vertices are solved dense with LAPACK
 # (``scipy.linalg.eigh``), above it by ARPACK.  The two routes break even at
-# about 150-190 interior vertices (1-D, p = 2 + 0.2x, BLAS on one thread).
+# about 150-170 interior vertices for the eigenbasis and 170-190 for the Morse
+# pencil, with ARPACK's stiffness solves on the band Cholesky (1-D,
+# p = 2 + 0.2x, BLAS on one thread; ``benchmarks/analyze_once.py pencils``).
 _DENSE_N = 128
 
 
@@ -125,7 +129,7 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     _DENSE_N interior vertices, or for a full basis (k = n, which ARPACK
     cannot give), from one dense LAPACK solve; above it, from a sparse
     shift-invert eigensolve at shift 0, which inverts the stiffness with the
-    mesh's one symmetric LU (``Mesh.interior_stiffness_lu``).  They are
+    mesh's one factor of it (``Mesh.interior_stiffness_lu``).  They are
     normalized in the mass inner product, and signs are fixed so the entry
     of largest magnitude is positive; among entries within a relative 1e-8
     of that magnitude the first vertex decides, so an antisymmetric mode
@@ -260,8 +264,10 @@ def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -
     (``_ray_weights``, tilted by ``_rayleigh_on_ray``), bracketed by the
     slopes at the ends of the interval and found by ``_brent_root``.  For
     constant p the slope is exactly 0, R is scale-free, and the scale is 1.
-    Raises MaxIterations when the slope keeps one sign over the interval: R
-    then has no minimizer on the ray.
+    Raises MaxIterations when the slope keeps one sign over |s| <= _S_MAX:
+    R then has no minimizer on that segment of the ray.  One may lie beyond
+    it, where p varies little (1-D, p = 2 + 0.01x, seeds 0-2), or none may
+    exist: for non-monotone p the infimum of R can be 0.
     """
     c, (w_A, w_B) = p.values - p.lo, _ray_weights(mesh, p, gmag, uc)
 
@@ -274,10 +280,11 @@ def _ray_scale(mesh: Mesh, p: ExponentField, gmag: np.ndarray, uc: np.ndarray) -
     if not lo < 0.0 < hi:
         toward = "0" if lo >= 0.0 else "infinity"
         raise MaxIterations(
-            f"R decreases along the whole ray e^s u as u scales toward {toward} "
-            f"(d ln R/ds = {lo:.3g} at s = -{_S_MAX:g}, {hi:.3g} at s = {_S_MAX:g}): "
-            "it has no minimizer on the ray, and for non-monotone p the "
-            "infimum of R can be 0"
+            f"R decreases along the whole ray segment e^s u, |s| <= {_S_MAX:g}, as u "
+            f"scales toward {toward} (d ln R/ds = {lo:.3g} at s = -{_S_MAX:g}, {hi:.3g} "
+            f"at s = {_S_MAX:g}): it has no minimizer on the ray within |s| <= {_S_MAX:g}. "
+            "One may lie beyond it where p varies little; for non-monotone p the "
+            "infimum of R can be 0, and none exists"
         )
     return float(np.exp(_brent_root(slope, -_S_MAX, lo, _S_MAX, hi, _S_TOL)))
 
@@ -305,7 +312,9 @@ def _rayleigh_newton(mesh: Mesh, p: ExponentField, at: _Point, R: float, grad: n
                      w: np.ndarray, lu):
     """(lu, d, slope) for a step along the Hessian H of the Rayleigh
     equation: ``lu`` is the LU of H, as given, or of H = A''(u) - R B''(u)
-    at the point ``at`` (``energy._rayleigh_hessian``) when it is None;
+    at the point ``at`` (``energy._rayleigh_hessian``) when it is None,
+    from its pattern data (``Mesh.interior_pattern_lu``: a band LU on a
+    narrow mesh, a SuperLU in the kept order above it);
     d = -H^{-1}(A'(u) - R B'(u)) = -B H^{-1} R'(u), zero on the boundary,
     with B = B(u) from the ray weights ``w``; and slope = R'(u) d < 0.
     (None, None, None) when H or its LU fails (DomainError, RuntimeError)
@@ -372,8 +381,10 @@ def rayleigh_quotient_min(
     ``steps`` counts every step and ``newton_steps`` those along H.  If the
     line search stalls or it uses up ``max_iter`` steps first,
     MaxIterations names how it ended and its smallest residual.  It is
-    raised at once when R decreases along a whole ray (for non-monotone p
-    the infimum can be 0, and no minimizer exists).  A negative ``seed`` or
+    raised at once when R decreases along the whole segment |s| <= _S_MAX
+    of a ray e^s u, the one that ``_ray_scale`` searches: for non-monotone p
+    the infimum can be 0 and no minimizer exists, but where p varies little
+    the minimum on the ray can lie beyond the segment.  A negative ``seed`` or
     ``max_iter``, or a ``tol`` that is not finite and positive is a
     DomainError.
     """
@@ -617,8 +628,9 @@ def _ray_max(prob: KirchhoffProblem, nodal: np.ndarray):
 
 
 def _newton_direction(lu, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (S - b dA dA^T) d = rhs from a sparse LU of S
-    (``Mesh.interior_pattern_lu`` of its pattern data) by the Sherman-Morrison
+    """Solve (S - b dA dA^T) d = rhs from an LU of S, any factor with a
+    ``solve`` (``Mesh.interior_pattern_lu`` of its pattern data: LAPACK's
+    band LU on a narrow mesh, SuperLU above it), by the Sherman-Morrison
     formula for the rank-one term: one solve with the two columns rhs and
     dA.  Raises RuntimeError when the rank-one update is singular."""
     y, z = lu.solve(np.column_stack([rhs, dA])).T
@@ -679,9 +691,11 @@ def _inertia_index(mesh: Mesh, data: np.ndarray, dA: np.ndarray, b: float) -> in
     the matrix S on the interior pattern of ``mesh`` with pattern data
     ``data`` (``_hessian_of_elements``).
 
-    The symmetric LU of S (``Mesh.interior_pattern_lu``) factors Q S Q^T
-    for a permutation Q.  When it keeps its row order equal to its column
-    order, P Q S Q^T P^T = L U with U = D L^T, so by Sylvester's law S has
+    The symmetric SuperLU of S (``Mesh.interior_pattern_splu``), on every
+    mesh, factors Q S Q^T for a permutation Q; a band LU would not do, as
+    its partial pivoting swaps rows and its U carries no inertia.  When the
+    LU keeps its row order equal to its column order,
+    P Q S Q^T P^T = L U with U = D L^T, so by Sylvester's law S has
     as many negative eigenvalues as D = diag(U).  The bordered matrix
     [[S, dA], [dA^T, 1/b]] has S - b dA dA^T as the Schur complement of
     1/b > 0 and 1/b - dA^T S^{-1} dA as that of S, so by Haynsworth's
@@ -690,7 +704,7 @@ def _inertia_index(mesh: Mesh, data: np.ndarray, dA: np.ndarray, b: float) -> in
     rank-one term is not finite.
     """
     try:
-        factor = mesh.interior_pattern_lu(data)
+        factor = mesh.interior_pattern_splu(data)
     except RuntimeError:
         return None
     lu = factor.lu

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from pxkirchhoff import (
     GridFunction,
@@ -13,7 +14,9 @@ from pxkirchhoff import (
     gradient_of,
     integrate,
 )
-from pxkirchhoff.discretization import _splu
+from pxkirchhoff import discretization
+from pxkirchhoff.discretization import (_BAND_MAX, _BandCholesky, _BandLU, _PermutedLU,
+                                        _splu)
 from oracles import interior_pattern_by_unique
 
 
@@ -239,11 +242,15 @@ def test_hat_gradients_are_the_gradient_map(mesh):
     assert np.allclose(mesh.hat_gradients.sum(axis=2), 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("mesh", [
-    build_interval_mesh(40, 0.0, 1.0),
-    build_rect_mesh(9, 7, ((0.0, 0.0), (2.0, 1.0))),
-])
+def _wide_rect_mesh(ny, rect=((0.0, 0.0), (2.0, 1.0))):
+    """A rect mesh whose interior bandwidth, nx = _BAND_MAX + 1, puts it on
+    the SuperLU route."""
+    return build_rect_mesh(_BAND_MAX + 1, ny, rect)
+
+
+@pytest.mark.parametrize("mesh", [_wide_rect_mesh(3), _wide_rect_mesh(7)])
 def test_interior_stiffness_lu_is_symmetric_and_solves(mesh):
+    assert mesh.interior_bandwidth > _BAND_MAX  # the SuperLU route
     lu = mesh.interior_stiffness_lu
     assert lu is mesh.interior_stiffness_lu  # factored once, on first use
     # the stiffness is positive definite: every pivot is diagonal and positive
@@ -316,13 +323,20 @@ def _pattern_matrix(mesh, rng):
     return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
-@pytest.mark.parametrize("mesh", [
-    build_interval_mesh(40, 0.0, 1.0),
-    _jittered_rect_mesh(9, 7, seed=7),
-], ids=["1d", "2d"])
-def test_interior_pattern_lu_orders_once_and_solves(mesh):
+def _splu_meshes():
+    """The symmetric SuperLU that keeps its order, on fresh meshes: the
+    pattern LU of a mesh wider than _BAND_MAX, and, on every mesh, the LU
+    whose inertia the Morse count reads."""
+    return pytest.mark.parametrize("mesh, lu", [
+        (build_interval_mesh(40, 0.0, 1.0), Mesh.interior_pattern_splu),
+        (_jittered_rect_mesh(_BAND_MAX + 1, 3, seed=7), Mesh.interior_pattern_lu),
+    ], ids=["1d", "2d"])
+
+
+@_splu_meshes()
+def test_interior_pattern_lu_orders_once_and_solves(mesh, lu):
     rng = np.random.default_rng(8)
-    first = mesh.interior_pattern_lu(_pattern_matrix(mesh, rng).data)
+    first = lu(mesh, _pattern_matrix(mesh, rng).data)
     perm_c = first.lu.perm_c
     n = len(mesh.interior)
     for _ in range(3):
@@ -330,7 +344,7 @@ def test_interior_pattern_lu_orders_once_and_solves(mesh):
         fresh = _splu(S)
         # the minimum-degree order depends on the pattern alone
         assert np.array_equal(fresh.perm_c, perm_c)
-        later = mesh.interior_pattern_lu(S.data)
+        later = lu(mesh, S.data)
         assert np.array_equal(later.order, np.argsort(perm_c))
         assert np.array_equal(later.lu.perm_c, np.arange(n))  # natural order
         assert later.lu.L.nnz == fresh.L.nnz and later.lu.U.nnz == fresh.U.nnz
@@ -340,11 +354,8 @@ def test_interior_pattern_lu_orders_once_and_solves(mesh):
         assert np.max(np.abs(later.solve(rhs[:, 0]) - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("mesh", [
-    build_interval_mesh(40, 0.0, 1.0),
-    _jittered_rect_mesh(9, 7, seed=7),
-], ids=["1d", "2d"])
-def test_first_pattern_lu_orders_the_matrix_of_its_data(mesh):
+@_splu_meshes()
+def test_first_pattern_lu_orders_the_matrix_of_its_data(mesh, lu):
     # the first LU builds the matrix of its data (interior_pattern_matrix)
     # and orders it, so it keeps the order an LU of that matrix finds
     S = _pattern_matrix(mesh, np.random.default_rng(9))
@@ -352,7 +363,7 @@ def test_first_pattern_lu_orders_the_matrix_of_its_data(mesh):
     assert built.format == "csc"
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(built, name), getattr(S, name))
-    first = mesh.interior_pattern_lu(S.data)
+    first = lu(mesh, S.data)
     fresh = _splu(S)
     assert np.array_equal(first.lu.perm_c, fresh.perm_c)
     assert np.array_equal(first.order, np.arange(len(mesh.interior)))
@@ -372,3 +383,67 @@ def test_hat_gram_blocks_assemble_the_stiffness(mesh):
     blocks = (gram * mesh.element_measures).ravel()[pattern.keep]
     K = mesh.interior_pattern_matrix(np.bincount(pattern.slot, blocks, len(pattern.indices)))
     assert abs(K - mesh.interior_stiffness).max() <= 1e-13 * abs(mesh.interior_stiffness).max()
+
+
+def _same_mesh(mesh):
+    """A new mesh on the arrays of ``mesh``, with none of its cached data."""
+    return Mesh(mesh.dimension, mesh.vertices, mesh.elements, mesh.boundary_mask,
+                mesh.element_measures)
+
+
+@pytest.mark.parametrize("mesh, kl", [
+    (build_interval_mesh(400, 0.0, 1.0), 1),
+    (_jittered_rect_mesh(9, 7, seed=7), 9),
+    (build_rect_mesh(8, 150, ((0.0, 0.0), (1.0, 1.0))), 8),
+    (build_rect_mesh(_BAND_MAX, 3, ((0.0, 0.0), (2.0, 1.0))), _BAND_MAX),
+    (_wide_rect_mesh(3), _BAND_MAX + 1),
+], ids=["1d_400", "2d_9x7", "2d_8x150", "2d_widest_band", "2d_wide"])
+def test_the_factorization_route_depends_on_the_bandwidth_alone(mesh, kl, monkeypatch):
+    pattern = mesh.interior_pattern
+    rows = np.repeat(np.arange(len(mesh.interior)), np.diff(pattern.indptr))
+    assert mesh.interior_bandwidth == kl == np.max(np.abs(pattern.indices - rows))
+    data = _pattern_matrix(mesh, np.random.default_rng(12)).data
+    for band in (kl <= _BAND_MAX, kl > _BAND_MAX):
+        assert isinstance(mesh.interior_stiffness_lu,
+                          _BandCholesky if band else scipy.sparse.linalg.SuperLU)
+        assert isinstance(mesh.interior_pattern_lu(data), _BandLU if band else _PermutedLU)
+        # the same arrays, with the bound moved past their bandwidth
+        monkeypatch.setattr(discretization, "_BAND_MAX", kl if kl > _BAND_MAX else kl - 1)
+        mesh = _same_mesh(mesh)
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(40, 0.0, 1.0),
+    _jittered_rect_mesh(9, 7, seed=7),
+    build_rect_mesh(_BAND_MAX, 3, ((0.0, 0.0), (2.0, 1.0))),
+], ids=["1d", "2d", "2d_widest_band"])
+def test_band_factors_solve_as_superlu_does(mesh):
+    rng = np.random.default_rng(13)
+    n = len(mesh.interior)
+    factors = [(mesh.interior_stiffness_lu, mesh.interior_stiffness)]
+    assert factors[0][0] is mesh.interior_stiffness_lu  # factored once, on first use
+    for _ in range(2):
+        S = _pattern_matrix(mesh, rng)
+        factors.append((mesh.interior_pattern_lu(S.data), S))
+    assert [type(f) for f, _ in factors] == [_BandCholesky, _BandLU, _BandLU]
+    for factor, S in factors:
+        rhs = rng.standard_normal((n, 2))
+        ref = _splu(S).solve(rhs)
+        assert np.max(np.abs(factor.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(factor.solve(rhs[:, 0]) - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(40, 0.0, 1.0),
+    _jittered_rect_mesh(9, 7, seed=7),
+], ids=["1d", "2d"])
+def test_a_singular_band_matrix_raises_as_superlu_does(mesh):
+    n, pattern = len(mesh.interior), mesh.interior_pattern
+    data = _pattern_matrix(mesh, np.random.default_rng(14)).data
+    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    data[(pattern.indices == n // 2) | (cols == n // 2)] = 0.0  # a zero row and column
+    for singular in (data, np.zeros_like(data)):
+        with pytest.raises(RuntimeError, match="Factor is exactly singular"):
+            _splu(mesh.interior_pattern_matrix(singular))
+        with pytest.raises(RuntimeError, match="Factor is exactly singular"):
+            mesh.interior_pattern_lu(singular)

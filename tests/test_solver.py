@@ -40,7 +40,7 @@ from pxkirchhoff import (
 )
 from pxkirchhoff import discretization, energy, solver
 from pxkirchhoff.discretization import _splu
-from pxkirchhoff.energy import _point, _rayleigh_on_ray
+from pxkirchhoff.energy import _point, _rayleigh_gradient_of_elements, _rayleigh_on_ray
 from pxkirchhoff.solver import _ray_max, _scale_until_negative
 from oracles import (
     central_difference,
@@ -64,6 +64,14 @@ def model_problem(n=100, a=1.0, b=0.1, lam=0.0, q_const=4.5, theta=3.2,
     q = constant_exponent(q_const, mesh)
     spec = NonlinearitySpec(kind, q, coefficient=coefficient, theta=theta)
     return KirchhoffProblem(a, b, lam, p, spec, mesh)
+
+
+def wide_problem(ny=3, lam=2.0):
+    """A p = 2 problem on a rect mesh of the unit square whose interior
+    bandwidth, nx = _BAND_MAX + 1, puts its factorizations on SuperLU."""
+    mesh = build_rect_mesh(discretization._BAND_MAX + 1, ny, ((0.0, 0.0), (1.0, 1.0)))
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+    return KirchhoffProblem(1.0, 0.1, lam, constant_exponent(2.0, mesh), spec, mesh)
 
 
 def tent_on(mesh, peak=1.0):
@@ -267,6 +275,22 @@ def test_rayleigh_factors_one_hessian_per_start_at_48(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rayleigh_falls_back_to_the_stiffness_when_the_band_lu_is_singular(monkeypatch):
+    mesh, p = _rayleigh_mesh_and_p("2d_variable_p")
+    assert mesh.interior_bandwidth <= discretization._BAND_MAX
+    reference = rayleigh_quotient_min(p, mesh, seed=3)
+    monkeypatch.setattr(solver, "_rayleigh_hessian",
+                        lambda mesh, *args: np.zeros(len(mesh.interior_pattern.indices)))
+    at = _point(mesh, reference.minimizer.nodal_values)
+    grad, R, w = _rayleigh_gradient_of_elements(mesh, p, at)
+    with pytest.raises(RuntimeError, match="singular"):
+        mesh.interior_pattern_lu(solver._rayleigh_hessian(mesh, p, at, R))
+    assert solver._rayleigh_newton(mesh, p, at, R, grad, w, None) == (None, None, None)
+    ray = rayleigh_quotient_min(p, mesh, seed=3)
+    assert ray.residual <= 1e-6 and ray.newton_steps == 0
+    assert ray.value == pytest.approx(reference.value, rel=1e-13)
+
+
 class _CountingMap:
     """A sparse matrix that counts its products with vectors."""
 
@@ -377,6 +401,18 @@ def test_rayleigh_non_monotone_p_names_the_missing_minimizer():
     assert time.perf_counter() - start < 1.0
     assert "no minimizer on the ray" in str(err.value)
     assert "infimum of R can be 0" in str(err.value)
+
+
+def test_rayleigh_ray_search_names_the_segment_it_searched():
+    # p = 2 + 0.01x is monotone, but the minimum of R on the first step's ray
+    # lies beyond the searched |s| <= 6: the message says that it found none
+    # there, not that the ray has none
+    mesh = build_interval_mesh(100, 0.0, 1.0)
+    p = build_exponent_field(2.0 + 0.01 * mesh.element_centroids[:, 0], mesh)
+    with pytest.raises(MaxIterations, match=r"ray segment e\^s u, \|s\| <= 6,") as err:
+        rayleigh_quotient_min(p, mesh, seed=0)
+    assert "no minimizer on the ray within |s| <= 6." in str(err.value)
+    assert "One may lie beyond it where p varies little" in str(err.value)
 
 
 def _retained_per_call(f):
@@ -1475,11 +1511,11 @@ def test_inertia_from_a_reordered_lu_matches_the_first(dim):
 
 
 def test_hessian_pattern_is_ordered_once_per_mesh(monkeypatch):
-    # a 32^2 solve: the first Hessian LU orders the pattern by minimum
-    # degree, every later one (Newton's and the Morse inertia's) reuses it
-    mesh = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
-    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
-    prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
+    # a solve on a mesh wider than _BAND_MAX: the first Hessian LU orders the
+    # pattern by minimum degree, every later one (Newton's and the Morse
+    # inertia's) reuses it
+    prob = wide_problem(ny=4, lam=0.0)
+    mesh = prob.mesh
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
     specs, splu = [], scipy.sparse.linalg.splu
 
@@ -1492,9 +1528,34 @@ def test_hessian_pattern_is_ordered_once_per_mesh(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     assert rep.morse_index == 1 and rep.newton_steps >= 2
-    # one LU per Newton step and one for the inertia (961 > _DENSE_N)
+    # one LU per Newton step and one for the inertia (168 > _DENSE_N)
     assert len(specs) == rep.newton_steps + 1
     assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * rep.newton_steps
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_lu_solves_the_hessians_as_superlu_does(dim):
+    # the sparse part of J'' and A'' - R B'' at random points of a band mesh
+    if dim == 1:
+        mesh = build_interval_mesh(30, 0.0, 1.0)
+    else:
+        mesh = build_rect_mesh(12, 10, ((0.0, 0.0), (1.0, 1.0)))
+    p = build_exponent_field(2.1 + 0.3 * mesh.element_centroids[:, 0], mesh)
+    spec = NonlinearitySpec("pure_power", constant_exponent(5.0, mesh))
+    prob = KirchhoffProblem(1.0, 0.1, 2.0, p, spec, mesh)
+    basis = np.array([b.nodal_values for b in laplace_eigenbasis(mesh, 4)])
+    rng = np.random.default_rng(20 + dim)
+    n = len(mesh.interior)
+    for _ in range(3):
+        at = _point(mesh, rng.standard_normal(4) @ basis * rng.uniform(0.05, 1.0))
+        R = _rayleigh_gradient_of_elements(mesh, p, at)[1]
+        for data in (solver._kirchhoff_hessian(prob, at)[0],
+                     solver._rayleigh_hessian(mesh, p, at, R)):
+            factor = mesh.interior_pattern_lu(data)
+            assert isinstance(factor, discretization._BandLU)
+            rhs = rng.standard_normal((n, 2))
+            ref = _splu(mesh.interior_pattern_matrix(data)).solve(rhs)
+            assert np.max(np.abs(factor.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class _OffDiagonalLU:
@@ -1715,10 +1776,10 @@ def test_multiplicity_keeps_the_lower_of_a_sign_pair(shift, kept, monkeypatch):
 
 
 def test_newton_polish_builds_no_sparse_matrix(monkeypatch):
-    # J'' reaches the LU as pattern data: only the first LU on the mesh
-    # builds a matrix, to order it, and no later Newton attempt constructs
-    # a csc_matrix
-    prob = model_problem(n=12)
+    # J'' reaches the LU as pattern data: on a mesh wider than _BAND_MAX
+    # only the first LU builds a matrix, to order it, and no later Newton
+    # attempt constructs a csc_matrix
+    prob = wide_problem()
     polish, init = solver._newton_polish, scipy.sparse.csc_matrix.__init__
     built, attempts = [], []
 
@@ -1946,12 +2007,29 @@ def _count_stiffness_lus(monkeypatch, mesh) -> list:
 
 @STIFFNESS_TASKS
 def test_stiffness_is_factored_once_per_mesh(n, task, lus, monkeypatch):
+    # by SuperLU, on a mesh wider than _BAND_MAX with at most _DENSE_N
+    # interior vertices
     for route, cutoff in ROUTES:
         monkeypatch.setattr(solver, "_DENSE_N", cutoff)
-        prob = model_problem(n=n)
+        prob = wide_problem()
         calls = _count_stiffness_lus(monkeypatch, prob.mesh)
         task(prob)
         assert len(calls) == lus[route]
+        monkeypatch.undo()
+
+
+@STIFFNESS_TASKS
+def test_band_stiffness_is_factored_once_per_mesh(n, task, lus, monkeypatch):
+    # by LAPACK's band Cholesky on these 1-D meshes, and never by SuperLU
+    dpbtrf = scipy.linalg.lapack.dpbtrf
+    for route, cutoff in ROUTES:
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        prob, factored = model_problem(n=n), []
+        calls = _count_stiffness_lus(monkeypatch, prob.mesh)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
+                            lambda *args, **kwargs: factored.append(1) or dpbtrf(*args, **kwargs))
+        task(prob)
+        assert len(factored) == lus[route] and calls == []
         monkeypatch.undo()
 
 
