@@ -40,10 +40,13 @@ BLAS on one thread.
   solve time.
 * ``counts``: one task of workload W at config seed S from DIR's sources
   and from this checkout, each in its own process: its mountain-pass
-  solves, Hessian assemblies (``_hessian_of_elements``), sparse LUs
-  (``discretization._splu``), LAPACK band LUs and band Cholesky factors
-  (``_band_lu``, ``_band_cholesky``) and ``csc_matrix`` constructions,
-  scipy's own included.
+  solves (``cli``'s and ``solver``'s), Hessian assemblies
+  (``_hessian_of_elements``), sparse LUs (``discretization._splu``),
+  LAPACK band LUs and band Cholesky factors (``_band_lu``,
+  ``_band_cholesky``), ``csc_matrix`` constructions, scipy's own included,
+  and ``eigsh`` calls with their ARPACK reverse-communication steps,
+  operator applications and products with the pencil's B, in all and per
+  call (k, ``which``, whether it got ``M`` or ``sigma``).
 * ``rayleigh``: the first eigenvalue (``rayleigh_quotient_min``, default
   ``tol`` and ``max_iter``) on the cases of ``RAYLEIGH_CASES``, each seed
   solved on a fresh mesh ``--reps`` times from DIR's sources and from this
@@ -55,7 +58,11 @@ BLAS on one thread.
 * ``pencils``: milliseconds per call of the dense and the ARPACK route of
   ``solver._morse`` and ``laplace_eigenbasis`` (k = 3), the routes that
   ``solver._DENSE_N`` chooses between, at the solved mountain-pass point
-  of 1-D meshes with 99 to 249 interior vertices (p = 2 + 0.2x).
+  of 1-D meshes with 49 to 169 interior vertices and of 12², 16² and 24²
+  squares (p = 2 + 0.2x), all narrow enough for the band Cholesky; the
+  Morse index of each route and the largest relative gap between their
+  eigenvalues.  The command fails when a gap exceeds ``PENCIL_GAP`` or
+  the indices differ.
 """
 
 import argparse
@@ -80,6 +87,10 @@ SLOW_CASES = [
     ("1d401_p1.6_lambda2", "interval:0,1,401", "const:1.6", 2.0),
     ("1d401_p1.9_lambda2", "interval:0,1,401", "const:1.9", 2.0),
 ]
+
+# the largest relative gap between the dense and the ARPACK route's
+# eigenvalues that ``pencils`` accepts
+PENCIL_GAP = 1e-10
 
 # (label, mesh, p = c0 + c1 x, seeds): the mesh is ("interval", n) on (0, 1)
 # or ("rect", n), the n x n unit square
@@ -213,37 +224,65 @@ def lu_table(reps: int) -> dict:
 def pencils(reps: int) -> dict:
     """The dense and the ARPACK route of ``_morse`` and of
     ``laplace_eigenbasis`` (k = 3) at the solved mountain-pass point of 1-D
-    meshes around ``solver._DENSE_N``."""
+    meshes around ``solver._DENSE_N`` and of narrow 2-D meshes above it,
+    and the largest relative gap between the two routes' eigenvalues."""
     sys.path.insert(0, str(ROOT / "src"))
     from pxkirchhoff import cli, laplace_eigenbasis, solver
     from pxkirchhoff.energy import _point
 
+    def eigenvalues(name, result, mesh):
+        if name == "morse":
+            return result[1]
+        idx = mesh.interior  # the basis is mass-normalized: v^T K v is the eigenvalue
+        return [float(v @ (mesh.interior_stiffness @ v))
+                for v in (u.nodal_values[idx] for u in result)]
+
     dense_n, rows = solver._DENSE_N, []
     routes = [("arpack", 0), ("dense", sys.maxsize)]
-    for n in (99, 128, 149, 169, 189, 249):
-        prob, rep = _solved(cli, f"interval:0,1,{n + 1}", "affine:2,0.2")
+    meshes = ([(f"interval:0,1,{n + 1}", "interval") for n in (49, 74, 99, 128, 149, 169)]
+              + [(f"rect:0,0,1,1,{nx},{nx}", f"rect {nx}x{nx}") for nx in (12, 16, 24)])
+    for domain, label in meshes:
+        prob, rep = _solved(cli, domain, "affine:2,0.2")
         at = _point(prob.mesh, rep.solution.nodal_values)
         calls = {"morse": lambda prob=prob, at=at: solver._morse(prob, at),
                  "eigenbasis_k3": lambda mesh=prob.mesh: laplace_eigenbasis(mesh, 3)}
-        times = {}
+        times, results = {}, {}
         for r in range(reps + 1):  # the first round warms up
             for route, cutoff in routes if r % 2 else routes[::-1]:
                 solver._DENSE_N = cutoff
                 for name, call in calls.items():
                     t0 = time.perf_counter()
-                    call()
+                    results[name, route] = call()
                     if r:
                         times.setdefault(f"{name}_{route}_ms", []).append(
                             time.perf_counter() - t0)
         solver._DENSE_N = dense_n
-        rows.append({"interior_n": n, **{key: round(1e3 * statistics.median(values), 3)
-                                         for key, values in times.items()}})
-    return {"what": f"ms per call, median of {reps} rounds after one warm-up, routes "
-                    "alternated; 1-D mesh (interval 0..1, interior_n + 1 elements), "
-                    "p = 2 + 0.2x, a = 1, b = 0.1, q = 4.5, theta = 3.2, lambda = 0, "
-                    "geometry seed 1000; the ARPACK route by _DENSE_N = 0, the dense "
-                    "route by an unbounded _DENSE_N; _morse includes the Hessian assembly",
-            "dense_n": dense_n, "rows": rows}
+        gap = max(abs(a - b) / abs(b) for name in calls
+                  for a, b in zip(eigenvalues(name, results[name, "arpack"], prob.mesh),
+                                  eigenvalues(name, results[name, "dense"], prob.mesh)))
+        rows.append({"mesh": label, "interior_n": len(prob.mesh.interior),
+                     "kl": prob.mesh.interior_bandwidth,
+                     **{key: round(1e3 * statistics.median(values), 3)
+                        for key, values in times.items()},
+                     "morse_index": {route: results["morse", route][0] for route, _ in routes},
+                     "max_rel_eigenvalue_gap": gap})
+    result = {"what": f"ms per call, median of {reps} rounds after one warm-up, routes "
+                      "alternated; 1-D mesh (interval 0..1, interior_n + 1 elements) or "
+                      "nx x nx square, p = 2 + 0.2x, a = 1, b = 0.1, q = 4.5, theta = 3.2, "
+                      "lambda = 0, geometry seed 1000; the ARPACK route by _DENSE_N = 0, the "
+                      "dense route by an unbounded _DENSE_N; _morse includes the Hessian "
+                      "assembly; max_rel_eigenvalue_gap over the Morse pencil's two lowest "
+                      "eigenvalues and the eigenbasis's three",
+              "dense_n": dense_n, "rows": rows,
+              "max_rel_eigenvalue_gap": max(row["max_rel_eigenvalue_gap"] for row in rows)}
+    failed = [row["mesh"] + f" ({row['interior_n']})" for row in rows
+              if row["max_rel_eigenvalue_gap"] > PENCIL_GAP
+              or len(set(row["morse_index"].values())) > 1]
+    if failed:
+        print(json.dumps(result, indent=1))
+        raise SystemExit(f"the routes differ by more than {PENCIL_GAP:g} or in the Morse "
+                         "index on: " + ", ".join(failed))
+    return result
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -324,20 +363,45 @@ def slow(parent: Path, reps: int) -> dict:
 
 
 _COUNT_CHILD = r"""
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 root, name, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path[:0] = [root + "/src", root + "/perfbench"]
-import scipy.sparse
+import scipy.sparse, scipy.sparse.linalg
 from configs import config_text
 from pxkirchhoff import cli, discretization, energy, solver
 counts = dict(mountain_pass_solves=0, hessian_assemblies=0, lus=0, band_lus=0,
-              band_choleskys=0, csc_matrix_constructions=0)
+              band_choleskys=0, csc_matrix_constructions=0, eigsh_calls=0,
+              arpack_steps=0, arpack_operator_applications=0, arpack_b_products=0,
+              eigsh=[])
 def counted(key, f):
     def wrapped(*args, **kwargs):
         counts[key] += 1
         return f(*args, **kwargs)
     return wrapped
-solver.mountain_pass_solve = counted("mountain_pass_solves", solver.mountain_pass_solve)
+# cli calls its own binding, multiplicity_search the solver's
+solver.mountain_pass_solve = cli.mountain_pass_solve = counted(
+    "mountain_pass_solves", solver.mountain_pass_solve)
+eigsh = scipy.sparse.linalg.eigsh
+def counted_eigsh(A, k=6, M=None, sigma=None, **kwargs):
+    counts["eigsh_calls"] += 1
+    counts["eigsh"].append(dict(k=k, which=kwargs.get("which", "LM"), generalized=M is not None,
+                                shift_invert=sigma is not None, steps=0, operator_applications=0,
+                                b_products=0))
+    return eigsh(A, k, M, sigma, **kwargs)
+scipy.sparse.linalg.eigsh = counted_eigsh
+# each ARPACK reverse-communication step is one iterate(); ido 1 and 5 ask
+# for one application of the operator (with the inverse or shift-inverse in
+# the generalized modes), ido 2 for one product with the B of the pencil
+arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+iterate = arpack._SymmetricArpackParams.iterate
+def counted_iterate(self):
+    iterate(self)
+    ido, call = self.arpack_dict["ido"], counts["eigsh"][-1]
+    for key, n in (("steps", 1), ("operator_applications", ido in (1, 5)),
+                   ("b_products", ido == 2)):
+        call[key] += n
+        counts["arpack_" + key] += n
+arpack._SymmetricArpackParams.iterate = counted_iterate
 energy._hessian_of_elements = solver._hessian_of_elements = counted(
     "hessian_assemblies", energy._hessian_of_elements)
 discretization._splu = counted("lus", discretization._splu)

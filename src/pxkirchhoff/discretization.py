@@ -254,7 +254,8 @@ class Mesh:
         """The factor of the interior stiffness, factored once per mesh:
         every stiffness solve goes through its ``solve``.  It is LAPACK's
         band Cholesky (``_band_cholesky``) where the interior bandwidth is
-        at most _BAND_MAX, and the symmetric LU (``_splu``) above it."""
+        at most _BAND_MAX, whose two triangular halves also whiten the
+        solver's pencils, and the symmetric LU (``_splu``) above it."""
         if self.interior_bandwidth <= _BAND_MAX:
             return _band_cholesky(self.interior_stiffness, self.interior_bandwidth)
         return _splu(self.interior_stiffness)
@@ -378,14 +379,24 @@ def _band_lu(band: np.ndarray, kl: int) -> _BandLU:
 
 
 class _BandCholesky(NamedTuple):
-    """LAPACK's band Cholesky (``dpbtrf``): ``factor`` is the band array of
-    the upper factor, kl + 1 rows."""
+    """LAPACK's band Cholesky (``dpbtrf``) S = U^T U: ``factor`` is the
+    band array of the upper factor U, kl + 1 rows.  Besides S^{-1}, it
+    solves with U and U^T alone (``dtbtrs``), the two halves by which the
+    solver whitens a pencil (X, S) into the standard matrix U^{-T} X U^{-1}."""
 
     factor: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """S^{-1} rhs, for one right-hand side or a column of them."""
         return lapack.dpbtrs(self.factor, rhs)[0]
+
+    def solve_upper(self, rhs: np.ndarray) -> np.ndarray:
+        """U^{-1} rhs, for one right-hand side or a column of them."""
+        return lapack.dtbtrs(self.factor, rhs)[0]
+
+    def solve_upper_transposed(self, rhs: np.ndarray) -> np.ndarray:
+        """U^{-T} rhs, for one right-hand side or a column of them."""
+        return lapack.dtbtrs(self.factor, rhs, trans="T")[0]
 
 
 def _band_cholesky(S: scipy.sparse.csc_matrix, kl: int) -> _BandCholesky:

@@ -31,10 +31,13 @@ dense by LAPACK on at most _DENSE_N interior vertices, where ARPACK's
 per-call overhead dominates.  Above it they are sparse: the index is
 counted by inertia from the symmetric SuperLU of the sparse part of J'',
 on every mesh (``Mesh.interior_pattern_splu``), and one ARPACK call for
-the two lowest eigenvalues cross-checks it.  Every stiffness solve (the
-descent, the eigenbasis shift-invert, the Morse inverse mass) uses the
-mesh's one factor of the stiffness (``Mesh.interior_stiffness_lu``), a
-band Cholesky on a narrow mesh.  Element data come only from
+the two lowest eigenvalues cross-checks it.  Every stiffness solve uses the
+mesh's one factor of the stiffness K (``Mesh.interior_stiffness_lu``).  On
+a narrow mesh it is a band Cholesky K = U^T U, and ARPACK solves each
+pencil (X, K) in its standard mode on U^{-T} X U^{-1}, through the two
+triangular halves of the factor (``_whitened_eigsh``); on a wider mesh it
+is a SuperLU factor, the shift-invert inverse of the eigenbasis and the
+inverse mass of the Morse pencil.  Element data come only from
 ``energy._point`` and ``energy._energy_ray``: the solvers hold their
 points and rays and never gather.
 
@@ -51,7 +54,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .discretization import GridFunction, Mesh
+from .discretization import GridFunction, Mesh, _BandCholesky
 from .energy import (
     KirchhoffProblem,
     _energy_of_elements,
@@ -102,10 +105,14 @@ def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
 
 
 # Pencils on at most this many interior vertices are solved dense with LAPACK
-# (``scipy.linalg.eigh``), above it by ARPACK.  The two routes break even at
-# about 150-170 interior vertices for the eigenbasis and 170-190 for the Morse
-# pencil, with ARPACK's stiffness solves on the band Cholesky (1-D,
-# p = 2 + 0.2x, BLAS on one thread; ``benchmarks/analyze_once.py pencils``).
+# (``scipy.linalg.eigh``), above it by ARPACK.  With ARPACK in standard mode
+# on the pencil whitened by the band Cholesky (``_whitened_eigsh``), the two
+# routes break even at about 75-100 interior vertices for the eigenbasis
+# (k = 3) and 130-150 for the Morse pencil, so a solve, which makes one of
+# each, breaks even near 128: dense 2.7 against ARPACK 2.6 ms at 128, 2.7
+# against 3.5 ms on the 12^2 square (121), 4.3 against 3.0 ms at 149 (1-D
+# unless named, p = 2 + 0.2x, BLAS on one thread; ``benchmarks/analyze_once.py
+# pencils``, ``BENCH_whitened_pencils.json``).
 _DENSE_N = 128
 
 
@@ -120,16 +127,43 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
+def _whitened_eigsh(factor: _BandCholesky, X, k: int, which: str,
+                    return_eigenvectors: bool = False):
+    """k eigenvalues of the pencil (X, K), for the band Cholesky K = U^T U
+    in ``factor`` and X symmetric (a matrix or a ``LinearOperator``), picked
+    by ARPACK's ``which``; with ``return_eigenvectors``, (values, vectors).
+
+    The pencil has the eigenvalues of the standard matrix U^{-T} X U^{-1},
+    and its eigenvectors are x = U^{-1} y for the eigenvectors y of that
+    matrix (Golub-Van Loan 8.7), so ARPACK runs in its standard mode on
+    y -> U^{-T} X U^{-1} y, two triangular band solves and one product
+    with X per step, and needs no inner product in K.
+    """
+    n = factor.factor.shape[1]
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda y: factor.solve_upper_transposed(X @ factor.solve_upper(y)),
+        dtype=float)
+    out = scipy.sparse.linalg.eigsh(op, k, which=which, v0=_start_vector(n),
+                                    return_eigenvectors=return_eigenvectors)
+    if not return_eigenvectors:
+        return out
+    vals, vecs = out
+    return vals, factor.solve_upper(vecs)
+
+
 def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     """First k Dirichlet eigenvectors of the constant-2 Laplacian.
 
     These span the nested subspaces used to seed the multiplicity search and
     provide smooth low-frequency probe directions.  They are the lowest
-    eigenvectors of the interior stiffness and mass pencil: on at most
-    _DENSE_N interior vertices, or for a full basis (k = n, which ARPACK
-    cannot give), from one dense LAPACK solve; above it, from a sparse
-    shift-invert eigensolve at shift 0, which inverts the stiffness with the
-    mesh's one factor of it (``Mesh.interior_stiffness_lu``).  They are
+    eigenvectors of the interior stiffness and mass pencil (K, M): on at
+    most _DENSE_N interior vertices, or for a full basis (k = n, which
+    ARPACK cannot give), from one dense LAPACK solve; above it, by ARPACK
+    with the mesh's one factor of K (``Mesh.interior_stiffness_lu``).  On
+    a narrow mesh, whose factor is a band Cholesky K = U^T U, ARPACK finds
+    the k largest eigenvalues 1/lambda of (M, K) in standard mode
+    (``_whitened_eigsh``); on a wider one it runs a shift-invert
+    eigensolve of (K, M) at shift 0 with the factor as the inverse.  They are
     normalized in the mass inner product, and signs are fixed so the entry
     of largest magnitude is positive; among entries within a relative 1e-8
     of that magnitude the first vertex decides, so an antisymmetric mode
@@ -149,6 +183,10 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     if k == n or n <= _DENSE_N:
         vecs = scipy.linalg.eigh(mesh.interior_stiffness.toarray(), M.toarray(),
                                  subset_by_index=[0, k - 1])[1]
+    elif isinstance(mesh.interior_stiffness_lu, _BandCholesky):
+        # the k largest eigenvalues 1/lambda of the pencil (M, K)
+        vals, vecs = _whitened_eigsh(mesh.interior_stiffness_lu, M, k, "LA", True)
+        vecs = vecs[:, np.argsort(-vals)]
     else:
         OPinv = scipy.sparse.linalg.LinearOperator(
             (n, n), matvec=mesh.interior_stiffness_lu.solve, dtype=float)
@@ -573,7 +611,8 @@ class SolveReport:
     stiffness) at the solution (``_morse``): from the pencil's whole dense
     spectrum on at most _DENSE_N interior vertices, and above it counted by
     inertia from a symmetric LU of the sparse part of J'' and cross-checked
-    by ARPACK.  ``lowest_eigenvalues`` holds up to two of its lowest
+    by ARPACK, in standard mode on a mesh whose stiffness has a band
+    Cholesky.  ``lowest_eigenvalues`` holds up to two of its lowest
     eigenvalues (one on a mesh with one interior vertex); both are None
     where J'' does not exist (an exponent below 2 at a vanishing gradient on an
     element with an interior vertex).  The index is reported, not gated on.
@@ -730,8 +769,11 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
     it, the stiffness being positive definite, the index is the number of
     negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
     one symmetric LU of S's data.  One ARPACK call then finds the two lowest
-    eigenvalues, inverting the stiffness with ``Mesh.interior_stiffness_lu``,
-    and the number of negatives among them must equal min(index, 2).  When
+    eigenvalues, and the number of negatives among them must equal
+    min(index, 2).  ARPACK runs in standard mode where the stiffness's
+    factor (``Mesh.interior_stiffness_lu``) is a band Cholesky
+    (``_whitened_eigsh``), and on the pencil with the stiffness as its mass
+    and that factor as its inverse otherwise.  When
     the inertia is unavailable or that cross-check fails, ARPACK finds the k
     lowest eigenvalues, k = 2, 4, 8, ... until one is nonnegative; it finds
     at most n - 1 of n, so when all of those are negative the largest
@@ -750,10 +792,12 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
         return int(np.count_nonzero(vals < 0.0)), tuple(float(v) for v in vals[:2])
     H = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: S @ v - prob.b * dA * (dA @ v), dtype=float)
-    Minv = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=prob.mesh.interior_stiffness_lu.solve, dtype=float)
+    factor = prob.mesh.interior_stiffness_lu
 
     def lowest(k, which="SA"):
+        if isinstance(factor, _BandCholesky):
+            return np.sort(_whitened_eigsh(factor, H, k, which))
+        Minv = scipy.sparse.linalg.LinearOperator((n, n), matvec=factor.solve, dtype=float)
         return np.sort(scipy.sparse.linalg.eigsh(
             H, k, stiff, which=which, Minv=Minv, v0=_start_vector(n),
             return_eigenvectors=False))

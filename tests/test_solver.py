@@ -1248,15 +1248,8 @@ def test_newton_point_above_the_path_peak_is_discarded(monkeypatch):
     assert rep.energy == pytest.approx(polished.energy, rel=1e-9)
 
 
-@pytest.mark.parametrize("dim, n, p_of_x, lam, max_steps, level", [
-    # the path-deformation solver took 725 sweeps and 61 sweeps here
-    (1, 401, lambda x: 1.6 + 0.0 * x, 2.0, 50, 1.4346401930066182),
-    (2, 32, lambda x: 2.0 + 0.2 * x, 0.0, 20, 4.441374108703747),
-], ids=["1d_p1.6_lambda2", "2d_p2+0.2x"])
-def test_ray_descent_certifies_where_newton_needs_help(dim, n, p_of_x, lam, max_steps, level):
-    # Newton from the first peak does not certify in these cases; the
-    # descent on the ray maximum reaches a peak from which it does, and the
-    # level agrees with the path-deformation solver's
+def _slow_case(dim, n, p_of_x, lam):
+    """A problem of ROADMAP item 2's slow cases and the geometry's start."""
     if dim == 1:
         mesh = build_interval_mesh(n, 0.0, 1.0)
     else:
@@ -1264,12 +1257,43 @@ def test_ray_descent_certifies_where_newton_needs_help(dim, n, p_of_x, lam, max_
     p = build_exponent_field(p_of_x(mesh.element_centroids[:, 0]), mesh)
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
     prob = KirchhoffProblem(1.0, 0.1, lam, p, spec, mesh)
-    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
+    return prob, verify_mountain_geometry(prob, RHO_GRID, 20, seed=0).negative_point
+
+
+P16_LAMBDA2 = (1, 401, lambda x: 1.6 + 0.0 * x, 2.0)
+P16_LAMBDA2_LEVEL = 1.4346401930066182
+
+
+@pytest.mark.parametrize("case, symmetrize, max_steps, level", [
+    # the path-deformation solver took 725 sweeps and 61 sweeps here; the
+    # 1-D start is the geometry's made exactly symmetric, (e + e reversed)/2
+    (P16_LAMBDA2, True, 50, P16_LAMBDA2_LEVEL),
+    ((2, 32, lambda x: 2.0 + 0.2 * x, 0.0), False, 20, 4.441374108703747),
+], ids=["1d_p1.6_lambda2", "2d_p2+0.2x"])
+def test_ray_descent_certifies_where_newton_needs_help(case, symmetrize, max_steps, level):
+    # Newton from the first peak does not certify in these cases; the
+    # descent on the ray maximum reaches a peak from which it does, and the
+    # level agrees with the path-deformation solver's
+    prob, e = _slow_case(*case)
+    if symmetrize:
+        e = GridFunction(prob.mesh, 0.5 * (e.nodal_values + e.nodal_values[::-1]))
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
     assert 0 < rep.iterations <= max_steps
     assert rep.residual_norm <= 1e-6 and rep.nonlocal_coefficient > 0.0
     assert rep.morse_index == 1
     assert rep.energy == pytest.approx(level, rel=1e-10)
+
+
+def test_p16_certifies_from_the_first_peak_of_the_geometry_start():
+    # whether Newton certifies from the first peak of this flat-element case
+    # follows rounding (ROADMAP item 2); from the geometry's own start it
+    # does, at the level the descent reaches from the symmetric start
+    prob, e = _slow_case(*P16_LAMBDA2)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
+    assert rep.iterations == 0 and rep.newton_steps > 0
+    assert rep.residual_norm <= 1e-6 and rep.nonlocal_coefficient > 0.0
+    assert rep.morse_index == 1
+    assert rep.energy == pytest.approx(P16_LAMBDA2_LEVEL, rel=1e-10)
 
 
 def test_newton_steps_are_mesh_independent():
@@ -1928,6 +1952,94 @@ def test_routes_agree_at_the_cutoff(monkeypatch):
         for u, v in zip(basis, other_basis):
             u, v = u.nodal_values, v.nodal_values
             assert min(np.max(np.abs(u - s * v)) for s in (1, -1)) <= 1e-10
+
+
+@pytest.fixture(scope="module", params=["1d_n400", "2d_32"])
+def band_solution(request):
+    """The mp1d and mp2d problems (399 and 961 interior vertices, both of
+    interior bandwidth at most _BAND_MAX) and their mountain-pass point."""
+    if request.param == "1d_n400":
+        mesh, p_of_x = build_interval_mesh(400, 0.0, 1.0), lambda x: 2.0 + 0.2 * x
+    else:
+        mesh, p_of_x = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))), lambda x: 2.0 + 0.0 * x
+    assert mesh.interior_bandwidth <= discretization._BAND_MAX < len(mesh.interior)
+    p = build_exponent_field(p_of_x(mesh.element_centroids[:, 0]), mesh)
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, p, spec, mesh)
+    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
+    return prob, _point(mesh, rep.solution.nodal_values)
+
+
+def test_whitened_route_agrees_with_the_dense_route(band_solution, monkeypatch):
+    # on a band mesh the sparse eigensolves run ARPACK in standard mode on
+    # U^{-T} X U^{-1}, K = U^T U; the dense route, forced, gives the same
+    # Morse index, eigenvalues and eigenbasis
+    prob, at = band_solution
+    mesh, idx = prob.mesh, prob.mesh.interior
+    calls = _count_eigsh(monkeypatch)
+    morse, basis = solver._morse(prob, at), laplace_eigenbasis(mesh, 3)
+    assert len(calls) == 2
+    monkeypatch.setattr(solver, "_DENSE_N", len(idx))
+    dense_morse, dense_basis = solver._morse(prob, at), laplace_eigenbasis(mesh, 3)
+    assert len(calls) == 2
+    assert morse[0] == dense_morse[0] == 1
+    assert morse[1] == pytest.approx(dense_morse[1], rel=1e-12)
+    K = mesh.interior_stiffness
+    V, W = ([b.nodal_values[idx] for b in vs] for vs in (basis, dense_basis))
+    for v, w in zip(V, W):
+        assert v @ (K @ v) == pytest.approx(w @ (K @ w), rel=1e-12)
+    if mesh.dimension == 1:
+        # the dense route's vectors are off by 1.4e-9 here; on this uniform
+        # mesh K and M are tridiagonal Toeplitz, so the sine modes are exact
+        # (the sign rule: the first entry of largest magnitude is positive)
+        x, M = mesh.vertices[idx, 0], mesh.interior_mass
+        W = [np.sin(j * np.pi * x) for j in (1, 2, 3)]
+        W = [w * np.sign(w[np.argmax(np.abs(w) >= (1.0 - 1e-8) * np.abs(w).max())])
+             / np.sqrt(w @ (M @ w)) for w in W]
+    for v, w in zip(V, W):
+        assert np.max(np.abs(v - w)) <= 1e-10 * np.max(np.abs(w))
+
+
+def _eigsh_arguments(monkeypatch):
+    """Wrap eigsh; the list collects the M and sigma of each call."""
+    calls, eigsh = [], scipy.sparse.linalg.eigsh
+
+    def recorded(A, k, M=None, sigma=None, *args, **kwargs):
+        calls.append((M, sigma))
+        return eigsh(A, k, M, sigma, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    return calls
+
+
+def test_band_mesh_eigensolves_run_in_standard_mode(monkeypatch):
+    # ARPACK gets neither a mass matrix nor a shift on a band mesh: the
+    # pencil is whitened by the stiffness's band Cholesky
+    prob = model_problem(n=2 * solver._DENSE_N)
+    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
+    calls = _eigsh_arguments(monkeypatch)
+    laplace_eigenbasis(prob.mesh, 3)
+    solver._morse(prob, _point(prob.mesh, rep.solution.nodal_values))
+    assert calls == [(None, None), (None, None)]
+
+
+def test_wide_mesh_eigensolves_keep_the_generalized_modes(monkeypatch):
+    # a SuperLU factor of the stiffness has no cheap half-solve: on the wide
+    # mesh ARPACK still solves the pencils with the stiffness as M (Morse)
+    # and in shift-invert mode at 0 (the eigenbasis)
+    prob = wide_problem()
+    mesh = prob.mesh
+    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
+    monkeypatch.setattr(solver, "_DENSE_N", 0)
+    calls = _eigsh_arguments(monkeypatch)
+    laplace_eigenbasis(mesh, 3)
+    solver._morse(prob, _point(mesh, rep.solution.nodal_values))
+    (M_basis, sigma_basis), (M_morse, sigma_morse) = calls
+    assert M_basis is mesh.interior_mass and sigma_basis == 0.0
+    assert M_morse is mesh.interior_stiffness and sigma_morse is None
 
 
 def test_eigenbasis_signs_agree_on_both_routes(monkeypatch):
