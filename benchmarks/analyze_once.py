@@ -7,6 +7,7 @@
     python3 benchmarks/analyze_once.py counts --parent DIR --workload W --seed S
     python3 benchmarks/analyze_once.py rayleigh --parent DIR [--reps N]
     python3 benchmarks/analyze_once.py pencils [--reps N]
+    python3 benchmarks/analyze_once.py outputs --parent DIR [--seeds N]
 
 Each command prints one JSON document; ``--out FILE --key KEY`` also
 stores it under KEY in the JSON file FILE.  Every process runs with the
@@ -28,7 +29,8 @@ BLAS on one thread.
   included); and LAPACK's band LU as ``Mesh.interior_pattern_lu`` makes it
   on a band mesh (``band_dgbtrf``, the scatter included), at every
   bandwidth.  On the stiffness: ``mmd_default``, ``mmd_small`` and
-  LAPACK's band Cholesky (``band_dpbtrf``).
+  LAPACK's band Cholesky as ``Mesh.interior_stiffness_lu`` makes it from
+  the stiffness's pattern data (``band_dpbtrf``, the scatter included).
 * ``pairs``: ``perfbench/run.py --workload W --trace 0`` from the checkout
   DIR (the parent) and from this checkout, alternated pair by pair, at
   seeds S, S+1, ...; each run's metrics and the medians, quartiles and
@@ -63,6 +65,14 @@ BLAS on one thread.
   Morse index of each route and the largest relative gap between their
   eigenvalues.  The command fails when a gap exceeds ``PENCIL_GAP`` or
   the indices differ.
+* ``outputs``: the four benchmark workloads of ``perfbench/configs.py``
+  (mp1d, mp2d, mult1d, eig2d) at config seeds 1000, ..., 999 + N, each run
+  by ``cli.run`` from DIR's sources and from this checkout, one process per
+  side; every output file is compared byte for byte.  Each differing file
+  is listed with the largest relative gap of each of its numeric fields
+  (a report line's key; all numbers of a solution or CSV file as one
+  field), or with the field whose text differs otherwise.  The command
+  fails when any file differs or exists on one side only.
 """
 
 import argparse
@@ -70,6 +80,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -78,6 +89,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+# the benchmark workloads of perfbench/configs.py
+WORKLOADS = ["mp1d", "mp2d", "mult1d", "eig2d"]
 
 SLOW_CASES = [
     ("2d32_p2+0.2x", "rect:0,0,1,1,32,32", "affine:2,0.2", 0.0),
@@ -137,21 +151,32 @@ def lu_table(reps: int) -> dict:
     import numpy as np
     import scipy.sparse.linalg as sla
     from pxkirchhoff import cli, discretization
-    from pxkirchhoff.discretization import (_PANEL_SIZE, _RELAX, _band_cholesky,
-                                            _PermutedLU, build_rect_mesh)
+    from pxkirchhoff.discretization import _PANEL_SIZE, _RELAX, _PermutedLU, build_rect_mesh
     from pxkirchhoff.energy import hessian_J
 
     def mmd(S, **kw):
         return sla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True), **kw)
 
-    def band(mesh, data):
-        """``Mesh.interior_pattern_lu``'s band route at any bandwidth."""
+    @contextlib.contextmanager
+    def any_bandwidth():
+        """The band routes of ``Mesh`` at every bandwidth."""
         band_max, discretization._BAND_MAX = discretization._BAND_MAX, sys.maxsize
         try:
-            return mesh.interior_pattern_lu(data)
+            yield
         finally:
             discretization._BAND_MAX = band_max
+
+    def band(mesh, data):
+        """``Mesh.interior_pattern_lu``'s band route."""
+        with any_bandwidth():
+            return mesh.interior_pattern_lu(data)
+
+    def cholesky(mesh):
+        """``Mesh.interior_stiffness_lu``'s band route, made anew."""
+        mesh.__dict__.pop("interior_stiffness_lu", None)
+        with any_bandwidth():
+            return mesh.interior_stiffness_lu
 
     cases = []
     for label, domain, p in (("1d_hessian_n399", "interval:0,1,400", "affine:2,0.2"),
@@ -185,7 +210,7 @@ def lu_table(reps: int) -> dict:
         cases.append((f"2d_stiffness_{nx}", K, mesh, {
             "mmd_default": lambda K=K: mmd(K),
             "mmd_small": lambda K=K: mmd(K, relax=_RELAX, panel_size=_PANEL_SIZE),
-            "band_dpbtrf": lambda K=K, kl=mesh.interior_bandwidth: _band_cholesky(K, kl),
+            "band_dpbtrf": lambda mesh=mesh: cholesky(mesh),
         }))
 
     rows, rng = [], np.random.default_rng(0)
@@ -285,6 +310,81 @@ def pencils(reps: int) -> dict:
     return result
 
 
+_OUTPUTS_CHILD = r"""
+import contextlib, io, json, sys
+src, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+sys.path[:0] = [src, sys.argv[4]]
+from configs import config_text
+from pxkirchhoff import cli
+for name, seed in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(cli.parse_config(config_text(name, seed) + f"out = {out}/{name}_{seed}\n"))
+"""
+
+
+def _fields(path: Path) -> dict:
+    """The fields of an output file: a report line's key and its tokens,
+    or all the tokens of any other file under one key."""
+    text = path.read_text()
+    if path.name != "report.txt":
+        return {"values": text.replace(",", " ").split()}
+    fields = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(":")
+        fields.setdefault(key, []).extend(value.split())
+    return fields
+
+
+def _gaps(before: Path, after: Path) -> dict:
+    """Per field that differs: the largest relative gap of its numbers, or
+    "differs" where its tokens are not numbers that pair up."""
+    old, new = _fields(before), _fields(after)
+    gaps = {}
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        try:
+            pairs = [(float(x), float(y)) for x, y in zip(a, b, strict=True)]
+        except (TypeError, ValueError):
+            gaps[key] = "differs"
+            continue
+        gaps[key] = max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y),
+                        default=0.0)
+    return gaps
+
+
+def outputs(parent: Path, seeds: int) -> dict:
+    runs = [(name, 1000 + k) for name in WORKLOADS for k in range(seeds)]
+    work = ROOT / ".bench_work" / "analyze_once" / "outputs"
+    shutil.rmtree(work, ignore_errors=True)  # no file of an earlier run survives
+    dirs = {}
+    for side, checkout in (("parent", parent), ("change", ROOT)):
+        dirs[side] = work / side
+        subprocess.run([sys.executable, "-c", _OUTPUTS_CHILD, str(checkout / "src"),
+                        str(dirs[side]), json.dumps(runs), str(ROOT / "perfbench")],
+                       check=True)
+    files = sorted({path.relative_to(dirs[side]) for side in dirs
+                    for name, seed in runs for path in (dirs[side] / f"{name}_{seed}").iterdir()})
+    differing = {}
+    for rel in files:
+        before, after = dirs["parent"] / rel, dirs["change"] / rel
+        if not (before.exists() and after.exists()):
+            differing[str(rel)] = "only in " + ("change" if after.exists() else "parent")
+        elif before.read_bytes() != after.read_bytes():
+            differing[str(rel)] = _gaps(before, after)
+    result = {"what": f"cli.run of {', '.join(WORKLOADS)} at config seeds 1000 to "
+                      f"{999 + seeds}, parent against change, every output file compared "
+                      "byte for byte; per differing file the largest relative gap of each "
+                      "numeric field",
+              "files": len(files), "identical": len(files) - len(differing),
+              "differing": differing}
+    if differing:
+        print(json.dumps(result, indent=1))
+        raise SystemExit(f"{len(differing)} of {len(files)} output files differ")
+    return result
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -302,7 +402,7 @@ def pairs(parent: Path, workload: str, n_pairs: int, seed: int, seconds: float,
           save=lambda result: None) -> dict:
     """Alternated parent/change runs; ``save`` gets the result so far after
     each pair."""
-    names = [workload] if workload != "all" else ["mp1d", "mp2d", "mult1d", "eig2d"]
+    names = [workload] if workload != "all" else WORKLOADS
     out = {"command": f"perfbench/run.py --workload {workload} --seconds {seconds:g} --trace 0",
            "runs": []}
     for k in range(n_pairs):
@@ -499,13 +599,15 @@ def rayleigh(parent: Path, reps: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("command", choices=["lu", "pairs", "slow", "counts", "rayleigh", "pencils"])
+    ap.add_argument("command", choices=["lu", "pairs", "slow", "counts", "rayleigh", "pencils",
+                                        "outputs"])
     ap.add_argument("--reps", type=int, default=40)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--workload", default="mp2d")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--key")
     args = ap.parse_args(argv)
@@ -527,6 +629,8 @@ def main(argv=None) -> int:
         result = counts(args.parent.resolve(), args.workload, args.seed)
     elif args.command == "rayleigh":
         result = rayleigh(args.parent.resolve(), args.reps)
+    elif args.command == "outputs":
+        result = outputs(args.parent.resolve(), args.seeds)
     else:
         result = slow(args.parent.resolve(), args.reps)
     print(json.dumps(result, indent=1))

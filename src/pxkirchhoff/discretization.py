@@ -3,14 +3,18 @@ sparse operators through which all assembly goes.
 
 Only this module knows the P1 format.  The gradient map ``Dg`` and the
 centroid map ``C`` take nodal values to element gradients and centroid
-values; derivatives of element integrals are their adjoint products, and the
-constant-exponent stiffness and mass are Dg^T diag(meas) Dg and
-C^T diag(meas) C.  Second derivatives are sums of (d+1) x (d+1) element
-blocks, which ``BlockPattern`` scatters into one fixed sparse pattern on the
-interior vertices.  A matrix on that pattern is passed around as its data;
-``Mesh.interior_pattern_matrix`` builds the CSC matrix only where one is
-used.  A mesh caches its derived data and operators on first use: the Gram
-blocks of its hat gradients (``Mesh.hat_gram``), which every second
+values; derivatives of element integrals are their adjoint products, which,
+like the gathers, call scipy's CSR kernel directly (``_ElementMap``).  Second
+derivatives are sums of (d+1) x (d+1) element blocks, which ``BlockPattern``
+scatters into one fixed sparse pattern on the interior vertices, and so are
+the two constant operators, the p = 2 stiffness Dg^T diag(meas) Dg and the
+mass C^T diag(meas) C (``Mesh.interior_stiffness``,
+``Mesh.interior_mass``): their element terms are added in the order of the
+operator products, whose values they reproduce bit for bit.  A matrix on
+that pattern is passed around as its data; ``Mesh.interior_pattern_matrix``
+builds the CSC matrix only where one is used, on the pattern's read-only
+index arrays.  A mesh caches its derived data and operators on first use:
+the Gram blocks of its hat gradients (``Mesh.hat_gram``), which every second
 derivative adds, and the factor of its interior stiffness among them, so
 its arrays must not be modified after construction.
 
@@ -36,6 +40,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 from .errors import ShapeError
 
@@ -64,7 +69,10 @@ class BlockPattern(NamedTuple):
     ``indices`` are sorted CSR arrays over the interior numbering of
     ``Mesh.interior``; the pattern is symmetric.  ``live`` flags the
     elements with at least one interior vertex: the others have no kept
-    entry, and a function with zero trace vanishes on them.
+    entry, and a function with zero trace vanishes on them.  The arrays are
+    read-only: every matrix on the pattern shares ``indptr`` and
+    ``indices``, so an in-place change of one matrix's structure (such as
+    ``eliminate_zeros``) raises instead of rewriting the pattern.
     """
 
     keep: np.ndarray     # ((d+1)^2 * n_elements,) bool
@@ -72,6 +80,25 @@ class BlockPattern(NamedTuple):
     indptr: np.ndarray   # (n_interior + 1,)
     indices: np.ndarray  # (nnz,)
     live: np.ndarray     # (n_elements,) bool
+
+
+class _ElementMap(scipy.sparse.csr_matrix):
+    """A CSR map between nodal and element values: ``Mesh.gradient_map``,
+    ``Mesh.centroid_map`` and their adjoints, through which every gather
+    and every adjoint product goes.  Its product with a float64 vector
+    calls scipy's CSR kernel (``csr_matvec``) directly, the kernel that
+    ``@`` reaches only after a generic operand dispatch: the same sums, bit
+    for bit, without the dispatch's 4 us, most of a product on the small
+    meshes.  Every other operand goes through ``@``."""
+
+    def __matmul__(self, other):
+        if (type(other) is np.ndarray and other.dtype == np.float64
+                and other.shape == (self.shape[1],)):
+            out = np.zeros(self.shape[0])
+            _sparsetools.csr_matvec(self.shape[0], self.shape[1], self.indptr,
+                                    self.indices, self.data, other, out)
+            return out
+        return super().__matmul__(other)
 
 
 @dataclass(eq=False)
@@ -109,13 +136,13 @@ class Mesh:
         """Indices of the non-boundary vertices."""
         return np.flatnonzero(~self.boundary_mask)
 
-    def _element_map(self, weights: np.ndarray) -> scipy.sparse.csr_matrix:
+    def _element_map(self, weights: np.ndarray) -> _ElementMap:
         """CSR map from nodal values to element rows: with k rows of
         ``weights`` per element, row r weights the vertices of element r // k."""
         rows_per_element = weights.shape[0] // self.n_elements
         cols = np.repeat(self.elements, rows_per_element, axis=0)
         indptr = np.arange(0, weights.size + 1, self.dimension + 1)
-        return scipy.sparse.csr_matrix(
+        return _ElementMap(
             (weights.ravel(), cols.ravel(), indptr),
             shape=(weights.shape[0], self.n_vertices),
         )
@@ -144,7 +171,7 @@ class Mesh:
         return hats.transpose(2, 0, 1)
 
     @cached_property
-    def gradient_map(self) -> scipy.sparse.csr_matrix:
+    def gradient_map(self) -> _ElementMap:
         """Dg, shape (n_elements * dimension, n_vertices): nodal values to
         element gradients, component k on element e in row e*dimension + k,
         whose weights are row k of the element's ``hat_gradients``."""
@@ -193,8 +220,11 @@ class Mesh:
         slot[order] = keys
         indptr = np.zeros(n + 1, dtype=np.int32)  # scipy's own index type
         np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
-        return BlockPattern(keep, slot, indptr, (unique % n).astype(np.int32),
-                            (local >= 0).any(axis=0))
+        pattern = BlockPattern(keep, slot, indptr, (unique % n).astype(np.int32),
+                               (local >= 0).any(axis=0))
+        for array in pattern:  # shared by every matrix on the pattern
+            array.flags.writeable = False
+        return pattern
 
     @cached_property
     def interior_bandwidth(self) -> int:
@@ -221,50 +251,93 @@ class Mesh:
         return 2 * kl + pattern.indices + 3 * kl * cols
 
     @cached_property
-    def gradient_adjoint(self) -> scipy.sparse.csr_matrix:
+    def gradient_adjoint(self) -> _ElementMap:
         """Dg^T as its own CSR matrix, so adjoint products build no transpose."""
-        return self.gradient_map.T.tocsr()
+        return _ElementMap(self.gradient_map.T.tocsr())
 
     @cached_property
-    def centroid_map(self) -> scipy.sparse.csr_matrix:
+    def centroid_map(self) -> _ElementMap:
         """C, shape (n_elements, n_vertices): nodal values to centroid values,
         where each hat function of an element takes the value 1/(d + 1)."""
         nloc = self.dimension + 1
         return self._element_map(np.full(self.elements.shape, 1.0 / nloc))
 
     @cached_property
-    def centroid_adjoint(self) -> scipy.sparse.csr_matrix:
+    def centroid_adjoint(self) -> _ElementMap:
         """C^T as its own CSR matrix, so adjoint products build no transpose."""
-        return self.centroid_map.T.tocsr()
+        return _ElementMap(self.centroid_map.T.tocsr())
+
+    def _sum_in_element_order(self, terms: np.ndarray) -> np.ndarray:
+        """The pattern data of a sum of element terms: ``terms`` has shape
+        (n_elements, m, (d+1)^2), elements in decreasing order, and its term
+        (e, k, i (d+1) + j) belongs to the block entry (i, j) of its element.
+        The terms of each entry are added one by one in that order
+        (``np.add.at``, into the slots of ``interior_pattern``), the order
+        of scipy's operator products, whose first product leaves its rows
+        reversed.  The slots are int32, which ``np.add.at`` reads without
+        the intp copy that ``np.bincount`` makes."""
+        pattern, nloc = self.interior_pattern, self.dimension + 1
+        nnz = len(pattern.indices)
+        slots = np.full(pattern.keep.shape, nnz, dtype=np.int32)  # nnz: a boundary vertex
+        slots[pattern.keep] = pattern.slot
+        slots = slots.reshape(nloc * nloc, self.n_elements).T[::-1]
+        data = np.zeros(nnz + 1)
+        np.add.at(data, np.repeat(slots[:, None], terms.shape[1], axis=1).ravel(),
+                  terms.ravel())
+        return data[:nnz]
 
     @cached_property
-    def stiffness(self) -> scipy.sparse.csr_matrix:
-        """Constant-exponent (p = 2) stiffness Dg^T diag(meas) Dg."""
-        meas = scipy.sparse.diags(np.repeat(self.element_measures, self.dimension))
-        return (self.gradient_adjoint @ meas @ self.gradient_map).tocsr()
+    def _interior_stiffness_data(self) -> np.ndarray:
+        """The pattern data of the interior stiffness Dg^T diag(meas) Dg:
+        entry (r, c) read as CSC sums the terms (g_r meas) g_c over the
+        elements and gradient components it couples, in decreasing
+        (element, component) order, so it is bitwise the entry of the
+        operator product (``_sum_in_element_order``)."""
+        G = self.hat_gradients[::-1, ::-1]  # elements and components decreasing
+        # term (e, k, i, j) lands at CSC row j, column i: (g_j meas) g_i
+        terms = G[:, :, :, None] * (G * self.element_measures[::-1, None, None])[:, :, None]
+        return self._sum_in_element_order(terms)
 
     @cached_property
     def interior_stiffness(self) -> scipy.sparse.csc_matrix:
-        """The stiffness restricted to the interior vertices."""
-        idx = self.interior
-        return self.stiffness[np.ix_(idx, idx)].tocsc()
+        """The constant-exponent (p = 2) stiffness Dg^T diag(meas) Dg on the
+        interior vertices, as CSC without its exact zeros (the couplings
+        along the diagonals of ``build_rect_mesh``'s cells), like the
+        operator product it equals bitwise; its index arrays are its own."""
+        pattern, n = self.interior_pattern, len(self.interior)
+        S = scipy.sparse.csc_matrix((self._interior_stiffness_data, pattern.indices,
+                                     pattern.indptr), shape=(n, n), copy=True)
+        S.eliminate_zeros()
+        return S
 
     @cached_property
     def interior_stiffness_lu(self) -> "_BandCholesky | scipy.sparse.linalg.SuperLU":
         """The factor of the interior stiffness, factored once per mesh:
         every stiffness solve goes through its ``solve``.  It is LAPACK's
-        band Cholesky (``_band_cholesky``) where the interior bandwidth is
+        band Cholesky (``_band_cholesky``) where the interior bandwidth kl is
         at most _BAND_MAX, whose two triangular halves also whiten the
-        solver's pencils, and the symmetric LU (``_splu``) above it."""
-        if self.interior_bandwidth <= _BAND_MAX:
-            return _band_cholesky(self.interior_stiffness, self.interior_bandwidth)
-        return _splu(self.interior_stiffness)
+        solver's pencils: the upper triangle of the stiffness's pattern data
+        is scattered into the kl + 1 rows of its band, entry (i, j) in row
+        kl + i - j of column j.  Above it, it is the symmetric LU
+        (``_splu``) of ``interior_stiffness``."""
+        kl = self.interior_bandwidth
+        if kl > _BAND_MAX:
+            return _splu(self.interior_stiffness)
+        pattern, n = self.interior_pattern, len(self.interior)
+        cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        upper = pattern.indices <= cols
+        band = np.zeros((n, kl + 1))  # its transpose is the band, column-major
+        band.ravel()[(kl + pattern.indices + kl * cols)[upper]] = \
+            self._interior_stiffness_data[upper]
+        return _band_cholesky(band.T)
 
     def interior_pattern_matrix(self, data: np.ndarray) -> scipy.sparse.csc_matrix:
         """The symmetric matrix on ``interior_pattern`` with pattern data
-        ``data``, as CSC: its CSR arrays are its CSC arrays.  Only a caller
-        that needs the matrix itself builds it; an LU on the pattern takes
-        the data (``interior_pattern_lu``)."""
+        ``data``, as CSC: its CSR arrays are its CSC arrays.  Its index
+        arrays are the pattern's own, read-only; a caller that changes the
+        structure copies the matrix first.  Only a caller that needs the
+        matrix itself builds it; an LU on the pattern takes the data
+        (``interior_pattern_lu``)."""
         pattern, n = self.interior_pattern, len(self.interior)
         return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
@@ -306,16 +379,17 @@ class Mesh:
         return self._pattern_order.factor(data)
 
     @cached_property
-    def mass(self) -> scipy.sparse.csr_matrix:
-        """Centroid-quadrature mass C^T diag(meas) C."""
-        meas = scipy.sparse.diags(self.element_measures)
-        return (self.centroid_adjoint @ meas @ self.centroid_map).tocsr()
-
-    @cached_property
     def interior_mass(self) -> scipy.sparse.csc_matrix:
-        """The mass restricted to the interior vertices."""
-        idx = self.interior
-        return self.mass[np.ix_(idx, idx)].tocsc()
+        """The centroid-quadrature mass C^T diag(meas) C on the interior
+        vertices, on ``interior_pattern``: every element adds the term
+        (c meas) c, c = 1/(d + 1), to each entry it couples, in decreasing
+        element order, so the entries are bitwise those of the operator
+        product (``_sum_in_element_order``)."""
+        nloc = self.dimension + 1
+        c = 1.0 / nloc
+        terms = (c * self.element_measures[::-1] * c)[:, None, None]
+        return self.interior_pattern_matrix(self._sum_in_element_order(
+            np.broadcast_to(terms, (self.n_elements, 1, nloc * nloc))))
 
 
 # Meshes whose interior bandwidth (``Mesh.interior_bandwidth``) is at most
@@ -399,17 +473,13 @@ class _BandCholesky(NamedTuple):
         return lapack.dtbtrs(self.factor, rhs, trans="T")[0]
 
 
-def _band_cholesky(S: scipy.sparse.csc_matrix, kl: int) -> _BandCholesky:
-    """The band Cholesky of the symmetric positive definite CSC matrix S,
-    whose entries lie within kl of the diagonal: its upper triangle is
-    stored with entry (i, j) in row kl + i - j of column j and factored in
-    place.  Raises RuntimeError when S is not positive definite."""
-    n = S.shape[0]
-    cols = np.repeat(np.arange(n), np.diff(S.indptr))
-    upper = S.indices <= cols
-    band = np.bincount((kl + S.indices + kl * cols)[upper], S.data[upper],
-                       minlength=(kl + 1) * n)
-    factor, info = lapack.dpbtrf(band.reshape(n, kl + 1).T, overwrite_ab=True)
+def _band_cholesky(band: np.ndarray) -> _BandCholesky:
+    """The band Cholesky of the column-major band array ``band`` of a
+    symmetric positive definite matrix with kl sub- and superdiagonals: kl + 1
+    rows holding its upper triangle, entry (i, j) in row kl + i - j, factored
+    in place.  Raises RuntimeError when the matrix is not positive
+    definite."""
+    factor, info = lapack.dpbtrf(band, overwrite_ab=True)
     if info > 0:
         raise RuntimeError("the matrix is not positive definite")
     return _BandCholesky(factor)

@@ -784,10 +784,10 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
     except DomainError:
         return None, None
     n = len(dA)
-    stiff = prob.mesh.interior_stiffness
     S = prob.mesh.interior_pattern_matrix(data)
     if n <= max(_DENSE_N, 2):  # ARPACK needs k = 2 < n
-        vals = scipy.linalg.eigh(S.toarray() - prob.b * np.outer(dA, dA), stiff.toarray(),
+        vals = scipy.linalg.eigh(S.toarray() - prob.b * np.outer(dA, dA),
+                                 prob.mesh.interior_stiffness.toarray(),
                                  eigvals_only=True)
         return int(np.count_nonzero(vals < 0.0)), tuple(float(v) for v in vals[:2])
     H = scipy.sparse.linalg.LinearOperator(
@@ -799,7 +799,7 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
             return np.sort(_whitened_eigsh(factor, H, k, which))
         Minv = scipy.sparse.linalg.LinearOperator((n, n), matvec=factor.solve, dtype=float)
         return np.sort(scipy.sparse.linalg.eigsh(
-            H, k, stiff, which=which, Minv=Minv, v0=_start_vector(n),
+            H, k, prob.mesh.interior_stiffness, which=which, Minv=Minv, v0=_start_vector(n),
             return_eigenvectors=False))
 
     k = 2
@@ -838,11 +838,13 @@ def mountain_pass_solve(
     From the first peak on, the peak is handed to a Newton polish on the
     exact sparse Hessian (``_newton_polish``), which returns as soon as its
     residual is at most ``tol``.  Its point is accepted only if its energy
-    is at most J_peak, the energy of the ray peak it started from.  An
-    attempt that cannot certify, or lands above J_peak, is discarded, and
-    the next waits until the peak residual has halved.  Meanwhile each
-    descent step moves the peak along the preconditioned negative gradient
-    d (``_sobolev_descent``) and re-maximizes J on the ray of every trial;
+    J_u satisfies 0 < J_u <= J_peak: a mountain-pass level is positive (the
+    trivial solution u = 0 has J = 0), and J_peak, the energy of the ray
+    peak it started from, bounds it.  An attempt that cannot certify, or
+    lands outside that range, is discarded, and the next waits until the
+    peak residual has halved.  Meanwhile each descent step moves the peak
+    along the preconditioned negative gradient d (``_sobolev_descent``)
+    and re-maximizes J on the ray of every trial;
     ``_armijo`` backtracks on phi(peak + t d), whose slope at t = 0 is
     J'(peak) d, from the step that moves the peak by its own stiffness norm
     (or 1, if smaller).
@@ -926,7 +928,9 @@ def mountain_pass_solve(
             newton_steps += steps
             if point is not None:
                 J_u = float(_energy_of_elements(prob, A_n, point.uc))
-                if J_u <= J_peak:  # a critical point no higher than the ray's peak
+                # a critical point above 0 and no higher than the ray's peak: a
+                # mountain-pass level is positive, and J(0) = 0
+                if 0.0 < J_u <= J_peak:
                     return report(point, J_u, res_n, prob.a - prob.b * A_n, it)
             newton_from = res / 2.0  # retry once the residual has halved
 

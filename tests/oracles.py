@@ -4,9 +4,10 @@ Everything here recomputes quantities along routes disjoint from the library
 implementation: central finite differences, a from-scratch 1-D
 Euler-Lagrange assembly with damped (optionally deflated) Newton iteration,
 a tridiagonal eigenvalue reference, scalar root-finds on closed-form
-integrals, a Luxemburg norm by bracket expansion and bisection, J'' and
-the Hessian A'' - R B'' of the Rayleigh equation assembled from the mesh's
-sparse operators, the interior block pattern by ``np.unique``, a bounded
+integrals, a Luxemburg norm by bracket expansion and bisection, the
+stiffness, the mass, J'' and the Hessian A'' - R B'' of the Rayleigh
+equation assembled from the mesh's sparse operators, the interior block
+pattern by ``np.unique``, a bounded
 scalar maximization of the direct energy along a ray, and the Rayleigh
 descent on nodal values, with the nodal forms of R, R' and the ray search
 that it and the tests call (the library itself only works on gathered
@@ -184,6 +185,19 @@ def luxemburg_bisection(samples, p_values, measures, rel_tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def stiffness_by_operators(mesh):
+    """The constant-exponent (p = 2) stiffness Dg^T diag(meas) Dg over all
+    vertices, as CSR, from two sparse products of the gradient maps."""
+    meas = scipy.sparse.diags(np.repeat(mesh.element_measures, mesh.dimension))
+    return (mesh.gradient_adjoint @ meas @ mesh.gradient_map).tocsr()
+
+
+def mass_by_operators(mesh):
+    """The centroid-quadrature mass C^T diag(meas) C over all vertices, as
+    CSR, from two sparse products of the centroid maps."""
+    return _centroid_mass(mesh, np.ones(mesh.n_elements)).tocsr()
+
+
 def _A_second_by_operators(mesh, p, nodal):
     """(A''(u), A'(u), |grad u|, u_c, live) over all vertices, from the
     gradient and centroid maps: A'' = Dg^T W Dg with the block diagonal
@@ -333,9 +347,11 @@ def rayleigh_descent_on_nodes(p, mesh, seed=0, max_iter=500, tol=1e-6):
     certified."""
     rng = np.random.default_rng(seed)
     idx = mesh.interior
+    stiffness = stiffness_by_operators(mesh)
+    interior_stiffness = stiffness[np.ix_(idx, idx)].tocsc()
 
     def h_norm(v):
-        return np.sqrt(v @ mesh.stiffness @ v)
+        return np.sqrt(v @ stiffness @ v)
 
     def search(d, slope, step):
         R_long = rayleigh_ratio_long(mesh, p, nodal)
@@ -351,7 +367,7 @@ def rayleigh_descent_on_nodes(p, mesh, seed=0, max_iter=500, tol=1e-6):
     for steps in range(max_iter):
         grad = rayleigh_gradient(mesh, p, nodal)
         d = np.zeros(mesh.n_vertices)
-        d[idx] = -scipy.sparse.linalg.spsolve(mesh.interior_stiffness, grad[idx])
+        d[idx] = -scipy.sparse.linalg.spsolve(interior_stiffness, grad[idx])
         slope = float(np.dot(grad[idx], d[idx]))
         residual = np.sqrt(max(-slope, 0.0))
         if residual <= tol:

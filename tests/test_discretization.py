@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.linalg
 import scipy.sparse.linalg
 
 from pxkirchhoff import (
@@ -17,7 +18,7 @@ from pxkirchhoff import (
 from pxkirchhoff import discretization
 from pxkirchhoff.discretization import (_BAND_MAX, _BandCholesky, _BandLU, _PermutedLU,
                                         _splu)
-from oracles import interior_pattern_by_unique
+from oracles import interior_pattern_by_unique, mass_by_operators, stiffness_by_operators
 
 
 def test_uniform_interval():
@@ -170,7 +171,7 @@ def test_gridfunction_zeroes_boundary():
 def test_interval_stiffness_is_scaled_second_difference():
     mesh = build_interval_mesh(10, 0.0, 2.0)
     h = 0.2
-    K = mesh.stiffness.toarray()
+    K = stiffness_by_operators(mesh).toarray()
     tridiag = (2.0 * np.eye(11) - np.eye(11, k=1) - np.eye(11, k=-1)) / h
     assert np.allclose(K[1:-1], tridiag[1:-1], rtol=0.0, atol=1e-12)
 
@@ -184,8 +185,8 @@ def test_interval_stiffness_is_scaled_second_difference():
 )
 def test_stiffness_rows_sum_to_zero_and_mass_sums_to_measure(mesh):
     # constants lie in the kernel of the gradient; the centroid rows sum to 1
-    assert np.allclose(mesh.stiffness.sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
-    assert mesh.mass.sum() == pytest.approx(mesh.measure, rel=1e-13)
+    assert np.allclose(stiffness_by_operators(mesh).sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
+    assert mass_by_operators(mesh).sum() == pytest.approx(mesh.measure, rel=1e-13)
 
 
 def test_centroid_map_and_cached_adjoints():
@@ -287,12 +288,109 @@ def test_hat_gradients_match_the_inverted_edge_matrices(mesh):
     assert np.max(np.abs(mesh.hat_gradients - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(12, 0.0, 1.0),
+    _jittered_rect_mesh(7, 6, seed=9),
+], ids=["1d", "2d_jittered"])
+def test_element_map_products_are_scipys_bitwise(mesh):
+    # the direct kernel call gives scipy's own product; any other operand
+    # takes scipy's route, its checks included
+    rng = np.random.default_rng(10)
+    for name in ("gradient_map", "centroid_map", "gradient_adjoint", "centroid_adjoint"):
+        A = getattr(mesh, name)
+        plain = scipy.sparse.csr_matrix(A)
+        x = rng.standard_normal(2 * A.shape[1])
+        for v in (x[:A.shape[1]], x[::2]):  # contiguous and strided
+            assert (A @ v).tobytes() == (plain @ v).tobytes()
+        X = x[:2 * A.shape[1]].reshape(-1, 2)
+        assert np.array_equal(A @ X, plain @ X)
+        ints = np.arange(A.shape[1])
+        assert np.array_equal(A @ ints, plain @ ints)
+        assert np.array_equal((A @ plain.T).toarray(), (plain @ plain.T).toarray())
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            A @ x
+
+
 def test_interior_mass_is_the_interior_block_of_the_mass():
     mesh = _jittered_rect_mesh(5, 4, seed=6)
     idx = mesh.interior
     assert mesh.interior_mass is mesh.interior_mass  # built once, on first use
     assert mesh.interior_mass.format == "csc"
-    assert np.array_equal(mesh.interior_mass.toarray(), mesh.mass[np.ix_(idx, idx)].toarray())
+    ref = mass_by_operators(mesh)[np.ix_(idx, idx)]
+    assert np.array_equal(mesh.interior_mass.toarray(), ref.toarray())
+
+
+def _interior_block(matrix, mesh):
+    """The interior rows and columns of an operator product, as CSC."""
+    return matrix[np.ix_(mesh.interior, mesh.interior)].tocsc()
+
+
+def _bitwise_equal(A, B):
+    return (A.format == B.format == "csc" and A.shape == B.shape
+            and np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            and A.data.tobytes() == B.data.tobytes())
+
+
+OPERATOR_MESHES = pytest.mark.parametrize("mesh", [
+    build_interval_mesh(12, 0.0, 1.0),
+    build_interval_mesh(400, 0.0, 1.0),
+    Mesh(1, np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.5, 2.0, 9)])[:, None],
+         np.column_stack([np.arange(9), np.arange(1, 10)]),
+         np.r_[True, np.zeros(8, bool), True], np.ones(9)),
+    build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))),
+    build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0))),
+    build_rect_mesh(57, 7, ((0.0, 0.0), (1.0, 1.0))),
+    build_rect_mesh(96, 96, ((0.0, 0.0), (1.0, 1.0))),
+    _jittered_rect_mesh(9, 7, seed=7),
+    _jittered_rect_mesh(16, 12, seed=8),
+], ids=["1d_12", "1d_400", "1d_graded", "2d_32", "2d_48", "2d_57x7", "2d_96",
+        "2d_jittered_9x7", "2d_jittered_16x12"])
+
+
+@OPERATOR_MESHES
+def test_interior_stiffness_and_mass_are_the_operator_products_bitwise(mesh):
+    # the element terms, summed in the order of scipy's products, give the
+    # products' values, and the stiffness drops the zeros they drop
+    assert _bitwise_equal(mesh.interior_stiffness,
+                          _interior_block(stiffness_by_operators(mesh), mesh))
+    assert _bitwise_equal(mesh.interior_mass, _interior_block(mass_by_operators(mesh), mesh))
+    assert mesh.interior_stiffness is mesh.interior_stiffness  # built once, on first use
+
+
+def test_wide_mesh_stiffness_has_the_operator_structure():
+    # the diagonal couplings of the criss-cross cells are exact zeros, which
+    # the operator product drops: SuperLU gets the same matrix, and so
+    # orders it as before
+    mesh = _wide_rect_mesh(3)
+    K = _interior_block(stiffness_by_operators(mesh), mesh)
+    assert K.nnz < len(mesh.interior_pattern.indices)
+    assert np.array_equal(mesh.interior_stiffness.indptr, K.indptr)
+    assert np.array_equal(mesh.interior_stiffness.indices, K.indices)
+    lu = mesh.interior_stiffness_lu
+    assert np.array_equal(lu.perm_c, _splu(K).perm_c)
+    rhs = np.random.default_rng(15).standard_normal(K.shape[0])
+    assert np.array_equal(lu.solve(rhs), _splu(K).solve(rhs))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(400, 0.0, 1.0),
+    build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))),
+    build_rect_mesh(_BAND_MAX, 3, ((0.0, 0.0), (2.0, 1.0))),
+    _jittered_rect_mesh(9, 7, seed=7),
+], ids=["1d_400", "2d_32", "2d_widest_band", "2d_jittered"])
+def test_band_cholesky_is_dpbtrf_of_the_operator_band(mesh):
+    # the upper triangle of the operator product, entry (i, j) in row
+    # kl + i - j of column j of a band of kl + 1 rows, factored by LAPACK
+    K, kl = _interior_block(stiffness_by_operators(mesh), mesh), mesh.interior_bandwidth
+    n = K.shape[0]
+    band = np.zeros((kl + 1, n), order="F")
+    cols = np.repeat(np.arange(n), np.diff(K.indptr))
+    upper = K.indices <= cols
+    band[kl + K.indices[upper] - cols[upper], cols[upper]] = K.data[upper]
+    factor, info = scipy.linalg.lapack.dpbtrf(band)
+    assert info == 0
+    assert isinstance(mesh.interior_stiffness_lu, _BandCholesky)
+    assert mesh.interior_stiffness_lu.factor.tobytes() == factor.tobytes()
 
 
 @pytest.mark.parametrize("mesh", [

@@ -40,6 +40,7 @@ from oracles import (
     rayleigh_hessian_by_operators,
     rayleigh_ratio,
     rayleigh_ratio_long,
+    stiffness_by_operators,
 )
 
 
@@ -282,7 +283,7 @@ def test_stiffness_norm_of_element_data_matches_the_matrix(dim):
     mesh, _, u, d = _rayleigh_case(dim)
     for v in (u, d, u - 0.3 * d):
         h = _stiffness_norm(mesh, _point(mesh, v).gmag)
-        assert h == pytest.approx(np.sqrt(v @ mesh.stiffness @ v), rel=1e-14)
+        assert h == pytest.approx(np.sqrt(v @ stiffness_by_operators(mesh) @ v), rel=1e-14)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -347,6 +348,29 @@ def test_gradient_assembly_deterministic():
     first = gradient_J(u, prob).nodal_values
     second = gradient_J(GridFunction(prob.mesh, u.nodal_values), prob).nodal_values
     assert np.array_equal(first, second)
+
+
+def test_a_caller_cannot_rewrite_the_interior_pattern():
+    # hessian_J's matrix shares the mesh's pattern arrays; at u = 0 and
+    # p = 2 it is a K times the stiffness, whose couplings along the cells'
+    # diagonals are exact zeros.  Dropping them in place must not rewrite
+    # the pattern of every later Hessian on the mesh
+    mesh = build_rect_mesh(8, 8, ((0.0, 0.0), (1.0, 1.0)))
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, mesh), spec, mesh)
+    S, _ = hessian_J(GridFunction(mesh, np.zeros(mesh.n_vertices)), prob)
+    pattern = mesh.interior_pattern
+    before = [array.copy() for array in pattern]
+    assert np.count_nonzero(S.data == 0.0) > 0
+    with pytest.raises(ValueError):
+        S.eliminate_zeros()
+    for array, old in zip(mesh.interior_pattern, before):
+        assert not array.flags.writeable
+        assert np.array_equal(array, old)
+    own = S.copy()  # a copy has arrays of its own
+    own.eliminate_zeros()
+    assert own.nnz == np.count_nonzero(S.data) < len(pattern.indices)
+    assert np.array_equal(own.toarray(), S.toarray())
 
 
 def test_quadratic_part_ceiling():

@@ -45,6 +45,7 @@ from pxkirchhoff.solver import _ray_max, _scale_until_negative
 from oracles import (
     central_difference,
     make_residual_1d,
+    mass_by_operators,
     newton_1d,
     ray_max_bounded,
     ray_minimize,
@@ -52,6 +53,7 @@ from oracles import (
     rayleigh_gradient,
     rayleigh_ratio,
     rayleigh_ray,
+    stiffness_by_operators,
 )
 
 RHO_GRID = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
@@ -310,7 +312,7 @@ def test_rayleigh_descent_gathers_twice_per_step(monkeypatch):
     mesh.interior_stiffness  # the preconditioner's matrix, built before counting
     products = []
     maps = {name: getattr(mesh, name) for name in (
-        "gradient_map", "centroid_map", "gradient_adjoint", "centroid_adjoint", "stiffness")}
+        "gradient_map", "centroid_map", "gradient_adjoint", "centroid_adjoint")}
     for name, matrix in maps.items():
         mesh.__dict__[name] = _CountingMap(matrix, products)
     gathers = []
@@ -1248,6 +1250,29 @@ def test_newton_point_above_the_path_peak_is_discarded(monkeypatch):
     assert rep.energy == pytest.approx(polished.energy, rel=1e-9)
 
 
+def test_trivial_newton_point_is_discarded(monkeypatch):
+    # a mountain-pass level is positive, so a Newton point with J <= 0 is no
+    # answer: here the polish returns u = 0, a critical point (J'(0) = 0)
+    # below every ray peak, and each attempt is discarded until the descent
+    # certifies
+    prob = model_problem(n=60)
+    e = find_negative_energy_point(prob, tent_on(prob.mesh))
+    polished = mountain_pass_solve(prob, e, tol=1e-6)
+    attempts = []
+
+    def polish_to_zero(prob_, at, g, res, tol):
+        attempts.append(res)
+        return _point(prob_.mesh, np.zeros(prob_.mesh.n_vertices)), 0.0, 0.0, 1
+
+    monkeypatch.setattr(solver, "_newton_polish", polish_to_zero)
+    rep = mountain_pass_solve(prob, e, tol=1e-6)
+    assert len(attempts) > 1
+    assert rep.residual_norm == rep.iteration_trace[-1][2] <= 1e-6  # the descent's answer
+    assert rep.energy == rep.iteration_trace[-1][1] > 0.0
+    assert rep.energy == pytest.approx(polished.energy, rel=1e-9)
+    assert np.max(np.abs(rep.solution.nodal_values)) > 0.1
+
+
 def _slow_case(dim, n, p_of_x, lam):
     """A problem of ROADMAP item 2's slow cases and the geometry's start."""
     if dim == 1:
@@ -1348,7 +1373,7 @@ def _dense_pencil_eigenvalues(prob, u):
             lambda x: gradient_J(GridFunction(prob.mesh, x), prob).nodal_values,
             u.nodal_values, v, h=1e-6,
         )[idx]
-    stiff = prob.mesh.stiffness[np.ix_(idx, idx)].toarray()
+    stiff = stiffness_by_operators(prob.mesh)[np.ix_(idx, idx)].toarray()
     return scipy.linalg.eigh(0.5 * (H + H.T), stiff, eigvals_only=True)
 
 
@@ -1895,8 +1920,8 @@ def test_eigenbasis_full_basis_without_warning(monkeypatch):
     # on either side of the cutoff, silently
     mesh = build_interval_mesh(6, 0.0, 1.0)
     idx = mesh.interior
-    K = mesh.stiffness[np.ix_(idx, idx)].toarray()
-    M = mesh.mass[np.ix_(idx, idx)].toarray()
+    K = stiffness_by_operators(mesh)[np.ix_(idx, idx)].toarray()
+    M = mass_by_operators(mesh)[np.ix_(idx, idx)].toarray()
     ref = scipy.linalg.eigh(K, M, eigvals_only=True)
     one = build_interval_mesh(2, 0.0, 1.0)
     for _, cutoff in ROUTES:
@@ -1916,8 +1941,8 @@ def test_eigenbasis_2d_near_degenerate_modes_by_span(monkeypatch):
     # the vectors are not unique, their span is
     mesh = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
     idx = mesh.interior
-    K = mesh.stiffness[np.ix_(idx, idx)].toarray()
-    M = mesh.mass[np.ix_(idx, idx)].toarray()
+    K = stiffness_by_operators(mesh)[np.ix_(idx, idx)].toarray()
+    M = mass_by_operators(mesh)[np.ix_(idx, idx)].toarray()
     vals, ref = scipy.linalg.eigh(K, M, subset_by_index=(0, 3))
     assert vals[1:3] == pytest.approx([49.67, 49.82], abs=5e-3)
     # 961 interior vertices: ARPACK at the real cutoff, dense above it
@@ -2058,7 +2083,8 @@ def test_eigenbasis_signs_agree_on_both_routes(monkeypatch):
 def test_eigenbasis_uses_the_cached_interior_mass(monkeypatch):
     mesh = build_interval_mesh(12, 0.0, 1.0)
     M = mesh.interior_mass
-    monkeypatch.setattr(type(mesh), "mass", property(lambda self: pytest.fail("sliced")))
+    monkeypatch.setattr(type(mesh), "mass", property(lambda self: pytest.fail("sliced")),
+                        raising=False)
     for _, cutoff in ROUTES:
         monkeypatch.setattr(solver, "_DENSE_N", cutoff)
         V = np.array([b.nodal_values[mesh.interior] for b in laplace_eigenbasis(mesh, 4)]).T
