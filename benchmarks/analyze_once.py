@@ -8,6 +8,7 @@
     python3 benchmarks/analyze_once.py rayleigh --parent DIR [--reps N]
     python3 benchmarks/analyze_once.py pencils [--reps N]
     python3 benchmarks/analyze_once.py outputs --parent DIR [--seeds N]
+    python3 benchmarks/analyze_once.py fixed --parent DIR [--reps N]
 
 Each command prints one JSON document; ``--out FILE --key KEY`` also
 stores it under KEY in the JSON file FILE.  Every process runs with the
@@ -73,6 +74,15 @@ BLAS on one thread.
   (a report line's key; all numbers of a solution or CSV file as one
   field), or with the field whose text differs otherwise.  The command
   fails when any file differs or exists on one side only.
+* ``fixed``: the fixed costs of each benchmark workload's mesh, from DIR's
+  sources and from this checkout, one process per side, alternated over
+  ``--reps`` rounds: milliseconds to build the mesh (``cli._build_mesh``)
+  and then, on that fresh mesh and in this order, its centroids, hat
+  gradients, interior pattern, interior bandwidth and stiffness factor,
+  and the three sections of a solution dump (``cli.write_solution``) of
+  a random grid function: vertices, elements and nodal values.  Each
+  process times ``FIXED_PASSES`` fresh meshes after one warm-up; a row
+  holds the median over all of them.
 """
 
 import argparse
@@ -105,6 +115,10 @@ SLOW_CASES = [
 # the largest relative gap between the dense and the ARPACK route's
 # eigenvalues that ``pencils`` accepts
 PENCIL_GAP = 1e-10
+
+# the fresh meshes that one ``fixed`` process times per workload, after one
+# warm-up
+FIXED_PASSES = 5
 
 # (label, mesh, p = c0 + c1 x, seeds): the mesh is ("interval", n) on (0, 1)
 # or ("rect", n), the n x n unit square
@@ -385,6 +399,70 @@ def outputs(parent: Path, seeds: int) -> dict:
     return result
 
 
+_FIXED_CHILD = r"""
+import json, sys, time
+src, passes = sys.argv[1], int(sys.argv[2])
+sys.path[:0] = [src, sys.argv[3]]
+import numpy as np
+from configs import WORKLOADS, config_text
+from pxkirchhoff import GridFunction, cli
+# sources without a vertex formatter of their own format the vertices by _rows
+vertex_rows = getattr(cli, "_vertex_rows", lambda vertices: cli._rows("%.17g", vertices))
+steps = {
+    "centroids": lambda mesh, u: mesh.element_centroids,
+    "hat_gradients": lambda mesh, u: mesh.hat_gradients,
+    "pattern": lambda mesh, u: mesh.interior_pattern,
+    "bandwidth": lambda mesh, u: mesh.interior_bandwidth,
+    "stiffness_factor": lambda mesh, u: mesh.interior_stiffness_lu,
+    "dump_vertices": lambda mesh, u: vertex_rows(mesh.vertices),
+    "dump_elements": lambda mesh, u: cli._rows("%d", mesh.elements),
+    "dump_values": lambda mesh, u: cli._rows("%.17g", u.nodal_values[:, None]),
+}
+out = {}
+for name in json.loads(sys.argv[4]):
+    domain = cli.parse_config(config_text(name, 0)).domain
+    out[name] = {key: [] for key in ["mesh_build", *steps]}
+    for r in range(passes + 1):
+        t0 = time.perf_counter()
+        mesh = cli._build_mesh(domain)
+        times = [time.perf_counter() - t0]
+        u = GridFunction(mesh, np.random.default_rng(r).standard_normal(mesh.n_vertices))
+        for call in steps.values():
+            t0 = time.perf_counter()
+            call(mesh, u)
+            times.append(time.perf_counter() - t0)
+        if r:  # the first pass warms up
+            for key, t in zip(out[name], times):
+                out[name][key].append(t)
+print(json.dumps(out))
+"""
+
+
+def fixed(parent: Path, reps: int) -> dict:
+    got = {"parent": [], "change": []}
+    for r in range(reps):
+        for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+            src = (parent if side == "parent" else ROOT) / "src"
+            proc = subprocess.run([sys.executable, "-c", _FIXED_CHILD, str(src),
+                                   str(FIXED_PASSES), str(ROOT / "perfbench"),
+                                   json.dumps(WORKLOADS)],
+                                  capture_output=True, text=True, check=True)
+            got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    rows = []
+    for name in WORKLOADS:
+        row = {"workload": name}
+        for side, rounds in got.items():
+            row[side] = {key + "_ms": round(1e3 * statistics.median(
+                t for times in rounds for t in times[name][key]), 4)
+                for key in rounds[0][name]}
+        rows.append(row)
+    return {"what": f"ms per step on a fresh mesh of each workload, median of {reps} "
+                    f"round(s) of {FIXED_PASSES} meshes per side, sides alternated; steps in "
+                    "the order listed, so each finds the earlier ones cached; the dump "
+                    "sections of a random grid function",
+            "rows": rows}
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -600,7 +678,7 @@ def rayleigh(parent: Path, reps: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("command", choices=["lu", "pairs", "slow", "counts", "rayleigh", "pencils",
-                                        "outputs"])
+                                        "outputs", "fixed"])
     ap.add_argument("--reps", type=int, default=40)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--workload", default="mp2d")
@@ -631,6 +709,8 @@ def main(argv=None) -> int:
         result = rayleigh(args.parent.resolve(), args.reps)
     elif args.command == "outputs":
         result = outputs(args.parent.resolve(), args.seeds)
+    elif args.command == "fixed":
+        result = fixed(args.parent.resolve(), args.reps)
     else:
         result = slow(args.parent.resolve(), args.reps)
     print(json.dumps(result, indent=1))

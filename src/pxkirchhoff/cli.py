@@ -272,15 +272,40 @@ def _rows(fmt: str, table: np.ndarray) -> str:
     return (line * table.shape[0]) % tuple(table.ravel().tolist())
 
 
+def _vertex_rows(vertices: np.ndarray) -> str:
+    """``_rows("%.17g", vertices)``, with each distinct coordinate formatted
+    once: the coordinates of a grid repeat along its rows and columns.
+    They are told apart by their float64 bits, not by float equality, which
+    would merge -0.0 and 0.0 ("-0" and "0").  A stable argsort groups equal
+    bits, and a coordinate's text is the word of the run it falls in.
+    ``np.unique`` would do the same with a sort that nothing else in a task
+    runs, which raised an eig2d task's peak memory by 0.2-0.3 MB.  Where no
+    coordinate repeats, it is ``_rows`` itself."""
+    bits = np.ascontiguousarray(vertices, dtype=np.float64).view(np.int64).ravel()
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    first = np.ones(len(ranked), dtype=bool)  # the first entry of each run of equal bits
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    if first.all():
+        return _rows("%.17g", vertices)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    distinct = ranked[first].view(np.float64)
+    words = ("%.17g\n" * len(distinct) % tuple(distinct.tolist())).split("\n")
+    line = " ".join(["%s"] * vertices.shape[1]) + "\n"
+    return (line * vertices.shape[0]) % tuple([words[k] for k in inverse.tolist()])
+
+
 def write_solution(path, u: GridFunction):
     """Plain-text dump: header, vertex coordinates, elements, nodal values.
 
     Each section is formatted as one string, so the transient text is the
-    size of the largest section, not of the file."""
+    size of the largest section, not of the file; the vertex section
+    formats each distinct coordinate once (``_vertex_rows``)."""
     mesh = u.mesh
     with open(path, "w") as fh:
         fh.write(f"{mesh.dimension} {mesh.n_vertices} {mesh.n_elements}\n")
-        fh.write(_rows("%.17g", mesh.vertices))
+        fh.write(_vertex_rows(mesh.vertices))
         fh.write(_rows("%d", mesh.elements))
         fh.write(_rows("%.17g", u.nodal_values[:, None]))
 

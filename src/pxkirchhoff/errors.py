@@ -22,7 +22,9 @@ class MaxIterations(RuntimeError):
 
 
 class GeometryNotFound(RuntimeError):
-    """No radius in the probe grid had a positive sampled energy minimum."""
+    """No mountain-pass geometry was found: no radius in the probe grid had
+    a positive sampled energy minimum, J has no maximum on a start's ray,
+    or the critical point a solve found has Morse index 0."""
 
 
 class DegenerateCoefficient(RuntimeError):

@@ -158,7 +158,9 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     provide smooth low-frequency probe directions.  They are the lowest
     eigenvectors of the interior stiffness and mass pencil (K, M): on at
     most _DENSE_N interior vertices, or for a full basis (k = n, which
-    ARPACK cannot give), from one dense LAPACK solve; above it, by ARPACK
+    ARPACK cannot give), from one dense LAPACK solve on arrays that the
+    pattern data of K and M fill directly (``Mesh.interior_pattern_dense``);
+    above it, by ARPACK
     with the mesh's one factor of K (``Mesh.interior_stiffness_lu``).  On
     a narrow mesh, whose factor is a band Cholesky K = U^T U, ARPACK finds
     the k largest eigenvalues 1/lambda of (M, K) in standard mode
@@ -181,7 +183,8 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
         return []
     M = mesh.interior_mass
     if k == n or n <= _DENSE_N:
-        vecs = scipy.linalg.eigh(mesh.interior_stiffness.toarray(), M.toarray(),
+        vecs = scipy.linalg.eigh(mesh.interior_pattern_dense(mesh.interior_stiffness_data),
+                                 mesh.interior_pattern_dense(M.data),
                                  subset_by_index=[0, k - 1])[1]
     elif isinstance(mesh.interior_stiffness_lu, _BandCholesky):
         # the k largest eigenvalues 1/lambda of the pencil (M, K)
@@ -762,10 +765,11 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
 
     J'' comes as the pattern data of its sparse part S and the rank-one
     factor dA (``_hessian_of_elements``); S is built as a matrix
-    (``Mesh.interior_pattern_matrix``) only for LAPACK's dense pencil and
-    ARPACK's products.  On at most _DENSE_N interior vertices (and always on
-    one or two), LAPACK finds the pencil's whole spectrum from dense
-    matrices, and the index is the number of negative eigenvalues.  Above
+    (``Mesh.interior_pattern_matrix``) only for ARPACK's products.  On at
+    most _DENSE_N interior vertices (and always on one or two), LAPACK finds
+    the pencil's whole spectrum from dense arrays, which S's and the
+    stiffness's pattern data fill directly (``Mesh.interior_pattern_dense``),
+    and the index is the number of negative eigenvalues.  Above
     it, the stiffness being positive definite, the index is the number of
     negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
     one symmetric LU of S's data.  One ARPACK call then finds the two lowest
@@ -783,28 +787,28 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
         data, dA = _kirchhoff_hessian(prob, at)
     except DomainError:
         return None, None
-    n = len(dA)
-    S = prob.mesh.interior_pattern_matrix(data)
+    n, mesh = len(dA), prob.mesh
     if n <= max(_DENSE_N, 2):  # ARPACK needs k = 2 < n
-        vals = scipy.linalg.eigh(S.toarray() - prob.b * np.outer(dA, dA),
-                                 prob.mesh.interior_stiffness.toarray(),
+        vals = scipy.linalg.eigh(mesh.interior_pattern_dense(data) - prob.b * np.outer(dA, dA),
+                                 mesh.interior_pattern_dense(mesh.interior_stiffness_data),
                                  eigvals_only=True)
         return int(np.count_nonzero(vals < 0.0)), tuple(float(v) for v in vals[:2])
+    S = mesh.interior_pattern_matrix(data)
     H = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: S @ v - prob.b * dA * (dA @ v), dtype=float)
-    factor = prob.mesh.interior_stiffness_lu
+    factor = mesh.interior_stiffness_lu
 
     def lowest(k, which="SA"):
         if isinstance(factor, _BandCholesky):
             return np.sort(_whitened_eigsh(factor, H, k, which))
         Minv = scipy.sparse.linalg.LinearOperator((n, n), matvec=factor.solve, dtype=float)
         return np.sort(scipy.sparse.linalg.eigsh(
-            H, k, prob.mesh.interior_stiffness, which=which, Minv=Minv, v0=_start_vector(n),
+            H, k, mesh.interior_stiffness, which=which, Minv=Minv, v0=_start_vector(n),
             return_eigenvectors=False))
 
     k = 2
     vals = lowest(k)
-    index = _inertia_index(prob.mesh, data, dA, prob.b)
+    index = _inertia_index(mesh, data, dA, prob.b)
     if index is not None and np.count_nonzero(vals < 0.0) == min(index, 2):
         return index, tuple(float(v) for v in vals)
     while vals[-1] < 0.0 and k < n - 1:
@@ -850,7 +854,8 @@ def mountain_pass_solve(
     (or 1, if smaller).
     ``iterations`` counts these steps and ``newton_steps`` the accepted
     Newton steps; the trace holds one row per peak.  The solution's Morse
-    index is computed last (``_morse``).
+    index is computed last (``_morse``), and a point of index 0 is not
+    reported (index None, where J'' does not exist, is).
 
     ``energy_J`` is called once, at e.  A ray and a peak are each gathered
     once (``_energy_ray``, ``_point``), and the Newton polish starts from
@@ -863,7 +868,9 @@ def mountain_pass_solve(
     with K <= 0 is backtracked instead).  At a peak r dJ/dr = 0 makes K the
     ratio of r d(lambda B + I(G))/dr to r dA/dr, which is positive when
     lambda >= 0 and g != 0: a degenerate peak needs lambda < 0 or g = 0.
-    Raises GeometryNotFound when J has no maximum on e's ray, MaxIterations
+    Raises GeometryNotFound when J has no maximum on e's ray or the point
+    found has Morse index 0 (near lambda = lambda_p the first peak can be a
+    point next to u = 0 whose residual already passes ``tol``), MaxIterations
     if the step or line-search budget runs out, and DomainError for a
     negative ``max_iter`` or a ``tol`` that is not finite and positive.
     """
@@ -883,6 +890,13 @@ def mountain_pass_solve(
 
     def report(point, energy, res, K, steps):
         morse_index, lowest = _morse(prob, point)
+        if morse_index == 0:
+            raise GeometryNotFound(
+                f"the critical point found (J = {energy:.6g}, max|u| = "
+                f"{np.max(np.abs(point.nodal)):.3g}) has Morse index 0: J'' has no "
+                "negative direction there, so it is no mountain-pass point (one where J'' "
+                "is nondegenerate has index 1)"
+            )
         return SolveReport(
             solution=GridFunction(mesh, point.nodal),
             energy=energy,

@@ -7,7 +7,8 @@ a tridiagonal eigenvalue reference, scalar root-finds on closed-form
 integrals, a Luxemburg norm by bracket expansion and bisection, the
 stiffness, the mass, J'' and the Hessian A'' - R B'' of the Rayleigh
 equation assembled from the mesh's sparse operators, the interior block
-pattern by ``np.unique``, a bounded
+pattern by ``np.unique``, the interior bandwidth from the elements' vertex
+positions, a bounded
 scalar maximization of the direct energy along a ray, and the Rayleigh
 descent on nodal values, with the nodal forms of R, R' and the ray search
 that it and the tests call (the library itself only works on gathered
@@ -275,6 +276,19 @@ def interior_pattern_by_unique(mesh):
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return keep, slot.ravel(), indptr, (keys % n).astype(np.int32), (local >= 0).any(axis=0)
+
+
+def interior_bandwidth_by_elements(mesh):
+    """The interior bandwidth kl from the elements alone, with no pattern:
+    the largest spread max - min of the interior positions of one element's
+    vertices, over the elements with at least one interior vertex."""
+    n = len(mesh.interior)
+    position = np.full(mesh.n_vertices, -1)
+    position[mesh.interior] = np.arange(n)
+    local = position[mesh.elements]
+    hi = local.max(axis=1)
+    lo = np.where(local >= 0, local, n).min(axis=1)
+    return int(np.max(hi - lo, initial=0, where=hi >= 0))
 
 
 def ray_max_bounded(prob, nodal, lo, hi):

@@ -259,14 +259,31 @@ def _dump_line_by_line(path, u):
             fh.write(f"{v:.17g}\n")
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_solution_dump_bytes_match_the_line_by_line_writer(tmp_path, dim):
-    from pxkirchhoff import GridFunction, build_interval_mesh, build_rect_mesh
+def _dump_mesh(case):
+    from pxkirchhoff import Mesh, build_interval_mesh, build_rect_mesh
 
-    if dim == 1:
-        mesh = build_interval_mesh(37, -1.25, 3.0)
-    else:
-        mesh = build_rect_mesh(5, 7, ((-1.0, 0.0), (1.5, 2.0 / 3.0)))
+    if case == 1:
+        return build_interval_mesh(37, -1.25, 3.0)
+    if case == 2:
+        return build_rect_mesh(5, 7, ((-1.0, 0.0), (1.5, 2.0 / 3.0)))
+    if case == "2d_48":
+        return build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0)))
+    mesh = build_rect_mesh(4, 6, ((-1.0, -1.0), (1.0, 2.0)))
+    vertices = mesh.vertices.copy()
+    if case == "signed_zeros":  # x = 0.0 on some rows and -0.0 on the others
+        vertices[(vertices[:, 0] == 0.0) & (vertices[:, 1] < 0.5), 0] = -0.0
+        assert {np.signbit(x) for x in vertices[vertices[:, 0] == 0.0, 0]} == {False, True}
+    else:  # "distinct": no coordinate repeats
+        vertices = np.random.default_rng(5).uniform(-2.0, 2.0, vertices.shape)
+        assert len(np.unique(vertices)) == vertices.size
+    return Mesh(2, vertices, mesh.elements, mesh.boundary_mask, mesh.element_measures)
+
+
+@pytest.mark.parametrize("case", [1, 2, "signed_zeros", "2d_48", "distinct"])
+def test_solution_dump_bytes_match_the_line_by_line_writer(tmp_path, case):
+    from pxkirchhoff import GridFunction
+
+    mesh = _dump_mesh(case)
     rng = np.random.default_rng(4)
     values = rng.standard_normal(mesh.n_vertices) * 10.0 ** rng.integers(-300, 300, mesh.n_vertices)
     values[mesh.interior[:4]] = [1e-300, -1e-300, 5e-324, -2.2250738585072014e-308]

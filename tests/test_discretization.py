@@ -18,7 +18,8 @@ from pxkirchhoff import (
 from pxkirchhoff import discretization
 from pxkirchhoff.discretization import (_BAND_MAX, _BandCholesky, _BandLU, _PermutedLU,
                                         _splu)
-from oracles import interior_pattern_by_unique, mass_by_operators, stiffness_by_operators
+from oracles import (interior_bandwidth_by_elements, interior_pattern_by_unique,
+                     mass_by_operators, stiffness_by_operators)
 
 
 def test_uniform_interval():
@@ -331,20 +332,84 @@ def _bitwise_equal(A, B):
             and A.data.tobytes() == B.data.tobytes())
 
 
-OPERATOR_MESHES = pytest.mark.parametrize("mesh", [
+_OPERATOR_MESHES = {
+    "1d_12": build_interval_mesh(12, 0.0, 1.0),
+    "1d_400": build_interval_mesh(400, 0.0, 1.0),
+    "1d_graded": Mesh(
+        1, np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.5, 2.0, 9)])[:, None],
+        np.column_stack([np.arange(9), np.arange(1, 10)]),
+        np.r_[True, np.zeros(8, bool), True], np.ones(9)),
+    "2d_32": build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))),
+    "2d_48": build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0))),
+    "2d_57x7": build_rect_mesh(57, 7, ((0.0, 0.0), (1.0, 1.0))),
+    "2d_96": build_rect_mesh(96, 96, ((0.0, 0.0), (1.0, 1.0))),
+    "2d_jittered_9x7": _jittered_rect_mesh(9, 7, seed=7),
+    "2d_jittered_16x12": _jittered_rect_mesh(16, 12, seed=8),
+}
+OPERATOR_MESHES = pytest.mark.parametrize("mesh", list(_OPERATOR_MESHES.values()),
+                                          ids=list(_OPERATOR_MESHES))
+
+
+def _renumbered(mesh, seed):
+    """``mesh`` with its vertices numbered in a random order."""
+    order = np.random.default_rng(seed).permutation(mesh.n_vertices)  # new k is old order[k]
+    return Mesh(mesh.dimension, mesh.vertices[order], np.argsort(order)[mesh.elements],
+                mesh.boundary_mask[order], mesh.element_measures)
+
+
+@pytest.mark.parametrize("mesh", [
+    *_OPERATOR_MESHES.values(),
+    build_interval_mesh(2, 0.0, 1.0),
+    build_rect_mesh(2, 2, ((0.0, 0.0), (1.0, 1.0))),
+    build_rect_mesh(5, 4, ((0.0, 0.0), (2.0, 1.0))),
+    build_rect_mesh(8, 150, ((0.0, 0.0), (1.0, 1.0))),
+    _wide_rect_mesh(3),
+    _renumbered(build_rect_mesh(12, 9, ((0.0, 0.0), (1.0, 1.0))), seed=16),
+    _renumbered(build_interval_mesh(30, 0.0, 1.0), seed=17),
+    Mesh(1, np.array([[0.0], [1.0]]), np.array([[0, 1]]), np.array([True, True]),
+         np.ones(1)),
+    # interior vertex 0 lies in no element, so column 0 of the pattern is empty
+    Mesh(1, np.arange(5.0)[:, None], np.array([[1, 2], [2, 3], [3, 4]]),
+         np.array([False, True, False, False, True]), np.ones(3)),
+], ids=[*_OPERATOR_MESHES, "1d_2", "2d_2", "2d_5x4", "2d_8x150", "2d_wide",
+        "2d_renumbered", "1d_renumbered", "no_interior", "isolated_vertex"])
+def test_interior_bandwidth_is_the_widest_spread_within_an_element(mesh):
+    # read off the pattern, it is the element-based kl of the vertex positions
+    assert mesh.interior_bandwidth == interior_bandwidth_by_elements(mesh)
+
+
+@pytest.mark.parametrize("mesh", [
     build_interval_mesh(12, 0.0, 1.0),
-    build_interval_mesh(400, 0.0, 1.0),
-    Mesh(1, np.cumsum(np.r_[0.0, np.random.default_rng(4).uniform(0.5, 2.0, 9)])[:, None],
-         np.column_stack([np.arange(9), np.arange(1, 10)]),
-         np.r_[True, np.zeros(8, bool), True], np.ones(9)),
-    build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))),
-    build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0))),
-    build_rect_mesh(57, 7, ((0.0, 0.0), (1.0, 1.0))),
-    build_rect_mesh(96, 96, ((0.0, 0.0), (1.0, 1.0))),
+    _OPERATOR_MESHES["1d_graded"],
+    build_rect_mesh(12, 12, ((0.0, 0.0), (1.0, 1.0))),
     _jittered_rect_mesh(9, 7, seed=7),
+    _renumbered(build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0))), seed=18),
+], ids=["1d_12", "1d_graded", "2d_12", "2d_jittered_9x7", "2d_renumbered"])
+def test_dense_pattern_matrix_is_the_csc_toarray_bitwise(mesh):
+    # entry k in row indices[k] of its CSC column, so a data vector that is
+    # no symmetric matrix lands where the CSC matrix has it; the stiffness's
+    # exact zeros, which its CSC drops, are +0.0
+    data = np.random.default_rng(19).standard_normal(len(mesh.interior_pattern.indices))
+    for dense, ref in [
+        (mesh.interior_pattern_dense(data), mesh.interior_pattern_matrix(data).toarray()),
+        (mesh.interior_pattern_dense(mesh.interior_stiffness_data),
+         mesh.interior_stiffness.toarray()),
+        (mesh.interior_pattern_dense(mesh.interior_mass.data), mesh.interior_mass.toarray()),
+    ]:
+        assert dense.dtype == ref.dtype and dense.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(12, 0.0, 1.0),
+    _OPERATOR_MESHES["1d_graded"],
+    build_rect_mesh(48, 48, ((0.0, 0.0), (1.0, 1.0))),
     _jittered_rect_mesh(16, 12, seed=8),
-], ids=["1d_12", "1d_400", "1d_graded", "2d_32", "2d_48", "2d_57x7", "2d_96",
-        "2d_jittered_9x7", "2d_jittered_16x12"])
+    _renumbered(build_rect_mesh(6, 5, ((-1.0, 0.5), (2.0, 1.0))), seed=20),
+], ids=["1d_12", "1d_graded", "2d_48", "2d_jittered_16x12", "2d_renumbered"])
+def test_element_centroids_are_the_vertex_mean_bitwise(mesh):
+    ref = mesh.vertices[mesh.elements].mean(axis=1)
+    assert mesh.element_centroids.shape == ref.shape
+    assert mesh.element_centroids.tobytes() == ref.tobytes()
 
 
 @OPERATOR_MESHES

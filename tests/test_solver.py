@@ -1273,6 +1273,24 @@ def test_trivial_newton_point_is_discarded(monkeypatch):
     assert np.max(np.abs(rep.solution.nodal_values)) > 0.1
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_point_of_morse_index_0_is_no_mountain_pass_solution(seed):
+    # at lambda = lambda_p the first ray peak from |u| of the solution at
+    # 0.9999 lambda_p is a point next to u = 0 (max|u| ~ 2e-8, J ~ 1e-31)
+    # whose residual already passes tol, and J'' there has no negative
+    # eigenvalue: it used to be reported after 0 steps, with Morse index 0
+    prob = model_problem(n=100)
+    lam_p = rayleigh_quotient_min(prob.p, prob.mesh, seed=seed).value
+    below = model_problem(n=100, lam=0.9999 * lam_p)
+    radii = [0.05 * 2.0 ** k for k in range(7)]
+    u = mountain_pass_solve(
+        below, verify_mountain_geometry(below, radii, 20, seed=1000).negative_point)
+    at = model_problem(n=100, lam=lam_p)
+    e = find_negative_energy_point(at, GridFunction(at.mesh, np.abs(u.solution.nodal_values)))
+    with pytest.raises(GeometryNotFound, match="has Morse index 0"):
+        mountain_pass_solve(at, e)
+
+
 def _slow_case(dim, n, p_of_x, lam):
     """A problem of ROADMAP item 2's slow cases and the geometry's start."""
     if dim == 1:
