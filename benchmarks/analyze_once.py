@@ -47,9 +47,14 @@ BLAS on one thread.
   (``_hessian_of_elements``), sparse LUs (``discretization._splu``),
   LAPACK band LUs and band Cholesky factors (``_band_lu``,
   ``_band_cholesky``), ``csc_matrix`` constructions, scipy's own included,
-  and ``eigsh`` calls with their ARPACK reverse-communication steps,
-  operator applications and products with the pencil's B, in all and per
-  call (k, ``which``, whether it got ``M`` or ``sigma``).
+  ``eigsh`` calls with their ARPACK reverse-communication steps, operator
+  applications and products with the pencil's B, in all and per call (k,
+  ``which``, whether it got ``M`` or ``sigma``), and the pencil eigensolves
+  of ``solver._lowest`` (sources without it count none): per call its k,
+  whether it was ``reciprocal``, its route (dense, whitened or
+  generalized, as the ``_PencilOperator`` it built tells) and the products
+  of that operator, which on the whitened route are ARPACK's operator
+  applications.
 * ``rayleigh``: the first eigenvalue (``rayleigh_quotient_min``, default
   ``tol`` and ``max_iter``) on the cases of ``RAYLEIGH_CASES``, each seed
   solved on a fresh mesh ``--reps`` times from DIR's sources and from this
@@ -60,12 +65,14 @@ BLAS on one thread.
   command fails when a start of this checkout is not certified.
 * ``pencils``: milliseconds per call of the dense and the ARPACK route of
   ``solver._morse`` and ``laplace_eigenbasis`` (k = 3), the routes that
-  ``solver._DENSE_N`` chooses between, at the solved mountain-pass point
-  of 1-D meshes with 49 to 169 interior vertices and of 12², 16² and 24²
-  squares (p = 2 + 0.2x), all narrow enough for the band Cholesky; the
-  Morse index of each route and the largest relative gap between their
-  eigenvalues.  The command fails when a gap exceeds ``PENCIL_GAP`` or
-  the indices differ.
+  ``solver._DENSE_N`` chooses between in ``solver._lowest``, at the solved
+  mountain-pass point of 1-D meshes with 49 to 169 interior vertices and
+  of 12², 16² and 24² squares (p = 2 + 0.2x), all narrow enough for the
+  band Cholesky; the Morse index of each route and the largest relative
+  gap between the eigenvalues that ``solver._lowest`` gives on the two
+  routes for the two lowest of the Morse pencil and the three lowest of
+  the eigenbasis pencil (K, M).  The command fails when a gap exceeds
+  ``PENCIL_GAP`` or the indices differ.
 * ``outputs``: the four benchmark workloads of ``perfbench/configs.py``
   (mp1d, mp2d, mult1d, eig2d) at config seeds 1000, ..., 999 + N, each run
   by ``cli.run`` from DIR's sources and from this checkout, one process per
@@ -269,12 +276,13 @@ def pencils(reps: int) -> dict:
     from pxkirchhoff import cli, laplace_eigenbasis, solver
     from pxkirchhoff.energy import _point
 
-    def eigenvalues(name, result, mesh):
-        if name == "morse":
-            return result[1]
-        idx = mesh.interior  # the basis is mass-normalized: v^T K v is the eigenvalue
-        return [float(v @ (mesh.interior_stiffness @ v))
-                for v in (u.nodal_values[idx] for u in result)]
+    def lowest(prob, at):
+        """The two lowest eigenvalues of the Morse pencil and the three lowest
+        of the eigenbasis pencil, as ``solver._lowest`` gives them."""
+        data, dA = solver._kirchhoff_hessian(prob, at)
+        mesh = prob.mesh
+        return [*solver._lowest(mesh, data, 2, (dA, prob.b)),
+                *solver._lowest(mesh, mesh.interior_mass.data, 3, reciprocal=True)]
 
     dense_n, rows = solver._DENSE_N, []
     routes = [("arpack", 0), ("dense", sys.maxsize)]
@@ -285,7 +293,7 @@ def pencils(reps: int) -> dict:
         at = _point(prob.mesh, rep.solution.nodal_values)
         calls = {"morse": lambda prob=prob, at=at: solver._morse(prob, at),
                  "eigenbasis_k3": lambda mesh=prob.mesh: laplace_eigenbasis(mesh, 3)}
-        times, results = {}, {}
+        times, results, values = {}, {}, {}
         for r in range(reps + 1):  # the first round warms up
             for route, cutoff in routes if r % 2 else routes[::-1]:
                 solver._DENSE_N = cutoff
@@ -295,10 +303,9 @@ def pencils(reps: int) -> dict:
                     if r:
                         times.setdefault(f"{name}_{route}_ms", []).append(
                             time.perf_counter() - t0)
+                values[route] = lowest(prob, at)
         solver._DENSE_N = dense_n
-        gap = max(abs(a - b) / abs(b) for name in calls
-                  for a, b in zip(eigenvalues(name, results[name, "arpack"], prob.mesh),
-                                  eigenvalues(name, results[name, "dense"], prob.mesh)))
+        gap = max(abs(a - b) / abs(b) for a, b in zip(values["arpack"], values["dense"]))
         rows.append({"mesh": label, "interior_n": len(prob.mesh.interior),
                      "kl": prob.mesh.interior_bandwidth,
                      **{key: round(1e3 * statistics.median(values), 3)
@@ -310,8 +317,9 @@ def pencils(reps: int) -> dict:
                       "nx x nx square, p = 2 + 0.2x, a = 1, b = 0.1, q = 4.5, theta = 3.2, "
                       "lambda = 0, geometry seed 1000; the ARPACK route by _DENSE_N = 0, the "
                       "dense route by an unbounded _DENSE_N; _morse includes the Hessian "
-                      "assembly; max_rel_eigenvalue_gap over the Morse pencil's two lowest "
-                      "eigenvalues and the eigenbasis's three",
+                      "assembly; max_rel_eigenvalue_gap over the eigenvalues of solver._lowest "
+                      "on the two routes: the Morse pencil's two lowest and the eigenbasis "
+                      "pencil's three",
               "dense_n": dense_n, "rows": rows,
               "max_rel_eigenvalue_gap": max(row["max_rel_eigenvalue_gap"] for row in rows)}
     failed = [row["mesh"] + f" ({row['interior_n']})" for row in rows
@@ -550,7 +558,7 @@ from pxkirchhoff import cli, discretization, energy, solver
 counts = dict(mountain_pass_solves=0, hessian_assemblies=0, lus=0, band_lus=0,
               band_choleskys=0, csc_matrix_constructions=0, eigsh_calls=0,
               arpack_steps=0, arpack_operator_applications=0, arpack_b_products=0,
-              eigsh=[])
+              eigsh=[], pencil_solves=[])
 def counted(key, f):
     def wrapped(*args, **kwargs):
         counts[key] += 1
@@ -580,6 +588,23 @@ def counted_iterate(self):
         call[key] += n
         counts["arpack_" + key] += n
 arpack._SymmetricArpackParams.iterate = counted_iterate
+# each pencil eigensolve: dense unless it builds a _PencilOperator, whitened
+# when that operator has a factor U, and the operator's products
+if hasattr(solver, "_lowest"):
+    lowest, Operator = solver._lowest, solver._PencilOperator
+    def counted_lowest(mesh, data, k, rank_one=None, **kwargs):
+        counts["pencil_solves"].append(dict(k=k, reciprocal=kwargs.get("reciprocal", False),
+                                            route="dense", operator_products=0))
+        return lowest(mesh, data, k, rank_one, **kwargs)
+    solver._lowest = counted_lowest
+    init, matvec = Operator.__init__, Operator._matvec
+    def counted_init(self, mesh, data, rank_one, U):
+        counts["pencil_solves"][-1]["route"] = "generalized" if U is None else "whitened"
+        init(self, mesh, data, rank_one, U)
+    def counted_matvec(self, y):
+        counts["pencil_solves"][-1]["operator_products"] += 1
+        return matvec(self, y)
+    Operator.__init__, Operator._matvec = counted_init, counted_matvec
 energy._hessian_of_elements = solver._hessian_of_elements = counted(
     "hessian_assemblies", energy._hessian_of_elements)
 discretization._splu = counted("lus", discretization._splu)

@@ -346,6 +346,17 @@ class Mesh:
             self.interior_stiffness_data[upper]
         return _band_cholesky(band.T)
 
+    @property
+    def interior_stiffness_upper(self) -> np.ndarray | None:
+        """The band array of U in the band Cholesky K = U^T U that
+        ``interior_stiffness_lu`` holds where the interior bandwidth is at
+        most _BAND_MAX, or None above it, where that factor is a SuperLU:
+        the triangular factor whose two halves whiten the solver's pencils
+        (X, K) into the standard matrix U^{-T} X U^{-1}."""
+        if self.interior_bandwidth > _BAND_MAX:
+            return None
+        return self.interior_stiffness_lu.factor
+
     def interior_pattern_matrix(self, data: np.ndarray) -> scipy.sparse.csc_matrix:
         """The symmetric matrix on ``interior_pattern`` with pattern data
         ``data``, as CSC: its CSR arrays are its CSC arrays.  Its index
@@ -479,23 +490,14 @@ def _band_lu(band: np.ndarray, kl: int) -> _BandLU:
 
 class _BandCholesky(NamedTuple):
     """LAPACK's band Cholesky (``dpbtrf``) S = U^T U: ``factor`` is the
-    band array of the upper factor U, kl + 1 rows.  Besides S^{-1}, it
-    solves with U and U^T alone (``dtbtrs``), the two halves by which the
-    solver whitens a pencil (X, S) into the standard matrix U^{-T} X U^{-1}."""
+    band array of the upper factor U, kl + 1 rows, which the solver also
+    solves with alone (``Mesh.interior_stiffness_upper``)."""
 
     factor: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """S^{-1} rhs, for one right-hand side or a column of them."""
         return lapack.dpbtrs(self.factor, rhs)[0]
-
-    def solve_upper(self, rhs: np.ndarray) -> np.ndarray:
-        """U^{-1} rhs, for one right-hand side or a column of them."""
-        return lapack.dtbtrs(self.factor, rhs)[0]
-
-    def solve_upper_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        """U^{-T} rhs, for one right-hand side or a column of them."""
-        return lapack.dtbtrs(self.factor, rhs, trans="T")[0]
 
 
 def _band_cholesky(band: np.ndarray) -> _BandCholesky:

@@ -25,19 +25,24 @@ ray is maximized again.  Descent directions are preconditioned with the
 constant-exponent stiffness (a discrete Sobolev gradient,
 ``_sobolev_descent``), which keeps iteration counts mesh-independent; the
 reported residual stays the plain interior l2 norm of the assembled
-derivative.  The solution's Morse index is reported (``_morse``).  The
-eigenproblems, the Morse pencil and the Laplace eigenbasis, are solved
-dense by LAPACK on at most _DENSE_N interior vertices, where ARPACK's
-per-call overhead dominates.  Above it they are sparse: the index is
-counted by inertia from the symmetric SuperLU of the sparse part of J'',
-on every mesh (``Mesh.interior_pattern_splu``), and one ARPACK call for
-the two lowest eigenvalues cross-checks it.  Every stiffness solve uses the
-mesh's one factor of the stiffness K (``Mesh.interior_stiffness_lu``).  On
-a narrow mesh it is a band Cholesky K = U^T U, and ARPACK solves each
-pencil (X, K) in its standard mode on U^{-T} X U^{-1}, through the two
-triangular halves of the factor (``_whitened_eigsh``); on a wider mesh it
-is a SuperLU factor, the shift-invert inverse of the eigenbasis and the
-inverse mass of the Morse pencil.  Element data come only from
+derivative.  The solution's Morse index is reported (``_morse``).  Every
+eigenproblem, the Morse pencil (J'', K) and the Laplace eigenbasis of
+(K, M), goes through one entry point, ``_lowest``, the one place that
+picks its route.  On at most _DENSE_N interior vertices, where ARPACK's
+per-call overhead dominates, LAPACK solves it dense (``dsygvd`` and
+``dsygvx``, called directly); the eigenbasis as the largest eigenvalues
+of (M, K), so that LAPACK factors K and keeps their digits.  Above it, the
+Morse index is counted by inertia from the symmetric SuperLU of the sparse
+part of J'', on every mesh (``Mesh.interior_pattern_splu``), and one
+ARPACK call for the two lowest eigenvalues cross-checks it.  Every
+stiffness solve uses the mesh's one factor of the stiffness K
+(``Mesh.interior_stiffness_lu``).  On a narrow mesh it is a band Cholesky
+K = U^T U, and ARPACK solves each pencil (X, K) in its standard mode on
+U^{-T} X U^{-1}, one product of ``_PencilOperator`` per step: two calls
+of LAPACK's triangular band solve and one of scipy's CSR kernel, with the
+rank-one term of J'' applied inline.  On a wider mesh the factor is a
+SuperLU, the shift-invert inverse of the eigenbasis and the inverse mass
+of the Morse pencil.  Element data come only from
 ``energy._point`` and ``energy._energy_ray``: the solvers hold their
 points and rays and never gather.
 
@@ -51,10 +56,11 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
-from .discretization import GridFunction, Mesh, _BandCholesky
+from .discretization import GridFunction, Mesh
 from .energy import (
     KirchhoffProblem,
     _energy_of_elements,
@@ -105,14 +111,14 @@ def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
 
 
 # Pencils on at most this many interior vertices are solved dense with LAPACK
-# (``scipy.linalg.eigh``), above it by ARPACK.  With ARPACK in standard mode
-# on the pencil whitened by the band Cholesky (``_whitened_eigsh``), the two
-# routes break even at about 75-100 interior vertices for the eigenbasis
-# (k = 3) and 130-150 for the Morse pencil, so a solve, which makes one of
-# each, breaks even near 128: dense 2.7 against ARPACK 2.6 ms at 128, 2.7
-# against 3.5 ms on the 12^2 square (121), 4.3 against 3.0 ms at 149 (1-D
-# unless named, p = 2 + 0.2x, BLAS on one thread; ``benchmarks/analyze_once.py
-# pencils``, ``BENCH_whitened_pencils.json``).
+# (``dsygvd``, ``dsygvx``), above it by ARPACK.  With ARPACK in standard mode
+# on the pencil whitened by the band Cholesky, the two routes break even at
+# about 75-100 interior vertices for the eigenbasis (k = 3) and 130-150 for
+# the Morse pencil, so a solve, which makes one of each, breaks even near
+# 128: dense 2.7 against ARPACK 2.6 ms at 128, 2.7 against 3.5 ms on the
+# 12^2 square (121), 4.3 against 3.0 ms at 149 (1-D unless named,
+# p = 2 + 0.2x, BLAS on one thread; ``benchmarks/analyze_once.py pencils``,
+# ``BENCH_whitened_pencils.json``).
 _DENSE_N = 128
 
 
@@ -127,28 +133,118 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _whitened_eigsh(factor: _BandCholesky, X, k: int, which: str,
-                    return_eigenvectors: bool = False):
-    """k eigenvalues of the pencil (X, K), for the band Cholesky K = U^T U
-    in ``factor`` and X symmetric (a matrix or a ``LinearOperator``), picked
-    by ARPACK's ``which``; with ``return_eigenvectors``, (values, vectors).
+class _PencilOperator(scipy.sparse.linalg.LinearOperator):
+    """y -> U^{-T} X U^{-1} y for the band array U of a triangular factor
+    K = U^T U, or y -> X y when U is None, with X = S - b r r^T: S the
+    symmetric matrix on ``mesh``'s interior pattern with pattern data
+    ``data``, and the rank-one term from ``rank_one`` = (r, b), or none.
 
-    The pencil has the eigenvalues of the standard matrix U^{-T} X U^{-1},
-    and its eigenvectors are x = U^{-1} y for the eigenvectors y of that
-    matrix (Golub-Van Loan 8.7), so ARPACK runs in its standard mode on
-    y -> U^{-T} X U^{-1} y, two triangular band solves and one product
-    with X per step, and needs no inner product in K.
+    Each product calls the kernels that scipy's own products reach after
+    their dispatch: LAPACK's ``dtbtrs`` for U^{-1} and U^{-T}, and scipy's
+    CSR kernel for S on the pattern's arrays, whose CSC arrays are its CSR
+    arrays, as S is symmetric.  The sums run in the order of S's CSC
+    product, and the rank-one term is b r times r^T x, so every product is
+    bitwise that of ``S @ x - b * r * (r @ x)``."""
+
+    def __init__(self, mesh: Mesh, data: np.ndarray, rank_one, U: np.ndarray | None):
+        pattern = mesh.interior_pattern
+        n = len(pattern.indptr) - 1
+        super().__init__(np.float64, (n, n))
+        self.pattern, self.data, self.U = pattern, data, U
+        self.rank_one = None if rank_one is None else (rank_one[0], rank_one[1] * rank_one[0])
+
+    def _matvec(self, y: np.ndarray) -> np.ndarray:
+        x = y if self.U is None else lapack.dtbtrs(self.U, y)[0]
+        n, pattern = self.shape[0], self.pattern
+        z = np.zeros(n)
+        _sparsetools.csr_matvec(n, n, pattern.indptr, pattern.indices, self.data, x, z)
+        if self.rank_one is not None:
+            r, br = self.rank_one
+            z -= br * (r @ x)
+        return z if self.U is None else lapack.dtbtrs(self.U, z, trans="T", overwrite_b=1)[0]
+
+
+def _lowest(mesh: Mesh, data: np.ndarray, k: int, rank_one=None, *,
+            reciprocal: bool = False, vectors: bool = False):
+    """The k lowest eigenvalues, ascending, of the pencil (X, K) on the
+    interior vertices of ``mesh``, for K the interior stiffness and
+    X = S - b r r^T: S the symmetric matrix on the interior pattern with
+    pattern data ``data``, and the rank-one term from ``rank_one`` = (r, b),
+    or none.  With ``reciprocal``, for a positive definite X (the mass),
+    those of the pencil (K, X) instead: the reciprocals of the k largest
+    eigenvalues of (X, K).  With ``vectors``, (values, vectors), the
+    eigenvectors as the columns of an array in the order of the values.
+
+    Every pencil eigensolve of the solver goes through here, and so does
+    the choice of its route.  A pencil on at most _DENSE_N interior
+    vertices, or all n of its eigenvalues (which ARPACK cannot give), is
+    solved by LAPACK on dense arrays, which the pattern data of X and K
+    fill directly (``Mesh.interior_pattern_dense``): the whole spectrum of
+    (X, K) by ``dsygvd``, part of it by ``dsygvx``; for ``reciprocal``,
+    the k largest of (X, K), so that LAPACK factors K, not X.  Above it
+    ARPACK solves it, from a fixed start vector.  On a mesh whose stiffness
+    has a band Cholesky K = U^T U (``Mesh.interior_stiffness_upper``),
+    (X, K) has the eigenvalues of the standard matrix U^{-T} X U^{-1}, and
+    its eigenvectors are x = U^{-1} y for that matrix's y (Golub-Van Loan
+    8.7), so ARPACK runs in its standard mode on y -> U^{-T} X U^{-1} y
+    (``_PencilOperator``) and needs no inner product in K.  On a wider
+    mesh it runs in a generalized mode with the stiffness's SuperLU
+    (``Mesh.interior_stiffness_lu``): the pencil (X, K) with K as its mass
+    and the factor as its inverse, or for ``reciprocal`` a shift-invert
+    eigensolve of (K, X) at shift 0 with the factor as the inverse.
+    Raises LinAlgError when LAPACK fails and ValueError for a dense pencil
+    with a value that is not finite.
     """
-    n = factor.factor.shape[1]
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda y: factor.solve_upper_transposed(X @ factor.solve_upper(y)),
-        dtype=float)
-    out = scipy.sparse.linalg.eigsh(op, k, which=which, v0=_start_vector(n),
-                                    return_eigenvectors=return_eigenvectors)
-    if not return_eigenvectors:
-        return out
-    vals, vecs = out
-    return vals, factor.solve_upper(vecs)
+    n = len(mesh.interior)
+    dense = k == n or n <= _DENSE_N
+    U = None if dense else mesh.interior_stiffness_upper
+    if dense:
+        X = mesh.interior_pattern_dense(data)
+        if rank_one is not None:
+            r, b = rank_one
+            X = X - b * np.outer(r, r)
+        if not np.isfinite(X).all():
+            raise ValueError("the pencil's matrix must not contain infs or NaNs")
+        K, job = mesh.interior_pattern_dense(mesh.interior_stiffness_data), "V" if vectors else "N"
+        if k == n and not reciprocal:
+            vals, vecs, info = lapack.dsygvd(X, K, jobz=job, overwrite_a=1, overwrite_b=1)
+        else:
+            vals, vecs, m, _, info = lapack.dsygvx(
+                X, K, jobz=job, range="I", il=n - k + 1 if reciprocal else 1,
+                iu=n if reciprocal else k, lwork=int(lapack.dsygvx_lwork(n)[0]),
+                overwrite_a=1, overwrite_b=1)
+            vals, vecs = vals[:m], vecs[:, :m]
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK's eigensolve of the pencil failed (info {info})")
+    else:
+        v0 = _start_vector(n)
+        if U is not None:
+            out = scipy.sparse.linalg.eigsh(
+                _PencilOperator(mesh, data, rank_one, U), k, which="LA" if reciprocal else "SA",
+                v0=v0, return_eigenvectors=vectors)
+        else:
+            inverse = scipy.sparse.linalg.LinearOperator(
+                (n, n), matvec=mesh.interior_stiffness_lu.solve, dtype=float)
+            X = _PencilOperator(mesh, data, rank_one, None)
+            if reciprocal:
+                out = scipy.sparse.linalg.eigsh(
+                    mesh.interior_stiffness, k, X, sigma=0.0, OPinv=inverse,
+                    v0=v0, return_eigenvectors=vectors)
+            else:
+                out = scipy.sparse.linalg.eigsh(
+                    X, k, mesh.interior_stiffness, which="SA", Minv=inverse,
+                    v0=v0, return_eigenvectors=vectors)
+        vals, vecs = out if vectors else (out, None)
+        if U is not None and vectors:
+            vecs = lapack.dtbtrs(U, vecs)[0]
+    # every route but the shift-invert one gives eigenvalues of (X, K)
+    if reciprocal and (dense or U is not None):
+        order = np.argsort(-vals)
+        vals = 1.0 / vals[order]
+    else:
+        order = np.argsort(vals)
+        vals = vals[order]
+    return (vals, vecs[:, order]) if vectors else vals
 
 
 def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
@@ -156,22 +252,18 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
 
     These span the nested subspaces used to seed the multiplicity search and
     provide smooth low-frequency probe directions.  They are the lowest
-    eigenvectors of the interior stiffness and mass pencil (K, M): on at
-    most _DENSE_N interior vertices, or for a full basis (k = n, which
-    ARPACK cannot give), from one dense LAPACK solve on arrays that the
-    pattern data of K and M fill directly (``Mesh.interior_pattern_dense``);
-    above it, by ARPACK
-    with the mesh's one factor of K (``Mesh.interior_stiffness_lu``).  On
-    a narrow mesh, whose factor is a band Cholesky K = U^T U, ARPACK finds
-    the k largest eigenvalues 1/lambda of (M, K) in standard mode
-    (``_whitened_eigsh``); on a wider one it runs a shift-invert
-    eigensolve of (K, M) at shift 0 with the factor as the inverse.  They are
-    normalized in the mass inner product, and signs are fixed so the entry
-    of largest magnitude is positive; among entries within a relative 1e-8
-    of that magnitude the first vertex decides, so an antisymmetric mode
-    gets the same sign on both routes.  Raises TypeError when k is not an
-    integer and DomainError when it is negative or exceeds the number of
-    interior vertices.
+    eigenvectors of the interior stiffness and mass pencil (K, M), found by
+    ``_lowest`` as the reciprocals of the k largest eigenvalues of (M, K):
+    dense by LAPACK on at most _DENSE_N interior vertices or for a full
+    basis (k = n, which ARPACK cannot give), so that LAPACK factors K, not
+    M; above it by ARPACK, in standard mode on a mesh whose stiffness has a
+    band Cholesky and by a shift-invert eigensolve of (K, M) at shift 0 on
+    a wider one.  They are normalized in the mass inner product, and signs
+    are fixed so the entry of largest magnitude is positive; among entries
+    within a relative 1e-8 of that magnitude the first vertex decides, so
+    an antisymmetric mode gets the same sign on both routes.  Raises
+    TypeError when k is not an integer and DomainError when it is negative
+    or exceeds the number of interior vertices.
     """
     k = operator.index(k)
     _nonnegative("k", k)
@@ -182,20 +274,7 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     if k == 0:
         return []
     M = mesh.interior_mass
-    if k == n or n <= _DENSE_N:
-        vecs = scipy.linalg.eigh(mesh.interior_pattern_dense(mesh.interior_stiffness_data),
-                                 mesh.interior_pattern_dense(M.data),
-                                 subset_by_index=[0, k - 1])[1]
-    elif isinstance(mesh.interior_stiffness_lu, _BandCholesky):
-        # the k largest eigenvalues 1/lambda of the pencil (M, K)
-        vals, vecs = _whitened_eigsh(mesh.interior_stiffness_lu, M, k, "LA", True)
-        vecs = vecs[:, np.argsort(-vals)]
-    else:
-        OPinv = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=mesh.interior_stiffness_lu.solve, dtype=float)
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            mesh.interior_stiffness, k, M, sigma=0.0, OPinv=OPinv, v0=_start_vector(n))
-        vecs = vecs[:, np.argsort(vals)]
+    vecs = _lowest(mesh, M.data, k, reciprocal=True, vectors=True)[1]
     basis = []
     for v in vecs.T:
         mag = np.abs(v)
@@ -764,59 +843,39 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
     where J'' does not exist.
 
     J'' comes as the pattern data of its sparse part S and the rank-one
-    factor dA (``_hessian_of_elements``); S is built as a matrix
-    (``Mesh.interior_pattern_matrix``) only for ARPACK's products.  On at
-    most _DENSE_N interior vertices (and always on one or two), LAPACK finds
-    the pencil's whole spectrum from dense arrays, which S's and the
-    stiffness's pattern data fill directly (``Mesh.interior_pattern_dense``),
-    and the index is the number of negative eigenvalues.  Above
-    it, the stiffness being positive definite, the index is the number of
-    negative eigenvalues of J'' itself, which ``_inertia_index`` counts from
-    one symmetric LU of S's data.  One ARPACK call then finds the two lowest
+    factor dA (``_hessian_of_elements``), and every eigensolve of its pencil
+    goes through ``_lowest``.  On at most _DENSE_N interior vertices (and
+    always on one or two), LAPACK finds the pencil's whole spectrum, and
+    the index is the number of negative eigenvalues.  Above it, the
+    stiffness being positive definite, the index is the number of negative
+    eigenvalues of J'' itself, which ``_inertia_index`` counts from one
+    symmetric LU of S's data.  One ARPACK call then finds the two lowest
     eigenvalues, and the number of negatives among them must equal
-    min(index, 2).  ARPACK runs in standard mode where the stiffness's
-    factor (``Mesh.interior_stiffness_lu``) is a band Cholesky
-    (``_whitened_eigsh``), and on the pencil with the stiffness as its mass
-    and that factor as its inverse otherwise.  When
-    the inertia is unavailable or that cross-check fails, ARPACK finds the k
-    lowest eigenvalues, k = 2, 4, 8, ... until one is nonnegative; it finds
-    at most n - 1 of n, so when all of those are negative the largest
-    eigenvalue decides the last.
+    min(index, 2).  When the inertia is unavailable or that cross-check
+    fails, ARPACK finds the k lowest eigenvalues, k = 2, 4, 8, ... until one
+    is nonnegative; it finds at most n - 1 of n, so when all of those are
+    negative the largest eigenvalue decides the last: the negative of the
+    lowest of (-J''(u), stiffness).
     """
     try:
         data, dA = _kirchhoff_hessian(prob, at)
     except DomainError:
         return None, None
-    n, mesh = len(dA), prob.mesh
+    n, mesh, b = len(dA), prob.mesh, prob.b
     if n <= max(_DENSE_N, 2):  # ARPACK needs k = 2 < n
-        vals = scipy.linalg.eigh(mesh.interior_pattern_dense(data) - prob.b * np.outer(dA, dA),
-                                 mesh.interior_pattern_dense(mesh.interior_stiffness_data),
-                                 eigvals_only=True)
+        vals = _lowest(mesh, data, n, (dA, b))
         return int(np.count_nonzero(vals < 0.0)), tuple(float(v) for v in vals[:2])
-    S = mesh.interior_pattern_matrix(data)
-    H = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda v: S @ v - prob.b * dA * (dA @ v), dtype=float)
-    factor = mesh.interior_stiffness_lu
-
-    def lowest(k, which="SA"):
-        if isinstance(factor, _BandCholesky):
-            return np.sort(_whitened_eigsh(factor, H, k, which))
-        Minv = scipy.sparse.linalg.LinearOperator((n, n), matvec=factor.solve, dtype=float)
-        return np.sort(scipy.sparse.linalg.eigsh(
-            H, k, mesh.interior_stiffness, which=which, Minv=Minv, v0=_start_vector(n),
-            return_eigenvectors=False))
-
     k = 2
-    vals = lowest(k)
-    index = _inertia_index(mesh, data, dA, prob.b)
+    vals = _lowest(mesh, data, k, (dA, b))
+    index = _inertia_index(mesh, data, dA, b)
     if index is not None and np.count_nonzero(vals < 0.0) == min(index, 2):
         return index, tuple(float(v) for v in vals)
     while vals[-1] < 0.0 and k < n - 1:
         k = min(2 * k, n - 1)
-        vals = lowest(k)
+        vals = _lowest(mesh, data, k, (dA, b))
     index = int(np.sum(vals < 0.0))
     if index == n - 1:
-        vals = np.append(vals, lowest(1, "LA"))
+        vals = np.append(vals, -_lowest(mesh, -data, 1, (dA, -b)))
         index += int(vals[-1] < 0.0)
     return index, tuple(float(v) for v in vals[:2])
 
@@ -992,7 +1051,9 @@ def multiplicity_search(
     or of its mirror image, where the solve repeats start 0's up to sign,
     so it draws its coefficient, which keeps the random stream of the
     later starts, and is not solved.  Starts whose solve fails
-    (MaxIterations, DegenerateCoefficient) are skipped; if every start
+    (MaxIterations, DegenerateCoefficient, or GeometryNotFound when J has no
+    maximum on the start's ray or the point found has Morse index 0) are
+    skipped, and the orbits of the other starts are kept; if every start
     fails, the last failure's type is raised with each start's index,
     exception type and message.  Solutions are deduplicated under u -> -u,
     two being one orbit within _DISTINCT_TOL in the Sobolev norm, and
@@ -1027,7 +1088,7 @@ def multiplicity_search(
         try:
             e = _scale_until_negative(prob, nodal / nrm)
             report = mountain_pass_solve(prob, e, tol=tol, max_iter=max_iter)
-        except (MaxIterations, DegenerateCoefficient) as exc:
+        except (MaxIterations, DegenerateCoefficient, GeometryNotFound) as exc:
             failures.append((i, exc))
             continue
         results.append((report.energy, i, report))

@@ -569,6 +569,9 @@ def test_the_factorization_route_depends_on_the_bandwidth_alone(mesh, kl, monkey
     for band in (kl <= _BAND_MAX, kl > _BAND_MAX):
         assert isinstance(mesh.interior_stiffness_lu,
                           _BandCholesky if band else scipy.sparse.linalg.SuperLU)
+        # the band Cholesky's U, which whitens the solver's pencils, or None
+        upper = mesh.interior_stiffness_upper
+        assert upper is mesh.interior_stiffness_lu.factor if band else upper is None
         assert isinstance(mesh.interior_pattern_lu(data), _BandLU if band else _PermutedLU)
         # the same arrays, with the bound moved past their bandwidth
         monkeypatch.setattr(discretization, "_BAND_MAX", kl if kl > _BAND_MAX else kl - 1)

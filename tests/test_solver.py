@@ -1765,6 +1765,34 @@ def test_multiplicity_names_every_failed_start():
     assert isinstance(err.value.__cause__, DegenerateCoefficient)
 
 
+def test_multiplicity_skips_a_start_without_a_mountain_pass_point(monkeypatch):
+    # a start whose solve raises GeometryNotFound (no maximum of J on its
+    # ray, or a point of Morse index 0) fails like one that runs out of
+    # steps: the orbits of the other starts are kept
+    prob = model_problem(n=12)
+    every = multiplicity_search(prob, n_starts=4, k_max=4, seed=0)
+    solve, starts = solver.mountain_pass_solve, []
+
+    def failing(prob, e, **kwargs):
+        starts.append(e)
+        if len(starts) == 2:
+            raise GeometryNotFound("J has no maximum on the ray of e")
+        return solve(prob, e, **kwargs)
+
+    monkeypatch.setattr(solver, "mountain_pass_solve", failing)
+    reports = multiplicity_search(prob, n_starts=4, k_max=4, seed=0)
+    assert len(starts) == 4 and 1 <= len(reports) == len(every) - 1
+    assert {r.energy for r in reports} < {r.energy for r in every}
+
+    def never(prob, e, **kwargs):
+        raise GeometryNotFound("J has no maximum on the ray of e")
+
+    monkeypatch.setattr(solver, "mountain_pass_solve", never)
+    with pytest.raises(GeometryNotFound, match="every start failed") as err:
+        multiplicity_search(prob, n_starts=2, k_max=2, seed=0)
+    assert "start 1: GeometryNotFound: J has no maximum" in str(err.value)
+
+
 def test_multiplicity_requires_a_positive_k_max():
     prob = model_problem(n=12)
     for k_max in (0, -1):
@@ -1954,6 +1982,52 @@ def test_eigenbasis_full_basis_without_warning(monkeypatch):
         assert calls == []
 
 
+def test_dense_eigenbasis_matches_the_exact_eigenvalues(monkeypatch):
+    # on a uniform 1-D mesh K and M are tridiagonal Toeplitz, so the pencil
+    # (K, M) has the eigenvalues (4/h^2) tan^2(j pi h / 2) and the sine modes
+    # exactly; LAPACK finds the largest eigenvalues 1/lambda of (M, K), with
+    # K factored, and keeps their digits (eigh(K, M), with M factored, was
+    # off by 1.9e-9 here)
+    mesh = build_interval_mesh(129, 0.0, 1.0)
+    idx, h = mesh.interior, 1.0 / 129
+    assert len(idx) == solver._DENSE_N
+    calls = _count_eigsh(monkeypatch)
+    basis = laplace_eigenbasis(mesh, 4)
+    x, M = mesh.vertices[idx, 0], mesh.interior_mass
+    for j, u in enumerate(basis, start=1):  # off by about 4e-11 with M factored
+        w = np.sin(j * np.pi * x)
+        w *= np.sign(w[np.argmax(np.abs(w) >= (1.0 - 1e-8) * np.abs(w).max())])
+        w /= np.sqrt(w @ (M @ w))
+        assert np.max(np.abs(u.nodal_values[idx] - w)) <= 1e-12 * np.max(np.abs(w))
+    vals = solver._lowest(mesh, M.data, 4, reciprocal=True)
+    assert calls == []
+    exact = 4.0 / h**2 * np.tan(np.arange(1, 5) * np.pi * h / 2.0) ** 2
+    assert np.max(np.abs(vals - exact) / exact) <= 1e-13
+
+
+@pytest.mark.parametrize("mesh", [build_interval_mesh(30, 0.0, 1.0),
+                                  build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0)))],
+                         ids=["1d", "2d"])
+def test_pencil_operator_is_bitwise_the_sparse_products(mesh):
+    # ARPACK's operator calls the CSR kernel and dtbtrs directly; its
+    # products are bitwise those of the CSC matrix and the band solves
+    p = build_exponent_field(2.1 + 0.3 * mesh.element_centroids[:, 0], mesh)
+    spec = NonlinearitySpec("pure_power", constant_exponent(5.0, mesh))
+    prob = KirchhoffProblem(1.0, 0.1, 2.0, p, spec, mesh)
+    rng = np.random.default_rng(7)
+    basis = np.array([b.nodal_values for b in laplace_eigenbasis(mesh, 4)])
+    data, dA = solver._kirchhoff_hessian(prob, _point(mesh, rng.standard_normal(4) @ basis))
+    S, U = mesh.interior_pattern_matrix(data), mesh.interior_stiffness_upper
+    y = rng.standard_normal(len(mesh.interior))
+    X = solver._PencilOperator(mesh, data, (dA, prob.b), None)
+    assert np.array_equal(X @ y, S @ y - prob.b * dA * (dA @ y))
+    x = scipy.linalg.lapack.dtbtrs(U, y)[0]
+    whitened = scipy.linalg.lapack.dtbtrs(U, S @ x - prob.b * dA * (dA @ x), trans="T")[0]
+    assert np.array_equal(solver._PencilOperator(mesh, data, (dA, prob.b), U) @ y, whitened)
+    M = mesh.interior_mass
+    assert np.array_equal(solver._PencilOperator(mesh, M.data, None, None) @ y, M @ y)
+
+
 def test_eigenbasis_2d_near_degenerate_modes_by_span(monkeypatch):
     # modes 2 and 3 of the square nearly coincide (49.67 and 49.82 at 32^2):
     # the vectors are not unique, their span is
@@ -2033,9 +2107,9 @@ def test_whitened_route_agrees_with_the_dense_route(band_solution, monkeypatch):
     for v, w in zip(V, W):
         assert v @ (K @ v) == pytest.approx(w @ (K @ w), rel=1e-12)
     if mesh.dimension == 1:
-        # the dense route's vectors are off by 1.4e-9 here; on this uniform
-        # mesh K and M are tridiagonal Toeplitz, so the sine modes are exact
-        # (the sign rule: the first entry of largest magnitude is positive)
+        # on this uniform mesh K and M are tridiagonal Toeplitz, so the sine
+        # modes are exact (the sign rule: the first entry of largest
+        # magnitude is positive)
         x, M = mesh.vertices[idx, 0], mesh.interior_mass
         W = [np.sin(j * np.pi * x) for j in (1, 2, 3)]
         W = [w * np.sign(w[np.argmax(np.abs(w) >= (1.0 - 1e-8) * np.abs(w).max())])
@@ -2081,7 +2155,9 @@ def test_wide_mesh_eigensolves_keep_the_generalized_modes(monkeypatch):
     laplace_eigenbasis(mesh, 3)
     solver._morse(prob, _point(mesh, rep.solution.nodal_values))
     (M_basis, sigma_basis), (M_morse, sigma_morse) = calls
-    assert M_basis is mesh.interior_mass and sigma_basis == 0.0
+    # the eigenbasis's M is the interior mass, applied as an operator
+    v = np.random.default_rng(0).standard_normal(len(mesh.interior))
+    assert np.array_equal(M_basis @ v, mesh.interior_mass @ v) and sigma_basis == 0.0
     assert M_morse is mesh.interior_stiffness and sigma_morse is None
 
 
