@@ -51,8 +51,9 @@ BLAS on one thread.
   applications and products with the pencil's B, in all and per call (k,
   ``which``, whether it got ``M`` or ``sigma``), and the pencil eigensolves
   of ``solver._lowest`` (sources without it count none): per call its k,
-  whether it was ``reciprocal``, its route (dense, whitened or
-  generalized, as the ``_PencilOperator`` it built tells) and the products
+  whether it was ``reciprocal``, its route (dense or whitened, or
+  generalized in sources that built a ``_PencilOperator`` without a factor
+  on meshes wider than ``_BAND_MAX``) and the products
   of that operator, which on the whitened route are ARPACK's operator
   applications.
 * ``rayleigh``: the first eigenvalue (``rayleigh_quotient_min``, default
@@ -67,11 +68,13 @@ BLAS on one thread.
   ``solver._morse`` and ``laplace_eigenbasis`` (k = 3), the routes that
   ``solver._DENSE_N`` chooses between in ``solver._lowest``, at the solved
   mountain-pass point of 1-D meshes with 49 to 169 interior vertices and
-  of 12², 16² and 24² squares (p = 2 + 0.2x), all narrow enough for the
-  band Cholesky; the Morse index of each route and the largest relative
-  gap between the eigenvalues that ``solver._lowest`` gives on the two
-  routes for the two lowest of the Morse pencil and the three lowest of
-  the eigenbasis pencil (K, M).  The command fails when a gap exceeds
+  of 12², 16², 24² and 64² squares (p = 2 + 0.2x); the 64² square
+  (kl = 64) is wider than ``_BAND_MAX``, so its ARPACK route is whitened
+  by a band Cholesky that no band LU of its Hessians goes with.  The Morse
+  index of each route and the largest relative gap between the
+  eigenvalues that ``solver._lowest`` gives on the two routes for the two
+  lowest of the Morse pencil and the three lowest of the eigenbasis pencil
+  (K, M), computed once per route.  The command fails when a gap exceeds
   ``PENCIL_GAP`` or the indices differ.
 * ``outputs``: the four benchmark workloads of ``perfbench/configs.py``
   (mp1d, mp2d, mult1d, eig2d) at config seeds 1000, ..., 999 + N, each run
@@ -179,25 +182,18 @@ def lu_table(reps: int) -> dict:
         return sla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True), **kw)
 
-    @contextlib.contextmanager
-    def any_bandwidth():
-        """The band routes of ``Mesh`` at every bandwidth."""
+    def band(mesh, data):
+        """``Mesh.interior_pattern_lu``'s band route, at every bandwidth."""
         band_max, discretization._BAND_MAX = discretization._BAND_MAX, sys.maxsize
         try:
-            yield
+            return mesh.interior_pattern_lu(data)
         finally:
             discretization._BAND_MAX = band_max
 
-    def band(mesh, data):
-        """``Mesh.interior_pattern_lu``'s band route."""
-        with any_bandwidth():
-            return mesh.interior_pattern_lu(data)
-
     def cholesky(mesh):
-        """``Mesh.interior_stiffness_lu``'s band route, made anew."""
+        """``Mesh.interior_stiffness_lu``, made anew."""
         mesh.__dict__.pop("interior_stiffness_lu", None)
-        with any_bandwidth():
-            return mesh.interior_stiffness_lu
+        return mesh.interior_stiffness_lu
 
     cases = []
     for label, domain, p in (("1d_hessian_n399", "interval:0,1,400", "affine:2,0.2"),
@@ -270,10 +266,10 @@ def lu_table(reps: int) -> dict:
 def pencils(reps: int) -> dict:
     """The dense and the ARPACK route of ``_morse`` and of
     ``laplace_eigenbasis`` (k = 3) at the solved mountain-pass point of 1-D
-    meshes around ``solver._DENSE_N`` and of narrow 2-D meshes above it,
+    meshes around ``solver._DENSE_N`` and of 2-D meshes above it,
     and the largest relative gap between the two routes' eigenvalues."""
     sys.path.insert(0, str(ROOT / "src"))
-    from pxkirchhoff import cli, laplace_eigenbasis, solver
+    from pxkirchhoff import cli, discretization, laplace_eigenbasis, solver
     from pxkirchhoff.energy import _point
 
     def lowest(prob, at):
@@ -287,7 +283,7 @@ def pencils(reps: int) -> dict:
     dense_n, rows = solver._DENSE_N, []
     routes = [("arpack", 0), ("dense", sys.maxsize)]
     meshes = ([(f"interval:0,1,{n + 1}", "interval") for n in (49, 74, 99, 128, 149, 169)]
-              + [(f"rect:0,0,1,1,{nx},{nx}", f"rect {nx}x{nx}") for nx in (12, 16, 24)])
+              + [(f"rect:0,0,1,1,{nx},{nx}", f"rect {nx}x{nx}") for nx in (12, 16, 24, 64)])
     for domain, label in meshes:
         prob, rep = _solved(cli, domain, "affine:2,0.2")
         at = _point(prob.mesh, rep.solution.nodal_values)
@@ -303,7 +299,8 @@ def pencils(reps: int) -> dict:
                     if r:
                         times.setdefault(f"{name}_{route}_ms", []).append(
                             time.perf_counter() - t0)
-                values[route] = lowest(prob, at)
+                if not r:
+                    values[route] = lowest(prob, at)
         solver._DENSE_N = dense_n
         gap = max(abs(a - b) / abs(b) for a, b in zip(values["arpack"], values["dense"]))
         rows.append({"mesh": label, "interior_n": len(prob.mesh.interior),
@@ -320,6 +317,7 @@ def pencils(reps: int) -> dict:
                       "assembly; max_rel_eigenvalue_gap over the eigenvalues of solver._lowest "
                       "on the two routes: the Morse pencil's two lowest and the eigenbasis "
                       "pencil's three",
+              "band_max": discretization._BAND_MAX,
               "dense_n": dense_n, "rows": rows,
               "max_rel_eigenvalue_gap": max(row["max_rel_eigenvalue_gap"] for row in rows)}
     failed = [row["mesh"] + f" ({row['interior_n']})" for row in rows

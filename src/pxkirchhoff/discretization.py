@@ -19,18 +19,18 @@ the Gram blocks of its hat gradients (``Mesh.hat_gram``), which every second
 derivative adds, and the factor of its interior stiffness among them, so
 its arrays must not be modified after construction.
 
-How a mesh factors depends on its interior bandwidth alone
-(``Mesh.interior_bandwidth``).  Up to _BAND_MAX, LAPACK factors the band:
-the stiffness by band Cholesky, and every matrix on the interior pattern
-by band LU, its data scattered straight into the band array
-(``Mesh.interior_pattern_lu``).  Above it, SuperLU factors both as
-symmetric (``_splu``).  That symmetric SuperLU of a matrix on the pattern
-(``Mesh.interior_pattern_splu``) is also the one LU whose pivots give the
-matrix's inertia, on every mesh.  The mesh keeps the column order of its
-first one, which depends on the pattern alone, so the data of every later
-matrix on the pattern are renumbered by it and factored without a new
-ordering, the analyze-once, factor-many split of sparse direct solvers
-(George-Liu 1981).
+The stiffness is factored by LAPACK's band Cholesky on every mesh
+(``Mesh.interior_stiffness_lu``).  How a matrix on the interior pattern is
+factored to solve with depends on the mesh's interior bandwidth alone
+(``Mesh.interior_bandwidth``): up to _BAND_MAX by LAPACK's band LU, its
+data scattered straight into the band array, and above it by SuperLU as
+symmetric (``Mesh.interior_pattern_lu``, ``_splu``).  That symmetric
+SuperLU of a matrix on the pattern (``Mesh.interior_pattern_splu``) is
+also the one LU whose pivots give the matrix's inertia, on every mesh.
+The mesh keeps the column order of its first one, which depends on the
+pattern alone, so the data of every later matrix on the pattern are
+renumbered by it and factored without a new ordering, the analyze-once,
+factor-many split of sparse direct solvers (George-Liu 1981).
 """
 
 from dataclasses import dataclass, field
@@ -327,35 +327,22 @@ class Mesh:
         return S
 
     @cached_property
-    def interior_stiffness_lu(self) -> "_BandCholesky | scipy.sparse.linalg.SuperLU":
-        """The factor of the interior stiffness, factored once per mesh:
-        every stiffness solve goes through its ``solve``.  It is LAPACK's
-        band Cholesky (``_band_cholesky``) where the interior bandwidth kl is
-        at most _BAND_MAX, whose two triangular halves also whiten the
-        solver's pencils: the upper triangle of the stiffness's pattern data
-        is scattered into the kl + 1 rows of its band, entry (i, j) in row
-        kl + i - j of column j.  Above it, it is the symmetric LU
-        (``_splu``) of ``interior_stiffness``."""
+    def interior_stiffness_lu(self) -> "_BandCholesky":
+        """LAPACK's band Cholesky K = U^T U of the interior stiffness
+        (``_band_cholesky``), factored once per mesh, at every bandwidth:
+        every stiffness solve goes through its ``solve``, and the solver's
+        pencils are whitened by its U (``_BandCholesky.factor``).  The upper
+        triangle of the stiffness's pattern data is scattered into the
+        kl + 1 rows of its band, entry (i, j) in row kl + i - j of column j,
+        so the band array holds n (kl + 1) doubles: 16.6 MB on the 128^2
+        square."""
         kl = self.interior_bandwidth
-        if kl > _BAND_MAX:
-            return _splu(self.interior_stiffness)
         rows, cols = self.interior_pattern.indices, self._pattern_columns()
         upper = rows <= cols
         band = np.zeros((len(self.interior), kl + 1))  # its transpose is the band, column-major
         band.ravel()[(kl + rows + kl * cols)[upper]] = \
             self.interior_stiffness_data[upper]
         return _band_cholesky(band.T)
-
-    @property
-    def interior_stiffness_upper(self) -> np.ndarray | None:
-        """The band array of U in the band Cholesky K = U^T U that
-        ``interior_stiffness_lu`` holds where the interior bandwidth is at
-        most _BAND_MAX, or None above it, where that factor is a SuperLU:
-        the triangular factor whose two halves whiten the solver's pencils
-        (X, K) into the standard matrix U^{-T} X U^{-1}."""
-        if self.interior_bandwidth > _BAND_MAX:
-            return None
-        return self.interior_stiffness_lu.factor
 
     def interior_pattern_matrix(self, data: np.ndarray) -> scipy.sparse.csc_matrix:
         """The symmetric matrix on ``interior_pattern`` with pattern data
@@ -429,13 +416,14 @@ class Mesh:
 
 
 # Meshes whose interior bandwidth (``Mesh.interior_bandwidth``) is at most
-# this factor with LAPACK's band LU and band Cholesky, wider ones with SuperLU.
-# A band factor costs O(n kl^2) and has no per-column overhead.  On the
-# Hessians of square meshes the band LU takes 0.41 ms against SuperLU's 1.06
-# (in its kept order) at kl = 32 and 2.3 against 4.1 ms at kl = 48.  At
-# kl = 64 its lead is 10% (7.4 against 8.2 ms) while a band solve costs 1.8
-# times SuperLU's, and at kl = 96 the band LU loses, 19 against 15 ms
-# (``benchmarks/analyze_once.py lu``, BLAS on one thread).
+# this factor the matrices on their interior pattern with LAPACK's band LU,
+# wider ones with SuperLU (the stiffness is a band Cholesky at every
+# bandwidth).  A band factor costs O(n kl^2) and has no per-column overhead.
+# On the Hessians of square meshes the band LU takes 0.41 ms against
+# SuperLU's 1.06 (in its kept order) at kl = 32 and 2.3 against 4.1 ms at
+# kl = 48.  At kl = 64 its lead is 10% (7.4 against 8.2 ms) while a band
+# solve costs 1.8 times SuperLU's, and at kl = 96 the band LU loses, 19
+# against 15 ms (``benchmarks/analyze_once.py lu``, BLAS on one thread).
 _BAND_MAX = 56
 
 # SuperLU's supernode relaxation and panel size, in columns, for every LU:
@@ -453,11 +441,10 @@ def _splu(S: scipy.sparse.csc_matrix,
     the column order unless a diagonal pivot vanishes; it never does when S
     is positive definite.  Supernodes are small (``_RELAX``,
     ``_PANEL_SIZE``).  Raises RuntimeError when S is singular.  It factors
-    the interior stiffness of a mesh wider than _BAND_MAX
-    (``Mesh.interior_stiffness_lu``), every matrix on the interior pattern
-    that is solved with on such a mesh (``Mesh.interior_pattern_lu``), and,
-    on every mesh, the sparse part of J'' whose inertia the solver's Morse
-    count reads (``Mesh.interior_pattern_splu``)."""
+    every matrix on the interior pattern that is solved with on a mesh
+    wider than _BAND_MAX (``Mesh.interior_pattern_lu``) and, on every mesh,
+    the sparse part of J'' whose inertia the solver's Morse count reads
+    (``Mesh.interior_pattern_splu``)."""
     return scipy.sparse.linalg.splu(S, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                                     relax=_RELAX, panel_size=_PANEL_SIZE,
                                     options=dict(SymmetricMode=True))
@@ -490,8 +477,8 @@ def _band_lu(band: np.ndarray, kl: int) -> _BandLU:
 
 class _BandCholesky(NamedTuple):
     """LAPACK's band Cholesky (``dpbtrf``) S = U^T U: ``factor`` is the
-    band array of the upper factor U, kl + 1 rows, which the solver also
-    solves with alone (``Mesh.interior_stiffness_upper``)."""
+    band array of the upper factor U, kl + 1 rows, with whose two halves
+    the solver also whitens its pencils (``solver._PencilOperator``)."""
 
     factor: np.ndarray
 

@@ -35,16 +35,14 @@ of (M, K), so that LAPACK factors K and keeps their digits.  Above it, the
 Morse index is counted by inertia from the symmetric SuperLU of the sparse
 part of J'', on every mesh (``Mesh.interior_pattern_splu``), and one
 ARPACK call for the two lowest eigenvalues cross-checks it.  Every
-stiffness solve uses the mesh's one factor of the stiffness K
-(``Mesh.interior_stiffness_lu``).  On a narrow mesh it is a band Cholesky
-K = U^T U, and ARPACK solves each pencil (X, K) in its standard mode on
-U^{-T} X U^{-1}, one product of ``_PencilOperator`` per step: two calls
-of LAPACK's triangular band solve and one of scipy's CSR kernel, with the
-rank-one term of J'' applied inline.  On a wider mesh the factor is a
-SuperLU, the shift-invert inverse of the eigenbasis and the inverse mass
-of the Morse pencil.  Element data come only from
-``energy._point`` and ``energy._energy_ray``: the solvers hold their
-points and rays and never gather.
+stiffness solve uses the mesh's one factor of the stiffness K, its band
+Cholesky K = U^T U (``Mesh.interior_stiffness_lu``), and ARPACK solves
+each pencil (X, K) in its standard mode on U^{-T} X U^{-1}, one product of
+``_PencilOperator`` per step: two calls of LAPACK's triangular band solve
+and one of scipy's CSR kernel, with the rank-one term of J'' applied
+inline.  Element data come only from ``energy._point`` and
+``energy._energy_ray``: the solvers hold their points and rays and never
+gather.
 
 The multiplicity search runs its starts one after another, in start-index
 order, skips a start that lies on start 0's ray, and merges results
@@ -135,18 +133,18 @@ def _start_vector(n: int) -> np.ndarray:
 
 class _PencilOperator(scipy.sparse.linalg.LinearOperator):
     """y -> U^{-T} X U^{-1} y for the band array U of a triangular factor
-    K = U^T U, or y -> X y when U is None, with X = S - b r r^T: S the
-    symmetric matrix on ``mesh``'s interior pattern with pattern data
-    ``data``, and the rank-one term from ``rank_one`` = (r, b), or none.
+    K = U^T U, with X = S - b r r^T: S the symmetric matrix on ``mesh``'s
+    interior pattern with pattern data ``data``, and the rank-one term from
+    ``rank_one`` = (r, b), or none.
 
     Each product calls the kernels that scipy's own products reach after
     their dispatch: LAPACK's ``dtbtrs`` for U^{-1} and U^{-T}, and scipy's
     CSR kernel for S on the pattern's arrays, whose CSC arrays are its CSR
     arrays, as S is symmetric.  The sums run in the order of S's CSC
-    product, and the rank-one term is b r times r^T x, so every product is
-    bitwise that of ``S @ x - b * r * (r @ x)``."""
+    product, and the rank-one term is b r times r^T x, so X x is bitwise
+    ``S @ x - b * r * (r @ x)``."""
 
-    def __init__(self, mesh: Mesh, data: np.ndarray, rank_one, U: np.ndarray | None):
+    def __init__(self, mesh: Mesh, data: np.ndarray, rank_one, U: np.ndarray):
         pattern = mesh.interior_pattern
         n = len(pattern.indptr) - 1
         super().__init__(np.float64, (n, n))
@@ -154,14 +152,14 @@ class _PencilOperator(scipy.sparse.linalg.LinearOperator):
         self.rank_one = None if rank_one is None else (rank_one[0], rank_one[1] * rank_one[0])
 
     def _matvec(self, y: np.ndarray) -> np.ndarray:
-        x = y if self.U is None else lapack.dtbtrs(self.U, y)[0]
+        x = lapack.dtbtrs(self.U, y)[0]
         n, pattern = self.shape[0], self.pattern
         z = np.zeros(n)
         _sparsetools.csr_matvec(n, n, pattern.indptr, pattern.indices, self.data, x, z)
         if self.rank_one is not None:
             r, br = self.rank_one
             z -= br * (r @ x)
-        return z if self.U is None else lapack.dtbtrs(self.U, z, trans="T", overwrite_b=1)[0]
+        return lapack.dtbtrs(self.U, z, trans="T", overwrite_b=1)[0]
 
 
 def _lowest(mesh: Mesh, data: np.ndarray, k: int, rank_one=None, *,
@@ -182,23 +180,18 @@ def _lowest(mesh: Mesh, data: np.ndarray, k: int, rank_one=None, *,
     fill directly (``Mesh.interior_pattern_dense``): the whole spectrum of
     (X, K) by ``dsygvd``, part of it by ``dsygvx``; for ``reciprocal``,
     the k largest of (X, K), so that LAPACK factors K, not X.  Above it
-    ARPACK solves it, from a fixed start vector.  On a mesh whose stiffness
-    has a band Cholesky K = U^T U (``Mesh.interior_stiffness_upper``),
-    (X, K) has the eigenvalues of the standard matrix U^{-T} X U^{-1}, and
-    its eigenvectors are x = U^{-1} y for that matrix's y (Golub-Van Loan
-    8.7), so ARPACK runs in its standard mode on y -> U^{-T} X U^{-1} y
-    (``_PencilOperator``) and needs no inner product in K.  On a wider
-    mesh it runs in a generalized mode with the stiffness's SuperLU
-    (``Mesh.interior_stiffness_lu``): the pencil (X, K) with K as its mass
-    and the factor as its inverse, or for ``reciprocal`` a shift-invert
-    eigensolve of (K, X) at shift 0 with the factor as the inverse.
+    ARPACK solves it, from a fixed start vector.  With the stiffness's band
+    Cholesky K = U^T U (``Mesh.interior_stiffness_lu``), (X, K) has the
+    eigenvalues of the standard matrix U^{-T} X U^{-1}, and its eigenvectors
+    are x = U^{-1} y for that matrix's y (Golub-Van Loan 8.7), so ARPACK
+    runs in its standard mode on y -> U^{-T} X U^{-1} y
+    (``_PencilOperator``) and needs no inner product in K; for
+    ``reciprocal`` it finds the largest eigenvalues of that matrix.
     Raises LinAlgError when LAPACK fails and ValueError for a dense pencil
     with a value that is not finite.
     """
     n = len(mesh.interior)
-    dense = k == n or n <= _DENSE_N
-    U = None if dense else mesh.interior_stiffness_upper
-    if dense:
+    if k == n or n <= _DENSE_N:
         X = mesh.interior_pattern_dense(data)
         if rank_one is not None:
             r, b = rank_one
@@ -217,28 +210,14 @@ def _lowest(mesh: Mesh, data: np.ndarray, k: int, rank_one=None, *,
         if info:
             raise np.linalg.LinAlgError(f"LAPACK's eigensolve of the pencil failed (info {info})")
     else:
-        v0 = _start_vector(n)
-        if U is not None:
-            out = scipy.sparse.linalg.eigsh(
-                _PencilOperator(mesh, data, rank_one, U), k, which="LA" if reciprocal else "SA",
-                v0=v0, return_eigenvectors=vectors)
-        else:
-            inverse = scipy.sparse.linalg.LinearOperator(
-                (n, n), matvec=mesh.interior_stiffness_lu.solve, dtype=float)
-            X = _PencilOperator(mesh, data, rank_one, None)
-            if reciprocal:
-                out = scipy.sparse.linalg.eigsh(
-                    mesh.interior_stiffness, k, X, sigma=0.0, OPinv=inverse,
-                    v0=v0, return_eigenvectors=vectors)
-            else:
-                out = scipy.sparse.linalg.eigsh(
-                    X, k, mesh.interior_stiffness, which="SA", Minv=inverse,
-                    v0=v0, return_eigenvectors=vectors)
+        U = mesh.interior_stiffness_lu.factor
+        out = scipy.sparse.linalg.eigsh(
+            _PencilOperator(mesh, data, rank_one, U), k, which="LA" if reciprocal else "SA",
+            v0=_start_vector(n), return_eigenvectors=vectors)
         vals, vecs = out if vectors else (out, None)
-        if U is not None and vectors:
+        if vectors:
             vecs = lapack.dtbtrs(U, vecs)[0]
-    # every route but the shift-invert one gives eigenvalues of (X, K)
-    if reciprocal and (dense or U is not None):
+    if reciprocal:
         order = np.argsort(-vals)
         vals = 1.0 / vals[order]
     else:
@@ -256,14 +235,13 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     ``_lowest`` as the reciprocals of the k largest eigenvalues of (M, K):
     dense by LAPACK on at most _DENSE_N interior vertices or for a full
     basis (k = n, which ARPACK cannot give), so that LAPACK factors K, not
-    M; above it by ARPACK, in standard mode on a mesh whose stiffness has a
-    band Cholesky and by a shift-invert eigensolve of (K, M) at shift 0 on
-    a wider one.  They are normalized in the mass inner product, and signs
-    are fixed so the entry of largest magnitude is positive; among entries
-    within a relative 1e-8 of that magnitude the first vertex decides, so
-    an antisymmetric mode gets the same sign on both routes.  Raises
-    TypeError when k is not an integer and DomainError when it is negative
-    or exceeds the number of interior vertices.
+    M; above it by ARPACK, in standard mode on the pencil whitened by the
+    stiffness's band Cholesky.  They are normalized in the mass inner
+    product, and signs are fixed so the entry of largest magnitude is
+    positive; among entries within a relative 1e-8 of that magnitude the
+    first vertex decides, so an antisymmetric mode gets the same sign on
+    both routes.  Raises TypeError when k is not an integer and DomainError
+    when it is negative or exceeds the number of interior vertices.
     """
     k = operator.index(k)
     _nonnegative("k", k)
@@ -693,8 +671,8 @@ class SolveReport:
     stiffness) at the solution (``_morse``): from the pencil's whole dense
     spectrum on at most _DENSE_N interior vertices, and above it counted by
     inertia from a symmetric LU of the sparse part of J'' and cross-checked
-    by ARPACK, in standard mode on a mesh whose stiffness has a band
-    Cholesky.  ``lowest_eigenvalues`` holds up to two of its lowest
+    by ARPACK, in standard mode on the pencil whitened by the stiffness's
+    band Cholesky.  ``lowest_eigenvalues`` holds up to two of its lowest
     eigenvalues (one on a mesh with one interior vertex); both are None
     where J'' does not exist (an exponent below 2 at a vanishing gradient on an
     element with an interior vertex).  The index is reported, not gated on.

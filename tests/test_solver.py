@@ -70,7 +70,7 @@ def model_problem(n=100, a=1.0, b=0.1, lam=0.0, q_const=4.5, theta=3.2,
 
 def wide_problem(ny=3, lam=2.0):
     """A p = 2 problem on a rect mesh of the unit square whose interior
-    bandwidth, nx = _BAND_MAX + 1, puts its factorizations on SuperLU."""
+    bandwidth, nx = _BAND_MAX + 1, puts the LUs of its Hessians on SuperLU."""
     mesh = build_rect_mesh(discretization._BAND_MAX + 1, ny, ((0.0, 0.0), (1.0, 1.0)))
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
     return KirchhoffProblem(1.0, 0.1, lam, constant_exponent(2.0, mesh), spec, mesh)
@@ -1587,9 +1587,8 @@ def test_hessian_pattern_is_ordered_once_per_mesh(monkeypatch):
     specs, splu = [], scipy.sparse.linalg.splu
 
     def counted(A, permc_spec=None, *args, **kwargs):
-        if A is not mesh.interior_stiffness:
-            assert A.nnz == len(mesh.interior_pattern.indices)
-            specs.append(permc_spec)
+        assert A.nnz == len(mesh.interior_pattern.indices)
+        specs.append(permc_spec)
         return splu(A, permc_spec, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
@@ -2017,15 +2016,14 @@ def test_pencil_operator_is_bitwise_the_sparse_products(mesh):
     rng = np.random.default_rng(7)
     basis = np.array([b.nodal_values for b in laplace_eigenbasis(mesh, 4)])
     data, dA = solver._kirchhoff_hessian(prob, _point(mesh, rng.standard_normal(4) @ basis))
-    S, U = mesh.interior_pattern_matrix(data), mesh.interior_stiffness_upper
+    S, U = mesh.interior_pattern_matrix(data), mesh.interior_stiffness_lu.factor
     y = rng.standard_normal(len(mesh.interior))
-    X = solver._PencilOperator(mesh, data, (dA, prob.b), None)
-    assert np.array_equal(X @ y, S @ y - prob.b * dA * (dA @ y))
     x = scipy.linalg.lapack.dtbtrs(U, y)[0]
     whitened = scipy.linalg.lapack.dtbtrs(U, S @ x - prob.b * dA * (dA @ x), trans="T")[0]
     assert np.array_equal(solver._PencilOperator(mesh, data, (dA, prob.b), U) @ y, whitened)
     M = mesh.interior_mass
-    assert np.array_equal(solver._PencilOperator(mesh, M.data, None, None) @ y, M @ y)
+    whitened = scipy.linalg.lapack.dtbtrs(U, M @ x, trans="T")[0]
+    assert np.array_equal(solver._PencilOperator(mesh, M.data, None, U) @ y, whitened)
 
 
 def test_eigenbasis_2d_near_degenerate_modes_by_span(monkeypatch):
@@ -2071,32 +2069,40 @@ def test_routes_agree_at_the_cutoff(monkeypatch):
             assert min(np.max(np.abs(u - s * v)) for s in (1, -1)) <= 1e-10
 
 
-@pytest.fixture(scope="module", params=["1d_n400", "2d_32"])
+@pytest.fixture(scope="module", params=["1d_n400", "2d_32", "2d_wide"])
 def band_solution(request):
-    """The mp1d and mp2d problems (399 and 961 interior vertices, both of
-    interior bandwidth at most _BAND_MAX) and their mountain-pass point."""
-    if request.param == "1d_n400":
-        mesh, p_of_x = build_interval_mesh(400, 0.0, 1.0), lambda x: 2.0 + 0.2 * x
+    """A problem on more than _DENSE_N interior vertices and its
+    mountain-pass point: the mp1d and mp2d problems (399 and 961 interior
+    vertices, both of interior bandwidth at most _BAND_MAX), and
+    ``wide_problem(ny=4)`` (168, of interior bandwidth _BAND_MAX + 1)."""
+    if request.param == "2d_wide":
+        prob = wide_problem(ny=4, lam=0.0)
     else:
-        mesh, p_of_x = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))), lambda x: 2.0 + 0.0 * x
-    assert mesh.interior_bandwidth <= discretization._BAND_MAX < len(mesh.interior)
-    p = build_exponent_field(p_of_x(mesh.element_centroids[:, 0]), mesh)
-    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
-    prob = KirchhoffProblem(1.0, 0.1, 0.0, p, spec, mesh)
+        if request.param == "1d_n400":
+            mesh, slope = build_interval_mesh(400, 0.0, 1.0), 0.2
+        else:
+            mesh, slope = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))), 0.0
+        p = build_exponent_field(2.0 + slope * mesh.element_centroids[:, 0], mesh)
+        spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+        prob = KirchhoffProblem(1.0, 0.1, 0.0, p, spec, mesh)
+    mesh = prob.mesh
+    assert (mesh.interior_bandwidth > discretization._BAND_MAX) == (request.param == "2d_wide")
+    assert len(mesh.interior) > solver._DENSE_N
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
     rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     return prob, _point(mesh, rep.solution.nodal_values)
 
 
 def test_whitened_route_agrees_with_the_dense_route(band_solution, monkeypatch):
-    # on a band mesh the sparse eigensolves run ARPACK in standard mode on
-    # U^{-T} X U^{-1}, K = U^T U; the dense route, forced, gives the same
-    # Morse index, eigenvalues and eigenbasis
+    # at every bandwidth the sparse eigensolves run ARPACK in standard mode
+    # on U^{-T} X U^{-1}, K = U^T U, with neither a mass matrix nor a shift;
+    # the dense route, forced, gives the same Morse index, eigenvalues and
+    # eigenbasis
     prob, at = band_solution
     mesh, idx = prob.mesh, prob.mesh.interior
-    calls = _count_eigsh(monkeypatch)
+    calls = _eigsh_arguments(monkeypatch)
     morse, basis = solver._morse(prob, at), laplace_eigenbasis(mesh, 3)
-    assert len(calls) == 2
+    assert calls == [(None, None), (None, None)]
     monkeypatch.setattr(solver, "_DENSE_N", len(idx))
     dense_morse, dense_basis = solver._morse(prob, at), laplace_eigenbasis(mesh, 3)
     assert len(calls) == 2
@@ -2140,25 +2146,6 @@ def test_band_mesh_eigensolves_run_in_standard_mode(monkeypatch):
     laplace_eigenbasis(prob.mesh, 3)
     solver._morse(prob, _point(prob.mesh, rep.solution.nodal_values))
     assert calls == [(None, None), (None, None)]
-
-
-def test_wide_mesh_eigensolves_keep_the_generalized_modes(monkeypatch):
-    # a SuperLU factor of the stiffness has no cheap half-solve: on the wide
-    # mesh ARPACK still solves the pencils with the stiffness as M (Morse)
-    # and in shift-invert mode at 0 (the eigenbasis)
-    prob = wide_problem()
-    mesh = prob.mesh
-    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
-    monkeypatch.setattr(solver, "_DENSE_N", 0)
-    calls = _eigsh_arguments(monkeypatch)
-    laplace_eigenbasis(mesh, 3)
-    solver._morse(prob, _point(mesh, rep.solution.nodal_values))
-    (M_basis, sigma_basis), (M_morse, sigma_morse) = calls
-    # the eigenbasis's M is the interior mass, applied as an operator
-    v = np.random.default_rng(0).standard_normal(len(mesh.interior))
-    assert np.array_equal(M_basis @ v, mesh.interior_mass @ v) and sigma_basis == 0.0
-    assert M_morse is mesh.interior_stiffness and sigma_morse is None
 
 
 def test_eigenbasis_signs_agree_on_both_routes(monkeypatch):
@@ -2237,32 +2224,32 @@ def _count_stiffness_lus(monkeypatch, mesh) -> list:
     return calls
 
 
-@STIFFNESS_TASKS
-def test_stiffness_is_factored_once_per_mesh(n, task, lus, monkeypatch):
-    # by SuperLU, on a mesh wider than _BAND_MAX with at most _DENSE_N
-    # interior vertices
-    for route, cutoff in ROUTES:
-        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
-        prob = wide_problem()
-        calls = _count_stiffness_lus(monkeypatch, prob.mesh)
-        task(prob)
-        assert len(calls) == lus[route]
-        monkeypatch.undo()
-
-
-@STIFFNESS_TASKS
-def test_band_stiffness_is_factored_once_per_mesh(n, task, lus, monkeypatch):
-    # by LAPACK's band Cholesky on these 1-D meshes, and never by SuperLU
+def _assert_one_band_cholesky(make_problem, task, lus, monkeypatch):
+    """Run ``task`` on both routes; the stiffness of ``make_problem()``'s mesh
+    is factored ``lus[route]`` times by LAPACK's band Cholesky, never by
+    SuperLU."""
     dpbtrf = scipy.linalg.lapack.dpbtrf
     for route, cutoff in ROUTES:
         monkeypatch.setattr(solver, "_DENSE_N", cutoff)
-        prob, factored = model_problem(n=n), []
+        prob, factored = make_problem(), []
         calls = _count_stiffness_lus(monkeypatch, prob.mesh)
         monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
                             lambda *args, **kwargs: factored.append(1) or dpbtrf(*args, **kwargs))
         task(prob)
         assert len(factored) == lus[route] and calls == []
         monkeypatch.undo()
+
+
+@STIFFNESS_TASKS
+def test_stiffness_is_factored_once_per_mesh(n, task, lus, monkeypatch):
+    # on a mesh wider than _BAND_MAX with at most _DENSE_N interior vertices
+    _assert_one_band_cholesky(wide_problem, task, lus, monkeypatch)
+
+
+@STIFFNESS_TASKS
+def test_band_stiffness_is_factored_once_per_mesh(n, task, lus, monkeypatch):
+    # on these 1-D meshes
+    _assert_one_band_cholesky(lambda: model_problem(n=n), task, lus, monkeypatch)
 
 
 @STIFFNESS_TASKS
