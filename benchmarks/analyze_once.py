@@ -1,9 +1,10 @@
-"""Benchmark of the analyze-once, factor-many sparse LUs.
+"""Benchmarks of the solver's factorizations, eigensolves and workloads.
 
     python3 benchmarks/analyze_once.py lu    [--reps N]
     python3 benchmarks/analyze_once.py pairs --parent DIR --workload W --pairs N --seed S
                                              [--seconds T]
     python3 benchmarks/analyze_once.py slow  --parent DIR [--reps N]
+    python3 benchmarks/analyze_once.py wide  --parent DIR [--reps N]
     python3 benchmarks/analyze_once.py counts --parent DIR --workload W --seed S
     python3 benchmarks/analyze_once.py rayleigh --parent DIR [--reps N]
     python3 benchmarks/analyze_once.py pencils [--reps N]
@@ -20,16 +21,12 @@ BLAS on one thread.
   mountain-pass point of a 1-D mesh with 399 interior vertices
   (p = 2 + 0.2x) and of 32², 48², 64² and 96² squares (p = 2), and the
   interior stiffness of the same squares; each row records the bandwidth
-  kl and ``_BAND_MAX``, the widest band that is factored by LAPACK.  The
-  variants on S: SuperLU's minimum-degree order with its default
-  supernodes (``mmd_default``, the LU before the ordering was kept) and
-  with ``_RELAX``/``_PANEL_SIZE`` (``mmd_small``); S renumbered by the kept
-  order and factored in natural order, with the default supernodes
-  (``reordered_default``), with relax = panel = 1 (``reordered_1_1``) and
-  as ``Mesh.interior_pattern_splu`` does it (``reordered``, the data gather
-  included); and LAPACK's band LU as ``Mesh.interior_pattern_lu`` makes it
-  on a band mesh (``band_dgbtrf``, the scatter included), at every
-  bandwidth.  On the stiffness: ``mmd_default``, ``mmd_small`` and
+  kl.  The variants on S: SuperLU's minimum-degree order with its default
+  supernodes (``mmd_default``) and with ``_RELAX``/``_PANEL_SIZE``
+  (``mmd_small``, the LU of ``Mesh.interior_pattern_splu``, whose inertia
+  the Morse count reads); and LAPACK's band LU as
+  ``Mesh.interior_pattern_lu`` makes it (``band_dgbtrf``, the scatter
+  included).  On the stiffness: ``mmd_default``, ``mmd_small`` and
   LAPACK's band Cholesky as ``Mesh.interior_stiffness_lu`` makes it from
   the stiffness's pattern data (``band_dpbtrf``, the scatter included).
 * ``pairs``: ``perfbench/run.py --workload W --trace 0`` from the checkout
@@ -39,8 +36,10 @@ BLAS on one thread.
 * ``slow``: the six slow mountain-pass cases of ROADMAP item 2 (a = 1,
   b = 0.1, q = 4.5, theta = 3.2, geometry seed 1000, solve only), each
   solved ``--reps`` times from DIR's sources and from this checkout,
-  alternated; steps, Newton steps, energy, Morse index and the median
-  solve time.
+  alternated; steps, Newton steps, energy, Morse index, the median solve
+  time and the median peak RSS of the solving process.
+* ``wide``: as ``slow``, on the wide squares of ``WIDE_CASES`` (96² and
+  128², p = 2), whose Hessians have kl = 96 and 128.
 * ``counts``: one task of workload W at config seed S from DIR's sources
   and from this checkout, each in its own process: its mountain-pass
   solves (``cli``'s and ``solver``'s), Hessian assemblies
@@ -53,9 +52,8 @@ BLAS on one thread.
   of ``solver._lowest`` (sources without it count none): per call its k,
   whether it was ``reciprocal``, its route (dense or whitened, or
   generalized in sources that built a ``_PencilOperator`` without a factor
-  on meshes wider than ``_BAND_MAX``) and the products
-  of that operator, which on the whitened route are ARPACK's operator
-  applications.
+  on wide meshes) and the products of that operator, which on the
+  whitened route are ARPACK's operator applications.
 * ``rayleigh``: the first eigenvalue (``rayleigh_quotient_min``, default
   ``tol`` and ``max_iter``) on the cases of ``RAYLEIGH_CASES``, each seed
   solved on a fresh mesh ``--reps`` times from DIR's sources and from this
@@ -68,14 +66,15 @@ BLAS on one thread.
   ``solver._morse`` and ``laplace_eigenbasis`` (k = 3), the routes that
   ``solver._DENSE_N`` chooses between in ``solver._lowest``, at the solved
   mountain-pass point of 1-D meshes with 49 to 169 interior vertices and
-  of 12², 16², 24² and 64² squares (p = 2 + 0.2x); the 64² square
-  (kl = 64) is wider than ``_BAND_MAX``, so its ARPACK route is whitened
-  by a band Cholesky that no band LU of its Hessians goes with.  The Morse
-  index of each route and the largest relative gap between the
-  eigenvalues that ``solver._lowest`` gives on the two routes for the two
-  lowest of the Morse pencil and the three lowest of the eigenbasis pencil
-  (K, M), computed once per route.  The command fails when a gap exceeds
-  ``PENCIL_GAP`` or the indices differ.
+  of 12², 16², 24² and 64² squares (p = 2 + 0.2x).  The dense route is
+  timed only on the rows near the break-even: on the 64² square (3,969
+  interior vertices, kl = 64) it finds the whole Morse spectrum, so it
+  runs once there, untimed.  The Morse index of each route and the
+  largest relative gap between the eigenvalues that ``solver._lowest``
+  gives on the two routes for the two lowest of the Morse pencil (as
+  ``solver._morse`` reports them) and the three lowest of the eigenbasis
+  pencil (K, M), computed once per route, in the first round.  The
+  command fails when a gap exceeds ``PENCIL_GAP`` or the indices differ.
 * ``outputs``: the four benchmark workloads of ``perfbench/configs.py``
   (mp1d, mp2d, mult1d, eig2d) at config seeds 1000, ..., 999 + N, each run
   by ``cli.run`` from DIR's sources and from this checkout, one process per
@@ -120,6 +119,12 @@ SLOW_CASES = [
     ("2d64_p1.8+0.2x", "rect:0,0,1,1,64,64", "affine:1.8,0.2", 0.0),
     ("1d401_p1.6_lambda2", "interval:0,1,401", "const:1.6", 2.0),
     ("1d401_p1.9_lambda2", "interval:0,1,401", "const:1.9", 2.0),
+]
+
+# wider than any benchmark mesh: ``wide`` solves them as ``slow`` does
+WIDE_CASES = [
+    ("2d96_p2", "rect:0,0,1,1,96,96", "const:2", 0.0),
+    ("2d128_p2", "rect:0,0,1,1,128,128", "const:2", 0.0),
 ]
 
 # the largest relative gap between the dense and the ARPACK route's
@@ -174,21 +179,13 @@ def lu_table(reps: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     import scipy.sparse.linalg as sla
-    from pxkirchhoff import cli, discretization
-    from pxkirchhoff.discretization import _PANEL_SIZE, _RELAX, _PermutedLU, build_rect_mesh
+    from pxkirchhoff import cli
+    from pxkirchhoff.discretization import _PANEL_SIZE, _RELAX, build_rect_mesh
     from pxkirchhoff.energy import hessian_J
 
     def mmd(S, **kw):
         return sla.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True), **kw)
-
-    def band(mesh, data):
-        """``Mesh.interior_pattern_lu``'s band route, at every bandwidth."""
-        band_max, discretization._BAND_MAX = discretization._BAND_MAX, sys.maxsize
-        try:
-            return mesh.interior_pattern_lu(data)
-        finally:
-            discretization._BAND_MAX = band_max
 
     def cholesky(mesh):
         """``Mesh.interior_stiffness_lu``, made anew."""
@@ -202,24 +199,11 @@ def lu_table(reps: int) -> dict:
                              ("2d_hessian_64", "rect:0,0,1,1,64,64", "const:2"),
                              ("2d_hessian_96", "rect:0,0,1,1,96,96", "const:2")):
         prob, rep = _solved(cli, domain, p)
-        S = hessian_J(rep.solution, prob)[0]
-        mesh = prob.mesh
-        mesh.interior_pattern_splu(S.data)  # the first SuperLU keeps the order
-        order = mesh._pattern_order
-
-        def natural(S=S, order=order, **kw):
-            data_map, matrix = order.renumbered
-            matrix.data = S.data[data_map]
-            return sla.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                            options=dict(SymmetricMode=True), **kw)
-
+        S, mesh = hessian_J(rep.solution, prob)[0], prob.mesh
         cases.append((label, S, mesh, {
             "mmd_default": lambda S=S: mmd(S),
             "mmd_small": lambda S=S: mmd(S, relax=_RELAX, panel_size=_PANEL_SIZE),
-            "reordered_default": natural,
-            "reordered_1_1": lambda natural=natural: natural(relax=1, panel_size=1),
-            "reordered": lambda S=S, mesh=mesh: mesh.interior_pattern_splu(S.data),
-            "band_dgbtrf": lambda S=S, mesh=mesh: band(mesh, S.data),
+            "band_dgbtrf": lambda S=S, mesh=mesh: mesh.interior_pattern_lu(S.data),
         }))
     for nx in (32, 48, 64, 96):
         mesh = build_rect_mesh(nx, nx, ((0.0, 0.0), (1.0, 1.0)))
@@ -245,12 +229,9 @@ def lu_table(reps: int) -> dict:
                 factor.solve(b)
                 times[name].append(t1 - t0)
                 solves[name].append(time.perf_counter() - t1)
-        row = {"matrix": label, "n": S.shape[0], "nnz": S.nnz, "kl": mesh.interior_bandwidth,
-               "band_max": discretization._BAND_MAX}
+        row = {"matrix": label, "n": S.shape[0], "nnz": S.nnz, "kl": mesh.interior_bandwidth}
         for name in names:
             factor = variants[name]()
-            if isinstance(factor, _PermutedLU):
-                factor = factor.lu
             row[name + "_ms"] = round(1e3 * statistics.median(times[name]), 4)
             row[name + "_solve_ms"] = round(1e3 * statistics.median(solves[name]), 4)
             # the entries SuperLU keeps, or the size of LAPACK's band array
@@ -269,55 +250,52 @@ def pencils(reps: int) -> dict:
     meshes around ``solver._DENSE_N`` and of 2-D meshes above it,
     and the largest relative gap between the two routes' eigenvalues."""
     sys.path.insert(0, str(ROOT / "src"))
-    from pxkirchhoff import cli, discretization, laplace_eigenbasis, solver
+    from pxkirchhoff import cli, laplace_eigenbasis, solver
     from pxkirchhoff.energy import _point
-
-    def lowest(prob, at):
-        """The two lowest eigenvalues of the Morse pencil and the three lowest
-        of the eigenbasis pencil, as ``solver._lowest`` gives them."""
-        data, dA = solver._kirchhoff_hessian(prob, at)
-        mesh = prob.mesh
-        return [*solver._lowest(mesh, data, 2, (dA, prob.b)),
-                *solver._lowest(mesh, mesh.interior_mass.data, 3, reciprocal=True)]
 
     dense_n, rows = solver._DENSE_N, []
     routes = [("arpack", 0), ("dense", sys.maxsize)]
-    meshes = ([(f"interval:0,1,{n + 1}", "interval") for n in (49, 74, 99, 128, 149, 169)]
-              + [(f"rect:0,0,1,1,{nx},{nx}", f"rect {nx}x{nx}") for nx in (12, 16, 24, 64)])
-    for domain, label in meshes:
+    # (domain, label, whether the dense route is timed): on the 64^2 square
+    # it finds all 3,969 eigenvalues of the Morse pencil, so it runs once
+    meshes = ([(f"interval:0,1,{n + 1}", "interval", True) for n in (49, 74, 99, 128, 149, 169)]
+              + [(f"rect:0,0,1,1,{nx},{nx}", f"rect {nx}x{nx}", nx < 64)
+                 for nx in (12, 16, 24, 64)])
+    for domain, label, timed in meshes:
         prob, rep = _solved(cli, domain, "affine:2,0.2")
-        at = _point(prob.mesh, rep.solution.nodal_values)
+        mesh, at = prob.mesh, _point(prob.mesh, rep.solution.nodal_values)
         calls = {"morse": lambda prob=prob, at=at: solver._morse(prob, at),
-                 "eigenbasis_k3": lambda mesh=prob.mesh: laplace_eigenbasis(mesh, 3)}
-        times, results, values = {}, {}, {}
-        for r in range(reps + 1):  # the first round warms up
+                 "eigenbasis_k3": lambda mesh=mesh: laplace_eigenbasis(mesh, 3)}
+        times, index, values = {}, {}, {}
+        for route, cutoff in routes:  # the answers, a warm-up round too
+            solver._DENSE_N = cutoff
+            index[route], morse_values = solver._morse(prob, at)
+            values[route] = [*morse_values, *solver._lowest(mesh, mesh.interior_mass.data, 3,
+                                                            reciprocal=True)]
+        for r in range(reps):
             for route, cutoff in routes if r % 2 else routes[::-1]:
+                if route == "dense" and not timed:
+                    continue
                 solver._DENSE_N = cutoff
                 for name, call in calls.items():
                     t0 = time.perf_counter()
-                    results[name, route] = call()
-                    if r:
-                        times.setdefault(f"{name}_{route}_ms", []).append(
-                            time.perf_counter() - t0)
-                if not r:
-                    values[route] = lowest(prob, at)
+                    call()
+                    times.setdefault(f"{name}_{route}_ms", []).append(time.perf_counter() - t0)
         solver._DENSE_N = dense_n
         gap = max(abs(a - b) / abs(b) for a, b in zip(values["arpack"], values["dense"]))
-        rows.append({"mesh": label, "interior_n": len(prob.mesh.interior),
-                     "kl": prob.mesh.interior_bandwidth,
+        rows.append({"mesh": label, "interior_n": len(mesh.interior),
+                     "kl": mesh.interior_bandwidth,
                      **{key: round(1e3 * statistics.median(values), 3)
                         for key, values in times.items()},
-                     "morse_index": {route: results["morse", route][0] for route, _ in routes},
-                     "max_rel_eigenvalue_gap": gap})
-    result = {"what": f"ms per call, median of {reps} rounds after one warm-up, routes "
-                      "alternated; 1-D mesh (interval 0..1, interior_n + 1 elements) or "
+                     "morse_index": index, "max_rel_eigenvalue_gap": gap})
+    result = {"what": f"ms per call, median of {reps} rounds after the round that computes "
+                      "the answers, routes alternated; the dense route is not timed on the 64^2 "
+                      "square; 1-D mesh (interval 0..1, interior_n + 1 elements) or "
                       "nx x nx square, p = 2 + 0.2x, a = 1, b = 0.1, q = 4.5, theta = 3.2, "
                       "lambda = 0, geometry seed 1000; the ARPACK route by _DENSE_N = 0, the "
                       "dense route by an unbounded _DENSE_N; _morse includes the Hessian "
                       "assembly; max_rel_eigenvalue_gap over the eigenvalues of solver._lowest "
-                      "on the two routes: the Morse pencil's two lowest and the eigenbasis "
-                      "pencil's three",
-              "band_max": discretization._BAND_MAX,
+                      "on the two routes: the Morse pencil's two lowest, as _morse reports "
+                      "them, and the eigenbasis pencil's three",
               "dense_n": dense_n, "rows": rows,
               "max_rel_eigenvalue_gap": max(row["max_rel_eigenvalue_gap"] for row in rows)}
     failed = [row["mesh"] + f" ({row['interior_n']})" for row in rows
@@ -509,7 +487,7 @@ def pairs(parent: Path, workload: str, n_pairs: int, seed: int, seconds: float,
 
 
 _SLOW_CHILD = r"""
-import contextlib, io, json, sys, time
+import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from pxkirchhoff import cli
 import pxkirchhoff.cli as cli_module
@@ -524,13 +502,14 @@ def timed(prob, *args, **kwargs):
 cli_module.mountain_pass_solve = timed
 with contextlib.redirect_stdout(io.StringIO()):
     cli.run(cli.parse_config(sys.argv[2]))
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
 
 
-def slow(parent: Path, reps: int) -> dict:
+def slow(parent: Path, reps: int, cases=SLOW_CASES) -> dict:
     rows = []
-    for label, domain, p, lam in SLOW_CASES:
+    for label, domain, p, lam in cases:
         text = _config(domain, p, lam, str(ROOT / ".bench_work" / "analyze_once"))
         got = {"parent": [], "change": []}
         for r in range(reps):
@@ -541,9 +520,12 @@ def slow(parent: Path, reps: int) -> dict:
                 got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
         row = {"case": label, "domain": domain, "p": p, "lambda": lam}
         for side, results in got.items():
-            row[side] = dict(results[0], solve_s=statistics.median(x["solve_s"] for x in results))
+            row[side] = dict(results[0], **{key: statistics.median(x[key] for x in results)
+                                            for key in ("solve_s", "peak_rss_mb")})
         rows.append(row)
-    return {"what": f"solve only, median of {reps} solves per side, alternated", "rows": rows}
+    return {"what": f"solve only, median of {reps} solves per side, alternated; peak RSS of "
+                    "the whole process (cli.run: mesh, geometry, solve and output)",
+            "rows": rows}
 
 
 _COUNT_CHILD = r"""
@@ -700,8 +682,8 @@ def rayleigh(parent: Path, reps: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("command", choices=["lu", "pairs", "slow", "counts", "rayleigh", "pencils",
-                                        "outputs", "fixed"])
+    ap.add_argument("command", choices=["lu", "pairs", "slow", "wide", "counts", "rayleigh",
+                                        "pencils", "outputs", "fixed"])
     ap.add_argument("--reps", type=int, default=40)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--workload", default="mp2d")
@@ -734,6 +716,8 @@ def main(argv=None) -> int:
         result = outputs(args.parent.resolve(), args.seeds)
     elif args.command == "fixed":
         result = fixed(args.parent.resolve(), args.reps)
+    elif args.command == "wide":
+        result = slow(args.parent.resolve(), args.reps, WIDE_CASES)
     else:
         result = slow(args.parent.resolve(), args.reps)
     print(json.dumps(result, indent=1))

@@ -19,21 +19,18 @@ the Gram blocks of its hat gradients (``Mesh.hat_gram``), which every second
 derivative adds, and the factor of its interior stiffness among them, so
 its arrays must not be modified after construction.
 
-The stiffness is factored by LAPACK's band Cholesky on every mesh
-(``Mesh.interior_stiffness_lu``).  How a matrix on the interior pattern is
-factored to solve with depends on the mesh's interior bandwidth alone
-(``Mesh.interior_bandwidth``): up to _BAND_MAX by LAPACK's band LU, its
-data scattered straight into the band array, and above it by SuperLU as
-symmetric (``Mesh.interior_pattern_lu``, ``_splu``).  That symmetric
-SuperLU of a matrix on the pattern (``Mesh.interior_pattern_splu``) is
-also the one LU whose pivots give the matrix's inertia, on every mesh.
-The mesh keeps the column order of its first one, which depends on the
-pattern alone, so the data of every later matrix on the pattern are
-renumbered by it and factored without a new ordering, the analyze-once,
-factor-many split of sparse direct solvers (George-Liu 1981).
+Three factors, one per job, each the same on every mesh: the stiffness
+is factored by LAPACK's band Cholesky (``Mesh.interior_stiffness_lu``); a
+matrix on the interior pattern that is solved with by LAPACK's band LU,
+its data scattered straight into the band array
+(``Mesh.interior_pattern_lu``); and one whose inertia is counted by
+SuperLU's symmetric LU in minimum-degree order
+(``Mesh.interior_pattern_splu``, ``_splu``), as the row interchanges of a
+band LU hide it.  Both band arrays are sized by the mesh's interior
+bandwidth (``Mesh.interior_bandwidth``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -111,8 +108,6 @@ class Mesh:
     elements: np.ndarray          # (n_elements, dimension + 1) vertex indices
     boundary_mask: np.ndarray     # (n_vertices,) bool
     element_measures: np.ndarray  # (n_elements,) lengths / areas
-    # set by the first ``interior_pattern_splu``
-    _pattern_order: "_PatternOrder | None" = field(default=None, init=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -364,42 +359,25 @@ class Mesh:
         dense[self.interior_pattern.indices, self._pattern_columns()] = data
         return dense
 
-    def interior_pattern_lu(self, data: np.ndarray) -> "_BandLU | _PermutedLU":
-        """The LU of the matrix on ``interior_pattern`` with pattern data
-        ``data``, to solve with.
-
-        Where the interior bandwidth kl is at most _BAND_MAX, it is
-        LAPACK's band LU with partial pivoting (``_BandLU``): the data are
-        scattered through ``_band_slots`` into a fresh band array, which
-        ``dgbtrf`` factors in place.  Above it, it is
-        ``interior_pattern_splu``.  Raises RuntimeError when the matrix is
-        singular (an exactly zero pivot), on either route.
+    def interior_pattern_lu(self, data: np.ndarray) -> "_BandLU":
+        """LAPACK's band LU with partial pivoting (``_BandLU``) of the
+        matrix on ``interior_pattern`` with pattern data ``data``, to solve
+        with, at every bandwidth: the data are scattered through
+        ``_band_slots`` into a fresh band array, which ``dgbtrf`` factors in
+        place.  Raises RuntimeError when the matrix is singular (an exactly
+        zero pivot).
         """
-        if self.interior_bandwidth <= _BAND_MAX:
-            kl, n = self.interior_bandwidth, len(self.interior)
-            band = np.zeros((n, 3 * kl + 1))  # its transpose is the band, column-major
-            band.ravel()[self._band_slots] = data
-            return _band_lu(band.T, kl)
-        return self.interior_pattern_splu(data)
+        kl, n = self.interior_bandwidth, len(self.interior)
+        band = np.zeros((n, 3 * kl + 1))  # its transpose is the band, column-major
+        band.ravel()[self._band_slots] = data
+        return _band_lu(band.T, kl)
 
-    def interior_pattern_splu(self, data: np.ndarray) -> "_PermutedLU":
-        """The symmetric LU of the matrix on ``interior_pattern`` with
-        pattern data ``data``, on every mesh: the LU whose pivots give the
-        matrix's inertia.
-
-        The first call on a mesh factors that matrix itself
-        (``interior_pattern_matrix``, ``_splu``) and keeps the column order
-        of its LU: it depends on the pattern alone.  Every later call
-        scatters the data into the pattern renumbered by that order and
-        factors it in natural order, so no call but the first orders the
-        pattern or builds a matrix.  Raises RuntimeError when the matrix is
-        singular.
-        """
-        if self._pattern_order is None:
-            lu = _splu(self.interior_pattern_matrix(data))
-            self._pattern_order = _PatternOrder(self.interior_pattern, lu.perm_c)
-            return _PermutedLU(lu, np.arange(len(self.interior)))
-        return self._pattern_order.factor(data)
+    def interior_pattern_splu(self, data: np.ndarray) -> scipy.sparse.linalg.SuperLU:
+        """The symmetric SuperLU (``_splu``) of the matrix on
+        ``interior_pattern`` with pattern data ``data``
+        (``interior_pattern_matrix``): the LU whose pivots give the matrix's
+        inertia.  Raises RuntimeError when the matrix is singular."""
+        return _splu(self.interior_pattern_matrix(data))
 
     @cached_property
     def interior_mass(self) -> scipy.sparse.csc_matrix:
@@ -415,37 +393,23 @@ class Mesh:
             np.broadcast_to(terms, (self.n_elements, 1, nloc * nloc))))
 
 
-# Meshes whose interior bandwidth (``Mesh.interior_bandwidth``) is at most
-# this factor the matrices on their interior pattern with LAPACK's band LU,
-# wider ones with SuperLU (the stiffness is a band Cholesky at every
-# bandwidth).  A band factor costs O(n kl^2) and has no per-column overhead.
-# On the Hessians of square meshes the band LU takes 0.41 ms against
-# SuperLU's 1.06 (in its kept order) at kl = 32 and 2.3 against 4.1 ms at
-# kl = 48.  At kl = 64 its lead is 10% (7.4 against 8.2 ms) while a band
-# solve costs 1.8 times SuperLU's, and at kl = 96 the band LU loses, 19
-# against 15 ms (``benchmarks/analyze_once.py lu``, BLAS on one thread).
-_BAND_MAX = 56
-
-# SuperLU's supernode relaxation and panel size, in columns, for every LU:
-# the thin factors of these meshes gain nothing from wider supernodes, which
-# cost more to set up than they save (SuperLU's defaults are 10 and 20).
+# SuperLU's supernode relaxation and panel size, in columns, for its LU in
+# ``_splu``: the thin factors of these meshes gain nothing from wider
+# supernodes, which cost more to set up than they save (SuperLU's defaults
+# are 10 and 20; at 32^2 the LU of a Hessian takes 1.36 against 1.62 ms).
 _RELAX = 2
 _PANEL_SIZE = 2
 
 
-def _splu(S: scipy.sparse.csc_matrix,
-          permc_spec: str = "MMD_AT_PLUS_A") -> scipy.sparse.linalg.SuperLU:
+def _splu(S: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of the symmetric CSC matrix S, factored as symmetric:
-    minimum-degree order on S + S^T (or S's own order, for ``"NATURAL"``)
-    and the diagonal pivot wherever it is nonzero, so the row order equals
-    the column order unless a diagonal pivot vanishes; it never does when S
-    is positive definite.  Supernodes are small (``_RELAX``,
-    ``_PANEL_SIZE``).  Raises RuntimeError when S is singular.  It factors
-    every matrix on the interior pattern that is solved with on a mesh
-    wider than _BAND_MAX (``Mesh.interior_pattern_lu``) and, on every mesh,
-    the sparse part of J'' whose inertia the solver's Morse count reads
-    (``Mesh.interior_pattern_splu``)."""
-    return scipy.sparse.linalg.splu(S, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+    minimum-degree order on S + S^T and the diagonal pivot wherever it is
+    nonzero, so the row order equals the column order unless a diagonal
+    pivot vanishes; it never does when S is positive definite.  Supernodes
+    are small (``_RELAX``, ``_PANEL_SIZE``).  Raises RuntimeError when S is
+    singular.  It factors the sparse part of J'' whose inertia the
+    solver's Morse count reads (``Mesh.interior_pattern_splu``)."""
+    return scipy.sparse.linalg.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                     relax=_RELAX, panel_size=_PANEL_SIZE,
                                     options=dict(SymmetricMode=True))
 
@@ -497,60 +461,6 @@ def _band_cholesky(band: np.ndarray) -> _BandCholesky:
     if info > 0:
         raise RuntimeError("the matrix is not positive definite")
     return _BandCholesky(factor)
-
-
-class _PermutedLU(NamedTuple):
-    """The LU of S renumbered: ``lu`` factors the matrix whose entry (i, j)
-    is S[order[i], order[j]], so S x = r is solved as
-    ``lu.solve(r[order])`` placed back at ``order``.  By Sylvester's law
-    the renumbered matrix has S's inertia."""
-
-    lu: scipy.sparse.linalg.SuperLU
-    order: np.ndarray
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """S^{-1} rhs, for one right-hand side or a column of them."""
-        x = np.empty_like(rhs)
-        x[self.order] = self.lu.solve(rhs[self.order])
-        return x
-
-
-class _PatternOrder:
-    """A symmetric ``BlockPattern`` renumbered by the column order
-    ``perm_c`` of an LU on it: row and column r become perm_c[r].
-    ``renumbered`` holds ``data_map``, which sends the data of any matrix on
-    the pattern to the renumbered CSC arrays, and that renumbered matrix,
-    which SuperLU then factors in natural order.  Both are built at the
-    first factorization, so a mesh with one LU on its pattern builds
-    neither; the matrix is kept and refilled for each factorization, and
-    SuperLU copies the values it factors."""
-
-    def __init__(self, pattern: BlockPattern, perm_c: np.ndarray):
-        self.pattern, self.perm_c = pattern, perm_c
-        self.order = np.argsort(perm_c)
-
-    @cached_property
-    def renumbered(self) -> tuple[np.ndarray, scipy.sparse.csc_matrix]:
-        """(data_map, matrix): the gather from pattern data to the
-        renumbered CSC data, and the renumbered matrix."""
-        pattern, perm_c = self.pattern, self.perm_c
-        n = len(pattern.indptr) - 1
-        rows = perm_c[pattern.indices]
-        cols = np.repeat(perm_c, np.diff(pattern.indptr))
-        # column-major, rows sorted; each (row, col) pair occurs once
-        data_map = np.argsort(cols.astype(np.int64) * n + rows)
-        new_indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=new_indptr[1:])
-        matrix = scipy.sparse.csc_matrix(
-            (np.zeros(len(rows)), rows[data_map].astype(np.int32), new_indptr),
-            shape=(n, n))
-        return data_map, matrix
-
-    def factor(self, data: np.ndarray) -> _PermutedLU:
-        """The symmetric LU of the matrix with pattern data ``data``."""
-        data_map, matrix = self.renumbered
-        matrix.data = data[data_map]
-        return _PermutedLU(_splu(matrix, "NATURAL"), self.order)
 
 
 def build_interval_mesh(n: int, a_end: float, b_end: float) -> Mesh:

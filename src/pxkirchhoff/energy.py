@@ -335,9 +335,11 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
 
 def _kirchhoff_hessian(prob: KirchhoffProblem, at: _Point):
     """``hessian_J`` from the element data of the point ``at``, with S as
-    its data in ``Mesh.interior_pattern`` order: (data, dA).  The solvers
-    factor S from its data (``Mesh.interior_pattern_lu``) and build no
-    matrix."""
+    its data in ``Mesh.interior_pattern`` order: (data, dA).  Newton's
+    method factors S by a band LU scattered from its data
+    (``Mesh.interior_pattern_lu``) and builds no matrix; only the Morse
+    count builds one, for the SuperLU whose inertia it reads
+    (``Mesh.interior_pattern_splu``)."""
     mesh = prob.mesh
     live = mesh.interior_pattern.live
     lower = _g_prime(prob.g, at.uc, live)

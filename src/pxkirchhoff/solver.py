@@ -13,36 +13,34 @@ element kernel as J'' (``energy._hessian_of_elements``).
 The mountain-pass solver holds one point, the maximum of J on its ray
 (``_ray_max``): each ray from 0 is a path to negative energy, so its peak
 bounds the mountain-pass level from above.  It runs Newton's method on the
-exact sparse Hessian from that peak, and accepts its point only at or below
-the peak's energy (Li-Zhou 2001).  Each step factors the sparse part of J''
-from its pattern data (``energy._hessian_of_elements``) with one LU on the
-mesh's interior pattern (``Mesh.interior_pattern_lu``): LAPACK's band LU on
-a mesh of narrow interior bandwidth, and above it a symmetric sparse LU in
-the column order the mesh keeps from its first one; the rank-one part is
-solved by Sherman-Morrison.  The fallback descends on
-the ray maximum: a backtracking step at the peak, after which each trial's
-ray is maximized again.  Descent directions are preconditioned with the
-constant-exponent stiffness (a discrete Sobolev gradient,
-``_sobolev_descent``), which keeps iteration counts mesh-independent; the
-reported residual stays the plain interior l2 norm of the assembled
-derivative.  The solution's Morse index is reported (``_morse``).  Every
-eigenproblem, the Morse pencil (J'', K) and the Laplace eigenbasis of
-(K, M), goes through one entry point, ``_lowest``, the one place that
-picks its route.  On at most _DENSE_N interior vertices, where ARPACK's
-per-call overhead dominates, LAPACK solves it dense (``dsygvd`` and
-``dsygvx``, called directly); the eigenbasis as the largest eigenvalues
-of (M, K), so that LAPACK factors K and keeps their digits.  Above it, the
-Morse index is counted by inertia from the symmetric SuperLU of the sparse
-part of J'', on every mesh (``Mesh.interior_pattern_splu``), and one
-ARPACK call for the two lowest eigenvalues cross-checks it.  Every
-stiffness solve uses the mesh's one factor of the stiffness K, its band
-Cholesky K = U^T U (``Mesh.interior_stiffness_lu``), and ARPACK solves
-each pencil (X, K) in its standard mode on U^{-T} X U^{-1}, one product of
-``_PencilOperator`` per step: two calls of LAPACK's triangular band solve
-and one of scipy's CSR kernel, with the rank-one term of J'' applied
-inline.  Element data come only from ``energy._point`` and
-``energy._energy_ray``: the solvers hold their points and rays and never
-gather.
+exact sparse Hessian from that peak, and accepts its point only at or
+below the peak's energy (Li-Zhou 2001).  Each step factors the sparse part
+of J'' from its pattern data (``energy._hessian_of_elements``) with
+LAPACK's band LU on the mesh's interior pattern
+(``Mesh.interior_pattern_lu``), on every mesh; the rank-one part is solved
+by Sherman-Morrison.  The fallback descends on the ray maximum: a
+backtracking step at the peak, after which each trial's ray is maximized
+again.  Descent directions are preconditioned with the constant-exponent
+stiffness (a discrete Sobolev gradient, ``_sobolev_descent``), which keeps
+iteration counts mesh-independent; the reported residual stays the plain
+interior l2 norm of the assembled derivative.  The solution's Morse index
+is reported (``_morse``).  Every eigenproblem, the Morse pencil (J'', K)
+and the Laplace eigenbasis of (K, M), goes through one entry point,
+``_lowest``, the one place that picks its route.  On at most _DENSE_N
+interior vertices, where ARPACK's per-call overhead dominates, LAPACK
+solves it dense (``dsygvd`` and ``dsygvx``, called directly); the
+eigenbasis as the largest eigenvalues of (M, K), so that LAPACK factors K
+and keeps their digits.  Above it, the Morse index is counted by inertia
+from the symmetric SuperLU of the sparse part of J'', in minimum-degree
+order (``Mesh.interior_pattern_splu``), and one ARPACK call for the two
+lowest eigenvalues cross-checks it.  Every stiffness solve uses the mesh's
+one factor of the stiffness K, its band Cholesky K = U^T U
+(``Mesh.interior_stiffness_lu``), and ARPACK solves each pencil (X, K) in
+its standard mode on U^{-T} X U^{-1}, one product of ``_PencilOperator``
+per step: two calls of LAPACK's triangular band solve and one of scipy's
+CSR kernel, with the rank-one term of J'' applied inline.  Element data
+come only from ``energy._point`` and ``energy._energy_ray``: the solvers
+hold their points and rays and never gather.
 
 The multiplicity search runs its starts one after another, in start-index
 order, skips a start that lies on start 0's ray, and merges results
@@ -411,8 +409,7 @@ def _rayleigh_newton(mesh: Mesh, p: ExponentField, at: _Point, R: float, grad: n
     """(lu, d, slope) for a step along the Hessian H of the Rayleigh
     equation: ``lu`` is the LU of H, as given, or of H = A''(u) - R B''(u)
     at the point ``at`` (``energy._rayleigh_hessian``) when it is None,
-    from its pattern data (``Mesh.interior_pattern_lu``: a band LU on a
-    narrow mesh, a SuperLU in the kept order above it);
+    from its pattern data (``Mesh.interior_pattern_lu``, a band LU);
     d = -H^{-1}(A'(u) - R B'(u)) = -B H^{-1} R'(u), zero on the boundary,
     with B = B(u) from the ray weights ``w``; and slope = R'(u) d < 0.
     (None, None, None) when H or its LU fails (DomainError, RuntimeError)
@@ -453,16 +450,16 @@ def rayleigh_quotient_min(
     direction is d = -H^{-1}(A'(u) - R B'(u)) with H = A''(u0) - R(u0)
     B''(u0) (``energy._rayleigh_hessian``, the element kernel of J'') and
     its Armijo search starts at 1.  H is factored at the first such
-    iterate u0 (``Mesh.interior_pattern_lu``) and kept, a chord method
-    (Kelley 1995, ch. 5), and refactored at the current iterate only after
-    a step that fails to halve the residual.  A step falls back to the
-    Sobolev direction, and drops the LU, when H or its LU fails, d is no
-    descent direction, or no step along an H of an earlier iterate
-    decreases R.  Along the H of the current iterate that means the
-    computed R' is rounding, and the start stalls, as when no Sobolev step
-    decreases R.  For constant p, R is scale-free and H u = (p-1)(A' - R
-    B'), so the step would only rescale u: the descent keeps the stiffness
-    throughout.
+    iterate u0 by LAPACK's band LU (``Mesh.interior_pattern_lu``) and
+    kept, a chord method (Kelley 1995, ch. 5), and refactored at the
+    current iterate only after a step that fails to halve the residual.  A
+    step falls back to the Sobolev direction, and drops the LU, when H or
+    its LU fails, d is no descent direction, or no step along an H of an
+    earlier iterate decreases R.  Along the H of the current iterate that
+    means the computed R' is rounding, and the start stalls, as when no
+    Sobolev step decreases R.  For constant p, R is scale-free and
+    H u = (p-1)(A' - R B'), so the step would only rescale u: the descent
+    keeps the stiffness throughout.
 
     Each step gathers the element data of the iterate u (``_point``) and of
     the direction d once, two sparse products each.  The gradient of R,
@@ -728,10 +725,10 @@ def _ray_max(prob: KirchhoffProblem, nodal: np.ndarray):
 
 def _newton_direction(lu, dA: np.ndarray, b: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (S - b dA dA^T) d = rhs from an LU of S, any factor with a
-    ``solve`` (``Mesh.interior_pattern_lu`` of its pattern data: LAPACK's
-    band LU on a narrow mesh, SuperLU above it), by the Sherman-Morrison
-    formula for the rank-one term: one solve with the two columns rhs and
-    dA.  Raises RuntimeError when the rank-one update is singular."""
+    ``solve`` (``Mesh.interior_pattern_lu`` of its pattern data, LAPACK's
+    band LU), by the Sherman-Morrison formula for the rank-one term: one
+    solve with the two columns rhs and dA.  Raises RuntimeError when the
+    rank-one update is singular."""
     y, z = lu.solve(np.column_stack([rhs, dA])).T
     denom = 1.0 - b * float(dA @ z)
     if not (np.isfinite(denom) and denom != 0.0):
@@ -790,26 +787,26 @@ def _inertia_index(mesh: Mesh, data: np.ndarray, dA: np.ndarray, b: float) -> in
     the matrix S on the interior pattern of ``mesh`` with pattern data
     ``data`` (``_hessian_of_elements``).
 
-    The symmetric SuperLU of S (``Mesh.interior_pattern_splu``), on every
-    mesh, factors Q S Q^T for a permutation Q; a band LU would not do, as
-    its partial pivoting swaps rows and its U carries no inertia.  When the
-    LU keeps its row order equal to its column order,
-    P Q S Q^T P^T = L U with U = D L^T, so by Sylvester's law S has
-    as many negative eigenvalues as D = diag(U).  The bordered matrix
-    [[S, dA], [dA^T, 1/b]] has S - b dA dA^T as the Schur complement of
-    1/b > 0 and 1/b - dA^T S^{-1} dA as that of S, so by Haynsworth's
-    inertia additivity the count is neg(D) + [1 - b dA^T S^{-1} dA < 0].
+    The symmetric SuperLU of S in minimum-degree order
+    (``Mesh.interior_pattern_splu``) factors Q S Q^T for the permutation
+    Q of its ``perm_c``; a band LU would not do, as its partial pivoting
+    swaps rows and its U carries no inertia.  When the LU keeps its row
+    order ``perm_r`` equal to ``perm_c``, P Q S Q^T P^T = L U with
+    U = D L^T, so by Sylvester's law S has as many negative eigenvalues as
+    D = diag(U).  The bordered matrix [[S, dA], [dA^T, 1/b]] has
+    S - b dA dA^T as the Schur complement of 1/b > 0 and
+    1/b - dA^T S^{-1} dA as that of S, so by Haynsworth's inertia
+    additivity the count is neg(D) + [1 - b dA^T S^{-1} dA < 0].
     Returns None when S is singular, the LU pivots off the diagonal, or the
     rank-one term is not finite.
     """
     try:
-        factor = mesh.interior_pattern_splu(data)
+        lu = mesh.interior_pattern_splu(data)
     except RuntimeError:
         return None
-    lu = factor.lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
-    schur = 1.0 - b * float(dA @ factor.solve(dA))
+    schur = 1.0 - b * float(dA @ lu.solve(dA))
     if not np.isfinite(schur):
         return None
     return int(np.count_nonzero(lu.U.diagonal() < 0.0)) + int(schur < 0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 import scipy.linalg
 
 from pxkirchhoff import (
@@ -14,9 +15,7 @@ from pxkirchhoff import (
     gradient_of,
     integrate,
 )
-from pxkirchhoff import discretization
-from pxkirchhoff.discretization import (_BAND_MAX, _BandCholesky, _BandLU, _PermutedLU,
-                                        _splu)
+from pxkirchhoff.discretization import _BandCholesky, _BandLU, _splu
 from oracles import (interior_bandwidth_by_elements, interior_pattern_by_unique,
                      mass_by_operators, stiffness_by_operators)
 
@@ -244,15 +243,15 @@ def test_hat_gradients_are_the_gradient_map(mesh):
 
 
 def _wide_rect_mesh(ny, rect=((0.0, 0.0), (2.0, 1.0))):
-    """A rect mesh whose interior bandwidth, nx = _BAND_MAX + 1, puts the
-    LUs of the matrices on its interior pattern on SuperLU."""
-    return build_rect_mesh(_BAND_MAX + 1, ny, rect)
+    """A rect mesh of interior bandwidth nx = 57, wider than that of any
+    benchmark mesh (mp2d 32, eig2d 48)."""
+    return build_rect_mesh(57, ny, rect)
 
 
 @pytest.mark.parametrize("mesh", [_wide_rect_mesh(3), _wide_rect_mesh(7)])
 def test_interior_stiffness_lu_is_symmetric_and_solves(mesh):
-    # wider than _BAND_MAX, the stiffness is a band Cholesky too
-    assert mesh.interior_bandwidth > _BAND_MAX
+    # on a wide mesh too the stiffness is a band Cholesky
+    assert mesh.interior_bandwidth == 57
     lu = mesh.interior_stiffness_lu
     assert lu is mesh.interior_stiffness_lu  # factored once, on first use
     assert isinstance(lu, _BandCholesky)
@@ -433,7 +432,7 @@ def test_wide_mesh_stiffness_has_the_operator_structure():
 @pytest.mark.parametrize("mesh", [
     build_interval_mesh(400, 0.0, 1.0),
     build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0))),
-    build_rect_mesh(_BAND_MAX, 3, ((0.0, 0.0), (2.0, 1.0))),
+    build_rect_mesh(56, 3, ((0.0, 0.0), (2.0, 1.0))),
     _jittered_rect_mesh(9, 7, seed=7),
     _wide_rect_mesh(3),
 ], ids=["1d_400", "2d_32", "2d_widest_band", "2d_jittered", "2d_wide"])
@@ -480,51 +479,32 @@ def _pattern_matrix(mesh, rng):
     return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
-def _splu_meshes():
-    """The symmetric SuperLU that keeps its order, on fresh meshes: the
-    pattern LU of a mesh wider than _BAND_MAX, and, on every mesh, the LU
-    whose inertia the Morse count reads."""
-    return pytest.mark.parametrize("mesh, lu", [
-        (build_interval_mesh(40, 0.0, 1.0), Mesh.interior_pattern_splu),
-        (_jittered_rect_mesh(_BAND_MAX + 1, 3, seed=7), Mesh.interior_pattern_lu),
-    ], ids=["1d", "2d"])
-
-
-@_splu_meshes()
-def test_interior_pattern_lu_orders_once_and_solves(mesh, lu):
-    rng = np.random.default_rng(8)
-    first = lu(mesh, _pattern_matrix(mesh, rng).data)
-    perm_c = first.lu.perm_c
-    n = len(mesh.interior)
+@pytest.mark.parametrize("mesh", [
+    build_interval_mesh(40, 0.0, 1.0),
+    _jittered_rect_mesh(57, 3, seed=7),
+], ids=["1d", "2d"])
+def test_first_pattern_lu_orders_the_matrix_of_its_data(mesh):
+    # every symmetric SuperLU on the pattern, the first and each later one,
+    # builds the matrix of its data (interior_pattern_matrix) and orders it
+    # by minimum degree, as an LU of that matrix does, and solves as it
+    # does; it keeps nothing on the mesh
+    rng = np.random.default_rng(9)
+    n, cached = len(mesh.interior), set(vars(mesh)) | {"interior", "interior_pattern"}
     for _ in range(3):
         S = _pattern_matrix(mesh, rng)
-        fresh = _splu(S)
-        # the minimum-degree order depends on the pattern alone
-        assert np.array_equal(fresh.perm_c, perm_c)
-        later = lu(mesh, S.data)
-        assert np.array_equal(later.order, np.argsort(perm_c))
-        assert np.array_equal(later.lu.perm_c, np.arange(n))  # natural order
-        assert later.lu.L.nnz == fresh.L.nnz and later.lu.U.nnz == fresh.U.nnz
+        built = mesh.interior_pattern_matrix(S.data)
+        assert built.format == "csc"
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(built, name), getattr(S, name))
+        lu, fresh = mesh.interior_pattern_splu(S.data), _splu(S)
+        assert np.array_equal(lu.perm_c, fresh.perm_c)
+        assert np.array_equal(lu.perm_r, lu.perm_c)  # every pivot on the diagonal
+        assert lu.L.nnz == fresh.L.nnz and lu.U.nnz == fresh.U.nnz
         rhs = rng.standard_normal((n, 2))
         ref = fresh.solve(rhs)
-        assert np.max(np.abs(later.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.max(np.abs(later.solve(rhs[:, 0]) - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref))
-
-
-@_splu_meshes()
-def test_first_pattern_lu_orders_the_matrix_of_its_data(mesh, lu):
-    # the first LU builds the matrix of its data (interior_pattern_matrix)
-    # and orders it, so it keeps the order an LU of that matrix finds
-    S = _pattern_matrix(mesh, np.random.default_rng(9))
-    built = mesh.interior_pattern_matrix(S.data)
-    assert built.format == "csc"
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(built, name), getattr(S, name))
-    first = lu(mesh, S.data)
-    fresh = _splu(S)
-    assert np.array_equal(first.lu.perm_c, fresh.perm_c)
-    assert np.array_equal(first.order, np.arange(len(mesh.interior)))
-    assert np.array_equal(mesh._pattern_order.order, np.argsort(fresh.perm_c))
+        assert np.max(np.abs(lu.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(lu.solve(rhs[:, 0]) - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref))
+        assert set(vars(mesh)) == cached
 
 
 @pytest.mark.parametrize("mesh", [
@@ -542,36 +522,30 @@ def test_hat_gram_blocks_assemble_the_stiffness(mesh):
     assert abs(K - mesh.interior_stiffness).max() <= 1e-13 * abs(mesh.interior_stiffness).max()
 
 
-def _same_mesh(mesh):
-    """A new mesh on the arrays of ``mesh``, with none of its cached data."""
-    return Mesh(mesh.dimension, mesh.vertices, mesh.elements, mesh.boundary_mask,
-                mesh.element_measures)
-
-
 @pytest.mark.parametrize("mesh, kl", [
     (build_interval_mesh(400, 0.0, 1.0), 1),
     (_jittered_rect_mesh(9, 7, seed=7), 9),
     (build_rect_mesh(8, 150, ((0.0, 0.0), (1.0, 1.0))), 8),
-    (build_rect_mesh(_BAND_MAX, 3, ((0.0, 0.0), (2.0, 1.0))), _BAND_MAX),
-    (_wide_rect_mesh(3), _BAND_MAX + 1),
+    (build_rect_mesh(56, 3, ((0.0, 0.0), (2.0, 1.0))), 56),
+    (_wide_rect_mesh(3), 57),
 ], ids=["1d_400", "2d_9x7", "2d_8x150", "2d_widest_band", "2d_wide"])
-def test_the_factorization_route_depends_on_the_bandwidth_alone(mesh, kl, monkeypatch):
-    pattern = mesh.interior_pattern
-    rows = np.repeat(np.arange(len(mesh.interior)), np.diff(pattern.indptr))
+def test_the_factorization_route_depends_on_the_bandwidth_alone(mesh, kl):
+    # the factors are the same at every bandwidth, which only sizes the
+    # band arrays of the stiffness's Cholesky and of every pattern LU
+    pattern, n = mesh.interior_pattern, len(mesh.interior)
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
     assert mesh.interior_bandwidth == kl == np.max(np.abs(pattern.indices - rows))
     data = _pattern_matrix(mesh, np.random.default_rng(12)).data
-    for band in (kl <= _BAND_MAX, kl > _BAND_MAX):
-        assert isinstance(mesh.interior_stiffness_lu, _BandCholesky)  # at every bandwidth
-        assert isinstance(mesh.interior_pattern_lu(data), _BandLU if band else _PermutedLU)
-        # the same arrays, with the bound moved past their bandwidth
-        monkeypatch.setattr(discretization, "_BAND_MAX", kl if kl > _BAND_MAX else kl - 1)
-        mesh = _same_mesh(mesh)
+    cholesky, lu = mesh.interior_stiffness_lu, mesh.interior_pattern_lu(data)
+    assert isinstance(cholesky, _BandCholesky) and cholesky.factor.shape == (kl + 1, n)
+    assert isinstance(lu, _BandLU) and lu.kl == kl and lu.lu.shape == (3 * kl + 1, n)
+    assert isinstance(mesh.interior_pattern_splu(data), scipy.sparse.linalg.SuperLU)
 
 
 @pytest.mark.parametrize("mesh", [
     build_interval_mesh(40, 0.0, 1.0),
     _jittered_rect_mesh(9, 7, seed=7),
-    build_rect_mesh(_BAND_MAX, 3, ((0.0, 0.0), (2.0, 1.0))),
+    build_rect_mesh(56, 3, ((0.0, 0.0), (2.0, 1.0))),
 ], ids=["1d", "2d", "2d_widest_band"])
 def test_band_factors_solve_as_superlu_does(mesh):
     rng = np.random.default_rng(13)

@@ -69,9 +69,10 @@ def model_problem(n=100, a=1.0, b=0.1, lam=0.0, q_const=4.5, theta=3.2,
 
 
 def wide_problem(ny=3, lam=2.0):
-    """A p = 2 problem on a rect mesh of the unit square whose interior
-    bandwidth, nx = _BAND_MAX + 1, puts the LUs of its Hessians on SuperLU."""
-    mesh = build_rect_mesh(discretization._BAND_MAX + 1, ny, ((0.0, 0.0), (1.0, 1.0)))
+    """A p = 2 problem on the 57 x ny rect mesh of the unit square: its
+    interior bandwidth, kl = nx = 57, is wider than that of any benchmark
+    mesh (mp2d 32, eig2d 48), on few interior vertices."""
+    mesh = build_rect_mesh(57, ny, ((0.0, 0.0), (1.0, 1.0)))
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
     return KirchhoffProblem(1.0, 0.1, lam, constant_exponent(2.0, mesh), spec, mesh)
 
@@ -279,7 +280,6 @@ def test_rayleigh_factors_one_hessian_per_start_at_48(monkeypatch):
 
 def test_rayleigh_falls_back_to_the_stiffness_when_the_band_lu_is_singular(monkeypatch):
     mesh, p = _rayleigh_mesh_and_p("2d_variable_p")
-    assert mesh.interior_bandwidth <= discretization._BAND_MAX
     reference = rayleigh_quotient_min(p, mesh, seed=3)
     monkeypatch.setattr(solver, "_rayleigh_hessian",
                         lambda mesh, *args: np.zeros(len(mesh.interior_pattern.indices)))
@@ -1551,8 +1551,9 @@ def test_inertia_matches_a_dense_count_at_random_points():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_inertia_from_a_reordered_lu_matches_the_first(dim):
-    # the first LU on a mesh's pattern orders it by minimum degree; every
-    # later one reuses that order: both give the same count at each point
+    # every inertia count orders its own matrix by minimum degree and keeps
+    # no order on the mesh: on a reused mesh and on a fresh one it gives the
+    # dense count at each point
     def build():
         if dim == 1:
             return build_interval_mesh(30, 0.0, 1.0)
@@ -1569,7 +1570,6 @@ def test_inertia_from_a_reordered_lu_matches_the_first(dim):
         nodal = rng.standard_normal(4) @ basis * rng.uniform(0.05, 1.0)
         S, dA = hessian_J(GridFunction(mesh, nodal), prob)
         index = solver._inertia_index(mesh, S.data, dA, prob.b)
-        assert mesh._pattern_order is not None
         assert index == solver._inertia_index(build(), S.data, dA, prob.b)
         dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
         assert index == int(np.sum(dense < 0.0))
@@ -1578,25 +1578,37 @@ def test_inertia_from_a_reordered_lu_matches_the_first(dim):
 
 
 def test_hessian_pattern_is_ordered_once_per_mesh(monkeypatch):
-    # a solve on a mesh wider than _BAND_MAX: the first Hessian LU orders the
-    # pattern by minimum degree, every later one (Newton's and the Morse
-    # inertia's) reuses it
-    prob = wide_problem(ny=4, lam=0.0)
-    mesh = prob.mesh
-    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    specs, splu = [], scipy.sparse.linalg.splu
+    # a solve on the mesh wider than any benchmark mesh and on the mp2d mesh
+    # (both over _DENSE_N interior vertices): every Newton step factors J''
+    # by one band LU, and only the Morse inertia orders the pattern, by
+    # minimum degree in one SuperLU of the matrix on it
+    square = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, square), theta=3.2)
+    for prob in (wide_problem(ny=4, lam=0.0),
+                 KirchhoffProblem(1.0, 0.1, 0.0, constant_exponent(2.0, square), spec, square)):
+        mesh = prob.mesh
+        assert len(mesh.interior) > solver._DENSE_N
+        geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
+        band_lus, specs = [], []
+        dgbtrf, splu = scipy.linalg.lapack.dgbtrf, scipy.sparse.linalg.splu
 
-    def counted(A, permc_spec=None, *args, **kwargs):
-        assert A.nnz == len(mesh.interior_pattern.indices)
-        specs.append(permc_spec)
-        return splu(A, permc_spec, *args, **kwargs)
+        def counted_dgbtrf(ab, kl, *args, **kwargs):
+            assert kl == mesh.interior_bandwidth
+            band_lus.append(kl)
+            return dgbtrf(ab, kl, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
-    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
-    assert rep.morse_index == 1 and rep.newton_steps >= 2
-    # one LU per Newton step and one for the inertia (168 > _DENSE_N)
-    assert len(specs) == rep.newton_steps + 1
-    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * rep.newton_steps
+        def counted_splu(A, *args, **kwargs):
+            assert A.nnz == len(mesh.interior_pattern.indices)
+            specs.append(kwargs["permc_spec"])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counted_dgbtrf)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
+        monkeypatch.undo()
+        assert rep.morse_index == 1 and rep.newton_steps >= 2
+        assert len(band_lus) == rep.newton_steps
+        assert specs == ["MMD_AT_PLUS_A"]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1870,9 +1882,8 @@ def test_multiplicity_keeps_the_lower_of_a_sign_pair(shift, kept, monkeypatch):
 
 
 def test_newton_polish_builds_no_sparse_matrix(monkeypatch):
-    # J'' reaches the LU as pattern data: on a mesh wider than _BAND_MAX
-    # only the first LU builds a matrix, to order it, and no later Newton
-    # attempt constructs a csc_matrix
+    # J'' reaches its band LU as pattern data, so no Newton attempt
+    # constructs a csc_matrix, on the mesh wider than any benchmark mesh
     prob = wide_problem()
     polish, init = solver._newton_polish, scipy.sparse.csc_matrix.__init__
     built, attempts = [], []
@@ -1882,19 +1893,16 @@ def test_newton_polish_builds_no_sparse_matrix(monkeypatch):
         init(self, *args, **kwargs)
 
     def counted_polish(*args):
-        ordered, before = prob.mesh._pattern_order is not None, len(built)
+        before = len(built)
         out = polish(*args)
-        attempts.append((ordered, len(built) - before, out[3]))
+        attempts.append((len(built) - before, out[3]))
         return out
 
     monkeypatch.setattr(scipy.sparse.csc_matrix, "__init__", counted_init)
     monkeypatch.setattr(solver, "_newton_polish", counted_polish)
     multiplicity_search(prob, n_starts=5, k_max=4, seed=1)
-    first = [n_built for ordered, n_built, _ in attempts if not ordered]
-    later = [(n_built, steps) for ordered, n_built, steps in attempts if ordered]
-    assert len(first) == 1 and first[0] > 0
-    assert len(later) >= 2 and all(steps > 0 for _, steps in later)
-    assert [n_built for n_built, _ in later] == [0] * len(later)
+    assert len(attempts) >= 3 and all(steps > 0 for _, steps in attempts)
+    assert [n_built for n_built, _ in attempts] == [0] * len(attempts)
 
 
 def test_multiplicity_finds_the_one_node_orbit_for_variable_p():
@@ -2073,8 +2081,8 @@ def test_routes_agree_at_the_cutoff(monkeypatch):
 def band_solution(request):
     """A problem on more than _DENSE_N interior vertices and its
     mountain-pass point: the mp1d and mp2d problems (399 and 961 interior
-    vertices, both of interior bandwidth at most _BAND_MAX), and
-    ``wide_problem(ny=4)`` (168, of interior bandwidth _BAND_MAX + 1)."""
+    vertices, of interior bandwidth 1 and 32), and ``wide_problem(ny=4)``
+    (168, of interior bandwidth 57)."""
     if request.param == "2d_wide":
         prob = wide_problem(ny=4, lam=0.0)
     else:
@@ -2086,7 +2094,7 @@ def band_solution(request):
         spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
         prob = KirchhoffProblem(1.0, 0.1, 0.0, p, spec, mesh)
     mesh = prob.mesh
-    assert (mesh.interior_bandwidth > discretization._BAND_MAX) == (request.param == "2d_wide")
+    assert mesh.interior_bandwidth == {"1d_n400": 1, "2d_32": 32, "2d_wide": 57}[request.param]
     assert len(mesh.interior) > solver._DENSE_N
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
     rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
@@ -2134,18 +2142,6 @@ def _eigsh_arguments(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
     return calls
-
-
-def test_band_mesh_eigensolves_run_in_standard_mode(monkeypatch):
-    # ARPACK gets neither a mass matrix nor a shift on a band mesh: the
-    # pencil is whitened by the stiffness's band Cholesky
-    prob = model_problem(n=2 * solver._DENSE_N)
-    geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
-    rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
-    calls = _eigsh_arguments(monkeypatch)
-    laplace_eigenbasis(prob.mesh, 3)
-    solver._morse(prob, _point(prob.mesh, rep.solution.nodal_values))
-    assert calls == [(None, None), (None, None)]
 
 
 def test_eigenbasis_signs_agree_on_both_routes(monkeypatch):
@@ -2242,7 +2238,8 @@ def _assert_one_band_cholesky(make_problem, task, lus, monkeypatch):
 
 @STIFFNESS_TASKS
 def test_stiffness_is_factored_once_per_mesh(n, task, lus, monkeypatch):
-    # on a mesh wider than _BAND_MAX with at most _DENSE_N interior vertices
+    # on the mesh wider than any benchmark mesh, with at most _DENSE_N
+    # interior vertices
     _assert_one_band_cholesky(wide_problem, task, lus, monkeypatch)
 
 
