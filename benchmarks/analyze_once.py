@@ -15,6 +15,15 @@ Each command prints one JSON document; ``--out FILE --key KEY`` also
 stores it under KEY in the JSON file FILE.  Every process runs with the
 BLAS on one thread.
 
+``lu`` and ``pencils`` run in this process on this checkout's sources.
+Every other command compares the checkout DIR (the parent) with this one
+(the change): it runs one process per side and round, in that side's
+checkout, the sides alternated round by round (``_alternated``), and reads
+the JSON on each process's last line.  ``pairs`` runs each checkout's own
+``perfbench/run.py``; the others run a child, a function ``_*_child`` of
+this module, in a fresh interpreter with the side's ``src/`` and this
+checkout's ``perfbench/`` first on ``sys.path`` (``_BOOTSTRAP``).
+
 * ``lu``: milliseconds per factorization, the median over ``--reps``
   rounds that each call every variant once, in an order rotated round by
   round.  The matrices are the sparse part S of J'' at the solved
@@ -26,39 +35,36 @@ BLAS on one thread.
   (``mmd_small``, the LU of ``Mesh.interior_pattern_splu``, whose inertia
   the Morse count reads); and LAPACK's band LU as
   ``Mesh.interior_pattern_lu`` makes it (``band_dgbtrf``, the scatter
-  included).  On the stiffness: ``mmd_default``, ``mmd_small`` and
-  LAPACK's band Cholesky as ``Mesh.interior_stiffness_lu`` makes it from
-  the stiffness's pattern data (``band_dpbtrf``, the scatter included).
+  included).  The stiffness has one variant, LAPACK's band Cholesky as
+  ``Mesh.interior_stiffness_lu`` makes it from the stiffness's pattern
+  data (``band_dpbtrf``, the scatter included); its ``nnz`` is the
+  pattern's entry count, as the band holds the pattern's exact zeros too.
 * ``pairs``: ``perfbench/run.py --workload W --trace 0`` from the checkout
-  DIR (the parent) and from this checkout, alternated pair by pair, at
-  seeds S, S+1, ...; each run's metrics and the medians, quartiles and
-  wins of ``task_s``.
+  DIR and from this checkout, alternated pair by pair, at seeds S, S+1,
+  ...; each run's metrics and the medians, quartiles and wins of
+  ``task_s``.
 * ``slow``: the six slow mountain-pass cases of ROADMAP item 2 (a = 1,
   b = 0.1, q = 4.5, theta = 3.2, geometry seed 1000, solve only), each
-  solved ``--reps`` times from DIR's sources and from this checkout,
-  alternated; steps, Newton steps, energy, Morse index, the median solve
-  time and the median peak RSS of the solving process.
+  solved ``--reps`` times per side; steps, Newton steps, energy, Morse
+  index, the median solve time and the median peak RSS of the solving
+  process.
 * ``wide``: as ``slow``, on the wide squares of ``WIDE_CASES`` (96² and
   128², p = 2), whose Hessians have kl = 96 and 128.
-* ``counts``: one task of workload W at config seed S from DIR's sources
-  and from this checkout, each in its own process: its mountain-pass
-  solves (``cli``'s and ``solver``'s), Hessian assemblies
+* ``counts``: one task of workload W at config seed S per side: its
+  mountain-pass solves (``cli``'s and ``solver``'s), Hessian assemblies
   (``_hessian_of_elements``), sparse LUs (``discretization._splu``),
   LAPACK band LUs and band Cholesky factors (``_band_lu``,
   ``_band_cholesky``), ``csc_matrix`` constructions, scipy's own included,
-  ``eigsh`` calls with their ARPACK reverse-communication steps, operator
-  applications and products with the pencil's B, in all and per call (k,
-  ``which``, whether it got ``M`` or ``sigma``), and the pencil eigensolves
-  of ``solver._lowest`` (sources without it count none): per call its k,
-  whether it was ``reciprocal``, its route (dense or whitened, or
-  generalized in sources that built a ``_PencilOperator`` without a factor
-  on wide meshes) and the products of that operator, which on the
-  whitened route are ARPACK's operator applications.
+  and ``eigsh`` calls, each with its k and ``which``; and the pencil
+  eigensolves of ``solver._lowest``: per call its k, whether it was
+  ``reciprocal``, its route (dense, or whitened when it builds a
+  ``_PencilOperator``) and the products of that operator, which are
+  ARPACK's operator applications, summed over the calls in
+  ``arpack_operator_applications``.
 * ``rayleigh``: the first eigenvalue (``rayleigh_quotient_min``, default
   ``tol`` and ``max_iter``) on the cases of ``RAYLEIGH_CASES``, each seed
-  solved on a fresh mesh ``--reps`` times from DIR's sources and from this
-  checkout, alternated, one process per case, side and round.  Per seed:
-  steps, ``newton_steps`` (None where the sources have none), the
+  solved on a fresh mesh ``--reps`` times per side, one process per case,
+  side and round.  Per seed: steps, ``newton_steps``, the
   ``Mesh.interior_pattern_lu`` calls, lambda_p and the residual, or the
   error that ended the start; per case, the median solve time.  The
   command fails when a start of this checkout is not certified.
@@ -77,21 +83,20 @@ BLAS on one thread.
   command fails when a gap exceeds ``PENCIL_GAP`` or the indices differ.
 * ``outputs``: the four benchmark workloads of ``perfbench/configs.py``
   (mp1d, mp2d, mult1d, eig2d) at config seeds 1000, ..., 999 + N, each run
-  by ``cli.run`` from DIR's sources and from this checkout, one process per
-  side; every output file is compared byte for byte.  Each differing file
-  is listed with the largest relative gap of each of its numeric fields
-  (a report line's key; all numbers of a solution or CSV file as one
-  field), or with the field whose text differs otherwise.  The command
-  fails when any file differs or exists on one side only.
-* ``fixed``: the fixed costs of each benchmark workload's mesh, from DIR's
-  sources and from this checkout, one process per side, alternated over
-  ``--reps`` rounds: milliseconds to build the mesh (``cli._build_mesh``)
-  and then, on that fresh mesh and in this order, its centroids, hat
-  gradients, interior pattern, interior bandwidth and stiffness factor,
-  and the three sections of a solution dump (``cli.write_solution``) of
-  a random grid function: vertices, elements and nodal values.  Each
-  process times ``FIXED_PASSES`` fresh meshes after one warm-up; a row
-  holds the median over all of them.
+  by ``cli.run``, one process per side; every output file is compared
+  byte for byte.  Each differing file is listed with the largest relative
+  gap of each of its numeric fields (a report line's key; all numbers of a
+  solution or CSV file as one field), or with the field whose text differs
+  otherwise.  The command fails when any file differs or exists on one
+  side only.
+* ``fixed``: the fixed costs of each benchmark workload's mesh, one
+  process per side, alternated over ``--reps`` rounds: milliseconds to
+  build the mesh (``cli._build_mesh``) and then, on that fresh mesh and in
+  this order, its centroids, hat gradients, interior pattern, interior
+  bandwidth and stiffness factor, and the three sections of a solution
+  dump (``cli.write_solution``) of a random grid function: vertices,
+  elements and nodal values.  Each process times ``FIXED_PASSES`` fresh
+  meshes after one warm-up; a row holds the median over all of them.
 """
 
 import argparse
@@ -99,10 +104,12 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -147,39 +154,73 @@ RAYLEIGH_CASES = [
     ("2d16_p2.5", ("rect", 16), (2.5, 0.0), list(range(5))),
 ]
 
+# the program of every child process: sys.argv[1:4] (the side's src/, this
+# checkout's perfbench/ and this directory) go first on sys.path, and the
+# JSON of this module's function sys.argv[4], called on the JSON arguments
+# sys.argv[5], is the last line printed
+_BOOTSTRAP = ("import json, sys; sys.path[:0] = sys.argv[1:4]; import analyze_once; "
+              "print(json.dumps(getattr(analyze_once, sys.argv[4])(*json.loads(sys.argv[5]))))")
+
+
+def _alternated(parent: Path, rounds: int, argv):
+    """Yields, for r = 0, ..., rounds - 1, one run of the command
+    ``argv(checkout, r)`` per side, each a process in its side's checkout
+    (``parent`` for the parent, this one for the change), the parent first
+    in even rounds: the order the sides ran in and, per side, the JSON on
+    the last line its process printed."""
+    for r in range(rounds):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        run = {"order": list(order)}
+        for side in order:
+            checkout = parent if side == "parent" else ROOT
+            proc = subprocess.run(argv(checkout, r), cwd=checkout, stdout=subprocess.PIPE,
+                                  text=True, check=True)
+            run[side] = json.loads(proc.stdout.strip().splitlines()[-1])
+        yield run
+
+
+def _child(name: str, *args):
+    """The command of ``_alternated`` that calls this module's function
+    ``name(*args)`` on a side's sources (``_BOOTSTRAP``)."""
+    return lambda checkout, r: [sys.executable, "-c", _BOOTSTRAP, str(checkout / "src"),
+                                str(ROOT / "perfbench"), str(ROOT / "benchmarks"), name,
+                                json.dumps(args)]
+
 
 def _config(domain: str, p: str, lam: float, out: str) -> str:
     return (f"command = solve\ndomain = {domain}\np = {p}\nq = const:4.5\n"
             f"a = 1\nb = 0.1\nlambda = {lam:g}\ntheta = 3.2\nseed = 1000\nout = {out}\n")
 
 
-def _solved(cli, domain: str, p: str, lam: float = 0.0):
-    """The problem of a solve config and the solution of its solve."""
-    import pxkirchhoff.cli as cli_module
+def _solved(domain: str, p: str, lam: float = 0.0):
+    """The problem of a solve config, the solution of its solve and the
+    seconds that ``mountain_pass_solve`` took."""
+    from pxkirchhoff import cli
 
     captured = {}
-    solve = cli_module.mountain_pass_solve
+    solve = cli.mountain_pass_solve
 
     def keep(prob, *args, **kwargs):
-        captured["prob"] = prob
+        t0 = time.perf_counter()
         captured["rep"] = solve(prob, *args, **kwargs)
+        captured["seconds"] = time.perf_counter() - t0
+        captured["prob"] = prob
         return captured["rep"]
 
-    cli_module.mountain_pass_solve = keep
+    cli.mountain_pass_solve = keep
     try:
         out = ROOT / ".bench_work" / "analyze_once"
         with contextlib.redirect_stdout(io.StringIO()):
             cli.run(cli.parse_config(_config(domain, p, lam, str(out))))
     finally:
-        cli_module.mountain_pass_solve = solve
-    return captured["prob"], captured["rep"]
+        cli.mountain_pass_solve = solve
+    return captured["prob"], captured["rep"], captured["seconds"]
 
 
 def lu_table(reps: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     import scipy.sparse.linalg as sla
-    from pxkirchhoff import cli
     from pxkirchhoff.discretization import _PANEL_SIZE, _RELAX, build_rect_mesh
     from pxkirchhoff.energy import hessian_J
 
@@ -198,7 +239,7 @@ def lu_table(reps: int) -> dict:
                              ("2d_hessian_48", "rect:0,0,1,1,48,48", "const:2"),
                              ("2d_hessian_64", "rect:0,0,1,1,64,64", "const:2"),
                              ("2d_hessian_96", "rect:0,0,1,1,96,96", "const:2")):
-        prob, rep = _solved(cli, domain, p)
+        prob, rep, _ = _solved(domain, p)
         S, mesh = hessian_J(rep.solution, prob)[0], prob.mesh
         cases.append((label, S, mesh, {
             "mmd_default": lambda S=S: mmd(S),
@@ -207,12 +248,9 @@ def lu_table(reps: int) -> dict:
         }))
     for nx in (32, 48, 64, 96):
         mesh = build_rect_mesh(nx, nx, ((0.0, 0.0), (1.0, 1.0)))
-        K = mesh.interior_stiffness
-        cases.append((f"2d_stiffness_{nx}", K, mesh, {
-            "mmd_default": lambda K=K: mmd(K),
-            "mmd_small": lambda K=K: mmd(K, relax=_RELAX, panel_size=_PANEL_SIZE),
-            "band_dpbtrf": lambda mesh=mesh: cholesky(mesh),
-        }))
+        K = mesh.interior_pattern_matrix(mesh.interior_stiffness_data)
+        cases.append((f"2d_stiffness_{nx}", K, mesh,
+                      {"band_dpbtrf": lambda mesh=mesh: cholesky(mesh)}))
 
     rows, rng = [], np.random.default_rng(0)
     for label, S, mesh, variants in cases:
@@ -250,7 +288,7 @@ def pencils(reps: int) -> dict:
     meshes around ``solver._DENSE_N`` and of 2-D meshes above it,
     and the largest relative gap between the two routes' eigenvalues."""
     sys.path.insert(0, str(ROOT / "src"))
-    from pxkirchhoff import cli, laplace_eigenbasis, solver
+    from pxkirchhoff import laplace_eigenbasis, solver
     from pxkirchhoff.energy import _point
 
     dense_n, rows = solver._DENSE_N, []
@@ -261,7 +299,7 @@ def pencils(reps: int) -> dict:
               + [(f"rect:0,0,1,1,{nx},{nx}", f"rect {nx}x{nx}", nx < 64)
                  for nx in (12, 16, 24, 64)])
     for domain, label, timed in meshes:
-        prob, rep = _solved(cli, domain, "affine:2,0.2")
+        prob, rep, _ = _solved(domain, "affine:2,0.2")
         mesh, at = prob.mesh, _point(prob.mesh, rep.solution.nodal_values)
         calls = {"morse": lambda prob=prob, at=at: solver._morse(prob, at),
                  "eigenbasis_k3": lambda mesh=mesh: laplace_eigenbasis(mesh, 3)}
@@ -308,16 +346,17 @@ def pencils(reps: int) -> dict:
     return result
 
 
-_OUTPUTS_CHILD = r"""
-import contextlib, io, json, sys
-src, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-sys.path[:0] = [src, sys.argv[4]]
-from configs import config_text
-from pxkirchhoff import cli
-for name, seed in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.run(cli.parse_config(config_text(name, seed) + f"out = {out}/{name}_{seed}\n"))
-"""
+def _outputs_child(work: str, runs: list) -> str:
+    """Runs each (workload, seed) of ``runs`` by ``cli.run`` into a fresh
+    directory under ``work``, and returns that directory."""
+    from configs import config_text
+    from pxkirchhoff import cli
+
+    out = tempfile.mkdtemp(dir=work)
+    for name, seed in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(cli.parse_config(config_text(name, seed) + f"out = {out}/{name}_{seed}\n"))
+    return out
 
 
 def _fields(path: Path) -> dict:
@@ -356,12 +395,9 @@ def outputs(parent: Path, seeds: int) -> dict:
     runs = [(name, 1000 + k) for name in WORKLOADS for k in range(seeds)]
     work = ROOT / ".bench_work" / "analyze_once" / "outputs"
     shutil.rmtree(work, ignore_errors=True)  # no file of an earlier run survives
-    dirs = {}
-    for side, checkout in (("parent", parent), ("change", ROOT)):
-        dirs[side] = work / side
-        subprocess.run([sys.executable, "-c", _OUTPUTS_CHILD, str(checkout / "src"),
-                        str(dirs[side]), json.dumps(runs), str(ROOT / "perfbench")],
-                       check=True)
+    work.mkdir(parents=True)
+    run = next(_alternated(parent, 1, _child("_outputs_child", str(work), runs)))
+    dirs = {side: Path(run[side]) for side in ("parent", "change")}
     files = sorted({path.relative_to(dirs[side]) for side in dirs
                     for name, seed in runs for path in (dirs[side] / f"{name}_{seed}").iterdir()})
     differing = {}
@@ -383,76 +419,57 @@ def outputs(parent: Path, seeds: int) -> dict:
     return result
 
 
-_FIXED_CHILD = r"""
-import json, sys, time
-src, passes = sys.argv[1], int(sys.argv[2])
-sys.path[:0] = [src, sys.argv[3]]
-import numpy as np
-from configs import WORKLOADS, config_text
-from pxkirchhoff import GridFunction, cli
-# sources without a vertex formatter of their own format the vertices by _rows
-vertex_rows = getattr(cli, "_vertex_rows", lambda vertices: cli._rows("%.17g", vertices))
-steps = {
-    "centroids": lambda mesh, u: mesh.element_centroids,
-    "hat_gradients": lambda mesh, u: mesh.hat_gradients,
-    "pattern": lambda mesh, u: mesh.interior_pattern,
-    "bandwidth": lambda mesh, u: mesh.interior_bandwidth,
-    "stiffness_factor": lambda mesh, u: mesh.interior_stiffness_lu,
-    "dump_vertices": lambda mesh, u: vertex_rows(mesh.vertices),
-    "dump_elements": lambda mesh, u: cli._rows("%d", mesh.elements),
-    "dump_values": lambda mesh, u: cli._rows("%.17g", u.nodal_values[:, None]),
-}
-out = {}
-for name in json.loads(sys.argv[4]):
-    domain = cli.parse_config(config_text(name, 0)).domain
-    out[name] = {key: [] for key in ["mesh_build", *steps]}
-    for r in range(passes + 1):
-        t0 = time.perf_counter()
-        mesh = cli._build_mesh(domain)
-        times = [time.perf_counter() - t0]
-        u = GridFunction(mesh, np.random.default_rng(r).standard_normal(mesh.n_vertices))
-        for call in steps.values():
+def _fixed_child(passes: int, workloads: list) -> dict:
+    """Per workload and step, the seconds of each of ``passes`` fresh
+    meshes, timed after one warm-up mesh."""
+    import numpy as np
+    from configs import config_text
+    from pxkirchhoff import GridFunction, cli
+
+    steps = {
+        "centroids": lambda mesh, u: mesh.element_centroids,
+        "hat_gradients": lambda mesh, u: mesh.hat_gradients,
+        "pattern": lambda mesh, u: mesh.interior_pattern,
+        "bandwidth": lambda mesh, u: mesh.interior_bandwidth,
+        "stiffness_factor": lambda mesh, u: mesh.interior_stiffness_lu,
+        "dump_vertices": lambda mesh, u: cli._vertex_rows(mesh.vertices),
+        "dump_elements": lambda mesh, u: cli._rows("%d", mesh.elements),
+        "dump_values": lambda mesh, u: cli._rows("%.17g", u.nodal_values[:, None]),
+    }
+    out = {}
+    for name in workloads:
+        domain = cli.parse_config(config_text(name, 0)).domain
+        out[name] = {key: [] for key in ["mesh_build", *steps]}
+        for r in range(passes + 1):
             t0 = time.perf_counter()
-            call(mesh, u)
-            times.append(time.perf_counter() - t0)
-        if r:  # the first pass warms up
-            for key, t in zip(out[name], times):
-                out[name][key].append(t)
-print(json.dumps(out))
-"""
+            mesh = cli._build_mesh(domain)
+            times = [time.perf_counter() - t0]
+            u = GridFunction(mesh, np.random.default_rng(r).standard_normal(mesh.n_vertices))
+            for call in steps.values():
+                t0 = time.perf_counter()
+                call(mesh, u)
+                times.append(time.perf_counter() - t0)
+            if r:  # the first pass warms up
+                for key, t in zip(out[name], times):
+                    out[name][key].append(t)
+    return out
 
 
 def fixed(parent: Path, reps: int) -> dict:
-    got = {"parent": [], "change": []}
-    for r in range(reps):
-        for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-            src = (parent if side == "parent" else ROOT) / "src"
-            proc = subprocess.run([sys.executable, "-c", _FIXED_CHILD, str(src),
-                                   str(FIXED_PASSES), str(ROOT / "perfbench"),
-                                   json.dumps(WORKLOADS)],
-                                  capture_output=True, text=True, check=True)
-            got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    runs = list(_alternated(parent, reps, _child("_fixed_child", FIXED_PASSES, WORKLOADS)))
     rows = []
     for name in WORKLOADS:
         row = {"workload": name}
-        for side, rounds in got.items():
+        for side in ("parent", "change"):
             row[side] = {key + "_ms": round(1e3 * statistics.median(
-                t for times in rounds for t in times[name][key]), 4)
-                for key in rounds[0][name]}
+                t for run in runs for t in run[side][name][key]), 4)
+                for key in runs[0][side][name]}
         rows.append(row)
     return {"what": f"ms per step on a fresh mesh of each workload, median of {reps} "
                     f"round(s) of {FIXED_PASSES} meshes per side, sides alternated; steps in "
                     "the order listed, so each finds the earlier ones cached; the dump "
                     "sections of a random grid function",
             "rows": rows}
-
-
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _summary(values: list[float]) -> dict:
@@ -467,12 +484,11 @@ def pairs(parent: Path, workload: str, n_pairs: int, seed: int, seconds: float,
     names = [workload] if workload != "all" else WORKLOADS
     out = {"command": f"perfbench/run.py --workload {workload} --seconds {seconds:g} --trace 0",
            "runs": []}
-    for k in range(n_pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed + k, "order": list(order)}
-        for side in order:
-            pair[side] = _run(parent if side == "parent" else ROOT, workload, seed + k, seconds)
-        out["runs"].append(pair)
+    runs = _alternated(parent, n_pairs, lambda checkout, k: [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed + k),
+        "--seconds", str(seconds), "--trace", "0"])
+    for k, run in enumerate(runs):
+        out["runs"].append({"seed": seed + k, **run})
         save(out)
     if n_pairs >= 2:
         for name in names:
@@ -486,175 +502,135 @@ def pairs(parent: Path, workload: str, n_pairs: int, seed: int, seconds: float,
     return out
 
 
-_SLOW_CHILD = r"""
-import contextlib, io, json, resource, sys, time
-sys.path.insert(0, sys.argv[1])
-from pxkirchhoff import cli
-import pxkirchhoff.cli as cli_module
-solve, out = cli_module.mountain_pass_solve, {}
-def timed(prob, *args, **kwargs):
-    t0 = time.perf_counter()
-    rep = solve(prob, *args, **kwargs)
-    out.update(solve_s=time.perf_counter() - t0, steps=rep.iterations,
-               newton_steps=rep.newton_steps, energy=rep.energy,
-               residual=rep.residual_norm, morse_index=rep.morse_index)
-    return rep
-cli_module.mountain_pass_solve = timed
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.run(cli.parse_config(sys.argv[2]))
-out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps(out))
-"""
+def _slow_child(domain: str, p: str, lam: float) -> dict:
+    """One solve's seconds, steps and certificate, and the process's peak
+    RSS."""
+    _, rep, seconds = _solved(domain, p, lam)
+    return dict(solve_s=seconds, steps=rep.iterations, newton_steps=rep.newton_steps,
+                energy=rep.energy, residual=rep.residual_norm, morse_index=rep.morse_index,
+                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 def slow(parent: Path, reps: int, cases=SLOW_CASES) -> dict:
     rows = []
     for label, domain, p, lam in cases:
-        text = _config(domain, p, lam, str(ROOT / ".bench_work" / "analyze_once"))
-        got = {"parent": [], "change": []}
-        for r in range(reps):
-            for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-                src = (parent if side == "parent" else ROOT) / "src"
-                proc = subprocess.run([sys.executable, "-c", _SLOW_CHILD, str(src), text],
-                                      capture_output=True, text=True, check=True)
-                got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        runs = list(_alternated(parent, reps, _child("_slow_child", domain, p, lam)))
         row = {"case": label, "domain": domain, "p": p, "lambda": lam}
-        for side, results in got.items():
-            row[side] = dict(results[0], **{key: statistics.median(x[key] for x in results)
-                                            for key in ("solve_s", "peak_rss_mb")})
+        for side in ("parent", "change"):
+            row[side] = dict(runs[0][side], **{key: statistics.median(run[side][key]
+                                                                      for run in runs)
+                                               for key in ("solve_s", "peak_rss_mb")})
         rows.append(row)
     return {"what": f"solve only, median of {reps} solves per side, alternated; peak RSS of "
                     "the whole process (cli.run: mesh, geometry, solve and output)",
             "rows": rows}
 
 
-_COUNT_CHILD = r"""
-import contextlib, importlib, io, json, sys
-root, name, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
-sys.path[:0] = [root + "/src", root + "/perfbench"]
-import scipy.sparse, scipy.sparse.linalg
-from configs import config_text
-from pxkirchhoff import cli, discretization, energy, solver
-counts = dict(mountain_pass_solves=0, hessian_assemblies=0, lus=0, band_lus=0,
-              band_choleskys=0, csc_matrix_constructions=0, eigsh_calls=0,
-              arpack_steps=0, arpack_operator_applications=0, arpack_b_products=0,
-              eigsh=[], pencil_solves=[])
-def counted(key, f):
-    def wrapped(*args, **kwargs):
-        counts[key] += 1
-        return f(*args, **kwargs)
-    return wrapped
-# cli calls its own binding, multiplicity_search the solver's
-solver.mountain_pass_solve = cli.mountain_pass_solve = counted(
-    "mountain_pass_solves", solver.mountain_pass_solve)
-eigsh = scipy.sparse.linalg.eigsh
-def counted_eigsh(A, k=6, M=None, sigma=None, **kwargs):
-    counts["eigsh_calls"] += 1
-    counts["eigsh"].append(dict(k=k, which=kwargs.get("which", "LM"), generalized=M is not None,
-                                shift_invert=sigma is not None, steps=0, operator_applications=0,
-                                b_products=0))
-    return eigsh(A, k, M, sigma, **kwargs)
-scipy.sparse.linalg.eigsh = counted_eigsh
-# each ARPACK reverse-communication step is one iterate(); ido 1 and 5 ask
-# for one application of the operator (with the inverse or shift-inverse in
-# the generalized modes), ido 2 for one product with the B of the pencil
-arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
-iterate = arpack._SymmetricArpackParams.iterate
-def counted_iterate(self):
-    iterate(self)
-    ido, call = self.arpack_dict["ido"], counts["eigsh"][-1]
-    for key, n in (("steps", 1), ("operator_applications", ido in (1, 5)),
-                   ("b_products", ido == 2)):
-        call[key] += n
-        counts["arpack_" + key] += n
-arpack._SymmetricArpackParams.iterate = counted_iterate
-# each pencil eigensolve: dense unless it builds a _PencilOperator, whitened
-# when that operator has a factor U, and the operator's products
-if hasattr(solver, "_lowest"):
+def _count_child(name: str, seed: int, out: str) -> dict:
+    """The counts of one task of workload ``name`` at config seed ``seed``."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+    from configs import config_text
+    from pxkirchhoff import cli, discretization, energy, solver
+
+    counts = dict(mountain_pass_solves=0, hessian_assemblies=0, lus=0, band_lus=0,
+                  band_choleskys=0, csc_matrix_constructions=0, eigsh_calls=0,
+                  arpack_operator_applications=0, eigsh=[], pencil_solves=[])
+
+    def counted(key, f):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    # cli calls its own binding, multiplicity_search the solver's
+    solver.mountain_pass_solve = cli.mountain_pass_solve = counted(
+        "mountain_pass_solves", solver.mountain_pass_solve)
+    energy._hessian_of_elements = solver._hessian_of_elements = counted(
+        "hessian_assemblies", energy._hessian_of_elements)
+    discretization._splu = counted("lus", discretization._splu)
+    discretization._band_lu = counted("band_lus", discretization._band_lu)
+    discretization._band_cholesky = counted("band_choleskys", discretization._band_cholesky)
+    scipy.sparse.csc_matrix.__init__ = counted("csc_matrix_constructions",
+                                               scipy.sparse.csc_matrix.__init__)
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted_eigsh(A, k=6, *args, **kwargs):
+        counts["eigsh_calls"] += 1
+        counts["eigsh"].append(dict(k=k, which=kwargs.get("which", "LM")))
+        return eigsh(A, k, *args, **kwargs)
+
+    scipy.sparse.linalg.eigsh = counted_eigsh
+    # each pencil eigensolve is dense unless it builds a _PencilOperator
     lowest, Operator = solver._lowest, solver._PencilOperator
+    init, matvec = Operator.__init__, Operator._matvec
+
     def counted_lowest(mesh, data, k, rank_one=None, **kwargs):
         counts["pencil_solves"].append(dict(k=k, reciprocal=kwargs.get("reciprocal", False),
                                             route="dense", operator_products=0))
         return lowest(mesh, data, k, rank_one, **kwargs)
-    solver._lowest = counted_lowest
-    init, matvec = Operator.__init__, Operator._matvec
-    def counted_init(self, mesh, data, rank_one, U):
-        counts["pencil_solves"][-1]["route"] = "generalized" if U is None else "whitened"
-        init(self, mesh, data, rank_one, U)
+
+    def counted_init(self, *args):
+        counts["pencil_solves"][-1]["route"] = "whitened"
+        init(self, *args)
+
     def counted_matvec(self, y):
         counts["pencil_solves"][-1]["operator_products"] += 1
         return matvec(self, y)
+
+    solver._lowest = counted_lowest
     Operator.__init__, Operator._matvec = counted_init, counted_matvec
-energy._hessian_of_elements = solver._hessian_of_elements = counted(
-    "hessian_assemblies", energy._hessian_of_elements)
-discretization._splu = counted("lus", discretization._splu)
-for key, factor in (("band_lus", "_band_lu"), ("band_choleskys", "_band_cholesky")):
-    if hasattr(discretization, factor):  # sources without the band route count 0
-        setattr(discretization, factor, counted(key, getattr(discretization, factor)))
-scipy.sparse.csc_matrix.__init__ = counted("csc_matrix_constructions",
-                                           scipy.sparse.csc_matrix.__init__)
-out = sys.argv[4]
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.run(cli.parse_config(config_text(name, seed) + f"out = {out}\n"))
-print(json.dumps(counts))
-"""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(cli.parse_config(config_text(name, seed) + f"out = {out}\n"))
+    counts["arpack_operator_applications"] = sum(call["operator_products"]
+                                                 for call in counts["pencil_solves"])
+    return counts
 
 
 def counts(parent: Path, workload: str, seed: int) -> dict:
-    out = {"what": f"counts in one {workload} task at config seed {seed}"}
-    for side, checkout in (("parent", parent), ("change", ROOT)):
-        proc = subprocess.run(
-            [sys.executable, "-c", _COUNT_CHILD, str(checkout), workload, str(seed),
-             str(ROOT / ".bench_work" / "analyze_once")],
-            capture_output=True, text=True, check=True)
-        out[side] = json.loads(proc.stdout.strip().splitlines()[-1])
+    run = next(_alternated(parent, 1, _child("_count_child", workload, seed,
+                                             str(ROOT / ".bench_work" / "analyze_once"))))
+    return {"what": f"counts in one {workload} task at config seed {seed}",
+            "parent": run["parent"], "change": run["change"]}
+
+
+def _rayleigh_child(shape: list, p: list, seeds: list) -> list:
+    """Per seed, the first eigenvalue's solve on a fresh mesh of ``shape``
+    at p = c0 + c1 x, or the error that ended it."""
+    from pxkirchhoff import (build_exponent_field, build_interval_mesh, build_rect_mesh,
+                             rayleigh_quotient_min)
+    from pxkirchhoff.discretization import Mesh
+
+    (kind, n), (c0, c1) = shape, p
+    lus = []
+    factor = Mesh.interior_pattern_lu
+    Mesh.interior_pattern_lu = lambda self, data: lus.append(1) or factor(self, data)
+    out = []
+    for seed in seeds:
+        mesh = (build_interval_mesh(n, 0.0, 1.0) if kind == "interval"
+                else build_rect_mesh(n, n, ((0.0, 0.0), (1.0, 1.0))))
+        field = build_exponent_field(c0 + c1 * mesh.element_centroids[:, 0], mesh)
+        lus.clear()
+        t0 = time.perf_counter()
+        try:
+            ray = rayleigh_quotient_min(field, mesh, seed=seed)
+        except Exception as exc:  # recorded per start; the command judges it
+            out.append(dict(seed=seed, error=f"{type(exc).__name__}: {exc}"))
+            continue
+        out.append(dict(seed=seed, solve_s=time.perf_counter() - t0, steps=ray.steps,
+                        newton_steps=ray.newton_steps, lus=len(lus),
+                        lambda_p=ray.value, residual=ray.residual))
     return out
-
-
-_RAYLEIGH_CHILD = r"""
-import json, sys, time
-sys.path.insert(0, sys.argv[1])
-from pxkirchhoff import (build_exponent_field, build_interval_mesh, build_rect_mesh,
-                         rayleigh_quotient_min)
-from pxkirchhoff.discretization import Mesh
-(kind, n), (c0, c1), seeds = json.loads(sys.argv[2])
-lus = []
-factor = Mesh.interior_pattern_lu
-Mesh.interior_pattern_lu = lambda self, data: lus.append(1) or factor(self, data)
-out = []
-for seed in seeds:
-    mesh = (build_interval_mesh(n, 0.0, 1.0) if kind == "interval"
-            else build_rect_mesh(n, n, ((0.0, 0.0), (1.0, 1.0))))
-    p = build_exponent_field(c0 + c1 * mesh.element_centroids[:, 0], mesh)
-    lus.clear()
-    t0 = time.perf_counter()
-    try:
-        ray = rayleigh_quotient_min(p, mesh, seed=seed)
-    except Exception as exc:
-        out.append(dict(seed=seed, error=f"{type(exc).__name__}: {exc}"))
-        continue
-    out.append(dict(seed=seed, solve_s=time.perf_counter() - t0, steps=ray.steps,
-                    newton_steps=getattr(ray, "newton_steps", None), lus=len(lus),
-                    lambda_p=ray.value, residual=ray.residual))
-print(json.dumps(out))
-"""
 
 
 def rayleigh(parent: Path, reps: int) -> dict:
     rows = []
     for label, mesh, p, seeds in RAYLEIGH_CASES:
-        args = json.dumps([mesh, p, seeds])
-        got = {"parent": [], "change": []}
-        for r in range(reps):
-            for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-                src = (parent if side == "parent" else ROOT) / "src"
-                proc = subprocess.run([sys.executable, "-c", _RAYLEIGH_CHILD, str(src), args],
-                                      capture_output=True, text=True, check=True)
-                got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        runs = list(_alternated(parent, reps, _child("_rayleigh_child", mesh, p, seeds)))
         row = {"case": label, "mesh": list(mesh), "p": f"{p[0]:g}+{p[1]:g}x", "seeds": seeds}
-        for side, rounds in got.items():
-            first = rounds[0]
-            times = [s["solve_s"] for solves in rounds for s in solves if "error" not in s]
+        for side in ("parent", "change"):
+            first = runs[0][side]
+            times = [s["solve_s"] for run in runs for s in run[side] if "error" not in s]
             row[side] = {
                 "certified": sum("error" not in s for s in first),
                 **{key: [s.get(key) for s in first]
@@ -663,8 +639,8 @@ def rayleigh(parent: Path, reps: int) -> dict:
                 "solve_ms_median": (round(1e3 * statistics.median(times), 2)
                                     if times else None),
             }
-        both = [(a["lambda_p"], b["lambda_p"]) for a, b in zip(got["parent"][0],
-                                                               got["change"][0])
+        both = [(a["lambda_p"], b["lambda_p"]) for a, b in zip(runs[0]["parent"],
+                                                               runs[0]["change"])
                 if "error" not in a and "error" not in b]
         row["lambda_p_max_rel_diff"] = max((abs(a - b) / abs(a) for a, b in both),
                                            default=None)

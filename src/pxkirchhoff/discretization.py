@@ -8,7 +8,7 @@ like the gathers, call scipy's CSR kernel directly (``_ElementMap``).  Second
 derivatives are sums of (d+1) x (d+1) element blocks, which ``BlockPattern``
 scatters into one fixed sparse pattern on the interior vertices, and so are
 the two constant operators, the p = 2 stiffness Dg^T diag(meas) Dg and the
-mass C^T diag(meas) C (``Mesh.interior_stiffness``,
+mass C^T diag(meas) C (``Mesh.interior_stiffness_data``,
 ``Mesh.interior_mass``): their element terms are added in the order of the
 operator products, whose values they reproduce bit for bit.  A matrix on
 that pattern is passed around as its data; ``Mesh.interior_pattern_matrix``
@@ -308,18 +308,6 @@ class Mesh:
         # term (e, k, i, j) lands at CSC row j, column i: (g_j meas) g_i
         terms = G[:, :, :, None] * (G * self.element_measures[::-1, None, None])[:, :, None]
         return self._sum_in_element_order(terms)
-
-    @cached_property
-    def interior_stiffness(self) -> scipy.sparse.csc_matrix:
-        """The constant-exponent (p = 2) stiffness Dg^T diag(meas) Dg on the
-        interior vertices, as CSC without its exact zeros (the couplings
-        along the diagonals of ``build_rect_mesh``'s cells), like the
-        operator product it equals bitwise; its index arrays are its own."""
-        pattern, n = self.interior_pattern, len(self.interior)
-        S = scipy.sparse.csc_matrix((self.interior_stiffness_data, pattern.indices,
-                                     pattern.indptr), shape=(n, n), copy=True)
-        S.eliminate_zeros()
-        return S
 
     @cached_property
     def interior_stiffness_lu(self) -> "_BandCholesky":

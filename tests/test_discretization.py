@@ -255,7 +255,7 @@ def test_interior_stiffness_lu_is_symmetric_and_solves(mesh):
     lu = mesh.interior_stiffness_lu
     assert lu is mesh.interior_stiffness_lu  # factored once, on first use
     assert isinstance(lu, _BandCholesky)
-    S = mesh.interior_stiffness.toarray()
+    S = mesh.interior_pattern_matrix(mesh.interior_stiffness_data).toarray()
     rhs = np.random.default_rng(3).standard_normal(S.shape[0])
     ref = np.linalg.solve(S, rhs)
     assert np.linalg.norm(lu.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -385,12 +385,12 @@ def test_interior_bandwidth_is_the_widest_spread_within_an_element(mesh):
 def test_dense_pattern_matrix_is_the_csc_toarray_bitwise(mesh):
     # entry k in row indices[k] of its CSC column, so a data vector that is
     # no symmetric matrix lands where the CSC matrix has it; the stiffness's
-    # exact zeros, which its CSC drops, are +0.0
+    # exact zeros, which the operator product drops, are +0.0
     data = np.random.default_rng(19).standard_normal(len(mesh.interior_pattern.indices))
     for dense, ref in [
         (mesh.interior_pattern_dense(data), mesh.interior_pattern_matrix(data).toarray()),
         (mesh.interior_pattern_dense(mesh.interior_stiffness_data),
-         mesh.interior_stiffness.toarray()),
+         _interior_block(stiffness_by_operators(mesh), mesh).toarray()),
         (mesh.interior_pattern_dense(mesh.interior_mass.data), mesh.interior_mass.toarray()),
     ]:
         assert dense.dtype == ref.dtype and dense.tobytes() == ref.tobytes()
@@ -412,21 +412,14 @@ def test_element_centroids_are_the_vertex_mean_bitwise(mesh):
 @OPERATOR_MESHES
 def test_interior_stiffness_and_mass_are_the_operator_products_bitwise(mesh):
     # the element terms, summed in the order of scipy's products, give the
-    # products' values, and the stiffness drops the zeros they drop
-    assert _bitwise_equal(mesh.interior_stiffness,
-                          _interior_block(stiffness_by_operators(mesh), mesh))
+    # products' values, and the stiffness's exact zeros are where the
+    # products have no entry; they are eliminated from a copy, as the
+    # pattern's index arrays are read-only
+    stiffness = mesh.interior_pattern_matrix(mesh.interior_stiffness_data).copy()
+    stiffness.eliminate_zeros()
+    assert _bitwise_equal(stiffness, _interior_block(stiffness_by_operators(mesh), mesh))
     assert _bitwise_equal(mesh.interior_mass, _interior_block(mass_by_operators(mesh), mesh))
-    assert mesh.interior_stiffness is mesh.interior_stiffness  # built once, on first use
-
-
-def test_wide_mesh_stiffness_has_the_operator_structure():
-    # the diagonal couplings of the criss-cross cells are exact zeros, which
-    # the operator product drops, and so does the public stiffness
-    mesh = _wide_rect_mesh(3)
-    K = _interior_block(stiffness_by_operators(mesh), mesh)
-    assert K.nnz < len(mesh.interior_pattern.indices)
-    assert np.array_equal(mesh.interior_stiffness.indptr, K.indptr)
-    assert np.array_equal(mesh.interior_stiffness.indices, K.indices)
+    assert mesh.interior_stiffness_data is mesh.interior_stiffness_data  # built once
 
 
 @pytest.mark.parametrize("mesh", [
@@ -435,7 +428,7 @@ def test_wide_mesh_stiffness_has_the_operator_structure():
     build_rect_mesh(56, 3, ((0.0, 0.0), (2.0, 1.0))),
     _jittered_rect_mesh(9, 7, seed=7),
     _wide_rect_mesh(3),
-], ids=["1d_400", "2d_32", "2d_widest_band", "2d_jittered", "2d_wide"])
+], ids=["1d_400", "2d_32", "2d_56x3", "2d_jittered", "2d_wide"])
 def test_band_cholesky_is_dpbtrf_of_the_operator_band(mesh):
     # the upper triangle of the operator product, entry (i, j) in row
     # kl + i - j of column j of a band of kl + 1 rows, factored by LAPACK
@@ -483,11 +476,10 @@ def _pattern_matrix(mesh, rng):
     build_interval_mesh(40, 0.0, 1.0),
     _jittered_rect_mesh(57, 3, seed=7),
 ], ids=["1d", "2d"])
-def test_first_pattern_lu_orders_the_matrix_of_its_data(mesh):
-    # every symmetric SuperLU on the pattern, the first and each later one,
-    # builds the matrix of its data (interior_pattern_matrix) and orders it
-    # by minimum degree, as an LU of that matrix does, and solves as it
-    # does; it keeps nothing on the mesh
+def test_pattern_splu_is_the_splu_of_the_matrix_of_its_data(mesh):
+    # every symmetric SuperLU on the pattern builds the matrix of its data
+    # (interior_pattern_matrix) and orders it by minimum degree, as an LU of
+    # that matrix does, and solves as it does; it keeps nothing on the mesh
     rng = np.random.default_rng(9)
     n, cached = len(mesh.interior), set(vars(mesh)) | {"interior", "interior_pattern"}
     for _ in range(3):
@@ -519,7 +511,8 @@ def test_hat_gram_blocks_assemble_the_stiffness(mesh):
     pattern = mesh.interior_pattern
     blocks = (gram * mesh.element_measures).ravel()[pattern.keep]
     K = mesh.interior_pattern_matrix(np.bincount(pattern.slot, blocks, len(pattern.indices)))
-    assert abs(K - mesh.interior_stiffness).max() <= 1e-13 * abs(mesh.interior_stiffness).max()
+    S = mesh.interior_pattern_matrix(mesh.interior_stiffness_data)
+    assert abs(K - S).max() <= 1e-13 * abs(S).max()
 
 
 @pytest.mark.parametrize("mesh, kl", [
@@ -528,8 +521,8 @@ def test_hat_gram_blocks_assemble_the_stiffness(mesh):
     (build_rect_mesh(8, 150, ((0.0, 0.0), (1.0, 1.0))), 8),
     (build_rect_mesh(56, 3, ((0.0, 0.0), (2.0, 1.0))), 56),
     (_wide_rect_mesh(3), 57),
-], ids=["1d_400", "2d_9x7", "2d_8x150", "2d_widest_band", "2d_wide"])
-def test_the_factorization_route_depends_on_the_bandwidth_alone(mesh, kl):
+], ids=["1d_400", "2d_9x7", "2d_8x150", "2d_56x3", "2d_wide"])
+def test_the_bandwidth_only_sizes_the_band_factors(mesh, kl):
     # the factors are the same at every bandwidth, which only sizes the
     # band arrays of the stiffness's Cholesky and of every pattern LU
     pattern, n = mesh.interior_pattern, len(mesh.interior)
@@ -546,11 +539,12 @@ def test_the_factorization_route_depends_on_the_bandwidth_alone(mesh, kl):
     build_interval_mesh(40, 0.0, 1.0),
     _jittered_rect_mesh(9, 7, seed=7),
     build_rect_mesh(56, 3, ((0.0, 0.0), (2.0, 1.0))),
-], ids=["1d", "2d", "2d_widest_band"])
+], ids=["1d", "2d", "2d_56x3"])
 def test_band_factors_solve_as_superlu_does(mesh):
     rng = np.random.default_rng(13)
     n = len(mesh.interior)
-    factors = [(mesh.interior_stiffness_lu, mesh.interior_stiffness)]
+    factors = [(mesh.interior_stiffness_lu,
+                mesh.interior_pattern_matrix(mesh.interior_stiffness_data))]
     assert factors[0][0] is mesh.interior_stiffness_lu  # factored once, on first use
     for _ in range(2):
         S = _pattern_matrix(mesh, rng)

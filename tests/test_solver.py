@@ -309,7 +309,7 @@ def test_rayleigh_descent_gathers_twice_per_step(monkeypatch):
     # stiffness product); then each step gathers u and d and makes the two
     # adjoint products of the gradient; the Armijo trials make none
     mesh, p = _rayleigh_mesh_and_p("2d_variable_p")
-    mesh.interior_stiffness  # the preconditioner's matrix, built before counting
+    mesh.interior_stiffness_lu  # the preconditioner, factored before counting
     products = []
     maps = {name: getattr(mesh, name) for name in (
         "gradient_map", "centroid_map", "gradient_adjoint", "centroid_adjoint")}
@@ -1550,7 +1550,7 @@ def test_inertia_matches_a_dense_count_at_random_points():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_inertia_from_a_reordered_lu_matches_the_first(dim):
+def test_inertia_on_a_reused_and_a_fresh_mesh_matches_the_dense_count(dim):
     # every inertia count orders its own matrix by minimum degree and keeps
     # no order on the mesh: on a reused mesh and on a fresh one it gives the
     # dense count at each point
@@ -1577,7 +1577,7 @@ def test_inertia_from_a_reordered_lu_matches_the_first(dim):
     assert len(counts) >= 2
 
 
-def test_hessian_pattern_is_ordered_once_per_mesh(monkeypatch):
+def test_newton_steps_take_one_band_lu_each_and_the_inertia_one_splu(monkeypatch):
     # a solve on the mesh wider than any benchmark mesh and on the mp2d mesh
     # (both over _DENSE_N interior vertices): every Newton step factors J''
     # by one band LU, and only the Morse inertia orders the pattern, by
@@ -2116,7 +2116,7 @@ def test_whitened_route_agrees_with_the_dense_route(band_solution, monkeypatch):
     assert len(calls) == 2
     assert morse[0] == dense_morse[0] == 1
     assert morse[1] == pytest.approx(dense_morse[1], rel=1e-12)
-    K = mesh.interior_stiffness
+    K = mesh.interior_pattern_matrix(mesh.interior_stiffness_data)
     V, W = ([b.nodal_values[idx] for b in vs] for vs in (basis, dense_basis))
     for v, w in zip(V, W):
         assert v @ (K @ v) == pytest.approx(w @ (K @ w), rel=1e-12)
@@ -2204,10 +2204,12 @@ STIFFNESS_TASKS = pytest.mark.parametrize("n, task, lus", [
 
 
 def _count_stiffness_lus(monkeypatch, mesh) -> list:
-    """Wrap splu in every module that binds it (eigsh's shift-invert and
-    ``factorized`` hold their own bindings); the list collects each
-    factorization of the mesh's interior stiffness."""
-    S, splu, calls = mesh.interior_stiffness, scipy.sparse.linalg.splu, []
+    """Wrap splu in every module that binds it, so that a SuperLU of the
+    mesh's interior stiffness through any scipy function with a binding of
+    its own (``factorized``, ARPACK's shift-invert mode) is caught too; the
+    list collects each such factorization."""
+    S = mesh.interior_pattern_matrix(mesh.interior_stiffness_data)
+    splu, calls = scipy.sparse.linalg.splu, []
 
     def counted(A, *args, **kwargs):
         if A.shape == S.shape and abs(A - S).max() == 0.0:
