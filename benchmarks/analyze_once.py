@@ -52,12 +52,14 @@ checkout's ``perfbench/`` first on ``sys.path`` (``_BOOTSTRAP``).
   128², p = 2), whose Hessians have kl = 96 and 128.
 * ``counts``: one task of workload W at config seed S per side: its
   mountain-pass solves (``cli``'s and ``solver``'s), Hessian assemblies
-  (``_hessian_of_elements``), sparse LUs (``discretization._splu``),
-  LAPACK band LUs and band Cholesky factors (``_band_lu``,
-  ``_band_cholesky``), ``csc_matrix`` constructions, scipy's own included,
-  and ``eigsh`` calls, each with its k and ``which``; and the pencil
-  eigensolves of ``solver._lowest``: per call its k, whether it was
-  ``reciprocal``, its route (dense, or whitened when it builds a
+  (``_hessian_of_elements``), sparse LUs (``discretization._splu``, the
+  Morse counts' inertia), LAPACK band LUs and band Cholesky factors
+  (``_band_lu``, ``_band_cholesky``), LAPACK's dense LDL^T factors
+  (``dsytrf``, the Morse counts on at most ``solver._DENSE_N`` interior
+  vertices and where SuperLU gives none), ``csc_matrix`` constructions,
+  scipy's own included, and ``eigsh`` calls, each with its k and
+  ``which``; and the pencil eigensolves of ``solver._lowest``: per call
+  its k, its route (dense, or whitened when it builds a
   ``_PencilOperator``) and the products of that operator, which are
   ARPACK's operator applications, summed over the calls in
   ``arpack_operator_applications``.
@@ -68,19 +70,21 @@ checkout's ``perfbench/`` first on ``sys.path`` (``_BOOTSTRAP``).
   ``Mesh.interior_pattern_lu`` calls, lambda_p and the residual, or the
   error that ended the start; per case, the median solve time.  The
   command fails when a start of this checkout is not certified.
-* ``pencils``: milliseconds per call of the dense and the ARPACK route of
-  ``solver._morse`` and ``laplace_eigenbasis`` (k = 3), the routes that
-  ``solver._DENSE_N`` chooses between in ``solver._lowest``, at the solved
-  mountain-pass point of 1-D meshes with 49 to 169 interior vertices and
-  of 12², 16², 24² and 64² squares (p = 2 + 0.2x).  The dense route is
-  timed only on the rows near the break-even: on the 64² square (3,969
-  interior vertices, kl = 64) it finds the whole Morse spectrum, so it
-  runs once there, untimed.  The Morse index of each route and the
-  largest relative gap between the eigenvalues that ``solver._lowest``
-  gives on the two routes for the two lowest of the Morse pencil (as
-  ``solver._morse`` reports them) and the three lowest of the eigenbasis
-  pencil (K, M), computed once per route, in the first round.  The
-  command fails when a gap exceeds ``PENCIL_GAP`` or the indices differ.
+* ``pencils``: milliseconds per call of the two routes that
+  ``solver._DENSE_N`` chooses between, at the solved mountain-pass point
+  of 1-D meshes with 49 to 169 interior vertices and of 12², 16², 24² and
+  64² squares (p = 2 + 0.2x): ``solver._morse``, whose two inertia counts
+  come from the symmetric SuperLU or from LAPACK's dense LDL^T
+  (``dsytrf``), and ``laplace_eigenbasis`` (k = 3), from ARPACK or from
+  LAPACK's dense ``dsygvx``.  A solve makes one of each.  The dense routes
+  are timed only on the rows near the break-even: on the 64² square
+  (3,969 interior vertices, kl = 64) they run once, untimed.  Per route,
+  the Morse counts at -delta and +delta, and the largest relative gap
+  between the three lowest eigenvalues of the eigenbasis pencil (K, M)
+  that ``solver._lowest`` gives on the two routes, computed once per
+  route, in the first round.  The command fails when the gap exceeds
+  ``PENCIL_GAP``, or the counts differ between the routes or at -delta
+  and +delta.
 * ``outputs``: the four benchmark workloads of ``perfbench/configs.py``
   (mp1d, mp2d, mult1d, eig2d) at config seeds 1000, ..., 999 + N, each run
   by ``cli.run``, one process per side; every output file is compared
@@ -135,7 +139,7 @@ WIDE_CASES = [
 ]
 
 # the largest relative gap between the dense and the ARPACK route's
-# eigenvalues that ``pencils`` accepts
+# eigenbasis eigenvalues that ``pencils`` accepts
 PENCIL_GAP = 1e-10
 
 # the fresh meshes that one ``fixed`` process times per workload, after one
@@ -283,18 +287,21 @@ def lu_table(reps: int) -> dict:
 
 
 def pencils(reps: int) -> dict:
-    """The dense and the ARPACK route of ``_morse`` and of
-    ``laplace_eigenbasis`` (k = 3) at the solved mountain-pass point of 1-D
-    meshes around ``solver._DENSE_N`` and of 2-D meshes above it,
-    and the largest relative gap between the two routes' eigenvalues."""
+    """The two routes of ``_morse`` (SuperLU against ``dsytrf``) and of
+    ``laplace_eigenbasis`` (k = 3; ARPACK against LAPACK) at the solved
+    mountain-pass point of 1-D meshes around ``solver._DENSE_N`` and of 2-D
+    meshes above it: their times, the Morse counts at -delta and +delta of
+    each route, and the largest relative gap between the eigenbasis
+    routes' eigenvalues."""
     sys.path.insert(0, str(ROOT / "src"))
     from pxkirchhoff import laplace_eigenbasis, solver
     from pxkirchhoff.energy import _point
 
     dense_n, rows = solver._DENSE_N, []
-    routes = [("arpack", 0), ("dense", sys.maxsize)]
+    # (route of the Morse counts, route of the eigenbasis, cutoff)
+    routes = [("superlu", "arpack", 0), ("dense", "dense", sys.maxsize)]
     # (domain, label, whether the dense route is timed): on the 64^2 square
-    # it finds all 3,969 eigenvalues of the Morse pencil, so it runs once
+    # it factors two dense matrices of order 3,969, so it runs once
     meshes = ([(f"interval:0,1,{n + 1}", "interval", True) for n in (49, 74, 99, 128, 149, 169)]
               + [(f"rect:0,0,1,1,{nx},{nx}", f"rect {nx}x{nx}", nx < 64)
                  for nx in (12, 16, 24, 64)])
@@ -303,20 +310,20 @@ def pencils(reps: int) -> dict:
         mesh, at = prob.mesh, _point(prob.mesh, rep.solution.nodal_values)
         calls = {"morse": lambda prob=prob, at=at: solver._morse(prob, at),
                  "eigenbasis_k3": lambda mesh=mesh: laplace_eigenbasis(mesh, 3)}
-        times, index, values = {}, {}, {}
-        for route, cutoff in routes:  # the answers, a warm-up round too
+        times, counts, values = {}, {}, {}
+        for counted, solved, cutoff in routes:  # the answers, a warm-up round too
             solver._DENSE_N = cutoff
-            index[route], morse_values = solver._morse(prob, at)
-            values[route] = [*morse_values, *solver._lowest(mesh, mesh.interior_mass.data, 3,
-                                                            reciprocal=True)]
+            counts[counted] = list(solver._morse(prob, at))
+            values[solved] = solver._lowest(mesh, mesh.interior_mass.data, 3)
         for r in range(reps):
-            for route, cutoff in routes if r % 2 else routes[::-1]:
-                if route == "dense" and not timed:
+            for counted, solved, cutoff in routes if r % 2 else routes[::-1]:
+                if counted == "dense" and not timed:
                     continue
                 solver._DENSE_N = cutoff
                 for name, call in calls.items():
                     t0 = time.perf_counter()
                     call()
+                    route = counted if name == "morse" else solved
                     times.setdefault(f"{name}_{route}_ms", []).append(time.perf_counter() - t0)
         solver._DENSE_N = dense_n
         gap = max(abs(a - b) / abs(b) for a, b in zip(values["arpack"], values["dense"]))
@@ -324,25 +331,28 @@ def pencils(reps: int) -> dict:
                      "kl": mesh.interior_bandwidth,
                      **{key: round(1e3 * statistics.median(values), 3)
                         for key, values in times.items()},
-                     "morse_index": index, "max_rel_eigenvalue_gap": gap})
+                     "morse_counts": counts, "max_rel_eigenvalue_gap": gap})
     result = {"what": f"ms per call, median of {reps} rounds after the round that computes "
                       "the answers, routes alternated; the dense route is not timed on the 64^2 "
                       "square; 1-D mesh (interval 0..1, interior_n + 1 elements) or "
                       "nx x nx square, p = 2 + 0.2x, a = 1, b = 0.1, q = 4.5, theta = 3.2, "
-                      "lambda = 0, geometry seed 1000; the ARPACK route by _DENSE_N = 0, the "
-                      "dense route by an unbounded _DENSE_N; _morse includes the Hessian "
-                      "assembly; max_rel_eigenvalue_gap over the eigenvalues of solver._lowest "
-                      "on the two routes: the Morse pencil's two lowest, as _morse reports "
-                      "them, and the eigenbasis pencil's three",
+                      "lambda = 0, geometry seed 1000; the SuperLU and ARPACK routes by "
+                      "_DENSE_N = 0, the dense routes by an unbounded _DENSE_N; _morse includes "
+                      "the Hessian assembly; morse_counts: per route, the counts of the Morse "
+                      "pencil's eigenvalues below -delta and +delta; max_rel_eigenvalue_gap "
+                      "over the three lowest eigenvalues of the eigenbasis pencil (K, M) that "
+                      "solver._lowest gives on the two routes",
               "dense_n": dense_n, "rows": rows,
               "max_rel_eigenvalue_gap": max(row["max_rel_eigenvalue_gap"] for row in rows)}
     failed = [row["mesh"] + f" ({row['interior_n']})" for row in rows
               if row["max_rel_eigenvalue_gap"] > PENCIL_GAP
-              or len(set(row["morse_index"].values())) > 1]
+              or any(a != b for a, b in row["morse_counts"].values())
+              or row["morse_counts"]["superlu"] != row["morse_counts"]["dense"]]
     if failed:
         print(json.dumps(result, indent=1))
-        raise SystemExit(f"the routes differ by more than {PENCIL_GAP:g} or in the Morse "
-                         "index on: " + ", ".join(failed))
+        raise SystemExit(f"the eigenbasis routes differ by more than {PENCIL_GAP:g}, or the "
+                         "Morse counts differ between the routes or at -delta and +delta, "
+                         "on: " + ", ".join(failed))
     return result
 
 
@@ -528,13 +538,14 @@ def slow(parent: Path, reps: int, cases=SLOW_CASES) -> dict:
 
 def _count_child(name: str, seed: int, out: str) -> dict:
     """The counts of one task of workload ``name`` at config seed ``seed``."""
+    import scipy.linalg.lapack
     import scipy.sparse
     import scipy.sparse.linalg
     from configs import config_text
     from pxkirchhoff import cli, discretization, energy, solver
 
     counts = dict(mountain_pass_solves=0, hessian_assemblies=0, lus=0, band_lus=0,
-                  band_choleskys=0, csc_matrix_constructions=0, eigsh_calls=0,
+                  band_choleskys=0, dense_ldlts=0, csc_matrix_constructions=0, eigsh_calls=0,
                   arpack_operator_applications=0, eigsh=[], pencil_solves=[])
 
     def counted(key, f):
@@ -551,6 +562,7 @@ def _count_child(name: str, seed: int, out: str) -> dict:
     discretization._splu = counted("lus", discretization._splu)
     discretization._band_lu = counted("band_lus", discretization._band_lu)
     discretization._band_cholesky = counted("band_choleskys", discretization._band_cholesky)
+    scipy.linalg.lapack.dsytrf = counted("dense_ldlts", scipy.linalg.lapack.dsytrf)
     scipy.sparse.csc_matrix.__init__ = counted("csc_matrix_constructions",
                                                scipy.sparse.csc_matrix.__init__)
     eigsh = scipy.sparse.linalg.eigsh
@@ -565,10 +577,9 @@ def _count_child(name: str, seed: int, out: str) -> dict:
     lowest, Operator = solver._lowest, solver._PencilOperator
     init, matvec = Operator.__init__, Operator._matvec
 
-    def counted_lowest(mesh, data, k, rank_one=None, **kwargs):
-        counts["pencil_solves"].append(dict(k=k, reciprocal=kwargs.get("reciprocal", False),
-                                            route="dense", operator_products=0))
-        return lowest(mesh, data, k, rank_one, **kwargs)
+    def counted_lowest(mesh, data, k, *args, **kwargs):
+        counts["pencil_solves"].append(dict(k=k, route="dense", operator_products=0))
+        return lowest(mesh, data, k, *args, **kwargs)
 
     def counted_init(self, *args):
         counts["pencil_solves"][-1]["route"] = "whitened"

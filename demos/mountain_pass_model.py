@@ -37,8 +37,7 @@ print(f"  energy c = {report.energy:.8f}  (below ceiling: {report.below_ps_ceili
 print(f"  residual |J'(u*)| = {report.residual_norm:.2e}")
 print(f"  nonlocal coefficient K(u*) = {report.nonlocal_coefficient:.5f}")
 print(f"  amplitude max|u*| = {np.max(np.abs(report.solution.nodal_values)):.5f}")
-low, second = report.lowest_eigenvalues
-print(f"  Morse index {report.morse_index} (lowest eigenvalues {low:.4f}, {second:.4f})")
+print(f"  Morse index {report.morse_index} (no eigenvalue within {report.morse_margin:g} of 0)")
 
 recheck = gradient_J(report.solution, prob)
 print("  residual recheck:", np.linalg.norm(recheck.nodal_values[mesh.interior]))

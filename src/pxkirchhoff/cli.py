@@ -360,8 +360,7 @@ def _solve_report_lines(rep: SolveReport) -> list[str]:
         f"iterations: {rep.iterations}",
         f"newton_steps: {rep.newton_steps}",
         f"morse_index: {'none' if rep.morse_index is None else rep.morse_index}",
-        "lowest_eigenvalues: " + ("none" if rep.lowest_eigenvalues is None else
-                                  " ".join(f"{v:.17g}" for v in rep.lowest_eigenvalues)),
+        f"morse_margin: {'none' if rep.morse_margin is None else f'{rep.morse_margin:g}'}",
     ]
 
 

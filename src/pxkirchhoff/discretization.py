@@ -395,8 +395,8 @@ def _splu(S: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
     nonzero, so the row order equals the column order unless a diagonal
     pivot vanishes; it never does when S is positive definite.  Supernodes
     are small (``_RELAX``, ``_PANEL_SIZE``).  Raises RuntimeError when S is
-    singular.  It factors the sparse part of J'' whose inertia the
-    solver's Morse count reads (``Mesh.interior_pattern_splu``)."""
+    singular.  It factors the shifted sparse parts of J'' whose inertia the
+    solver's Morse counts read (``Mesh.interior_pattern_splu``)."""
     return scipy.sparse.linalg.splu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                     relax=_RELAX, panel_size=_PANEL_SIZE,
                                     options=dict(SymmetricMode=True))

@@ -338,7 +338,7 @@ def _kirchhoff_hessian(prob: KirchhoffProblem, at: _Point):
     its data in ``Mesh.interior_pattern`` order: (data, dA).  Newton's
     method factors S by a band LU scattered from its data
     (``Mesh.interior_pattern_lu``) and builds no matrix; only the Morse
-    count builds one, for the SuperLU whose inertia it reads
+    counts build one, for the SuperLU whose inertia they read
     (``Mesh.interior_pattern_splu``)."""
     mesh = prob.mesh
     live = mesh.interior_pattern.live

@@ -23,24 +23,27 @@ backtracking step at the peak, after which each trial's ray is maximized
 again.  Descent directions are preconditioned with the constant-exponent
 stiffness (a discrete Sobolev gradient, ``_sobolev_descent``), which keeps
 iteration counts mesh-independent; the reported residual stays the plain
-interior l2 norm of the assembled derivative.  The solution's Morse index
-is reported (``_morse``).  Every eigenproblem, the Morse pencil (J'', K)
-and the Laplace eigenbasis of (K, M), goes through one entry point,
-``_lowest``, the one place that picks its route.  On at most _DENSE_N
-interior vertices, where ARPACK's per-call overhead dominates, LAPACK
-solves it dense (``dsygvd`` and ``dsygvx``, called directly); the
-eigenbasis as the largest eigenvalues of (M, K), so that LAPACK factors K
-and keeps their digits.  Above it, the Morse index is counted by inertia
-from the symmetric SuperLU of the sparse part of J'', in minimum-degree
-order (``Mesh.interior_pattern_splu``), and one ARPACK call for the two
-lowest eigenvalues cross-checks it.  Every stiffness solve uses the mesh's
-one factor of the stiffness K, its band Cholesky K = U^T U
-(``Mesh.interior_stiffness_lu``), and ARPACK solves each pencil (X, K) in
-its standard mode on U^{-T} X U^{-1}, one product of ``_PencilOperator``
-per step: two calls of LAPACK's triangular band solve and one of scipy's
-CSR kernel, with the rank-one term of J'' applied inline.  Element data
-come only from ``energy._point`` and ``energy._energy_ray``: the solvers
-hold their points and rays and never gather.
+interior l2 norm of the assembled derivative.
+
+The solution's Morse index, the number of negative eigenvalues of the
+pencil (J'', K), K the interior stiffness, is two inertia counts and no
+eigensolve (``_morse``): the negative eigenvalues of J'' + delta K and of
+J'' - delta K, which agree exactly when the index is certified with no
+eigenvalue in [-delta, delta).  On more than _DENSE_N interior vertices
+each count comes from the symmetric SuperLU of the shifted sparse part of
+J'', in minimum-degree order (``Mesh.interior_pattern_splu``), and on at
+most _DENSE_N, or where that LU gives none, from LAPACK's dense
+Bunch-Kaufman LDL^T (``dsytrf``).  The one eigenproblem left, the Laplace
+eigenbasis of (K, M), goes through ``_lowest``: on at most _DENSE_N
+interior vertices LAPACK solves it dense (``dsygvx``, called directly), as
+the largest eigenvalues of (M, K), so that LAPACK factors K and keeps
+their digits; above it ARPACK solves it in its standard mode on
+U^{-T} M U^{-1}, for the band Cholesky K = U^T U, the mesh's one factor of
+the stiffness (``Mesh.interior_stiffness_lu``), which every stiffness
+solve uses too: one product of ``_PencilOperator`` per step, two calls of
+LAPACK's triangular band solve and one of scipy's CSR kernel.  Element
+data come only from ``energy._point`` and ``energy._energy_ray``: the
+solvers hold their points and rays and never gather.
 
 The multiplicity search runs its starts one after another, in start-index
 order, skips a start that lies on start 0's ray, and merges results
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse import _sparsetools
 
 from .discretization import GridFunction, Mesh
@@ -106,15 +109,16 @@ def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
     return d
 
 
-# Pencils on at most this many interior vertices are solved dense with LAPACK
-# (``dsygvd``, ``dsygvx``), above it by ARPACK.  With ARPACK in standard mode
-# on the pencil whitened by the band Cholesky, the two routes break even at
-# about 75-100 interior vertices for the eigenbasis (k = 3) and 130-150 for
-# the Morse pencil, so a solve, which makes one of each, breaks even near
-# 128: dense 2.7 against ARPACK 2.6 ms at 128, 2.7 against 3.5 ms on the
-# 12^2 square (121), 4.3 against 3.0 ms at 149 (1-D unless named,
-# p = 2 + 0.2x, BLAS on one thread; ``benchmarks/analyze_once.py pencils``,
-# ``BENCH_whitened_pencils.json``).
+# On at most this many interior vertices the eigenbasis is solved dense by
+# LAPACK (``dsygvx``) and the Morse counts come from the dense LDL^T
+# (``dsytrf``); above it ARPACK and the symmetric SuperLU take them.  A
+# solve makes one eigenbasis (k = 3) and two counts, and on 1-D meshes
+# their routes break even at about 85 and about 135 interior vertices, so
+# the solve breaks even near 105: dense 0.99 against 1.05 ms at 99, 1.54
+# against 1.16 ms at 128.  In 2-D the dense routes win further out: 1.42
+# against 1.92 ms on the 12^2 square (121), 4.9 against 2.5 ms at 16^2
+# (225).  128 serves both (p = 2 + 0.2x, BLAS on one thread;
+# ``benchmarks/analyze_once.py pencils``, ``BENCH_morse_counts.json``).
 _DENSE_N = 128
 
 
@@ -130,97 +134,74 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 class _PencilOperator(scipy.sparse.linalg.LinearOperator):
-    """y -> U^{-T} X U^{-1} y for the band array U of a triangular factor
-    K = U^T U, with X = S - b r r^T: S the symmetric matrix on ``mesh``'s
-    interior pattern with pattern data ``data``, and the rank-one term from
-    ``rank_one`` = (r, b), or none.
+    """y -> U^{-T} S U^{-1} y for the band array U of a triangular factor
+    K = U^T U and the symmetric matrix S on ``mesh``'s interior pattern
+    with pattern data ``data``.
 
     Each product calls the kernels that scipy's own products reach after
     their dispatch: LAPACK's ``dtbtrs`` for U^{-1} and U^{-T}, and scipy's
     CSR kernel for S on the pattern's arrays, whose CSC arrays are its CSR
     arrays, as S is symmetric.  The sums run in the order of S's CSC
-    product, and the rank-one term is b r times r^T x, so X x is bitwise
-    ``S @ x - b * r * (r @ x)``."""
+    product, so S x is bitwise ``S @ x``."""
 
-    def __init__(self, mesh: Mesh, data: np.ndarray, rank_one, U: np.ndarray):
+    def __init__(self, mesh: Mesh, data: np.ndarray, U: np.ndarray):
         pattern = mesh.interior_pattern
         n = len(pattern.indptr) - 1
         super().__init__(np.float64, (n, n))
         self.pattern, self.data, self.U = pattern, data, U
-        self.rank_one = None if rank_one is None else (rank_one[0], rank_one[1] * rank_one[0])
 
     def _matvec(self, y: np.ndarray) -> np.ndarray:
         x = lapack.dtbtrs(self.U, y)[0]
         n, pattern = self.shape[0], self.pattern
         z = np.zeros(n)
         _sparsetools.csr_matvec(n, n, pattern.indptr, pattern.indices, self.data, x, z)
-        if self.rank_one is not None:
-            r, br = self.rank_one
-            z -= br * (r @ x)
         return lapack.dtbtrs(self.U, z, trans="T", overwrite_b=1)[0]
 
 
-def _lowest(mesh: Mesh, data: np.ndarray, k: int, rank_one=None, *,
-            reciprocal: bool = False, vectors: bool = False):
-    """The k lowest eigenvalues, ascending, of the pencil (X, K) on the
-    interior vertices of ``mesh``, for K the interior stiffness and
-    X = S - b r r^T: S the symmetric matrix on the interior pattern with
-    pattern data ``data``, and the rank-one term from ``rank_one`` = (r, b),
-    or none.  With ``reciprocal``, for a positive definite X (the mass),
-    those of the pencil (K, X) instead: the reciprocals of the k largest
-    eigenvalues of (X, K).  With ``vectors``, (values, vectors), the
-    eigenvectors as the columns of an array in the order of the values.
+def _lowest(mesh: Mesh, data: np.ndarray, k: int, *, vectors: bool = False):
+    """The k lowest eigenvalues, ascending, of the pencil (K, X) on the
+    interior vertices of ``mesh``, for K the interior stiffness and X the
+    positive definite matrix on the interior pattern with pattern data
+    ``data`` (the mass): the reciprocals of the k largest eigenvalues of
+    (X, K).  With ``vectors``, (values, vectors), the eigenvectors as the
+    columns of an array in the order of the values.
 
-    Every pencil eigensolve of the solver goes through here, and so does
-    the choice of its route.  A pencil on at most _DENSE_N interior
-    vertices, or all n of its eigenvalues (which ARPACK cannot give), is
-    solved by LAPACK on dense arrays, which the pattern data of X and K
-    fill directly (``Mesh.interior_pattern_dense``): the whole spectrum of
-    (X, K) by ``dsygvd``, part of it by ``dsygvx``; for ``reciprocal``,
-    the k largest of (X, K), so that LAPACK factors K, not X.  Above it
-    ARPACK solves it, from a fixed start vector.  With the stiffness's band
-    Cholesky K = U^T U (``Mesh.interior_stiffness_lu``), (X, K) has the
-    eigenvalues of the standard matrix U^{-T} X U^{-1}, and its eigenvectors
-    are x = U^{-1} y for that matrix's y (Golub-Van Loan 8.7), so ARPACK
-    runs in its standard mode on y -> U^{-T} X U^{-1} y
-    (``_PencilOperator``) and needs no inner product in K; for
-    ``reciprocal`` it finds the largest eigenvalues of that matrix.
-    Raises LinAlgError when LAPACK fails and ValueError for a dense pencil
-    with a value that is not finite.
+    The eigenbasis is the solver's one eigenproblem, and here its route is
+    chosen.  A pencil on at most _DENSE_N interior vertices, or k = n
+    (which ARPACK cannot give), is solved by LAPACK's ``dsygvx`` on dense
+    arrays, which the pattern data of X and K fill directly
+    (``Mesh.interior_pattern_dense``), for the k largest eigenvalues of
+    (X, K), so that LAPACK factors K, not X.  Above it ARPACK solves it,
+    from a fixed start vector.  With the stiffness's band Cholesky
+    K = U^T U (``Mesh.interior_stiffness_lu``), (X, K) has the eigenvalues
+    of the standard matrix U^{-T} X U^{-1}, and its eigenvectors are
+    x = U^{-1} y for that matrix's y (Golub-Van Loan 8.7), so ARPACK finds
+    the largest eigenvalues of that matrix in its standard mode, on
+    y -> U^{-T} X U^{-1} y (``_PencilOperator``), and needs no inner
+    product in K.  Raises LinAlgError when LAPACK fails and ValueError for
+    a dense pencil with a value that is not finite.
     """
     n = len(mesh.interior)
     if k == n or n <= _DENSE_N:
         X = mesh.interior_pattern_dense(data)
-        if rank_one is not None:
-            r, b = rank_one
-            X = X - b * np.outer(r, r)
         if not np.isfinite(X).all():
             raise ValueError("the pencil's matrix must not contain infs or NaNs")
         K, job = mesh.interior_pattern_dense(mesh.interior_stiffness_data), "V" if vectors else "N"
-        if k == n and not reciprocal:
-            vals, vecs, info = lapack.dsygvd(X, K, jobz=job, overwrite_a=1, overwrite_b=1)
-        else:
-            vals, vecs, m, _, info = lapack.dsygvx(
-                X, K, jobz=job, range="I", il=n - k + 1 if reciprocal else 1,
-                iu=n if reciprocal else k, lwork=int(lapack.dsygvx_lwork(n)[0]),
-                overwrite_a=1, overwrite_b=1)
-            vals, vecs = vals[:m], vecs[:, :m]
+        vals, vecs, m, _, info = lapack.dsygvx(
+            X, K, jobz=job, range="I", il=n - k + 1, iu=n,
+            lwork=int(lapack.dsygvx_lwork(n)[0]), overwrite_a=1, overwrite_b=1)
         if info:
             raise np.linalg.LinAlgError(f"LAPACK's eigensolve of the pencil failed (info {info})")
+        vals, vecs = vals[:m], vecs[:, :m]
     else:
         U = mesh.interior_stiffness_lu.factor
-        out = scipy.sparse.linalg.eigsh(
-            _PencilOperator(mesh, data, rank_one, U), k, which="LA" if reciprocal else "SA",
-            v0=_start_vector(n), return_eigenvectors=vectors)
+        out = scipy.sparse.linalg.eigsh(_PencilOperator(mesh, data, U), k, which="LA",
+                                        v0=_start_vector(n), return_eigenvectors=vectors)
         vals, vecs = out if vectors else (out, None)
         if vectors:
             vecs = lapack.dtbtrs(U, vecs)[0]
-    if reciprocal:
-        order = np.argsort(-vals)
-        vals = 1.0 / vals[order]
-    else:
-        order = np.argsort(vals)
-        vals = vals[order]
+    order = np.argsort(-vals)
+    vals = 1.0 / vals[order]
     return (vals, vecs[:, order]) if vectors else vals
 
 
@@ -250,7 +231,7 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     if k == 0:
         return []
     M = mesh.interior_mass
-    vecs = _lowest(mesh, M.data, k, reciprocal=True, vectors=True)[1]
+    vecs = _lowest(mesh, M.data, k, vectors=True)[1]
     basis = []
     for v in vecs.T:
         mag = np.abs(v)
@@ -665,16 +646,14 @@ class SolveReport:
     peak, ``iterations + 1`` in all (iteration, ray-max energy, residual,
     A(u), K(u)), emitted as CSV.  ``morse_index`` is the
     number of negative eigenvalues of the pencil (J''(u), interior
-    stiffness) at the solution (``_morse``): from the pencil's whole dense
-    spectrum on at most _DENSE_N interior vertices, and above it counted by
-    inertia from a symmetric LU of the sparse part of J'' and cross-checked
-    by ARPACK, in standard mode on the pencil whitened by the stiffness's
-    band Cholesky.  ``lowest_eigenvalues`` holds up to two of its lowest
-    eigenvalues (one on a mesh with one interior vertex); both are None
-    where J'' does not exist (an exponent below 2 at a vanishing gradient on an
-    element with an interior vertex).  The index is reported, not gated on.
-    ``below_ps_ceiling`` is true iff ``energy`` is strictly below the
-    compactness ceiling a^2/(2b).
+    stiffness) at the solution, and ``morse_margin`` its certified margin
+    delta = 1e-6 a: no eigenvalue lies in [-delta, delta), as the counts of
+    eigenvalues below -delta and below +delta agree (``_morse``, by
+    inertia).  Both are None where those counts differ or J'' does not
+    exist (an exponent below 2 at a vanishing gradient on an element with
+    an interior vertex); a point with no eigenvalue below -delta is not
+    reported.  ``below_ps_ceiling`` is true iff ``energy`` is strictly
+    below the compactness ceiling a^2/(2b).
     """
 
     solution: GridFunction
@@ -687,11 +666,12 @@ class SolveReport:
     iteration_trace: list[tuple[int, float, float, float, float]]
     newton_steps: int = 0
     morse_index: int | None = None
-    lowest_eigenvalues: tuple[float, ...] | None = None
+    morse_margin: float | None = None
 
 
-_NEWTON_STEPS = 20  # Newton steps per polish attempt
-_R_TOL = 1e-12      # resolution in r of a ray maximum
+_NEWTON_STEPS = 20    # Newton steps per polish attempt
+_R_TOL = 1e-12        # resolution in r of a ray maximum
+_MORSE_MARGIN = 1e-6  # the Morse index's certified margin delta, relative to a
 
 
 def _ray_max(prob: KirchhoffProblem, nodal: np.ndarray):
@@ -812,47 +792,62 @@ def _inertia_index(mesh: Mesh, data: np.ndarray, dA: np.ndarray, b: float) -> in
     return int(np.count_nonzero(lu.U.diagonal() < 0.0)) + int(schur < 0.0)
 
 
-def _morse(prob: KirchhoffProblem, at: _Point) -> tuple:
-    """(index, up to two lowest eigenvalues) of the pencil (J''(u),
-    stiffness) on the interior vertices at the point ``at``, or (None, None)
-    where J'' does not exist.
+def _dense_inertia(X: np.ndarray) -> int | None:
+    """The number of negative eigenvalues of the symmetric array X, which
+    it overwrites, by inertia from LAPACK's Bunch-Kaufman LDL^T
+    (``dsytrf``; Bunch-Kaufman 1977): X = P L D L^T P^T with D block
+    diagonal, so X has D's inertia (Sylvester).  A 1x1 block counts by its
+    sign; a 2x2 block has a negative determinant, one eigenvalue of each
+    sign, and counts one.  Returns None when D is exactly singular or not
+    finite."""
+    ldl, ipiv, info = lapack.dsytrf(X, lower=1, overwrite_a=1)  # reads the lower triangle
+    d = ldl.diagonal()
+    if info or not np.isfinite(d).all():
+        return None
+    one = ipiv > 0  # a 2x2 block has two equal negative entries
+    return int(np.count_nonzero(d[one] < 0.0)) + int(np.count_nonzero(~one)) // 2
 
+
+def _count(mesh: Mesh, data: np.ndarray, dA: np.ndarray, b: float) -> int | None:
+    """The number of negative eigenvalues of S - b dA dA^T, for the matrix
+    S on the interior pattern of ``mesh`` with pattern data ``data``: on
+    more than _DENSE_N interior vertices from the symmetric SuperLU of S
+    (``_inertia_index``); on at most _DENSE_N, or where that LU gives no
+    count, from the Bunch-Kaufman LDL^T of the dense matrix, the rank-one
+    term included (``_dense_inertia``).  None when neither gives one."""
+    if len(dA) > _DENSE_N:
+        count = _inertia_index(mesh, data, dA, b)
+        if count is not None:
+            return count
+    # the rank-one term on the lower triangle, the one that dsytrf reads
+    X = blas.dsyr(-b, dA, a=mesh.interior_pattern_dense(data), lower=1, overwrite_a=1)
+    return _dense_inertia(X)
+
+
+def _morse(prob: KirchhoffProblem, at: _Point) -> tuple[int | None, int | None]:
+    """The counts of the eigenvalues of the pencil (J''(u), K) below -delta
+    and below +delta at the point ``at``, for K the interior stiffness and
+    delta = _MORSE_MARGIN a, or (None, None) where J'' does not exist.
+
+    K is positive definite, so the eigenvalues below sigma are as many as
+    the negative eigenvalues of J'' - sigma K (Sylvester's law of inertia;
+    spectrum slicing, Parlett, The Symmetric Eigenvalue Problem, ch. 3).
     J'' comes as the pattern data of its sparse part S and the rank-one
-    factor dA (``_hessian_of_elements``), and every eigensolve of its pencil
-    goes through ``_lowest``.  On at most _DENSE_N interior vertices (and
-    always on one or two), LAPACK finds the pencil's whole spectrum, and
-    the index is the number of negative eigenvalues.  Above it, the
-    stiffness being positive definite, the index is the number of negative
-    eigenvalues of J'' itself, which ``_inertia_index`` counts from one
-    symmetric LU of S's data.  One ARPACK call then finds the two lowest
-    eigenvalues, and the number of negatives among them must equal
-    min(index, 2).  When the inertia is unavailable or that cross-check
-    fails, ARPACK finds the k lowest eigenvalues, k = 2, 4, 8, ... until one
-    is nonnegative; it finds at most n - 1 of n, so when all of those are
-    negative the largest eigenvalue decides the last: the negative of the
-    lowest of (-J''(u), stiffness).
+    factor dA (``_hessian_of_elements``), and K's pattern data lie on S's
+    pattern, so the counts are ``_count`` of S + delta K and of
+    S - delta K, with the rank-one term.  When the two counts agree, they
+    are the Morse index and no eigenvalue lies in [-delta, delta).  No
+    eigensolve is made.  A count is None when neither factorization gives
+    it (``_count``).
     """
     try:
         data, dA = _kirchhoff_hessian(prob, at)
     except DomainError:
         return None, None
-    n, mesh, b = len(dA), prob.mesh, prob.b
-    if n <= max(_DENSE_N, 2):  # ARPACK needs k = 2 < n
-        vals = _lowest(mesh, data, n, (dA, b))
-        return int(np.count_nonzero(vals < 0.0)), tuple(float(v) for v in vals[:2])
-    k = 2
-    vals = _lowest(mesh, data, k, (dA, b))
-    index = _inertia_index(mesh, data, dA, b)
-    if index is not None and np.count_nonzero(vals < 0.0) == min(index, 2):
-        return index, tuple(float(v) for v in vals)
-    while vals[-1] < 0.0 and k < n - 1:
-        k = min(2 * k, n - 1)
-        vals = _lowest(mesh, data, k, (dA, b))
-    index = int(np.sum(vals < 0.0))
-    if index == n - 1:
-        vals = np.append(vals, -_lowest(mesh, -data, 1, (dA, -b)))
-        index += int(vals[-1] < 0.0)
-    return index, tuple(float(v) for v in vals[:2])
+    mesh, delta = prob.mesh, _MORSE_MARGIN * prob.a
+    K = mesh.interior_stiffness_data
+    return (_count(mesh, data + delta * K, dA, prob.b),
+            _count(mesh, data - delta * K, dA, prob.b))
 
 
 def mountain_pass_solve(
@@ -888,8 +883,10 @@ def mountain_pass_solve(
     (or 1, if smaller).
     ``iterations`` counts these steps and ``newton_steps`` the accepted
     Newton steps; the trace holds one row per peak.  The solution's Morse
-    index is computed last (``_morse``), and a point of index 0 is not
-    reported (index None, where J'' does not exist, is).
+    counts are made last (``_morse``), and a point with no eigenvalue of
+    (J'', K) below -delta, whose index is 0 or within the margin of it, is
+    not reported (index None, where J'' does not exist or the counts at
+    -delta and +delta differ, is).
 
     ``energy_J`` is called once, at e.  A ray and a peak are each gathered
     once (``_energy_ray``, ``_point``), and the Newton polish starts from
@@ -903,10 +900,11 @@ def mountain_pass_solve(
     ratio of r d(lambda B + I(G))/dr to r dA/dr, which is positive when
     lambda >= 0 and g != 0: a degenerate peak needs lambda < 0 or g = 0.
     Raises GeometryNotFound when J has no maximum on e's ray or the point
-    found has Morse index 0 (near lambda = lambda_p the first peak can be a
-    point next to u = 0 whose residual already passes ``tol``), MaxIterations
-    if the step or line-search budget runs out, and DomainError for a
-    negative ``max_iter`` or a ``tol`` that is not finite and positive.
+    found has no eigenvalue below -delta (near lambda = lambda_p the first
+    peak can be a point next to u = 0 whose residual already passes
+    ``tol``), MaxIterations if the step or line-search budget runs out, and
+    DomainError for a negative ``max_iter`` or a ``tol`` that is not finite
+    and positive.
     """
     prob.require_valid_chain()
     if not 0.0 < tol < np.inf:
@@ -923,14 +921,16 @@ def mountain_pass_solve(
     newton_from, newton_steps = np.inf, 0
 
     def report(point, energy, res, K, steps):
-        morse_index, lowest = _morse(prob, point)
-        if morse_index == 0:
+        below, upto = _morse(prob, point)
+        delta = _MORSE_MARGIN * prob.a
+        if below == 0:
             raise GeometryNotFound(
                 f"the critical point found (J = {energy:.6g}, max|u| = "
-                f"{np.max(np.abs(point.nodal)):.3g}) has Morse index 0: J'' has no "
-                "negative direction there, so it is no mountain-pass point (one where J'' "
-                "is nondegenerate has index 1)"
+                f"{np.max(np.abs(point.nodal)):.3g}) has Morse index 0: the pencil (J'', "
+                f"stiffness) has no eigenvalue below -{delta:.3g} there, so it is no "
+                "mountain-pass point (one where J'' is nondegenerate has index 1)"
             )
+        index = below if below == upto else None
         return SolveReport(
             solution=GridFunction(mesh, point.nodal),
             energy=energy,
@@ -941,8 +941,8 @@ def mountain_pass_solve(
             path_energies=path_energies,
             iteration_trace=trace,
             newton_steps=newton_steps,
-            morse_index=morse_index,
-            lowest_eigenvalues=lowest,
+            morse_index=index,
+            morse_margin=None if index is None else delta,
         )
 
     peak = _ray_max(prob, e.nodal_values)

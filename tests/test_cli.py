@@ -436,8 +436,7 @@ def test_solve_report_lists_newton_steps_and_morse_index(tmp_path, capsys):
                   (tmp_path / "report.txt").read_text().splitlines() if ": " in line)
     assert int(fields["newton_steps"]) > 0
     assert fields["morse_index"] == "1"
-    lowest = [float(v) for v in fields["lowest_eigenvalues"].split()]
-    assert len(lowest) == 2 and lowest[0] < 0.0 < lowest[1]
+    assert float(fields["morse_margin"]) == 1e-6  # delta = 1e-6 a, a = 1
     # iterations.csv keeps one row per ray peak, Newton steps add none
     rows = (tmp_path / "iterations.csv").read_text().splitlines()
     assert len(rows) == 1 + int(fields["iterations"]) + 1

@@ -1125,8 +1125,9 @@ def test_solve_certificate_is_bitwise_the_nodal_functions():
     assert rep.residual_norm == float(np.linalg.norm(gradient_J(u, prob).nodal_values[idx]))
     assert rep.nonlocal_coefficient == prob.a - prob.b * kirchhoff_A(u, prob.p)
     assert rep.energy == energy_J(u, prob)
-    assert (rep.morse_index, rep.lowest_eigenvalues) == solver._morse(
-        prob, _point(prob.mesh, u.nodal_values))
+    index = rep.morse_index
+    assert solver._morse(prob, _point(prob.mesh, u.nodal_values)) == (index, index)
+    assert rep.morse_margin == solver._MORSE_MARGIN * prob.a
 
 
 def test_newton_polish_gathers_once_per_trial(monkeypatch):
@@ -1412,43 +1413,62 @@ def _count_eigsh(monkeypatch):
     return calls
 
 
-# The cutoff 0 sends every pencil on three or more interior vertices to
-# ARPACK; the real cutoff sends the small meshes of these tests to LAPACK.
+def _count_dsytrf(monkeypatch):
+    """Wrap LAPACK's dsytrf; the list collects the order of each LDL^T."""
+    calls, dsytrf = [], scipy.linalg.lapack.dsytrf
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return dsytrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", counted)
+    return calls
+
+
+# The cutoff 0 sends every pencil to ARPACK; the real cutoff sends the small
+# meshes of these tests to LAPACK.
 ROUTES = (("arpack", 0), ("dense", solver._DENSE_N))
+
+# The cutoff 0 makes every Morse count from the symmetric SuperLU; the real
+# cutoff makes those of the small meshes of these tests from the dense LDL^T.
+COUNT_ROUTES = (("superlu", 0), ("dense", solver._DENSE_N))
 
 
 def _morse_on_both_routes(monkeypatch, prob, u) -> dict:
-    """solver._morse at u on each route, by route name; the dense route
-    makes no ARPACK call and the ARPACK route at least one."""
+    """solver._morse at u on each count route, by route name: the dense
+    route factors both shifted matrices by dsytrf, the SuperLU route
+    neither, and no route makes an eigensolve."""
     at = _point(prob.mesh, u.nodal_values)
     out = {}
-    for route, cutoff in ROUTES:
+    for route, cutoff in COUNT_ROUTES:
         monkeypatch.setattr(solver, "_DENSE_N", cutoff)
-        calls = _count_eigsh(monkeypatch)
+        calls, ldls = _count_eigsh(monkeypatch), _count_dsytrf(monkeypatch)
         out[route] = solver._morse(prob, at)
-        assert (len(calls) > 0) == (route == "arpack")
+        assert calls == [] and len(ldls) == (2 if route == "dense" else 0)
         monkeypatch.undo()
     return out
 
 
-def _check_morse_on_both_routes(monkeypatch, prob, rep, ref):
-    """Each route gives the solve's index and the oracle's two lowest
-    eigenvalues; the solve, on these small meshes, took the dense route."""
-    routes = _morse_on_both_routes(monkeypatch, prob, rep.solution)
-    assert routes["dense"] == (rep.morse_index, rep.lowest_eigenvalues)
-    for index, lowest in routes.values():
-        assert index == rep.morse_index
-        assert lowest == pytest.approx(ref[:2], abs=1e-6)
+def _check_morse(monkeypatch, prob, rep, ref):
+    """The solve's index is the oracle's count of negative eigenvalues, no
+    oracle eigenvalue lies within the margin delta of 0, and both count
+    routes give the index at -delta and at +delta; the solve, on these
+    small meshes, took the dense route."""
+    delta = solver._MORSE_MARGIN * prob.a
+    assert rep.morse_margin == delta
+    assert rep.morse_index == int(np.sum(ref < 0.0))
+    assert not np.any(np.abs(ref) <= delta)
+    index = rep.morse_index
+    assert _morse_on_both_routes(monkeypatch, prob, rep.solution) == {
+        "superlu": (index, index), "dense": (index, index)}
 
 
 def test_morse_index_1d_model(model_solution, monkeypatch):
     prob, _, rep = model_solution
     assert rep.morse_index == 1
-    low, second = rep.lowest_eigenvalues
-    assert low < 0.0 < second
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
-    _check_morse_on_both_routes(monkeypatch, prob, rep, ref)
+    _check_morse(monkeypatch, prob, rep, ref)
 
 
 @pytest.mark.parametrize("n", [24, 25])
@@ -1460,7 +1480,7 @@ def test_morse_index_on_even_and_odd_meshes(n, monkeypatch):
     rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
-    _check_morse_on_both_routes(monkeypatch, prob, rep, ref)
+    _check_morse(monkeypatch, prob, rep, ref)
 
 
 def test_morse_index_2d(monkeypatch):
@@ -1475,7 +1495,7 @@ def test_morse_index_2d(monkeypatch):
     assert rep.morse_index == 1
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert _inertia(prob, rep.solution) == int(np.sum(ref < 0.0))
-    _check_morse_on_both_routes(monkeypatch, prob, rep, ref)
+    _check_morse(monkeypatch, prob, rep, ref)
 
 
 @pytest.fixture(scope="module")
@@ -1488,23 +1508,12 @@ def index_three_orbit():
 
 
 def test_morse_index_counts_every_negative_eigenvalue(index_three_orbit, monkeypatch):
-    # on the ARPACK route the index comes from inertia and one ARPACK call
-    # for the two lowest eigenvalues, which the index-3 orbit has both
-    # negative; the dense route counts the whole spectrum with no ARPACK call
+    # each count route finds all three negative eigenvalues of the index-3
+    # orbit, at -delta and at +delta
     prob, rep = index_three_orbit
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 3
-    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
-    at = _point(prob.mesh, rep.solution.nodal_values)
-    for route, cutoff in ROUTES:
-        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
-        calls = _count_eigsh(monkeypatch)
-        index, lowest = solver._morse(prob, at)
-        assert index == 3
-        assert lowest == pytest.approx(ref[:2], abs=1e-6)
-        assert calls == ([2] if route == "arpack" else [])
-        monkeypatch.undo()
-    assert solver._morse(prob, at) == (3, rep.lowest_eigenvalues)
+    _check_morse(monkeypatch, prob, rep, ref)
 
 
 def test_inertia_counts_the_rank_one_term(monkeypatch):
@@ -1523,7 +1532,7 @@ def test_inertia_counts_the_rank_one_term(monkeypatch):
         dense = np.linalg.eigvalsh(S.toarray() - prob.b * np.outer(dA, dA))
         assert solver._inertia_index(mesh, S.data, dA, prob.b) == int(np.sum(dense < 0.0)) == index
         routes = _morse_on_both_routes(monkeypatch, prob, u)
-        assert [route[0] for route in routes.values()] == [index, index]
+        assert routes == {"superlu": (index, index), "dense": (index, index)}
 
 
 def test_inertia_matches_a_dense_count_at_random_points():
@@ -1577,11 +1586,11 @@ def test_inertia_on_a_reused_and_a_fresh_mesh_matches_the_dense_count(dim):
     assert len(counts) >= 2
 
 
-def test_newton_steps_take_one_band_lu_each_and_the_inertia_one_splu(monkeypatch):
+def test_newton_steps_take_one_band_lu_each_and_each_morse_count_one_splu(monkeypatch):
     # a solve on the mesh wider than any benchmark mesh and on the mp2d mesh
     # (both over _DENSE_N interior vertices): every Newton step factors J''
-    # by one band LU, and only the Morse inertia orders the pattern, by
-    # minimum degree in one SuperLU of the matrix on it
+    # by one band LU, and only the two Morse counts order the pattern, each
+    # by minimum degree in one SuperLU of the shifted matrix on it
     square = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, square), theta=3.2)
     for prob in (wide_problem(ny=4, lam=0.0),
@@ -1608,7 +1617,7 @@ def test_newton_steps_take_one_band_lu_each_and_the_inertia_one_splu(monkeypatch
         monkeypatch.undo()
         assert rep.morse_index == 1 and rep.newton_steps >= 2
         assert len(band_lus) == rep.newton_steps
-        assert specs == ["MMD_AT_PLUS_A"]
+        assert specs == ["MMD_AT_PLUS_A"] * 2
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1646,45 +1655,108 @@ class _OffDiagonalLU:
         return getattr(self.lu, name)
 
 
-def test_morse_falls_back_to_doubling_without_a_symmetric_lu(index_three_orbit, monkeypatch):
+def test_morse_falls_back_to_the_dense_count_without_a_symmetric_lu(index_three_orbit,
+                                                                   monkeypatch):
+    # with the cutoff 0 every count asks SuperLU for the inertia; where it
+    # gives none, each count is the dense LDL^T's
     prob, rep = index_three_orbit
     at = _point(prob.mesh, rep.solution.nodal_values)
-    calls = _count_eigsh(monkeypatch)
-    monkeypatch.setattr(solver, "_inertia_index", lambda *args: None)
-    dense = solver._morse(prob, at)  # the dense route never asks for inertia
-    assert dense == (3, rep.lowest_eigenvalues) and calls == []
     monkeypatch.setattr(solver, "_DENSE_N", 0)
-    doubling = solver._morse(prob, at)
-    assert doubling[0] == 3 and calls == [2, 4]
-    assert doubling[1] == pytest.approx(dense[1], abs=1e-10)
+    monkeypatch.setattr(solver, "_inertia_index", lambda *args: None)
+    ldls = _count_dsytrf(monkeypatch)
+    assert solver._morse(prob, at) == (3, 3) and ldls == [11, 11]
     monkeypatch.undo()
 
+    # a SuperLU that pivots off its diagonal carries no inertia
     monkeypatch.setattr(solver, "_DENSE_N", 0)
     monkeypatch.setattr(discretization, "_splu", lambda *args: _OffDiagonalLU(_splu(*args)))
     S, dA = hessian_J(rep.solution, prob)
     assert solver._inertia_index(prob.mesh, S.data, dA, prob.b) is None
-    assert solver._morse(prob, at) == doubling
-    # an index that the eigenvalues contradict is not reported either
-    monkeypatch.setattr(solver, "_inertia_index", lambda *args: 1)
-    assert solver._morse(prob, at) == doubling
+    ldls = _count_dsytrf(monkeypatch)
+    assert solver._morse(prob, at) == (3, 3) and ldls == [11, 11]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_morse_index_with_one_or_two_interior_vertices(n, monkeypatch):
-    # ARPACK needs more than two interior vertices, so one or two take the
-    # dense route even where the cutoff sends every other mesh to ARPACK
+    # both count routes work on one or two interior vertices
     prob = model_problem(n=n)
     geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
     rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
     ref = _dense_pencil_eigenvalues(prob, rep.solution)
     assert rep.morse_index == _inertia(prob, rep.solution) == int(np.sum(ref < 0.0)) == 1
-    assert len(rep.lowest_eigenvalues) == min(n - 1, 2)
-    assert rep.lowest_eigenvalues == pytest.approx(ref[:2], abs=1e-6)
-    monkeypatch.setattr(solver, "_DENSE_N", 0)
-    calls = _count_eigsh(monkeypatch)
-    assert solver._morse(prob, _point(prob.mesh, rep.solution.nodal_values)) == (
-        rep.morse_index, rep.lowest_eigenvalues)
-    assert calls == []
+    _check_morse(monkeypatch, prob, rep, ref)
+
+
+def test_dense_inertia_counts_a_two_by_two_pivot():
+    # the zero diagonal of [[0, 1], [1, 0]] makes Bunch-Kaufman take a 2x2
+    # pivot, which holds one negative eigenvalue; bordered, the count still
+    # equals eigvalsh's
+    rng = np.random.default_rng(5)
+    counts = set()
+    for d in (-3.0, -0.5, 0.5, 3.0):
+        X = np.zeros((4, 4))
+        X[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        X[2:, :2] = 0.1 * rng.standard_normal((2, 2))
+        X[:2, 2:] = X[2:, :2].T
+        X[2:, 2:] = np.diag([d, 2.0 * d])
+        _, ipiv, _ = scipy.linalg.lapack.dsytrf(X, lower=1)
+        assert np.count_nonzero(ipiv < 0) >= 2  # a 2x2 block
+        count = solver._dense_inertia(X.copy())
+        assert count == int(np.sum(np.linalg.eigvalsh(X) < 0.0))
+        counts.add(count)
+    assert counts == {1, 3}
+    assert solver._dense_inertia(np.zeros((2, 2))) is None  # D exactly singular
+
+
+@pytest.mark.parametrize("cutoff", [0, solver._DENSE_N, sys.maxsize])
+def test_morse_makes_no_eigensolve(cutoff, monkeypatch):
+    # on every mesh and route the counts at -delta and +delta are those of
+    # the dense pencil's eigenvalues, and no eigensolve is made
+    rng = np.random.default_rng(8)
+    for mesh in (build_interval_mesh(2, 0.0, 1.0), build_interval_mesh(30, 0.0, 1.0),
+                 build_interval_mesh(200, 0.0, 1.0),
+                 build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0))),
+                 build_rect_mesh(14, 14, ((0.0, 0.0), (1.0, 1.0)))):
+        p = build_exponent_field(2.1 + 0.3 * mesh.element_centroids[:, 0], mesh)
+        spec = NonlinearitySpec("pure_power", constant_exponent(5.0, mesh))
+        prob = KirchhoffProblem(1.0, 0.1, 2.0, p, spec, mesh)
+        basis = np.array([b.nodal_values for b in laplace_eigenbasis(mesh, 1)])
+        nodal = rng.uniform(0.5, 2.0) * basis[0] + 0.1 * rng.standard_normal(mesh.n_vertices)
+        nodal[mesh.boundary_mask] = 0.0
+        monkeypatch.setattr(solver, "_DENSE_N", cutoff)
+        calls = _count_eigsh(monkeypatch)
+        for name in ("dsygvd", "dsygvx"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, lambda *args, **kwargs: pytest.fail())
+        counts = solver._morse(prob, _point(mesh, nodal))
+        monkeypatch.undo()
+        assert calls == []
+        S, dA = hessian_J(GridFunction(mesh, nodal), prob)
+        K = mesh.interior_pattern_dense(mesh.interior_stiffness_data)
+        mu = scipy.linalg.eigh(S.toarray() - prob.b * np.outer(dA, dA), K, eigvals_only=True)
+        delta = solver._MORSE_MARGIN * prob.a
+        assert counts == (int(np.sum(mu < -delta)), int(np.sum(mu < delta)))
+
+
+def test_counts_that_differ_at_the_margin_give_no_index(monkeypatch):
+    # at u = 0, p = 2 and lambda = a mu_1, mu_1 the first eigenvalue of
+    # (K, M), the pencil (J''(0), K) = (a K - lambda M, K) has the eigenvalue
+    # a - lambda / mu_1 = 0 up to rounding: one count below +delta, none
+    # below -delta
+    mesh = build_interval_mesh(30, 0.0, 1.0)
+    mu1 = solver._lowest(mesh, mesh.interior_mass.data, 1)[0]
+    spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, mu1, constant_exponent(2.0, mesh), spec, mesh)
+    assert solver._morse(prob, _point(mesh, np.zeros(mesh.n_vertices))) == (0, 1)
+    # a solve whose counts differ reports neither an index nor a margin; one
+    # with no count below -delta reports no point
+    model = model_problem(n=24)
+    e = find_negative_energy_point(model, tent_on(model.mesh))
+    monkeypatch.setattr(solver, "_morse", lambda *args: (1, 2))
+    rep = mountain_pass_solve(model, e, tol=1e-6)
+    assert rep.morse_index is None and rep.morse_margin is None
+    monkeypatch.setattr(solver, "_morse", lambda *args: (0, 1))
+    with pytest.raises(GeometryNotFound, match="has Morse index 0"):
+        mountain_pass_solve(model, e, tol=1e-6)
 
 
 def test_morse_index_is_none_where_the_hessian_does_not_exist():
@@ -2006,7 +2078,7 @@ def test_dense_eigenbasis_matches_the_exact_eigenvalues(monkeypatch):
         w *= np.sign(w[np.argmax(np.abs(w) >= (1.0 - 1e-8) * np.abs(w).max())])
         w /= np.sqrt(w @ (M @ w))
         assert np.max(np.abs(u.nodal_values[idx] - w)) <= 1e-12 * np.max(np.abs(w))
-    vals = solver._lowest(mesh, M.data, 4, reciprocal=True)
+    vals = solver._lowest(mesh, M.data, 4)
     assert calls == []
     exact = 4.0 / h**2 * np.tan(np.arange(1, 5) * np.pi * h / 2.0) ** 2
     assert np.max(np.abs(vals - exact) / exact) <= 1e-13
@@ -2023,15 +2095,13 @@ def test_pencil_operator_is_bitwise_the_sparse_products(mesh):
     prob = KirchhoffProblem(1.0, 0.1, 2.0, p, spec, mesh)
     rng = np.random.default_rng(7)
     basis = np.array([b.nodal_values for b in laplace_eigenbasis(mesh, 4)])
-    data, dA = solver._kirchhoff_hessian(prob, _point(mesh, rng.standard_normal(4) @ basis))
-    S, U = mesh.interior_pattern_matrix(data), mesh.interior_stiffness_lu.factor
+    data = solver._kirchhoff_hessian(prob, _point(mesh, rng.standard_normal(4) @ basis))[0]
+    U = mesh.interior_stiffness_lu.factor
     y = rng.standard_normal(len(mesh.interior))
     x = scipy.linalg.lapack.dtbtrs(U, y)[0]
-    whitened = scipy.linalg.lapack.dtbtrs(U, S @ x - prob.b * dA * (dA @ x), trans="T")[0]
-    assert np.array_equal(solver._PencilOperator(mesh, data, (dA, prob.b), U) @ y, whitened)
-    M = mesh.interior_mass
-    whitened = scipy.linalg.lapack.dtbtrs(U, M @ x, trans="T")[0]
-    assert np.array_equal(solver._PencilOperator(mesh, M.data, None, U) @ y, whitened)
+    for S in (mesh.interior_pattern_matrix(data), mesh.interior_mass):
+        whitened = scipy.linalg.lapack.dtbtrs(U, S @ x, trans="T")[0]
+        assert np.array_equal(solver._PencilOperator(mesh, S.data, U) @ y, whitened)
 
 
 def test_eigenbasis_2d_near_degenerate_modes_by_span(monkeypatch):
@@ -2055,23 +2125,22 @@ def test_eigenbasis_2d_near_degenerate_modes_by_span(monkeypatch):
 
 
 def test_routes_agree_at_the_cutoff(monkeypatch):
-    # a 1-D mesh with _DENSE_N interior vertices takes the dense route and
-    # one with _DENSE_N + 1 the ARPACK route; the other route, forced, gives
-    # the same Morse index and eigenvalues and the same eigenbasis
+    # a 1-D mesh with _DENSE_N interior vertices takes the dense routes and
+    # one with _DENSE_N + 1 the ARPACK eigenbasis and the SuperLU counts;
+    # the other routes, forced, give the same Morse counts and eigenbasis
     for n, real in ((solver._DENSE_N, "dense"), (solver._DENSE_N + 1, "arpack")):
         prob = model_problem(n=n + 1)
         geo = verify_mountain_geometry(prob, RHO_GRID, 20, seed=0)
         rep = mountain_pass_solve(prob, geo.negative_point, tol=1e-6)
         at = _point(prob.mesh, rep.solution.nodal_values)
-        calls = _count_eigsh(monkeypatch)
+        calls, ldls = _count_eigsh(monkeypatch), _count_dsytrf(monkeypatch)
         morse, basis = solver._morse(prob, at), laplace_eigenbasis(prob.mesh, 4)
-        assert (len(calls) > 0) == (real == "arpack")
-        assert (rep.morse_index, rep.lowest_eigenvalues) == morse
+        assert (len(calls) > 0) == (len(ldls) == 0) == (real == "arpack")
+        assert morse == (rep.morse_index, rep.morse_index) == (1, 1)
         monkeypatch.setattr(solver, "_DENSE_N", n if real == "arpack" else 0)
         other, other_basis = solver._morse(prob, at), laplace_eigenbasis(prob.mesh, 4)
         monkeypatch.undo()
-        assert morse[0] == other[0] == 1
-        assert morse[1] == pytest.approx(other[1], rel=0.0, abs=1e-10)
+        assert other == morse
         for u, v in zip(basis, other_basis):
             u, v = u.nodal_values, v.nodal_values
             assert min(np.max(np.abs(u - s * v)) for s in (1, -1)) <= 1e-10
@@ -2102,20 +2171,23 @@ def band_solution(request):
 
 
 def test_whitened_route_agrees_with_the_dense_route(band_solution, monkeypatch):
-    # at every bandwidth the sparse eigensolves run ARPACK in standard mode
-    # on U^{-T} X U^{-1}, K = U^T U, with neither a mass matrix nor a shift;
-    # the dense route, forced, gives the same Morse index, eigenvalues and
-    # eigenbasis
+    # at every bandwidth the eigenbasis runs ARPACK in standard mode on
+    # U^{-T} M U^{-1}, K = U^T U, with neither a mass matrix nor a shift, and
+    # the Morse counts make no eigensolve; the dense routes, forced, give
+    # the same Morse counts, which the oracle's eigenvalues confirm, and the
+    # same eigenbasis
     prob, at = band_solution
     mesh, idx = prob.mesh, prob.mesh.interior
     calls = _eigsh_arguments(monkeypatch)
     morse, basis = solver._morse(prob, at), laplace_eigenbasis(mesh, 3)
-    assert calls == [(None, None), (None, None)]
+    assert calls == [(None, None)]
     monkeypatch.setattr(solver, "_DENSE_N", len(idx))
     dense_morse, dense_basis = solver._morse(prob, at), laplace_eigenbasis(mesh, 3)
-    assert len(calls) == 2
-    assert morse[0] == dense_morse[0] == 1
-    assert morse[1] == pytest.approx(dense_morse[1], rel=1e-12)
+    assert len(calls) == 1
+    assert morse == dense_morse == (1, 1)
+    ref = _dense_pencil_eigenvalues(prob, GridFunction(mesh, at.nodal))
+    assert int(np.sum(ref < 0.0)) == 1
+    assert not np.any(np.abs(ref) <= solver._MORSE_MARGIN * prob.a)
     K = mesh.interior_pattern_matrix(mesh.interior_stiffness_data)
     V, W = ([b.nodal_values[idx] for b in vs] for vs in (basis, dense_basis))
     for v, w in zip(V, W):
