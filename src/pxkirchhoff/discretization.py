@@ -5,18 +5,17 @@ Only this module knows the P1 format.  The gradient map ``Dg`` and the
 centroid map ``C`` take nodal values to element gradients and centroid
 values; derivatives of element integrals are their adjoint products, which,
 like the gathers, call scipy's CSR kernel directly (``_ElementMap``).  Second
-derivatives are sums of (d+1) x (d+1) element blocks, which ``BlockPattern``
-scatters into one fixed sparse pattern on the interior vertices, and so are
-the two constant operators, the p = 2 stiffness Dg^T diag(meas) Dg and the
-mass C^T diag(meas) C (``Mesh.interior_stiffness_data``,
-``Mesh.interior_mass``): their element terms are added in the order of the
-operator products, whose values they reproduce bit for bit.  A matrix on
+derivatives are sums of (d+1) x (d+1) element blocks, which one scatter,
+``BlockPattern.scatter``, adds into one fixed sparse pattern on the
+interior vertices, and so are the two constant operators, the p = 2
+stiffness Dg^T diag(meas) Dg and the mass C^T diag(meas) C
+(``Mesh.interior_stiffness_data``, ``Mesh.interior_mass``).  A matrix on
 that pattern is passed around as its data; ``Mesh.interior_pattern_matrix``
 builds the CSC matrix only where one is used, on the pattern's read-only
 index arrays, and a dense array (``Mesh.interior_pattern_dense``) straight
 from the data.  A mesh caches its derived data and operators on first use:
-the Gram blocks of its hat gradients (``Mesh.hat_gram``), which every second
-derivative adds, and the factor of its interior stiffness among them, so
+the Gram blocks of its hat gradients (``Mesh.hat_gram``), which every
+Hessian adds, and the factor of its interior stiffness among them, so
 its arrays must not be modified after construction.
 
 Three factors, one per job, each the same on every mesh: the stiffness
@@ -40,7 +39,7 @@ import scipy.sparse.linalg
 from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "Mesh",
@@ -62,15 +61,15 @@ class BlockPattern(NamedTuple):
     (d+1, d+1, n_elements): entry (i, j, e) couples the local vertices i and
     j of element e.  ``keep`` flags, over that stack flattened, the entries
     whose vertices are both interior, and ``slot[k]`` is the data index of
-    the k-th kept entry, so the matrix data is
-    ``np.bincount(slot, blocks.ravel()[keep], nnz)``.  ``indptr`` and
-    ``indices`` are sorted CSR arrays over the interior numbering of
-    ``Mesh.interior``; the pattern is symmetric.  ``live`` flags the
-    elements with at least one interior vertex: the others have no kept
-    entry, and a function with zero trace vanishes on them.  The arrays are
-    read-only: every matrix on the pattern shares ``indptr`` and
-    ``indices``, so an in-place change of one matrix's structure (such as
-    ``eliminate_zeros``) raises instead of rewriting the pattern.
+    the k-th kept entry, so ``scatter`` adds a stack into the matrix data
+    with one ``np.bincount``.  ``indptr`` and ``indices`` are sorted CSR
+    arrays over the interior numbering of ``Mesh.interior``; the pattern is
+    symmetric.  ``live`` flags the elements with at least one interior
+    vertex: the others have no kept entry, and a function with zero trace
+    vanishes on them.  The arrays are read-only: every matrix on the
+    pattern shares ``indptr`` and ``indices``, so an in-place change of one
+    matrix's structure (such as ``eliminate_zeros``) raises instead of
+    rewriting the pattern.
     """
 
     keep: np.ndarray     # ((d+1)^2 * n_elements,) bool
@@ -78,6 +77,13 @@ class BlockPattern(NamedTuple):
     indptr: np.ndarray   # (n_interior + 1,)
     indices: np.ndarray  # (nnz,)
     live: np.ndarray     # (n_elements,) bool
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """The pattern data of the sum of the element-last stack ``blocks``,
+        (d+1, d+1, n_elements): every kept entry added into its slot.  The
+        only scatter of element blocks: the stiffness, the mass and every
+        Hessian go through it."""
+        return np.bincount(self.slot, blocks.ravel()[self.keep], len(self.indices))
 
 
 class _ElementMap(scipy.sparse.csr_matrix):
@@ -224,7 +230,7 @@ class Mesh:
         slot = ranked
         slot[order] = keys
         indptr = np.zeros(n + 1, dtype=np.int32)  # scipy's own index type
-        np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
+        indptr[1:] = np.searchsorted(unique, n * np.arange(1, n + 1))  # keys before row r + 1
         pattern = BlockPattern(keep, slot, indptr, (unique % n).astype(np.int32),
                                (local >= 0).any(axis=0))
         for array in pattern:  # shared by every matrix on the pattern
@@ -277,37 +283,18 @@ class Mesh:
         """C^T as its own CSR matrix, so adjoint products build no transpose."""
         return _ElementMap(self.centroid_map.T.tocsr())
 
-    def _sum_in_element_order(self, terms: np.ndarray) -> np.ndarray:
-        """The pattern data of a sum of element terms: ``terms`` has shape
-        (n_elements, m, (d+1)^2), elements in decreasing order, and its term
-        (e, k, i (d+1) + j) belongs to the block entry (i, j) of its element.
-        The terms of each entry are added one by one in that order
-        (``np.add.at``, into the slots of ``interior_pattern``), the order
-        of scipy's operator products, whose first product leaves its rows
-        reversed.  The slots are int32, which ``np.add.at`` reads without
-        the intp copy that ``np.bincount`` makes."""
-        pattern, nloc = self.interior_pattern, self.dimension + 1
-        nnz = len(pattern.indices)
-        slots = np.full(pattern.keep.shape, nnz, dtype=np.int32)  # nnz: a boundary vertex
-        slots[pattern.keep] = pattern.slot
-        slots = slots.reshape(nloc * nloc, self.n_elements).T[::-1]
-        data = np.zeros(nnz + 1)
-        np.add.at(data, np.repeat(slots[:, None], terms.shape[1], axis=1).ravel(),
-                  terms.ravel())
-        return data[:nnz]
-
     @cached_property
     def interior_stiffness_data(self) -> np.ndarray:
         """The pattern data of the interior stiffness Dg^T diag(meas) Dg, on
-        ``interior_pattern``, exact zeros included:
-        entry (r, c) read as CSC sums the terms (g_r meas) g_c over the
-        elements and gradient components it couples, in decreasing
-        (element, component) order, so it is bitwise the entry of the
-        operator product (``_sum_in_element_order``)."""
-        G = self.hat_gradients[::-1, ::-1]  # elements and components decreasing
-        # term (e, k, i, j) lands at CSC row j, column i: (g_j meas) g_i
-        terms = G[:, :, :, None] * (G * self.element_measures[::-1, None, None])[:, :, None]
-        return self._sum_in_element_order(terms)
+        ``interior_pattern``, exact zeros included: the blocks
+        (g_i meas) . g_j of the hat gradients g_i of each element, summed
+        over the gradient components as the operator product sums them, and
+        scattered (``BlockPattern.scatter``).  In 1-D the entries are
+        bitwise those of the operator product; in 2-D only the order in
+        which the element terms are added differs."""
+        G = self.hat_gradients.transpose(1, 2, 0)
+        return self.interior_pattern.scatter(
+            np.einsum("kie,kje->ije", G * self.element_measures, G))
 
     @cached_property
     def interior_stiffness_lu(self) -> "_BandCholesky":
@@ -371,14 +358,14 @@ class Mesh:
     def interior_mass(self) -> scipy.sparse.csc_matrix:
         """The centroid-quadrature mass C^T diag(meas) C on the interior
         vertices, on ``interior_pattern``: every element adds the term
-        (c meas) c, c = 1/(d + 1), to each entry it couples, in decreasing
-        element order, so the entries are bitwise those of the operator
-        product (``_sum_in_element_order``)."""
+        (c meas) c, c = 1/(d + 1), to each entry it couples
+        (``BlockPattern.scatter``).  In 1-D the entries are bitwise those of
+        the operator product; in 2-D only the order in which the element
+        terms are added differs."""
         nloc = self.dimension + 1
         c = 1.0 / nloc
-        terms = (c * self.element_measures[::-1] * c)[:, None, None]
-        return self.interior_pattern_matrix(self._sum_in_element_order(
-            np.broadcast_to(terms, (self.n_elements, 1, nloc * nloc))))
+        blocks = np.broadcast_to(c * self.element_measures * c, (nloc, nloc, self.n_elements))
+        return self.interior_pattern_matrix(self.interior_pattern.scatter(blocks))
 
 
 # SuperLU's supernode relaxation and panel size, in columns, for its LU in
@@ -508,6 +495,9 @@ class GridFunction:
     Construction copies the values and zeroes the flagged vertices, so raw
     nodal data can be wrapped directly; the copy is read-only and the
     instance frozen, so the trace stays zero and consumers need not check.
+    Raises DomainError when a value it keeps is not finite (NaN or inf on
+    a flagged vertex is zeroed first), so a non-finite point never reaches
+    the energy or the solvers.
     """
 
     mesh: Mesh
@@ -520,6 +510,8 @@ class GridFunction:
                 f"expected {self.mesh.n_vertices} nodal values, got {values.shape}"
             )
         values[self.mesh.boundary_mask] = 0.0
+        if not np.isfinite(values).all():
+            raise DomainError("nodal values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "nodal_values", values)
 

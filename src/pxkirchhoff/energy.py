@@ -381,7 +381,7 @@ def _hessian_of_elements(mesh: Mesh, p: ExponentField, at: _Point, K: float,
 
     with G the element's hat gradients (``Mesh.hat_gradients``), whose Gram
     part G^T G is the mesh's (``Mesh.hat_gram``), and v = G^T n for
-    n = grad u / |grad u|.  One ``np.bincount`` scatters the blocks into the
+    n = grad u / |grad u|.  ``BlockPattern.scatter`` adds the blocks into the
     mesh's fixed interior pattern (``Mesh.interior_pattern``).  Every block
     is bitwise symmetric, so the matrix is too: its CSR arrays are its CSC
     arrays.  The blocks are formed in place.  Raises DomainError where an
@@ -401,8 +401,7 @@ def _hessian_of_elements(mesh: Mesh, p: ExponentField, at: _Point, K: float,
     blocks -= lower * meas / (mesh.dimension + 1) ** 2
     # an off-diagonal entry sums at most two blocks (an edge of at most two
     # simplices for d <= 2), so the sum is the same in either order
-    data = np.bincount(pattern.slot, blocks.ravel()[pattern.keep], len(pattern.indices))
-    return data, w
+    return pattern.scatter(blocks), w
 
 
 def _stiffness_norm(mesh: Mesh, gmag: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 import scipy.linalg
 
 from pxkirchhoff import (
+    DomainError,
     GridFunction,
     Mesh,
     ShapeError,
@@ -16,6 +17,8 @@ from pxkirchhoff import (
     integrate,
 )
 from pxkirchhoff.discretization import _BandCholesky, _BandLU, _splu
+from pxkirchhoff.energy import _hessian_of_elements, _point
+from pxkirchhoff.exponents import constant_exponent
 from oracles import (interior_bandwidth_by_elements, interior_pattern_by_unique,
                      mass_by_operators, stiffness_by_operators)
 
@@ -165,6 +168,14 @@ def test_gridfunction_zeroes_boundary():
     assert np.all(u.nodal_values[~mesh.boundary_mask] == 1.0)
     with pytest.raises(ShapeError):
         GridFunction(mesh, np.ones(3))
+    # a non-finite value on the boundary is zeroed; one inside is refused
+    values = np.ones(mesh.n_vertices)
+    values[0], values[3] = np.nan, np.inf
+    assert np.array_equal(GridFunction(mesh, values).nodal_values, u.nodal_values)
+    for bad in (np.nan, np.inf, -np.inf):
+        values[mesh.interior[0]] = bad
+        with pytest.raises(DomainError, match="nodal values must be finite"):
+            GridFunction(mesh, values)
 
 
 def test_interval_stiffness_is_scaled_second_difference():
@@ -314,8 +325,9 @@ def test_interior_mass_is_the_interior_block_of_the_mass():
     idx = mesh.interior
     assert mesh.interior_mass is mesh.interior_mass  # built once, on first use
     assert mesh.interior_mass.format == "csc"
-    ref = mass_by_operators(mesh)[np.ix_(idx, idx)]
-    assert np.array_equal(mesh.interior_mass.toarray(), ref.toarray())
+    ref = mass_by_operators(mesh)[np.ix_(idx, idx)].toarray()
+    # 2-D: the element terms are added in another order than the product's
+    assert np.abs(mesh.interior_mass.toarray() - ref).max() <= _SUM_ORDER_TOL * np.abs(ref).max()
 
 
 def _interior_block(matrix, mesh):
@@ -323,10 +335,15 @@ def _interior_block(matrix, mesh):
     return matrix[np.ix_(mesh.interior, mesh.interior)].tocsc()
 
 
-def _bitwise_equal(A, B):
+def _same_structure(A, B):
     return (A.format == B.format == "csc" and A.shape == B.shape
-            and np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
-            and A.data.tobytes() == B.data.tobytes())
+            and np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices))
+
+
+# the largest difference, relative to the largest entry, between an operator
+# scattered from its element blocks and the operator product on a 2-D mesh:
+# each entry sums the same terms in another order (measured: 1.35 eps)
+_SUM_ORDER_TOL = 4 * np.finfo(float).eps
 
 
 _OPERATOR_MESHES = {
@@ -354,6 +371,11 @@ def _renumbered(mesh, seed):
                 mesh.boundary_mask[order], mesh.element_measures)
 
 
+# interior vertex 0 lies in no element, so column 0 of the pattern is empty
+_ISOLATED_VERTEX = Mesh(1, np.arange(5.0)[:, None], np.array([[1, 2], [2, 3], [3, 4]]),
+                        np.array([False, True, False, False, True]), np.ones(3))
+
+
 @pytest.mark.parametrize("mesh", [
     *_OPERATOR_MESHES.values(),
     build_interval_mesh(2, 0.0, 1.0),
@@ -365,9 +387,7 @@ def _renumbered(mesh, seed):
     _renumbered(build_interval_mesh(30, 0.0, 1.0), seed=17),
     Mesh(1, np.array([[0.0], [1.0]]), np.array([[0, 1]]), np.array([True, True]),
          np.ones(1)),
-    # interior vertex 0 lies in no element, so column 0 of the pattern is empty
-    Mesh(1, np.arange(5.0)[:, None], np.array([[1, 2], [2, 3], [3, 4]]),
-         np.array([False, True, False, False, True]), np.ones(3)),
+    _ISOLATED_VERTEX,
 ], ids=[*_OPERATOR_MESHES, "1d_2", "2d_2", "2d_5x4", "2d_8x150", "2d_wide",
         "2d_renumbered", "1d_renumbered", "no_interior", "isolated_vertex"])
 def test_interior_bandwidth_is_the_widest_spread_within_an_element(mesh):
@@ -384,15 +404,11 @@ def test_interior_bandwidth_is_the_widest_spread_within_an_element(mesh):
 ], ids=["1d_12", "1d_graded", "2d_12", "2d_jittered_9x7", "2d_renumbered"])
 def test_dense_pattern_matrix_is_the_csc_toarray_bitwise(mesh):
     # entry k in row indices[k] of its CSC column, so a data vector that is
-    # no symmetric matrix lands where the CSC matrix has it; the stiffness's
-    # exact zeros, which the operator product drops, are +0.0
-    data = np.random.default_rng(19).standard_normal(len(mesh.interior_pattern.indices))
-    for dense, ref in [
-        (mesh.interior_pattern_dense(data), mesh.interior_pattern_matrix(data).toarray()),
-        (mesh.interior_pattern_dense(mesh.interior_stiffness_data),
-         _interior_block(stiffness_by_operators(mesh), mesh).toarray()),
-        (mesh.interior_pattern_dense(mesh.interior_mass.data), mesh.interior_mass.toarray()),
-    ]:
+    # no symmetric matrix lands where the CSC matrix has it, and so do the
+    # stiffness's exact zeros
+    random = np.random.default_rng(19).standard_normal(len(mesh.interior_pattern.indices))
+    for data in (random, mesh.interior_stiffness_data, mesh.interior_mass.data):
+        dense, ref = mesh.interior_pattern_dense(data), mesh.interior_pattern_matrix(data).toarray()
         assert dense.dtype == ref.dtype and dense.tobytes() == ref.tobytes()
 
 
@@ -410,15 +426,23 @@ def test_element_centroids_are_the_vertex_mean_bitwise(mesh):
 
 
 @OPERATOR_MESHES
-def test_interior_stiffness_and_mass_are_the_operator_products_bitwise(mesh):
-    # the element terms, summed in the order of scipy's products, give the
-    # products' values, and the stiffness's exact zeros are where the
-    # products have no entry; they are eliminated from a copy, as the
-    # pattern's index arrays are read-only
-    stiffness = mesh.interior_pattern_matrix(mesh.interior_stiffness_data).copy()
+def test_interior_stiffness_and_mass_are_the_operator_products(mesh):
+    # the stiffness's exact zeros, +0.0, are where the products have no
+    # entry; they are eliminated from a copy, as the pattern's index arrays
+    # are read-only.  In 1-D every entry sums at most two terms, so the
+    # values are the products' bit for bit; in 2-D the element terms are
+    # added in another order than the products'
+    data = mesh.interior_stiffness_data
+    assert not np.signbit(data[data == 0.0]).any()
+    stiffness = mesh.interior_pattern_matrix(data).copy()
     stiffness.eliminate_zeros()
-    assert _bitwise_equal(stiffness, _interior_block(stiffness_by_operators(mesh), mesh))
-    assert _bitwise_equal(mesh.interior_mass, _interior_block(mass_by_operators(mesh), mesh))
+    for got, ref in [(stiffness, _interior_block(stiffness_by_operators(mesh), mesh)),
+                     (mesh.interior_mass, _interior_block(mass_by_operators(mesh), mesh))]:
+        assert _same_structure(got, ref)
+        if mesh.dimension == 1:
+            assert got.data.tobytes() == ref.data.tobytes()
+        else:
+            assert np.abs(got.data - ref.data).max() <= _SUM_ORDER_TOL * np.abs(ref.data).max()
     assert mesh.interior_stiffness_data is mesh.interior_stiffness_data  # built once
 
 
@@ -430,9 +454,9 @@ def test_interior_stiffness_and_mass_are_the_operator_products_bitwise(mesh):
     _wide_rect_mesh(3),
 ], ids=["1d_400", "2d_32", "2d_56x3", "2d_jittered", "2d_wide"])
 def test_band_cholesky_is_dpbtrf_of_the_operator_band(mesh):
-    # the upper triangle of the operator product, entry (i, j) in row
-    # kl + i - j of column j of a band of kl + 1 rows, factored by LAPACK
-    K, kl = _interior_block(stiffness_by_operators(mesh), mesh), mesh.interior_bandwidth
+    # the upper triangle of the stiffness, entry (i, j) in row kl + i - j of
+    # column j of a band of kl + 1 rows, factored by LAPACK
+    K, kl = mesh.interior_pattern_matrix(mesh.interior_stiffness_data), mesh.interior_bandwidth
     n = K.shape[0]
     band = np.zeros((kl + 1, n), order="F")
     cols = np.repeat(np.arange(n), np.diff(K.indptr))
@@ -467,7 +491,7 @@ def _pattern_matrix(mesh, rng):
     blocks = rng.standard_normal((nloc, nloc, mesh.n_elements))
     blocks = blocks + blocks.transpose(1, 0, 2) + 4.0 * nloc * np.eye(nloc)[:, :, None]
     pattern = mesh.interior_pattern
-    data = np.bincount(pattern.slot, blocks.ravel()[pattern.keep], len(pattern.indices))
+    data = pattern.scatter(blocks)
     n = len(mesh.interior)
     return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
@@ -508,11 +532,52 @@ def test_hat_gram_blocks_assemble_the_stiffness(mesh):
     assert gram is mesh.hat_gram  # built once, on first use
     ref = np.einsum("edi,edj->ije", mesh.hat_gradients, mesh.hat_gradients)
     assert np.allclose(gram, ref, rtol=1e-14, atol=0.0)
-    pattern = mesh.interior_pattern
-    blocks = (gram * mesh.element_measures).ravel()[pattern.keep]
-    K = mesh.interior_pattern_matrix(np.bincount(pattern.slot, blocks, len(pattern.indices)))
+    K = mesh.interior_pattern_matrix(mesh.interior_pattern.scatter(gram * mesh.element_measures))
     S = mesh.interior_pattern_matrix(mesh.interior_stiffness_data)
     assert abs(K - S).max() <= 1e-13 * abs(S).max()
+
+
+SCATTER_MESHES = pytest.mark.parametrize("mesh", [
+    build_interval_mesh(12, 0.0, 1.0),
+    _OPERATOR_MESHES["1d_graded"],
+    build_rect_mesh(5, 4, ((0.0, 0.0), (2.0, 1.0))),
+    _jittered_rect_mesh(9, 7, seed=7),
+    _renumbered(build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0))), seed=18),
+    _ISOLATED_VERTEX,
+], ids=["1d_12", "1d_graded", "2d_5x4", "2d_jittered_9x7", "2d_renumbered", "isolated_vertex"])
+
+
+@SCATTER_MESHES
+def test_scatter_adds_each_kept_block_entry_at_its_interior_positions(mesh):
+    # the dense reference adds entry (i, j, e) of the blocks, which need not
+    # be symmetric, at the interior positions of vertices i and j of element
+    # e, in CSR order, and drops it where either vertex is on the boundary
+    nloc, n = mesh.dimension + 1, len(mesh.interior)
+    blocks = np.random.default_rng(21).standard_normal((nloc, nloc, mesh.n_elements))
+    position = np.full(mesh.n_vertices, -1)
+    position[mesh.interior] = np.arange(n)
+    local = position[mesh.elements].T  # (d+1, n_e)
+    rows, cols = np.broadcast_arrays(local[:, None], local[None])
+    kept = (rows >= 0) & (cols >= 0)
+    ref = np.zeros((n, n))
+    np.add.at(ref, (rows[kept], cols[kept]), blocks[kept])
+    pattern = mesh.interior_pattern
+    got = scipy.sparse.csr_matrix((pattern.scatter(blocks), pattern.indices, pattern.indptr),
+                                  shape=(n, n)).toarray()
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-14 * np.abs(blocks).max())
+
+
+@SCATTER_MESHES
+def test_interior_stiffness_is_the_hessian_of_the_p2_integral(mesh):
+    # at p = 2, A(u) = I(|grad u|^2 / 2) is quadratic: A'' is the stiffness
+    # at every point, and the Hessian kernel with K = 1 and no lower-order
+    # term assembles it from the Gram blocks
+    u = np.random.default_rng(22).standard_normal(mesh.n_vertices)
+    data, _ = _hessian_of_elements(mesh, constant_exponent(2.0, mesh), _point(mesh, u),
+                                   1.0, 0.0)
+    stiffness = mesh.interior_stiffness_data
+    assert data.shape == stiffness.shape
+    assert np.abs(data - stiffness).max() <= _SUM_ORDER_TOL * np.abs(stiffness).max()
 
 
 @pytest.mark.parametrize("mesh, kl", [

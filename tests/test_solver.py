@@ -469,6 +469,26 @@ def test_doubling_returns_first_power_past_root():
     assert np.array_equal(e.nodal_values, 4.0 * tent.nodal_values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda prob, u: find_negative_energy_point(prob, u),
+    lambda prob, u: mountain_pass_solve(prob, u),
+    lambda prob, u: energy_J(u, prob),
+    lambda prob, u: kirchhoff_A(u, prob.p),
+    lambda prob, u: gradient_J(u, prob),
+    lambda prob, u: hessian_J(u, prob),
+], ids=["find_negative_energy_point", "mountain_pass_solve", "energy_J", "kirchhoff_A",
+        "gradient_J", "hessian_J"])
+def test_a_non_finite_nodal_value_is_refused_before_every_entry_point(entry, bad):
+    # refused where it arises, as the point is built, instead of surfacing
+    # as a stalled doubling, a nonnegative energy or a NaN result
+    prob = model_problem()
+    values = tent_on(prob.mesh).nodal_values.copy()
+    values[prob.mesh.n_vertices // 3] = bad
+    with pytest.raises(DomainError, match="nodal values must be finite"):
+        entry(prob, GridFunction(prob.mesh, values))
+
+
 def test_doubling_continues_past_min_norm():
     # |tent| = 2 in the Sobolev norm; J < 0 from t = 4, norm > 10 from t = 8
     prob = model_problem(q_const=4.0, theta=3.0)
