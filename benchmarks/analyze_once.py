@@ -10,10 +10,13 @@
     python3 benchmarks/analyze_once.py pencils [--reps N]
     python3 benchmarks/analyze_once.py outputs --parent DIR [--seeds N]
     python3 benchmarks/analyze_once.py fixed --parent DIR [--reps N]
+    python3 benchmarks/analyze_once.py orbits --parent DIR [--seeds N]
 
 Each command prints one JSON document; ``--out FILE --key KEY`` also
-stores it under KEY in the JSON file FILE.  Every process runs with the
-BLAS on one thread.
+stores it under KEY in the JSON file FILE.  A command that fails
+(``pencils``, ``rayleigh``, ``outputs``, ``orbits``) gives its reason
+under ``failed``, is printed and stored all the same, and then exits with
+status 1.  Every process runs with the BLAS on one thread.
 
 ``lu`` and ``pencils`` run in this process on this checkout's sources.
 Every other command compares the checkout DIR (the parent) with this one
@@ -101,6 +104,15 @@ checkout's ``perfbench/`` first on ``sys.path`` (``_BOOTSTRAP``).
   dump (``cli.write_solution``) of a random grid function: vertices,
   elements and nodal values.  Each process times ``FIXED_PASSES`` fresh
   meshes after one warm-up; a row holds the median over all of them.
+* ``orbits``: the multiplicity grid of ROADMAP item 10 (``ORBIT_GRID``,
+  1-D meshes on (0, 1), a = 1, b = 0.1, q = 4.5, theta = 3.2,
+  ``n_starts = 8``, ``k_max = 4``) at config seeds 0, ..., N - 1, each run
+  by ``cli.run``, one process per side.  Per config and side: the orbits'
+  energies and Morse indices from ``report.txt``, or the type of the
+  error that ended the run, and its seconds.  The command fails when an
+  orbit of the parent has no orbit of this checkout with the same Morse
+  index within ``ORBIT_RTOL`` relative in energy, or when the error types
+  differ; the orbits that only this checkout finds are listed.
 """
 
 import argparse
@@ -145,6 +157,14 @@ PENCIL_GAP = 1e-10
 # the fresh meshes that one ``fixed`` process times per workload, after one
 # warm-up
 FIXED_PASSES = 5
+
+# ROADMAP item 10's multiplicity grid, (n, p, lambda) on interval:0,1,n
+ORBIT_GRID = [(n, p, lam) for n in (12, 25, 50, 100)
+              for p in ("const:2", "affine:2,0.2", "affine:1.8,0.2") for lam in (0.0, 2.0, -3.0)]
+
+# the largest relative energy gap at which ``orbits`` matches two orbits of
+# the same Morse index
+ORBIT_RTOL = 1e-10
 
 # (label, mesh, p = c0 + c1 x, seeds): the mesh is ("interval", n) on (0, 1)
 # or ("rect", n), the n x n unit square
@@ -349,10 +369,9 @@ def pencils(reps: int) -> dict:
               or any(a != b for a, b in row["morse_counts"].values())
               or row["morse_counts"]["superlu"] != row["morse_counts"]["dense"]]
     if failed:
-        print(json.dumps(result, indent=1))
-        raise SystemExit(f"the eigenbasis routes differ by more than {PENCIL_GAP:g}, or the "
-                         "Morse counts differ between the routes or at -delta and +delta, "
-                         "on: " + ", ".join(failed))
+        result["failed"] = (f"the eigenbasis routes differ by more than {PENCIL_GAP:g}, or the "
+                            "Morse counts differ between the routes or at -delta and +delta, "
+                            "on: " + ", ".join(failed))
     return result
 
 
@@ -424,8 +443,72 @@ def outputs(parent: Path, seeds: int) -> dict:
               "files": len(files), "identical": len(files) - len(differing),
               "differing": differing}
     if differing:
-        print(json.dumps(result, indent=1))
-        raise SystemExit(f"{len(differing)} of {len(files)} output files differ")
+        result["failed"] = f"{len(differing)} of {len(files)} output files differ"
+    return result
+
+
+def _orbits_child(work: str, configs: list) -> list:
+    """Per (n, p, lambda, seed) of ``configs``: the [energy, Morse index] of
+    each orbit that ``cli.run`` reports, or the type of the error that
+    ended it, and its seconds."""
+    from pxkirchhoff import cli
+
+    out, rows = tempfile.mkdtemp(dir=work), []
+    for n, p, lam, seed in configs:
+        text = (f"command = multiplicity\ndomain = interval:0,1,{n}\np = {p}\nq = const:4.5\n"
+                f"a = 1\nb = 0.1\nlambda = {lam:g}\ntheta = 3.2\nn_starts = 8\nk_max = 4\n"
+                f"seed = {seed}\nout = {out}\n")
+        t0, row = time.perf_counter(), {}
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.run(cli.parse_config(text))
+        except Exception as exc:  # recorded per config; the command judges it
+            row["error"] = type(exc).__name__
+        else:
+            fields = _fields(Path(out, "report.txt"))
+            row["orbits"] = [[float(e), None if k == "none" else int(k)]
+                             for e, k in zip(fields["energy"], fields["morse_index"], strict=True)]
+        row["seconds"] = round(time.perf_counter() - t0, 4)
+        rows.append(row)
+    return rows
+
+
+def _unmatched(orbits: list, others: list) -> list:
+    """The orbits with no orbit of ``others`` of the same Morse index within
+    ``ORBIT_RTOL`` relative in energy."""
+    return [[e, k] for e, k in orbits
+            if not any(k == j and abs(e - f) <= ORBIT_RTOL * abs(e) for f, j in others)]
+
+
+def orbits(parent: Path, seeds: int) -> dict:
+    work = ROOT / ".bench_work" / "analyze_once" / "orbits"
+    shutil.rmtree(work, ignore_errors=True)  # no file of an earlier run survives
+    work.mkdir(parents=True)
+    configs = [(n, p, lam, seed) for n, p, lam in ORBIT_GRID for seed in range(seeds)]
+    run = next(_alternated(parent, 1, _child("_orbits_child", str(work), configs)))
+    rows, lost, errors, extra = [], [], [], []
+    for (n, p, lam, seed), before, after in zip(configs, run["parent"], run["change"],
+                                                strict=True):
+        label = f"n={n} p={p} lambda={lam:g} seed={seed}"
+        rows.append({"config": label, "parent": before, "change": after})
+        if before.get("error") != after.get("error"):
+            errors.append(f"{label}: {before.get('error')} -> {after.get('error')}")
+        elif "orbits" in before:
+            lost += [f"{label}: {o}" for o in _unmatched(before["orbits"], after["orbits"])]
+            extra += [f"{label}: {o}" for o in _unmatched(after["orbits"], before["orbits"])]
+    result = {"what": f"cli.run of command = multiplicity on ORBIT_GRID at config seeds 0 to "
+                      f"{seeds - 1}, parent against change, one process per side; orbits as "
+                      f"[energy, Morse index], matched within {ORBIT_RTOL:g} relative in energy "
+                      "at the same index; error: the type that ended the run",
+              "configs": len(rows),
+              **{f"{side}_orbits": sum(len(row[side].get("orbits", [])) for row in rows)
+                 for side in ("parent", "change")},
+              **{f"{side}_seconds": round(sum(row[side]["seconds"] for row in rows), 3)
+                 for side in ("parent", "change")},
+              "lost": lost, "error_changed": errors, "extra": extra, "rows": rows}
+    if lost or errors:
+        result["failed"] = (f"{len(lost)} orbit(s) of the parent not found and {len(errors)} "
+                            "error type(s) changed")
     return result
 
 
@@ -662,15 +745,14 @@ def rayleigh(parent: Path, reps: int) -> dict:
     failed = [f"{row['case']}: {', '.join(row['change']['errors'])}" for row in rows
               if row["change"]["certified"] < len(row["seeds"])]
     if failed:
-        print(json.dumps(result, indent=1))
-        raise SystemExit("uncertified starts in this checkout: " + "; ".join(failed))
+        result["failed"] = "uncertified starts in this checkout: " + "; ".join(failed)
     return result
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("command", choices=["lu", "pairs", "slow", "wide", "counts", "rayleigh",
-                                        "pencils", "outputs", "fixed"])
+                                        "pencils", "outputs", "fixed", "orbits"])
     ap.add_argument("--reps", type=int, default=40)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--workload", default="mp2d")
@@ -703,12 +785,16 @@ def main(argv=None) -> int:
         result = outputs(args.parent.resolve(), args.seeds)
     elif args.command == "fixed":
         result = fixed(args.parent.resolve(), args.reps)
+    elif args.command == "orbits":
+        result = orbits(args.parent.resolve(), args.seeds)
     elif args.command == "wide":
         result = slow(args.parent.resolve(), args.reps, WIDE_CASES)
     else:
         result = slow(args.parent.resolve(), args.reps)
     print(json.dumps(result, indent=1))
     save(result)
+    if "failed" in result:  # recorded first, so a failed run is on file too
+        raise SystemExit(result["failed"])
     return 0
 
 

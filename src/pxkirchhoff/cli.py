@@ -18,7 +18,9 @@ unknown keys and non-finite numbers are errors.  Keys:
                 solver options (rayleigh stops once the H^-1 norm of R'
                 is at most tol); rho_grid is a comma list of positive radii,
                 max_iter, n_starts, seed and n_dirs are nonnegative and
-                k_max is positive
+                k_max is positive; multiplicity solves once from each of
+                the min(n_starts, k_max) lowest Dirichlet eigenvectors and
+                does not read seed
     ambient_dim optional ambient N for the subcritical check (validate),
                 a positive integer
     out         output directory, default "."
@@ -437,9 +439,8 @@ def run(config: RunConfig) -> int:
             _write_trace_csv(outdir / "iterations.csv", rep.iteration_trace)
         elif config.command == "multiplicity":
             reports = multiplicity_search(
-                prob,
-                n_starts=config.n_starts, k_max=config.k_max,
-                seed=config.seed, tol=config.tol, max_iter=config.max_iter,
+                prob, k_max=min(config.n_starts, config.k_max),
+                tol=config.tol, max_iter=config.max_iter,
             )
             lines.append(f"orbits: {len(reports)}")
             for i, rep in enumerate(reports):

@@ -249,8 +249,17 @@ def _energy_of_terms(prob: KirchhoffProblem, A, B, G):
     return prob.a * A - 0.5 * prob.b * A * A - prob.lam * B - G
 
 
+def _require_problem_mesh(u: GridFunction, prob: KirchhoffProblem) -> None:
+    """ShapeError unless u lives on the problem's own mesh: the energy and
+    its derivatives take measures and exponents from ``prob.mesh``."""
+    if u.mesh is not prob.mesh:
+        raise ShapeError("the grid function must live on the problem mesh")
+
+
 def energy_J(u: GridFunction, prob: KirchhoffProblem) -> float:
-    """Total energy of u for the given problem."""
+    """Total energy of u for the given problem (ShapeError unless u lives on
+    ``prob.mesh``)."""
+    _require_problem_mesh(u, prob)
     meas = prob.mesh.element_measures
     A = _p_integral(_magnitude(gradient_of(u)), prob.p, meas)
     return float(_energy_of_elements(prob, A, centroid_values(u)))
@@ -280,8 +289,10 @@ def gradient_J(u: GridFunction, prob: KirchhoffProblem) -> GridFunction:
     K * Dg^T(flux * meas) - C^T((lambda |u_c|^{p-2} u_c + g(x, u_c)) * meas),
     with the nonlocal coefficient K = a - b*A(u) computed once.  The adjoint
     maps are fixed CSR matrices, so identical inputs give bitwise-identical
-    sums; ``_residual_of_elements`` assembles it.
+    sums; ``_residual_of_elements`` assembles it.  ShapeError unless u
+    lives on ``prob.mesh``.
     """
+    _require_problem_mesh(u, prob)
     at = _point(prob.mesh, u.nodal_values)
     return GridFunction(prob.mesh, _residual_of_elements(prob, at)[0])
 
@@ -327,8 +338,9 @@ def hessian_J(u: GridFunction, prob: KirchhoffProblem):
     (or, in the lambda and g' terms, a vanishing centroid value), because
     |.|^{p-2} is unbounded there.  Only elements with an interior vertex
     are checked: on the others a zero-trace u vanishes, and they add
-    nothing to the interior J''.
+    nothing to the interior J''.  ShapeError unless u lives on ``prob.mesh``.
     """
+    _require_problem_mesh(u, prob)
     data, dA = _kirchhoff_hessian(prob, _point(prob.mesh, u.nodal_values))
     return prob.mesh.interior_pattern_matrix(data), dA
 

@@ -72,6 +72,7 @@ from .energy import (
     _rayleigh_hessian,
     _rayleigh_line,
     _rayleigh_on_ray,
+    _require_problem_mesh,
     _residual_of_elements,
     _stiffness_norm,
     energy_J,
@@ -208,8 +209,8 @@ def _lowest(mesh: Mesh, data: np.ndarray, k: int, *, vectors: bool = False):
 def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     """First k Dirichlet eigenvectors of the constant-2 Laplacian.
 
-    These span the nested subspaces used to seed the multiplicity search and
-    provide smooth low-frequency probe directions.  They are the lowest
+    Each is one start of the multiplicity search, and they provide smooth
+    low-frequency probe directions.  They are the lowest
     eigenvectors of the interior stiffness and mass pencil (K, M), found by
     ``_lowest`` as the reciprocals of the k largest eigenvalues of (M, K):
     dense by LAPACK on at most _DENSE_N interior vertices or for a full
@@ -562,10 +563,12 @@ def find_negative_energy_point(
 ) -> GridFunction:
     """Double t from 1 until J(t*psi) < 0 and return e = t*psi.
 
-    psi must be nonzero, nonnegative, and zero on the boundary.  Superlinear
-    growth guarantees termination; MaxIterations after _R_DOUBLINGS (60)
-    doublings signals a hypothesis violation upstream.
+    psi must live on ``prob.mesh`` (ShapeError otherwise) and be nonzero,
+    nonnegative, and zero on the boundary.  Superlinear growth guarantees
+    termination; MaxIterations after _R_DOUBLINGS (60) doublings signals a
+    hypothesis violation upstream.
     """
+    _require_problem_mesh(psi, prob)
     if np.all(psi.nodal_values == 0.0):
         raise DomainError("psi must be nonzero")
     if np.any(psi.nodal_values < 0.0):
@@ -1009,59 +1012,33 @@ _DISTINCT_TOL = 1e-3  # Sobolev distance below which two solutions are one orbit
 def multiplicity_search(
     prob: KirchhoffProblem,
     *,
-    n_starts: int = 8,
     k_max: int = 4,
-    seed: int = 0,
     tol: float = 1e-6,
     max_iter: int = 5000,
 ) -> list[SolveReport]:
-    """Mountain-pass solves from nested eigen-subspace seeds, one per orbit.
+    """Mountain-pass solves from the k_max lowest Dirichlet eigenvectors,
+    one start each, deduplicated into orbits.
 
-    Requires a >= b and an odd nonlinearity (every cataloged kind is odd),
-    a nonnegative seed and n_starts, and k_max >= 1 when n_starts > 0
-    (DomainError otherwise, as for a bad ``tol``).  The first
-    min(k_max, n_starts) starts are the pure eigenvector directions; each
-    later start i draws k = 1 + (i mod k_max) random coefficients of the
-    first k eigenvectors.  A start with k = 1 lies on the ray of start 0
-    or of its mirror image, where the solve repeats start 0's up to sign,
-    so it draws its coefficient, which keeps the random stream of the
-    later starts, and is not solved.  Starts whose solve fails
-    (MaxIterations, DegenerateCoefficient, or GeometryNotFound when J has no
-    maximum on the start's ray or the point found has Morse index 0) are
-    skipped, and the orbits of the other starts are kept; if every start
-    fails, the last failure's type is raised with each start's index,
-    exception type and message.  Solutions are deduplicated under u -> -u,
-    two being one orbit within _DISTINCT_TOL in the Sobolev norm, and
-    returned sorted by increasing energy (ties broken by start index).
+    Requires a >= b and an odd nonlinearity (every cataloged kind is odd);
+    DomainError otherwise, as for a bad ``tol``.  Start i is eigenvector i
+    of ``laplace_eigenbasis``, scaled to unit Sobolev norm and then until
+    its energy is negative; k_max = 0 returns [], and a negative or
+    fractional k_max raises as ``laplace_eigenbasis`` does.  Starts whose
+    solve fails (MaxIterations, DegenerateCoefficient, or GeometryNotFound
+    when J has no maximum on the start's ray or the point found has Morse
+    index 0) are skipped, and the orbits of the other starts are kept; if
+    every start fails, the last failure's type is raised with each start's
+    index, exception type and message.  Solutions are deduplicated under
+    u -> -u, two being one orbit within _DISTINCT_TOL in the Sobolev norm,
+    and returned sorted by increasing energy (ties broken by start index).
     """
     prob.require_valid_chain()
     if not prob.a >= prob.b:
         raise DomainError("multiplicity search requires a >= b")
-    _nonnegative("seed", seed)
-    _nonnegative("n_starts", n_starts)
-    results = []
-    if n_starts == 0:
-        return results
-    if k_max < 1:
-        raise DomainError(f"k_max must be at least 1, got {k_max}")
-    rng = np.random.default_rng(seed)
-    basis = laplace_eigenbasis(prob.mesh, k_max)
-    failures = []
-
-    for i in range(n_starts):
-        if i < k_max:
-            nodal = basis[i].nodal_values.copy()
-        else:
-            k = 1 + (i % k_max)
-            coeffs = rng.standard_normal(k)
-            if k == 1:  # start 0's ray or its mirror: the same orbit
-                continue
-            nodal = sum(c * b.nodal_values for c, b in zip(coeffs, basis))
-        nrm = sobolev_norm(GridFunction(prob.mesh, nodal), prob.p)
-        if nrm == 0.0:
-            continue
+    results, failures = [], []
+    for i, start in enumerate(laplace_eigenbasis(prob.mesh, k_max)):
         try:
-            e = _scale_until_negative(prob, nodal / nrm)
+            e = _scale_until_negative(prob, start.nodal_values / sobolev_norm(start, prob.p))
             report = mountain_pass_solve(prob, e, tol=tol, max_iter=max_iter)
         except (MaxIterations, DegenerateCoefficient, GeometryNotFound) as exc:
             failures.append((i, exc))

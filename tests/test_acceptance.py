@@ -68,7 +68,7 @@ def multiplicity_run():
     # at the compactness ceiling, and the coarse-mesh search reaches four
     # orbits, the highest with K(u) about 5e-4
     prob = model_problem(n=12)
-    reports = multiplicity_search(prob, n_starts=8, k_max=4, seed=0, tol=1e-6)
+    reports = multiplicity_search(prob, k_max=4, tol=1e-6)
     return prob, reports
 
 

@@ -15,9 +15,11 @@ from pxkirchhoff import (
     build_rect_mesh,
     constant_exponent,
     energy_J,
+    find_negative_energy_point,
     gradient_J,
     hessian_J,
     kirchhoff_A,
+    mountain_pass_solve,
     nonlinearity_eval,
 )
 from pxkirchhoff.energy import (
@@ -91,6 +93,23 @@ def test_spec_validation():
         NonlinearitySpec("scaled_power", q, coefficient=0.0)
     with pytest.raises(DomainError):
         NonlinearitySpec("pure_power", q, s_A=-1.0)
+
+
+def test_a_grid_function_on_another_mesh_is_a_shape_error():
+    # the energy and its derivatives take measures and exponents from
+    # prob.mesh: a grid function on another mesh, of the same vertex count
+    # or not, is refused instead of mixed with the problem's mesh data
+    prob, tent = tent_problem(n=20)
+    for mesh in (build_interval_mesh(20, 0.0, 2.0), build_interval_mesh(30, 0.0, 1.0)):
+        x = mesh.vertices[:, 0]
+        other = GridFunction(mesh, np.minimum(x - x[0], x[-1] - x))
+        for call in (energy_J, gradient_J, hessian_J,
+                     lambda u, prob: find_negative_energy_point(prob, u),
+                     lambda u, prob: mountain_pass_solve(prob, u)):
+            with pytest.raises(ShapeError, match="must live on the problem mesh"):
+                call(other, prob)
+    moved = GridFunction(prob.mesh, tent.nodal_values)
+    assert energy_J(moved, prob) == energy_J(tent, prob)
 
 
 def test_problem_validation():

@@ -1854,7 +1854,7 @@ def test_ps_threshold_strictness(monkeypatch):
 
 def test_multiplicity_no_starts():
     prob = model_problem()
-    assert multiplicity_search(prob, n_starts=0) == []
+    assert multiplicity_search(prob, k_max=0) == []
 
 
 def test_multiplicity_names_every_failed_start():
@@ -1862,7 +1862,7 @@ def test_multiplicity_names_every_failed_start():
     # ray's peak; the search reports each start's cause instead of []
     prob = model_problem(n=12, lam=-3.0)
     with pytest.raises(DegenerateCoefficient, match="every start failed") as err:
-        multiplicity_search(prob, n_starts=4, k_max=4, seed=1)
+        multiplicity_search(prob, k_max=4)
     for i in range(4):
         assert f"start {i}: DegenerateCoefficient: nonlocal coefficient K = -" in str(err.value)
     assert isinstance(err.value.__cause__, DegenerateCoefficient)
@@ -1873,7 +1873,7 @@ def test_multiplicity_skips_a_start_without_a_mountain_pass_point(monkeypatch):
     # ray, or a point of Morse index 0) fails like one that runs out of
     # steps: the orbits of the other starts are kept
     prob = model_problem(n=12)
-    every = multiplicity_search(prob, n_starts=4, k_max=4, seed=0)
+    every = multiplicity_search(prob, k_max=4)
     solve, starts = solver.mountain_pass_solve, []
 
     def failing(prob, e, **kwargs):
@@ -1883,7 +1883,7 @@ def test_multiplicity_skips_a_start_without_a_mountain_pass_point(monkeypatch):
         return solve(prob, e, **kwargs)
 
     monkeypatch.setattr(solver, "mountain_pass_solve", failing)
-    reports = multiplicity_search(prob, n_starts=4, k_max=4, seed=0)
+    reports = multiplicity_search(prob, k_max=4)
     assert len(starts) == 4 and 1 <= len(reports) == len(every) - 1
     assert {r.energy for r in reports} < {r.energy for r in every}
 
@@ -1892,27 +1892,36 @@ def test_multiplicity_skips_a_start_without_a_mountain_pass_point(monkeypatch):
 
     monkeypatch.setattr(solver, "mountain_pass_solve", never)
     with pytest.raises(GeometryNotFound, match="every start failed") as err:
-        multiplicity_search(prob, n_starts=2, k_max=2, seed=0)
+        multiplicity_search(prob, k_max=2)
     assert "start 1: GeometryNotFound: J has no maximum" in str(err.value)
 
 
-def test_multiplicity_requires_a_positive_k_max():
+def test_multiplicity_requires_a_nonnegative_integer_k_max():
+    # k_max counts the eigenvector starts: none gives no orbit, and a
+    # fractional count is refused by laplace_eigenbasis
     prob = model_problem(n=12)
-    for k_max in (0, -1):
-        with pytest.raises(DomainError, match=f"k_max must be at least 1, got {k_max}"):
-            multiplicity_search(prob, n_starts=2, k_max=k_max)
-    assert multiplicity_search(prob, n_starts=0, k_max=0) == []
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        multiplicity_search(prob, k_max=2.5)
+    assert multiplicity_search(prob, k_max=0) == []
+
+
+def test_negative_n_starts_is_a_domain_error():
+    # the number of starts is k_max, one per eigenvector: a negative count
+    # is refused as laplace_eigenbasis refuses a negative k
+    prob = model_problem(n=12)
+    with pytest.raises(DomainError, match="k must be nonnegative, got -1"):
+        multiplicity_search(prob, k_max=-1)
 
 
 def test_multiplicity_requires_a_geq_b():
     prob = model_problem(a=1.0, b=1.5, lam=0.0)
     with pytest.raises(DomainError):
-        multiplicity_search(prob, n_starts=2)
+        multiplicity_search(prob, k_max=2)
 
 
 def test_multiplicity_dedups_sign_orbit():
     prob = model_problem()
-    reports = multiplicity_search(prob, n_starts=2, k_max=1, seed=0)
+    reports = multiplicity_search(prob, k_max=1)
     assert len(reports) == 1
     assert reports[0].residual_norm <= 1e-6
 
@@ -1930,25 +1939,34 @@ def _recorded_solves(monkeypatch):
     return starts
 
 
-def test_multiplicity_solves_no_one_term_mixture(monkeypatch):
-    # start 4 of eight (k_max = 4) is a multiple of eigenvector 1, on the ray
-    # of start 0: it draws its coefficient but is not solved, so starts 5-7
-    # keep the mixtures the seed's stream gave them, and the orbits are those
-    # of acceptance 8
+def test_multiplicity_solves_one_start_per_eigenvector(monkeypatch):
+    # k_max = 4: four solves, start i on the ray of eigenvector i, and the
+    # orbits are those of acceptance 8
     prob = model_problem(n=12)
     starts = _recorded_solves(monkeypatch)
-    reports = multiplicity_search(prob, n_starts=8, k_max=4, seed=0)
-    assert len(starts) == 7
-    basis = np.array([b.nodal_values for b in laplace_eigenbasis(prob.mesh, 4)])
-    rng = np.random.default_rng(0)
-    rng.standard_normal(1)  # start 4's coefficient
-    for k, e in zip((2, 3, 4), starts[4:]):  # starts 5, 6 and 7
-        mixture = rng.standard_normal(k) @ basis[:k]
-        ratio = e @ mixture / (mixture @ mixture)
-        assert ratio > 0.0 and np.allclose(e, ratio * mixture, rtol=0.0, atol=1e-12 * ratio)
+    reports = multiplicity_search(prob, k_max=4)
+    assert len(starts) == 4
+    for e, b in zip(starts, laplace_eigenbasis(prob.mesh, 4)):
+        ratio = e @ b.nodal_values / (b.nodal_values @ b.nodal_values)
+        assert ratio > 0.0 and np.allclose(e, ratio * b.nodal_values, rtol=0.0,
+                                           atol=1e-12 * ratio)
     assert [r.energy for r in reports] == pytest.approx(
         [3.7148637507215154, 4.926006462901305, 4.989576453445927, 4.9976373600474995],
         rel=1e-10)
+
+
+@pytest.mark.parametrize("n, energies", [
+    (12, [2.418408107164678, 4.463204724523759, 4.789794702668154, 4.894068238672694]),
+    (25, [2.395935499394819, 4.441141305169043, 4.770721274102254, 4.876200105458628]),
+])
+def test_multiplicity_at_a_positive_lambda(n, energies):
+    # p = 2, lambda = 2: the four eigenvector starts reach the four orbits
+    # that eight starts (four of them random mixtures) found, with Morse
+    # indices 1 to 4; the ground energy may differ by rounding, as a mixture
+    # can land a few ulps lower on the same orbit
+    reports = multiplicity_search(model_problem(n=n, lam=2.0), k_max=4)
+    assert [r.energy for r in reports] == pytest.approx(energies, rel=1e-10)
+    assert [r.morse_index for r in reports] == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("shift, kept", [(0.0, 0), (-1e-12, 1)])
@@ -1969,7 +1987,7 @@ def test_multiplicity_keeps_the_lower_of_a_sign_pair(shift, kept, monkeypatch):
         return made[1]
 
     monkeypatch.setattr(solver, "mountain_pass_solve", mirrored)
-    reports = multiplicity_search(prob, n_starts=2, k_max=2, seed=0)
+    reports = multiplicity_search(prob, k_max=2)
     assert len(made) == 2 and reports == [made[kept]]
 
 
@@ -1992,7 +2010,7 @@ def test_newton_polish_builds_no_sparse_matrix(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.csc_matrix, "__init__", counted_init)
     monkeypatch.setattr(solver, "_newton_polish", counted_polish)
-    multiplicity_search(prob, n_starts=5, k_max=4, seed=1)
+    multiplicity_search(prob, k_max=4)
     assert len(attempts) >= 3 and all(steps > 0 for _, steps in attempts)
     assert [n_built for n_built, _ in attempts] == [0] * len(attempts)
 
@@ -2004,7 +2022,7 @@ def test_multiplicity_finds_the_one_node_orbit_for_variable_p():
     p = build_exponent_field(2.0 + 0.2 * mesh.element_centroids[:, 0], mesh)
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
     prob = KirchhoffProblem(1.0, 0.1, 0.0, p, spec, mesh)
-    reports = multiplicity_search(prob, n_starts=6, k_max=4, seed=1)
+    reports = multiplicity_search(prob, k_max=4)
     assert [r.energy for r in reports] == pytest.approx([3.884681336, 4.940839406], rel=1e-9)
     fn = make_residual_1d(prob)
     for rep in reports:
@@ -2018,18 +2036,10 @@ def test_multiplicity_finds_the_one_node_orbit_for_variable_p():
 @pytest.mark.parametrize("call", [
     lambda prob: rayleigh_quotient_min(prob.p, prob.mesh, seed=-1),
     lambda prob: verify_mountain_geometry(prob, RHO_GRID, 5, seed=-1),
-    lambda prob: multiplicity_search(prob, n_starts=2, seed=-1),
-], ids=["rayleigh_quotient_min", "verify_mountain_geometry", "multiplicity_search"])
+], ids=["rayleigh_quotient_min", "verify_mountain_geometry"])
 def test_negative_seed_is_a_domain_error(call):
     with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
         call(model_problem(n=12))
-
-
-def test_negative_n_starts_is_a_domain_error():
-    prob = model_problem(n=12)
-    with pytest.raises(DomainError, match="n_starts must be nonnegative, got -1"):
-        multiplicity_search(prob, n_starts=-1)
-    assert multiplicity_search(prob, n_starts=0) == []
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
@@ -2042,7 +2052,7 @@ def test_tol_must_be_finite_and_positive(tol):
     with pytest.raises(DomainError, match="tol must be finite and positive"):
         mountain_pass_solve(prob, e, tol=tol)
     with pytest.raises(DomainError, match="tol must be finite and positive"):
-        multiplicity_search(prob, n_starts=2, tol=tol)
+        multiplicity_search(prob, k_max=2, tol=tol)
     with pytest.raises(DomainError, match="tol must be finite and positive"):
         rayleigh_quotient_min(prob.p, prob.mesh, tol=tol)
 
@@ -2266,8 +2276,6 @@ def test_eigenbasis_rejects_a_negative_or_fractional_k():
         laplace_eigenbasis(mesh, -1)
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         laplace_eigenbasis(mesh, 2.5)
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        multiplicity_search(model_problem(n=12), n_starts=2, k_max=2.5)
     assert laplace_eigenbasis(mesh, np.int64(2))[1].nodal_values[3] != 0.0
 
 
@@ -2289,7 +2297,7 @@ def _two_rayleigh_minimizations(prob):
 # dense route nothing solves with the stiffness.
 STIFFNESS_TASKS = pytest.mark.parametrize("n, task, lus", [
     (40, _geometry_and_solve, {"arpack": 1, "dense": 0}),
-    (12, lambda prob: multiplicity_search(prob, n_starts=5, k_max=4, seed=1),
+    (12, lambda prob: multiplicity_search(prob, k_max=4),
      {"arpack": 1, "dense": 0}),
     (40, _two_rayleigh_minimizations, {"arpack": 1, "dense": 1}),
 ], ids=["geometry_and_solve", "multiplicity", "rayleigh"])
