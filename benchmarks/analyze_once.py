@@ -59,13 +59,12 @@ checkout's ``perfbench/`` first on ``sys.path`` (``_BOOTSTRAP``).
   Morse counts' inertia), LAPACK band LUs and band Cholesky factors
   (``_band_lu``, ``_band_cholesky``), LAPACK's dense LDL^T factors
   (``dsytrf``, the Morse counts on at most ``solver._DENSE_N`` interior
-  vertices and where SuperLU gives none), ``csc_matrix`` constructions,
-  scipy's own included, and ``eigsh`` calls, each with its k and
-  ``which``; and the pencil eigensolves of ``solver._lowest``: per call
-  its k, its route (dense, or whitened when it builds a
-  ``_PencilOperator``) and the products of that operator, which are
-  ARPACK's operator applications, summed over the calls in
-  ``arpack_operator_applications``.
+  vertices), ``csc_matrix`` constructions, scipy's own included, and
+  ``eigsh`` calls, each with its k and ``which``; and the pencil
+  eigensolves of ``solver._lowest``: per call its k, its route (dense, or
+  whitened when it builds a ``_PencilOperator``) and the products of that
+  operator, which are ARPACK's operator applications, summed over the
+  calls in ``arpack_operator_applications``.
 * ``rayleigh``: the first eigenvalue (``rayleigh_quotient_min``, default
   ``tol`` and ``max_iter``) on the cases of ``RAYLEIGH_CASES``, each seed
   solved on a fresh mesh ``--reps`` times per side, one process per case,
@@ -334,7 +333,7 @@ def pencils(reps: int) -> dict:
         for counted, solved, cutoff in routes:  # the answers, a warm-up round too
             solver._DENSE_N = cutoff
             counts[counted] = list(solver._morse(prob, at))
-            values[solved] = solver._lowest(mesh, mesh.interior_mass.data, 3)
+            values[solved] = solver._lowest(mesh, 3)[0]
         for r in range(reps):
             for counted, solved, cutoff in routes if r % 2 else routes[::-1]:
                 if counted == "dense" and not timed:
@@ -660,9 +659,9 @@ def _count_child(name: str, seed: int, out: str) -> dict:
     lowest, Operator = solver._lowest, solver._PencilOperator
     init, matvec = Operator.__init__, Operator._matvec
 
-    def counted_lowest(mesh, data, k, *args, **kwargs):
-        counts["pencil_solves"].append(dict(k=k, route="dense", operator_products=0))
-        return lowest(mesh, data, k, *args, **kwargs)
+    def counted_lowest(mesh, *args, **kwargs):  # k is the last positional argument
+        counts["pencil_solves"].append(dict(k=args[-1], route="dense", operator_products=0))
+        return lowest(mesh, *args, **kwargs)
 
     def counted_init(self, *args):
         counts["pencil_solves"][-1]["route"] = "whitened"

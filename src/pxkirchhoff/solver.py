@@ -29,15 +29,15 @@ The solution's Morse index, the number of negative eigenvalues of the
 pencil (J'', K), K the interior stiffness, is two inertia counts and no
 eigensolve (``_morse``): the negative eigenvalues of J'' + delta K and of
 J'' - delta K, which agree exactly when the index is certified with no
-eigenvalue in [-delta, delta).  On more than _DENSE_N interior vertices
-each count comes from the symmetric SuperLU of the shifted sparse part of
-J'', in minimum-degree order (``Mesh.interior_pattern_splu``), and on at
-most _DENSE_N, or where that LU gives none, from LAPACK's dense
-Bunch-Kaufman LDL^T (``dsytrf``).  The one eigenproblem left, the Laplace
-eigenbasis of (K, M), goes through ``_lowest``: on at most _DENSE_N
-interior vertices LAPACK solves it dense (``dsygvx``, called directly), as
-the largest eigenvalues of (M, K), so that LAPACK factors K and keeps
-their digits; above it ARPACK solves it in its standard mode on
+eigenvalue in [-delta, delta).  On at most _DENSE_N interior vertices each
+count comes from LAPACK's dense Bunch-Kaufman LDL^T (``dsytrf``), and on
+more than _DENSE_N from the symmetric SuperLU of the shifted sparse part
+of J'', in minimum-degree order (``Mesh.interior_pattern_splu``), or is
+None where that LU carries no inertia.  The one eigenproblem left, the
+Laplace eigenbasis of (K, M), goes through ``_lowest``: on at most
+_DENSE_N interior vertices LAPACK solves it dense (``dsygvx``, called
+directly), as the largest eigenvalues of (M, K), so that LAPACK factors K
+and keeps their digits; above it ARPACK solves it in its standard mode on
 U^{-T} M U^{-1}, for the band Cholesky K = U^T U, the mesh's one factor of
 the stiffness (``Mesh.interior_stiffness_lu``), which every stiffness
 solve uses too: one product of ``_PencilOperator`` per step, two calls of
@@ -46,8 +46,8 @@ data come only from ``energy._point`` and ``energy._energy_ray``: the
 solvers hold their points and rays and never gather.
 
 The multiplicity search runs its starts one after another, in start-index
-order, skips a start that lies on start 0's ray, and merges results
-deterministically by (energy, start-index) order.
+order, and merges results deterministically by (energy, start-index)
+order.
 """
 
 import math
@@ -112,7 +112,8 @@ def _sobolev_descent(mesh: Mesh, g: np.ndarray) -> np.ndarray:
 
 # On at most this many interior vertices the eigenbasis is solved dense by
 # LAPACK (``dsygvx``) and the Morse counts come from the dense LDL^T
-# (``dsytrf``); above it ARPACK and the symmetric SuperLU take them.  A
+# (``dsytrf``); above it ARPACK and the symmetric SuperLU take them, and a
+# count that SuperLU cannot give is None, never a dense n x n factor.  A
 # solve makes one eigenbasis (k = 3) and two counts, and on 1-D meshes
 # their routes break even at about 85 and about 135 interior vertices, so
 # the solve breaks even near 105: dense 0.99 against 1.05 ms at 99, 1.54
@@ -128,28 +129,21 @@ _DENSE_N = 128
 _SIGN_RTOL = 1e-8
 
 
-def _start_vector(n: int) -> np.ndarray:
-    """Fixed ARPACK start vector, so the sparse eigensolves (pencils above
-    _DENSE_N interior vertices) are deterministic."""
-    return np.random.default_rng(0).standard_normal(n)
-
-
 class _PencilOperator(scipy.sparse.linalg.LinearOperator):
-    """y -> U^{-T} S U^{-1} y for the band array U of a triangular factor
-    K = U^T U and the symmetric matrix S on ``mesh``'s interior pattern
-    with pattern data ``data``.
+    """y -> U^{-T} M U^{-1} y for the band array U of a triangular factor
+    K = U^T U and the interior mass M of ``mesh``.
 
     Each product calls the kernels that scipy's own products reach after
     their dispatch: LAPACK's ``dtbtrs`` for U^{-1} and U^{-T}, and scipy's
-    CSR kernel for S on the pattern's arrays, whose CSC arrays are its CSR
-    arrays, as S is symmetric.  The sums run in the order of S's CSC
-    product, so S x is bitwise ``S @ x``."""
+    CSR kernel for M on the pattern's arrays, whose CSC arrays are its CSR
+    arrays, as M is symmetric.  The sums run in the order of M's CSC
+    product, so M x is bitwise ``M @ x``."""
 
-    def __init__(self, mesh: Mesh, data: np.ndarray, U: np.ndarray):
+    def __init__(self, mesh: Mesh, U: np.ndarray):
         pattern = mesh.interior_pattern
         n = len(pattern.indptr) - 1
         super().__init__(np.float64, (n, n))
-        self.pattern, self.data, self.U = pattern, data, U
+        self.pattern, self.data, self.U = pattern, mesh.interior_mass.data, U
 
     def _matvec(self, y: np.ndarray) -> np.ndarray:
         x = lapack.dtbtrs(self.U, y)[0]
@@ -159,69 +153,63 @@ class _PencilOperator(scipy.sparse.linalg.LinearOperator):
         return lapack.dtbtrs(self.U, z, trans="T", overwrite_b=1)[0]
 
 
-def _lowest(mesh: Mesh, data: np.ndarray, k: int, *, vectors: bool = False):
-    """The k lowest eigenvalues, ascending, of the pencil (K, X) on the
-    interior vertices of ``mesh``, for K the interior stiffness and X the
-    positive definite matrix on the interior pattern with pattern data
-    ``data`` (the mass): the reciprocals of the k largest eigenvalues of
-    (X, K).  With ``vectors``, (values, vectors), the eigenvectors as the
-    columns of an array in the order of the values.
+def _lowest(mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors): the k lowest eigenvalues, ascending, of the
+    pencil (K, M) on the interior vertices of ``mesh``, for K the interior
+    stiffness and M the interior mass, and their eigenvectors as the
+    columns of an array in the order of the values; the values are the
+    reciprocals of the k largest eigenvalues of (M, K).
 
     The eigenbasis is the solver's one eigenproblem, and here its route is
-    chosen.  A pencil on at most _DENSE_N interior vertices, or k = n
-    (which ARPACK cannot give), is solved by LAPACK's ``dsygvx`` on dense
-    arrays, which the pattern data of X and K fill directly
-    (``Mesh.interior_pattern_dense``), for the k largest eigenvalues of
-    (X, K), so that LAPACK factors K, not X.  Above it ARPACK solves it,
-    from a fixed start vector.  With the stiffness's band Cholesky
-    K = U^T U (``Mesh.interior_stiffness_lu``), (X, K) has the eigenvalues
-    of the standard matrix U^{-T} X U^{-1}, and its eigenvectors are
-    x = U^{-1} y for that matrix's y (Golub-Van Loan 8.7), so ARPACK finds
-    the largest eigenvalues of that matrix in its standard mode, on
-    y -> U^{-T} X U^{-1} y (``_PencilOperator``), and needs no inner
-    product in K.  Raises LinAlgError when LAPACK fails and ValueError for
-    a dense pencil with a value that is not finite.
+    chosen.  On at most _DENSE_N interior vertices, or for k = n (which
+    ARPACK cannot give), LAPACK's ``dsygvx`` solves (M, K) on dense arrays,
+    which the pattern data of M and K fill directly
+    (``Mesh.interior_pattern_dense``), so that LAPACK factors K, not M.
+    Above it ARPACK solves it, from a fixed start vector.  With the
+    stiffness's band Cholesky K = U^T U (``Mesh.interior_stiffness_lu``),
+    (M, K) has the eigenvalues of the standard matrix U^{-T} M U^{-1}, and
+    its eigenvectors are x = U^{-1} y for that matrix's y (Golub-Van Loan
+    8.7), so ARPACK finds the largest eigenvalues of that matrix in its
+    standard mode, on y -> U^{-T} M U^{-1} y (``_PencilOperator``), and
+    needs no inner product in K.  Raises LinAlgError when LAPACK fails and
+    ValueError for a dense mass with a value that is not finite (a mesh
+    with a non-finite vertex).
     """
     n = len(mesh.interior)
     if k == n or n <= _DENSE_N:
-        X = mesh.interior_pattern_dense(data)
-        if not np.isfinite(X).all():
-            raise ValueError("the pencil's matrix must not contain infs or NaNs")
-        K, job = mesh.interior_pattern_dense(mesh.interior_stiffness_data), "V" if vectors else "N"
+        M = mesh.interior_pattern_dense(mesh.interior_mass.data)
+        if not np.isfinite(M).all():
+            raise ValueError("the mass matrix must not contain infs or NaNs")
+        K = mesh.interior_pattern_dense(mesh.interior_stiffness_data)
         vals, vecs, m, _, info = lapack.dsygvx(
-            X, K, jobz=job, range="I", il=n - k + 1, iu=n,
+            M, K, jobz="V", range="I", il=n - k + 1, iu=n,
             lwork=int(lapack.dsygvx_lwork(n)[0]), overwrite_a=1, overwrite_b=1)
         if info:
             raise np.linalg.LinAlgError(f"LAPACK's eigensolve of the pencil failed (info {info})")
         vals, vecs = vals[:m], vecs[:, :m]
     else:
         U = mesh.interior_stiffness_lu.factor
-        out = scipy.sparse.linalg.eigsh(_PencilOperator(mesh, data, U), k, which="LA",
-                                        v0=_start_vector(n), return_eigenvectors=vectors)
-        vals, vecs = out if vectors else (out, None)
-        if vectors:
-            vecs = lapack.dtbtrs(U, vecs)[0]
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            _PencilOperator(mesh, U), k, which="LA",
+            v0=np.random.default_rng(0).standard_normal(n))
+        vecs = lapack.dtbtrs(U, vecs)[0]
     order = np.argsort(-vals)
-    vals = 1.0 / vals[order]
-    return (vals, vecs[:, order]) if vectors else vals
+    return 1.0 / vals[order], vecs[:, order]
 
 
 def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     """First k Dirichlet eigenvectors of the constant-2 Laplacian.
 
     Each is one start of the multiplicity search, and they provide smooth
-    low-frequency probe directions.  They are the lowest
-    eigenvectors of the interior stiffness and mass pencil (K, M), found by
-    ``_lowest`` as the reciprocals of the k largest eigenvalues of (M, K):
-    dense by LAPACK on at most _DENSE_N interior vertices or for a full
-    basis (k = n, which ARPACK cannot give), so that LAPACK factors K, not
-    M; above it by ARPACK, in standard mode on the pencil whitened by the
-    stiffness's band Cholesky.  They are normalized in the mass inner
-    product, and signs are fixed so the entry of largest magnitude is
-    positive; among entries within a relative 1e-8 of that magnitude the
-    first vertex decides, so an antisymmetric mode gets the same sign on
-    both routes.  Raises TypeError when k is not an integer and DomainError
-    when it is negative or exceeds the number of interior vertices.
+    low-frequency probe directions.  They are the lowest eigenvectors of
+    the interior stiffness and mass pencil (K, M), which ``_lowest`` solves
+    on one of its two routes (dense LAPACK or whitened ARPACK).  They are
+    normalized in the mass inner product, and signs are fixed so the entry
+    of largest magnitude is positive; among entries within a relative 1e-8
+    of that magnitude the first vertex decides, so an antisymmetric mode
+    gets the same sign on both routes.  Raises TypeError when k is not an
+    integer and DomainError when it is negative or exceeds the number of
+    interior vertices.
     """
     k = operator.index(k)
     _nonnegative("k", k)
@@ -232,7 +220,7 @@ def laplace_eigenbasis(mesh: Mesh, k: int) -> list[GridFunction]:
     if k == 0:
         return []
     M = mesh.interior_mass
-    vecs = _lowest(mesh, M.data, k, vectors=True)[1]
+    vecs = _lowest(mesh, k)[1]
     basis = []
     for v in vecs.T:
         mag = np.abs(v)
@@ -652,9 +640,11 @@ class SolveReport:
     stiffness) at the solution, and ``morse_margin`` its certified margin
     delta = 1e-6 a: no eigenvalue lies in [-delta, delta), as the counts of
     eigenvalues below -delta and below +delta agree (``_morse``, by
-    inertia).  Both are None where those counts differ or J'' does not
+    inertia).  Both are None where those counts differ, where J'' does not
     exist (an exponent below 2 at a vanishing gradient on an element with
-    an interior vertex); a point with no eigenvalue below -delta is not
+    an interior vertex), or where SuperLU gives no inertia above _DENSE_N
+    interior vertices (it pivots off its diagonal or finds the shifted
+    matrix singular); a point with no eigenvalue below -delta is not
     reported.  ``below_ps_ceiling`` is true iff ``energy`` is strictly
     below the compactness ceiling a^2/(2b).
     """
@@ -811,22 +801,6 @@ def _dense_inertia(X: np.ndarray) -> int | None:
     return int(np.count_nonzero(d[one] < 0.0)) + int(np.count_nonzero(~one)) // 2
 
 
-def _count(mesh: Mesh, data: np.ndarray, dA: np.ndarray, b: float) -> int | None:
-    """The number of negative eigenvalues of S - b dA dA^T, for the matrix
-    S on the interior pattern of ``mesh`` with pattern data ``data``: on
-    more than _DENSE_N interior vertices from the symmetric SuperLU of S
-    (``_inertia_index``); on at most _DENSE_N, or where that LU gives no
-    count, from the Bunch-Kaufman LDL^T of the dense matrix, the rank-one
-    term included (``_dense_inertia``).  None when neither gives one."""
-    if len(dA) > _DENSE_N:
-        count = _inertia_index(mesh, data, dA, b)
-        if count is not None:
-            return count
-    # the rank-one term on the lower triangle, the one that dsytrf reads
-    X = blas.dsyr(-b, dA, a=mesh.interior_pattern_dense(data), lower=1, overwrite_a=1)
-    return _dense_inertia(X)
-
-
 def _morse(prob: KirchhoffProblem, at: _Point) -> tuple[int | None, int | None]:
     """The counts of the eigenvalues of the pencil (J''(u), K) below -delta
     and below +delta at the point ``at``, for K the interior stiffness and
@@ -837,20 +811,25 @@ def _morse(prob: KirchhoffProblem, at: _Point) -> tuple[int | None, int | None]:
     spectrum slicing, Parlett, The Symmetric Eigenvalue Problem, ch. 3).
     J'' comes as the pattern data of its sparse part S and the rank-one
     factor dA (``_hessian_of_elements``), and K's pattern data lie on S's
-    pattern, so the counts are ``_count`` of S + delta K and of
-    S - delta K, with the rank-one term.  When the two counts agree, they
-    are the Morse index and no eigenvalue lies in [-delta, delta).  No
-    eigensolve is made.  A count is None when neither factorization gives
-    it (``_count``).
+    pattern, so the counts are those of S + delta K and of S - delta K,
+    with the rank-one term.  When the two counts agree, they are the Morse
+    index and no eigenvalue lies in [-delta, delta).  No eigensolve is
+    made.  On at most _DENSE_N interior vertices each count is the
+    Bunch-Kaufman LDL^T's of the dense matrix, the rank-one term included
+    (``_dense_inertia``); above it, the symmetric SuperLU's
+    (``_inertia_index``), None where that LU carries no inertia.
     """
     try:
         data, dA = _kirchhoff_hessian(prob, at)
     except DomainError:
         return None, None
     mesh, delta = prob.mesh, _MORSE_MARGIN * prob.a
-    K = mesh.interior_stiffness_data
-    return (_count(mesh, data + delta * K, dA, prob.b),
-            _count(mesh, data - delta * K, dA, prob.b))
+    shifted = (data + s * mesh.interior_stiffness_data for s in (delta, -delta))
+    if len(dA) > _DENSE_N:
+        return tuple(_inertia_index(mesh, S, dA, prob.b) for S in shifted)
+    # the rank-one term on the lower triangle, the one that dsytrf reads
+    return tuple(_dense_inertia(blas.dsyr(-prob.b, dA, a=mesh.interior_pattern_dense(S),
+                                          lower=1, overwrite_a=1)) for S in shifted)
 
 
 def mountain_pass_solve(
@@ -888,8 +867,8 @@ def mountain_pass_solve(
     Newton steps; the trace holds one row per peak.  The solution's Morse
     counts are made last (``_morse``), and a point with no eigenvalue of
     (J'', K) below -delta, whose index is 0 or within the margin of it, is
-    not reported (index None, where J'' does not exist or the counts at
-    -delta and +delta differ, is).
+    not reported (index None, where J'' does not exist, a count is None or
+    the counts at -delta and +delta differ, is).
 
     ``energy_J`` is called once, at e.  A ray and a peak are each gathered
     once (``_energy_ray``, ``_point``), and the Newton polish starts from
@@ -1022,17 +1001,18 @@ def multiplicity_search(
     Requires a >= b and an odd nonlinearity (every cataloged kind is odd);
     DomainError otherwise, as for a bad ``tol``.  Start i is eigenvector i
     of ``laplace_eigenbasis``, scaled to unit Sobolev norm and then until
-    its energy is negative; k_max = 0 returns [], and a negative or
-    fractional k_max raises as ``laplace_eigenbasis`` does.  Starts whose
-    solve fails (MaxIterations, DegenerateCoefficient, or GeometryNotFound
-    when J has no maximum on the start's ray or the point found has Morse
-    index 0) are skipped, and the orbits of the other starts are kept; if
+    its energy is negative; k_max = 0 returns [], a negative k_max raises
+    DomainError and a fractional one TypeError.  Starts whose solve fails
+    (MaxIterations, DegenerateCoefficient, or GeometryNotFound when J has
+    no maximum on the start's ray or the point found has Morse index 0)
+    are skipped, and the orbits of the other starts are kept; if
     every start fails, the last failure's type is raised with each start's
     index, exception type and message.  Solutions are deduplicated under
     u -> -u, two being one orbit within _DISTINCT_TOL in the Sobolev norm,
     and returned sorted by increasing energy (ties broken by start index).
     """
     prob.require_valid_chain()
+    _nonnegative("k_max", k_max)
     if not prob.a >= prob.b:
         raise DomainError("multiplicity search requires a >= b")
     results, failures = [], []

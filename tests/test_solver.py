@@ -1675,25 +1675,29 @@ class _OffDiagonalLU:
         return getattr(self.lu, name)
 
 
-def test_morse_falls_back_to_the_dense_count_without_a_symmetric_lu(index_three_orbit,
-                                                                   monkeypatch):
-    # with the cutoff 0 every count asks SuperLU for the inertia; where it
-    # gives none, each count is the dense LDL^T's
+def test_morse_gives_no_count_where_superlu_carries_no_inertia(index_three_orbit,
+                                                               monkeypatch):
+    # with the cutoff 0 every count asks SuperLU for the inertia; a SuperLU
+    # that pivots off its diagonal carries none, and each count is None: no
+    # dense array of the matrix is filled and no dense LDL^T is made
     prob, rep = index_three_orbit
     at = _point(prob.mesh, rep.solution.nodal_values)
-    monkeypatch.setattr(solver, "_DENSE_N", 0)
-    monkeypatch.setattr(solver, "_inertia_index", lambda *args: None)
-    ldls = _count_dsytrf(monkeypatch)
-    assert solver._morse(prob, at) == (3, 3) and ldls == [11, 11]
-    monkeypatch.undo()
-
-    # a SuperLU that pivots off its diagonal carries no inertia
+    phi3 = laplace_eigenbasis(prob.mesh, 3)[2]  # the fixture's start
+    e = _scale_until_negative(prob, phi3.nodal_values / sobolev_norm(phi3, prob.p))
     monkeypatch.setattr(solver, "_DENSE_N", 0)
     monkeypatch.setattr(discretization, "_splu", lambda *args: _OffDiagonalLU(_splu(*args)))
     S, dA = hessian_J(rep.solution, prob)
     assert solver._inertia_index(prob.mesh, S.data, dA, prob.b) is None
     ldls = _count_dsytrf(monkeypatch)
-    assert solver._morse(prob, at) == (3, 3) and ldls == [11, 11]
+    monkeypatch.setattr(discretization.Mesh, "interior_pattern_dense",
+                        lambda *args: pytest.fail("a dense array was filled"))
+    assert solver._morse(prob, at) == (None, None) and ldls == []
+
+    # a solve from the fixture's start finds the same point and reports
+    # neither an index nor a margin
+    again = mountain_pass_solve(prob, e, tol=1e-6)
+    assert again.energy == rep.energy and rep.morse_index == 3
+    assert again.morse_index is None and again.morse_margin is None and ldls == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1763,7 +1767,7 @@ def test_counts_that_differ_at_the_margin_give_no_index(monkeypatch):
     # a - lambda / mu_1 = 0 up to rounding: one count below +delta, none
     # below -delta
     mesh = build_interval_mesh(30, 0.0, 1.0)
-    mu1 = solver._lowest(mesh, mesh.interior_mass.data, 1)[0]
+    (mu1,) = solver._lowest(mesh, 1)[0]
     spec = NonlinearitySpec("pure_power", constant_exponent(4.5, mesh), theta=3.2)
     prob = KirchhoffProblem(1.0, 0.1, mu1, constant_exponent(2.0, mesh), spec, mesh)
     assert solver._morse(prob, _point(mesh, np.zeros(mesh.n_vertices))) == (0, 1)
@@ -1907,9 +1911,9 @@ def test_multiplicity_requires_a_nonnegative_integer_k_max():
 
 def test_negative_n_starts_is_a_domain_error():
     # the number of starts is k_max, one per eigenvector: a negative count
-    # is refused as laplace_eigenbasis refuses a negative k
+    # is refused by its own name
     prob = model_problem(n=12)
-    with pytest.raises(DomainError, match="k must be nonnegative, got -1"):
+    with pytest.raises(DomainError, match="k_max must be nonnegative, got -1"):
         multiplicity_search(prob, k_max=-1)
 
 
@@ -1919,11 +1923,17 @@ def test_multiplicity_requires_a_geq_b():
         multiplicity_search(prob, k_max=2)
 
 
-def test_multiplicity_dedups_sign_orbit():
-    prob = model_problem()
-    reports = multiplicity_search(prob, k_max=1)
-    assert len(reports) == 1
-    assert reports[0].residual_norm <= 1e-6
+def test_multiplicity_dedups_sign_orbit(monkeypatch):
+    # at n = 25 the start on eigenvector 4 lands on -u for the ground state
+    # u of start 0: four solves give three orbits, of indices 1 to 3
+    prob = model_problem(n=25)
+    starts = _recorded_solves(monkeypatch)
+    reports = multiplicity_search(prob, k_max=4)
+    assert len(starts) == 4
+    assert [r.morse_index for r in reports] == [1, 2, 3]
+    assert [r.energy for r in reports] == pytest.approx(
+        [3.6935519331, 4.9188406058, 4.9871430962], rel=1e-10)
+    assert all(r.residual_norm <= 1e-6 for r in reports)
 
 
 def _recorded_solves(monkeypatch):
@@ -2108,7 +2118,7 @@ def test_dense_eigenbasis_matches_the_exact_eigenvalues(monkeypatch):
         w *= np.sign(w[np.argmax(np.abs(w) >= (1.0 - 1e-8) * np.abs(w).max())])
         w /= np.sqrt(w @ (M @ w))
         assert np.max(np.abs(u.nodal_values[idx] - w)) <= 1e-12 * np.max(np.abs(w))
-    vals = solver._lowest(mesh, M.data, 4)
+    vals = solver._lowest(mesh, 4)[0]
     assert calls == []
     exact = 4.0 / h**2 * np.tan(np.arange(1, 5) * np.pi * h / 2.0) ** 2
     assert np.max(np.abs(vals - exact) / exact) <= 1e-13
@@ -2119,19 +2129,12 @@ def test_dense_eigenbasis_matches_the_exact_eigenvalues(monkeypatch):
                          ids=["1d", "2d"])
 def test_pencil_operator_is_bitwise_the_sparse_products(mesh):
     # ARPACK's operator calls the CSR kernel and dtbtrs directly; its
-    # products are bitwise those of the CSC matrix and the band solves
-    p = build_exponent_field(2.1 + 0.3 * mesh.element_centroids[:, 0], mesh)
-    spec = NonlinearitySpec("pure_power", constant_exponent(5.0, mesh))
-    prob = KirchhoffProblem(1.0, 0.1, 2.0, p, spec, mesh)
-    rng = np.random.default_rng(7)
-    basis = np.array([b.nodal_values for b in laplace_eigenbasis(mesh, 4)])
-    data = solver._kirchhoff_hessian(prob, _point(mesh, rng.standard_normal(4) @ basis))[0]
+    # products are bitwise those of the CSC mass and the band solves
     U = mesh.interior_stiffness_lu.factor
-    y = rng.standard_normal(len(mesh.interior))
+    y = np.random.default_rng(7).standard_normal(len(mesh.interior))
     x = scipy.linalg.lapack.dtbtrs(U, y)[0]
-    for S in (mesh.interior_pattern_matrix(data), mesh.interior_mass):
-        whitened = scipy.linalg.lapack.dtbtrs(U, S @ x, trans="T")[0]
-        assert np.array_equal(solver._PencilOperator(mesh, S.data, U) @ y, whitened)
+    whitened = scipy.linalg.lapack.dtbtrs(U, mesh.interior_mass @ x, trans="T")[0]
+    assert np.array_equal(solver._PencilOperator(mesh, U) @ y, whitened)
 
 
 def test_eigenbasis_2d_near_degenerate_modes_by_span(monkeypatch):
