@@ -11,10 +11,11 @@
     python3 benchmarks/analyze_once.py outputs --parent DIR [--seeds N]
     python3 benchmarks/analyze_once.py fixed --parent DIR [--reps N]
     python3 benchmarks/analyze_once.py orbits --parent DIR [--seeds N]
+    python3 benchmarks/analyze_once.py geometry --parent DIR [--reps N]
 
 Each command prints one JSON document; ``--out FILE --key KEY`` also
 stores it under KEY in the JSON file FILE.  A command that fails
-(``pencils``, ``rayleigh``, ``outputs``, ``orbits``) gives its reason
+(``pencils``, ``rayleigh``, ``outputs``, ``orbits``, ``geometry``) gives its reason
 under ``failed``, is printed and stored all the same, and then exits with
 status 1.  Every process runs with the BLAS on one thread.
 
@@ -112,6 +113,18 @@ checkout's ``perfbench/`` first on ``sys.path`` (``_BOOTSTRAP``).
   orbit of the parent has no orbit of this checkout with the same Morse
   index within ``ORBIT_RTOL`` relative in energy, or when the error types
   differ; the orbits that only this checkout finds are listed.
+* ``geometry``: ``verify_mountain_geometry`` on the problems of the
+  workloads that run it (``GEOMETRY_WORKLOADS``, mp1d and mp2d) at config
+  seed ``GEOMETRY_SEED``, with the arguments ``cli.run`` passes, one
+  process per side and round, alternated over ``--reps`` rounds.  Each
+  process runs the workload's ``geometry`` command once, which warms the
+  mesh's caches, then times ``GEOMETRY_PASSES`` calls, each with the
+  ``laplace_eigenbasis`` call inside it, and one more call under
+  ``tracemalloc`` for its peak.  Per workload and side: the median
+  milliseconds of the call and of its eigenbasis, rho, ``repr(alpha)``,
+  ``directions_tested`` and the peak.  The command fails when rho differs
+  between the sides or alpha moves by more than ``GEOMETRY_ALPHA_RTOL``
+  relative.
 """
 
 import argparse
@@ -156,6 +169,14 @@ PENCIL_GAP = 1e-10
 # the fresh meshes that one ``fixed`` process times per workload, after one
 # warm-up
 FIXED_PASSES = 5
+
+# the workloads whose task samples the mountain-pass geometry, the config
+# seed and the timed calls per process of ``geometry``, and the largest
+# relative change of alpha that it accepts
+GEOMETRY_WORKLOADS = ["mp1d", "mp2d"]
+GEOMETRY_SEED = 1000
+GEOMETRY_PASSES = 20
+GEOMETRY_ALPHA_RTOL = 1e-13
 
 # ROADMAP item 10's multiplicity grid, (n, p, lambda) on interval:0,1,n
 ORBIT_GRID = [(n, p, lam) for n in (12, 25, 50, 100)
@@ -748,10 +769,98 @@ def rayleigh(parent: Path, reps: int) -> dict:
     return result
 
 
+def _geometry_child(workloads: list, seed: int, passes: int) -> dict:
+    """Per workload: the problem and the geometry arguments of ``cli.run``
+    at config seed ``seed`` (its geometry command, run once, warms the
+    mesh's caches), then ``passes`` timed calls of
+    ``verify_mountain_geometry``, with the seconds of the eigenbasis inside
+    each, and one more call under ``tracemalloc`` for its peak."""
+    import gc
+    import tracemalloc
+
+    from configs import config_text
+    from pxkirchhoff import cli, solver
+
+    captured = {}
+    verify = cli.verify_mountain_geometry
+
+    def keep(prob, *args):
+        captured["call"] = (prob, *args)
+        return verify(prob, *args)
+
+    eigenbasis, spent = solver.laplace_eigenbasis, []
+
+    def timed_eigenbasis(*args):
+        t0 = time.perf_counter()
+        basis = eigenbasis(*args)
+        spent.append(time.perf_counter() - t0)
+        return basis
+
+    cli.verify_mountain_geometry = keep
+    out = {}
+    for name in workloads:
+        text = config_text(name, seed).replace("command = solve", "command = geometry")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(cli.parse_config(text + f"out = {ROOT / '.bench_work' / 'analyze_once'}\n"))
+        call = captured.pop("call")
+        times = []
+        solver.laplace_eigenbasis = timed_eigenbasis
+        spent.clear()
+        for _ in range(passes):
+            t0 = time.perf_counter()
+            geo = verify(*call)
+            times.append(time.perf_counter() - t0)
+        solver.laplace_eigenbasis = eigenbasis
+        gc.collect()
+        tracemalloc.start()
+        try:
+            verify(*call)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[name] = dict(seconds=times, eigenbasis_seconds=list(spent), rho=geo.rho,
+                         alpha=repr(geo.alpha), directions_tested=geo.directions_tested,
+                         tracemalloc_peak_kb=peak / 1024)
+    cli.verify_mountain_geometry = verify
+    return out
+
+
+def geometry(parent: Path, reps: int) -> dict:
+    runs = list(_alternated(parent, reps, _child("_geometry_child", GEOMETRY_WORKLOADS,
+                                                  GEOMETRY_SEED, GEOMETRY_PASSES)))
+    rows, failed = [], []
+    for name in GEOMETRY_WORKLOADS:
+        row = {"workload": name}
+        for side in ("parent", "change"):
+            first = runs[0][side][name]
+            row[side] = {
+                "geometry_ms": round(1e3 * statistics.median(
+                    t for run in runs for t in run[side][name]["seconds"]), 4),
+                "eigenbasis_ms": round(1e3 * statistics.median(
+                    t for run in runs for t in run[side][name]["eigenbasis_seconds"]), 4),
+                **{key: first[key] for key in ("rho", "alpha", "directions_tested",
+                                               "tracemalloc_peak_kb")}}
+        before, after = float(row["parent"]["alpha"]), float(row["change"]["alpha"])
+        row["alpha_rel_diff"] = abs(after - before) / abs(before)
+        if (row["parent"]["rho"] != row["change"]["rho"]
+                or row["alpha_rel_diff"] > GEOMETRY_ALPHA_RTOL):
+            failed.append(name)
+        rows.append(row)
+    result = {"what": f"verify_mountain_geometry at config seed {GEOMETRY_SEED} on warm mesh "
+                      f"caches, median of {reps} round(s) of {GEOMETRY_PASSES} calls per side, "
+                      "sides alternated; eigenbasis_ms is the laplace_eigenbasis call inside "
+                      "each, tracemalloc_peak_kb that of one more call",
+              "rows": rows}
+    if failed:
+        result["failed"] = (f"rho differs, or alpha by more than {GEOMETRY_ALPHA_RTOL:g} "
+                            "relative, on: " + ", ".join(failed))
+    return result
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("command", choices=["lu", "pairs", "slow", "wide", "counts", "rayleigh",
-                                        "pencils", "outputs", "fixed", "orbits"])
+                                        "pencils", "outputs", "fixed", "orbits", "geometry"])
     ap.add_argument("--reps", type=int, default=40)
     ap.add_argument("--parent", type=Path)
     ap.add_argument("--workload", default="mp2d")
@@ -786,6 +895,8 @@ def main(argv=None) -> int:
         result = fixed(args.parent.resolve(), args.reps)
     elif args.command == "orbits":
         result = orbits(args.parent.resolve(), args.seeds)
+    elif args.command == "geometry":
+        result = geometry(args.parent.resolve(), args.reps)
     elif args.command == "wide":
         result = slow(args.parent.resolve(), args.reps, WIDE_CASES)
     else:

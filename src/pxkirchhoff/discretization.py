@@ -29,6 +29,7 @@ band LU hide it.  Both band arrays are sized by the mesh's interior
 bandwidth (``Mesh.interior_bandwidth``).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -170,8 +171,8 @@ class Mesh:
         is contiguous for element-wise products.
         """
         d = self.dimension
-        coords = np.take(self.vertices, self.elements, axis=0)  # (n_e, d+1, d)
-        edges = (coords[:, 1:] - coords[:, :1]).transpose(1, 2, 0)  # E, element-last
+        coords = np.take(self.vertices, self.elements.T, axis=0)  # (d+1, n_e, d)
+        edges = (coords[1:] - coords[:1]).transpose(0, 2, 1)  # E, element-last
         hats = np.empty((d, d + 1, self.n_elements))
         if d == 1:
             hats[0, 1] = 1.0 / edges[0, 0]
@@ -439,17 +440,23 @@ def _band_cholesky(band: np.ndarray) -> _BandCholesky:
 
 
 def build_interval_mesh(n: int, a_end: float, b_end: float) -> Mesh:
-    """Uniform mesh of n segments on (a_end, b_end); endpoints are boundary."""
+    """Uniform mesh of n segments on (a_end, b_end); endpoints are boundary.
+    ShapeError for fewer than 2 segments, an end or a length that is not
+    finite, or segments that round to zero length."""
     if n < 2:
         raise ShapeError(f"interval mesh needs at least 2 elements, got {n}")
+    if not math.isfinite(float(b_end) - float(a_end)):  # inf and nan ends included
+        raise ShapeError(f"interval ({a_end}, {b_end}) needs finite ends and length")
     if not a_end < b_end:
         raise ShapeError(f"degenerate interval ({a_end}, {b_end})")
     x = np.linspace(a_end, b_end, n + 1)
+    measures = np.diff(x)
+    if not np.all(measures > 0.0):
+        raise ShapeError(f"the segments of ({a_end}, {b_end}) round to zero length")
     vertices = x[:, None]
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     mask = np.zeros(n + 1, dtype=bool)
     mask[0] = mask[-1] = True
-    measures = np.diff(x)
     return Mesh(1, vertices, elements, mask, measures)
 
 
@@ -457,11 +464,16 @@ def build_rect_mesh(nx: int, ny: int, rect) -> Mesh:
     """Criss-cross triangulation of a rectangle, nx by ny cells split in two.
 
     ``rect`` is a pair of opposite corner points ((x0, y0), (x1, y1)); all
-    four sides are flagged as Dirichlet boundary.
+    four sides are flagged as Dirichlet boundary.  ShapeError for fewer
+    than 2 cells a side, a corner or an area that is not finite, or
+    triangles that round to zero area.
     """
     if nx < 2 or ny < 2:
         raise ShapeError(f"rect mesh needs at least 2x2 cells, got {nx}x{ny}")
     (x0, y0), (x1, y1) = rect
+    # inf and nan corners included; no triangle is larger than the rectangle
+    if not math.isfinite((float(x1) - float(x0)) * (float(y1) - float(y0))):
+        raise ShapeError(f"rectangle {rect} needs finite corners and area")
     if not (x0 < x1 and y0 < y1):
         raise ShapeError(f"degenerate rectangle {rect}")
     xs = np.linspace(x0, x1, nx + 1)
@@ -485,6 +497,8 @@ def build_rect_mesh(nx: int, ny: int, rect) -> Mesh:
     e1 = coords[:, 1] - coords[:, 0]
     e2 = coords[:, 2] - coords[:, 0]
     measures = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    if not np.all(measures > 0.0):
+        raise ShapeError(f"the triangles of rectangle {rect} round to zero area")
     return Mesh(2, vertices, elements, mask, measures)
 
 

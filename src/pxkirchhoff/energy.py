@@ -17,7 +17,8 @@ and ``hessian_J`` returns it as a matrix.  One element kernel,
 ``_hessian_of_elements``, assembles K A'' minus a lower-order centroid
 term for a given K, so it also gives the Hessian A'' - R B'' of the
 Rayleigh equation A'(u) = R B'(u) (``_rayleigh_hessian``).  J along a ray
-r u with its exact slope (``_energy_ray``), and R = A / B with
+r u with its exact slope (``_energy_ray``), J on spheres of fixed radii
+(``_energy_on_spheres``), and R = A / B with
 B(u) = I(1/p |u|^p), with its gradient, its change along a line u + t d
 (``_rayleigh_line``, from the ray weights the gradient returns) and its
 values along the ray e^s u (``_rayleigh_on_ray``), live here too.
@@ -26,7 +27,8 @@ Every functional reads nodal values only through their element data, and
 this module owns them: ``_point`` gathers a ``_Point`` once (Dg u and C u,
 two sparse products, then |Dg u|).  The ``*_of_elements`` forms take a
 point or arrays of its data (J, J' with A, J'' and A'' - R B'' as pattern
-data, R' with R and the ray weights), and the nodal forms (``gradient_J``,
+data, R' with R and the ray weights), as does the function that
+``_energy_on_spheres`` returns, and the nodal forms (``gradient_J``,
 ``hessian_J``) call them on their ``_point``; the solvers hold points and
 never gather.
 """
@@ -72,7 +74,8 @@ class NonlinearitySpec:
     scaled_power multiplies both by a positive coefficient; zero is the
     unperturbed problem.  All kinds are odd in s and vanish at s = 0, and
     every G is a power in s: G(x, r s) = r^{q(x)} G(x, s) for r > 0, which
-    J along a ray (``_energy_ray``) relies on.
+    J along a ray (``_energy_ray``) and on spheres (``_energy_on_spheres``)
+    relies on.
     """
 
     kind: str
@@ -506,6 +509,32 @@ def _energy_ray(prob: KirchhoffProblem, nodal: np.ndarray):
         return J, (prob.a - prob.b * A) * rise_A - drive, drive
 
     return at.gmag, ray
+
+
+def _energy_on_spheres(prob: KirchhoffProblem, radii: np.ndarray):
+    """on_spheres(at, norm) = J(rho_k u / norm) for every radius rho_k of
+    ``radii``, from the element data of the point ``at`` (of u) and a norm
+    of u.
+
+    Every term of J is a power along a ray (``_energy_ray``): with
+    v = u / norm, A(rho v) = sum rho^p w_A and B(rho v) = sum rho^p w_B for
+    the weights of v (``_ray_weights``), and I(G(x, rho v)) = sum rho^q w_G
+    with w_G = meas G(x, v_c).  The tables rho_k^p and rho_k^q, radii by
+    elements, are taken once here, so each point costs only its own powers
+    and three products with them.
+    """
+    pv, qv = prob.p.values, prob.g.q.values
+    rho = radii[:, None]
+    r_p, r_q = rho**pv, rho**qv
+    mesh = prob.mesh
+
+    def on_spheres(at: _Point, norm: float):
+        vc = at.uc / norm
+        w_A, w_B = _ray_weights(mesh, prob.p, at.gmag / norm, vc)
+        w_G = _G(prob.g, vc) * mesh.element_measures
+        return _energy_of_terms(prob, r_p @ w_A, r_p @ w_B, r_q @ w_G)
+
+    return on_spheres
 
 
 def _rayleigh_on_ray(s: float, c: np.ndarray, w_A: np.ndarray, w_B: np.ndarray):

@@ -2,9 +2,10 @@
 the ray-maximum descent solver, and a finite-dimensional multiplicity search.
 
 Only the algorithms live here.  Every functional they evaluate (J, J', J
-and its slope along a ray, the Rayleigh quotient, its gradient, its change
-along a line and its restriction to a ray) comes from ``energy``, and both
-descents backtrack through one Armijo step, ``_armijo``.
+and its slope along a ray, J on the geometry's spheres, the Rayleigh
+quotient, its gradient, its change along a line and its restriction to a
+ray) comes from ``energy``, and both descents backtrack through one Armijo
+step, ``_armijo``.
 
 The Rayleigh descent finishes, for variable p, along the Hessian of the
 Rayleigh equation, factored once and kept (a chord method), from the same
@@ -50,6 +51,7 @@ order, and merges results deterministically by (energy, start-index)
 order.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -63,6 +65,7 @@ from .discretization import GridFunction, Mesh
 from .energy import (
     KirchhoffProblem,
     _energy_of_elements,
+    _energy_on_spheres,
     _energy_ray,
     _kirchhoff_hessian,
     _point,
@@ -575,10 +578,14 @@ def verify_mountain_geometry(
     minimum, not a proven floor).
 
     Directions mix a few deterministic low-frequency eigenvector probes with
-    ``n_dirs`` random zero-trace draws, each gathered once (``_energy_ray``):
-    J(rho u/|u|) at every radius follows from its weights and |u| from the
-    same gradient magnitudes.  The largest radius whose sampled minimum is
-    positive is selected and a negative-energy point beyond it is attached.
+    ``n_dirs`` random zero-trace draws, drawn and gathered one at a time
+    (``_point``): |u| comes from its gradient magnitudes, and J(rho u/|u|)
+    at every radius from the weights of u/|u| and the radius powers
+    rho^p and rho^q, taken once per call (``_energy_on_spheres``).  The
+    largest radius whose sampled minimum is positive is selected, and a
+    negative-energy point beyond it is attached: the first doubling of the
+    ground eigenvector's modulus with J < 0 and norm above that radius
+    (``_scale_until_negative``, the call's one ray).
     Raises GeometryNotFound when every radius has a nonpositive sampled
     minimum (or the grid is empty), and DomainError for a radius not finite
     and positive or a negative ``n_dirs`` or ``seed``."""
@@ -595,16 +602,19 @@ def verify_mountain_geometry(
     mesh, p = prob.mesh, prob.p
 
     n_probe = min(3, len(mesh.interior))
-    directions = [d.nodal_values for d in laplace_eigenbasis(mesh, n_probe)]
-    for _ in range(n_dirs):
-        nodal = np.zeros(mesh.n_vertices)
-        nodal[mesh.interior] = rng.standard_normal(len(mesh.interior))
-        directions.append(nodal)
+    probes = [d.nodal_values for d in laplace_eigenbasis(mesh, n_probe)]
 
+    def draws():  # one random direction at a time
+        for _ in range(n_dirs):
+            nodal = np.zeros(mesh.n_vertices)
+            nodal[mesh.interior] = rng.standard_normal(len(mesh.interior))
+            yield nodal
+
+    on_spheres = _energy_on_spheres(prob, radii)
     floors = np.full(radii.size, np.inf)
-    for nodal in directions:
-        gmag, ray = _energy_ray(prob, nodal)
-        floors = np.minimum(floors, ray(radii / luxemburg_norm(gmag, p, mesh))[0])
+    for nodal in itertools.chain(probes, draws()):
+        at = _point(mesh, nodal)
+        floors = np.minimum(floors, on_spheres(at, luxemburg_norm(at.gmag, p, mesh)))
     positive = np.flatnonzero(floors > 0.0)
     if positive.size == 0:
         raise GeometryNotFound(
@@ -612,12 +622,12 @@ def verify_mountain_geometry(
         )
     rho, alpha = float(radii[positive[-1]]), float(floors[positive[-1]])
 
-    psi = directions[0]  # the ground eigenvector
+    psi = probes[0]  # the ground eigenvector
     e = _scale_until_negative(prob, np.abs(psi), min_norm=rho)  # one-signed
     return GeometryReport(
         rho=rho,
         alpha=alpha,
-        directions_tested=len(directions),
+        directions_tested=len(probes) + n_dirs,
         negative_point=e,
         negative_energy=energy_J(e, prob),
     )

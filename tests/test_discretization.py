@@ -41,6 +41,42 @@ def test_degenerate_interval_rejected():
         build_interval_mesh(4, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [8, 200])
+@pytest.mark.parametrize("ends", [(0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf),
+                                  (np.nan, 1.0), (0.0, np.nan)])
+def test_interval_with_an_end_that_is_not_finite_is_rejected(ends, n):
+    # above 128 interior vertices an infinite end used to reach ARPACK
+    with pytest.raises(ShapeError, match="needs finite ends and length"):
+        build_interval_mesh(n, *ends)
+
+
+def test_interval_whose_segments_are_not_sized_is_rejected():
+    # finite ends whose length overflows, or whose segments round to nothing
+    with pytest.raises(ShapeError, match="needs finite ends and length"):
+        build_interval_mesh(10, -1e308, 1e308)
+    with pytest.raises(ShapeError, match="round to zero length"):
+        build_interval_mesh(10, 1.0, 1.0 + 4e-16)
+
+
+@pytest.mark.parametrize("n", [8, 200])
+@pytest.mark.parametrize("rect", [((0.0, 0.0), (np.inf, 1.0)), ((-np.inf, 0.0), (1.0, 1.0)),
+                                  ((0.0, 0.0), (1.0, np.inf)), ((np.nan, 0.0), (1.0, 1.0)),
+                                  ((0.0, 0.0), (1.0, np.nan))])
+def test_rect_with_a_corner_that_is_not_finite_is_rejected(rect, n):
+    with pytest.raises(ShapeError, match="needs finite corners and area"):
+        build_rect_mesh(n, 2, rect)
+
+
+def test_rect_whose_triangles_are_not_sized_is_rejected():
+    # finite corners whose extent or area overflows, or whose triangles
+    # round to nothing
+    for rect in [((-1e308, 0.0), (1e308, 1.0)), ((0.0, 0.0), (1e200, 1e200))]:
+        with pytest.raises(ShapeError, match="needs finite corners and area"):
+            build_rect_mesh(4, 4, rect)
+    with pytest.raises(ShapeError, match="round to zero area"):
+        build_rect_mesh(10, 2, ((1.0, 0.0), (1.0 + 4e-16, 1.0)))
+
+
 def test_rect_mesh_counts():
     mesh = build_rect_mesh(2, 2, ((0.0, 0.0), (1.0, 1.0)))
     assert mesh.n_vertices == 9 and mesh.n_elements == 8
@@ -282,6 +318,25 @@ def _jittered_rect_mesh(nx, ny, seed):
     e1, e2 = (vertices[mesh.elements[:, k]] - vertices[mesh.elements[:, 0]] for k in (1, 2))
     measures = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     return Mesh(2, vertices, mesh.elements, mesh.boundary_mask, measures)
+
+
+@pytest.mark.parametrize("mesh", [build_interval_mesh(17, -0.3, 1.9),
+                                  build_rect_mesh(7, 5, ((-0.5, 0.2), (1.3, 2.0)))],
+                         ids=["1d", "2d"])
+def test_hat_gradients_are_bitwise_the_element_major_gather(mesh):
+    # the edge vectors come from a vertex-major gather; the element-major
+    # gather gives the same differences, so the same bits
+    d = mesh.dimension
+    coords = np.take(mesh.vertices, mesh.elements, axis=0)
+    edges = (coords[:, 1:] - coords[:, :1]).transpose(1, 2, 0)
+    ref = np.empty((d, d + 1, mesh.n_elements))
+    if d == 1:
+        ref[0, 1] = 1.0 / edges[0, 0]
+    else:
+        (a, b), (c, e) = edges
+        ref[:, 1:] = np.array([[e, -b], [-c, a]]) / (a * e - b * c)
+    ref[:, 0] = -ref[:, 1:].sum(axis=1)
+    assert np.array_equal(mesh.hat_gradients, ref.transpose(2, 0, 1))
 
 
 @pytest.mark.parametrize("mesh", [

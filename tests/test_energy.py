@@ -19,11 +19,13 @@ from pxkirchhoff import (
     gradient_J,
     hessian_J,
     kirchhoff_A,
+    luxemburg_norm,
     mountain_pass_solve,
     nonlinearity_eval,
 )
 from pxkirchhoff.energy import (
     _derivative_terms_of_elements,
+    _energy_on_spheres,
     _energy_ray,
     _g_prime,
     _kirchhoff_hessian,
@@ -222,6 +224,30 @@ def test_line_restriction_matches_energy(dim):
     # a stack of r gives the same triples as one r at a time
     for stacked, single in zip(np.array(ray(rs)).T, rs):
         assert stacked == pytest.approx(ray(single), rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sphere_energies_match_the_ray(dim):
+    # J(rho_k u / |u|) from the radius tables is the ray's J at r = rho_k / |u|
+    # to rounding, with variable p, lambda != 0 and a scaled nonlinearity
+    if dim == 1:
+        mesh = build_interval_mesh(50, 0.0, 1.0)
+    else:
+        mesh = build_rect_mesh(6, 5, ((0.0, 0.0), (1.0, 1.0)))
+    p = build_exponent_field(2.0 + 0.3 * mesh.element_centroids[:, 0], mesh)
+    q = build_exponent_field(4.5 + 0.2 * mesh.element_centroids[:, 0], mesh)
+    spec = NonlinearitySpec("scaled_power", q, coefficient=1.5, theta=3.2)
+    prob = KirchhoffProblem(1.0, 0.1, 0.7, p, spec, mesh)
+    radii = np.array([0.01, 0.05, 0.2, 1.0, 3.0, 8.0])
+    on_spheres = _energy_on_spheres(prob, radii)
+    rng = np.random.default_rng(11 + dim)
+    for _ in range(3):
+        u = GridFunction(mesh, rng.standard_normal(mesh.n_vertices)).nodal_values
+        at = _point(mesh, u)
+        norm = luxemburg_norm(at.gmag, p, mesh)
+        J = on_spheres(at, norm)
+        assert J.shape == radii.shape
+        assert J == pytest.approx(_energy_ray(prob, u)[1](radii / norm)[0], rel=1e-13)
 
 
 def _rayleigh_case(dim):

@@ -634,6 +634,23 @@ def test_geometry_rays_match_brute_force_samples(make, monkeypatch):
     assert geo.directions_tested == 15
 
 
+def test_geometry_gathers_each_direction_once(monkeypatch):
+    # every sphere sample of a direction comes from its one gather; the only
+    # ray is that of the doublings of e
+    prob = _variable_p_1d()
+    gathered, rays = [], []
+    gather, ray = energy._gather, solver._energy_ray
+    monkeypatch.setattr(energy, "_gather",
+                        lambda mesh, nodal: gathered.append(nodal) or gather(mesh, nodal))
+    monkeypatch.setattr(solver, "_energy_ray",
+                        lambda pr, nodal: rays.append(nodal) or ray(pr, nodal))
+    geo = verify_mountain_geometry(prob, [0.05, 0.2, 1.0, 4.0, 6.0, 8.0, 16.0], 12, seed=3)
+    assert geo.directions_tested == 15
+    assert len(rays) == 1 and len(gathered) == geo.directions_tested + 1
+    assert gathered[-1] is rays[0]
+    assert len({g.tobytes() for g in gathered[:-1]}) == geo.directions_tested
+
+
 def test_geometry_memory_per_element():
     # one direction at a time: no stack of directions by elements
     mesh = build_rect_mesh(32, 32, ((0.0, 0.0), (1.0, 1.0)))
